@@ -312,6 +312,40 @@ def basis_in_degree(A: Algebra, d: int, filtration_cap: Optional[int] = None) ->
     return out
 
 
+def basis_up_to(A: Algebra, max_degree: int) -> Dict[int, List[Monomial]]:
+    """All monomials of degree 0..max_degree in one pass, by degree, each
+    list in canonical order (as basis_in_degree gives it); degrees without
+    a monomial are left out."""
+    if A.has_divided():
+        raise NotFreeError("expand divided-power generators first (expand_divided)")
+    gens = A.generators
+    if any(g.kind == LAURENT or (g.degree == 0 and g.kind == POLYNOMIAL) for g in gens):
+        raise InfiniteBasisError("infinite basis")
+    if any(g.degree < 0 for g in gens):
+        raise AlgebraError("basis_up_to needs generators of degree >= 0")
+    n = len(gens)
+    out: Dict[int, List[Monomial]] = {}
+    cur = [0] * n
+
+    def rec(i: int, deg: int) -> None:
+        if i == n:
+            out.setdefault(deg, []).append(tuple(cur))
+            return
+        g = gens[i]
+        top = 1 if g.kind == EXTERIOR else g.height - 1 if g.kind == TRUNCATED else None
+        e = 0
+        while (top is None or e <= top) and deg + e * g.degree <= max_degree:
+            cur[i] = e
+            rec(i + 1, deg + e * g.degree)
+            e += 1
+        cur[i] = 0
+
+    rec(0, 0)
+    for mons in out.values():
+        mons.sort()
+    return out
+
+
 def graded_dims(A: Algebra, max_degree: int) -> List[int]:
     """Dimensions of A in degrees 0..max_degree, by generating-series product."""
     if any(g.kind == LAURENT for g in A.generators):

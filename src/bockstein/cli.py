@@ -22,9 +22,11 @@ from .closedform import (
     tmn_profile,
 )
 from .engine import (
+    MAX_COST,
     EngineAssertionError,
     ScheduleError,
     Window,
+    estimate_cost,
     run as run_engine,
     schedule_conj,
     schedule_v0,
@@ -59,7 +61,18 @@ def _color(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
+def _check_cost(cfg: RunConfig, deg_v: int, pages: List[int]) -> None:
+    cost = estimate_cost(deg_v, cfg.max_degree, pages, cfg.localized, cfg.page_cap)
+    if cost > MAX_COST:
+        raise ScheduleError(f"the run would keep about {cost:,} (A-degree, page) states, "
+                            f"above the limit of {MAX_COST:,}; choose a smaller --max-degree")
+
+
 def _build(cfg: RunConfig):
+    """Algebra, schedule and window of a case.  The size of the run is
+    checked first: the v0 schedule has one rule per mu-power in the window,
+    so its pages are counted in closed form, while the ladder schedules take
+    a step per page and are built before the check."""
     w = Window(cfg.max_degree)
     if cfg.case == "v0":
         if cfg.n is None:
@@ -67,6 +80,10 @@ def _build(cfg: RunConfig):
         if cfg.localized:
             raise ScheduleError("v0 has |v| = 0; the localized (rational) answer "
                                 "is the closed-form module's job")
+        # mu^k fires on page nu_p(k) + 1, so page j + 1 needs k = p^j
+        dm = deg_mu(cfg.p, cfg.n)
+        _check_cost(cfg, 0, [j + 1 for j in range(cfg.max_degree.bit_length() + 1)
+                             if cfg.p ** j * dm <= cfg.max_degree + 1])
         A = thh_mod_p_algebra(cfg.p, cfg.n)
         sched = schedule_v0(cfg.p, cfg.n, w)
     elif cfg.case == "v1":
@@ -84,6 +101,8 @@ def _build(cfg: RunConfig):
         sched = schedule_conj(cfg.p, cfg.n, cfg.m, w)
     else:
         raise ScheduleError(f"unknown case {cfg.case!r}")
+    if cfg.case != "v0":
+        _check_cost(cfg, sched.v.degree, sorted(sched.pages))
     return A, sched, w
 
 

@@ -1,24 +1,38 @@
-"""Windowed multiplicative Bockstein spectral-sequence engine.
+"""Multiplicative Bockstein spectral-sequence engine, one state per A-degree.
 
-Bidegrees are (t, s): t is the abutment topological degree (a class a*v^s
+Bidegrees are (t, s): t is the abutment topological degree (a class x*v^s
 contributes s*|v| to t) and s is the v-filtration, so d_r maps
 (t, s) -> (t-1, s+r).  E_1 of a run is A[v] (or A[v^{+-1}] in localized
 mode); schedules inject page-indexed rules which the engine extends as a
-derivation, and per-bidegree homology is computed by exact Gaussian
-elimination over F_p with echelon-pivot representatives under the
-canonical monomial order.
+derivation.
 
-Honesty model: the computation runs on a grid strictly larger than the
-reported window 0..D.  A bidegree whose incoming differential would cross
-the grid edge is flagged indeterminate, flags infect their targets, and
-the grid is padded so flags provably cannot creep into the reported
-region.  A tower is certified infinite only when, for every fired page,
-both the page's source slant and the tower's own differential support are
-observed to die inside the grid (their dimensions and ranks are
-non-increasing along a slant, so a first zero is final), and no rule
-beyond the emitted schedule can hit the tower's base degree.  Anything
-less yields an explicit "unknown" with an advisory lower bound.  When a
-page cap leaves pages unfired, a surviving class whose image under an
+Since d_r(x*v^s) = d_r(x)*v^s, page r maps A-degree a to a - 1 - r|v|
+whatever the filtration, and one v-tower is one A-degree.  So the state is
+kept per A-degree a: the cycles Z_r(a) and the boundaries, as subspaces of
+F_p^{basis(a)}, computed by exact Gaussian elimination over F_p with
+echelon-pivot representatives under the canonical monomial order.  The
+boundaries of page r reach a tower only from filtration r on, since their
+sources sit r filtrations lower; so the classes at (t, s) are Z_r(a)
+modulo the boundaries of the fired pages <= s, and each A-degree keeps one
+boundary level per fired page, with its own representatives.  With v
+inverted every page's boundaries reach every filtration and one level is
+kept.  The (t, s) pages that documents and charts read are views of this
+state over the window 0..D.
+
+Every page asserts d_r o d_r = 0, that d_r takes the same values from
+every boundary level (so it is defined on E_r), and the homology
+bookkeeping of each state.
+
+Reading the towers at base degree b: the classes that become boundaries on
+page r are towers of length r, the cycles that never do are free towers,
+and in localized mode Z_inf(b)/B(b) at filtration 0 is the Laurent span.
+The boundaries into the window come from at most 1 + R|v| A-degrees above
+it (R the last page), so the state covers exactly those degrees and every
+tower is decided by what the run fired.  The only unknowns come from the
+schedule: a degree that a rule the schedule did not emit (its future
+floor) or a page the run did not fire (a page cap) can hit is read only up
+to the smallest such page, and what survives there is "unknown" with that
+page as its advisory lower bound.  A surviving class whose image under an
 unfired page's rules (Leibniz extension included) is nonzero may support
 that differential, and then its whole v-tower leaves: its unknown is
 "possibly absent" and carries no lower bound.  In localized mode every
@@ -28,8 +42,8 @@ differential there removes its target's Laurent tower as well.
 
 from __future__ import annotations
 
-import random
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,7 +56,7 @@ from .algebra import (
     Element,
     GeneratorSpec,
     Monomial,
-    basis_in_degree,
+    basis_up_to,
     element_degree,
     mul_monomials,
     multiply,
@@ -77,16 +91,13 @@ class AmbiguousPatternError(ScheduleError):
 
 @dataclass(frozen=True)
 class Window:
-    """Results are reported (and trusted) on 0..max_degree only."""
+    """Results are reported on degrees 0..max_degree."""
 
     max_degree: int
-    buffer: int = 1
 
     def __post_init__(self) -> None:
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        if self.buffer < 1:
-            raise ValueError("buffer must be >= 1")
 
 
 def as_window(w) -> Window:
@@ -133,22 +144,21 @@ class DifferentialSchedule:
         return {r: [(rule.source, dict(rule.target)) for rule in pg.rules]
                 for r, pg in sorted(self.pages.items())}
 
-    def future_targets_hit(self, base_degree: int) -> bool:
-        return self.future_target_floor is not None and base_degree >= self.future_target_floor
-
 
 @dataclass
 class Cell:
-    """State of one bidegree on one page.
+    """The classes of one A-degree at one boundary level on one page.
 
-    reps is None for an untouched cell (all monomials alive, no boundaries);
-    otherwise rows of coefficients over the cell's monomial list.
+    reps is None for an untouched state (all monomials alive, no
+    boundaries); otherwise rows of coefficients over the monomial list.
+    A cell is not changed once built, so its solver is kept.
     """
 
     monomials: Tuple[Monomial, ...]
     reps: Optional[List[List[int]]] = None
     boundaries: List[List[int]] = field(default_factory=list)
-    flag: bool = False
+    _solver: Optional[linalg.CosetSolver] = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     @property
     def dim(self) -> int:
@@ -161,21 +171,53 @@ class Cell:
         return [list(r) for r in self.reps]
 
     def solver(self, p: int) -> linalg.CosetSolver:
-        return linalg.CosetSolver(self.reps_rows(), self.boundaries, len(self.monomials), p)
+        if self._solver is None:
+            self._solver = linalg.CosetSolver(self.reps_rows(), self.boundaries,
+                                              len(self.monomials), p)
+        return self._solver
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    t_lo: int
-    t_hi: int
-    s_lo: int
-    s_hi: int
+def view_filtrations(deg_v: int, max_degree: int, pages: Sequence[int],
+                     localized: bool) -> Tuple[int, int]:
+    """The filtrations a page view lists.  With |v| > 0 they are every
+    filtration a class of degree <= D can have (localized: the same range
+    below zero); with |v| = 0, s <= sum(pages) + 2 + max(pages)."""
+    if deg_v == 0:
+        return 0, sum(pages) + 2 + max(pages, default=0)
+    s_hi = max_degree // deg_v
+    return (-s_hi if localized else 0), s_hi
+
+
+def reach(deg_v: int, max_degree: int, pages: Sequence[int], localized: bool,
+          max_source: int = 0) -> int:
+    """The largest A-degree a run keeps: the view's A-degrees (differential
+    sources at t = D + 1 included), the sources of every boundary into them,
+    and every rule source."""
+    s_lo = view_filtrations(deg_v, max_degree, pages, localized)[0]
+    top = max_degree + 1 - s_lo * deg_v
+    return max(top + 1 + max(pages, default=0) * deg_v, max_source)
+
+
+# Runs whose estimate_cost exceeds this are refused as oversized.  The
+# largest certified windows (v2 p=5 D=3000: 132,972; v2 p=2 D=2000: 90,230;
+# v1 p=3 D=4000: 82,986) take a few seconds each.
+MAX_COST = 1_000_000
+
+
+def estimate_cost(deg_v: int, max_degree: int, pages: Sequence[int], localized: bool,
+                  page_cap: Optional[int] = None) -> int:
+    """A-degrees a run keeps times the pages it fires: its work and memory
+    up to a factor that depends on the algebra only."""
+    fired = [r for r in pages if page_cap is None or r <= page_cap]
+    return (reach(deg_v, max_degree, pages, localized) + 1) * max(1, len(fired))
 
 
 class EngineContext:
-    """Shared immutable state of one run: algebra, v, grid, basis cache."""
+    """Shared immutable state of one run: algebra, v, window, view range
+    and A-degree reach."""
 
-    def __init__(self, A: Algebra, v: GeneratorSpec, grid: GridSpec, localized: bool) -> None:
+    def __init__(self, A: Algebra, v: GeneratorSpec, localized: bool, max_degree: int,
+                 pages: Sequence[int] = (), max_source: int = 0) -> None:
         if any(g.name == v.name for g in A.generators):
             raise ScheduleError(f"v generator {v.name!r} already present in the algebra")
         if localized and v.degree == 0:
@@ -187,96 +229,82 @@ class EngineContext:
         vkind = LAURENT if localized else POLYNOMIAL
         self.Av = A.adjoin(GeneratorSpec(v.name, v.degree, vkind))
         self.v_index = self.Av.ngens - 1
-        self.grid = grid
-        self._basis: Dict[int, Tuple[Monomial, ...]] = {}
-
-    def basis(self, adeg: int) -> Tuple[Monomial, ...]:
-        if adeg < 0:
-            return ()
-        got = self._basis.get(adeg)
-        if got is None:
-            got = tuple(basis_in_degree(self.A, adeg))
-            self._basis[adeg] = got
-        return got
-
-    def in_grid(self, key: Tuple[int, int]) -> bool:
-        t, s = key
-        g = self.grid
-        return g.t_lo <= t <= g.t_hi and g.s_lo <= s <= g.s_hi
-
-    def adeg(self, key: Tuple[int, int]) -> int:
-        t, s = key
-        return t - s * self.deg_v
-
-    def potential_class(self, key: Tuple[int, int]) -> bool:
-        """Could E_1 be nonzero at this (possibly out-of-grid) bidegree?"""
-        t, s = key
-        if s < 0 and not self.localized:
-            return False
-        return bool(self.basis(t - s * self.deg_v))
-
-    def make_cells(self) -> Dict[Tuple[int, int], Cell]:
-        cells: Dict[Tuple[int, int], Cell] = {}
-        g = self.grid
-        for s in range(g.s_lo, g.s_hi + 1):
-            lo = max(0, g.t_lo - s * self.deg_v)
-            hi = g.t_hi - s * self.deg_v
-            for adeg in range(lo, hi + 1):
-                mons = self.basis(adeg)
-                if mons:
-                    cells[(adeg + s * self.deg_v, s)] = Cell(mons)
-        return cells
+        self.max_degree = max_degree
+        self.top_page = max(pages, default=0)
+        self.s_lo, self.s_hi = view_filtrations(v.degree, max_degree, pages, localized)
+        self.reach = reach(v.degree, max_degree, pages, localized, max_source)
 
 
 @dataclass
 class DiffRecord:
-    target: Tuple[int, int]
+    target: object  # (t, s) in a page view; the target A-degree per A-degree
     matrix: List[List[int]]  # rows: source reps, cols: target reps
     rank: int
 
 
-@dataclass
 class PageData:
-    r: int
-    cells: Dict[Tuple[int, int], Cell]
-    ctx: EngineContext
-    # differentials of THIS page, filled in when the page is applied
-    diffs: Dict[Tuple[int, int], DiffRecord] = field(default_factory=dict)
-    applied_rules: Optional[RulePage] = None
+    """The page E_r of a run.
+
+    degrees maps each A-degree to its cells by boundary level: level k holds
+    the boundaries of the first k fired pages (one level when localized).
+    cells is the (t, s) view of them over the window, built when first read
+    (E_1's by build_e1).  diffs is the view of the page's differentials,
+    recorded when the page is applied.
+    """
+
+    def __init__(self, r: int, ctx: EngineContext, degrees: Dict[int, Tuple[Cell, ...]],
+                 fired: Tuple[int, ...] = ()) -> None:
+        self.r = r
+        self.ctx = ctx
+        self.degrees = degrees
+        self.fired = fired
+        self.diffs: Dict[Tuple[int, int], DiffRecord] = {}
+        self.applied_rules: Optional[RulePage] = None
+        self._cells: Optional[Dict[Tuple[int, int], Cell]] = None
+
+    def level(self, s: int) -> int:
+        """Index of the boundary level that filtration s sees on this page."""
+        return -1 if self.ctx.localized else bisect_right(self.fired, s)
+
+    @property
+    def cells(self) -> Dict[Tuple[int, int], Cell]:
+        if self._cells is None:
+            self._cells = _cell_view(self)
+        return self._cells
 
     def dim(self, t: int, s: int) -> int:
         cell = self.cells.get((t, s))
         return cell.dim if cell else 0
 
-    def dims_snapshot(self) -> Dict[Tuple[int, int], int]:
-        return {k: c.dim for k, c in self.cells.items() if c.dim}
+
+def _cell_view(pd: PageData) -> Dict[Tuple[int, int], Cell]:
+    """The classes of a page at every (t, s) of the window."""
+    ctx, dv = pd.ctx, pd.ctx.deg_v
+    cells = {}
+    for s in range(ctx.s_lo, ctx.s_hi + 1):
+        k = pd.level(s)
+        for t in range(max(0, s * dv), ctx.max_degree + 1):
+            levels = pd.degrees.get(t - s * dv)
+            if levels:
+                cells[(t, s)] = levels[k]
+    return cells
 
 
 def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool = False,
-             grid: Optional[GridSpec] = None) -> PageData:
-    """E_1 = A[v] (A[v^{+-1}] when localized) on the window's grid."""
+             pages: Sequence[int] = (), max_source: int = 0) -> PageData:
+    """E_1 = A[v] (A[v^{+-1}] when localized), seen through the window.
+
+    pages are the schedule's page numbers: the largest fixes how far above
+    the window boundaries come from, and with |v| = 0 they fix the
+    filtrations a view lists.  max_source is the largest A-degree of a rule
+    source, so that every rule can be checked against its state.
+    """
     w = as_window(w)
-    if grid is None:
-        t_hi = w.max_degree + w.buffer
-        if v.degree > 0:
-            s_hi = t_hi // v.degree
-            s_lo = -s_hi if localized else 0
-        else:
-            if localized:
-                raise ScheduleError("localized mode requires |v| > 0")
-            s_hi, s_lo = w.buffer, 0
-        grid = GridSpec(-t_hi if localized else 0, t_hi, s_lo, s_hi)
-    ctx = EngineContext(A, v, grid, localized)
-    return PageData(1, ctx.make_cells(), ctx)
-
-
-def advance_to(pd: PageData, r: int) -> PageData:
-    """Jump over rule-free pages (pass-throughs)."""
-    if r < pd.r:
-        raise EngineError("cannot advance backwards")
-    if r == pd.r:
-        return pd
-    return PageData(r, pd.cells, pd.ctx)
+    ctx = EngineContext(A, v, localized, w.max_degree, tuple(pages), max_source)
+    degrees = {a: (Cell(tuple(mons)),) for a, mons in sorted(basis_up_to(A, ctx.reach).items())}
+    pd = PageData(1, ctx, degrees)
+    pd._cells = _cell_view(pd)
+    return pd
 
 
 def _normalize_rules(rules, page: int) -> RulePage:
@@ -324,19 +352,21 @@ def _validate_rules(pd: PageData, page: RulePage) -> None:
                 raise MalformedRuleError(
                     "malformed rule (power mode needs a pure power of a polynomial generator)")
         # survival: the source must be a live class (a cycle that is not a
-        # boundary) and the target must still be nonzero on this page
-        src_cell = pd.cells.get((sdeg, 0))
-        if src_cell is None or rule.source not in src_cell.monomials:
+        # boundary) at filtration 0 and the target must still be nonzero at
+        # filtration r on this page
+        src_levels = pd.degrees.get(sdeg)
+        if src_levels is None or rule.source not in src_levels[0].monomials:
             raise DeadSourceError("dead source")
+        src_cell = src_levels[pd.level(0)]
         vec = [0] * len(src_cell.monomials)
         vec[src_cell.monomials.index(rule.source)] = 1
         solver = src_cell.solver(p)
         if solver.in_boundaries(vec) or solver.express(vec) is None:
             raise DeadSourceError("dead source")
-        tkey = (sdeg - 1, r)
-        tcell = pd.cells.get(tkey)
-        if tcell is None:
+        tlevels = pd.degrees.get(sdeg - 1 - r * ctx.deg_v)
+        if tlevels is None:
             raise MalformedRuleError("malformed rule (target bidegree empty)")
+        tcell = tlevels[pd.level(r)]
         tvec = [0] * len(tcell.monomials)
         for m, c in rule.target.items():
             amon = m[:-1]
@@ -417,23 +447,119 @@ def _accumulate(acc: Element, m: Monomial, c: int, p: int) -> None:
         acc.pop(m, None)
 
 
-def _degree_images(ctx: EngineContext, page: RulePage, adeg: int,
-                   cache: Dict[int, Tuple[Element, ...]]) -> Tuple[Element, ...]:
-    """d of every basis monomial of one A-degree (independent of filtration)."""
-    got = cache.get(adeg)
-    if got is None:
-        got = tuple(_d_of_monomial(ctx, page, m) for m in ctx.basis(adeg))
-        cache[adeg] = got
-    return got
+def _page_map(cell: Cell, images: Sequence[Element], tcell: Cell, p: int,
+              r: int, a: int, ta: int) -> Optional[DiffRecord]:
+    """d_r on the classes of one cell, in the coordinates of the target's
+    classes; None when it vanishes."""
+    tindex = {mon: i for i, mon in enumerate(tcell.monomials)}
+    mat: List[List[int]] = []
+    nonzero = False
+    for row in cell.reps_rows():
+        dvec: Element = {}
+        for j, c in enumerate(row):
+            if c and images[j]:
+                for mon, cc in images[j].items():
+                    _accumulate(dvec, mon, c * cc, p)
+        if not dvec:
+            mat.append([0] * tcell.dim)
+            continue
+        vec = [0] * len(tcell.monomials)
+        for mon, cc in dvec.items():
+            pos = tindex.get(mon)
+            if pos is None:
+                raise EngineAssertionError("differential leaves its bidegree")
+            vec[pos] = cc
+        coeffs = tcell.solver(p).express(vec)
+        if coeffs is None:
+            raise EngineAssertionError(
+                f"d_{r} value in A-degree {a} is not a class of the current page")
+        mat.append(coeffs)
+        nonzero = nonzero or any(coeffs)
+    if not nonzero:
+        return None
+    return DiffRecord(ta, mat, linalg.rank(mat, p))
 
 
-def apply_page(pd: PageData, rules, A: Optional[Algebra] = None) -> PageData:
+def _homology(cell: Cell, rec: Optional[DiffRecord], image_rows: Optional[List[List[int]]],
+              p: int, r: int, a: int) -> Cell:
+    """The next page's cell: the kernel of the outgoing d_r (rec) modulo the
+    incoming image rows, both in the coordinates of the cell's classes."""
+    if rec is None and not image_rows:
+        return cell
+    reps = cell.reps_rows()
+    n = len(reps)
+    if rec is not None:
+        ker = linalg.left_kernel(rec.matrix, len(rec.matrix[0]) if rec.matrix else 0, p)
+    else:
+        ker = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    im_ech: Dict[int, List[int]] = {}
+    im_count = 0
+    for row in image_rows or ():
+        if linalg.echelon_insert(im_ech, row, p) is not None:
+            im_count += 1
+    new_rep_combos: List[List[int]] = []
+    combo_ech: Dict[int, List[int]] = {}
+    for kv in ker:
+        red = linalg.reduce_row(kv, im_ech, p)
+        red = linalg.reduce_row(red, combo_ech, p)
+        if any(red):
+            linalg.echelon_insert(combo_ech, red, p)
+            new_rep_combos.append(red)
+    if len(new_rep_combos) != len(ker) - im_count:
+        raise EngineAssertionError(
+            f"homology dimension bookkeeping failed at A-degree {a} on page {r}")
+    width = len(cell.monomials)
+
+    def _combine(combo: List[int]) -> List[int]:
+        vec = [0] * width
+        for i, c in enumerate(combo):
+            if c:
+                ri = reps[i]
+                for j in range(width):
+                    if ri[j]:
+                        vec[j] = (vec[j] + c * ri[j]) % p
+        return vec
+
+    new_bnd = [list(b) for b in cell.boundaries]
+    for row in image_rows or ():
+        vec = _combine(row)
+        if any(vec):
+            new_bnd.append(vec)
+    return Cell(cell.monomials, [_combine(combo) for combo in new_rep_combos], new_bnd)
+
+
+def _span(rec: Optional[DiffRecord], p: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """Canonical form (reduced echelon) of the row space of a map."""
+    if rec is None:
+        return ()
+    return tuple((piv, tuple(row)) for piv, row in
+                 sorted(linalg.echelon_from_rows(rec.matrix, p).items()))
+
+
+def _diff_view(pd: PageData, maps: Mapping[int, Tuple[Optional[DiffRecord], ...]]
+               ) -> Dict[Tuple[int, int], DiffRecord]:
+    """The differentials of a page with a source or a target in the window,
+    both ends within the view's filtrations."""
+    ctx, dv, r = pd.ctx, pd.ctx.deg_v, pd.r
+    diffs = {}
+    for a, row in maps.items():
+        for s in range(ctx.s_lo, ctx.s_hi - r + 1):
+            t = a + s * dv
+            if t > ctx.max_degree + 1:
+                break
+            rec = row[pd.level(s)]
+            if t >= 0 and rec is not None:
+                diffs[(t, s)] = DiffRecord((t - 1, s + r), rec.matrix, rec.rank)
+    return diffs
+
+
+def apply_page(pd: PageData, rules) -> PageData:
     """Fire page pd.r with the given rules and return the next page.
 
     rules may be a RulePage or a plain list of (source, target) pairs (a
     pure generator-power source gets Leibniz extension, anything else exact
-    matching); an empty list yields the input with r incremented.  The
-    fired differential matrices are recorded on the input PageData.
+    matching); an empty list yields the input's state with r incremented.
+    The fired differentials are recorded on the input PageData.
     """
     ctx = pd.ctx
     p = ctx.A.p
@@ -444,156 +570,69 @@ def apply_page(pd: PageData, rules, A: Optional[Algebra] = None) -> PageData:
     _default_attach(ctx, page)
     pd.applied_rules = page
     if not page.rules:
-        return PageData(r + 1, pd.cells, ctx)
+        return PageData(r + 1, ctx, pd.degrees, pd.fired)
+    if ctx.deg_v and r > ctx.top_page:
+        raise EngineError(f"page {r} draws boundaries from above the A-degrees kept "
+                          f"for pages up to {ctx.top_page}")
     _validate_rules(pd, page)
+    shift = 1 + r * ctx.deg_v
 
-    img_cache: Dict[int, Tuple[Element, ...]] = {}
-    out: Dict[Tuple[int, int], DiffRecord] = {}
-    incoming: Dict[Tuple[int, int], List[List[int]]] = {}
-    solvers: Dict[Tuple[int, int], linalg.CosetSolver] = {}
-    edge_flags = set()
-
-    for key, cell in pd.cells.items():
-        if cell.dim == 0:
-            continue
-        adeg = ctx.adeg(key)
-        images = _degree_images(ctx, page, adeg, img_cache)
+    # d_r per A-degree and boundary level, into the target's full level: a
+    # target sits at filtration >= r, where every fired page's boundaries
+    # have arrived
+    maps: Dict[int, Tuple[Optional[DiffRecord], ...]] = {}
+    for a, levels in pd.degrees.items():
+        images = [_d_of_monomial(ctx, page, m) for m in levels[0].monomials]
         if not any(images):
             continue
-        t, s = key
-        tkey = (t - 1, s + r)
-        tcell = pd.cells.get(tkey)
-        if tcell is None:
-            # a nonzero value may land outside the grid: the kernel at this
-            # cell is then not computable, flag it and record no matrix
-            fires = False
-            if cell.reps is None:
-                fires = True
-            else:
-                fires = any(any(images[j] for j, c in enumerate(row) if c)
-                            for row in cell.reps)
-            if fires:
-                if ctx.in_grid(tkey):
-                    raise EngineAssertionError(
-                        f"differential from {key} lands in a missing in-grid cell {tkey}")
-                edge_flags.add(key)
-            continue
-        rows = cell.reps_rows()
-        mat: List[List[int]] = []
-        any_nonzero = False
-        tindex = {mon: i for i, mon in enumerate(tcell.monomials)}
-        for row in rows:
-            dvec: Element = {}
-            for j, c in enumerate(row):
-                if c and images[j]:
-                    for mon, cc in images[j].items():
-                        _accumulate(dvec, mon, c * cc, p)
-            if not dvec:
-                mat.append([0] * tcell.dim)
-                continue
-            tsolver = solvers.get(tkey)
-            if tsolver is None:
-                tsolver = tcell.solver(p)
-                solvers[tkey] = tsolver
-            vec = [0] * len(tcell.monomials)
-            for mon, cc in dvec.items():
-                pos = tindex.get(mon)
-                if pos is None:
-                    raise EngineAssertionError("differential leaves its bidegree")
-                vec[pos] = cc
-            coeffs = tsolver.express(vec)
-            if coeffs is None:
-                raise EngineAssertionError(
-                    f"d_{r} value at {key} is not a class of the current page")
-            mat.append(coeffs)
-            any_nonzero = any_nonzero or any(coeffs)
-        if any_nonzero:
-            out[key] = DiffRecord(tkey, mat, linalg.rank(mat, p))
-            incoming.setdefault(tkey, []).extend(mat)
+        tlevels = pd.degrees.get(a - shift)
+        if tlevels is None:
+            raise EngineAssertionError("differential leaves its bidegree")
+        memo: Dict[int, Optional[DiffRecord]] = {}
+        for cell in levels:
+            if id(cell) not in memo:
+                memo[id(cell)] = _page_map(cell, images, tlevels[-1], p, r, a, a - shift)
+        row = tuple(memo[id(cell)] for cell in levels)
+        if any(rec is not None for rec in row):
+            maps[a] = row
 
-    # d_r composed with d_r must vanish wherever both legs are computed
-    for key, rec in out.items():
-        rec2 = out.get(rec.target)
-        if rec2 is None:
-            continue
-        width2 = len(rec2.matrix[0]) if rec2.matrix else 0
-        for row in rec.matrix:
-            comp = [0] * width2
-            for j, c in enumerate(row):
-                if c:
-                    row2 = rec2.matrix[j]
-                    for k2 in range(width2):
-                        if row2[k2]:
-                            comp[k2] = (comp[k2] + c * row2[k2]) % p
-            if any(comp):
-                raise EngineAssertionError(f"d_{r} o d_{r} != 0 out of {key}")
-
-    new_cells: Dict[Tuple[int, int], Cell] = {}
-    for key, cell in pd.cells.items():
-        t, s = key
-        flag = cell.flag or key in edge_flags
-        src_key = (t + 1, s - r)
-        if ctx.in_grid(src_key):
-            src_cell = pd.cells.get(src_key)
-            if src_cell is not None and src_cell.flag and src_cell.dim:
-                src_images = _degree_images(ctx, page, ctx.adeg(src_key), img_cache)
-                if any(src_images):
-                    flag = True
-        elif ctx.potential_class(src_key):
-            flag = True
-
-        rec = out.get(key)
-        image_rows = incoming.get(key)
-        if rec is None and image_rows is None and flag == cell.flag:
-            new_cells[key] = cell
-            continue
-
-        reps = cell.reps_rows()
-        n = len(reps)
-        if rec is not None:
-            ker = linalg.left_kernel(rec.matrix, len(rec.matrix[0]) if rec.matrix else 0, p)
-        else:
-            ker = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-        im_ech: Dict[int, List[int]] = {}
-        im_count = 0
-        if image_rows:
-            for row in image_rows:
-                if linalg.echelon_insert(im_ech, row, p) is not None:
-                    im_count += 1
-        new_rep_combos: List[List[int]] = []
-        combo_ech: Dict[int, List[int]] = {}
-        for kv in ker:
-            red = linalg.reduce_row(kv, im_ech, p)
-            red = linalg.reduce_row(red, combo_ech, p)
-            if any(red):
-                linalg.echelon_insert(combo_ech, red, p)
-                new_rep_combos.append(red)
-        if len(new_rep_combos) != len(ker) - im_count:
+    incoming: Dict[int, List[List[int]]] = {}
+    for a, row in maps.items():
+        # d_r o d_r must vanish; the target's d_r is read at its top level
+        second = maps.get(a - shift, (None,))[-1]
+        for rec in row:
+            if rec is not None and second is not None and any(
+                    map(any, linalg.mat_mul(rec.matrix, second.matrix, p))):
+                raise EngineAssertionError(f"d_{r} o d_{r} != 0 out of A-degree {a}")
+        # the sources of a tower's boundaries sit at every level; d_r must
+        # hit the same classes from each, or it is not defined on E_r
+        if len({_span(rec, p) for rec in row}) > 1:
             raise EngineAssertionError(
-                f"homology dimension bookkeeping failed at {key} on page {r}")
-        width = len(cell.monomials)
+                f"d_{r} out of A-degree {a} depends on the representatives")
+        incoming[a - shift] = row[-1].matrix
 
-        def _combine(combo: List[int]) -> List[int]:
-            vec = [0] * width
-            for i, c in enumerate(combo):
-                if c:
-                    ri = reps[i]
-                    for j in range(width):
-                        if ri[j]:
-                            vec[j] = (vec[j] + c * ri[j]) % p
-            return vec
+    # every level loses the cycles that support d_r; the boundaries of page
+    # r reach filtration r on, which is the new top level
+    degrees: Dict[int, Tuple[Cell, ...]] = {}
+    for a, levels in pd.degrees.items():
+        row = maps.get(a)
+        image_rows = incoming.get(a)
+        if row is None and image_rows is None:
+            degrees[a] = levels if ctx.localized else levels + levels[-1:]
+            continue
+        row = row or (None,) * len(levels)
+        top = _homology(levels[-1], row[-1], image_rows, p, r, a)
+        if ctx.localized:
+            degrees[a] = (top,)
+            continue
+        memo_cells: Dict[int, Cell] = {}
+        for cell, rec in zip(levels, row):
+            if id(cell) not in memo_cells:
+                memo_cells[id(cell)] = _homology(cell, rec, None, p, r, a)
+        degrees[a] = tuple(memo_cells[id(cell)] for cell in levels) + (top,)
 
-        new_reps = [_combine(combo) for combo in new_rep_combos]
-        new_bnd = [list(b) for b in cell.boundaries]
-        if image_rows:
-            for row in image_rows:
-                vec = _combine(row)
-                if any(vec):
-                    new_bnd.append(vec)
-        new_cells[key] = Cell(cell.monomials, new_reps, new_bnd, flag)
-
-    pd.diffs = out
-    return PageData(r + 1, new_cells, ctx)
+    pd.diffs = _diff_view(pd, maps)
+    return PageData(r + 1, ctx, degrees, pd.fired + (r,))
 
 
 # ----------------------------------------------------------------------
@@ -624,9 +663,11 @@ def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
     lam = n          # index of lambda_{n+1}
     mu = n + 1       # index of mu_{n+1}
     vi = n + 2
-    t_hi = w.max_degree + w.buffer
+    t_hi = w.max_degree + 1
     pages: Dict[int, RulePage] = {}
-    for _ in range(8):  # the page count feeds back into the grid margin
+    # sources reach D + 1 plus one degree per page; the page count feeds
+    # back into that bound
+    for _ in range(8):
         pages = {}
         k = 1
         while k * dm <= t_hi:
@@ -635,7 +676,7 @@ def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
             target = _target_element(Av, {vi: page, mu: k - 1, lam: 1})
             pages.setdefault(page, RulePage(page, [])).rules.append(Rule(src, target, EXACT))
             k += 1
-        new_hi = w.max_degree + w.buffer + len(pages)
+        new_hi = w.max_degree + 1 + len(pages)
         if new_hi == t_hi:
             break
         t_hi = new_hi
@@ -781,213 +822,86 @@ def schedule_conj(p: int, n: int, m: int, w) -> DifferentialSchedule:
 # running and tower extraction
 
 
-def _plan_grid(A: Algebra, sched: DifferentialSchedule, w: Window, localized: bool) -> GridSpec:
-    deg_v = sched.v.degree
-    pages = sorted(sched.pages)
-    R = pages[-1] if pages else 0
-    np_ = len(pages)
-    max_src = 0
-    for pg in sched.pages.values():
-        for rule in pg.rules:
-            max_src = max(max_src, A.degree(rule.source))
-    D = w.max_degree
-    if deg_v == 0:
-        c_inf = sum(pages)
-        return GridSpec(0, max(D + w.buffer + np_, max_src + 1), 0, c_inf + 2 + R)
-    t_hi = max(D + w.buffer + R * deg_v + np_, max_src + 1)
-    if not localized:
-        return GridSpec(0, t_hi, 0, t_hi // deg_v)
-    s_cap = t_hi // deg_v
-    return GridSpec(-(np_ + 1), t_hi, -(s_cap + (np_ + 1) * R), s_cap + R)
-
-
-@dataclass
-class RunHistory:
-    dims: Dict[int, Dict[Tuple[int, int], int]] = field(default_factory=dict)
-    ranks: Dict[int, Dict[Tuple[int, int], int]] = field(default_factory=dict)
-    flags: Dict[int, frozenset] = field(default_factory=dict)
-    # pages the schedule holds but the run did not fire (page_cap)
-    unfired_pages: Tuple[int, ...] = ()
-
-
 def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
         page_cap: Optional[int] = None) -> Tuple[List[PageData], TowerProfile]:
     """Run the schedule and extract the E_infinity tower profile.
 
     Returns the recorded pages (E_1, each fired page carrying its
-    differential matrices, and the final page) and the tower profile over
-    degrees 0..max_degree.
+    differentials, and the final page) and the tower profile over degrees
+    0..max_degree.  A page cap leaves the pages above it unfired.
     """
     w = as_window(w)
-    grid = _plan_grid(A, sched, w, localized)
-    pd = build_e1(A, sched.v, w, localized, grid=grid)
+    if page_cap is not None and page_cap < 1:
+        raise ScheduleError(f"page cap {page_cap} is below 1, so no page could fire")
+    max_source = max((A.degree(rule.source) for pg in sched.pages.values()
+                      for rule in pg.rules), default=0)
+    pd = build_e1(A, sched.v, w, localized, pages=sorted(sched.pages), max_source=max_source)
     if not sched.pages:
         warnings.warn("window too small to contain any rule source; E_1 = E_infinity",
                       stacklevel=2)
     pages_out: List[PageData] = [pd]
-    hist = RunHistory()
     final = pd
     unfired: List[int] = []
     for r in sorted(sched.pages):
         if page_cap is not None and r > page_cap:
             unfired.append(r)
             continue
-        cur = advance_to(final, r)
-        hist.dims[r] = cur.dims_snapshot()
-        hist.flags[r] = frozenset(k for k, c in cur.cells.items() if c.flag)
+        # the pages between fired ones pass the state through unchanged
+        cur = final if final.r == r else PageData(r, final.ctx, final.degrees, final.fired)
         nxt = apply_page(cur, sched.pages[r])
-        hist.ranks[r] = {k: rec.rank for k, rec in cur.diffs.items()}
         if cur is not pages_out[-1]:
             pages_out.append(cur)
         final = nxt
-    hist.unfired_pages = tuple(unfired)
     if final is not pages_out[-1]:
         pages_out.append(final)
-    profile = extract_towers(final, sched, w, localized, hist)
+    profile = extract_towers(final, sched, w, localized, tuple(unfired))
     return pages_out, profile
 
 
-def _first_zero_along_slant(ctx: EngineContext, table: Dict[Tuple[int, int], int],
-                            flagged: frozenset, start_t: int) -> Optional[int]:
-    """First slant position where the table value is zero; values along a
-    slant are non-increasing, so a first zero is final.  Flagged cells are
-    not trustworthy, so hitting one (or the grid edge) yields None."""
-    dv = ctx.deg_v
-    j = 0
-    while True:
-        t = start_t + j * dv
-        if t > ctx.grid.t_hi or j > ctx.grid.s_hi:
-            return None
-        key = (t, j)
-        if key in flagged:
-            return None
-        if table.get(key, 0) == 0:
-            return j
-        j += 1
-
-
-def _column_safe_from(ctx: EngineContext, base: int,
-                      hist: RunHistory) -> Optional[int]:
-    """A filtration beyond which no fired page can change the column at
-    `base`, or None if that is not observable inside the grid.
-
-    Page r kills the column from sources on the slant of A-degree
-    base+1+r|v| (bounded by the first zero of the page's dimensions there)
-    and removes classes that support d_r themselves (bounded by the first
-    zero of the recorded out-ranks along the column); both tables are
-    non-increasing along slants.
-    """
-    dv = ctx.deg_v
-    safe = 0
-    for r in sorted(hist.dims):
-        flags = hist.flags.get(r, frozenset())
-        src_base = base + 1 + r * dv
-        if ctx.basis(src_base):
-            j0 = _first_zero_along_slant(ctx, hist.dims[r], flags, src_base)
-            if j0 is None:
-                return None
-            safe = max(safe, j0 + r)
-        j0 = _first_zero_along_slant(ctx, hist.ranks.get(r, {}), flags, base)
-        if j0 is None:
-            return None
-        safe = max(safe, j0)
-    return safe
-
-
 def extract_towers(final: PageData, sched: DifferentialSchedule, w, localized: bool,
-                   hist: RunHistory) -> TowerProfile:
+                   unfired: Tuple[int, ...] = ()) -> TowerProfile:
+    """The towers over the window, read from the final page's per-degree
+    state; unfired lists the schedule's pages the run did not fire."""
     w = as_window(w)
     ctx = final.ctx
-    D = w.max_degree
-    dv = ctx.deg_v
-    prof = TowerProfile(D)
+    prof = TowerProfile(w.max_degree)
 
     future_floor = sched.future_target_floor
     future_min_page = sched.future_min_page
-    unfired = [sched.pages[r] for r in hist.unfired_pages]
-    for r, page in zip(hist.unfired_pages, unfired):
+    unfired_pages = [sched.pages[r] for r in unfired]
+    for r, page in zip(unfired, unfired_pages):
         _default_attach(ctx, page)
         for rule in page.rules:
             for mon in rule.target:
-                base = ctx.Av.degree(mon) - r * dv
+                base = ctx.Av.degree(mon) - r * ctx.deg_v
                 future_floor = base if future_floor is None else min(future_floor, base)
         future_min_page = r if future_min_page is None else min(future_min_page, r)
 
-    def future_hits(b: int) -> bool:
-        return future_floor is not None and b >= future_floor
-
-    if localized:
-        # with v inverted a later differential removes its target's Laurent
-        # tower as well as its source's, so a future hit may leave nothing
-        for b in range(0, D + 1):
-            cell = final.cells.get((b, 0))
-            if cell is None or cell.dim == 0:
-                continue
-            if cell.flag:
-                length = Unknown()
-            elif future_hits(b):
-                length = Unknown(possibly_absent=True)
-            else:
-                length = INF
-            for _ in range(cell.dim):
-                prof.add(b, length)
-        return prof
-
-    if dv == 0:
-        # v-multiplication is an isomorphism above the sum of the fired
-        # pages; surviving there certifies an infinite tower
-        horizon = sum(hist.dims.keys())
-        for b in range(0, D + 1):
-            dims, flagged_at = _column_dims(final, b, dv, horizon + 1)
-            hit = future_hits(b)
-            certified = len(dims) - 1 >= horizon and not hit
-            _read_column(prof, b, dims, flagged_at, certified, horizon,
-                         future_min_page if hit else None,
-                         lambda j: _unfired_sources(final, unfired, (b + j * dv, j)))
-        return prof
-
-    for b in range(0, D + 1):
-        if not ctx.basis(b):
+    for b in range(0, w.max_degree + 1):
+        levels = final.degrees.get(b)
+        if levels is None:
             continue
-        j_grid = (ctx.grid.t_hi - b) // dv
-        dims, flagged_at = _column_dims(final, b, dv, j_grid)
-        certified = False
-        stable = None
-        hit = future_hits(b)
-        if not hit:
-            # flags past the stable horizon are irrelevant: nothing can
-            # change the column there any more
-            safe = _column_safe_from(ctx, b, hist)
-            if safe is not None and safe <= len(dims) - 1:
-                certified = True
-                stable = safe
-        _read_column(prof, b, dims, flagged_at, certified, stable,
-                     future_min_page if hit else None,
-                     lambda j: _unfired_sources(final, unfired, (b + j * dv, j)))
+        hit = future_floor is not None and b >= future_floor
+        if localized:
+            # with v inverted a later differential removes its target's
+            # Laurent tower as well as its source's, so a future hit may
+            # leave nothing
+            length = Unknown(possibly_absent=True) if hit else INF
+            for _ in range(levels[-1].dim):
+                prof.add(b, length)
+            continue
+        _read_column(prof, b, levels, final.fired, future_min_page if hit else None,
+                     lambda cell: _unfired_sources(ctx, unfired_pages, cell))
     return prof
 
 
-def _column_dims(final: PageData, base: int, dv: int,
-                 j_max: int) -> Tuple[List[int], Optional[int]]:
-    dims: List[int] = []
-    for j in range(0, j_max + 1):
-        cell = final.cells.get((base + j * dv, j))
-        if cell is not None and cell.flag:
-            return dims, j
-        dims.append(cell.dim if cell else 0)
-    return dims, None
-
-
-def _unfired_sources(final: PageData, unfired: Sequence[RulePage],
-                     key: Tuple[int, int]) -> int:
-    """How many classes of the cell at key have a nonzero image under the
-    rules of the unfired pages (Leibniz extension included): the rank of
-    their stacked images.  Such a class may support a differential the run
-    did not fire, and then its whole v-tower leaves."""
-    cell = final.cells.get(key)
-    if not unfired or cell is None or cell.dim == 0:
+def _unfired_sources(ctx: EngineContext, unfired: Sequence[RulePage], cell: Cell) -> int:
+    """How many classes of the cell have a nonzero image under the rules of
+    the unfired pages (Leibniz extension included): the rank of their
+    stacked images.  Such a class may support a differential the run did
+    not fire, and then its whole v-tower leaves."""
+    if not unfired or cell.dim == 0:
         return 0
-    ctx = final.ctx
     p = ctx.A.p
     images = [[_d_of_monomial(ctx, page, m) for page in unfired] for m in cell.monomials]
     index: Dict[Tuple[int, Monomial], int] = {}
@@ -1010,136 +924,33 @@ def _unfired_sources(final: PageData, unfired: Sequence[RulePage],
     return linalg.rank(rows, p)
 
 
-def _read_column(prof: TowerProfile, b: int, dims: List[int], flagged_at: Optional[int],
-                 certified: bool, stable: Optional[int],
-                 future_min_page: Optional[int], leaving: Callable[[int], int]) -> None:
-    """Add the towers of the column at base b, read from its dimensions
-    dims[j] at filtration j; leaving(j) counts the classes at level j that
-    may support an unfired differential."""
-    if not dims:
-        if flagged_at == 0:
-            prof.add(b, Unknown(None))
-        return
-    for j in range(1, len(dims)):
-        if dims[j] > dims[j - 1]:
+def _read_column(prof: TowerProfile, b: int, levels: Sequence[Cell], fired: Sequence[int],
+                 future_min_page: Optional[int], leaving: Callable[[Cell], int]) -> None:
+    """Add the towers of the v-tower at base b from its boundary levels:
+    levels[k] holds the classes that survive the boundaries of the first k
+    fired pages, so the classes page fired[k - 1] kills are towers of that
+    length.  With a future page at future_min_page, the classes left after
+    the pages below it are unknown; leaving(cell) counts those that may
+    support an unfired differential."""
+    dims = [cell.dim for cell in levels]
+    for k in range(1, len(dims)):
+        if dims[k] > dims[k - 1]:
             raise EngineAssertionError(
                 f"dimensions increase along the v-tower at base degree {b}")
-    if certified and stable is not None:
-        for j in range(stable + 1, len(dims)):
-            if dims[j] != dims[stable]:
-                raise EngineAssertionError(
-                    f"tower at base {b} drops after its certified horizon")
-        for k in range(1, stable + 1):
-            for _ in range(dims[k - 1] - dims[k]):
-                prof.add(b, k)
-        for _ in range(dims[stable]):
-            prof.add(b, INF)
-        return
-    limit = len(dims) - 1
     # observations past the smallest unfired page are not trustworthy
-    trusted = limit if future_min_page is None else min(limit, future_min_page - 1)
+    trusted = len(fired) if future_min_page is None else bisect_right(fired, future_min_page - 1)
     for k in range(1, trusted + 1):
         for _ in range(dims[k - 1] - dims[k]):
-            prof.add(b, k)
-    top = dims[trusted] if trusted >= 0 else dims[0]
+            prof.add(b, fired[k - 1])
+    top = dims[trusted]
+    if future_min_page is None:
+        for _ in range(top):
+            prof.add(b, INF)
+        return
     # a class that may support an unfired differential may hold no tower at
     # all, so it gets no lower bound; the rest can only be hit later
-    absent = leaving(trusted) if top else 0
+    absent = leaving(levels[trusted]) if top else 0
     for _ in range(absent):
         prof.add(b, Unknown(possibly_absent=True))
     for _ in range(top - absent):
-        prof.add(b, Unknown(trusted + 1))
-
-
-def compare_with_oracle(engine_profile: TowerProfile, oracle_profile: TowerProfile, w):
-    from .towers import compare
-
-    w = as_window(w)
-    return compare(engine_profile, oracle_profile, w.max_degree)
-
-
-# ----------------------------------------------------------------------
-# consistency helpers used by the property suites
-
-
-def localization_injectivity_failures(
-        pages_plain: Sequence[PageData],
-        pages_local: Sequence[PageData]) -> List[Tuple[int, Tuple[int, int]]]:
-    """Bidegrees (page, (t, s)) with s >= r-1 where the map from the plain
-    page to the localized page fails to be injective."""
-    by_r = {pg.r: pg for pg in pages_local}
-    failures: List[Tuple[int, Tuple[int, int]]] = []
-    for pg in pages_plain:
-        loc = by_r.get(pg.r)
-        if loc is None:
-            continue
-        p = pg.ctx.A.p
-        for key, cell in pg.cells.items():
-            t, s = key
-            if s < pg.r - 1 or cell.dim == 0 or cell.flag:
-                continue
-            lcell = loc.cells.get(key)
-            if lcell is None or lcell.flag:
-                continue
-            solver = lcell.solver(p)
-            rows = []
-            for rep in cell.reps_rows():
-                coeffs = solver.express(rep)
-                if coeffs is None:
-                    raise EngineAssertionError("localization map undefined on a class")
-                rows.append(coeffs)
-            if linalg.rank(rows, p) != cell.dim:
-                failures.append((pg.r, key))
-    return failures
-
-
-def rederive_page_check(pd: PageData, seed: int = 0, samples: int = 40) -> bool:
-    """Recompute recorded differential matrices from rescrambled
-    representative bases; they must transform linearly under the change."""
-    if pd.applied_rules is None or not pd.diffs:
-        return True
-    rng = random.Random(seed)
-    ctx = pd.ctx
-    p = ctx.A.p
-    keys = sorted(pd.diffs)
-    rng.shuffle(keys)
-    for key in keys[:samples]:
-        rec = pd.diffs[key]
-        cell = pd.cells[key]
-        reps = cell.reps_rows()
-        n = len(reps)
-        ncols = len(rec.matrix[0]) if rec.matrix else 0
-        while True:
-            U = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-            if linalg.rank(U, p) == n:
-                break
-        tcell = pd.cells[rec.target]
-        tsolver = tcell.solver(p)
-        tindex = {mon: i for i, mon in enumerate(tcell.monomials)}
-        for i in range(n):
-            dvec: Element = {}
-            for a in range(n):
-                c = U[i][a]
-                if not c:
-                    continue
-                for j, cj in enumerate(reps[a]):
-                    if cj:
-                        dm = _d_of_monomial(ctx, pd.applied_rules, cell.monomials[j])
-                        for mon, cc in dm.items():
-                            _accumulate(dvec, mon, c * cj * cc, p)
-            vec = [0] * len(tcell.monomials)
-            for mon, cc in dvec.items():
-                vec[tindex[mon]] = cc
-            got = tsolver.express(vec)
-            if got is None:
-                return False
-            want = [0] * ncols
-            for a in range(n):
-                c = U[i][a]
-                if c:
-                    for k2 in range(ncols):
-                        if rec.matrix[a][k2]:
-                            want[k2] = (want[k2] + c * rec.matrix[a][k2]) % p
-            if got != want:
-                return False
-    return True
+        prof.add(b, Unknown(future_min_page))

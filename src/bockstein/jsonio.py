@@ -86,10 +86,7 @@ def page_record(pd: PageData, max_degree: int, ascii_: bool = False) -> dict:
             continue
         reps = [rep_str(A, cell.monomials, row, ctx.v.name, s, ascii_)
                 for row in cell.reps_rows()]
-        rec = {"t": t, "s": s, "dim": cell.dim, "reps": reps}
-        if cell.flag:
-            rec["indeterminate"] = True
-        classes.append(rec)
+        classes.append({"t": t, "s": s, "dim": cell.dim, "reps": reps})
     diffs = []
     for key in sorted(pd.diffs):
         rec = pd.diffs[key]

@@ -59,6 +59,21 @@ def rank(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(echelon_from_rows(rows, p))
 
 
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> List[Row]:
+    """The product a . b of two matrices given by rows."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for j, c in enumerate(row):
+            if c:
+                for k, x in enumerate(b[j]):
+                    if x:
+                        acc[k] = (acc[k] + c * x) % p
+        out.append(acc)
+    return out
+
+
 def left_kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> List[Row]:
     """Basis of {x : x . M = 0} for M given by rows (len(x) = len(rows))."""
     m = len(rows)

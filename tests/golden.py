@@ -4,17 +4,20 @@
 and a page-cap sweep, the tower profile (advisory fields written through
 `towers.length_str`) and the sha256 of the JSON and SVG documents the CLI
 writes for it.  `tests/test_golden.py` recomputes them and requires equality.
+The records were made by the (t, s)-grid engine that the per-A-degree
+engine replaced, so they check the replacement against it.
 
 Two kinds of documents are compared on a restricted view instead of whole:
 
 * Localized documents are restricted to the filtrations
   -floor(D/|v|) <= s <= floor(D/|v|), the range they list.
-* Where the recorded run marked classes "indeterminate" (the edge of a
-  bounded computation), those classes and the differentials touching them
-  are left out on both sides, and the test only requires that the run
-  under test shows no more classes there than the recorded one did.
+* Where the recorded run marked classes "indeterminate" (the edge of its
+  bounded grid, listed in `dropped` with their dimensions), those classes
+  and the differentials touching them are left out on both sides, and the
+  test only requires that the run under test shows no more classes there.
 
-Re-record with `PYTHONPATH=src python tests/golden.py`.
+`PYTHONPATH=src python tests/golden.py` records anew, with the current
+engine as the reference.
 """
 
 from __future__ import annotations
@@ -124,17 +127,12 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def snapshot(c, dropped=None):
-    """The golden record of one case.  dropped lists [page index, t, s] of
-    classes to leave out of the documents; when None, the classes the run
-    itself marks indeterminate are dropped and listed with their dims."""
+def snapshot(c, dropped=()):
+    """The golden record of one case, and its pages.  dropped lists
+    [page index, t, s, ...] of classes to leave out of the documents."""
     cfg = _config(c)
     A, sched, w = cli._build(cfg)
     pages, profile = run(A, sched, w, localized=cfg.localized, page_cap=cfg.page_cap)
-    if dropped is None:
-        dropped = [[i, t, s, cell.dim] for i, pd in enumerate(pages)
-                   for (t, s), cell in sorted(pd.cells.items())
-                   if 0 <= t <= c["D"] + 1 and getattr(cell, "flag", False)]
     drop = {}
     for i, t, s, *_ in dropped:
         drop.setdefault(i, set()).add((t, s))
@@ -155,7 +153,7 @@ def snapshot(c, dropped=None):
                    for t in profile.degrees()},
         "pages": [pd.r for pd in pages],
         "filtered": filtered,
-        "dropped": dropped,
+        "dropped": [list(d) for d in dropped],
         "json_sha256": _sha(doc),
         "svg_sha256": _sha(chart),
     }, pages
@@ -165,12 +163,19 @@ def load():
     return json.loads(DATA.read_text(encoding="utf-8"))
 
 
+def same_documents(c) -> bool:
+    """Whether a recorded case's JSON and SVG documents come out the same."""
+    want = next(rec for rec in load() if rec["case"] == c)
+    got, _ = snapshot(c, dropped=want["dropped"])
+    return (got["json_sha256"], got["svg_sha256"]) == (want["json_sha256"], want["svg_sha256"])
+
+
 def main() -> int:
     records = []
     for c in all_cases():
         rec, _ = snapshot(c)
         records.append(rec)
-        print(case_id(c), len(rec["dropped"]), "dropped", flush=True)
+        print(case_id(c), flush=True)
     DATA.parent.mkdir(exist_ok=True)
     lines = [json.dumps(rec, ensure_ascii=False, separators=(",", ":")) for rec in records]
     DATA.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")

@@ -12,6 +12,7 @@ from bockstein.algebra import (
     GeneratorSpec,
     InfiniteBasisError,
     basis_in_degree,
+    basis_up_to,
     derivation_extend,
     divided_gamma,
     element,
@@ -70,6 +71,14 @@ def test_basis_against_brute_force(mixed_algebras):
     for p, A in mixed_algebras.items():
         for d in range(0, 41):
             assert basis_in_degree(A, d) == brute_basis(A, d), (p, d)
+
+
+def test_basis_up_to_matches_basis_in_degree(mixed_algebras):
+    algebras = list(mixed_algebras.values()) + [thh_mod_p_algebra(2, 4), thh_mod_p_algebra(3, 2)]
+    for A in algebras:
+        got = basis_up_to(A, 300)
+        want = {d: basis_in_degree(A, d) for d in range(0, 301)}
+        assert got == {d: mons for d, mons in want.items() if mons}
 
 
 def test_basis_lengths_against_series(mixed_algebras):

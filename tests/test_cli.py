@@ -104,3 +104,23 @@ def test_verify_mismatch_exit_one(monkeypatch, capsys):
                            "--max-degree", "20")
     assert code == 1
     assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_page_cap_below_one_exit_two(capsys, cap):
+    code, out, err = run_cli(capsys, "verify", "--case", "v2", "--p", "2",
+                             "--max-degree", "40", "--page-cap", cap)
+    assert code == 2
+    assert "page cap" in err and "VERIFIED" not in out
+
+
+@pytest.mark.parametrize("args", [
+    ("--case", "v2", "--p", "2", "--max-degree", "3000000"),
+    ("--case", "v0", "--p", "2", "--n", "2", "--max-degree", "3000000"),
+])
+def test_oversized_input_exit_two(capsys, args):
+    # refused from the estimate, before the schedule's rules or any basis
+    # is built; the v0 schedule alone would hold 187,500 rules here
+    code, out, err = run_cli(capsys, "verify", *args)
+    assert code == 2 and not out
+    assert "(A-degree, page) states" in err and "above the limit" in err

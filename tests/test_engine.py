@@ -12,11 +12,8 @@ from bockstein.engine import (
     DeadSourceError,
     MalformedRuleError,
     Window,
-    advance_to,
     apply_page,
     build_e1,
-    localization_injectivity_failures,
-    rederive_page_check,
     run,
     schedule_conj,
     schedule_v0,
@@ -24,6 +21,7 @@ from bockstein.engine import (
     schedule_v2,
 )
 from bockstein.towers import INF, compare
+import golden
 
 
 def v_gen(name, deg):
@@ -32,8 +30,9 @@ def v_gen(name, deg):
 
 def test_build_e1_dims():
     A = thh_mod_p_algebra(2, 2)
-    pd = build_e1(A, v_gen("v0", 0), Window(16, buffer=5))
-    for s in range(0, 6):
+    pd = build_e1(A, v_gen("v0", 0), Window(16), pages=(1, 2))
+    assert max(s for (_t, s) in pd.cells) == 7  # sum(pages) + 2 + max(pages)
+    for s in range(0, 8):
         assert pd.dim(15, s) == 1  # lambda_3 v0^s
         assert pd.dim(1, s) == 0
     assert pd.r == 1 and not pd.diffs
@@ -41,24 +40,26 @@ def test_build_e1_dims():
 
 def test_build_e1_localized_laurent_class():
     A = thh_mod_p_algebra(2, 2)
-    pd = build_e1(A, v_gen("v2", 6), Window(12, buffer=6), localized=True)
-    cell = pd.cells.get((-3, -1))  # lambda_1 v2^{-1}
+    pd = build_e1(A, v_gen("v2", 6), Window(12), localized=True)
+    cell = pd.cells.get((3, -2))  # lambda_3 v2^{-2}
     assert cell is not None and cell.dim == 1
+    assert cell.monomials == (A.monomial(**{"λ3": 1}),)
+    # the view lists -floor(D/|v|) <= s <= floor(D/|v|)
+    assert {s for (_t, s) in pd.cells} == set(range(-2, 3))
 
 
 def test_apply_page_empty_rules_increments():
     A = thh_mod_p_algebra(2, 2)
-    pd = build_e1(A, v_gen("v0", 0), Window(16, buffer=3))
+    pd = build_e1(A, v_gen("v0", 0), Window(16))
     nxt = apply_page(pd, [])
-    assert nxt.r == 2 and nxt.cells is pd.cells
+    assert nxt.r == 2 and nxt.degrees is pd.degrees and nxt.fired == ()
 
 
 def test_apply_page_v2_tower_length_two():
     # d_2(mu_3) = v_2^2 lambda_1 at p=2: the lambda_1 slant keeps s = 0, 1 only
     A = thh_mod_p_algebra(2, 2)
     v = v_gen("v2", 6)
-    pd = build_e1(A, v, Window(40, buffer=20))
-    pd = advance_to(pd, 2)
+    pd = apply_page(build_e1(A, v, Window(40), pages=(2,)), [])
     mu = A.monomial(**{"μ3": 1})
     Av = A.adjoin(v)
     target = element(Av, (1, Av.monomial(**{"λ1": 1, "v2": 2})))
@@ -73,7 +74,7 @@ def test_apply_page_leibniz_matches_derivation_extend():
     A = thh_mod_p_algebra(3, 2)
     v = v_gen("v0", 0)
     Av = A.adjoin(v)
-    pd = build_e1(A, v, Window(120, buffer=4))
+    pd = build_e1(A, v, Window(120), pages=(1,))
     mu = A.monomial(**{"μ3": 1})
     target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 1})))
     nxt = apply_page(pd, [(mu, target)])
@@ -95,23 +96,36 @@ def test_apply_page_dead_source_error():
     A = thh_mod_p_algebra(2, 2)
     v = v_gen("v0", 0)
     Av = A.adjoin(v)
-    w = Window(40, buffer=4)
-    pd = build_e1(A, v, w)
+    pd = build_e1(A, v, Window(40), pages=(1, 2))
     mu = A.monomial(**{"μ3": 1})
     target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 1})))
     nxt = apply_page(pd, [(mu, target)])
-    nxt = advance_to(nxt, 2)
     # mu_3 supported d_1, so it is dead on page 2
     t2 = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 2})))
     with pytest.raises(DeadSourceError):
         apply_page(nxt, [(mu, t2)])
 
 
+def test_apply_page_beyond_the_given_pages_errors():
+    # with |v| > 0 the kept A-degrees are fixed by the largest page given to
+    # build_e1; a later page would draw boundaries from degrees not kept
+    from bockstein.engine import EngineError
+
+    A = thh_mod_p_algebra(2, 2)
+    v = v_gen("v2", 6)
+    Av = A.adjoin(v)
+    pd = apply_page(build_e1(A, v, Window(40), pages=(1,)), [])
+    mu = A.monomial(**{"μ3": 1})
+    target = element(Av, (1, Av.monomial(**{"λ1": 1, "v2": 2})))
+    with pytest.raises(EngineError, match="above the A-degrees kept"):
+        apply_page(pd, [(mu, target)])
+
+
 def test_apply_page_malformed_rule_errors():
     A = thh_mod_p_algebra(2, 2)
     v = v_gen("v0", 0)
     Av = A.adjoin(v)
-    pd = build_e1(A, v, Window(40, buffer=4))
+    pd = build_e1(A, v, Window(40), pages=(1,))
     mu = A.monomial(**{"μ3": 1})
     with pytest.raises(MalformedRuleError):
         # wrong degree: target must sit one below the source
@@ -196,18 +210,22 @@ def test_unit_robustness_small():
 
 
 def test_rederive_pages():
-    A = thh_mod_p_algebra(3, 2)
-    pages, _ = run(A, schedule_v2(3, Window(80)), Window(80))
-    for pd in pages:
-        assert rederive_page_check(pd, seed=5)
+    # every page's classes, representatives and differential ranks equal
+    # the recorded documents (see golden.py)
+    assert golden.same_documents(golden.case("v2", 3, 80))
 
 
 def test_localization_injectivity_small():
+    # with v inverted exactly the free towers survive, and the localized
+    # pages equal the recorded ones on their filtration range
     A = thh_mod_p_algebra(3, 2)
-    w = Window(80)
-    plain, _ = run(A, schedule_v2(3, w), w)
-    local, _ = run(A, schedule_v2(3, w), w, localized=True)
-    assert localization_injectivity_failures(plain, local) == []
+    w = Window(60)
+    for kind, make in (("v1", schedule_v1), ("v2", schedule_v2)):
+        _, plain = run(A, make(3, w), w)
+        _, local = run(A, make(3, w), w, localized=True)
+        free = {t: [x for x in plain.lengths(t) if x == INF] for t in plain.degrees()}
+        assert dict(local.towers) == {t: v for t, v in free.items() if v}
+        assert golden.same_documents(golden.case(kind, 3, 60, localized=True))
 
 
 def test_page_cap_reports_unknown():
@@ -256,3 +274,22 @@ def test_cross_validation_other_parameters(case, p, n, m, D):
     rep = compare(prof, oracle, D)
     assert rep.ok and not rep.unverified and not prof.has_unknown()
     assert prof == oracle
+
+
+def test_apply_page_rejects_a_differential_not_defined_on_classes():
+    # d_1(z) = v0 (x + y) makes x + y a boundary from filtration 1 on; a
+    # d_2 with d_2(y) = v0^2 and d_2(x) = 0 is nonzero on that boundary, so
+    # it takes different values on the classes of filtrations 0 and 1
+    from bockstein.algebra import EXTERIOR, Algebra
+    from bockstein.engine import EXACT, EngineAssertionError, Rule, RulePage
+
+    A = Algebra(2, (GeneratorSpec("x", 1, EXTERIOR), GeneratorSpec("y", 1, EXTERIOR),
+                    GeneratorSpec("z", 2, POLYNOMIAL)))
+    v = v_gen("v0", 0)
+    Av = A.adjoin(v)
+    pd = build_e1(A, v, Window(0), pages=(1, 2))  # keeps A-degrees 0..2
+    d1 = element(Av, (1, Av.monomial(x=1, v0=1)), (1, Av.monomial(y=1, v0=1)))
+    pd = apply_page(pd, [(A.monomial(z=1), d1)])
+    d2 = Rule(A.monomial(y=1), element(Av, (1, Av.monomial(v0=2))), EXACT)
+    with pytest.raises(EngineAssertionError, match="depends on the representatives"):
+        apply_page(pd, RulePage(2, [d2]))

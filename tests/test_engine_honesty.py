@@ -1,12 +1,11 @@
-"""Regression tests for the window-honesty machinery: indeterminacy flags,
-unknown reporting, and the structural facts the tower reading relies on
-(dimensions non-increasing and v-multiplication surjective along slants).
+"""Regression tests for honest reporting: exact pages up to the view's
+edge, unknown reporting, and the structural facts the tower reading relies
+on (dimensions non-increasing and v-multiplication surjective along slants).
 """
 
 import pytest
 
 from bockstein import linalg
-from bockstein.algebra import GeneratorSpec, POLYNOMIAL, element
 from bockstein.closedform import (
     localized_expected_profile,
     t0n_profile,
@@ -15,11 +14,7 @@ from bockstein.closedform import (
     thh_mod_p_algebra,
 )
 from bockstein.engine import (
-    GridSpec,
     Window,
-    advance_to,
-    apply_page,
-    build_e1,
     run,
     schedule_v0,
     schedule_v1,
@@ -28,24 +23,20 @@ from bockstein.engine import (
 from bockstein.towers import Unknown, compare
 
 
-def test_flags_rise_at_clipped_grid():
-    # clip the grid so the page-2 sources of the mu^2-rule sit outside; the
-    # rule's targets inside must come out flagged, not silently wrong
+def test_top_filtrations_are_exact():
+    # the v0 view ends at s = 7; classes there whose differential lands
+    # above it are decided all the same
     A = thh_mod_p_algebra(2, 2)
-    v = GeneratorSpec("v0", 0, POLYNOMIAL)
-    grid = GridSpec(0, 31, 0, 6)  # mu^2 lives at t = 32 > 31
-    pd = build_e1(A, v, Window(31, buffer=1), grid=grid)
-    Av = A.adjoin(v)
-    mu = A.monomial(**{"μ3": 1})
-    t1 = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 1})))
-    nxt = apply_page(pd, [(mu, t1)])
-    # lambda_3 mu_3 at t=31: its page-2 killer would come from (32, s-2)
-    nxt = advance_to(nxt, 2)
-    out = apply_page(nxt, [])
-    # the flag logic runs during apply; fire an (empty-effect) page with the
-    # exact v0-style rule list to trigger the incoming-edge scan
-    pd3 = advance_to(out, 3)
-    assert pd3.dim(31, 0) == 1
+    w = Window(58)
+    pages, _ = run(A, schedule_v0(2, 2, w), w)
+    e2, final = pages[1], pages[-1]
+    assert e2.r == 2 and final.r == 3
+    assert max(s for (_t, s) in final.cells) == 7
+    assert e2.dim(16, 7) == 0      # mu_3 v0^7 supports d_1 into (15, 8)
+    assert e2.dim(15, 7) == 0      # lambda_3 v0^7 is its boundary
+    for s in range(8):
+        assert final.dim(32, s) == 0   # mu_3^2 v0^s supports d_2
+        assert final.dim(0, s) == 1    # the unit's free tower
 
 
 def test_full_windows_are_decidable():
@@ -151,38 +142,34 @@ def test_localized_capped_run_claims_no_tower():
 
 def test_dims_nonincreasing_and_v_surjective_along_slants():
     # the two structural facts behind the tower reading, checked numerically
-    # on every computed cell of a mixed run
+    # on every class of every page of a mixed run
     A = thh_mod_p_algebra(3, 2)
     w = Window(140)
     pages, _ = run(A, schedule_v2(3, w), w)
-    final = pages[-1]
-    ctx = final.ctx
-    dv = ctx.deg_v
-    p = ctx.A.p
+    dv = pages[0].ctx.deg_v
+    p = A.p
     checked = 0
-    for (t, s), cell in final.cells.items():
-        if s < 0 or cell.flag:
-            continue
-        nxt = final.cells.get((t + dv, s + 1))
-        ndim = nxt.dim if nxt is not None and not nxt.flag else None
-        if ndim is None:
-            continue
-        assert ndim <= cell.dim
-        if ndim == 0:
-            continue
-        # v * reps of this cell span the next cell modulo its boundaries
-        rows = []
-        nsolver = nxt.solver(p)
-        for rep in cell.reps_rows():
-            vec = [0] * len(nxt.monomials)
-            for mon, c in zip(cell.monomials, rep):
-                if c:
-                    vec[nxt.monomials.index(mon)] = c
-            coeffs = nsolver.express(vec)
-            assert coeffs is not None
-            rows.append(coeffs)
-        assert linalg.rank(rows, p) == ndim
-        checked += 1
+    for pd in pages:
+        for (t, s), cell in pd.cells.items():
+            nxt = pd.cells.get((t + dv, s + 1))
+            if nxt is None:
+                continue
+            assert nxt.dim <= cell.dim
+            if nxt.dim == 0:
+                continue
+            # v * reps of this cell span the next cell modulo its boundaries
+            rows = []
+            nsolver = nxt.solver(p)
+            for rep in cell.reps_rows():
+                vec = [0] * len(nxt.monomials)
+                for mon, c in zip(cell.monomials, rep):
+                    if c:
+                        vec[nxt.monomials.index(mon)] = c
+                coeffs = nsolver.express(vec)
+                assert coeffs is not None
+                rows.append(coeffs)
+            assert linalg.rank(rows, p) == nxt.dim
+            checked += 1
     assert checked > 50
 
 

@@ -8,6 +8,12 @@ from golden import all_cases, case_id, load, snapshot
 
 RECORDS = load()
 
+# Differences from the recorded run, each an advisory bound the recorded run
+# cut at the edge of its bounded (t, s) grid: the tower at 57 of v1 p=2
+# variant B survives every fired page at every filtration, and the first
+# page the schedule did not emit is 8, so its length is >= 8 if finite.
+RAISED_BOUNDS = {("v1-p2-D60-varB", "57"): (["unknown(>= 7)"], ["unknown(>= 8)"])}
+
 
 def test_golden_file_covers_every_case():
     assert [case_id(rec["case"]) for rec in RECORDS] == [case_id(c) for c in all_cases()]
@@ -15,8 +21,13 @@ def test_golden_file_covers_every_case():
 
 @pytest.mark.parametrize("want", RECORDS, ids=[case_id(rec["case"]) for rec in RECORDS])
 def test_golden(want):
-    got, pages = snapshot(want["case"], dropped=[d[:3] for d in want["dropped"]])
-    assert got["towers"] == want["towers"]
+    got, pages = snapshot(want["case"], dropped=want["dropped"])
+    towers = dict(want["towers"])
+    for (cid, t), (before, after) in RAISED_BOUNDS.items():
+        if cid == case_id(want["case"]):
+            assert towers[t] == before
+            towers[t] = after
+    assert got["towers"] == towers
     assert got["pages"] == want["pages"]
     assert got["json_sha256"] == want["json_sha256"]
     assert got["svg_sha256"] == want["svg_sha256"]
