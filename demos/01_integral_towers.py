@@ -5,31 +5,23 @@ Leibniz handles every product, and the surviving towers encode Z-torsion:
 a length-k tower at degree t means a Z/2^k summand there.
 """
 
-from bockstein import (
-    Window,
-    compare,
-    run,
-    schedule_v0,
-    t0n_profile,
-    thh_mod_p_algebra,
-)
+from bockstein import compare, run
+from bockstein.cases import Case
 
-p, n, D = 2, 2, 58
-A = thh_mod_p_algebra(p, n)
+case = Case("v0", p=2, D=58, n=2)
+A, sched, w = case.build()
 print("input algebra:", ", ".join(f"{g.name} (deg {g.degree})" for g in A.generators))
 
-w = Window(D)
-sched = schedule_v0(p, n, w)
 print("\ndifferential schedule (page: mu-powers):")
 for r, rules in sorted(sched.rules.items()):
     print(f"  d_{r} on", ", ".join(f"μ3^{src[3]}" for src, _ in rules))
 
 pages, profile = run(A, sched, w)
-print(f"\ncomputed pages E_1 .. E_{pages[-1].r}; towers on 0..{D}:")
+print(f"\ncomputed pages E_1 .. E_{pages[-1].r}; towers on 0..{case.D}:")
 for line in profile.summary_lines():
     print(" ", line)
 
-report = compare(profile, t0n_profile(p, n, D), D)
+report = compare(profile, case.oracle(), case.D)
 print("\ncertification against the closed-form torsion module:")
 for line in report.lines():
     print(" ", line)

@@ -6,17 +6,8 @@ and the lambda degrees obey the exact identity
 |mu^{p^{n-1}}| - 1 - d(n+1,1) = |v1| * r(n,1).
 """
 
-from bockstein import (
-    LambdaFamily,
-    Window,
-    compare,
-    d_deg,
-    r_len,
-    run,
-    schedule_v1,
-    t12_profile,
-    thh_mod_p_algebra,
-)
+from bockstein import LambdaFamily, compare, d_deg, r_len
+from bockstein.cases import Case
 
 p, D = 3, 130
 print("ladder lengths r(n,1):", [r_len(p, n, 1) for n in range(1, 5)])
@@ -27,11 +18,10 @@ for s in range(4, 7):
     base, e = family.entry(s)
     print(f"  λ{s} unrolls to λ{base}·μ3^{e}  (degree {family.degree(s)})")
 
-A = thh_mod_p_algebra(p, 2)
-w = Window(D)
-pages, profile = run(A, schedule_v1(p, w), w)
+case = Case("v1", p, D)
+_, pages, profile = case.run()
 print(f"\ntowers on 0..{D} (length k = P(v1)/v1^k summand, inf = free):")
 for line in profile.summary_lines():
     print(" ", line)
 
-print("\ncertification:", compare(profile, t12_profile(p, D), D).lines()[0])
+print("\ncertification:", compare(profile, case.oracle(), D).lines()[0])

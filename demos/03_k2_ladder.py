@@ -7,19 +7,11 @@ d_36(λ6·μ3^16) even though its raw mu-exponent 20 is not a multiple of 16.
 The engine's per-page attachment map implements exactly that.
 """
 
-from bockstein import (
-    Window,
-    compare,
-    run,
-    schedule_v2,
-    t22_profile,
-    thh_mod_p_algebra,
-)
+from bockstein import compare, run
+from bockstein.cases import Case
 
-p, D = 2, 160
-A = thh_mod_p_algebra(p, 2)
-w = Window(D)
-sched = schedule_v2(p, w)
+case = Case("v2", p=2, D=160)
+A, sched, w = case.build()
 print("pages and lambda-attachments (generator index: attached mu-exponent):")
 for r in sorted(sched.pages):
     pg = sched.pages[r]
@@ -31,4 +23,4 @@ print(f"\nselected towers (base degree: lengths):")
 for t in (3, 10, 18, 25, 39, 79, 118, 147):
     print(f"  {t}: {[str(x) for x in profile.lengths(t)]}")
 
-print("\nfull certification:", compare(profile, t22_profile(p, D), D).lines()[0])
+print("\nfull certification:", compare(profile, case.oracle(), case.D).lines()[0])

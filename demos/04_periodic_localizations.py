@@ -5,36 +5,12 @@ lines {1, λ1} in the v1 case and a single line {1} in the v2 case, matching
 the closed-form periodic answers.
 """
 
-from bockstein import (
-    Window,
-    localized_expected,
-    run,
-    schedule_v1,
-    schedule_v2,
-    thh_mod_p_algebra,
-)
-from bockstein.jsonio import rep_str
+from bockstein import localized_expected
+from bockstein.cases import Case
+from bockstein.jsonio import laurent_span
 
 D = 120
-
-
-def span(pages, D):
-    final = pages[-1]
-    names = []
-    for b in range(0, D + 1):
-        cell = final.cells.get((b, 0))
-        if cell is not None and cell.dim:
-            for row in cell.reps_rows():
-                names.append(rep_str(final.ctx.A, cell.monomials, row, final.ctx.v.name, 0))
-    return names
-
-
-A3 = thh_mod_p_algebra(3, 2)
-w = Window(D)
-pages, _ = run(A3, schedule_v1(3, w), w, localized=True)
-print("v1 case, p=3:  Laurent span", span(pages, D), " expected", localized_expected("v1", 3))
-
-for p in (2, 3):
-    A = thh_mod_p_algebra(p, 2)
-    pages, _ = run(A, schedule_v2(p, w), w, localized=True)
-    print(f"v2 case, p={p}:  Laurent span", span(pages, D), " expected", localized_expected("v2", p))
+for kind, p in (("v1", 3), ("v2", 2), ("v2", 3)):
+    _, pages, _ = Case(kind, p, D, localized=True).run()
+    print(f"{kind} case, p={p}:  Laurent span", laurent_span(pages[-1], D),
+          " expected", localized_expected(kind, p))

@@ -6,18 +6,8 @@ check it against the conjectural module presentation.  That certifies
 internal consistency, not mathematical truth.
 """
 
-from bockstein import (
-    Window,
-    compare,
-    r_conj,
-    r_len,
-    run,
-    schedule_conj,
-    t12_profile,
-    t22_profile,
-    thh_mod_p_algebra,
-    tmn_profile,
-)
+from bockstein import compare, r_conj, r_len, t12_profile, t22_profile, tmn_profile
+from bockstein.cases import Case
 
 p = 3
 print("r_2(s,1) vs r(s,1):", [(r_conj(p, 2, 1, s), r_len(p, s, 1)) for s in range(1, 5)])
@@ -26,10 +16,8 @@ print("specialization m=1:", tmn_profile(p, 2, 1, 400) == t12_profile(p, 400))
 print("specialization m=2:", tmn_profile(p, 2, 2, 300) == t22_profile(p, 300))
 
 for (n, m) in ((3, 1), (3, 2)):
-    A = thh_mod_p_algebra(p, n)
-    w = Window(200)
-    sched = schedule_conj(p, n, m, w)
-    pages, prof = run(A, sched, w)
-    rep = compare(prof, tmn_profile(p, n, m, 200), 200)
+    case = Case("conj", p, 200, n=n, m=m)
+    sched, _, prof = case.run()
+    rep = compare(prof, case.oracle(), case.D)
     print(f"conjectural run (p={p}, n={n}, m={m}): pages {sorted(sched.pages)},",
           rep.lines()[0], "[internal consistency only]")

@@ -732,16 +732,21 @@ def _ladder_schedule(p: int, w, family: LambdaFamily, v_name: str, v_deg: int,
 def schedule_v1(p: int, w, variant: Optional[str] = None) -> DifferentialSchedule:
     """d_{r(s,1)}(mu_3^{p^{s-1}}) = v_1^{r(s,1)} lambda_{s+1} for p >= 3.
 
-    At p = 2 the pattern is open (paper Remark); pass variant "A" for the
-    odd-p ladder as-is, or "B" for the branch where the first candidate
-    lambda differential d_2(lambda_3) = v^2 lambda_1 lambda_2 fires.  The
-    Remark's candidates are branch alternatives, not a simultaneous
+    At p = 2 the pattern is open (paper Remark): besides the odd-p ladder,
+    the candidates d_{r(n,1)+2}(lambda_{n+3}) = v^{r(n,1)+2} lambda_1
+    lambda_{n+2} (n even, and the degenerate first case d_2(lambda_3) =
+    v^2 lambda_1 lambda_2) cannot be ruled out.  Pass variant "A" for the
+    odd-p ladder as-is, or "B" for the branch where d_2(lambda_3) fires.
+    The Remark's candidates are branch alternatives, not a simultaneous
     schedule: once one fires, the later ladder targets are dead, so
     variant "B" keeps only the still-valid ladder prefix and reports
     everything past the known part as unknown.  Neither p=2 variant is
-    certified against an oracle.
+    certified against an oracle, and other primes take no variant.
     """
     w = as_window(w)
+    if p != 2 and variant is not None:
+        raise ScheduleError(f"variant {variant!r} given at p = {p}; variants choose "
+                            f"between the open p = 2 patterns")
     if p == 2 and variant not in ("A", "B"):
         raise AmbiguousPatternError("ambiguous pattern (paper Remark)")
     family = LambdaFamily("v1", p)

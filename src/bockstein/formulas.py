@@ -7,7 +7,7 @@ All arithmetic is exact big-integer; degrees at p=7, n=25 exceed 64 bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class FormulaError(ValueError):
@@ -71,7 +71,7 @@ def r_len(p: int, n: int, m: int) -> int:
     or p^3 (n even).  m=2: p^n + p^{n-3} + ... down in steps of 3, ending at
     p^1, p^2, p^3 for n = 1, 2, 0 mod 3.  The paper assumes p >= 3 for m=1;
     the value still evaluates at p=2 but carries no asserted differential
-    pattern there (see v1_p2_patterns).
+    pattern there (see engine.schedule_v1).
     """
     if m not in (1, 2):
         raise FormulaError("m must be 1 or 2")
@@ -175,32 +175,3 @@ def lambda_expand(family: LambdaFamily, s: int):
     m[base - 1] = 1
     m[A.ngens - 1] += e
     return tuple(m)
-
-
-def degree_identity_v1(p: int, n: int) -> bool:
-    """|mu_3^{p^{n-1}}| - 1 - d(n+1, 1) = |v_1| * r(n, 1)."""
-    return deg_mu(p, 2) * p ** (n - 1) - 1 - d_deg(p, n + 1, 1) == (2 * p - 2) * r_len(p, n, 1)
-
-
-def degree_identity_v2(p: int, n: int) -> bool:
-    """2 p^{n+2} - d(n, 2) - 1 = |v_2| * r(n, 2)."""
-    return 2 * p ** (n + 2) - d_deg(p, n, 2) - 1 == (2 * p * p - 2) * r_len(p, n, 2)
-
-
-# The p = 2, m = 1 differential pattern is unresolved.  Besides the odd-p
-# ladder ("A"), candidate differentials d_{r(n,1)+2}(lambda_{n+3}) =
-# v^{r(n,1)+2} lambda_1 lambda_{n+2} (n even, plus the degenerate first
-# case d_2(lambda_3) = v^2 lambda_1 lambda_2) cannot be ruled out.  The
-# candidates are branch alternatives: once one fires, the later ladder
-# targets die, so a single schedule cannot contain them all.  "B" below is
-# the minimal coherent alternative branch.  Neither pattern is asserted.
-V1_P2_PATTERNS: Dict[str, Dict[str, object]] = {
-    "A": {"extra_rules": (), "note": "odd-p ladder taken verbatim"},
-    "B": {
-        "extra_rules": (
-            {"page": 2, "source": 3, "targets": (1, 2)},
-        ),
-        "note": "first candidate differential fires; ladder prefix kept while "
-                "its targets survive; uncharted above lambda_3",
-    },
-}

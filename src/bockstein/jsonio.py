@@ -58,6 +58,19 @@ def rep_str(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
     return vpart if lead == "1" else f"{lead}{sep}{vpart}"
 
 
+def laurent_span(page: PageData, max_degree: int, ascii_: bool = False) -> List[str]:
+    """Representatives of the Laurent lines a localized page keeps: its
+    classes at filtration 0 in degrees 0..max_degree."""
+    names: List[str] = []
+    for t in range(max_degree + 1):
+        cell = page.cells.get((t, 0))
+        if cell is None or cell.dim == 0:
+            continue
+        for row in cell.reps_rows():
+            names.append(rep_str(page.ctx.A, cell.monomials, row, page.ctx.v.name, 0, ascii_))
+    return names
+
+
 def length_json(x) -> object:
     if isinstance(x, Unknown):
         return "unknown"

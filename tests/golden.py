@@ -16,20 +16,24 @@ Two kinds of documents are compared on a restricted view instead of whole:
   and the differentials touching them are left out on both sides, and the
   test only requires that the run under test shows no more classes there.
 
+Each record's `case` is a `bockstein.cases.Case` stored as a dict (its
+`kind` under the key "case"); the runs, their `meta` and the page each
+chart draws come from that `Case`, as in the CLI.
+
 `PYTHONPATH=src python tests/golden.py` records anew, with the current
 engine as the reference.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from bockstein import cli
-from bockstein.engine import run
+from bockstein.cases import Case
 from bockstein.jsonio import emit_json
 from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import length_str
@@ -37,68 +41,60 @@ from bockstein.towers import length_str
 DATA = Path(__file__).resolve().parent / "data" / "golden.json"
 
 
-def case(kind, p, D, n=None, m=None, localized=False, variant=None, page_cap=None):
-    if kind in ("v1", "v2"):
-        n = None
-    return {"case": kind, "p": p, "n": n, "m": m, "D": D, "localized": localized,
-            "variant": variant, "page_cap": page_cap}
+def case_of(rec) -> Case:
+    """The case a record was made for."""
+    c = rec["case"]
+    return Case(c["case"], c["p"], c["D"], n=c["n"], m=c["m"], localized=c["localized"],
+                variant=c["variant"], page_cap=c["page_cap"])
 
 
-def case_id(c) -> str:
-    parts = [c["case"], f"p{c['p']}"]
-    for key in ("n", "m"):
-        if c[key] is not None:
-            parts.append(f"{key}{c[key]}")
-    parts.append(f"D{c['D']}")
-    if c["localized"]:
+def case_id(c: Case) -> str:
+    parts = [c.kind, f"p{c.p}"]
+    parts += [f"{key}{val}" for key, val in (("n", c.n), ("m", c.m)) if val is not None]
+    parts.append(f"D{c.D}")
+    if c.localized:
         parts.append("loc")
-    if c["variant"]:
-        parts.append(f"var{c['variant']}")
-    if c["page_cap"] is not None:
-        parts.append(f"cap{c['page_cap']}")
+    if c.variant:
+        parts.append(f"var{c.variant}")
+    if c.page_cap is not None:
+        parts.append(f"cap{c.page_cap}")
     return "-".join(parts)
-
-
-def _config(c) -> cli.RunConfig:
-    return cli.RunConfig(case=c["case"], p=c["p"], max_degree=c["D"], n=c["n"], m=c["m"],
-                         localized=c["localized"], variant=c["variant"],
-                         page_cap=c["page_cap"])
 
 
 # acceptance criteria, tests/test_engine.py, tests/test_cli.py, the README and
 # the demos, and the benchmark's ladders
 FIXED = [
-    case("v0", 2, 58, n=2), case("v0", 3, 300, n=2), case("v0", 2, 200, n=3),
-    case("v0", 2, 20, n=2), case("v0", 5, 300, n=1), case("v0", 3, 100, n=0),
-    case("v0", 2, 1000, n=3), case("v0", 2, 1000, n=4),
-    case("v1", 3, 400), case("v1", 3, 120), case("v1", 3, 130), case("v1", 5, 150),
-    case("v1", 2, 30, variant="B"), case("v1", 2, 60, variant="A"),
-    case("v1", 2, 60, variant="B"),
-    case("v2", 2, 160), case("v2", 3, 200), case("v2", 3, 120), case("v2", 3, 80),
-    case("v2", 3, 60), case("v2", 3, 140), case("v2", 2, 30), case("v2", 2, 40),
-    case("v2", 2, 50), case("v2", 2, 90), case("v2", 5, 120),
-    case("conj", 3, 200, n=3, m=1), case("conj", 3, 200, n=3, m=2),
-    case("conj", 3, 80, n=3, m=1), case("conj", 5, 150, n=3, m=2),
-    case("conj", 3, 250, n=4, m=2), case("conj", 3, 160, n=4, m=3),
-    case("v1", 3, 120, localized=True), case("v2", 2, 120, localized=True),
-    case("v2", 3, 120, localized=True), case("v1", 3, 60, localized=True),
-    case("v2", 3, 60, localized=True), case("v2", 3, 60, localized=True, page_cap=3),
-    case("v1", 3, 130, page_cap=27), case("v2", 2, 50, page_cap=18),
+    Case("v0", 2, 58, n=2), Case("v0", 3, 300, n=2), Case("v0", 2, 200, n=3),
+    Case("v0", 2, 20, n=2), Case("v0", 5, 300, n=1), Case("v0", 3, 100, n=0),
+    Case("v0", 2, 1000, n=3), Case("v0", 2, 1000, n=4),
+    Case("v1", 3, 400), Case("v1", 3, 120), Case("v1", 3, 130), Case("v1", 5, 150),
+    Case("v1", 2, 30, variant="B"), Case("v1", 2, 60, variant="A"),
+    Case("v1", 2, 60, variant="B"),
+    Case("v2", 2, 160), Case("v2", 3, 200), Case("v2", 3, 120), Case("v2", 3, 80),
+    Case("v2", 3, 60), Case("v2", 3, 140), Case("v2", 2, 30), Case("v2", 2, 40),
+    Case("v2", 2, 50), Case("v2", 2, 90), Case("v2", 5, 120),
+    Case("conj", 3, 200, n=3, m=1), Case("conj", 3, 200, n=3, m=2),
+    Case("conj", 3, 80, n=3, m=1), Case("conj", 5, 150, n=3, m=2),
+    Case("conj", 3, 250, n=4, m=2), Case("conj", 3, 160, n=4, m=3),
+    Case("v1", 3, 120, localized=True), Case("v2", 2, 120, localized=True),
+    Case("v2", 3, 120, localized=True), Case("v1", 3, 60, localized=True),
+    Case("v2", 3, 60, localized=True), Case("v2", 3, 60, localized=True, page_cap=3),
+    Case("v1", 3, 130, page_cap=27), Case("v2", 2, 50, page_cap=18),
 ]
 
 # every page below the last and every page minus one, as page caps
 SWEEP_BASES = [
-    case("v2", 2, 120), case("v2", 3, 200), case("v1", 3, 400), case("v0", 2, 200, n=2),
-    case("v0", 3, 300, n=1), case("conj", 3, 200, n=3, m=1), case("conj", 3, 200, n=3, m=2),
+    Case("v2", 2, 120), Case("v2", 3, 200), Case("v1", 3, 400), Case("v0", 2, 200, n=2),
+    Case("v0", 3, 300, n=1), Case("conj", 3, 200, n=3, m=1), Case("conj", 3, 200, n=3, m=2),
 ]
 
 
 def sweep():
     out = []
     for base in SWEEP_BASES:
-        pages = sorted(cli._build(_config(base))[1].pages)
+        pages = sorted(base.build()[1].pages)
         caps = {r for r in pages[:-1]} | {r - 1 for r in pages}
-        out.extend({**base, "page_cap": cap} for cap in sorted(caps) if cap >= 1)
+        out.extend(dataclasses.replace(base, page_cap=cap) for cap in sorted(caps) if cap >= 1)
     return out
 
 
@@ -130,25 +126,23 @@ def _sha(text: str) -> str:
 def snapshot(c, dropped=()):
     """The golden record of one case, and its pages.  dropped lists
     [page index, t, s, ...] of classes to leave out of the documents."""
-    cfg = _config(c)
-    A, sched, w = cli._build(cfg)
-    pages, profile = run(A, sched, w, localized=cfg.localized, page_cap=cfg.page_cap)
+    sched, pages, profile = c.run()
     drop = {}
     for i, t, s, *_ in dropped:
         drop.setdefault(i, set()).add((t, s))
     s_range = None
-    if c["localized"]:
-        bound = c["D"] // sched.v.degree
+    if c.localized:
+        bound = c.D // sched.v.degree
         s_range = (-bound, bound)
     filtered = bool(drop) or s_range is not None
     views = [_view(pd, drop.get(i, set()), s_range) if filtered else pd
              for i, pd in enumerate(pages)]
-    doc = emit_json(views, profile, cli._meta(cfg, sched))
-    svg_index = len(pages) - 1 if cfg.page_cap is None else next(
-        (i for i, pg in enumerate(pages) if pg.r >= cfg.page_cap), len(pages) - 1)
-    chart = emit_svg(views[svg_index], ChartStyle(), cfg.max_degree, title=sched.label)
+    doc = emit_json(views, profile, c.meta(sched))
+    chart = emit_svg(c.chart_page(views), ChartStyle(), c.D, title=sched.label)
+    stored = {"case": c.kind, "p": c.p, "n": c.n, "m": c.m, "D": c.D,
+              "localized": c.localized, "variant": c.variant, "page_cap": c.page_cap}
     return {
-        "case": c,
+        "case": stored,
         "towers": {str(t): [length_str(x) for x in profile.lengths(t)]
                    for t in profile.degrees()},
         "pages": [pd.r for pd in pages],
@@ -165,7 +159,7 @@ def load():
 
 def same_documents(c) -> bool:
     """Whether a recorded case's JSON and SVG documents come out the same."""
-    want = next(rec for rec in load() if rec["case"] == c)
+    want = next(rec for rec in load() if case_of(rec) == c)
     got, _ = snapshot(c, dropped=want["dropped"])
     return (got["json_sha256"], got["svg_sha256"]) == (want["json_sha256"], want["svg_sha256"])
 

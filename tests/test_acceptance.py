@@ -13,6 +13,7 @@ import time
 import pytest
 
 from bockstein.algebra import basis_in_degree, derivation_extend, multiply
+from bockstein.cases import Case
 from bockstein.closedform import (
     localized_expected,
     rational_thh_dims,
@@ -22,14 +23,7 @@ from bockstein.closedform import (
     thh_mod_p_algebra,
     tmn_profile,
 )
-from bockstein.engine import (
-    Window,
-    run,
-    schedule_conj,
-    schedule_v0,
-    schedule_v1,
-    schedule_v2,
-)
+from bockstein.engine import run
 from bockstein.formulas import (
     d_deg,
     d_deg_explicit,
@@ -57,20 +51,8 @@ def report(num: int, desc: str):
     return deco
 
 
-@functools.lru_cache(maxsize=None)
-def _run_case(case, p, n, m, D, localized=False):
-    w = Window(D)
-    A = thh_mod_p_algebra(p, n)
-    if case == "v0":
-        sched = schedule_v0(p, n, w)
-    elif case == "v1":
-        sched = schedule_v1(p, w)
-    elif case == "v2":
-        sched = schedule_v2(p, w)
-    else:
-        sched = schedule_conj(p, n, m, w)
-    pages, prof = run(A, sched, w, localized=localized)
-    return sched, pages, prof
+# runs shared between criteria are made once
+_run_case = functools.lru_cache(maxsize=None)(Case.run)
 
 
 def _exact_match(prof, oracle, D):
@@ -84,7 +66,7 @@ def _exact_match(prof, oracle, D):
 @report(1, "v0 certification p=2 n=2 D=58 equals T_0^2 and the chart (< 10 s)")
 def test_criterion_1():
     t0 = time.monotonic()
-    sched, pages, prof = _run_case("v0", 2, 2, None, 58)
+    sched, pages, prof = _run_case(Case("v0", 2, 58, n=2))
     _exact_match(prof, t0n_profile(2, 2, 58), 58)
     # the chart fixture, frozen: three displayed pages and the four groups
     assert [pd.r for pd in pages] == [1, 2, 3]
@@ -101,7 +83,7 @@ def test_criterion_1():
 def test_criterion_2():
     for (p, n, D) in ((3, 2, 300), (2, 3, 200)):
         t0 = time.monotonic()
-        sched, pages, prof = _run_case("v0", p, n, None, D)
+        sched, pages, prof = _run_case(Case("v0", p, D, n=n))
         _exact_match(prof, t0n_profile(p, n, D), D)
         assert time.monotonic() - t0 < 60
 
@@ -109,7 +91,7 @@ def test_criterion_2():
 @report(3, "v1 certification p=3 D=400 equals T_1^2 incl. lengths 9/27/90 (< 5 min)")
 def test_criterion_3():
     t0 = time.monotonic()
-    sched, pages, prof = _run_case("v1", 3, 2, None, 400)
+    sched, pages, prof = _run_case(Case("v1", 3, 400))
     assert {9, 27, 90} <= set(sched.pages)
     _exact_match(prof, t12_profile(3, 400), 400)
     for d in (17, 22, 70, 75):
@@ -125,12 +107,12 @@ def test_criterion_3():
 @report(4, "v2 certification p=2 D=160 (pages 2,4,8,18,...) and p=3 D=200 exact (< 5 min each)")
 def test_criterion_4():
     t0 = time.monotonic()
-    sched, pages, prof = _run_case("v2", 2, 2, None, 160)
+    sched, pages, prof = _run_case(Case("v2", 2, 160))
     assert {2, 4, 8, 18} <= set(sched.pages)
     _exact_match(prof, t22_profile(2, 160), 160)
     assert time.monotonic() - t0 < 300
     t0 = time.monotonic()
-    sched, pages, prof = _run_case("v2", 3, 2, None, 200)
+    sched, pages, prof = _run_case(Case("v2", 3, 200))
     assert {3, 9, 27} <= set(sched.pages)
     _exact_match(prof, t22_profile(3, 200), 200)
     assert time.monotonic() - t0 < 300
@@ -138,11 +120,11 @@ def test_criterion_4():
 
 @report(5, "localized runs: v1 p=3 gives {1, lambda_1}; v2 p=2,3 give {1}; exact")
 def test_criterion_5():
-    _, _, prof = _run_case("v1", 3, 2, None, 120, localized=True)
+    _, _, prof = _run_case(Case("v1", 3, 120, localized=True))
     assert dict(prof.towers) == {0: [INF], 5: [INF]}
     assert localized_expected("v1", 3) == {0: 1, 5: 1}
     for p in (2, 3):
-        _, _, prof = _run_case("v2", p, 2, None, 120, localized=True)
+        _, _, prof = _run_case(Case("v2", p, 120, localized=True))
         assert dict(prof.towers) == {0: [INF]}
 
 
@@ -152,7 +134,7 @@ def test_criterion_6():
         assert tmn_profile(p, 2, 1, 400) == t12_profile(p, 400)
         assert tmn_profile(p, 2, 2, 300) == t22_profile(p, 300)
     for (n, m) in ((3, 1), (3, 2)):
-        sched, pages, prof = _run_case("conj", 3, n, m, 200)
+        sched, pages, prof = _run_case(Case("conj", 3, 200, n=n, m=m))
         assert sched.meta.get("conjectural")  # labeled, not asserted as truth
         _exact_match(prof, tmn_profile(3, n, m, 200), 200)
 
@@ -178,7 +160,7 @@ def test_criterion_8():
     # d_r o d_r = 0 is asserted inside apply_page on every run above; the
     # pages (classes, representatives, differential ranks) equal the
     # recorded documents
-    for c in (golden.case("v0", 2, 58, n=2), golden.case("v2", 3, 200)):
+    for c in (Case("v0", 2, 58, n=2), Case("v2", 3, 200)):
         assert golden.same_documents(c)
 
     # signed Leibniz on 10^4 random pairs per prime, exactly
@@ -203,13 +185,10 @@ def test_criterion_8():
             assert lhs == rhs
 
     # unit-robustness of the tower profile at p=3, v1 and v2 cases, D=120
-    for make in (schedule_v1, schedule_v2):
-        w = Window(120)
-        A = thh_mod_p_algebra(3, 2)
-        base = make(3, w)
-        _, prof1 = run(A, base, w)
+    for kind in ("v1", "v2"):
+        _, _, prof1 = Case(kind, 3, 120).run()
         for unit in (2,):
-            scaled = make(3, w)
+            A, scaled, w = Case(kind, 3, 120).build()
             for pg in scaled.pages.values():
                 for i, rule in enumerate(pg.rules):
                     pg.rules[i] = type(rule)(
@@ -221,11 +200,11 @@ def test_criterion_8():
     # localization, D = 120: exactly the free towers survive with v
     # inverted, and the localized pages equal the recorded ones
     for kind in ("v1", "v2"):
-        _, _, plain = _run_case(kind, 3, 2, None, 120)
-        _, _, local = _run_case(kind, 3, 2, None, 120, localized=True)
+        _, _, plain = _run_case(Case(kind, 3, 120))
+        _, _, local = _run_case(Case(kind, 3, 120, localized=True))
         free = {t: [x for x in plain.lengths(t) if x == INF] for t in plain.degrees()}
         assert dict(local.towers) == {t: v for t, v in free.items() if v}
-        assert golden.same_documents(golden.case(kind, 3, 120, localized=True))
+        assert golden.same_documents(Case(kind, 3, 120, localized=True))
 
     # Kuenneth and degree-shift checks through D = 60
     from bockstein.algebra import Algebra, GeneratorSpec

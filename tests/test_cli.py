@@ -89,17 +89,36 @@ def test_usage_error_exit_two(capsys):
     assert code == 2  # |v0| = 0 cannot be localized
 
 
+@pytest.mark.parametrize("args", [
+    ("--case", "v2", "--p", "2", "--n", "3"),
+    ("--case", "v2", "--p", "2", "--m", "5"),
+    ("--case", "v2", "--p", "2", "--variant", "A"),
+    ("--case", "v1", "--p", "3", "--n", "2"),
+    ("--case", "v1", "--p", "2", "--m", "1", "--variant", "A"),
+    ("--case", "v1", "--p", "3", "--variant", "B"),
+    ("--case", "v0", "--p", "2", "--n", "2", "--m", "7"),
+    ("--case", "v0", "--p", "2", "--n", "2", "--variant", "B"),
+    ("--case", "conj", "--p", "3", "--n", "3", "--m", "1", "--variant", "A"),
+])
+def test_parameter_the_case_does_not_take_exit_two(tmp_path, capsys, args):
+    # refused, not run and written into meta
+    jpath = tmp_path / "x.json"
+    code, out, err = run_cli(capsys, "run", *args, "--max-degree", "30", "--json", str(jpath))
+    assert code == 2 and not out and not jpath.exists()
+    assert err.startswith(f"error: case {args[1]} takes")
+
+
 def test_verify_mismatch_exit_one(monkeypatch, capsys):
     # engineer a mismatch by lying about the oracle
-    import bockstein.cli as cli
+    from bockstein.cases import Case
     from bockstein.towers import TowerProfile
 
-    def fake_oracle(cfg):
-        prof = TowerProfile(cfg.max_degree)
+    def fake_oracle(case):
+        prof = TowerProfile(case.D)
         prof.add(0, 5)
         return prof
 
-    monkeypatch.setattr(cli, "_oracle", fake_oracle)
+    monkeypatch.setattr(Case, "oracle", fake_oracle)
     code, out, _ = run_cli(capsys, "verify", "--case", "v0", "--p", "2", "--n", "2",
                            "--max-degree", "20")
     assert code == 1

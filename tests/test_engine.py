@@ -1,6 +1,7 @@
 import pytest
 
 from bockstein.algebra import GeneratorSpec, POLYNOMIAL, derivation_extend, element
+from bockstein.cases import Case
 from bockstein.closedform import (
     t0n_profile,
     t12_profile,
@@ -11,6 +12,7 @@ from bockstein.engine import (
     AmbiguousPatternError,
     DeadSourceError,
     MalformedRuleError,
+    ScheduleError,
     Window,
     apply_page,
     build_e1,
@@ -149,6 +151,9 @@ def test_schedule_v1_paper_pages():
     assert pages[:3] == [9, 27, 90]
     for r, exp in zip(pages, (1, 3, 9)):
         assert sched.pages[r].rules[0].source == (0, 0, 0, exp)
+    # one ladder at odd p: a p = 2 variant is an error, not a relabelling
+    with pytest.raises(ScheduleError, match="variant"):
+        schedule_v1(3, Window(400), variant="B")
 
 
 def test_schedule_v2_paper_pages():
@@ -165,8 +170,13 @@ def test_schedule_v1_p2_needs_variant():
     a = schedule_v1(2, Window(60), variant="A")
     b = schedule_v1(2, Window(60), variant="B")
     assert sorted(a.pages) != sorted(b.pages)  # B carries extra remark pages
-    # both variants run without internal inconsistencies
+    # B fires the Remark's first candidate, d_2(lambda_3) = v1^2 lambda_1 lambda_2
     A = thh_mod_p_algebra(2, 2)
+    (rule,) = b.pages[2].rules
+    assert rule.source == A.monomial(**{"λ3": 1})
+    assert rule.target == {A.adjoin(b.v).monomial(**{"λ1": 1, "λ2": 1, "v1": 2}): 1}
+    assert 2 not in a.pages
+    # both variants run without internal inconsistencies
     for sched in (a, b):
         run(A, sched, Window(60))
 
@@ -212,20 +222,18 @@ def test_unit_robustness_small():
 def test_rederive_pages():
     # every page's classes, representatives and differential ranks equal
     # the recorded documents (see golden.py)
-    assert golden.same_documents(golden.case("v2", 3, 80))
+    assert golden.same_documents(Case("v2", 3, 80))
 
 
 def test_localization_injectivity_small():
     # with v inverted exactly the free towers survive, and the localized
     # pages equal the recorded ones on their filtration range
-    A = thh_mod_p_algebra(3, 2)
-    w = Window(60)
-    for kind, make in (("v1", schedule_v1), ("v2", schedule_v2)):
-        _, plain = run(A, make(3, w), w)
-        _, local = run(A, make(3, w), w, localized=True)
+    for kind in ("v1", "v2"):
+        _, _, plain = Case(kind, 3, 60).run()
+        _, _, local = Case(kind, 3, 60, localized=True).run()
         free = {t: [x for x in plain.lengths(t) if x == INF] for t in plain.degrees()}
         assert dict(local.towers) == {t: v for t, v in free.items() if v}
-        assert golden.same_documents(golden.case(kind, 3, 60, localized=True))
+        assert golden.same_documents(Case(kind, 3, 60, localized=True))
 
 
 def test_page_cap_reports_unknown():
@@ -248,30 +256,22 @@ def test_engine_matches_t22_small():
     assert rep.ok and not rep.unverified
 
 
-@pytest.mark.parametrize("case,p,n,m,D", [
-    ("v0", 5, 1, None, 300),
-    ("v0", 3, 0, None, 100),   # the height-0 specialization
-    ("v1", 5, 2, None, 150),
-    ("v2", 5, 2, None, 120),
-    ("conj", 5, 3, 2, 150),
-    ("conj", 3, 4, 2, 250),
-    ("conj", 3, 4, 3, 160),
-])
-def test_cross_validation_other_parameters(case, p, n, m, D):
-    from bockstein.closedform import tmn_profile
+CROSS = [
+    Case("v0", 5, 300, n=1),
+    Case("v0", 3, 100, n=0),   # the height-0 specialization
+    Case("v1", 5, 150),
+    Case("v2", 5, 120),
+    Case("conj", 5, 150, n=3, m=2),
+    Case("conj", 3, 250, n=4, m=2),
+    Case("conj", 3, 160, n=4, m=3),
+]
 
-    A = thh_mod_p_algebra(p, n)
-    w = Window(D)
-    if case == "v0":
-        sched, oracle = schedule_v0(p, n, w), t0n_profile(p, n, D)
-    elif case == "v1":
-        sched, oracle = schedule_v1(p, w), t12_profile(p, D)
-    elif case == "v2":
-        sched, oracle = schedule_v2(p, w), t22_profile(p, D)
-    else:
-        sched, oracle = schedule_conj(p, n, m, w), tmn_profile(p, n, m, D)
-    _, prof = run(A, sched, w)
-    rep = compare(prof, oracle, D)
+
+@pytest.mark.parametrize("case", CROSS, ids=lambda c: f"{c.kind}-{c.p}-{c.height}-{c.m}-{c.D}")
+def test_cross_validation_other_parameters(case):
+    _, _, prof = case.run()
+    oracle = case.oracle()
+    rep = compare(prof, oracle, case.D)
     assert rep.ok and not rep.unverified and not prof.has_unknown()
     assert prof == oracle
 

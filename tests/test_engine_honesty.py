@@ -6,18 +6,12 @@ on (dimensions non-increasing and v-multiplication surjective along slants).
 import pytest
 
 from bockstein import linalg
-from bockstein.closedform import (
-    localized_expected_profile,
-    t0n_profile,
-    t12_profile,
-    t22_profile,
-    thh_mod_p_algebra,
-)
+from bockstein.cases import Case
+from bockstein.closedform import t22_profile, thh_mod_p_algebra
 from bockstein.engine import (
     Window,
     run,
     schedule_v0,
-    schedule_v1,
     schedule_v2,
 )
 from bockstein.towers import Unknown, compare
@@ -105,24 +99,18 @@ def _possibly_absent_degrees(prof, oracle):
     return out
 
 
-@pytest.mark.parametrize("case", ["v1", "v0"])
-def test_capped_sources_may_hold_no_tower(case):
+@pytest.mark.parametrize("case,absent_at", [
+    (Case("v1", 3, 400, page_cap=9), 162),       # mu_3^3 supports the unfired d_27
+    (Case("v0", 2, 200, n=2, page_cap=2), 64),   # mu_3^4 supports the unfired d_3
+], ids=["v1", "v0"])
+def test_capped_sources_may_hold_no_tower(case, absent_at):
     # a class that supports a differential of a page the cap left unfired
     # loses its whole v-tower: the unknown there must claim no tower, on the
     # |v| > 0 path (v1) and on the |v| = 0 path (v0) alike
-    if case == "v1":
-        A, D, cap = thh_mod_p_algebra(3, 2), 400, 9
-        w = Window(D)
-        sched, oracle = schedule_v1(3, w), t12_profile(3, D)
-        absent_at = 162  # mu_3^3 supports the unfired d_27
-    else:
-        A, D, cap = thh_mod_p_algebra(2, 2), 200, 2
-        w = Window(D)
-        sched, oracle = schedule_v0(2, 2, w), t0n_profile(2, 2, D)
-        absent_at = 64  # mu_3^4 supports the unfired d_3
-    assert cap < max(sched.pages)
-    _, prof = run(A, sched, w, page_cap=cap)
-    rep = compare(prof, oracle, D)
+    sched, _, prof = case.run()
+    assert case.page_cap < max(sched.pages)
+    oracle = case.oracle()
+    rep = compare(prof, oracle, case.D)
     assert rep.ok
     absent = _possibly_absent_degrees(prof, oracle)
     assert absent_at in absent and not oracle.lengths(absent_at)
@@ -132,11 +120,10 @@ def test_capped_sources_may_hold_no_tower(case):
 def test_localized_capped_run_claims_no_tower():
     # with v inverted an unfired page removes its target's tower too, so a
     # capped localized run may not claim a tower where one may vanish
-    D = 60
-    w = Window(D)
-    _, prof = run(thh_mod_p_algebra(3, 2), schedule_v2(3, w), w, localized=True, page_cap=3)
-    oracle = localized_expected_profile("v2", 3, D)
-    assert compare(prof, oracle, D).ok
+    case = Case("v2", 3, 60, localized=True, page_cap=3)
+    _, _, prof = case.run()
+    oracle = case.oracle()
+    assert compare(prof, oracle, case.D).ok
     assert _possibly_absent_degrees(prof, oracle) == [17, 53]
 
 

@@ -4,13 +4,10 @@ from bockstein.closedform import thh_mod_p_algebra
 from bockstein.formulas import (
     FormulaError,
     LambdaFamily,
-    V1_P2_PATTERNS,
     d_deg,
     d_deg_explicit,
     deg_lambda,
     deg_mu,
-    degree_identity_v1,
-    degree_identity_v2,
     lambda_expand,
     nu_p,
     r_conj,
@@ -92,17 +89,3 @@ def test_conjecture_family_specializes():
             conj = LambdaFamily("conj", p, n=2, m=m)
             for s in range(1, 20):
                 assert fam.entry(s) == conj.entry(s)
-
-
-def test_degree_identities():
-    for p in PRIMES:
-        for n in range(1, 31):
-            assert degree_identity_v1(p, n)
-            assert degree_identity_v2(p, n)
-
-
-def test_p2_patterns_exposed_as_data():
-    assert set(V1_P2_PATTERNS) == {"A", "B"}
-    assert V1_P2_PATTERNS["A"]["extra_rules"] == ()
-    (rule,) = V1_P2_PATTERNS["B"]["extra_rules"]
-    assert rule == {"page": 2, "source": 3, "targets": (1, 2)}

@@ -4,7 +4,7 @@ advisory fields included, and the documents the CLI writes for them."""
 
 import pytest
 
-from golden import all_cases, case_id, load, snapshot
+from golden import all_cases, case_id, case_of, load, snapshot
 
 RECORDS = load()
 
@@ -16,15 +16,16 @@ RAISED_BOUNDS = {("v1-p2-D60-varB", "57"): (["unknown(>= 7)"], ["unknown(>= 8)"]
 
 
 def test_golden_file_covers_every_case():
-    assert [case_id(rec["case"]) for rec in RECORDS] == [case_id(c) for c in all_cases()]
+    assert [case_of(rec) for rec in RECORDS] == all_cases()
 
 
-@pytest.mark.parametrize("want", RECORDS, ids=[case_id(rec["case"]) for rec in RECORDS])
+@pytest.mark.parametrize("want", RECORDS, ids=[case_id(case_of(rec)) for rec in RECORDS])
 def test_golden(want):
-    got, pages = snapshot(want["case"], dropped=want["dropped"])
+    c = case_of(want)
+    got, pages = snapshot(c, dropped=want["dropped"])
     towers = dict(want["towers"])
     for (cid, t), (before, after) in RAISED_BOUNDS.items():
-        if cid == case_id(want["case"]):
+        if cid == case_id(c):
             assert towers[t] == before
             towers[t] = after
     assert got["towers"] == towers
