@@ -1,6 +1,7 @@
 import pytest
 
 from bockstein.closedform import thh_mod_p_algebra
+from bockstein.engine import Window, schedule_v1
 from bockstein.formulas import (
     FormulaError,
     LambdaFamily,
@@ -89,3 +90,30 @@ def test_conjecture_family_specializes():
             conj = LambdaFamily("conj", p, n=2, m=m)
             for s in range(1, 20):
                 assert fam.entry(s) == conj.entry(s)
+
+
+def test_degree_identities():
+    # |mu_3^{p^{n-1}}| - 1 - d(n+1, 1) = |v_1| r(n, 1) and
+    # 2 p^{n+2} - d(n, 2) - 1 = |v_2| r(n, 2)
+    for p in PRIMES:
+        for n in range(1, 31):
+            assert deg_mu(p, 2) * p ** (n - 1) - 1 - d_deg(p, n + 1, 1) == \
+                (2 * p - 2) * r_len(p, n, 1)
+            assert 2 * p ** (n + 2) - d_deg(p, n, 2) - 1 == (2 * p * p - 2) * r_len(p, n, 2)
+
+
+def test_p2_patterns_exposed_as_data():
+    # the two open p = 2 patterns are schedules: variant A adds no rule to
+    # the odd-p ladder, variant B adds d_2(lambda_3) = v1^2 lambda_1 lambda_2
+    a = schedule_v1(2, Window(60), variant="A")
+    b = schedule_v1(2, Window(60), variant="B")
+    assert 2 not in a.pages
+    names = [g.name for g in thh_mod_p_algebra(2, 2).adjoin(b.v).generators]
+
+    def lambdas(m):
+        return tuple(int(names[i][1:]) for i, e in enumerate(m) if e and names[i][0] == "λ")
+
+    (rule,) = b.pages[2].rules
+    (target,) = rule.target
+    assert {"page": 2, "source": lambdas(rule.source), "targets": lambdas(target)} == \
+        {"page": 2, "source": (3,), "targets": (1, 2)}
