@@ -17,7 +17,7 @@ patched there is the one that runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import closedform, engine
@@ -114,6 +114,13 @@ class Case:
         if self.localized:
             return closedform.localized_expected_profile(self.kind, self.p, self.D)
         return KINDS[self.kind].oracle(self)
+
+    def check_oracle(self) -> None:
+        """Raise what oracle() raises when no oracle is asserted for the
+        case, without a run or an oracle of the case's size: that depends
+        on the parameters only, never on D, so the same case on the window
+        0..0 answers it."""
+        replace(self, D=0).oracle()
 
     def meta(self, sched: DifferentialSchedule) -> Dict[str, object]:
         """The `meta` of the run's JSON document."""

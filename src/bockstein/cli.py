@@ -51,6 +51,7 @@ def cmd_run(case: Case, json_path: Optional[str], svg_path: Optional[str],
 
 
 def cmd_verify(case: Case) -> int:
+    case.check_oracle()
     sched, _, profile = case.run()
     report = compare(profile, case.oracle(), case.D)
     tag = " [conjectural]" if sched.meta.get("conjectural") else ""

@@ -6,11 +6,18 @@ differential arrows), and `towers`.  Monomial strings use the fixed
 generator-name table (λ1, ..., μ3, v0, v1, v2) in UTF-8, or an ASCII
 fallback (l1, m3, g4(x), s-prefixes) when requested.  Two runs with the
 same configuration produce byte-identical documents.
+
+The byte format is pinned: a document is the text that
+json.dumps(doc, indent=1, ensure_ascii=False) gives, with the keys in the
+order meta, pages, towers.  emit_json writes that text directly from
+templates; the golden digests (tests/golden.py) and the fixed-point tests
+in tests/test_io.py check it.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _encode
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Monomial
@@ -41,14 +48,15 @@ def monomial_str(A: Algebra, m: Monomial, ascii_: bool = False) -> str:
     return sep.join(parts) if parts else "1"
 
 
-def rep_str(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
-            v_name: str, s: int, ascii_: bool = False) -> str:
-    """Lead-monomial string of a representative row, with the v-power."""
-    lead: Optional[str] = None
+def _lead(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
+          ascii_: bool) -> Optional[str]:
     for mon, c in zip(monomials, row):
         if c:
-            lead = monomial_str(A, mon, ascii_)
-            break
+            return monomial_str(A, mon, ascii_)
+    return None
+
+
+def _with_v(lead: Optional[str], v_name: str, s: int, ascii_: bool) -> str:
     if lead is None:
         return "0"
     if s == 0:
@@ -56,6 +64,12 @@ def rep_str(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
     vpart = _name(v_name, ascii_) + (f"^{s}" if s != 1 else "")
     sep = "*" if ascii_ else "·"
     return vpart if lead == "1" else f"{lead}{sep}{vpart}"
+
+
+def rep_str(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
+            v_name: str, s: int, ascii_: bool = False) -> str:
+    """Lead-monomial string of a representative row, with the v-power."""
+    return _with_v(_lead(A, monomials, row, ascii_), v_name, s, ascii_)
 
 
 def laurent_span(page: PageData, max_degree: int, ascii_: bool = False) -> List[str]:
@@ -87,45 +101,68 @@ def length_from_json(x) -> object:
     return int(x)
 
 
-def page_record(pd: PageData, max_degree: int, ascii_: bool = False) -> dict:
-    ctx = pd.ctx
-    A = ctx.A
-    classes = []
-    for (t, s) in sorted(pd.cells):
-        if not 0 <= t <= max_degree:
-            continue
-        cell = pd.cells[(t, s)]
-        if cell.dim == 0:
-            continue
-        reps = [rep_str(A, cell.monomials, row, ctx.v.name, s, ascii_)
-                for row in cell.reps_rows()]
-        classes.append({"t": t, "s": s, "dim": cell.dim, "reps": reps})
-    diffs = []
-    for key in sorted(pd.diffs):
-        rec = pd.diffs[key]
-        if rec.rank == 0:
-            continue
-        (t, s) = key
-        (t2, s2) = rec.target
-        if 0 <= t <= max_degree or 0 <= t2 <= max_degree:
-            diffs.append({"from": {"t": t, "s": s}, "to": {"t": t2, "s": s2},
-                          "rank": rec.rank})
-    return {"r": pd.r, "classes": classes, "differentials": diffs}
-
-
 def towers_record(profile: TowerProfile) -> List[dict]:
     return [{"t": d, "lengths": [length_json(x) for x in profile.towers[d]]}
             for d in profile.degrees()]
 
 
+def _template(record: dict, depth: int):
+    """str.format of a record as json.dumps(indent=1) lays it out `depth`
+    levels into the document, with a {} field for each None value."""
+    text = " " * depth + json.dumps(record, indent=1).replace("\n", "\n" + " " * depth)
+    return text.replace("{", "{{").replace("}", "}}").replace("null", "{}").format
+
+
+_DOC = _template({"meta": None, "pages": None, "towers": None}, 0)
+_PAGE = _template({"r": None, "classes": None, "differentials": None}, 2)
+_CLASS = _template({"t": None, "s": None, "dim": None, "reps": [None]}, 4)
+_DIFF = _template({"from": {"t": None, "s": None}, "to": {"t": None, "s": None},
+                   "rank": None}, 4)
+
+
+def _list(items: List[str], indent: int) -> str:
+    """A JSON list of rendered items, closed at the given indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
+def _nested(obj: object) -> str:
+    """json.dumps(indent=1) of a value one level inside the document."""
+    return json.dumps(obj, ensure_ascii=False, indent=1).replace("\n", "\n ")
+
+
 def emit_json(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[str, object],
               ascii_: bool = False) -> str:
-    doc = {
-        "meta": {**meta, "tool_version": TOOL_VERSION},
-        "pages": [page_record(pd, profile.max_degree, ascii_) for pd in pages],
-        "towers": towers_record(profile),
-    }
-    return json.dumps(doc, ensure_ascii=False, indent=1)
+    """The JSON document of a run, in the pinned layout (module docstring).
+    Pages share their cells, so a cell's lead monomials are rendered once
+    per document, keyed on its id (the pages keep their cells alive), and
+    each class record adds only its v-power."""
+    D = profile.max_degree
+    leads: Dict[int, List[Optional[str]]] = {}
+    rendered = []
+    for pd in pages:
+        A, v_name, cells = pd.ctx.A, pd.ctx.v.name, pd.cells
+        classes = []
+        for key in sorted(cells):
+            cell = cells[key]
+            lead = leads.get(id(cell))
+            if lead is None:
+                lead = leads[id(cell)] = [_lead(A, cell.monomials, row, ascii_)
+                                          for row in cell.reps_rows()]
+            (t, s) = key
+            if lead and 0 <= t <= D:
+                reps = ",\n      ".join([_encode(_with_v(x, v_name, s, ascii_)) for x in lead])
+                classes.append(_CLASS(t, s, len(lead), reps))
+        diffs = []
+        for (t, s) in sorted(pd.diffs):
+            rec = pd.diffs[(t, s)]
+            (t2, s2) = rec.target
+            if rec.rank and (0 <= t <= D or 0 <= t2 <= D):
+                diffs.append(_DIFF(t, s, t2, s2, rec.rank))
+        rendered.append(_PAGE(pd.r, _list(classes, 3), _list(diffs, 3)))
+    return _DOC(_nested({**meta, "tool_version": TOOL_VERSION}), _list(rendered, 1),
+                _nested(towers_record(profile)))
 
 
 def parse_json(text: str) -> Tuple[dict, List[dict], TowerProfile]:

@@ -20,6 +20,12 @@ Each record's `case` is a `bockstein.cases.Case` stored as a dict (its
 `kind` under the key "case"); the runs, their `meta` and the page each
 chart draws come from that `Case`, as in the CLI.
 
+After those records come the digests of a few whole documents written
+with `--ascii` (marked `"ascii": true`), whose generator names take their
+own path through the writer.  They were recorded by the writer that
+encoded a dict tree with `json.dumps(indent=1)`, so they check the direct
+writer that replaced it.
+
 `PYTHONPATH=src python tests/golden.py` records anew, with the current
 engine as the reference.
 """
@@ -89,6 +95,14 @@ SWEEP_BASES = [
 ]
 
 
+# documents written with --ascii: a ladder of each kind, a localized run and
+# a page-capped run
+ASCII = [
+    Case("v0", 2, 58, n=2), Case("v1", 3, 400), Case("v2", 2, 160),
+    Case("v2", 3, 120, localized=True), Case("v1", 3, 130, page_cap=27),
+]
+
+
 def sweep():
     out = []
     for base in SWEEP_BASES:
@@ -123,6 +137,11 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _stored(c: Case) -> dict:
+    return {"case": c.kind, "p": c.p, "n": c.n, "m": c.m, "D": c.D,
+            "localized": c.localized, "variant": c.variant, "page_cap": c.page_cap}
+
+
 def snapshot(c, dropped=()):
     """The golden record of one case, and its pages.  dropped lists
     [page index, t, s, ...] of classes to leave out of the documents."""
@@ -139,10 +158,8 @@ def snapshot(c, dropped=()):
              for i, pd in enumerate(pages)]
     doc = emit_json(views, profile, c.meta(sched))
     chart = emit_svg(c.chart_page(views), ChartStyle(), c.D, title=sched.label)
-    stored = {"case": c.kind, "p": c.p, "n": c.n, "m": c.m, "D": c.D,
-              "localized": c.localized, "variant": c.variant, "page_cap": c.page_cap}
     return {
-        "case": stored,
+        "case": _stored(c),
         "towers": {str(t): [length_str(x) for x in profile.lengths(t)]
                    for t in profile.degrees()},
         "pages": [pd.r for pd in pages],
@@ -153,8 +170,17 @@ def snapshot(c, dropped=()):
     }, pages
 
 
-def load():
-    return json.loads(DATA.read_text(encoding="utf-8"))
+def ascii_snapshot(c) -> dict:
+    """The golden record of the whole --ascii JSON document of one case."""
+    sched, pages, profile = c.run()
+    doc = emit_json(pages, profile, c.meta(sched), ascii_=True)
+    return {"case": _stored(c), "ascii": True, "json_sha256": _sha(doc)}
+
+
+def load(ascii_=False):
+    """The records of all_cases(), or with ascii_ those of ASCII."""
+    records = json.loads(DATA.read_text(encoding="utf-8"))
+    return [rec for rec in records if rec.get("ascii", False) == ascii_]
 
 
 def same_documents(c) -> bool:
@@ -170,6 +196,7 @@ def main() -> int:
         rec, _ = snapshot(c)
         records.append(rec)
         print(case_id(c), flush=True)
+    records += [ascii_snapshot(c) for c in ASCII]
     DATA.parent.mkdir(exist_ok=True)
     lines = [json.dumps(rec, ensure_ascii=False, separators=(",", ":")) for rec in records]
     DATA.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")

@@ -10,9 +10,7 @@ import functools
 import random
 import time
 
-import pytest
-
-from bockstein.algebra import basis_in_degree, derivation_extend, multiply
+from bockstein.algebra import derivation_extend, multiply
 from bockstein.cases import Case
 from bockstein.closedform import (
     localized_expected,

@@ -18,7 +18,6 @@ from bockstein.algebra import (
     element,
     expand_divided,
     graded_dims,
-    mul_monomials,
     multiply,
 )
 from bockstein.closedform import thh_mod_p_algebra

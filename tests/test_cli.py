@@ -143,3 +143,28 @@ def test_oversized_input_exit_two(capsys, args):
     code, out, err = run_cli(capsys, "verify", *args)
     assert code == 2 and not out
     assert "(A-degree, page) states" in err and "above the limit" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--case", "v1", "--p", "2", "--variant", "A", "--max-degree", "3000"),
+     "no oracle is asserted for the p = 2 v1 case"),
+    (("--case", "v1", "--p", "2", "--variant", "A", "--max-degree", "3000", "--localized"),
+     "paper assumes p >= 3"),
+    (("--case", "v2", "--p", "2", "--max-degree", "3000000"), "above the limit"),
+])
+def test_verify_refuses_before_the_run(monkeypatch, capsys, args, message):
+    # a case with no oracle, or too large, is refused before the engine runs
+    # and before any oracle of the case's size is built
+    from bockstein import closedform, engine
+
+    def no_run(*a, **k):
+        raise AssertionError("engine.run called")
+
+    sizes = []
+    t22 = closedform.t22_profile
+    monkeypatch.setattr(engine, "run", no_run)
+    monkeypatch.setattr(closedform, "t22_profile", lambda p, D: sizes.append(D) or t22(p, D))
+    code, out, err = run_cli(capsys, "verify", *args)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and message in err
+    assert sizes in ([], [0])

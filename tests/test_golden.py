@@ -1,12 +1,14 @@
 """The engine reproduces the recorded golden results (see golden.py): the
 tower profile of every acceptance case, CLI case and page-cap sweep point,
-advisory fields included, and the documents the CLI writes for them."""
+advisory fields included, the documents the CLI writes for them, and a few
+documents written with --ascii."""
 
 import pytest
 
-from golden import all_cases, case_id, case_of, load, snapshot
+from golden import ASCII, all_cases, ascii_snapshot, case_id, case_of, load, snapshot
 
 RECORDS = load()
+ASCII_RECORDS = load(ascii_=True)
 
 # Differences from the recorded run, each an advisory bound the recorded run
 # cut at the edge of its bounded (t, s) grid: the tower at 57 of v1 p=2
@@ -17,6 +19,7 @@ RAISED_BOUNDS = {("v1-p2-D60-varB", "57"): (["unknown(>= 7)"], ["unknown(>= 8)"]
 
 def test_golden_file_covers_every_case():
     assert [case_of(rec) for rec in RECORDS] == all_cases()
+    assert [case_of(rec) for rec in ASCII_RECORDS] == ASCII
 
 
 @pytest.mark.parametrize("want", RECORDS, ids=[case_id(case_of(rec)) for rec in RECORDS])
@@ -35,3 +38,9 @@ def test_golden(want):
     # classes the recorded run could not decide: never more of them now
     for i, t, s, dim in want["dropped"]:
         assert pages[i].dim(t, s) <= dim, (i, t, s)
+
+
+@pytest.mark.parametrize("want", ASCII_RECORDS,
+                         ids=[case_id(case_of(rec)) for rec in ASCII_RECORDS])
+def test_golden_ascii(want):
+    assert ascii_snapshot(case_of(want)) == want

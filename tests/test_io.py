@@ -1,11 +1,14 @@
 import json
 import re
+import warnings
+from types import SimpleNamespace
 
 import pytest
 
-from bockstein.closedform import t0n_profile, thh_mod_p_algebra
-from bockstein.engine import Window, run, schedule_v0, schedule_v2
-from bockstein.jsonio import emit_json, monomial_str, page_record, parse_json, towers_record
+from bockstein.cases import Case
+from bockstein.closedform import thh_mod_p_algebra
+from bockstein.engine import Cell, Window, run, schedule_v0, schedule_v2
+from bockstein.jsonio import emit_json, monomial_str, parse_json, rep_str, towers_record
 from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import TowerProfile
 
@@ -49,8 +52,19 @@ def test_json_roundtrip_and_determinism():
     assert text1 == text2
     meta2, pages2, prof2 = parse_json(text1)
     assert prof2 == prof
-    assert pages2 == [page_record(pd, prof.max_degree) for pd in pages]
     assert towers_record(prof2) == towers_record(prof)
+    assert [pg["r"] for pg in pages2] == [pd.r for pd in pages]
+    for pd, pg in zip(pages, pages2):
+        A, v_name = pd.ctx.A, pd.ctx.v.name
+        classes = [(t, s, cell.dim, [rep_str(A, cell.monomials, row, v_name, s)
+                                     for row in cell.reps_rows()])
+                   for (t, s), cell in sorted(pd.cells.items()) if cell.dim and 0 <= t <= 40]
+        assert [(c["t"], c["s"], c["dim"], c["reps"]) for c in pg["classes"]] == classes
+        diffs = [((t, s), rec.target, rec.rank) for (t, s), rec in sorted(pd.diffs.items())
+                 if rec.rank and (0 <= t <= 40 or 0 <= rec.target[0] <= 40)]
+        assert [((d["from"]["t"], d["from"]["s"]), (d["to"]["t"], d["to"]["s"]), d["rank"])
+                for d in pg["differentials"]] == diffs
+    assert any(pg["differentials"] for pg in pages2)
 
 
 def test_json_empty_window():
@@ -63,6 +77,31 @@ def test_json_empty_window():
     # degree 2 window: only the unit class in degree 0 exists
     assert doc["towers"] == [{"t": 0, "lengths": ["inf"]}]
     assert all(not pg["differentials"] for pg in doc["pages"])
+
+
+def _fixed_point_documents():
+    """Documents of a ladder, a localized, a page-capped and an empty-window
+    run, plus pages with no classes and a class of dimension 2."""
+    out = []
+    for c in (Case("v2", 2, 50), Case("v2", 3, 60, localized=True),
+              Case("v2", 2, 50, page_cap=4), Case("v0", 2, 2, n=2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the empty window warns
+            sched, pages, prof = c.run()
+        out.append((pages, prof, c.meta(sched)))
+    ctx = pages[0].ctx  # of the empty-window run
+    mons = (ctx.A.monomial(**{"λ1": 1}), ctx.A.monomial(**{"λ2": 1}))
+    made = [SimpleNamespace(r=1, ctx=ctx, cells={}, diffs={}),
+            SimpleNamespace(r=2, ctx=ctx, cells={(2, 1): Cell(mons)}, diffs={})]
+    return out + [(made, TowerProfile(2), {}), ([], TowerProfile(0), {})]
+
+
+@pytest.mark.parametrize("ascii_", [False, True], ids=["utf8", "ascii"])
+def test_json_layout_is_a_fixed_point_of_json_dumps(ascii_):
+    for pages, prof, meta in _fixed_point_documents():
+        doc = emit_json(pages, prof, meta, ascii_)
+        assert json.dumps(json.loads(doc), ensure_ascii=False, indent=1) == doc
+        assert doc.isascii() or not ascii_
 
 
 def test_svg_dot_counts_match_dims():
