@@ -1,20 +1,26 @@
 """The v0-Bockstein story: from the mod-p input algebra to integral torsion.
 
-E_1 is E(λ1..λ3) ⊗ P(μ3) ⊗ P(v0).  The schedule fires d_{ν2(k)+1} on μ3^k,
-Leibniz handles every product, and the surviving towers encode Z-torsion:
-a length-k tower at degree t means a Z/2^k summand there.
+E_1 is E(λ1..λ3) ⊗ P(μ3) ⊗ P(v0).  The schedule states one rule per page,
+on a page generator: d_{j+1}(μ3^{2^j}) = v0^{j+1} μ3^{2^j-1} λ3.  Leibniz
+extends it to d_{ν2(k)+1}(μ3^k) = v0^{ν2(k)+1} μ3^{k-1} λ3 and to every
+product, and the surviving towers encode Z-torsion: a length-k tower at
+degree t means a Z/2^k summand there.
 """
 
 from bockstein import compare, run
 from bockstein.cases import Case
+from bockstein.jsonio import monomial_str
 
 case = Case("v0", p=2, D=58, n=2)
 A, sched, w = case.build()
 print("input algebra:", ", ".join(f"{g.name} (deg {g.degree})" for g in A.generators))
 
-print("\ndifferential schedule (page: mu-powers):")
-for r, rules in sorted(sched.rules.items()):
-    print(f"  d_{r} on", ", ".join(f"μ3^{src[3]}" for src, _ in rules))
+Av = A.adjoin(sched.v)
+print("\ndifferential schedule (one generator rule per page):")
+for r, pg in sorted(sched.pages.items()):
+    for rule in pg.rules:
+        target = " + ".join(monomial_str(Av, m) for m in rule.target)
+        print(f"  d_{r}({monomial_str(A, rule.source)}) = {target}")
 
 pages, profile = run(A, sched, w)
 print(f"\ncomputed pages E_1 .. E_{pages[-1].r}; towers on 0..{case.D}:")

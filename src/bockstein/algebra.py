@@ -131,11 +131,6 @@ class Algebra:
         degs: Tuple[int, ...] = self._degrees  # type: ignore[attr-defined]
         return sum(e * d for e, d in zip(m, degs)) % 2
 
-    def monomial_ok(self, m: Monomial) -> bool:
-        if len(m) != len(self.generators):
-            return False
-        return all(g.exponent_ok(e) for g, e in zip(self.generators, m))
-
     def validate_monomial(self, m: Monomial) -> None:
         if len(m) != len(self.generators):
             raise ForeignGeneratorError("foreign generator (monomial length mismatch)")
@@ -157,11 +152,6 @@ class Algebra:
 
     def has_divided(self) -> bool:
         return any(g.kind == DIVIDED for g in self.generators)
-
-
-def monomial_key(A: Algebra, m: Monomial) -> Tuple[int, Monomial]:
-    """Canonical graded-lex order key."""
-    return (A.degree(m), m)
 
 
 def mul_monomials(A: Algebra, m1: Monomial, m2: Monomial) -> Tuple[int, Monomial]:
@@ -211,13 +201,6 @@ def add_into(acc: Element, other: Element, p: int, scale: int = 1) -> None:
             acc[m] = v
         else:
             acc.pop(m, None)
-
-
-def scalar_mul(a: Element, c: int, p: int) -> Element:
-    c %= p
-    if c == 0:
-        return {}
-    return {m: (v * c) % p for m, v in a.items()}
 
 
 def multiply(a: Element, b: Element, A: Algebra) -> Element:

@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import closedform, engine
 from .algebra import Algebra
 from .engine import MAX_COST, DifferentialSchedule, PageData, ScheduleError, Window
-from .formulas import deg_mu
 from .towers import TowerProfile
 
 
@@ -36,9 +35,6 @@ class Family(NamedTuple):
     oracle: Callable[["Case"], TowerProfile]
     n: Optional[int] = None    # the algebra's n, where the family fixes it
     unlocalized: Optional[str] = None  # why no localized run is asserted
-    # the pages, counted without building the schedule, for a family with
-    # |v| = 0 whose schedule grows with D
-    precount: Optional[Callable[["Case"], List[int]]] = None
 
 
 @dataclass(frozen=True)
@@ -81,26 +77,19 @@ class Case:
         fixed = KINDS[self.kind].n
         return self.n if fixed is None else fixed
 
-    def _check_cost(self, deg_v: int, pages: Sequence[int]) -> None:
-        cost = engine.estimate_cost(deg_v, self.D, pages, self.localized, self.page_cap)
+    def build(self) -> Tuple[Algebra, DifferentialSchedule, Window]:
+        """Algebra, schedule and window.  Every schedule has one rule per
+        page, and the pages grow with log D (v0) or with the ladder's steps,
+        so the schedule is built first and the size of the run is checked on
+        its pages before the algebra is."""
+        w = Window(self.D)
+        sched = KINDS[self.kind].schedule(self, w)
+        cost = engine.estimate_cost(sched.v.degree, self.D, sorted(sched.pages),
+                                    self.localized, self.page_cap)
         if cost > MAX_COST:
             raise ScheduleError(f"the run would keep about {cost:,} (A-degree, page) states, "
                                 f"above the limit of {MAX_COST:,}; choose a smaller --max-degree")
-
-    def build(self) -> Tuple[Algebra, DifferentialSchedule, Window]:
-        """Algebra, schedule and window.  The size of the run is checked
-        first: the v0 schedule has one rule per mu-power in the window, so
-        its pages are counted in closed form, while the ladder schedules
-        take a step per page and are built before the check."""
-        fam = KINDS[self.kind]
-        w = Window(self.D)
-        if fam.precount is not None:
-            self._check_cost(0, fam.precount(self))
-        A = closedform.thh_mod_p_algebra(self.p, self.height)
-        sched = fam.schedule(self, w)
-        if fam.precount is None:
-            self._check_cost(sched.v.degree, sorted(sched.pages))
-        return A, sched, w
+        return closedform.thh_mod_p_algebra(self.p, self.height), sched, w
 
     def run(self) -> Tuple[DifferentialSchedule, List[PageData], TowerProfile]:
         """The schedule, the recorded pages and the tower profile."""
@@ -143,12 +132,6 @@ class Case:
         return next((pg for pg in pages if pg.r >= self.page_cap), pages[-1])
 
 
-def _v0_pages(c: Case) -> List[int]:
-    # mu^k fires on page nu_p(k) + 1, so page j + 1 needs k = p^j
-    dm = deg_mu(c.p, c.n)
-    return [j + 1 for j in range(c.D.bit_length() + 1) if c.p ** j * dm <= c.D + 1]
-
-
 def _t12(c: Case) -> TowerProfile:
     if c.p == 2:
         raise ScheduleError("no oracle is asserted for the p = 2 v1 case")
@@ -161,8 +144,7 @@ KINDS: Dict[str, Family] = {
         schedule=lambda c, w: engine.schedule_v0(c.p, c.n, w),
         oracle=lambda c: closedform.t0n_profile(c.p, c.n, c.D),
         unlocalized="v0 has |v| = 0; the localized (rational) answer "
-                    "is the closed-form module's job",
-        precount=_v0_pages),
+                    "is the closed-form module's job"),
     "v1": Family(
         needs=(), optional=("variant",), n=2,
         schedule=lambda c, w: engine.schedule_v1(c.p, w, variant=c.variant),

@@ -6,6 +6,13 @@ contributes s*|v| to t) and s is the v-filtration, so d_r maps
 mode); schedules inject page-indexed rules which the engine extends as a
 derivation.
 
+Each page states its generators once: the live exterior generators, each
+with the power of mu (the page's polynomial generator) attached to it, and
+the power of mu that the page's power rule fires on.  A rule is d_r on one
+of those generators.  d_r of a monomial is 0 when it does not factor over
+them (a torsion remnant of earlier pages), and otherwise the sum of the
+Leibniz terms of its factors that carry a rule.
+
 Since d_r(x*v^s) = d_r(x)*v^s, page r maps A-degree a to a - 1 - r|v|
 whatever the filtration, and one v-tower is one A-degree.  So the state is
 kept per A-degree a: the cycles Z_r(a) and the boundaries, as subspaces of
@@ -45,7 +52,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import (
@@ -104,24 +111,33 @@ def as_window(w) -> Window:
     return w if isinstance(w, Window) else Window(int(w))
 
 
-EXACT = "exact"
-POWER = "power"
-
-
 @dataclass(frozen=True)
 class Rule:
-    source: Monomial   # monomial of A, no v factor
+    source: Monomial   # a page generator: a monomial of A, no v factor
     target: Element    # element over A[v], v-exponent equal to the page
-    mode: str = POWER
 
 
 @dataclass
 class RulePage:
     r: int
     rules: List[Rule]
-    # power mode: exterior generator index -> mu-exponent attached to it in
-    # the surviving page-generator factorization (lambda-family expansions)
-    attach: Dict[int, int] = field(default_factory=dict)
+    # the live exterior generators by index, each with the exponent of mu
+    # attached to it as a page generator (lambda-family expansions); None
+    # means every exterior generator, no mu attached
+    attach: Optional[Dict[int, int]] = None
+
+
+class PageGenerators(NamedTuple):
+    """A page's generators, resolved from its RulePage: mu^q with mu the
+    polynomial generator of the page's power rule (q = 1 and no mu without
+    one), and each live exterior generator i as lambda_i mu^attach[i].
+    rules maps a generator's index to its page generator and d_r of it."""
+
+    mu: Optional[int]
+    q: int
+    exterior: Tuple[int, ...]  # every exterior generator of the algebra
+    attach: Dict[int, int]
+    rules: Dict[int, Tuple[Monomial, Element]]
 
 
 @dataclass
@@ -138,11 +154,6 @@ class DifferentialSchedule:
     @property
     def max_page(self) -> int:
         return max(self.pages) if self.pages else 0
-
-    @property
-    def rules(self) -> Dict[int, List[Tuple[Monomial, Element]]]:
-        return {r: [(rule.source, dict(rule.target)) for rule in pg.rules]
-                for r, pg in sorted(self.pages.items())}
 
 
 @dataclass
@@ -310,31 +321,45 @@ def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool = False,
 def _normalize_rules(rules, page: int) -> RulePage:
     if isinstance(rules, RulePage):
         return rules
-    out = []
-    for source, target in rules:
-        support = [i for i, e in enumerate(source) if e]
-        mode = POWER if len(support) == 1 else EXACT
-        out.append(Rule(tuple(source), dict(target), mode))
-    return RulePage(page, out)
+    return RulePage(page, [Rule(tuple(source), dict(target)) for source, target in rules])
 
 
-def _default_attach(ctx: EngineContext, page: RulePage) -> None:
-    """Power rules with no attachments: every plain exterior generator is
-    alive with no mu attached."""
-    if not page.attach and any(rule.mode == POWER for rule in page.rules):
-        page.attach = {i: 0 for i, g in enumerate(ctx.A.generators) if g.kind == EXTERIOR}
+def _page_generators(A: Algebra, page: RulePage) -> PageGenerators:
+    """Resolve a page's generators and key its rules by generator.  The
+    power rule is the one whose source is a pure power of a polynomial
+    generator; every other source must be a live exterior generator times
+    its attached mu-power."""
+    exterior = tuple(i for i, g in enumerate(A.generators) if g.kind == EXTERIOR)
+    attach = {i: 0 for i in exterior} if page.attach is None else page.attach
+    mu, q = None, 1
+    for rule in page.rules:
+        A.validate_monomial(rule.source)
+        support = [i for i, e in enumerate(rule.source) if e]
+        if mu is None and len(support) == 1 and A.generators[support[0]].kind == POLYNOMIAL:
+            mu, q = support[0], rule.source[support[0]]
+    if mu is None and any(attach.values()):
+        raise MalformedRuleError("malformed rule (mu attached on a page with no power rule)")
+    index: Dict[Monomial, int] = {}
+    for i, c in attach.items():
+        index[tuple(1 if j == i else c if j == mu else 0 for j in range(A.ngens))] = i
+    if mu is not None:
+        index[tuple(q if j == mu else 0 for j in range(A.ngens))] = mu
+    rules: Dict[int, Tuple[Monomial, Element]] = {}
+    for rule in page.rules:
+        gi = index.get(rule.source)
+        if gi is None:
+            raise MalformedRuleError("malformed rule (source is not a page generator)")
+        if gi in rules:
+            raise MalformedRuleError("malformed rule (duplicate source)")
+        rules[gi] = (rule.source, rule.target)
+    return PageGenerators(mu, q, exterior, attach, rules)
 
 
 def _validate_rules(pd: PageData, page: RulePage) -> None:
     ctx = pd.ctx
     A, Av, p = ctx.A, ctx.Av, ctx.A.p
     r = page.r
-    seen_sources = set()
     for rule in page.rules:
-        A.validate_monomial(rule.source)
-        if rule.source in seen_sources:
-            raise MalformedRuleError("malformed rule (duplicate source)")
-        seen_sources.add(rule.source)
         if not rule.target:
             raise MalformedRuleError("malformed rule (zero target)")
         vexps = {m[ctx.v_index] for m in rule.target}
@@ -346,11 +371,6 @@ def _validate_rules(pd: PageData, page: RulePage) -> None:
         if tdeg != sdeg - 1:
             raise MalformedRuleError(
                 f"malformed rule (target degree {tdeg} != source degree {sdeg} - 1)")
-        if rule.mode == POWER:
-            support = [i for i, e in enumerate(rule.source) if e]
-            if len(support) != 1 or A.generators[support[0]].kind != POLYNOMIAL:
-                raise MalformedRuleError(
-                    "malformed rule (power mode needs a pure power of a polynomial generator)")
         # survival: the source must be a live class (a cycle that is not a
         # boundary) at filtration 0 and the target must still be nonzero at
         # filtration r on this page
@@ -378,63 +398,37 @@ def _validate_rules(pd: PageData, page: RulePage) -> None:
             raise MalformedRuleError("malformed rule (target does not survive to this page)")
 
 
-def _d_of_monomial(ctx: EngineContext, page: RulePage, m: Monomial) -> Element:
+def _d_of_monomial(ctx: EngineContext, gens: PageGenerators, m: Monomial) -> Element:
     """Page derivation on one A-monomial; the v-shift by the page is implied.
 
-    Exact rules fire on an exact exponent match over the source's support.
-    Power rules fire with Leibniz multiplicity on the mu-exponent left over
-    after the page's lambda-family attachments are consumed; monomials
-    carrying an exterior generator without an attachment are torsion
-    remnants of earlier pages and support nothing.
+    A monomial that does not factor over the page generators (an exterior
+    generator that is not live, or a mu-exponent that the attachments and
+    mu^q do not use up) is a torsion remnant of earlier pages and supports
+    nothing.  Otherwise each factor g with a rule, N times in m (N = 1 for
+    an exterior one), gives the Leibniz term N * d_r(g) * (m / g), signed
+    by g * (m / g) = +-m.
     """
     A = ctx.A
     p = A.p
+    left = 0 if gens.mu is None else m[gens.mu]
+    for i in gens.exterior:
+        if m[i]:
+            c = gens.attach.get(i)
+            if c is None:
+                return {}
+            left -= c
+    if left < 0 or left % gens.q:
+        return {}
     out: Element = {}
-    exact_hits = [rule for rule in page.rules if rule.mode == EXACT
-                  and all(m[i] == e for i, e in enumerate(rule.source) if e)]
-    if exact_hits:
-        if len(exact_hits) > 1:
-            raise EngineAssertionError("ambiguous exact rules on one monomial")
-        rule = exact_hits[0]
-        cof = tuple(a - b for a, b in zip(m, rule.source))
-        sign, rebuilt = mul_monomials(A, cof, rule.source)
-        if sign == 0 or rebuilt != m:
-            raise EngineAssertionError("exact rule factorization failed")
-        lead = -1 if A.parity(cof) else 1
-        part = multiply({cof + (0,): (sign * lead) % p}, rule.target, ctx.Av)
-        for mon, c in part.items():
-            _accumulate(out, mon[:-1], c, p)
-        return out
-    for rule in page.rules:
-        if rule.mode != POWER:
+    for i, (source, target) in gens.rules.items():
+        if not m[i]:
             continue
-        gi = next(i for i, e in enumerate(rule.source) if e)
-        q = rule.source[gi]
-        avail = m[gi]
-        if avail <= 0:
-            continue
-        attached = 0
-        dead = False
-        for i, e in enumerate(m):
-            if e and i != gi and A.generators[i].kind == EXTERIOR:
-                c = page.attach.get(i)
-                if c is None:
-                    dead = True
-                    break
-                attached += c * e
-        if dead:
-            continue
-        residual = avail - attached
-        if residual < q or residual % q != 0:
-            continue
-        mult = (residual // q) % p
+        mult = (left // gens.q if i == gens.mu else 1) % p
         if mult == 0:
             continue
-        cof = list(m)
-        cof[gi] -= q
-        lead = -1 if A.parity(tuple(cof)) else 1
-        part = multiply({tuple(cof) + (0,): (mult * lead) % p}, rule.target, ctx.Av)
-        for mon, c in part.items():
+        cof = tuple(a - b for a, b in zip(m, source))
+        sign, _ = mul_monomials(A, source, cof)
+        for mon, c in multiply(target, {cof + (0,): sign * mult % p}, ctx.Av).items():
             _accumulate(out, mon[:-1], c, p)
     return out
 
@@ -556,9 +550,9 @@ def _diff_view(pd: PageData, maps: Mapping[int, Tuple[Optional[DiffRecord], ...]
 def apply_page(pd: PageData, rules) -> PageData:
     """Fire page pd.r with the given rules and return the next page.
 
-    rules may be a RulePage or a plain list of (source, target) pairs (a
-    pure generator-power source gets Leibniz extension, anything else exact
-    matching); an empty list yields the input's state with r incremented.
+    rules may be a RulePage or a plain list of (source, target) pairs,
+    which states no attachments; each source must be a page generator.  An
+    empty list yields the input's state with r incremented.
     The fired differentials are recorded on the input PageData.
     """
     ctx = pd.ctx
@@ -567,13 +561,13 @@ def apply_page(pd: PageData, rules) -> PageData:
     page = _normalize_rules(rules, r)
     if page.r != r:
         raise MalformedRuleError(f"malformed rule (page {page.r} applied at page {r})")
-    _default_attach(ctx, page)
     pd.applied_rules = page
     if not page.rules:
         return PageData(r + 1, ctx, pd.degrees, pd.fired)
     if ctx.deg_v and r > ctx.top_page:
         raise EngineError(f"page {r} draws boundaries from above the A-degrees kept "
                           f"for pages up to {ctx.top_page}")
+    gens = _page_generators(ctx.A, page)
     _validate_rules(pd, page)
     shift = 1 + r * ctx.deg_v
 
@@ -582,7 +576,7 @@ def apply_page(pd: PageData, rules) -> PageData:
     # have arrived
     maps: Dict[int, Tuple[Optional[DiffRecord], ...]] = {}
     for a, levels in pd.degrees.items():
-        images = [_d_of_monomial(ctx, page, m) for m in levels[0].monomials]
+        images = [_d_of_monomial(ctx, gens, m) for m in levels[0].monomials]
         if not any(images):
             continue
         tlevels = pd.degrees.get(a - shift)
@@ -653,8 +647,11 @@ def _target_element(Av: Algebra, exps: Mapping[int, int], coeff: int = 1) -> Ele
 
 
 def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
-    """d_{nu_p(k)+1}(mu^k) = v_0^{nu_p(k)+1} mu^{k-1} lambda_{n+1}: one exact
-    rule per mu-power in the window, unit coefficients."""
+    """d_{j+1}(mu^{p^j}) = v_0^{j+1} mu^{p^j-1} lambda_{n+1}: one power rule
+    per page, on the page generators lambda_1 .. lambda_n, lambda_{n+1}
+    mu^{p^j-1} and mu^{p^j}.  Its Leibniz extension is the paper's
+    d_{nu_p(k)+1}(mu^k) = v_0^{nu_p(k)+1} mu^{k-1} lambda_{n+1}, with the
+    unit k / p^{nu_p(k)} mod p."""
     w = as_window(w)
     A = _thh_algebra(p, n)
     v = GeneratorSpec("v0", 0, POLYNOMIAL)
@@ -663,23 +660,22 @@ def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
     lam = n          # index of lambda_{n+1}
     mu = n + 1       # index of mu_{n+1}
     vi = n + 2
+    # page j + 1 is emitted while mu^{p^j} lies within D + 1 plus one degree
+    # per page; the page count feeds back into that bound
     t_hi = w.max_degree + 1
-    pages: Dict[int, RulePage] = {}
-    # sources reach D + 1 plus one degree per page; the page count feeds
-    # back into that bound
-    for _ in range(8):
-        pages = {}
-        k = 1
-        while k * dm <= t_hi:
-            page = nu_p(p, k) + 1
-            src = tuple(k if i == mu else 0 for i in range(A.ngens))
-            target = _target_element(Av, {vi: page, mu: k - 1, lam: 1})
-            pages.setdefault(page, RulePage(page, [])).rules.append(Rule(src, target, EXACT))
-            k += 1
-        new_hi = w.max_degree + 1 + len(pages)
-        if new_hi == t_hi:
+    while True:
+        js = [j for j in range(t_hi.bit_length()) if p ** j * dm <= t_hi]
+        if w.max_degree + 1 + len(js) == t_hi:
             break
-        t_hi = new_hi
+        t_hi = w.max_degree + 1 + len(js)
+    pages: Dict[int, RulePage] = {}
+    for j in js:
+        q = p ** j
+        src = tuple(q if i == mu else 0 for i in range(A.ngens))
+        target = _target_element(Av, {vi: j + 1, mu: q - 1, lam: 1})
+        attach = {i: 0 for i in range(n)}
+        attach[lam] = q - 1
+        pages[j + 1] = RulePage(j + 1, [Rule(src, target)], attach)
     k_next = t_hi // dm + 1
     min_page = nu_p(p, k_next) + 1
     return DifferentialSchedule(
@@ -720,7 +716,7 @@ def _ladder_schedule(p: int, w, family: LambdaFamily, v_name: str, v_deg: int,
         for idx in attach_indices(s):
             b, ee = family.entry(idx)
             attach[b - 1] = ee
-        pages[r] = RulePage(r, [Rule(source, target, POWER)], attach)
+        pages[r] = RulePage(r, [Rule(source, target)], attach)
         s += 1
     return DifferentialSchedule(
         v, pages, label=label, meta=meta,
@@ -772,12 +768,12 @@ def _schedule_v1_p2_variant_b(w: Window, family: LambdaFamily) -> DifferentialSc
     pages: Dict[int, RulePage] = {}
     # the candidate differential the paper could not rule out
     lam3 = tuple(1 if i == 2 else 0 for i in range(A.ngens))
-    pages[2] = RulePage(2, [Rule(lam3, _target_element(Av, {vi: 2, 0: 1, 1: 1}), EXACT)])
+    pages[2] = RulePage(2, [Rule(lam3, _target_element(Av, {vi: 2, 0: 1, 1: 1}))])
     # the first ladder differential is unaffected by it
     if family.degree(2) <= w.max_degree:
         r = r_len(p, 1, 1)
         src = tuple(1 if i == mu else 0 for i in range(A.ngens))
-        pages[r] = RulePage(r, [Rule(src, _target_element(Av, {vi: r, 1: 1}), POWER)],
+        pages[r] = RulePage(r, [Rule(src, _target_element(Av, {vi: r, 1: 1}))],
                             attach={0: 0, 1: 0})
     # past this point the branch is uncharted; everything above lambda_3's
     # degree stays unknown
@@ -873,10 +869,9 @@ def extract_towers(final: PageData, sched: DifferentialSchedule, w, localized: b
 
     future_floor = sched.future_target_floor
     future_min_page = sched.future_min_page
-    unfired_pages = [sched.pages[r] for r in unfired]
-    for r, page in zip(unfired, unfired_pages):
-        _default_attach(ctx, page)
-        for rule in page.rules:
+    unfired_gens = [_page_generators(ctx.A, sched.pages[r]) for r in unfired]
+    for r in unfired:
+        for rule in sched.pages[r].rules:
             for mon in rule.target:
                 base = ctx.Av.degree(mon) - r * ctx.deg_v
                 future_floor = base if future_floor is None else min(future_floor, base)
@@ -896,11 +891,11 @@ def extract_towers(final: PageData, sched: DifferentialSchedule, w, localized: b
                 prof.add(b, length)
             continue
         _read_column(prof, b, levels, final.fired, future_min_page if hit else None,
-                     lambda cell: _unfired_sources(ctx, unfired_pages, cell))
+                     lambda cell: _unfired_sources(ctx, unfired_gens, cell))
     return prof
 
 
-def _unfired_sources(ctx: EngineContext, unfired: Sequence[RulePage], cell: Cell) -> int:
+def _unfired_sources(ctx: EngineContext, unfired: Sequence[PageGenerators], cell: Cell) -> int:
     """How many classes of the cell have a nonzero image under the rules of
     the unfired pages (Leibniz extension included): the rank of their
     stacked images.  Such a class may support a differential the run did
@@ -908,7 +903,7 @@ def _unfired_sources(ctx: EngineContext, unfired: Sequence[RulePage], cell: Cell
     if not unfired or cell.dim == 0:
         return 0
     p = ctx.A.p
-    images = [[_d_of_monomial(ctx, page, m) for page in unfired] for m in cell.monomials]
+    images = [[_d_of_monomial(ctx, gens, m) for gens in unfired] for m in cell.monomials]
     index: Dict[Tuple[int, Monomial], int] = {}
     for per_page in images:
         for i, img in enumerate(per_page):

@@ -21,7 +21,7 @@ from bockstein.closedform import (
     thh_mod_p_algebra,
     tmn_profile,
 )
-from bockstein.engine import run
+from bockstein.engine import Rule, run
 from bockstein.formulas import (
     d_deg,
     d_deg_explicit,
@@ -188,10 +188,9 @@ def test_criterion_8():
         for unit in (2,):
             A, scaled, w = Case(kind, 3, 120).build()
             for pg in scaled.pages.values():
-                for i, rule in enumerate(pg.rules):
-                    pg.rules[i] = type(rule)(
-                        rule.source, {mm: (unit * c) % 3 for mm, c in rule.target.items()},
-                        rule.mode)
+                pg.rules[:] = [Rule(rule.source, {mm: (unit * c) % 3
+                                                  for mm, c in rule.target.items()})
+                               for rule in pg.rules]
             _, prof2 = run(A, scaled, w)
             assert prof1 == prof2
 

@@ -138,11 +138,26 @@ def test_page_cap_below_one_exit_two(capsys, cap):
     ("--case", "v0", "--p", "2", "--n", "2", "--max-degree", "3000000"),
 ])
 def test_oversized_input_exit_two(capsys, args):
-    # refused from the estimate, before the schedule's rules or any basis
-    # is built; the v0 schedule alone would hold 187,500 rules here
+    # refused from the estimate on the schedule's pages, before any basis
+    # is built; a schedule holds one rule per page, 18 for v0 here
     code, out, err = run_cli(capsys, "verify", *args)
     assert code == 2 and not out
     assert "(A-degree, page) states" in err and "above the limit" in err
+
+
+def test_cost_estimate_reads_the_schedule_pages(monkeypatch):
+    # v0 p=2 n=0 D=6 emits pages 1 and 2: mu_1^2 sits in degree 8, within
+    # D + 1 plus one degree per page, so the size check must count both
+    from bockstein import engine
+    from bockstein.cases import Case
+
+    seen = []
+    estimate = engine.estimate_cost
+    monkeypatch.setattr(engine, "estimate_cost",
+                        lambda deg_v, D, pages, *rest: seen.append(list(pages))
+                        or estimate(deg_v, D, pages, *rest))
+    _, sched, _ = Case("v0", 2, 6, n=0).build()
+    assert sorted(sched.pages) == [1, 2] and seen == [[1, 2]]
 
 
 @pytest.mark.parametrize("args, message", [

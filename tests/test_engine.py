@@ -11,9 +11,14 @@ from bockstein.closedform import (
 from bockstein.engine import (
     AmbiguousPatternError,
     DeadSourceError,
+    EngineContext,
     MalformedRuleError,
+    Rule,
+    RulePage,
     ScheduleError,
     Window,
+    _d_of_monomial,
+    _page_generators,
     apply_page,
     build_e1,
     run,
@@ -22,6 +27,7 @@ from bockstein.engine import (
     schedule_v1,
     schedule_v2,
 )
+from bockstein.formulas import nu_p
 from bockstein.towers import INF, compare
 import golden
 
@@ -137,12 +143,103 @@ def test_apply_page_malformed_rule_errors():
         apply_page(pd, [(mu, element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 2}))))])
 
 
+def page_derivations(A, sched, D):
+    """d_r of a monomial on each page of the schedule, as the engine runs it."""
+    ctx = EngineContext(A, sched.v, False, D, sorted(sched.pages))
+    gens = {r: _page_generators(A, pg) for r, pg in sched.pages.items()}
+    return lambda r, m: _d_of_monomial(ctx, gens[r], m)
+
+
 def test_schedule_v0_page_assignment():
+    # one power rule per page, and its Leibniz extension is the paper's
+    # d_{nu_p(k)+1}(mu^k) = v0^{nu_p(k)+1} mu^{k-1} lambda_{n+1} up to a unit
     sched = schedule_v0(2, 2, Window(58))
-    by_page = {r: sorted(src[3] for src, _ in rules) for r, rules in sched.rules.items()}
-    assert by_page == {1: [1, 3], 2: [2]}
-    assert sched.max_page == 2
-    assert sched.meta["case"] == "v0"
+    assert sorted(sched.pages) == [1, 2] and sched.meta["case"] == "v0"
+    D = 1200
+    for p in (2, 3, 5):
+        for n in (0, 1, 2):
+            A = thh_mod_p_algebra(p, n)
+            sched = schedule_v0(p, n, Window(D))
+            assert all(len(pg.rules) == 1 for pg in sched.pages.values())
+            d = page_derivations(A, sched, D)
+            mu, lam = f"μ{n + 1}", f"λ{n + 1}"
+            k = 1
+            while k * A.degree(A.monomial(**{mu: 1})) <= D:
+                m = A.monomial(**{mu: k})
+                for r in sched.pages:
+                    image = d(r, m)
+                    if r == nu_p(p, k) + 1:
+                        (target, c), = image.items()
+                        assert target == A.monomial(**{mu: k - 1, lam: 1}) and c % p
+                    else:
+                        assert image == {}, (p, n, k, r)
+                    assert d(r, A.monomial(**{mu: k, lam: 1})) == {}
+                k += 1
+
+
+def test_variant_b_exterior_rule_on_cycles():
+    # variant B's d_2(lambda_3) = v1^2 lambda_1 lambda_2 is a rule on an
+    # exterior generator; mu is a cycle of page 2, so d_2(lambda_3 mu^k) =
+    # lambda_1 lambda_2 mu^k, and the run records exactly those maps
+    A = thh_mod_p_algebra(2, 2)
+    D = 120
+    sched = schedule_v1(2, Window(D), variant="B")
+    d = page_derivations(A, sched, D)
+    for k in range(D // 16 + 1):
+        assert d(2, A.monomial(**{"λ3": 1, "μ3": k})) == {A.monomial(λ1=1, λ2=1, μ3=k): 1}
+        assert d(2, A.monomial(**{"μ3": k})) == {}
+    pages, _ = run(A, sched, Window(D))
+    e2 = next(pd for pd in pages if pd.r == 2)
+    src = {(15 + 16 * k, 0) for k in range(D // 16 + 1) if 15 + 16 * k <= D + 1}
+    assert {key for key, rec in e2.diffs.items() if key[1] == 0} >= src
+    for key in src:
+        rec = e2.diffs[key]
+        assert rec.rank == 1 and rec.target == (key[0] - 1, 2)
+        assert e2.cells[rec.target].monomials == (A.monomial(λ1=1, λ2=1, μ3=(key[0] - 15) // 16),)
+
+
+def test_monomials_that_do_not_factor_over_the_page_generators():
+    A = thh_mod_p_algebra(2, 2)
+    # variant B's page 4 fires d_4(mu_3) = v1^4 lambda_2 with lambda_1 and
+    # lambda_2 live; lambda_3 supported d_2, so it is no page generator
+    sched = schedule_v1(2, Window(120), variant="B")
+    d = page_derivations(A, sched, 120)
+    assert sched.pages[4].attach == {0: 0, 1: 0}
+    assert d(4, A.monomial(λ1=1, μ3=1)) == {A.monomial(λ1=1, λ2=1): 1}
+    assert d(4, A.monomial(λ3=1, μ3=1)) == {}
+    # v2 at p = 2: page 4 fires on mu_3^2, and lambda_1 mu_3 is a page
+    # generator; a mu-exponent that mu_3^2 and the attachments do not use
+    # up gives no factorization, so zero
+    sched = schedule_v2(2, Window(160))
+    d = page_derivations(A, sched, 160)
+    assert sched.pages[4].attach[0] == 1
+    assert d(4, A.monomial(μ3=2)) == {A.monomial(λ2=1): 1}
+    assert d(4, A.monomial(μ3=3)) == {}
+    assert d(4, A.monomial(λ1=1, μ3=2)) == {}
+    assert d(4, A.monomial(λ1=1, μ3=3)) == {A.monomial(λ1=1, λ2=1, μ3=1): 1}
+
+
+def test_rule_source_must_be_a_page_generator():
+    A = thh_mod_p_algebra(2, 2)
+    v = v_gen("v0", 0)
+    Av = A.adjoin(v)
+    pd = build_e1(A, v, Window(40), pages=(1,))
+    # lambda_1 mu_3 is a product of two page generators of a page with no
+    # attachments, not one of them
+    src = A.monomial(λ1=1, μ3=1)
+    target = element(Av, (1, Av.monomial(λ1=1, λ3=1, v0=1)))
+    with pytest.raises(MalformedRuleError, match="page generator"):
+        apply_page(pd, [(src, target)])
+    # and a second power rule on a page is not one either
+    mu, mu2 = A.monomial(μ3=1), A.monomial(μ3=2)
+    rules = [(mu, element(Av, (1, Av.monomial(λ3=1, v0=1)))),
+             (mu2, element(Av, (1, Av.monomial(λ3=1, μ3=1, v0=1))))]
+    with pytest.raises(MalformedRuleError, match="page generator"):
+        apply_page(pd, rules)
+    # a mu-power attached to an exterior generator needs the page's mu
+    lam3 = (A.monomial(λ3=1), element(Av, (1, Av.monomial(λ1=1, λ2=1, v0=1))))
+    with pytest.raises(MalformedRuleError, match="no power rule"):
+        apply_page(pd, RulePage(1, [Rule(*lam3)], attach={0: 0, 1: 0, 2: 1}))
 
 
 def test_schedule_v1_paper_pages():
@@ -211,10 +308,8 @@ def test_unit_robustness_small():
     _, prof1 = run(A, base, w)
     scaled = schedule_v2(3, w)
     for pg in scaled.pages.values():
-        for i, rule in enumerate(pg.rules):
-            pg.rules[i] = type(rule)(rule.source,
-                                     {m: (2 * c) % 3 for m, c in rule.target.items()},
-                                     rule.mode)
+        pg.rules[:] = [Rule(rule.source, {m: (2 * c) % 3 for m, c in rule.target.items()})
+                       for rule in pg.rules]
     _, prof2 = run(A, scaled, w)
     assert prof1 == prof2
 
@@ -281,7 +376,7 @@ def test_apply_page_rejects_a_differential_not_defined_on_classes():
     # d_2 with d_2(y) = v0^2 and d_2(x) = 0 is nonzero on that boundary, so
     # it takes different values on the classes of filtrations 0 and 1
     from bockstein.algebra import EXTERIOR, Algebra
-    from bockstein.engine import EXACT, EngineAssertionError, Rule, RulePage
+    from bockstein.engine import EngineAssertionError
 
     A = Algebra(2, (GeneratorSpec("x", 1, EXTERIOR), GeneratorSpec("y", 1, EXTERIOR),
                     GeneratorSpec("z", 2, POLYNOMIAL)))
@@ -290,6 +385,6 @@ def test_apply_page_rejects_a_differential_not_defined_on_classes():
     pd = build_e1(A, v, Window(0), pages=(1, 2))  # keeps A-degrees 0..2
     d1 = element(Av, (1, Av.monomial(x=1, v0=1)), (1, Av.monomial(y=1, v0=1)))
     pd = apply_page(pd, [(A.monomial(z=1), d1)])
-    d2 = Rule(A.monomial(y=1), element(Av, (1, Av.monomial(v0=2))), EXACT)
+    d2 = Rule(A.monomial(y=1), element(Av, (1, Av.monomial(v0=2))))  # exterior generator
     with pytest.raises(EngineAssertionError, match="depends on the representatives"):
         apply_page(pd, RulePage(2, [d2]))
