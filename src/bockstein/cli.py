@@ -11,7 +11,7 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, is_prime
 from .cases import KINDS, Case
 from .engine import EngineAssertionError, ScheduleError
 from .formulas import FormulaError, d_deg, deg_lambda, deg_mu, nu_p, r_conj, r_len
@@ -40,14 +40,21 @@ def cmd_run(case: Case, json_path: Optional[str], svg_path: Optional[str],
     if sched.meta.get("conjectural"):
         print("note: conjectural schedule; towers certify internal consistency only")
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(emit_json(pages, profile, case.meta(sched), ascii_))
-        print(f"wrote {json_path}")
+        _write(json_path, emit_json(pages, profile, case.meta(sched), ascii_))
     if svg_path:
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(emit_svg(case.chart_page(pages), ChartStyle(), case.D, title=sched.label))
-        print(f"wrote {svg_path}")
+        _write(svg_path, emit_svg(case.chart_page(pages), ChartStyle(), case.D, title=sched.label))
     return 0
+
+
+def _write(path: str, text: str) -> None:
+    """Write a document; a path that cannot be opened is a usage error."""
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+    with fh:
+        fh.write(text)
+    print(f"wrote {path}")
 
 
 def cmd_verify(case: Case) -> int:
@@ -94,7 +101,11 @@ SERIES = {
 
 def cmd_formulas(p: int, series: str, rng: Tuple[int, int], m: Optional[int],
                  family_n: int) -> int:
+    if not is_prime(p):
+        raise FormulaError(f"{p} is not prime")
     lo, hi = rng
+    if lo > hi:
+        raise FormulaError(f"empty range {lo}..{hi}")
     value = SERIES[series]
     print(", ".join(str(value(p, n, m, family_n)) for n in range(lo, hi + 1)))
     return 0

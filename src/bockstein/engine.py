@@ -52,7 +52,8 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from . import linalg
 from .algebra import (
@@ -259,18 +260,23 @@ class PageData:
     degrees maps each A-degree to its cells by boundary level: level k holds
     the boundaries of the first k fired pages (one level when localized).
     cells is the (t, s) view of them over the window, built when first read
-    (E_1's by build_e1).  diffs is the view of the page's differentials,
-    recorded when the page is applied.
+    (E_1's by build_e1).  A page made from another (prev) derives its view
+    from prev's: only the A-degrees in changed have new cells, and every
+    other A-degree shows each filtration the same Cell object on both
+    pages.  diffs is the view of the page's differentials, recorded when
+    the page is applied.
     """
 
     def __init__(self, r: int, ctx: EngineContext, degrees: Dict[int, Tuple[Cell, ...]],
-                 fired: Tuple[int, ...] = ()) -> None:
+                 fired: Tuple[int, ...] = (), prev: Optional[PageData] = None,
+                 changed: FrozenSet[int] = frozenset()) -> None:
         self.r = r
         self.ctx = ctx
         self.degrees = degrees
         self.fired = fired
+        self.prev = prev
+        self.changed = changed
         self.diffs: Dict[Tuple[int, int], DiffRecord] = {}
-        self.applied_rules: Optional[RulePage] = None
         self._cells: Optional[Dict[Tuple[int, int], Cell]] = None
 
     def level(self, s: int) -> int:
@@ -289,14 +295,36 @@ class PageData:
 
 
 def _cell_view(pd: PageData) -> Dict[Tuple[int, int], Cell]:
-    """The classes of a page at every (t, s) of the window."""
+    """The classes of a page at every (t, s) of the window.
+
+    A page derived from others starts from the nearest one up its chain
+    whose view is built and replaces the keys of the A-degrees changed
+    since: an unchanged A-degree's levels gain only a copy of the top one
+    (localized: none), so every filtration keeps its Cell.  A page with no
+    built view up its chain is built whole."""
     ctx, dv = pd.ctx, pd.ctx.deg_v
-    cells = {}
-    for s in range(ctx.s_lo, ctx.s_hi + 1):
-        k = pd.level(s)
-        for t in range(max(0, s * dv), ctx.max_degree + 1):
-            levels = pd.degrees.get(t - s * dv)
-            if levels:
+    filtrations = [(s, pd.level(s)) for s in range(ctx.s_lo, ctx.s_hi + 1)]
+    changed: Set[int] = set()
+    base: Optional[PageData] = pd
+    while base is not None and base._cells is None:
+        changed |= base.changed
+        base = base.prev
+    if base is None:
+        cells = {}
+        for s, k in filtrations:
+            for t in range(max(0, s * dv), ctx.max_degree + 1):
+                levels = pd.degrees.get(t - s * dv)
+                if levels:
+                    cells[(t, s)] = levels[k]
+        return cells
+    cells = dict(base._cells)
+    for a in changed:
+        levels = pd.degrees[a]
+        for s, k in filtrations:
+            t = a + s * dv
+            if t > ctx.max_degree:
+                break
+            if t >= 0:
                 cells[(t, s)] = levels[k]
     return cells
 
@@ -561,9 +589,8 @@ def apply_page(pd: PageData, rules) -> PageData:
     page = _normalize_rules(rules, r)
     if page.r != r:
         raise MalformedRuleError(f"malformed rule (page {page.r} applied at page {r})")
-    pd.applied_rules = page
     if not page.rules:
-        return PageData(r + 1, ctx, pd.degrees, pd.fired)
+        return PageData(r + 1, ctx, pd.degrees, pd.fired, pd)
     if ctx.deg_v and r > ctx.top_page:
         raise EngineError(f"page {r} draws boundaries from above the A-degrees kept "
                           f"for pages up to {ctx.top_page}")
@@ -626,7 +653,8 @@ def apply_page(pd: PageData, rules) -> PageData:
         degrees[a] = tuple(memo_cells[id(cell)] for cell in levels) + (top,)
 
     pd.diffs = _diff_view(pd, maps)
-    return PageData(r + 1, ctx, degrees, pd.fired + (r,))
+    return PageData(r + 1, ctx, degrees, pd.fired + (r,), pd,
+                    frozenset(maps) | frozenset(incoming))
 
 
 # ----------------------------------------------------------------------
@@ -848,7 +876,7 @@ def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
             unfired.append(r)
             continue
         # the pages between fired ones pass the state through unchanged
-        cur = final if final.r == r else PageData(r, final.ctx, final.degrees, final.fired)
+        cur = final if final.r == r else PageData(r, final.ctx, final.degrees, final.fired, final)
         nxt = apply_page(cur, sched.pages[r])
         if cur is not pages_out[-1]:
             pages_out.append(cur)

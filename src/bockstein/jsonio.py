@@ -135,17 +135,31 @@ def _nested(obj: object) -> str:
 def emit_json(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[str, object],
               ascii_: bool = False) -> str:
     """The JSON document of a run, in the pinned layout (module docstring).
-    Pages share their cells, so a cell's lead monomials are rendered once
-    per document, keyed on its id (the pages keep their cells alive), and
-    each class record adds only its v-power."""
+
+    Each page's class records are kept as a dict from (t, s) to the record
+    text (None for an empty class or one outside 0..D), in (t, s) order.  A
+    page with the same view keys as the page before starts from a copy of
+    that page's dict and renders only the keys whose cell is a different
+    object; any other page (the first, or a view filtered differently from
+    the page before) starts from its sorted keys with no text, so every key
+    is rendered.  Identity is a safe key because the pages keep their cells
+    alive; for the same reason a cell's lead monomials are rendered once per
+    document, keyed on its id, and each class record adds only its
+    v-power."""
     D = profile.max_degree
     leads: Dict[int, List[Optional[str]]] = {}
+    prev_cells: Dict[Tuple[int, int], object] = {}
+    records: Dict[Tuple[int, int], Optional[str]] = {}
     rendered = []
     for pd in pages:
         A, v_name, cells = pd.ctx.A, pd.ctx.v.name, pd.cells
-        classes = []
-        for key in sorted(cells):
-            cell = cells[key]
+        if cells.keys() == prev_cells.keys():
+            base, records = prev_cells, dict(records)
+        else:
+            base, records = {}, dict.fromkeys(sorted(cells))
+        for key, cell in cells.items():
+            if cell is base.get(key):
+                continue
             lead = leads.get(id(cell))
             if lead is None:
                 lead = leads[id(cell)] = [_lead(A, cell.monomials, row, ascii_)
@@ -153,7 +167,11 @@ def emit_json(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[str, 
             (t, s) = key
             if lead and 0 <= t <= D:
                 reps = ",\n      ".join([_encode(_with_v(x, v_name, s, ascii_)) for x in lead])
-                classes.append(_CLASS(t, s, len(lead), reps))
+                records[key] = _CLASS(t, s, len(lead), reps)
+            else:
+                records[key] = None
+        prev_cells = cells
+        classes = [text for text in records.values() if text is not None]
         diffs = []
         for (t, s) in sorted(pd.diffs):
             rec = pd.diffs[(t, s)]

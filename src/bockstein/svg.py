@@ -28,7 +28,10 @@ def emit_svg(page: PageData, style: ChartStyle, max_degree: int,
              title: str = "") -> str:
     ctx = page.ctx
     dv = ctx.deg_v
-    s_values = [s for (t, s) in page.cells if 0 <= t <= max_degree and page.cells[(t, s)].dim]
+    # the nonempty classes of the window, in (t, s) order, with their dims
+    dims = {key: cell.dim for key, cell in sorted(page.cells.items())
+            if 0 <= key[0] <= max_degree and cell.dim}
+    s_values = [s for (_t, s) in dims]
     s_hi = max(s_values, default=0)
     if style.max_filtration is not None:
         s_hi = min(s_hi, style.max_filtration)
@@ -61,15 +64,13 @@ def emit_svg(page: PageData, style: ChartStyle, max_degree: int,
         return [(X(t) + (i - (dim - 1) / 2.0) * 2.6, Y(s)) for i in range(dim)]
 
     # v-multiplication lines between consecutive filtrations of a tower
-    for (t, s), cell in sorted(page.cells.items()):
-        if not (0 <= t <= max_degree and s_lo <= s < s_hi) or cell.dim == 0:
+    for (t, s), dim in dims.items():
+        nxt = dims.get((t + dv, s + 1))
+        if not s_lo <= s < s_hi or nxt is None:
             continue
-        nxt = page.cells.get((t + dv, s + 1))
-        if nxt is None or nxt.dim == 0 or t + dv > max_degree:
-            continue
-        k = min(cell.dim, nxt.dim)
-        a = dots(t, s, cell.dim)
-        b = dots(t + dv, s + 1, nxt.dim)
+        k = min(dim, nxt)
+        a = dots(t, s, dim)
+        b = dots(t + dv, s + 1, nxt)
         for i in range(k):
             out.append(f'<line x1="{a[i][0]:.1f}" y1="{a[i][1]:.1f}" '
                        f'x2="{b[i][0]:.1f}" y2="{b[i][1]:.1f}" '
@@ -86,10 +87,10 @@ def emit_svg(page: PageData, style: ChartStyle, max_degree: int,
         out.append(f'<text x="{(X(t) + X(t2)) / 2:.1f}" y="{(Y(s) + Y(s2)) / 2:.1f}" '
                    f'font-size="6" fill="#c00">d{page.r}</text>')
     # dots last so they sit on top
-    for (t, s), cell in sorted(page.cells.items()):
-        if not (0 <= t <= max_degree and s_lo <= s <= s_hi) or cell.dim == 0:
+    for (t, s), dim in dims.items():
+        if not s_lo <= s <= s_hi:
             continue
-        for (x, y) in dots(t, s, cell.dim):
+        for (x, y) in dots(t, s, dim):
             out.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{style.dot_radius}" '
                        f'data-t="{t}" data-s="{s}"/>')
     out.append("</svg>")

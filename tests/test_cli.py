@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import bockstein
 
 from bockstein.cli import main
 
@@ -21,6 +27,35 @@ def test_formulas_series(capsys):
     code, out, _ = run_cli(capsys, "formulas", "--p", "3", "--series", "rconj",
                            "--n", "1..3", "--m", "1")
     assert code == 0 and out.strip() == "9, 27, 90"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--p", "4", "--n", "1..3"), "4 is not prime"),
+    (("--p", "1", "--n", "2"), "1 is not prime"),
+    (("--p", "3", "--n", "5..2"), "empty range 5..2"),
+])
+def test_formulas_refuses_bad_input_exit_two(capsys, args, message):
+    code, out, err = run_cli(capsys, "formulas", "--series", "r1", *args)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    # a checkout without the installed script; importing the package does
+    # not run the command line
+    env = {**os.environ, "PYTHONPATH": str(Path(bockstein.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "bockstein", "formulas", "--p", "3",
+                           "--series", "r1", "--n", "1..3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "9, 27, 90\n")
+    done = subprocess.run([sys.executable, "-m", "bockstein", "formulas", "--p", "4",
+                           "--series", "r1", "--n", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and "4 is not prime" in done.stderr
+    done = subprocess.run([sys.executable, "-c", "import sys, bockstein; "
+                           "print('bockstein.__main__' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.stdout == "False\n"
 
 
 def test_verify_v0_exit_zero(capsys):
@@ -79,6 +114,16 @@ def test_run_writes_artifacts(tmp_path, capsys):
     towers = {t["t"]: t["lengths"] for t in doc["towers"]}
     assert towers[31] == [2] and towers[0] == ["inf"]
     assert spath.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("flag", ["--json", "--svg"])
+def test_output_path_that_cannot_be_opened_exit_two(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, "run", "--case", "v0", "--p", "2", "--n", "2",
+                           "--max-degree", "20", flag, str(path))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+    assert not path.parent.exists()
 
 
 def test_usage_error_exit_two(capsys):

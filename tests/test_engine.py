@@ -13,6 +13,7 @@ from bockstein.engine import (
     DeadSourceError,
     EngineContext,
     MalformedRuleError,
+    PageData,
     Rule,
     RulePage,
     ScheduleError,
@@ -61,6 +62,25 @@ def test_apply_page_empty_rules_increments():
     pd = build_e1(A, v_gen("v0", 0), Window(16))
     nxt = apply_page(pd, [])
     assert nxt.r == 2 and nxt.degrees is pd.degrees and nxt.fired == ()
+    assert nxt.prev is pd and not nxt.changed
+
+
+@pytest.mark.parametrize("order", ["forward", "backward"])
+@pytest.mark.parametrize("case", [
+    Case("v0", 2, 58, n=2), Case("v1", 3, 130), Case("v2", 2, 120, page_cap=2),
+    Case("v2", 2, 120, page_cap=8), Case("v2", 3, 120, localized=True),
+    Case("v1", 2, 60, variant="B"),
+], ids=golden.case_id)
+def test_derived_views_equal_whole_views(case, order):
+    # every page after E_1 patches its view from the page it was made from;
+    # read in either order, the view has the keys, in the same order, and
+    # the very Cell objects of a view built over the whole window
+    _, pages, _ = case.run()
+    assert pages[0].prev is None and all(pd.prev is not None for pd in pages[1:])
+    for pd in (pages if order == "forward" else pages[::-1]):
+        whole = PageData(pd.r, pd.ctx, pd.degrees, pd.fired).cells
+        assert list(pd.cells) == list(whole)
+        assert all(pd.cells[key] is cell for key, cell in whole.items())
 
 
 def test_apply_page_v2_tower_length_two():

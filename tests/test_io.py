@@ -11,6 +11,7 @@ from bockstein.engine import Cell, Window, run, schedule_v0, schedule_v2
 from bockstein.jsonio import emit_json, monomial_str, parse_json, rep_str, towers_record
 from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import TowerProfile
+import golden
 
 
 def _v0_run(D=58):
@@ -102,6 +103,26 @@ def test_json_layout_is_a_fixed_point_of_json_dumps(ascii_):
         doc = emit_json(pages, prof, meta, ascii_)
         assert json.dumps(json.loads(doc), ensure_ascii=False, indent=1) == doc
         assert doc.isascii() or not ascii_
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["run", "filtered"])
+def test_json_patched_pages_equal_whole_pages(filtered):
+    # a page is patched from the page before when their view keys agree (a
+    # run) and rendered whole when they do not (views filtered differently
+    # on each page, as tests/golden.py makes); either way each page record
+    # is the one the page gets in a document of its own
+    for c in (Case("v0", 2, 58, n=2), Case("v2", 2, 120, page_cap=8),
+              Case("v2", 3, 60, localized=True)):
+        sched, pages, prof = c.run()
+        if filtered:
+            pages = [golden._view(pd, {key for key in pd.cells if key[0] % (i + 2) == 0}, None)
+                     for i, pd in enumerate(pages)]
+        assert (pages[1].cells.keys() == pages[0].cells.keys()) is not filtered
+        doc = json.loads(emit_json(pages, prof, c.meta(sched)))
+        assert len(doc["pages"]) == len(pages)
+        for pd, record in zip(pages, doc["pages"]):
+            (alone,) = json.loads(emit_json([pd], prof, c.meta(sched)))["pages"]
+            assert record == alone
 
 
 def test_svg_dot_counts_match_dims():
