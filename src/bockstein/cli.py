@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Tuple
+from contextlib import ExitStack, contextmanager, suppress
+from typing import Iterator, List, Optional, TextIO, Tuple
 
 from .algebra import AlgebraError, is_prime
 from .cases import KINDS, Case
 from .engine import EngineAssertionError, ScheduleError
 from .formulas import FormulaError, d_deg, deg_lambda, deg_mu, nu_p, r_conj, r_len
-from .jsonio import emit_json, laurent_span
+from .jsonio import json_fragments, laurent_span
 from .svg import ChartStyle, emit_svg
 from .towers import compare
 
@@ -29,32 +30,63 @@ def _color(text: str, code: str) -> str:
 
 def cmd_run(case: Case, json_path: Optional[str], svg_path: Optional[str],
             ascii_: bool) -> int:
-    sched, pages, profile = case.run()
-    print(f"run {sched.label}: pages {sorted(sched.pages)}, final E_{pages[-1].r}")
-    if case.localized:
-        names = laurent_span(pages[-1], case.D, ascii_)
-        print("E_infinity = Laurent span {" + ", ".join(names) + "}")
-    else:
-        for line in profile.summary_lines():
-            print(line)
-    if sched.meta.get("conjectural"):
-        print("note: conjectural schedule; towers certify internal consistency only")
-    if json_path:
-        _write(json_path, emit_json(pages, profile, case.meta(sched), ascii_))
-    if svg_path:
-        _write(svg_path, emit_svg(case.chart_page(pages), ChartStyle(), case.D, title=sched.label))
+    with _outputs(json_path, svg_path) as (json_file, svg_file):
+        sched, pages, profile = case.run()
+        print(f"run {sched.label}: pages {sorted(sched.pages)}, final E_{pages[-1].r}")
+        if case.localized:
+            names = laurent_span(pages[-1], case.D, ascii_)
+            print("E_infinity = Laurent span {" + ", ".join(names) + "}")
+        else:
+            for line in profile.summary_lines():
+                print(line)
+        if sched.meta.get("conjectural"):
+            print("note: conjectural schedule; towers certify internal consistency only")
+        if json_file:
+            _write(json_file, json_fragments(pages, profile, case.meta(sched), ascii_))
+        if svg_file:
+            _write(svg_file, [emit_svg(case.chart_page(pages), ChartStyle(), case.D,
+                                       title=sched.label)])
     return 0
 
 
-def _write(path: str, text: str) -> None:
-    """Write a document; a path that cannot be opened is a usage error."""
+@contextmanager
+def _outputs(*paths: Optional[str]) -> Iterator[List[Optional[TextIO]]]:
+    """Open the output files (None for a path not given) before the run,
+    without truncating them.  If the block raises, the files opened anew
+    are removed."""
+    created: List[str] = []
     try:
-        fh = open(path, "w", encoding="utf-8")
+        with ExitStack() as stack:
+            yield [stack.enter_context(_open_output(path, created)) if path else None
+                   for path in paths]
+    except BaseException:
+        for path in created:
+            with suppress(OSError):
+                os.remove(path)
+        raise
+
+
+def _open_output(path: str, created: List[str]) -> TextIO:
+    """Open a file to append to, adding its path to created if this made
+    it; a path that cannot be opened is a usage error."""
+    try:
+        try:
+            fh = open(path, "x", encoding="utf-8")
+        except FileExistsError:
+            return open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
-    with fh:
-        fh.write(text)
-    print(f"wrote {path}")
+    created.append(path)
+    return fh
+
+
+def _write(fh: TextIO, fragments: List[str]) -> None:
+    """Replace the content of an output file opened by _outputs, flushed
+    before it is reported."""
+    fh.truncate(0)
+    fh.writelines(fragments)
+    fh.flush()
+    print(f"wrote {fh.name}")
 
 
 def cmd_verify(case: Case) -> int:

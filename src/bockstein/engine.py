@@ -301,7 +301,8 @@ def _cell_view(pd: PageData) -> Dict[Tuple[int, int], Cell]:
     whose view is built and replaces the keys of the A-degrees changed
     since: an unchanged A-degree's levels gain only a copy of the top one
     (localized: none), so every filtration keeps its Cell.  A page with no
-    built view up its chain is built whole."""
+    built view up its chain is built the same way from all its A-degrees,
+    in their order."""
     ctx, dv = pd.ctx, pd.ctx.deg_v
     filtrations = [(s, pd.level(s)) for s in range(ctx.s_lo, ctx.s_hi + 1)]
     changed: Set[int] = set()
@@ -309,16 +310,8 @@ def _cell_view(pd: PageData) -> Dict[Tuple[int, int], Cell]:
     while base is not None and base._cells is None:
         changed |= base.changed
         base = base.prev
-    if base is None:
-        cells = {}
-        for s, k in filtrations:
-            for t in range(max(0, s * dv), ctx.max_degree + 1):
-                levels = pd.degrees.get(t - s * dv)
-                if levels:
-                    cells[(t, s)] = levels[k]
-        return cells
-    cells = dict(base._cells)
-    for a in changed:
+    cells = {} if base is None else dict(base._cells)
+    for a in (pd.degrees if base is None else changed):
         levels = pd.degrees[a]
         for s, k in filtrations:
             t = a + s * dv
@@ -642,14 +635,16 @@ def apply_page(pd: PageData, rules) -> PageData:
             degrees[a] = levels if ctx.localized else levels + levels[-1:]
             continue
         row = row or (None,) * len(levels)
-        top = _homology(levels[-1], row[-1], image_rows, p, r, a)
         if ctx.localized:
-            degrees[a] = (top,)
+            degrees[a] = (_homology(levels[-1], row[-1], image_rows, p, r, a),)
             continue
         memo_cells: Dict[int, Cell] = {}
         for cell, rec in zip(levels, row):
             if id(cell) not in memo_cells:
                 memo_cells[id(cell)] = _homology(cell, rec, None, p, r, a)
+        # with no image rows the top level is the old top's homology again
+        top = (_homology(levels[-1], row[-1], image_rows, p, r, a) if image_rows
+               else memo_cells[id(levels[-1])])
         degrees[a] = tuple(memo_cells[id(cell)] for cell in levels) + (top,)
 
     pd.diffs = _diff_view(pd, maps)

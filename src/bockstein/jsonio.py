@@ -9,9 +9,13 @@ same configuration produce byte-identical documents.
 
 The byte format is pinned: a document is the text that
 json.dumps(doc, indent=1, ensure_ascii=False) gives, with the keys in the
-order meta, pages, towers.  emit_json writes that text directly from
-templates; the golden digests (tests/golden.py) and the fixed-point tests
-in tests/test_io.py check it.
+order meta, pages, towers.  json_fragments lays that text out as one flat
+list of fragments: the pieces of json.dumps templates split at their
+values, the list separators, and class records shared by the pages that
+show them.  emit_json is one join of that list, and `run --json` writes
+it to the file fragment by fragment, so no page text and no second copy
+of the document is built.  The golden digests (tests/golden.py) and the
+fixed-point tests in tests/test_io.py check the bytes.
 """
 
 from __future__ import annotations
@@ -106,25 +110,39 @@ def towers_record(profile: TowerProfile) -> List[dict]:
             for d in profile.degrees()]
 
 
+def _layout(value: object, depth: int) -> List[str]:
+    """The text json.dumps(value, indent=1) lays out `depth` levels into the
+    document, split at each None: the pieces that go between the values."""
+    return json.dumps(value, indent=1).replace("\n", "\n" + " " * depth).split("null")
+
+
 def _template(record: dict, depth: int):
-    """str.format of a record as json.dumps(indent=1) lays it out `depth`
-    levels into the document, with a {} field for each None value."""
-    text = " " * depth + json.dumps(record, indent=1).replace("\n", "\n" + " " * depth)
-    return text.replace("{", "{{").replace("}", "}}").replace("null", "{}").format
+    """str.format of _layout(record, depth), a {} field at each None."""
+    return "{}".join(piece.replace("{", "{{").replace("}", "}}")
+                     for piece in _layout(record, depth)).format
 
 
-_DOC = _template({"meta": None, "pages": None, "towers": None}, 0)
-_PAGE = _template({"r": None, "classes": None, "differentials": None}, 2)
+# a list's layout is its opening, its separator and its closing
+_DOC = _layout({"meta": None, "pages": None, "towers": None}, 0)
+_PAGES = _layout([None, None], 1)
+_PAGE = _layout({"r": None, "classes": None, "differentials": None}, 2)
+_ITEMS = _layout([None, None], 3)
 _CLASS = _template({"t": None, "s": None, "dim": None, "reps": [None]}, 4)
+_REPS = _layout([None, None], 5)
 _DIFF = _template({"from": {"t": None, "s": None}, "to": {"t": None, "s": None},
                    "rank": None}, 4)
+_EMPTY = json.dumps([])
 
 
-def _list(items: List[str], indent: int) -> str:
-    """A JSON list of rendered items, closed at the given indent."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+def _close_list(out: List[str], start: int, layout: Sequence[str]) -> None:
+    """Close the JSON list whose items were appended to out from index
+    start, each after the separator of its layout (_layout([None, None],
+    depth)): the first separator becomes the opening bracket."""
+    if len(out) == start:
+        out.append(_EMPTY)
+    else:
+        out[start] = layout[0]
+        out.append(layout[2])
 
 
 def _nested(obj: object) -> str:
@@ -132,29 +150,33 @@ def _nested(obj: object) -> str:
     return json.dumps(obj, ensure_ascii=False, indent=1).replace("\n", "\n ")
 
 
-def emit_json(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[str, object],
-              ascii_: bool = False) -> str:
-    """The JSON document of a run, in the pinned layout (module docstring).
+def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[str, object],
+                   ascii_: bool = False) -> List[str]:
+    """The JSON document of a run, in the pinned layout (module docstring),
+    as a flat list of fragments whose concatenation is the document.
 
-    Each page's class records are kept as a dict from (t, s) to the record
-    text (None for an empty class or one outside 0..D), in (t, s) order.  A
-    page with the same view keys as the page before starts from a copy of
-    that page's dict and renders only the keys whose cell is a different
-    object; any other page (the first, or a view filtered differently from
-    the page before) starts from its sorted keys with no text, so every key
-    is rendered.  Identity is a safe key because the pages keep their cells
-    alive; for the same reason a cell's lead monomials are rendered once per
-    document, keyed on its id, and each class record adds only its
-    v-power."""
+    The list holds the pieces of the document's and each page's layout,
+    the list separators, and the class and differential records.  Each
+    page's class records are kept as a dict from (t, s) to the record text
+    (None for an empty class or one outside 0..D), in (t, s) order.  A page
+    with the same view keys as the page before patches that page's dict,
+    rendering only the keys whose cell is a different object; any other
+    page (the first, or a view filtered differently from the page before)
+    starts from its sorted keys with no text, so every key is rendered.  A
+    record that several pages show is one string, listed once per page.
+    Identity is a safe key because the pages keep their cells alive; for
+    the same reason a cell's lead monomials are rendered once per document,
+    keyed on its id, and each class record adds only its v-power."""
     D = profile.max_degree
     leads: Dict[int, List[Optional[str]]] = {}
     prev_cells: Dict[Tuple[int, int], object] = {}
     records: Dict[Tuple[int, int], Optional[str]] = {}
-    rendered = []
+    out = [_DOC[0], _nested({**meta, "tool_version": TOOL_VERSION}), _DOC[1]]
+    pages_start = len(out)
     for pd in pages:
         A, v_name, cells = pd.ctx.A, pd.ctx.v.name, pd.cells
         if cells.keys() == prev_cells.keys():
-            base, records = prev_cells, dict(records)
+            base = prev_cells
         else:
             base, records = {}, dict.fromkeys(sorted(cells))
         for key, cell in cells.items():
@@ -166,21 +188,36 @@ def emit_json(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[str, 
                                           for row in cell.reps_rows()]
             (t, s) = key
             if lead and 0 <= t <= D:
-                reps = ",\n      ".join([_encode(_with_v(x, v_name, s, ascii_)) for x in lead])
+                reps = _REPS[1].join([_encode(_with_v(x, v_name, s, ascii_)) for x in lead])
                 records[key] = _CLASS(t, s, len(lead), reps)
             else:
                 records[key] = None
         prev_cells = cells
-        classes = [text for text in records.values() if text is not None]
-        diffs = []
+        out += (_PAGES[1], _PAGE[0], str(pd.r), _PAGE[1])
+        start = len(out)
+        for text in records.values():
+            if text is not None:
+                out += (_ITEMS[1], text)
+        _close_list(out, start, _ITEMS)
+        out.append(_PAGE[2])
+        start = len(out)
         for (t, s) in sorted(pd.diffs):
             rec = pd.diffs[(t, s)]
             (t2, s2) = rec.target
             if rec.rank and (0 <= t <= D or 0 <= t2 <= D):
-                diffs.append(_DIFF(t, s, t2, s2, rec.rank))
-        rendered.append(_PAGE(pd.r, _list(classes, 3), _list(diffs, 3)))
-    return _DOC(_nested({**meta, "tool_version": TOOL_VERSION}), _list(rendered, 1),
-                _nested(towers_record(profile)))
+                out += (_ITEMS[1], _DIFF(t, s, t2, s2, rec.rank))
+        _close_list(out, start, _ITEMS)
+        out.append(_PAGE[3])
+    _close_list(out, pages_start, _PAGES)
+    out += (_DOC[2], _nested(towers_record(profile)), _DOC[3])
+    return out
+
+
+def emit_json(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[str, object],
+              ascii_: bool = False) -> str:
+    """The JSON document of a run, in the pinned layout (module docstring):
+    one join of json_fragments, which holds no other copy of its text."""
+    return "".join(json_fragments(pages, profile, meta, ascii_))
 
 
 def parse_json(text: str) -> Tuple[dict, List[dict], TowerProfile]:

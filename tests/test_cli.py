@@ -8,7 +8,9 @@ import pytest
 
 import bockstein
 
+from bockstein.cases import Case
 from bockstein.cli import main
+from bockstein.jsonio import emit_json
 
 
 def run_cli(capsys, *args):
@@ -107,6 +109,7 @@ def test_run_v1_p2_needs_variant(capsys):
 def test_run_writes_artifacts(tmp_path, capsys):
     jpath = tmp_path / "out.json"
     spath = tmp_path / "out.svg"
+    jpath.write_text("stale\n" * 100_000)  # longer than the document: replaced whole
     code, out, _ = run_cli(capsys, "run", "--case", "v0", "--p", "2", "--n", "2",
                            "--max-degree", "58", "--json", str(jpath), "--svg", str(spath))
     assert code == 0
@@ -114,16 +117,31 @@ def test_run_writes_artifacts(tmp_path, capsys):
     towers = {t["t"]: t["lengths"] for t in doc["towers"]}
     assert towers[31] == [2] and towers[0] == ["inf"]
     assert spath.read_text().startswith("<svg")
+    case = Case("v0", 2, 58, n=2)
+    sched, pages, profile = case.run()
+    assert jpath.read_bytes() == emit_json(pages, profile, case.meta(sched)).encode()
 
 
 @pytest.mark.parametrize("flag", ["--json", "--svg"])
 def test_output_path_that_cannot_be_opened_exit_two(tmp_path, capsys, flag):
     path = tmp_path / "missing" / "x.json"
-    code, _, err = run_cli(capsys, "run", "--case", "v0", "--p", "2", "--n", "2",
-                           "--max-degree", "20", flag, str(path))
-    assert code == 2
+    code, out, err = run_cli(capsys, "run", "--case", "v0", "--p", "2", "--n", "2",
+                             "--max-degree", "20", flag, str(path))
+    assert code == 2 and not out  # refused before the run
     assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
     assert not path.parent.exists()
+
+
+def test_refused_run_leaves_no_new_output_file(tmp_path, capsys):
+    # the outputs are opened before the run; a run refused as oversized
+    # removes the file it created and leaves an existing one as it was
+    jpath, spath = tmp_path / "new.json", tmp_path / "old.svg"
+    spath.write_text("kept")
+    code, out, err = run_cli(capsys, "run", "--case", "v2", "--p", "2",
+                             "--max-degree", "3000000", "--json", str(jpath),
+                             "--svg", str(spath))
+    assert code == 2 and not out and "above the limit" in err
+    assert not jpath.exists() and spath.read_text() == "kept"
 
 
 def test_usage_error_exit_two(capsys):

@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -123,6 +125,22 @@ def test_json_patched_pages_equal_whole_pages(filtered):
         for pd, record in zip(pages, doc["pages"]):
             (alone,) = json.loads(emit_json([pd], prof, c.meta(sched)))["pages"]
             assert record == alone
+
+
+@pytest.mark.parametrize("case", [Case("v1", 3, 400), Case("v2", 2, 160)], ids=golden.case_id)
+def test_json_writer_holds_one_copy_of_the_document(case):
+    # the document is one join of fragments shared with the records: no page
+    # text, joined page list or second formatted copy is built alongside it
+    sched, pages, prof = case.run()
+    for pd in pages:
+        pd.cells
+    tracemalloc.start()
+    try:
+        doc = emit_json(pages, prof, case.meta(sched))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sys.getsizeof(doc)
 
 
 def test_svg_dot_counts_match_dims():
