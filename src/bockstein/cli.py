@@ -152,9 +152,6 @@ def _add_run_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--localized", action="store_true")
     sp.add_argument("--variant", choices=["A", "B"])
     sp.add_argument("--page-cap", type=int, dest="page_cap")
-    sp.add_argument("--json", dest="json_path")
-    sp.add_argument("--svg", dest="svg_path")
-    sp.add_argument("--ascii", action="store_true", dest="ascii_")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -164,6 +161,9 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("run", help="run the engine, print towers, emit JSON/SVG")
     _add_run_args(sp)
+    sp.add_argument("--json", dest="json_path", help="write the schema-2 JSON document")
+    sp.add_argument("--svg", dest="svg_path")
+    sp.add_argument("--ascii", action="store_true", dest="ascii_")
     sp = sub.add_parser("verify", help="run engine and oracle, compare, exit 0 iff equal")
     _add_run_args(sp)
     sp = sub.add_parser("formulas", help="print closed-form value tables")

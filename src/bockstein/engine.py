@@ -263,8 +263,9 @@ class PageData:
     (E_1's by build_e1).  A page made from another (prev) derives its view
     from prev's: only the A-degrees in changed have new cells, and every
     other A-degree shows each filtration the same Cell object on both
-    pages.  diffs is the view of the page's differentials, recorded when
-    the page is applied.
+    pages.  When the page is applied, maps records its differentials per
+    A-degree, by boundary level (None where d_r vanishes; the record's
+    target is an A-degree), and diffs is their view.
     """
 
     def __init__(self, r: int, ctx: EngineContext, degrees: Dict[int, Tuple[Cell, ...]],
@@ -276,6 +277,7 @@ class PageData:
         self.fired = fired
         self.prev = prev
         self.changed = changed
+        self.maps: Dict[int, Tuple[Optional[DiffRecord], ...]] = {}
         self.diffs: Dict[Tuple[int, int], DiffRecord] = {}
         self._cells: Optional[Dict[Tuple[int, int], Cell]] = None
 
@@ -612,15 +614,17 @@ def apply_page(pd: PageData, rules) -> PageData:
 
     incoming: Dict[int, List[List[int]]] = {}
     for a, row in maps.items():
+        # levels sharing a cell share its record, so each is checked once
+        distinct = list({id(rec): rec for rec in row}.values())
         # d_r o d_r must vanish; the target's d_r is read at its top level
         second = maps.get(a - shift, (None,))[-1]
-        for rec in row:
+        for rec in distinct:
             if rec is not None and second is not None and any(
                     map(any, linalg.mat_mul(rec.matrix, second.matrix, p))):
                 raise EngineAssertionError(f"d_{r} o d_{r} != 0 out of A-degree {a}")
         # the sources of a tower's boundaries sit at every level; d_r must
         # hit the same classes from each, or it is not defined on E_r
-        if len({_span(rec, p) for rec in row}) > 1:
+        if len(distinct) > 1 and len({_span(rec, p) for rec in distinct}) > 1:
             raise EngineAssertionError(
                 f"d_{r} out of A-degree {a} depends on the representatives")
         incoming[a - shift] = row[-1].matrix
@@ -647,6 +651,7 @@ def apply_page(pd: PageData, rules) -> PageData:
                else memo_cells[id(levels[-1])])
         degrees[a] = tuple(memo_cells[id(cell)] for cell in levels) + (top,)
 
+    pd.maps = maps
     pd.diffs = _diff_view(pd, maps)
     return PageData(r + 1, ctx, degrees, pd.fired + (r,), pd,
                     frozenset(maps) | frozenset(incoming))

@@ -1,31 +1,38 @@
 """JSON serialization of pages and tower profiles.
 
-Schema: a top-level object with `meta` (case, p, n, D, localized, variant,
-tool version), `pages` (one record per computed page with its classes and
-differential arrows), and `towers`.  Monomial strings use the fixed
-generator-name table (λ1, ..., μ3, v0, v1, v2) in UTF-8, or an ASCII
-fallback (l1, m3, g4(x), s-prefixes) when requested.  Two runs with the
-same configuration produce byte-identical documents.
+A document holds `meta` (the caller's keys and the tool version), `pages`
+and `towers` (per degree `t`, its `lengths`: int, "inf" or "unknown").
+Monomials use the generator-name table (λ1, ..., μ3, v0, v1, v2) in
+UTF-8, or an ASCII fallback (l1, m3, g4(x), s-prefixes) when requested.
+Two runs with the same configuration give byte-identical documents.
 
-The byte format is pinned: a document is the text that
-json.dumps(doc, indent=1, ensure_ascii=False) gives, with the keys in the
-order meta, pages, towers.  json_fragments lays that text out as one flat
-list of fragments: the pieces of json.dumps templates split at their
-values, the list separators, and class records shared by the pages that
-show them.  emit_json is one join of that list, and `run --json` writes
-it to the file fragment by fragment, so no page text and no second copy
-of the document is built.  The golden digests (tests/golden.py) and the
-fixed-point tests in tests/test_io.py check the bytes.
+emit_json writes schema 2, which follows the engine's state: a v-tower is
+one A-degree a, whose classes at (a + s|v|, s) stay the same over each run
+of filtrations between fired pages (a bar of a persistence module).  Its
+`meta` adds the schema, v's name and degree, the view's filtrations and
+whether names are ASCII.  A page holds `r`, `degrees`: per A-degree `a`
+whose tower meets the window 0..D, `levels` [s_from, s_to, dim, reps]
+clipped to the window and the view, each rep a lead monomial without its
+v-power; and `differentials`: per source A-degree `a`, its target `to`
+and `runs` [s_from, s_to, rank, matrix] of sources in degrees 0..D + 1
+whose targets are in the view.  json_fragments lays the text out as a
+flat list of fragments, each A-degree's record one string shared by the
+pages that show it; emit_json joins it and `run --json` streams it.
+
+Schema 1 is the (t, s) reading, in the layout of json.dumps(doc,
+indent=1, ensure_ascii=False): per page `classes` {t, s, dim, reps with
+the v-power} and `differentials` {from, to, rank}, in (t, s) order.
+expand gives it from a schema-2 document alone, parse_json reads both,
+and the golden digests (tests/golden.py) pin its bytes.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring as _encode
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .algebra import Algebra, Monomial
-from .engine import PageData
+from .engine import EngineContext, PageData
 from .towers import INF, TowerProfile, Unknown
 
 TOOL_VERSION = "0.1.0"
@@ -110,121 +117,179 @@ def towers_record(profile: TowerProfile) -> List[dict]:
             for d in profile.degrees()]
 
 
-def _layout(value: object, depth: int) -> List[str]:
-    """The text json.dumps(value, indent=1) lays out `depth` levels into the
-    document, split at each None: the pieces that go between the values."""
-    return json.dumps(value, indent=1).replace("\n", "\n" + " " * depth).split("null")
+# the keys schema 2 adds to the caller's meta, which expand drops again
+_READING = ("schema", "v", "v_degree", "filtrations", "ascii")
 
 
-def _template(record: dict, depth: int):
-    """str.format of _layout(record, depth), a {} field at each None."""
-    return "{}".join(piece.replace("{", "{{").replace("}", "}}")
-                     for piece in _layout(record, depth)).format
+_dumps = json.JSONEncoder(ensure_ascii=False).encode
 
 
-# a list's layout is its opening, its separator and its closing
-_DOC = _layout({"meta": None, "pages": None, "towers": None}, 0)
-_PAGES = _layout([None, None], 1)
-_PAGE = _layout({"r": None, "classes": None, "differentials": None}, 2)
-_ITEMS = _layout([None, None], 3)
-_CLASS = _template({"t": None, "s": None, "dim": None, "reps": [None]}, 4)
-_REPS = _layout([None, None], 5)
-_DIFF = _template({"from": {"t": None, "s": None}, "to": {"t": None, "s": None},
-                   "rank": None}, 4)
-_EMPTY = json.dumps([])
+def _window(ctx: EngineContext, a: int, top: int) -> Tuple[int, int]:
+    """The filtrations of the view at which A-degree a lies in degrees
+    0..top (empty when the first exceeds the second)."""
+    lo, hi, dv = ctx.s_lo, ctx.s_hi, ctx.deg_v
+    if dv == 0:
+        return (lo, hi) if 0 <= a <= top else (1, 0)
+    return max(lo, -(a // dv)), min(hi, (top - a) // dv)
 
 
-def _close_list(out: List[str], start: int, layout: Sequence[str]) -> None:
-    """Close the JSON list whose items were appended to out from index
-    start, each after the separator of its layout (_layout([None, None],
-    depth)): the first separator becomes the opening bracket."""
-    if len(out) == start:
-        out.append(_EMPTY)
-    else:
-        out[start] = layout[0]
-        out.append(layout[2])
+def _runs(items: Sequence[object], fired: Sequence[int], lo: int, hi: int) -> List[list]:
+    """[s_from, s_to, item] for each run of consecutive levels holding the
+    same object, within lo..hi: level k holds the filtrations
+    fired[k - 1] <= s < fired[k], and a lone level holds them all."""
+    runs: List[list] = []
+    last = len(items) - 1
+    for k, item in enumerate(items):
+        s0 = lo if k == 0 else max(lo, fired[k - 1])
+        s1 = hi if k == last else min(hi, fired[k] - 1)
+        if s0 > s1:
+            continue
+        if runs and runs[-1][2] is item:
+            runs[-1][1] = s1
+        else:
+            runs.append([s0, s1, item])
+    return runs
 
 
-def _nested(obj: object) -> str:
-    """json.dumps(indent=1) of a value one level inside the document."""
-    return json.dumps(obj, ensure_ascii=False, indent=1).replace("\n", "\n ")
+def _changed_since(pd: PageData, before: Optional[PageData]) -> Optional[Set[int]]:
+    """The A-degrees whose levels may differ between page before and pd,
+    read up pd's chain of pages; None when before is not on it."""
+    changed: Set[int] = set()
+    node: Optional[PageData] = pd
+    while node is not None and node is not before:
+        changed |= node.changed
+        node = node.prev
+    return None if node is None else changed
+
+
+def _degree_record(pd: PageData, a: int, reps: Dict[int, str], ascii_: bool) -> Optional[str]:
+    """The record of A-degree a on page pd, None when it shows no class;
+    reps holds each cell's lead monomials, rendered once per document."""
+    runs = []
+    for s0, s1, cell in _runs(pd.degrees[a], pd.fired, *_window(pd.ctx, a, pd.ctx.max_degree)):
+        if not cell.dim:
+            continue
+        text = reps.get(id(cell))
+        if text is None:
+            text = reps[id(cell)] = _dumps([_lead(pd.ctx.A, cell.monomials, row, ascii_)
+                                            for row in cell.reps_rows()])
+        runs.append(f"[{s0}, {s1}, {cell.dim}, {text}]")
+    return f'{{"a": {a}, "levels": [{", ".join(runs)}]}}' if runs else None
+
+
+def _diff_record(pd: PageData, a: int) -> Optional[str]:
+    """The record of d_r out of A-degree a on page pd, None when no source
+    lies in degrees 0..D + 1 with both ends within the view's filtrations."""
+    ctx, row = pd.ctx, pd.maps[a]
+    lo, hi = _window(ctx, a, ctx.max_degree + 1)
+    runs = [f"[{s0}, {s1}, {rec.rank}, {_dumps(rec.matrix)}]"
+            for s0, s1, rec in _runs(row, pd.fired, lo, min(hi, ctx.s_hi - pd.r))
+            if rec is not None]
+    target = a - 1 - pd.r * ctx.deg_v
+    return f'{{"a": {a}, "to": {target}, "runs": [{", ".join(runs)}]}}' if runs else None
+
+
+def _items(out: List[str], items) -> None:
+    """Append the items of a JSON list, one a line, after its opening."""
+    start = len(out)
+    for text in items:
+        if text is not None:
+            out += (",\n", text)
+    if len(out) > start:
+        out[start] = "\n"
 
 
 def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[str, object],
                    ascii_: bool = False) -> List[str]:
-    """The JSON document of a run, in the pinned layout (module docstring),
-    as a flat list of fragments whose concatenation is the document.
+    """The schema-2 document of a run (module docstring) as a flat list of
+    fragments whose concatenation is the document.
 
-    The list holds the pieces of the document's and each page's layout,
-    the list separators, and the class and differential records.  Each
-    page's class records are kept as a dict from (t, s) to the record text
-    (None for an empty class or one outside 0..D), in (t, s) order.  A page
-    with the same view keys as the page before patches that page's dict,
-    rendering only the keys whose cell is a different object; any other
-    page (the first, or a view filtered differently from the page before)
-    starts from its sorted keys with no text, so every key is rendered.  A
-    record that several pages show is one string, listed once per page.
-    Identity is a safe key because the pages keep their cells alive; for
-    the same reason a cell's lead monomials are rendered once per document,
-    keyed on its id, and each class record adds only its v-power."""
-    D = profile.max_degree
-    leads: Dict[int, List[Optional[str]]] = {}
-    prev_cells: Dict[Tuple[int, int], object] = {}
-    records: Dict[Tuple[int, int], Optional[str]] = {}
-    out = [_DOC[0], _nested({**meta, "tool_version": TOOL_VERSION}), _DOC[1]]
-    pages_start = len(out)
+    Each A-degree's record is one string, listed once per page that shows
+    it.  A page whose chain of pages reaches the page listed before it
+    renders only the A-degrees changed since (PageData.changed); every
+    other A-degree keeps its record, whose runs merge the levels holding
+    one Cell, so a copy of the top level adds nothing.  Any other page (the
+    first, or one off that chain) renders every A-degree."""
+    ctx = pages[0].ctx if pages else None
+    reading = dict(zip(_READING, (2, ctx and ctx.v.name, ctx and ctx.deg_v,
+                                  ctx and [ctx.s_lo, ctx.s_hi], ascii_)))
+    out = ['{"meta": ', _dumps({**meta, "tool_version": TOOL_VERSION, **reading}),
+           ',\n"pages": [']
+    reps: Dict[int, str] = {}
+    records: Dict[int, Optional[str]] = {}
+    before: Optional[PageData] = None
     for pd in pages:
-        A, v_name, cells = pd.ctx.A, pd.ctx.v.name, pd.cells
-        if cells.keys() == prev_cells.keys():
-            base = prev_cells
-        else:
-            base, records = {}, dict.fromkeys(sorted(cells))
-        for key, cell in cells.items():
-            if cell is base.get(key):
-                continue
-            lead = leads.get(id(cell))
-            if lead is None:
-                lead = leads[id(cell)] = [_lead(A, cell.monomials, row, ascii_)
-                                          for row in cell.reps_rows()]
-            (t, s) = key
-            if lead and 0 <= t <= D:
-                reps = _REPS[1].join([_encode(_with_v(x, v_name, s, ascii_)) for x in lead])
-                records[key] = _CLASS(t, s, len(lead), reps)
-            else:
-                records[key] = None
-        prev_cells = cells
-        out += (_PAGES[1], _PAGE[0], str(pd.r), _PAGE[1])
-        start = len(out)
-        for text in records.values():
-            if text is not None:
-                out += (_ITEMS[1], text)
-        _close_list(out, start, _ITEMS)
-        out.append(_PAGE[2])
-        start = len(out)
-        for (t, s) in sorted(pd.diffs):
-            rec = pd.diffs[(t, s)]
-            (t2, s2) = rec.target
-            if rec.rank and (0 <= t <= D or 0 <= t2 <= D):
-                out += (_ITEMS[1], _DIFF(t, s, t2, s2, rec.rank))
-        _close_list(out, start, _ITEMS)
-        out.append(_PAGE[3])
-    _close_list(out, pages_start, _PAGES)
-    out += (_DOC[2], _nested(towers_record(profile)), _DOC[3])
+        changed = _changed_since(pd, before)
+        if changed is None:
+            windows = ((a, _window(pd.ctx, a, pd.ctx.max_degree)) for a in sorted(pd.degrees))
+            records = changed = {a: None for a, (lo, hi) in windows if lo <= hi}
+        for a in changed:
+            if a in records:
+                records[a] = _degree_record(pd, a, reps, ascii_)
+        out += ("\n" if before is None else ",\n", f'{{"r": {pd.r}, "degrees": [')
+        _items(out, records.values())
+        out.append('],\n"differentials": [')
+        _items(out, [_diff_record(pd, a) for a in sorted(pd.maps)])
+        out.append("]}")
+        before = pd
+    out.append('],\n"towers": [')
+    _items(out, [_dumps(rec) for rec in towers_record(profile)])
+    out.append("]}\n")
     return out
 
 
 def emit_json(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[str, object],
               ascii_: bool = False) -> str:
-    """The JSON document of a run, in the pinned layout (module docstring):
-    one join of json_fragments, which holds no other copy of its text."""
+    """The schema-2 document of a run: one join of json_fragments, which
+    holds no other copy of its text."""
     return "".join(json_fragments(pages, profile, meta, ascii_))
 
 
+def _schema1(doc: dict) -> dict:
+    """The schema-1 reading of a parsed schema-2 document: every class and
+    differential at its (t, s), in (t, s) order."""
+    head = doc["meta"]
+    v_name, dv, ascii_ = head["v"], head["v_degree"], head["ascii"]
+    pages = []
+    for page in doc["pages"]:
+        r = page["r"]
+        classes = []
+        for rec in page["degrees"]:
+            a = rec["a"]
+            for s0, s1, dim, leads in rec["levels"]:
+                classes += [{"t": a + s * dv, "s": s, "dim": dim,
+                             "reps": [_with_v(x, v_name, s, ascii_) for x in leads]}
+                            for s in range(s0, s1 + 1)]
+        diffs = []
+        for rec in page["differentials"]:
+            a, ta = rec["a"], rec["to"]
+            for s0, s1, rank, _matrix in rec["runs"]:
+                diffs += [{"from": {"t": a + s * dv, "s": s},
+                           "to": {"t": ta + (s + r) * dv, "s": s + r}, "rank": rank}
+                          for s in range(s0, s1 + 1)]
+        classes.sort(key=lambda c: (c["t"], c["s"]))
+        diffs.sort(key=lambda d: (d["from"]["t"], d["from"]["s"]))
+        pages.append({"r": r, "classes": classes, "differentials": diffs})
+    meta = {key: value for key, value in head.items() if key not in _READING}
+    return {"meta": meta, "pages": pages, "towers": doc["towers"]}
+
+
+def expand(text: str) -> str:
+    """The schema-1 text of a schema-2 document: the layout of
+    json.dumps(doc, indent=1, ensure_ascii=False), which the golden
+    digests pin."""
+    return json.dumps(_schema1(json.loads(text)), indent=1, ensure_ascii=False)
+
+
 def parse_json(text: str) -> Tuple[dict, List[dict], TowerProfile]:
-    """Inverse of emit_json up to the advisory marks of unknowns: a lower
-    bound and the possibly-absent mark are both written as "unknown", so
-    neither survives a round trip and every unknown comes back plain."""
+    """The meta, schema-1 pages and tower profile of a document of either
+    schema; a schema-2 document reads as its expand.  Inverse of emit_json
+    up to the advisory marks of unknowns: a lower bound and the
+    possibly-absent mark are both written as "unknown", so neither
+    survives a round trip and every unknown comes back plain."""
     doc = json.loads(text)
+    if doc["meta"].get("schema") == 2:
+        doc = _schema1(doc)
     meta = doc["meta"]
     profile = TowerProfile(int(meta["D"]))
     for entry in doc["towers"]:

@@ -29,8 +29,8 @@ def emit_svg(page: PageData, style: ChartStyle, max_degree: int,
     ctx = page.ctx
     dv = ctx.deg_v
     # the nonempty classes of the window, in (t, s) order, with their dims
-    dims = {key: cell.dim for key, cell in sorted(page.cells.items())
-            if 0 <= key[0] <= max_degree and cell.dim}
+    dims = dict(sorted((key, cell.dim) for key, cell in page.cells.items()
+                       if cell.dim and 0 <= key[0] <= max_degree))
     s_values = [s for (_t, s) in dims]
     s_hi = max(s_values, default=0)
     if style.max_filtration is not None:

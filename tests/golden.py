@@ -5,7 +5,10 @@ and a page-cap sweep, the tower profile (advisory fields written through
 `towers.length_str`) and the sha256 of the JSON and SVG documents the CLI
 writes for it.  `tests/test_golden.py` recomputes them and requires equality.
 The records were made by the (t, s)-grid engine that the per-A-degree
-engine replaced, so they check the replacement against it.
+engine replaced, so they check the replacement against it.  The JSON
+digests are of schema-1 text (`jsonio`): they were recorded when the CLI
+wrote it, and are now checked on `jsonio.expand` of the schema-2 document
+the CLI writes.
 
 Two kinds of documents are compared on a restricted view instead of whole:
 
@@ -16,6 +19,10 @@ Two kinds of documents are compared on a restricted view instead of whole:
   and the differentials touching them are left out on both sides, and the
   test only requires that the run under test shows no more classes there.
 
+The JSON document is restricted on its schema-1 dict, dumped again with
+`json.dumps(indent=1, ensure_ascii=False)`; the SVG chart is drawn from the
+page views restricted the same way.
+
 Each record's `case` is a `bockstein.cases.Case` stored as a dict (its
 `kind` under the key "case"); the runs, their `meta` and the page each
 chart draws come from that `Case`, as in the CLI.
@@ -23,8 +30,8 @@ chart draws come from that `Case`, as in the CLI.
 After those records come the digests of a few whole documents written
 with `--ascii` (marked `"ascii": true`), whose generator names take their
 own path through the writer.  They were recorded by the writer that
-encoded a dict tree with `json.dumps(indent=1)`, so they check the direct
-writer that replaced it.
+encoded a dict tree with `json.dumps(indent=1)`, so they check the
+writers that replaced it.
 
 `PYTHONPATH=src python tests/golden.py` records anew, with the current
 engine as the reference.
@@ -40,7 +47,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from bockstein.cases import Case
-from bockstein.jsonio import emit_json
+from bockstein.jsonio import emit_json, expand, parse_json
 from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import length_str
 
@@ -121,16 +128,35 @@ def all_cases():
     return out
 
 
+def _keeper(drop, s_range):
+    """Whether a (t, s) is kept: not dropped, its filtration in s_range."""
+    return lambda key: key not in drop and (s_range is None or s_range[0] <= key[1] <= s_range[1])
+
+
 def _view(pd, drop, s_range):
     """The page with the dropped classes, the filtrations outside s_range and
     the differentials touching either left out."""
-    def keep(key):
-        return key not in drop and (s_range is None or s_range[0] <= key[1] <= s_range[1])
-
+    keep = _keeper(drop, s_range)
     return SimpleNamespace(
         r=pd.r, ctx=pd.ctx,
         cells={k: c for k, c in pd.cells.items() if keep(k)},
         diffs={k: rec for k, rec in pd.diffs.items() if keep(k) and keep(rec.target)})
+
+
+def _restricted(text, drop, s_range):
+    """The schema-1 text of a schema-2 document restricted as _view restricts
+    pages: the pages of its expansion (as parse_json reads them) filtered,
+    dumped again with its meta and towers."""
+    meta, pages, _ = parse_json(text)
+    for i, page in enumerate(pages):
+        keep = _keeper(drop.get(i, set()), s_range)
+        page["classes"] = [c for c in page["classes"] if keep((c["t"], c["s"]))]
+        page["differentials"] = [d for d in page["differentials"]
+                                 if keep((d["from"]["t"], d["from"]["s"]))
+                                 and keep((d["to"]["t"], d["to"]["s"]))]
+    towers = json.loads(text)["towers"]
+    return json.dumps({"meta": meta, "pages": pages, "towers": towers}, indent=1,
+                      ensure_ascii=False)
 
 
 def _sha(text: str) -> str:
@@ -156,7 +182,8 @@ def snapshot(c, dropped=()):
     filtered = bool(drop) or s_range is not None
     views = [_view(pd, drop.get(i, set()), s_range) if filtered else pd
              for i, pd in enumerate(pages)]
-    doc = emit_json(views, profile, c.meta(sched))
+    doc = emit_json(pages, profile, c.meta(sched))
+    doc = _restricted(doc, drop, s_range) if filtered else expand(doc)
     chart = emit_svg(c.chart_page(views), ChartStyle(), c.D, title=sched.label)
     return {
         "case": _stored(c),
@@ -173,7 +200,7 @@ def snapshot(c, dropped=()):
 def ascii_snapshot(c) -> dict:
     """The golden record of the whole --ascii JSON document of one case."""
     sched, pages, profile = c.run()
-    doc = emit_json(pages, profile, c.meta(sched), ascii_=True)
+    doc = expand(emit_json(pages, profile, c.meta(sched), ascii_=True))
     return {"case": _stored(c), "ascii": True, "json_sha256": _sha(doc)}
 
 

@@ -122,6 +122,19 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert jpath.read_bytes() == emit_json(pages, profile, case.meta(sched)).encode()
 
 
+@pytest.mark.parametrize("flag", [("--json", "x.json"), ("--svg", "x.svg"), ("--ascii",)],
+                         ids=lambda flag: flag[0])
+def test_verify_refuses_the_output_options_of_run(tmp_path, capsys, flag):
+    # verify writes no documents, so an output option is a usage error
+    args = [*flag[:1], *(str(tmp_path / name) for name in flag[1:])]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--case", "v1", "--p", "3", "--max-degree", "60", *args])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert not out.out and f"unrecognized arguments: {flag[0]}" in out.err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--json", "--svg"])
 def test_output_path_that_cannot_be_opened_exit_two(tmp_path, capsys, flag):
     path = tmp_path / "missing" / "x.json"

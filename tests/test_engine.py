@@ -408,3 +408,20 @@ def test_apply_page_rejects_a_differential_not_defined_on_classes():
     d2 = Rule(A.monomial(y=1), element(Av, (1, Av.monomial(v0=2))))  # exterior generator
     with pytest.raises(EngineAssertionError, match="depends on the representatives"):
         apply_page(pd, RulePage(2, [d2]))
+
+
+def test_apply_page_rejects_a_differential_that_does_not_square_to_zero():
+    # d_1(z) = v0 y and d_1(y) = v0 x, extended by Leibniz, give
+    # d_1 d_1(z) = v0^2 x, a nonzero composite out of A-degree 3
+    from bockstein.algebra import EXTERIOR, Algebra
+    from bockstein.engine import EngineAssertionError
+
+    A = Algebra(2, (GeneratorSpec("x", 1, EXTERIOR), GeneratorSpec("y", 2, EXTERIOR),
+                    GeneratorSpec("z", 3, EXTERIOR)))
+    v = v_gen("v0", 0)
+    Av = A.adjoin(v)
+    pd = build_e1(A, v, Window(3), pages=(1,))
+    rules = [(A.monomial(z=1), element(Av, (1, Av.monomial(y=1, v0=1)))),
+             (A.monomial(y=1), element(Av, (1, Av.monomial(x=1, v0=1))))]
+    with pytest.raises(EngineAssertionError, match="d_1 o d_1 != 0 out of A-degree 3"):
+        apply_page(pd, rules)

@@ -3,14 +3,14 @@ import re
 import sys
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import pytest
 
 from bockstein.cases import Case
 from bockstein.closedform import thh_mod_p_algebra
-from bockstein.engine import Cell, Window, run, schedule_v0, schedule_v2
-from bockstein.jsonio import emit_json, monomial_str, parse_json, rep_str, towers_record
+from bockstein.engine import Cell, PageData, Window, run, schedule_v0, schedule_v2
+from bockstein.jsonio import (emit_json, expand, json_fragments, monomial_str, parse_json, rep_str,
+                             towers_record)
 from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import TowerProfile
 import golden
@@ -36,7 +36,7 @@ def test_monomial_string_format():
 
 def test_json_schema_and_fixtures():
     pages, prof, meta = _v0_run()
-    doc = json.loads(emit_json(pages, prof, meta))
+    doc = json.loads(expand(emit_json(pages, prof, meta)))
     assert set(doc) == {"meta", "pages", "towers"}
     assert doc["meta"]["case"] == "v0" and doc["meta"]["tool_version"]
     page1 = doc["pages"][0]
@@ -54,6 +54,8 @@ def test_json_roundtrip_and_determinism():
     text2 = emit_json(pages, prof, meta)
     assert text1 == text2
     meta2, pages2, prof2 = parse_json(text1)
+    assert (meta2, pages2, prof2) == parse_json(expand(text1))  # both schemas
+    assert meta2 == {**meta, "tool_version": meta2["tool_version"]}
     assert prof2 == prof
     assert towers_record(prof2) == towers_record(prof)
     assert [pg["r"] for pg in pages2] == [pd.r for pd in pages]
@@ -75,16 +77,23 @@ def test_json_empty_window():
     w = Window(2)
     with pytest.warns(UserWarning):
         pages, prof = run(A, schedule_v0(2, 2, w), w)
-    doc = json.loads(emit_json(pages, prof, {"case": "v0", "p": 2, "n": 2, "D": 2,
-                                             "localized": False, "variant": None}))
+    doc = json.loads(expand(emit_json(pages, prof, {"case": "v0", "p": 2, "n": 2, "D": 2,
+                                                    "localized": False, "variant": None})))
     # degree 2 window: only the unit class in degree 0 exists
     assert doc["towers"] == [{"t": 0, "lengths": ["inf"]}]
     assert all(not pg["differentials"] for pg in doc["pages"])
 
 
+def _made_up_pages(ctx):
+    """A page with no A-degrees, and one with a class of dimension 2 in
+    A-degree 2 from the fired page 1 on."""
+    mons = (ctx.A.monomial(**{"λ1": 1}), ctx.A.monomial(**{"λ2": 1}))
+    return [PageData(1, ctx, {}), PageData(2, ctx, {2: (Cell(()), Cell(mons))}, fired=(1,))]
+
+
 def _fixed_point_documents():
     """Documents of a ladder, a localized, a page-capped and an empty-window
-    run, plus pages with no classes and a class of dimension 2."""
+    run, plus made-up pages and no pages."""
     out = []
     for c in (Case("v2", 2, 50), Case("v2", 3, 60, localized=True),
               Case("v2", 2, 50, page_cap=4), Case("v0", 2, 2, n=2)):
@@ -92,39 +101,75 @@ def _fixed_point_documents():
             warnings.simplefilter("ignore")  # the empty window warns
             sched, pages, prof = c.run()
         out.append((pages, prof, c.meta(sched)))
-    ctx = pages[0].ctx  # of the empty-window run
-    mons = (ctx.A.monomial(**{"λ1": 1}), ctx.A.monomial(**{"λ2": 1}))
-    made = [SimpleNamespace(r=1, ctx=ctx, cells={}, diffs={}),
-            SimpleNamespace(r=2, ctx=ctx, cells={(2, 1): Cell(mons)}, diffs={})]
+    made = _made_up_pages(pages[0].ctx)  # in the empty-window run's context
     return out + [(made, TowerProfile(2), {}), ([], TowerProfile(0), {})]
 
 
 @pytest.mark.parametrize("ascii_", [False, True], ids=["utf8", "ascii"])
 def test_json_layout_is_a_fixed_point_of_json_dumps(ascii_):
     for pages, prof, meta in _fixed_point_documents():
-        doc = emit_json(pages, prof, meta, ascii_)
+        text = emit_json(pages, prof, meta, ascii_)
+        doc = expand(text)
         assert json.dumps(json.loads(doc), ensure_ascii=False, indent=1) == doc
-        assert doc.isascii() or not ascii_
+        assert (doc.isascii() and text.isascii()) or not ascii_
 
 
-@pytest.mark.parametrize("filtered", [False, True], ids=["run", "filtered"])
-def test_json_patched_pages_equal_whole_pages(filtered):
-    # a page is patched from the page before when their view keys agree (a
-    # run) and rendered whole when they do not (views filtered differently
-    # on each page, as tests/golden.py makes); either way each page record
-    # is the one the page gets in a document of its own
+def test_json_made_up_pages_expand_to_their_classes():
+    with pytest.warns(UserWarning):  # the empty window
+        (e1,), _ = Case("v0", 2, 2, n=2).run()[1:]
+    doc = json.loads(expand(emit_json(_made_up_pages(e1.ctx), TowerProfile(2), {})))
+    # the class of page 2 shows at filtration 1 (the fired page 1) through
+    # the top filtration 2 of the view
+    assert [page["classes"] for page in doc["pages"]] == [[], [
+        {"t": 2, "s": s, "dim": 2, "reps": [f"λ1·v0{x}", f"λ2·v0{x}"]}
+        for s, x in ((1, ""), (2, "^2"))]]
+
+
+@pytest.mark.parametrize("order", ["run", "skipping", "reversed"])
+def test_json_patched_pages_equal_whole_pages(order):
+    # a page renders only the A-degrees changed since the page listed before
+    # it when that page is up its chain (every page of a run, or every other
+    # one), and every A-degree otherwise (reversed); either way each page
+    # record is the one the page gets in a document of its own, and an
+    # A-degree no page in between changed keeps its record
     for c in (Case("v0", 2, 58, n=2), Case("v2", 2, 120, page_cap=8),
               Case("v2", 3, 60, localized=True)):
         sched, pages, prof = c.run()
-        if filtered:
-            pages = [golden._view(pd, {key for key in pd.cells if key[0] % (i + 2) == 0}, None)
-                     for i, pd in enumerate(pages)]
-        assert (pages[1].cells.keys() == pages[0].cells.keys()) is not filtered
+        pages = {"run": pages, "skipping": pages[::2], "reversed": pages[::-1]}[order]
         doc = json.loads(emit_json(pages, prof, c.meta(sched)))
         assert len(doc["pages"]) == len(pages)
         for pd, record in zip(pages, doc["pages"]):
             (alone,) = json.loads(emit_json([pd], prof, c.meta(sched)))["pages"]
             assert record == alone
+        if order == "run":
+            for i in range(1, len(pages)):
+                changed, node = set(), pages[i]
+                while node is not pages[i - 1]:
+                    changed |= node.changed
+                    node = node.prev
+                kept = {rec["a"]: rec for rec in doc["pages"][i - 1]["degrees"]
+                        if rec["a"] not in changed}
+                assert kept and all(rec == kept[rec["a"]] for rec in doc["pages"][i]["degrees"]
+                                    if rec["a"] in kept)
+
+
+def test_json_records_are_shared_by_the_pages_that_show_them():
+    # an A-degree a page did not change is the same string on both pages
+    sched, pages, prof = Case("v1", 3, 400).run()
+    fragments = json_fragments(pages, prof, Case("v1", 3, 400).meta(sched))
+    records = [text for text in fragments if text.startswith('{"a": ')]
+    assert len({id(text) for text in records}) < len(records) / 2
+
+
+def test_json_schema_2_grows_with_the_a_degrees_not_the_classes():
+    # schema 1 grows about 4.1x from D=1000 to D=2000 (6.2 M to 25.3 M
+    # characters); schema 2 about as the A-degrees times the pages
+    sizes = []
+    for D in (1000, 2000):
+        c = Case("v1", 3, D)
+        sched, pages, prof = c.run()
+        sizes.append(len(emit_json(pages, prof, c.meta(sched))))
+    assert sizes[1] < 2.5 * sizes[0]
 
 
 @pytest.mark.parametrize("case", [Case("v1", 3, 400), Case("v2", 2, 160)], ids=golden.case_id)
@@ -189,7 +234,7 @@ def test_possibly_absent_unknown_serializes_as_unknown():
 
 
 def test_empty_document():
-    doc = json.loads(emit_json([], TowerProfile(0), {"case": "v0", "p": 2, "n": 2,
-                                                     "D": 0, "localized": False,
-                                                     "variant": None}))
-    assert doc["pages"] == [] and doc["towers"] == []
+    text = emit_json([], TowerProfile(0), {"case": "v0", "p": 2, "n": 2, "D": 0,
+                                          "localized": False, "variant": None})
+    for doc in (json.loads(text), json.loads(expand(text))):
+        assert doc["pages"] == [] and doc["towers"] == []
