@@ -14,7 +14,8 @@ arithmetic reject unexpanded divided generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from operator import add
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 Element = Dict[Monomial, int]
@@ -106,6 +107,17 @@ class Algebra:
                     )
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(self.generators)})
         object.__setattr__(self, "_degrees", tuple(g.degree for g in self.generators))
+        # the tables mul_monomials reads: the odd-degree generators from the
+        # right, the largest exponent of each exterior and truncated one, and
+        # the generators whose exponents cannot go below zero
+        object.__setattr__(self, "_odd_from_right", tuple(
+            i for i in reversed(range(len(self.generators))) if self.generators[i].degree % 2))
+        object.__setattr__(self, "_caps", tuple(
+            (i, 1 if g.kind == EXTERIOR else g.height - 1)  # type: ignore[operator]
+            for i, g in enumerate(self.generators) if g.kind in (EXTERIOR, TRUNCATED)))
+        object.__setattr__(self, "_nonnegative", tuple(
+            i for i, g in enumerate(self.generators) if g.kind != LAURENT))
+        object.__setattr__(self, "_divided", any(g.kind == DIVIDED for g in self.generators))
 
     @property
     def ngens(self) -> int:
@@ -127,10 +139,6 @@ class Algebra:
         degs: Tuple[int, ...] = self._degrees  # type: ignore[attr-defined]
         return sum(e * d for e, d in zip(m, degs))
 
-    def parity(self, m: Monomial) -> int:
-        degs: Tuple[int, ...] = self._degrees  # type: ignore[attr-defined]
-        return sum(e * d for e, d in zip(m, degs)) % 2
-
     def validate_monomial(self, m: Monomial) -> None:
         if len(m) != len(self.generators):
             raise ForeignGeneratorError("foreign generator (monomial length mismatch)")
@@ -150,35 +158,42 @@ class Algebra:
     def adjoin(self, gen: GeneratorSpec) -> "Algebra":
         return Algebra(self.p, self.generators + (gen,))
 
+    @property
+    def exponent_caps(self) -> Tuple[Tuple[int, int], ...]:
+        """(index, largest exponent) of each exterior and truncated generator."""
+        return self._caps  # type: ignore[attr-defined,no-any-return]
+
     def has_divided(self) -> bool:
-        return any(g.kind == DIVIDED for g in self.generators)
+        return self._divided  # type: ignore[attr-defined,no-any-return]
 
 
 def mul_monomials(A: Algebra, m1: Monomial, m2: Monomial) -> Tuple[int, Monomial]:
     """Product of two monomials: (sign in {0, 1, -1}, canonical monomial).
 
-    The sign is the Koszul sign of interleaving m2's factors into m1;
-    zero means the product dies by a kind constraint (exterior square,
-    truncation).
+    The sign is the Koszul sign of interleaving m2's factors into m1: each
+    odd-degree factor of m2 moves past the odd-degree factors of m1 to its
+    right.  Zero means the product dies by a kind constraint (exterior
+    square, truncation).  The work is one exponent sum, a check of each
+    exterior and truncated generator's cap and a walk over the odd-degree
+    generators, read from tables the algebra builds once.
     """
     if len(m1) != A.ngens or len(m2) != A.ngens:
         raise ForeignGeneratorError("foreign generator (monomial length mismatch)")
-    out = []
-    sign_exp = 0
-    suffix_parity = A.parity(m1)
-    degs = A._degrees  # type: ignore[attr-defined]
-    for j, (e, f, g) in enumerate(zip(m1, m2, A.generators)):
-        # moving g^f from m2 past the part of m1 strictly to the right of position j
-        suffix_parity = (suffix_parity - e * degs[j]) % 2
-        if f and degs[j] % 2:
-            sign_exp += (f % 2) * suffix_parity
-        tot = e + f
-        if not g.exponent_ok(tot):
-            if g.kind in (EXTERIOR, TRUNCATED):
-                return 0, A.unit
-            raise AlgebraError(f"exponent {tot} invalid for generator {g.name}")
-        out.append(tot)
-    return (-1) ** (sign_exp % 2), tuple(out)
+    out = tuple(map(add, m1, m2))
+    for j, cap in A._caps:  # type: ignore[attr-defined]
+        if out[j] > cap:
+            return 0, A.unit
+    if out and min(out) < 0:
+        for j in A._nonnegative:  # type: ignore[attr-defined]
+            if out[j] < 0:
+                raise AlgebraError(f"exponent {out[j]} invalid for generator "
+                                   f"{A.generators[j].name}")
+    sign = right = 0  # right: parity of m1's odd factors right of j
+    for j in A._odd_from_right:  # type: ignore[attr-defined]
+        if m2[j] & 1:
+            sign ^= right
+        right ^= m1[j] & 1
+    return (-1 if sign else 1), out
 
 
 def element(A: Algebra, *terms: Tuple[int, Monomial]) -> Element:
@@ -232,6 +247,40 @@ def element_degree(a: Element, A: Algebra) -> Optional[int]:
     return degs.pop()
 
 
+def _degree_walk(gens: Sequence[GeneratorSpec], rem: int,
+                 choices: Callable[[int, int], Iterable[int]]) -> Iterator[Tuple[Monomial, int]]:
+    """Every monomial over gens that choices allows, in lexicographic order,
+    with what is left of rem after its degree.
+
+    choices(i, rem) gives the exponents of generator i, ascending, where rem
+    is what the generators before it left.  The depth-first walk keeps one
+    iterator per generator on a list, not a stack frame, so an algebra with
+    thousands of generators enumerates without recursion.
+    """
+    n = len(gens)
+    if n == 0:
+        yield (), rem
+        return
+    cur = [0] * n
+    rems = [rem]
+    stack = [iter(choices(0, rem))]
+    while stack:
+        i = len(stack) - 1
+        e = next(stack[i], None)
+        if e is None:
+            stack.pop()
+            rems.pop()
+            cur[i] = 0
+            continue
+        cur[i] = e
+        left = rems[i] - e * gens[i].degree
+        if i + 1 == n:
+            yield tuple(cur), left
+        else:
+            rems.append(left)
+            stack.append(iter(choices(i + 1, left)))
+
+
 def basis_in_degree(A: Algebra, d: int, filtration_cap: Optional[int] = None) -> List[Monomial]:
     """All monomials of degree exactly d, in canonical order.
 
@@ -252,8 +301,7 @@ def basis_in_degree(A: Algebra, d: int, filtration_cap: Optional[int] = None) ->
 
     gens = A.generators
     n = len(gens)
-    out: List[Monomial] = []
-    cur = [0] * n
+    cap = filtration_cap if filtration_cap is not None else 0
 
     # Laurent generators let later factors reach degree d from any partial sum,
     # so the remaining-degree pruning only applies on laurent-free tails.
@@ -261,36 +309,26 @@ def basis_in_degree(A: Algebra, d: int, filtration_cap: Optional[int] = None) ->
     for i in range(n - 1, -1, -1):
         laurent_after[i] = laurent_after[i + 1] or gens[i].kind == LAURENT
 
-    def rec(i: int, rem: int) -> None:
-        if i == n:
-            if rem == 0:
-                out.append(tuple(cur))
-            return
+    def choices(i: int, rem: int) -> Iterator[int]:
         g = gens[i]
         if g.kind == EXTERIOR:
             exps: Iterable[int] = (0, 1)
         elif g.kind == TRUNCATED:
             exps = range(g.height)  # type: ignore[arg-type]
         elif g.kind == LAURENT:
-            cap = filtration_cap if filtration_cap is not None else 0
             exps = range(-cap, cap + 1)
+        elif g.degree == 0:
+            exps = range(0, cap + 1)
         else:  # polynomial
-            if g.degree == 0:
-                cap = filtration_cap if filtration_cap is not None else 0
-                exps = range(0, cap + 1)
-            else:
-                exps = range(0, rem // g.degree + 1) if rem >= 0 else range(0)
+            exps = range(0, rem // g.degree + 1) if rem >= 0 else range(0)
         for e in exps:
-            used = e * g.degree
-            if not laurent_after[i + 1] and rem - used < 0:
+            if not laurent_after[i + 1] and rem - e * g.degree < 0:
                 if g.degree > 0 and e >= 0:
                     break
                 continue
-            cur[i] = e
-            rec(i + 1, rem - used)
-            cur[i] = 0
+            yield e
 
-    rec(0, d)
+    out = [m for m, left in _degree_walk(gens, d, choices) if left == 0]
     out.sort()
     return out
 
@@ -306,24 +344,17 @@ def basis_up_to(A: Algebra, max_degree: int) -> Dict[int, List[Monomial]]:
         raise InfiniteBasisError("infinite basis")
     if any(g.degree < 0 for g in gens):
         raise AlgebraError("basis_up_to needs generators of degree >= 0")
-    n = len(gens)
-    out: Dict[int, List[Monomial]] = {}
-    cur = [0] * n
 
-    def rec(i: int, deg: int) -> None:
-        if i == n:
-            out.setdefault(deg, []).append(tuple(cur))
-            return
+    def choices(i: int, rem: int) -> Iterable[int]:
         g = gens[i]
         top = 1 if g.kind == EXTERIOR else g.height - 1 if g.kind == TRUNCATED else None
-        e = 0
-        while (top is None or e <= top) and deg + e * g.degree <= max_degree:
-            cur[i] = e
-            rec(i + 1, deg + e * g.degree)
-            e += 1
-        cur[i] = 0
+        if g.degree:
+            top = rem // g.degree if top is None else min(top, rem // g.degree)
+        return range(top + 1)  # type: ignore[operator]
 
-    rec(0, 0)
+    out: Dict[int, List[Monomial]] = {}
+    for m, left in _degree_walk(gens, max_degree, choices):
+        out.setdefault(max_degree - left, []).append(m)
     for mons in out.values():
         mons.sort()
     return out

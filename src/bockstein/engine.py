@@ -52,6 +52,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import sub
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
@@ -67,7 +68,6 @@ from .algebra import (
     basis_up_to,
     element_degree,
     mul_monomials,
-    multiply,
 )
 from .formulas import LambdaFamily, deg_mu, nu_p, r_conj, r_len
 from .towers import INF, TowerProfile, Unknown
@@ -128,17 +128,29 @@ class RulePage:
     attach: Optional[Dict[int, int]] = None
 
 
+# a term of a rule's target over A: (coefficient mod p, monomial, and each
+# capped generator it raises as (index, the largest exponent a cofactor may
+# hold there for the product to live))
+Term = Tuple[int, Monomial, Tuple[Tuple[int, int], ...]]
+
+
 class PageGenerators(NamedTuple):
-    """A page's generators, resolved from its RulePage: mu^q with mu the
-    polynomial generator of the page's power rule (q = 1 and no mu without
-    one), and each live exterior generator i as lambda_i mu^attach[i].
-    rules maps a generator's index to its page generator and d_r of it."""
+    """A page's derivation, compiled once from its RulePage by
+    _page_generators into what _d_of_monomial reads.
+
+    The page generators are mu^q, with mu the polynomial generator of the
+    page's power rule (q = 1 and no mu without one), and each live exterior
+    generator i as lambda_i mu^cost(i).  A monomial factors over them when
+    it holds no dead exterior generator and the mu-exponent its lambdas'
+    costs leave is a multiple of q.  rules lists each generator that has a
+    rule as (its index, its page generator, d_r of that as Terms over A,
+    the page's v-power stripped)."""
 
     mu: Optional[int]
     q: int
-    exterior: Tuple[int, ...]  # every exterior generator of the algebra
-    attach: Dict[int, int]
-    rules: Dict[int, Tuple[Monomial, Element]]
+    dead: Tuple[int, ...]                # exterior generators that are not live
+    costs: Tuple[Tuple[int, int], ...]   # live lambdas with a nonzero mu-cost
+    rules: Tuple[Tuple[int, Monomial, Tuple[Term, ...]], ...]
 
 
 @dataclass
@@ -348,7 +360,7 @@ def _normalize_rules(rules, page: int) -> RulePage:
 
 
 def _page_generators(A: Algebra, page: RulePage) -> PageGenerators:
-    """Resolve a page's generators and key its rules by generator.  The
+    """Resolve a page's generators and compile its rules by generator.  The
     power rule is the one whose source is a pure power of a polynomial
     generator; every other source must be a live exterior generator times
     its attached mu-power."""
@@ -367,15 +379,22 @@ def _page_generators(A: Algebra, page: RulePage) -> PageGenerators:
         index[tuple(1 if j == i else c if j == mu else 0 for j in range(A.ngens))] = i
     if mu is not None:
         index[tuple(q if j == mu else 0 for j in range(A.ngens))] = mu
-    rules: Dict[int, Tuple[Monomial, Element]] = {}
+    rules: Dict[int, Tuple[int, Monomial, Tuple[Term, ...]]] = {}
     for rule in page.rules:
         gi = index.get(rule.source)
         if gi is None:
             raise MalformedRuleError("malformed rule (source is not a page generator)")
         if gi in rules:
             raise MalformedRuleError("malformed rule (duplicate source)")
-        rules[gi] = (rule.source, rule.target)
-    return PageGenerators(mu, q, exterior, attach, rules)
+        # a term t times a submonomial of a monomial dies only where t
+        # raises a capped generator, past cap - t[j]
+        terms = tuple((c % A.p, mon[:-1],
+                       tuple((j, cap - mon[j]) for j, cap in A.exponent_caps if mon[j]))
+                      for mon, c in rule.target.items() if c % A.p)
+        rules[gi] = (gi, rule.source, terms)
+    dead = tuple(i for i in exterior if i not in attach)
+    costs = tuple((i, c) for i, c in attach.items() if c)
+    return PageGenerators(mu, q, dead, costs, tuple(rules.values()))
 
 
 def _validate_rules(pd: PageData, page: RulePage) -> None:
@@ -429,30 +448,36 @@ def _d_of_monomial(ctx: EngineContext, gens: PageGenerators, m: Monomial) -> Ele
     mu^q do not use up) is a torsion remnant of earlier pages and supports
     nothing.  Otherwise each factor g with a rule, N times in m (N = 1 for
     an exterior one), gives the Leibniz term N * d_r(g) * (m / g), signed
-    by g * (m / g) = +-m.
+    by g * (m / g) = +-m.  Each term of d_r(g) * (m / g) is one product of
+    A-monomials (mul_monomials), its coefficient taken mod p.
     """
-    A = ctx.A
-    p = A.p
-    left = 0 if gens.mu is None else m[gens.mu]
-    for i in gens.exterior:
+    for i in gens.dead:
         if m[i]:
-            c = gens.attach.get(i)
-            if c is None:
-                return {}
+            return {}
+    left = 0 if gens.mu is None else m[gens.mu]
+    for i, c in gens.costs:
+        if m[i]:
             left -= c
     if left < 0 or left % gens.q:
         return {}
+    A = ctx.A
+    p = A.p
     out: Element = {}
-    for i, (source, target) in gens.rules.items():
+    for i, source, terms in gens.rules:
         if not m[i]:
             continue
         mult = (left // gens.q if i == gens.mu else 1) % p
         if mult == 0:
             continue
-        cof = tuple(a - b for a, b in zip(m, source))
+        cof = tuple(map(sub, m, source))
         sign, _ = mul_monomials(A, source, cof)
-        for mon, c in multiply(target, {cof + (0,): sign * mult % p}, ctx.Av).items():
-            _accumulate(out, mon[:-1], c, p)
+        for c, t, caps in terms:
+            for j, limit in caps:
+                if cof[j] > limit:
+                    break
+            else:
+                s, mon = mul_monomials(A, t, cof)
+                _accumulate(out, mon, s * sign * mult * c, p)
     return out
 
 

@@ -27,14 +27,24 @@ Each record's `case` is a `bockstein.cases.Case` stored as a dict (its
 `kind` under the key "case"); the runs, their `meta` and the page each
 chart draws come from that `Case`, as in the CLI.
 
+The records of the FIXED cases also hold the sha256 of the schema-2
+document itself, whole, written as UTF-8 (`json2_sha256`) and with
+`--ascii` (`json2_ascii_sha256`).  Schema 1 carries the ranks of d_r but
+not its matrices, whose entries also depend on the signs of the
+representatives; schema 2 carries them, so these digests pin the
+differentials byte for byte.  They were recorded by the
+engine that formed each Leibniz term with `algebra.multiply` over A[v].
+
 After those records come the digests of a few whole documents written
 with `--ascii` (marked `"ascii": true`), whose generator names take their
 own path through the writer.  They were recorded by the writer that
 encoded a dict tree with `json.dumps(indent=1)`, so they check the
 writers that replaced it.
 
-`PYTHONPATH=src python tests/golden.py` records anew, with the current
-engine as the reference.
+`PYTHONPATH=src python tests/golden.py` fills in what the file lacks: a
+record for each case that has none and each key a record lacks, taken from
+the current engine.  Every existing record and digest is kept as it is, so
+a digest made by an older engine is never re-recorded.
 """
 
 from __future__ import annotations
@@ -183,18 +193,22 @@ def snapshot(c, dropped=()):
     views = [_view(pd, drop.get(i, set()), s_range) if filtered else pd
              for i, pd in enumerate(pages)]
     doc = emit_json(pages, profile, c.meta(sched))
-    doc = _restricted(doc, drop, s_range) if filtered else expand(doc)
+    schema1 = _restricted(doc, drop, s_range) if filtered else expand(doc)
     chart = emit_svg(c.chart_page(views), ChartStyle(), c.D, title=sched.label)
-    return {
+    rec = {
         "case": _stored(c),
         "towers": {str(t): [length_str(x) for x in profile.lengths(t)]
                    for t in profile.degrees()},
         "pages": [pd.r for pd in pages],
         "filtered": filtered,
         "dropped": [list(d) for d in dropped],
-        "json_sha256": _sha(doc),
+        "json_sha256": _sha(schema1),
         "svg_sha256": _sha(chart),
-    }, pages
+    }
+    if c in FIXED:
+        rec["json2_sha256"] = _sha(doc)
+        rec["json2_ascii_sha256"] = _sha(emit_json(pages, profile, c.meta(sched), ascii_=True))
+    return rec, pages
 
 
 def ascii_snapshot(c) -> dict:
@@ -218,12 +232,20 @@ def same_documents(c) -> bool:
 
 
 def main() -> int:
+    old = json.loads(DATA.read_text(encoding="utf-8")) if DATA.exists() else []
+    kept = {(case_id(case_of(rec)), rec.get("ascii", False)): rec for rec in old}
     records = []
-    for c in all_cases():
-        rec, _ = snapshot(c)
+    for c, ascii_ in [(c, False) for c in all_cases()] + [(c, True) for c in ASCII]:
+        rec = kept.pop((case_id(c), ascii_), {})
+        fresh = ascii_snapshot(c) if ascii_ else snapshot(c, rec.get("dropped", ()))[0]
+        added = [key for key in fresh if key not in rec]
+        for key in added:
+            rec[key] = fresh[key]
         records.append(rec)
-        print(case_id(c), flush=True)
-    records += [ascii_snapshot(c) for c in ASCII]
+        if added:
+            print(case_id(c), "ascii" if ascii_ else "", *added, flush=True)
+    # records of cases no longer listed are kept too, for a person to remove
+    records += kept.values()
     DATA.parent.mkdir(exist_ok=True)
     lines = [json.dumps(rec, ensure_ascii=False, separators=(",", ":")) for rec in records]
     DATA.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")

@@ -74,6 +74,19 @@ def test_verify_conj_tagged(capsys):
     assert "conjectural" in out
 
 
+@pytest.mark.parametrize("args", [("--case", "v0", "--p", "2", "--n", "3000"),
+                                  ("--case", "conj", "--p", "3", "--n", "3000", "--m", "2")],
+                         ids=["v0", "conj"])
+def test_verify_an_algebra_of_thousands_of_generators(capsys, args):
+    # 3,002 generators, a handful of them of degree <= 40: the basis is
+    # enumerated without a stack frame per generator, so the run does not
+    # meet the interpreter's recursion limit
+    with pytest.warns(UserWarning, match="window too small"):
+        code, out, _ = run_cli(capsys, "verify", *args, "--max-degree", "40")
+    assert code == 0
+    assert "VERIFIED" in out
+
+
 def test_verify_page_cap_names_degrees_without_a_tower(capsys):
     # at cap 4 the classes at 64, 83 and 103 support the unfired d_8, so the
     # degrees may hold no tower; verify says so instead of a mismatch

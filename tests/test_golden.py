@@ -1,7 +1,8 @@
 """The engine reproduces the recorded golden results (see golden.py): the
 tower profile of every acceptance case, CLI case and page-cap sweep point,
-advisory fields included, the documents the CLI writes for them, and a few
-documents written with --ascii."""
+advisory fields included, the documents the CLI writes for them (for the
+FIXED cases also the schema-2 document itself, UTF-8 and --ascii), and a
+few documents written with --ascii."""
 
 import pytest
 
@@ -35,6 +36,9 @@ def test_golden(want):
     assert got["pages"] == want["pages"]
     assert got["json_sha256"] == want["json_sha256"]
     assert got["svg_sha256"] == want["svg_sha256"]
+    # the schema-2 documents of the FIXED cases, d_r matrices included
+    for key in ("json2_sha256", "json2_ascii_sha256"):
+        assert got.get(key) == want.get(key), key
     # classes the recorded run could not decide: never more of them now
     for i, t, s, dim in want["dropped"]:
         assert pages[i].dim(t, s) <= dim, (i, t, s)
