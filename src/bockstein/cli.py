@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from contextlib import ExitStack, contextmanager, suppress
 from typing import Iterator, List, Optional, TextIO, Tuple
 
@@ -28,10 +29,20 @@ def _color(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
+def _run(case: Case):
+    """case.run(), printing each warning it raises as a note line on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = case.run()
+    for w in caught:
+        print(f"note: {w.message}", file=sys.stderr)
+    return result
+
+
 def cmd_run(case: Case, json_path: Optional[str], svg_path: Optional[str],
             ascii_: bool) -> int:
     with _outputs(json_path, svg_path) as (json_file, svg_file):
-        sched, pages, profile = case.run()
+        sched, pages, profile = _run(case)
         print(f"run {sched.label}: pages {sorted(sched.pages)}, final E_{pages[-1].r}")
         if case.localized:
             names = laurent_span(pages[-1], case.D, ascii_)
@@ -91,7 +102,7 @@ def _write(fh: TextIO, fragments: List[str]) -> None:
 
 def cmd_verify(case: Case) -> int:
     case.check_oracle()
-    sched, _, profile = case.run()
+    sched, _, profile = _run(case)
     report = compare(profile, case.oracle(), case.D)
     tag = " [conjectural]" if sched.meta.get("conjectural") else ""
     for line in report.lines():

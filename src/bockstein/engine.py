@@ -20,15 +20,17 @@ F_p^{basis(a)}, computed by exact Gaussian elimination over F_p with
 echelon-pivot representatives under the canonical monomial order.  The
 boundaries of page r reach a tower only from filtration r on, since their
 sources sit r filtrations lower; so the classes at (t, s) are Z_r(a)
-modulo the boundaries of the fired pages <= s, and each A-degree keeps one
-boundary level per fired page, with its own representatives.  With v
-inverted every page's boundaries reach every filtration and one level is
-kept.  The (t, s) pages that documents and charts read are views of this
-state over the window 0..D.
+modulo the boundaries of the fired pages <= s.  An A-degree is thus a
+barcode (Zomorodian-Carlsson, Computing persistent homology, 2005): bars
+(s_from, Cell), the first from the lowest filtration and each later one
+from a fired page whose boundaries changed its cell.  A page that does not
+touch an A-degree passes its bars on unchanged.  With v inverted every
+page's boundaries reach every filtration, and each A-degree has one bar.
+Documents and charts read the bars over the window 0..D.
 
 Every page asserts d_r o d_r = 0, that d_r takes the same values from
-every boundary level (so it is defined on E_r), and the homology
-bookkeeping of each state.
+every bar (so it is defined on E_r), and the homology bookkeeping of each
+state.
 
 Reading the towers at base degree b: the classes that become boundaries on
 page r are towers of length r, the cycles that never do are free towers,
@@ -50,11 +52,10 @@ differential there removes its target's Laurent tower as well.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import sub
-from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Set,
-                    Tuple)
+from operator import itemgetter, sub
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import (
@@ -171,7 +172,7 @@ class DifferentialSchedule:
 
 @dataclass
 class Cell:
-    """The classes of one A-degree at one boundary level on one page.
+    """The classes of one A-degree on one bar of one page.
 
     reps is None for an untouched state (all monomials alive, no
     boundaries); otherwise rows of coefficients over the monomial list.
@@ -258,44 +259,64 @@ class EngineContext:
         self.s_lo, self.s_hi = view_filtrations(v.degree, max_degree, pages, localized)
         self.reach = reach(v.degree, max_degree, pages, localized, max_source)
 
+    def filtrations(self, a: int, top: int) -> Tuple[int, int]:
+        """The view's filtrations at which A-degree a lies in degrees 0..top
+        (empty when the first exceeds the second)."""
+        lo, hi, dv = self.s_lo, self.s_hi, self.deg_v
+        if dv == 0:
+            return (lo, hi) if 0 <= a <= top else (1, 0)
+        return max(lo, -(a // dv)), min(hi, (top - a) // dv)
+
 
 @dataclass
 class DiffRecord:
-    target: object  # (t, s) in a page view; the target A-degree per A-degree
+    target: object  # (t, s) in a page view; the target A-degree in PageData.maps
     matrix: List[List[int]]  # rows: source reps, cols: target reps
     rank: int
+
+
+# bars ((s_from, item), ...) by increasing s_from; an item holds up to the next bar's start
+Bars = Tuple[Tuple[int, object], ...]
+
+
+def bar_at(bars: Bars, s: int):
+    """The item of the bar that holds filtration s (s >= the first s_from)."""
+    return bars[bisect_right(bars, s, key=itemgetter(0)) - 1][1]
+
+
+def clip_bars(bars: Bars, lo: int, hi: int) -> Iterator[Tuple[int, int, object]]:
+    """(s_from, s_to, item) of each bar, cut to the filtrations lo..hi."""
+    for k, (s0, item) in enumerate(bars):
+        s0 = lo if s0 < lo else s0
+        s1 = hi if k == len(bars) - 1 else min(hi, bars[k + 1][0] - 1)
+        if s0 <= s1:
+            yield s0, s1, item
 
 
 class PageData:
     """The page E_r of a run.
 
-    degrees maps each A-degree to its cells by boundary level: level k holds
-    the boundaries of the first k fired pages (one level when localized).
-    cells is the (t, s) view of them over the window, built when first read
-    (E_1's by build_e1).  A page made from another (prev) derives its view
-    from prev's: only the A-degrees in changed have new cells, and every
-    other A-degree shows each filtration the same Cell object on both
-    pages.  When the page is applied, maps records its differentials per
-    A-degree, by boundary level (None where d_r vanishes; the record's
-    target is an A-degree), and diffs is their view.
+    degrees maps each A-degree a to its bars ((s_from, Cell), ...), the
+    classes at (a + s|v|, s).  The first bar starts at the view's lowest
+    filtration, each later one at a fired page r whose boundaries (which
+    reach filtration r on) changed the cell; consecutive bars hold
+    different Cells, and localized runs keep one bar.  A page that does not
+    touch an A-degree passes the same bars object on to the next.  When the
+    page is applied, maps gives d_r out of each A-degree it does not vanish
+    on, as bars ((s_from, DiffRecord or None), ...) over the A-degree's
+    bars, each record's target the A-degree a - 1 - r|v|.  cells and diffs
+    are (t, s) views of them over the window, cells built when first read;
+    the benchmark's tracer counts E_1's cells and each applied page's
+    diffs, so build_e1 and apply_page build those eagerly (ROADMAP B1).
     """
 
-    def __init__(self, r: int, ctx: EngineContext, degrees: Dict[int, Tuple[Cell, ...]],
-                 fired: Tuple[int, ...] = (), prev: Optional[PageData] = None,
-                 changed: FrozenSet[int] = frozenset()) -> None:
+    def __init__(self, r: int, ctx: EngineContext, degrees: Dict[int, Bars]) -> None:
         self.r = r
         self.ctx = ctx
         self.degrees = degrees
-        self.fired = fired
-        self.prev = prev
-        self.changed = changed
-        self.maps: Dict[int, Tuple[Optional[DiffRecord], ...]] = {}
+        self.maps: Dict[int, Bars] = {}
         self.diffs: Dict[Tuple[int, int], DiffRecord] = {}
         self._cells: Optional[Dict[Tuple[int, int], Cell]] = None
-
-    def level(self, s: int) -> int:
-        """Index of the boundary level that filtration s sees on this page."""
-        return -1 if self.ctx.localized else bisect_right(self.fired, s)
 
     @property
     def cells(self) -> Dict[Tuple[int, int], Cell]:
@@ -304,35 +325,23 @@ class PageData:
         return self._cells
 
     def dim(self, t: int, s: int) -> int:
-        cell = self.cells.get((t, s))
-        return cell.dim if cell else 0
+        """The dimension at (t, s); 0 outside the window and the view."""
+        ctx = self.ctx
+        bars = self.degrees.get(t - s * ctx.deg_v)
+        if bars is None or not (0 <= t <= ctx.max_degree and ctx.s_lo <= s <= ctx.s_hi):
+            return 0
+        return bar_at(bars, s).dim
 
 
 def _cell_view(pd: PageData) -> Dict[Tuple[int, int], Cell]:
-    """The classes of a page at every (t, s) of the window.
-
-    A page derived from others starts from the nearest one up its chain
-    whose view is built and replaces the keys of the A-degrees changed
-    since: an unchanged A-degree's levels gain only a copy of the top one
-    (localized: none), so every filtration keeps its Cell.  A page with no
-    built view up its chain is built the same way from all its A-degrees,
-    in their order."""
+    """The classes of a page at every (t, s) of the window."""
     ctx, dv = pd.ctx, pd.ctx.deg_v
-    filtrations = [(s, pd.level(s)) for s in range(ctx.s_lo, ctx.s_hi + 1)]
-    changed: Set[int] = set()
-    base: Optional[PageData] = pd
-    while base is not None and base._cells is None:
-        changed |= base.changed
-        base = base.prev
-    cells = {} if base is None else dict(base._cells)
-    for a in (pd.degrees if base is None else changed):
-        levels = pd.degrees[a]
-        for s, k in filtrations:
-            t = a + s * dv
-            if t > ctx.max_degree:
-                break
-            if t >= 0:
-                cells[(t, s)] = levels[k]
+    cells = {}
+    for a, bars in pd.degrees.items():
+        lo, hi = ctx.filtrations(a, ctx.max_degree)
+        for s0, s1, cell in clip_bars(bars, lo, hi) if lo <= hi else ():
+            for s in range(s0, s1 + 1):
+                cells[(a + s * dv, s)] = cell
     return cells
 
 
@@ -347,9 +356,10 @@ def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool = False,
     """
     w = as_window(w)
     ctx = EngineContext(A, v, localized, w.max_degree, tuple(pages), max_source)
-    degrees = {a: (Cell(tuple(mons)),) for a, mons in sorted(basis_up_to(A, ctx.reach).items())}
+    degrees = {a: ((ctx.s_lo, Cell(tuple(mons))),)
+               for a, mons in sorted(basis_up_to(A, ctx.reach).items())}
     pd = PageData(1, ctx, degrees)
-    pd._cells = _cell_view(pd)
+    pd._cells = _cell_view(pd)  # read by the benchmark's tracer (ROADMAP B1)
     return pd
 
 
@@ -416,19 +426,19 @@ def _validate_rules(pd: PageData, page: RulePage) -> None:
         # survival: the source must be a live class (a cycle that is not a
         # boundary) at filtration 0 and the target must still be nonzero at
         # filtration r on this page
-        src_levels = pd.degrees.get(sdeg)
-        if src_levels is None or rule.source not in src_levels[0].monomials:
+        src_bars = pd.degrees.get(sdeg)
+        if src_bars is None or rule.source not in src_bars[0][1].monomials:
             raise DeadSourceError("dead source")
-        src_cell = src_levels[pd.level(0)]
+        src_cell = bar_at(src_bars, 0)
         vec = [0] * len(src_cell.monomials)
         vec[src_cell.monomials.index(rule.source)] = 1
         solver = src_cell.solver(p)
         if solver.in_boundaries(vec) or solver.express(vec) is None:
             raise DeadSourceError("dead source")
-        tlevels = pd.degrees.get(sdeg - 1 - r * ctx.deg_v)
-        if tlevels is None:
+        tbars = pd.degrees.get(sdeg - 1 - r * ctx.deg_v)
+        if tbars is None:
             raise MalformedRuleError("malformed rule (target bidegree empty)")
-        tcell = tlevels[pd.level(r)]
+        tcell = bar_at(tbars, r)
         tvec = [0] * len(tcell.monomials)
         for m, c in rule.target.items():
             amon = m[:-1]
@@ -578,20 +588,18 @@ def _span(rec: Optional[DiffRecord], p: int) -> Tuple[Tuple[int, Tuple[int, ...]
                  sorted(linalg.echelon_from_rows(rec.matrix, p).items()))
 
 
-def _diff_view(pd: PageData, maps: Mapping[int, Tuple[Optional[DiffRecord], ...]]
-               ) -> Dict[Tuple[int, int], DiffRecord]:
-    """The differentials of a page with a source or a target in the window,
-    both ends within the view's filtrations."""
+def _diff_view(pd: PageData, maps: Mapping[int, Bars]) -> Dict[Tuple[int, int], DiffRecord]:
+    """The differentials of a page with a source in degrees 0..D + 1, both
+    ends within the view's filtrations."""
     ctx, dv, r = pd.ctx, pd.ctx.deg_v, pd.r
     diffs = {}
     for a, row in maps.items():
-        for s in range(ctx.s_lo, ctx.s_hi - r + 1):
-            t = a + s * dv
-            if t > ctx.max_degree + 1:
-                break
-            rec = row[pd.level(s)]
-            if t >= 0 and rec is not None:
-                diffs[(t, s)] = DiffRecord((t - 1, s + r), rec.matrix, rec.rank)
+        lo, hi = ctx.filtrations(a, ctx.max_degree + 1)
+        for s0, s1, rec in clip_bars(row, lo, min(hi, ctx.s_hi - r)):
+            if rec is not None:
+                for s in range(s0, s1 + 1):
+                    t = a + s * dv
+                    diffs[(t, s)] = DiffRecord((t - 1, s + r), rec.matrix, rec.rank)
     return diffs
 
 
@@ -610,7 +618,7 @@ def apply_page(pd: PageData, rules) -> PageData:
     if page.r != r:
         raise MalformedRuleError(f"malformed rule (page {page.r} applied at page {r})")
     if not page.rules:
-        return PageData(r + 1, ctx, pd.degrees, pd.fired, pd)
+        return PageData(r + 1, ctx, pd.degrees)
     if ctx.deg_v and r > ctx.top_page:
         raise EngineError(f"page {r} draws boundaries from above the A-degrees kept "
                           f"for pages up to {ctx.top_page}")
@@ -618,68 +626,56 @@ def apply_page(pd: PageData, rules) -> PageData:
     _validate_rules(pd, page)
     shift = 1 + r * ctx.deg_v
 
-    # d_r per A-degree and boundary level, into the target's full level: a
-    # target sits at filtration >= r, where every fired page's boundaries
-    # have arrived
-    maps: Dict[int, Tuple[Optional[DiffRecord], ...]] = {}
-    for a, levels in pd.degrees.items():
-        images = [_d_of_monomial(ctx, gens, m) for m in levels[0].monomials]
+    # d_r per A-degree and bar, into the target's top bar: a target sits at
+    # filtration >= r, where every fired page's boundaries have arrived
+    maps: Dict[int, Bars] = {}
+    for a, bars in pd.degrees.items():
+        images = [_d_of_monomial(ctx, gens, m) for m in bars[0][1].monomials]
         if not any(images):
             continue
-        tlevels = pd.degrees.get(a - shift)
-        if tlevels is None:
+        tbars = pd.degrees.get(a - shift)
+        if tbars is None:
             raise EngineAssertionError("differential leaves its bidegree")
-        memo: Dict[int, Optional[DiffRecord]] = {}
-        for cell in levels:
-            if id(cell) not in memo:
-                memo[id(cell)] = _page_map(cell, images, tlevels[-1], p, r, a, a - shift)
-        row = tuple(memo[id(cell)] for cell in levels)
-        if any(rec is not None for rec in row):
+        tcell = tbars[-1][1]
+        row = tuple((s, _page_map(cell, images, tcell, p, r, a, a - shift)) for s, cell in bars)
+        if any(rec is not None for _, rec in row):
             maps[a] = row
 
     incoming: Dict[int, List[List[int]]] = {}
     for a, row in maps.items():
-        # levels sharing a cell share its record, so each is checked once
-        distinct = list({id(rec): rec for rec in row}.values())
-        # d_r o d_r must vanish; the target's d_r is read at its top level
-        second = maps.get(a - shift, (None,))[-1]
-        for rec in distinct:
+        recs = [rec for _, rec in row]
+        # d_r o d_r must vanish; the target's d_r is read at its top bar
+        second = maps[a - shift][-1][1] if a - shift in maps else None
+        for rec in recs:
             if rec is not None and second is not None and any(
                     map(any, linalg.mat_mul(rec.matrix, second.matrix, p))):
                 raise EngineAssertionError(f"d_{r} o d_{r} != 0 out of A-degree {a}")
-        # the sources of a tower's boundaries sit at every level; d_r must
-        # hit the same classes from each, or it is not defined on E_r
-        if len(distinct) > 1 and len({_span(rec, p) for rec in distinct}) > 1:
+        # the sources of a tower's boundaries sit in every bar; d_r must hit
+        # the same classes from each, or it is not defined on E_r
+        if len(recs) > 1 and len({_span(rec, p) for rec in recs}) > 1:
             raise EngineAssertionError(
                 f"d_{r} out of A-degree {a} depends on the representatives")
-        incoming[a - shift] = row[-1].matrix
+        incoming[a - shift] = recs[-1].matrix
 
-    # every level loses the cycles that support d_r; the boundaries of page
-    # r reach filtration r on, which is the new top level
-    degrees: Dict[int, Tuple[Cell, ...]] = {}
-    for a, levels in pd.degrees.items():
-        row = maps.get(a)
+    # every bar loses the cycles that support d_r; the boundaries of page r
+    # reach filtration r on, where they start a new top bar
+    degrees = dict(pd.degrees)
+    for a in sorted(maps.keys() | incoming.keys()):
+        bars = pd.degrees[a]
+        recs = [rec for _, rec in maps[a]] if a in maps else [None] * len(bars)
         image_rows = incoming.get(a)
-        if row is None and image_rows is None:
-            degrees[a] = levels if ctx.localized else levels + levels[-1:]
-            continue
-        row = row or (None,) * len(levels)
         if ctx.localized:
-            degrees[a] = (_homology(levels[-1], row[-1], image_rows, p, r, a),)
+            ((s, cell),) = bars
+            degrees[a] = ((s, _homology(cell, recs[0], image_rows, p, r, a)),)
             continue
-        memo_cells: Dict[int, Cell] = {}
-        for cell, rec in zip(levels, row):
-            if id(cell) not in memo_cells:
-                memo_cells[id(cell)] = _homology(cell, rec, None, p, r, a)
-        # with no image rows the top level is the old top's homology again
-        top = (_homology(levels[-1], row[-1], image_rows, p, r, a) if image_rows
-               else memo_cells[id(levels[-1])])
-        degrees[a] = tuple(memo_cells[id(cell)] for cell in levels) + (top,)
+        new = [(s, _homology(cell, rec, None, p, r, a)) for (s, cell), rec in zip(bars, recs)]
+        if image_rows:
+            new.append((r, _homology(bars[-1][1], recs[-1], image_rows, p, r, a)))
+        degrees[a] = tuple(new)
 
     pd.maps = maps
-    pd.diffs = _diff_view(pd, maps)
-    return PageData(r + 1, ctx, degrees, pd.fired + (r,), pd,
-                    frozenset(maps) | frozenset(incoming))
+    pd.diffs = _diff_view(pd, maps)  # read by the benchmark's tracer (ROADMAP B1)
+    return PageData(r + 1, ctx, degrees)
 
 
 # ----------------------------------------------------------------------
@@ -901,7 +897,7 @@ def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
             unfired.append(r)
             continue
         # the pages between fired ones pass the state through unchanged
-        cur = final if final.r == r else PageData(r, final.ctx, final.degrees, final.fired, final)
+        cur = final if final.r == r else PageData(r, final.ctx, final.degrees)
         nxt = apply_page(cur, sched.pages[r])
         if cur is not pages_out[-1]:
             pages_out.append(cur)
@@ -931,8 +927,8 @@ def extract_towers(final: PageData, sched: DifferentialSchedule, w, localized: b
         future_min_page = r if future_min_page is None else min(future_min_page, r)
 
     for b in range(0, w.max_degree + 1):
-        levels = final.degrees.get(b)
-        if levels is None:
+        bars = final.degrees.get(b)
+        if bars is None:
             continue
         hit = future_floor is not None and b >= future_floor
         if localized:
@@ -940,10 +936,10 @@ def extract_towers(final: PageData, sched: DifferentialSchedule, w, localized: b
             # Laurent tower as well as its source's, so a future hit may
             # leave nothing
             length = Unknown(possibly_absent=True) if hit else INF
-            for _ in range(levels[-1].dim):
+            for _ in range(bars[0][1].dim):
                 prof.add(b, length)
             continue
-        _read_column(prof, b, levels, final.fired, future_min_page if hit else None,
+        _read_column(prof, b, bars, future_min_page if hit else None,
                      lambda cell: _unfired_sources(ctx, unfired_gens, cell))
     return prof
 
@@ -977,33 +973,33 @@ def _unfired_sources(ctx: EngineContext, unfired: Sequence[PageGenerators], cell
     return linalg.rank(rows, p)
 
 
-def _read_column(prof: TowerProfile, b: int, levels: Sequence[Cell], fired: Sequence[int],
-                 future_min_page: Optional[int], leaving: Callable[[Cell], int]) -> None:
-    """Add the towers of the v-tower at base b from its boundary levels:
-    levels[k] holds the classes that survive the boundaries of the first k
-    fired pages, so the classes page fired[k - 1] kills are towers of that
-    length.  With a future page at future_min_page, the classes left after
-    the pages below it are unknown; leaving(cell) counts those that may
-    support an unfired differential."""
-    dims = [cell.dim for cell in levels]
+def _read_column(prof: TowerProfile, b: int, bars: Bars, future_min_page: Optional[int],
+                 leaving: Callable[[Cell], int]) -> None:
+    """Add the towers of the v-tower at base b from its bars: the classes a
+    bar starting at a fired page r has fewer than the bar below it became
+    boundaries on page r, so they are towers of length r.  With a future
+    page at future_min_page, only the bars that start below it are read,
+    and the classes of the last of them are unknown; leaving(cell) counts
+    those that may support an unfired differential."""
+    dims = [cell.dim for _, cell in bars]
     for k in range(1, len(dims)):
         if dims[k] > dims[k - 1]:
             raise EngineAssertionError(
                 f"dimensions increase along the v-tower at base degree {b}")
     # observations past the smallest unfired page are not trustworthy
-    trusted = len(fired) if future_min_page is None else bisect_right(fired, future_min_page - 1)
-    for k in range(1, trusted + 1):
+    top = (len(bars) if future_min_page is None
+           else bisect_left(bars, future_min_page, key=itemgetter(0))) - 1
+    for k in range(1, top + 1):
         for _ in range(dims[k - 1] - dims[k]):
-            prof.add(b, fired[k - 1])
-    top = dims[trusted]
+            prof.add(b, bars[k][0])
     if future_min_page is None:
-        for _ in range(top):
+        for _ in range(dims[top]):
             prof.add(b, INF)
         return
     # a class that may support an unfired differential may hold no tower at
     # all, so it gets no lower bound; the rest can only be hit later
-    absent = leaving(levels[trusted]) if top else 0
+    absent = leaving(bars[top][1]) if dims[top] else 0
     for _ in range(absent):
         prof.add(b, Unknown(possibly_absent=True))
-    for _ in range(top - absent):
+    for _ in range(dims[top] - absent):
         prof.add(b, Unknown(future_min_page))

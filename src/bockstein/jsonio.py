@@ -6,18 +6,18 @@ Monomials use the generator-name table (λ1, ..., μ3, v0, v1, v2) in
 UTF-8, or an ASCII fallback (l1, m3, g4(x), s-prefixes) when requested.
 Two runs with the same configuration give byte-identical documents.
 
-emit_json writes schema 2, which follows the engine's state: a v-tower is
-one A-degree a, whose classes at (a + s|v|, s) stay the same over each run
-of filtrations between fired pages (a bar of a persistence module).  Its
-`meta` adds the schema, v's name and degree, the view's filtrations and
-whether names are ASCII.  A page holds `r`, `degrees`: per A-degree `a`
-whose tower meets the window 0..D, `levels` [s_from, s_to, dim, reps]
-clipped to the window and the view, each rep a lead monomial without its
-v-power; and `differentials`: per source A-degree `a`, its target `to`
-and `runs` [s_from, s_to, rank, matrix] of sources in degrees 0..D + 1
-whose targets are in the view.  json_fragments lays the text out as a
-flat list of fragments, each A-degree's record one string shared by the
-pages that show it; emit_json joins it and `run --json` streams it.
+emit_json writes schema 2, which is the engine's state: a v-tower is one
+A-degree a, whose bars (PageData.degrees) hold its classes at
+(a + s|v|, s).  Its `meta` adds the schema, v's name and degree, the
+view's filtrations and whether names are ASCII.  A page holds `r`,
+`degrees`: per A-degree `a` whose tower meets the window 0..D, `levels`
+[s_from, s_to, dim, reps], its bars cut to the window and the view, each
+rep a lead monomial without its v-power; and `differentials`: per source
+A-degree `a`, its target `to` and `runs` [s_from, s_to, rank, matrix], the
+bars of d_r (PageData.maps) cut to sources in degrees 0..D + 1 whose
+targets are in the view.  json_fragments lays the text out as a flat list
+of fragments, each A-degree's record one string shared by the pages that
+show it; emit_json joins it and `run --json` streams it.
 
 Schema 1 is the (t, s) reading, in the layout of json.dumps(doc,
 indent=1, ensure_ascii=False): per page `classes` {t, s, dim, reps with
@@ -29,10 +29,10 @@ and the golden digests (tests/golden.py) pin its bytes.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Monomial
-from .engine import EngineContext, PageData
+from .engine import PageData, bar_at, clip_bars
 from .towers import INF, TowerProfile, Unknown
 
 TOOL_VERSION = "0.1.0"
@@ -88,9 +88,9 @@ def laurent_span(page: PageData, max_degree: int, ascii_: bool = False) -> List[
     classes at filtration 0 in degrees 0..max_degree."""
     names: List[str] = []
     for t in range(max_degree + 1):
-        cell = page.cells.get((t, 0))
-        if cell is None or cell.dim == 0:
+        if not page.dim(t, 0):
             continue
+        cell = bar_at(page.degrees[t], 0)
         for row in cell.reps_rows():
             names.append(rep_str(page.ctx.A, cell.monomials, row, page.ctx.v.name, 0, ascii_))
     return names
@@ -124,49 +124,11 @@ _READING = ("schema", "v", "v_degree", "filtrations", "ascii")
 _dumps = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _window(ctx: EngineContext, a: int, top: int) -> Tuple[int, int]:
-    """The filtrations of the view at which A-degree a lies in degrees
-    0..top (empty when the first exceeds the second)."""
-    lo, hi, dv = ctx.s_lo, ctx.s_hi, ctx.deg_v
-    if dv == 0:
-        return (lo, hi) if 0 <= a <= top else (1, 0)
-    return max(lo, -(a // dv)), min(hi, (top - a) // dv)
-
-
-def _runs(items: Sequence[object], fired: Sequence[int], lo: int, hi: int) -> List[list]:
-    """[s_from, s_to, item] for each run of consecutive levels holding the
-    same object, within lo..hi: level k holds the filtrations
-    fired[k - 1] <= s < fired[k], and a lone level holds them all."""
-    runs: List[list] = []
-    last = len(items) - 1
-    for k, item in enumerate(items):
-        s0 = lo if k == 0 else max(lo, fired[k - 1])
-        s1 = hi if k == last else min(hi, fired[k] - 1)
-        if s0 > s1:
-            continue
-        if runs and runs[-1][2] is item:
-            runs[-1][1] = s1
-        else:
-            runs.append([s0, s1, item])
-    return runs
-
-
-def _changed_since(pd: PageData, before: Optional[PageData]) -> Optional[Set[int]]:
-    """The A-degrees whose levels may differ between page before and pd,
-    read up pd's chain of pages; None when before is not on it."""
-    changed: Set[int] = set()
-    node: Optional[PageData] = pd
-    while node is not None and node is not before:
-        changed |= node.changed
-        node = node.prev
-    return None if node is None else changed
-
-
 def _degree_record(pd: PageData, a: int, reps: Dict[int, str], ascii_: bool) -> Optional[str]:
     """The record of A-degree a on page pd, None when it shows no class;
     reps holds each cell's lead monomials, rendered once per document."""
     runs = []
-    for s0, s1, cell in _runs(pd.degrees[a], pd.fired, *_window(pd.ctx, a, pd.ctx.max_degree)):
+    for s0, s1, cell in clip_bars(pd.degrees[a], *pd.ctx.filtrations(a, pd.ctx.max_degree)):
         if not cell.dim:
             continue
         text = reps.get(id(cell))
@@ -180,10 +142,10 @@ def _degree_record(pd: PageData, a: int, reps: Dict[int, str], ascii_: bool) -> 
 def _diff_record(pd: PageData, a: int) -> Optional[str]:
     """The record of d_r out of A-degree a on page pd, None when no source
     lies in degrees 0..D + 1 with both ends within the view's filtrations."""
-    ctx, row = pd.ctx, pd.maps[a]
-    lo, hi = _window(ctx, a, ctx.max_degree + 1)
+    ctx = pd.ctx
+    lo, hi = ctx.filtrations(a, ctx.max_degree + 1)
     runs = [f"[{s0}, {s1}, {rec.rank}, {_dumps(rec.matrix)}]"
-            for s0, s1, rec in _runs(row, pd.fired, lo, min(hi, ctx.s_hi - pd.r))
+            for s0, s1, rec in clip_bars(pd.maps[a], lo, min(hi, ctx.s_hi - pd.r))
             if rec is not None]
     target = a - 1 - pd.r * ctx.deg_v
     return f'{{"a": {a}, "to": {target}, "runs": [{", ".join(runs)}]}}' if runs else None
@@ -205,11 +167,11 @@ def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[
     fragments whose concatenation is the document.
 
     Each A-degree's record is one string, listed once per page that shows
-    it.  A page whose chain of pages reaches the page listed before it
-    renders only the A-degrees changed since (PageData.changed); every
-    other A-degree keeps its record, whose runs merge the levels holding
-    one Cell, so a copy of the top level adds nothing.  Any other page (the
-    first, or one off that chain) renders every A-degree."""
+    it.  A page of the same run and A-degrees as the page listed before it
+    renders only the A-degrees whose bars are not the very object that page
+    holds: a page that does not touch an A-degree passes its bars on, so a
+    document costs the first page plus each page's changes, in any order
+    of pages.  Any other page renders every A-degree."""
     ctx = pages[0].ctx if pages else None
     reading = dict(zip(_READING, (2, ctx and ctx.v.name, ctx and ctx.deg_v,
                                   ctx and [ctx.s_lo, ctx.s_hi], ascii_)))
@@ -219,12 +181,15 @@ def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[
     records: Dict[int, Optional[str]] = {}
     before: Optional[PageData] = None
     for pd in pages:
-        changed = _changed_since(pd, before)
-        if changed is None:
-            windows = ((a, _window(pd.ctx, a, pd.ctx.max_degree)) for a in sorted(pd.degrees))
-            records = changed = {a: None for a, (lo, hi) in windows if lo <= hi}
-        for a in changed:
-            if a in records:
+        shown = {}
+        if (before is None or before.ctx is not pd.ctx
+                or before.degrees.keys() != pd.degrees.keys()):
+            windows = ((a, pd.ctx.filtrations(a, pd.ctx.max_degree)) for a in sorted(pd.degrees))
+            records = {a: None for a, (lo, hi) in windows if lo <= hi}
+        else:
+            shown = before.degrees
+        for a in records:
+            if shown.get(a) is not pd.degrees[a]:
                 records[a] = _degree_record(pd, a, reps, ascii_)
         out += ("\n" if before is None else ",\n", f'{{"r": {pd.r}, "degrees": [')
         _items(out, records.values())

@@ -9,9 +9,11 @@ this against the JSON document).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .engine import PageData
+from .engine import PageData, clip_bars
+
+Point = Tuple[int, int]
 
 
 @dataclass
@@ -24,18 +26,43 @@ class ChartStyle:
     max_filtration: Optional[int] = None
 
 
+def chart_marks(page: PageData) -> Tuple[Dict[Point, int], List[Tuple[Point, Point]]]:
+    """What a chart can draw of a page, read from its bars (degrees) and the
+    bars of its differentials (maps): the number of classes at each (t, s)
+    of degrees 0..D that holds some, and each d_r out of degrees 0..D + 1
+    with both ends within the view's filtrations as its source and target;
+    both in (t, s) order."""
+    ctx, dv, r = page.ctx, page.ctx.deg_v, page.r
+    dots = {}
+    for a, bars in page.degrees.items():
+        lo, hi = ctx.filtrations(a, ctx.max_degree)
+        for s0, s1, cell in clip_bars(bars, lo, hi) if lo <= hi else ():
+            if cell.dim:
+                dots.update(((a + s * dv, s), cell.dim) for s in range(s0, s1 + 1))
+    arrows = []
+    for a, row in page.maps.items():
+        lo, hi = ctx.filtrations(a, ctx.max_degree + 1)
+        for s0, s1, rec in clip_bars(row, lo, min(hi, ctx.s_hi - r)):
+            if rec is not None:
+                arrows += [((a + s * dv, s), (a + s * dv - 1, s + r)) for s in range(s0, s1 + 1)]
+    return dict(sorted(dots.items())), sorted(arrows)
+
+
 def emit_svg(page: PageData, style: ChartStyle, max_degree: int,
              title: str = "") -> str:
-    ctx = page.ctx
-    dv = ctx.deg_v
-    # the nonempty classes of the window, in (t, s) order, with their dims
-    dims = dict(sorted((key, cell.dim) for key, cell in page.cells.items()
-                       if cell.dim and 0 <= key[0] <= max_degree))
+    return draw_chart(page, *chart_marks(page), style, max_degree, title)
+
+
+def draw_chart(page: PageData, dots: Dict[Point, int], arrows: List[Tuple[Point, Point]],
+               style: ChartStyle, max_degree: int, title: str = "") -> str:
+    """The chart of a page's marks (chart_marks) in degrees 0..max_degree."""
+    dv = page.ctx.deg_v
+    dims = {key: dim for key, dim in dots.items() if key[0] <= max_degree}
     s_values = [s for (_t, s) in dims]
     s_hi = max(s_values, default=0)
     if style.max_filtration is not None:
         s_hi = min(s_hi, style.max_filtration)
-    s_lo = min(s_values, default=0) if ctx.localized else 0
+    s_lo = min(s_values, default=0) if page.ctx.localized else 0
     m = style.margin
 
     def X(t: float) -> float:
@@ -76,9 +103,8 @@ def emit_svg(page: PageData, style: ChartStyle, max_degree: int,
                        f'x2="{b[i][0]:.1f}" y2="{b[i][1]:.1f}" '
                        'stroke="#888" stroke-width="0.6"/>')
     # differentials of this page
-    for (t, s), rec in sorted(page.diffs.items()):
-        (t2, s2) = rec.target
-        if rec.rank == 0 or not (0 <= t <= max_degree and 0 <= t2 <= max_degree):
+    for (t, s), (t2, s2) in arrows:
+        if not (0 <= t <= max_degree and 0 <= t2 <= max_degree):
             continue
         if not (s_lo <= s <= s_hi and s_lo <= s2 <= s_hi):
             continue

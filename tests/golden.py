@@ -21,7 +21,7 @@ Two kinds of documents are compared on a restricted view instead of whole:
 
 The JSON document is restricted on its schema-1 dict, dumped again with
 `json.dumps(indent=1, ensure_ascii=False)`; the SVG chart is drawn from the
-page views restricted the same way.
+chart page's marks (`svg.chart_marks`) restricted the same way.
 
 Each record's `case` is a `bockstein.cases.Case` stored as a dict (its
 `kind` under the key "case"); the runs, their `meta` and the page each
@@ -54,11 +54,10 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from bockstein.cases import Case
 from bockstein.jsonio import emit_json, expand, parse_json
-from bockstein.svg import ChartStyle, emit_svg
+from bockstein.svg import ChartStyle, chart_marks, draw_chart
 from bockstein.towers import length_str
 
 DATA = Path(__file__).resolve().parent / "data" / "golden.json"
@@ -143,19 +142,18 @@ def _keeper(drop, s_range):
     return lambda key: key not in drop and (s_range is None or s_range[0] <= key[1] <= s_range[1])
 
 
-def _view(pd, drop, s_range):
-    """The page with the dropped classes, the filtrations outside s_range and
-    the differentials touching either left out."""
+def _marks(pd, drop, s_range):
+    """The chart marks of a page with the dropped classes, the filtrations
+    outside s_range and the differentials touching either left out."""
     keep = _keeper(drop, s_range)
-    return SimpleNamespace(
-        r=pd.r, ctx=pd.ctx,
-        cells={k: c for k, c in pd.cells.items() if keep(k)},
-        diffs={k: rec for k, rec in pd.diffs.items() if keep(k) and keep(rec.target)})
+    dots, arrows = chart_marks(pd)
+    return ({k: dim for k, dim in dots.items() if keep(k)},
+            [(k, to) for k, to in arrows if keep(k) and keep(to)])
 
 
 def _restricted(text, drop, s_range):
-    """The schema-1 text of a schema-2 document restricted as _view restricts
-    pages: the pages of its expansion (as parse_json reads them) filtered,
+    """The schema-1 text of a schema-2 document restricted as _marks restricts
+    a chart: the pages of its expansion (as parse_json reads them) filtered,
     dumped again with its meta and towers."""
     meta, pages, _ = parse_json(text)
     for i, page in enumerate(pages):
@@ -190,11 +188,12 @@ def snapshot(c, dropped=()):
         bound = c.D // sched.v.degree
         s_range = (-bound, bound)
     filtered = bool(drop) or s_range is not None
-    views = [_view(pd, drop.get(i, set()), s_range) if filtered else pd
-             for i, pd in enumerate(pages)]
     doc = emit_json(pages, profile, c.meta(sched))
     schema1 = _restricted(doc, drop, s_range) if filtered else expand(doc)
-    chart = emit_svg(c.chart_page(views), ChartStyle(), c.D, title=sched.label)
+    chart_page = c.chart_page(pages)
+    i = next(i for i, pd in enumerate(pages) if pd is chart_page)
+    chart = draw_chart(chart_page, *_marks(chart_page, drop.get(i, set()), s_range), ChartStyle(),
+                       c.D, title=sched.label)
     rec = {
         "case": _stored(c),
         "towers": {str(t): [length_str(x) for x in profile.lengths(t)]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -29,8 +30,10 @@ from bockstein.engine import (
     ScheduleError,
     Window,
     _d_of_monomial,
+    _cell_view,
     _page_generators,
     apply_page,
+    bar_at,
     build_e1,
     run,
     schedule_conj,
@@ -39,7 +42,8 @@ from bockstein.engine import (
     schedule_v2,
 )
 from bockstein.formulas import nu_p
-from bockstein.towers import INF, compare
+from bockstein.jsonio import emit_json
+from bockstein.towers import INF, TowerProfile, compare
 import golden
 
 
@@ -71,8 +75,7 @@ def test_apply_page_empty_rules_increments():
     A = thh_mod_p_algebra(2, 2)
     pd = build_e1(A, v_gen("v0", 0), Window(16))
     nxt = apply_page(pd, [])
-    assert nxt.r == 2 and nxt.degrees is pd.degrees and nxt.fired == ()
-    assert nxt.prev is pd and not nxt.changed
+    assert nxt.r == 2 and nxt.degrees is pd.degrees
 
 
 @pytest.mark.parametrize("order", ["forward", "backward"])
@@ -82,15 +85,49 @@ def test_apply_page_empty_rules_increments():
     Case("v1", 2, 60, variant="B"),
 ], ids=golden.case_id)
 def test_derived_views_equal_whole_views(case, order):
-    # every page after E_1 patches its view from the page it was made from;
-    # read in either order, the view has the keys, in the same order, and
-    # the very Cell objects of a view built over the whole window
+    # read in either order, each page's (t, s) view has the keys, in the same
+    # order, and the very Cell objects of its bars looked up filtration by
+    # filtration over the whole window; an A-degree the page before left
+    # untouched shows each (t, s) the same Cell on both pages
     _, pages, _ = case.run()
-    assert pages[0].prev is None and all(pd.prev is not None for pd in pages[1:])
     for pd in (pages if order == "forward" else pages[::-1]):
-        whole = PageData(pd.r, pd.ctx, pd.degrees, pd.fired).cells
+        ctx = pd.ctx
+        whole = {}
+        for a, bars in pd.degrees.items():
+            for s in range(ctx.s_lo, ctx.s_hi + 1):
+                t = a + s * ctx.deg_v
+                if 0 <= t <= ctx.max_degree:
+                    whole[(t, s)] = bar_at(bars, s)
         assert list(pd.cells) == list(whole)
         assert all(pd.cells[key] is cell for key, cell in whole.items())
+    for pd, nxt in zip(pages, pages[1:]):
+        dv, shift = pd.ctx.deg_v, 1 + pd.r * pd.ctx.deg_v
+        touched = set(pd.maps) | {a - shift for a in pd.maps}
+        kept = [key for key in pd.cells if key[0] - key[1] * dv not in touched]
+        assert kept and all(nxt.cells[key] is pd.cells[key] for key in kept)
+
+
+@pytest.mark.parametrize("case", [c for c in golden.FIXED if not c.localized] + [
+    Case("v2", 2, 120, page_cap=2), Case("v2", 2, 120, page_cap=8),
+    Case("v2", 3, 120, localized=True)], ids=golden.case_id)
+def test_untouched_a_degrees_share_their_bars(case):
+    # a page passes the very bars object of every A-degree its differentials
+    # neither leave nor enter on to the next page; bars start at the lowest
+    # filtration and then at increasing fired pages, no two consecutive ones
+    # hold the same Cell, and dim(t, s) reads them as the whole view does
+    _, pages, _ = case.run()
+    for pd, nxt in zip(pages, pages[1:]):
+        shift = 1 + pd.r * pd.ctx.deg_v
+        touched = set(pd.maps) | {a - shift for a in pd.maps}
+        assert len(touched) < len(pd.degrees)
+        assert all(nxt.degrees[a] is bars for a, bars in pd.degrees.items() if a not in touched)
+    for pd in pages:
+        for bars in pd.degrees.values():
+            starts = [s for s, _ in bars]
+            assert starts[0] == pd.ctx.s_lo and starts == sorted(set(starts))
+            assert all(c0 is not c1 for (_, c0), (_, c1) in zip(bars, bars[1:]))
+        whole = _cell_view(pd)
+        assert all(pd.dim(t, s) == cell.dim for (t, s), cell in whole.items())
 
 
 def test_apply_page_v2_tower_length_two():
@@ -128,6 +165,108 @@ def test_apply_page_leibniz_matches_derivation_extend():
     assert rec.matrix == [want]
     # and the class is dead on the next page
     assert nxt.dim(*key) == 0
+
+
+# the bars of each page of the run below, as its schema-2 `levels`:
+# A-degree -> [(s_from, s_to, dim, lead monomials)], recorded by the engine
+# that kept one boundary level per fired page
+MULTI_BARS = {
+    1: {
+        0: [(0, 11, 1, ['1'])],
+        1: [(0, 11, 2, ['x2', 'x1'])],
+        2: [(0, 11, 2, ['y', 'x1·x2'])],
+        3: [(0, 11, 3, ['x3', 'x2·y', 'x1·y'])],
+        4: [(0, 11, 4, ['y^2', 'x2·x3', 'x1·x3', 'x1·x2·y'])],
+        5: [(0, 11, 4, ['x3·y', 'x2·y^2', 'x1·y^2', 'x1·x2·x3'])],
+        6: [(0, 11, 4, ['y^3', 'x2·x3·y', 'x1·x3·y', 'x1·x2·y^2'])],
+    },
+    2: {
+        0: [(0, 11, 1, ['1'])],
+        1: [(0, 11, 2, ['x2', 'x1'])],
+        2: [(0, 0, 2, ['y', 'x1·x2']), (1, 11, 1, ['y'])],
+        3: [(0, 11, 2, ['x2·y', 'x1·y'])],
+        4: [(0, 0, 4, ['y^2', 'x2·x3', 'x1·x3', 'x1·x2·y']), (1, 11, 3, ['y^2', 'x2·x3', 'x1·x3'])],
+        5: [(0, 11, 3, ['x2·y^2', 'x1·y^2', 'x1·x2·x3'])],
+        6: [(0, 0, 4, ['y^3', 'x2·x3·y', 'x1·x3·y', 'x1·x2·y^2']),
+            (1, 11, 3, ['y^3', 'x2·x3·y', 'x1·x3·y'])],
+    },
+    3: {
+        0: [(0, 11, 1, ['1'])],
+        1: [(0, 1, 2, ['x2', 'x1']), (2, 11, 1, ['x1'])],
+        2: [(0, 0, 1, ['x1·x2'])],
+        3: [(0, 1, 2, ['x2·y', 'x1·y']), (2, 11, 1, ['x1·y'])],
+        4: [(0, 0, 3, ['x2·x3', 'x1·x3', 'x1·x2·y']), (1, 11, 2, ['x2·x3', 'x1·x3'])],
+        5: [(0, 1, 3, ['x2·y^2', 'x1·y^2', 'x1·x2·x3']), (2, 11, 2, ['x2·y^2', 'x1·y^2'])],
+        6: [(0, 0, 3, ['y^3', 'x2·x3·y', 'x1·x2·y^2']), (1, 11, 2, ['y^3', 'x2·x3·y'])],
+    },
+    4: {
+        0: [(0, 11, 1, ['1'])],
+        1: [(0, 1, 2, ['x2', 'x1']), (2, 11, 1, ['x1'])],
+        2: [(0, 0, 1, ['x1·x2'])],
+        3: [(0, 1, 2, ['x2·y', 'x1·y']), (2, 11, 1, ['x1·y'])],
+        4: [(0, 0, 3, ['x2·x3', 'x1·x3', 'x1·x2·y']), (1, 11, 2, ['x2·x3', 'x1·x3'])],
+        5: [(0, 1, 3, ['x2·y^2', 'x1·y^2', 'x1·x2·x3']), (2, 2, 2, ['x2·y^2', 'x1·y^2']),
+            (3, 11, 1, ['x2·y^2'])],
+        6: [(0, 0, 2, ['x2·x3·y', 'x1·x2·y^2']), (1, 11, 1, ['x2·x3·y'])],
+    },
+}
+
+# and d_r out of each source A-degree, as its schema-2 `runs`:
+# A-degree -> [(s_from, s_to, rank, matrix)], recorded with them
+MULTI_MAPS = {
+    1: {
+        3: [(0, 10, 1, [[0, 1], [0, 0], [0, 0]])],
+        5: [(0, 10, 1, [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])],
+        7: [(0, 10, 1, [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])],
+    },
+    2: {
+        2: [(0, 0, 1, [[2, 1], [0, 0]]), (1, 9, 1, [[2, 1]])],
+        4: [(0, 0, 1, [[1, 2], [0, 0], [0, 0], [0, 0]]), (1, 9, 1, [[1, 2], [0, 0], [0, 0]])],
+        6: [(0, 0, 1, [[0, 0, 0], [0, 0, 1], [0, 0, 1], [0, 0, 0]]),
+            (1, 9, 1, [[0, 0, 0], [0, 0, 1], [0, 0, 1]])],
+    },
+    3: {
+        6: [(0, 0, 1, [[0, 1], [0, 0], [0, 0]]), (1, 8, 1, [[0, 1], [0, 0]])],
+    },
+    4: {},
+}
+
+
+def test_cells_of_several_monomials_over_three_pages():
+    # no schedule reaches a cell of more than one monomial, so this run is
+    # built by hand: E(x1, x2, x3) (x) P(y) over F_3 with |v0| = 0, whose
+    # A-degrees 2..6 hold 2 to 4 monomials.  d_1(x3) = v0 x1x2 kills part of
+    # every bar of A-degree 3 and starts a bar at 1 in A-degrees 2, 4 and 6;
+    # d_2(y) = v0^2 (x1 + 2 x2) only adds a top bar to A-degree 1, since
+    # x1 and x2 support nothing; d_3(y^3) = v0^3 x1y^2 gives A-degree 5 a
+    # third bar
+    from bockstein.algebra import Algebra
+
+    A = Algebra(3, (GeneratorSpec("x1", 1, EXTERIOR), GeneratorSpec("x2", 1, EXTERIOR),
+                    GeneratorSpec("x3", 3, EXTERIOR), GeneratorSpec("y", 2, POLYNOMIAL)))
+    v = v_gen("v0", 0)
+    Av = A.adjoin(v)
+    rules = [
+        RulePage(1, [Rule(A.monomial(x3=1), element(Av, (1, Av.monomial(x1=1, x2=1, v0=1))))]),
+        RulePage(2, [Rule(A.monomial(y=1), element(Av, (1, Av.monomial(x1=1, v0=2)),
+                                                   (2, Av.monomial(x2=1, v0=2))))]),
+        RulePage(3, [Rule(A.monomial(y=3), element(Av, (1, Av.monomial(x1=1, y=2, v0=3))))],
+                 attach={0: 0, 1: 0}),
+    ]
+    pages = [build_e1(A, v, Window(6), pages=(1, 2, 3))]
+    for page in rules:
+        pages.append(apply_page(pages[-1], page))
+    assert pages[2].degrees[1][0][1] is pages[1].degrees[1][0][1]  # d_2 keeps its bar at 0
+    doc = json.loads(emit_json(pages, TowerProfile(6), {}))
+    for pd, record in zip(pages, doc["pages"]):
+        bars = {rec["a"]: [tuple(run) for run in rec["levels"]] for rec in record["degrees"]}
+        maps = {rec["a"]: [tuple(run) for run in rec["runs"]] for rec in record["differentials"]}
+        assert (bars, maps) == (MULTI_BARS[pd.r], MULTI_MAPS[pd.r])
+        # the dimension at every (t, s) of the view
+        want = {(a, s): dim for a, runs in bars.items() for s0, s1, dim, _ in runs
+                for s in range(s0, s1 + 1)}
+        assert {(t, s): pd.dim(t, s) for t in range(7) for s in range(12)
+                if pd.dim(t, s)} == want
 
 
 def test_apply_page_dead_source_error():
@@ -499,8 +638,8 @@ def test_page_derivation_matches_the_leibniz_reference(case):
     ctx = pages[0].ctx
     for r, page in sched.pages.items():
         gens = _page_generators(ctx.A, page)
-        for levels in pages[0].degrees.values():
-            for m in levels[0].monomials:
+        for bars in pages[0].degrees.values():
+            for m in bars[0][1].monomials:
                 assert _d_of_monomial(ctx, gens, m) == reference_d_of_monomial(ctx, page, m), \
                     (r, m)
 

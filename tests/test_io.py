@@ -88,7 +88,7 @@ def _made_up_pages(ctx):
     """A page with no A-degrees, and one with a class of dimension 2 in
     A-degree 2 from the fired page 1 on."""
     mons = (ctx.A.monomial(**{"λ1": 1}), ctx.A.monomial(**{"λ2": 1}))
-    return [PageData(1, ctx, {}), PageData(2, ctx, {2: (Cell(()), Cell(mons))}, fired=(1,))]
+    return [PageData(1, ctx, {}), PageData(2, ctx, {2: ((0, Cell(())), (1, Cell(mons)))})]
 
 
 def _fixed_point_documents():
@@ -127,11 +127,10 @@ def test_json_made_up_pages_expand_to_their_classes():
 
 @pytest.mark.parametrize("order", ["run", "skipping", "reversed"])
 def test_json_patched_pages_equal_whole_pages(order):
-    # a page renders only the A-degrees changed since the page listed before
-    # it when that page is up its chain (every page of a run, or every other
-    # one), and every A-degree otherwise (reversed); either way each page
-    # record is the one the page gets in a document of its own, and an
-    # A-degree no page in between changed keeps its record
+    # a page renders only the A-degrees whose bars are not those of the page
+    # listed before it, whatever the order of the pages; each page record is
+    # the one the page gets in a document of its own, and an A-degree whose
+    # bars a page shares with the page before keeps its record
     for c in (Case("v0", 2, 58, n=2), Case("v2", 2, 120, page_cap=8),
               Case("v2", 3, 60, localized=True)):
         sched, pages, prof = c.run()
@@ -143,12 +142,9 @@ def test_json_patched_pages_equal_whole_pages(order):
             assert record == alone
         if order == "run":
             for i in range(1, len(pages)):
-                changed, node = set(), pages[i]
-                while node is not pages[i - 1]:
-                    changed |= node.changed
-                    node = node.prev
+                before, pd = pages[i - 1].degrees, pages[i].degrees
                 kept = {rec["a"]: rec for rec in doc["pages"][i - 1]["degrees"]
-                        if rec["a"] not in changed}
+                        if pd[rec["a"]] is before[rec["a"]]}
                 assert kept and all(rec == kept[rec["a"]] for rec in doc["pages"][i]["degrees"]
                                     if rec["a"] in kept)
 
@@ -177,8 +173,6 @@ def test_json_writer_holds_one_copy_of_the_document(case):
     # the document is one join of fragments shared with the records: no page
     # text, joined page list or second formatted copy is built alongside it
     sched, pages, prof = case.run()
-    for pd in pages:
-        pd.cells
     tracemalloc.start()
     try:
         doc = emit_json(pages, prof, case.meta(sched))

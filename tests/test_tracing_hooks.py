@@ -1,4 +1,5 @@
-"""The benchmark's tracer hooks name functions that exist.
+"""The benchmark's tracer hooks name functions that exist, and its
+observers can read what they count.
 
 `perfbench/tracing.py` patches the functions its SPANS and LEAVES tables
 name, and lists a missing one as absent instead of failing, so a renamed
@@ -9,21 +10,27 @@ and requires every (module, attribute) to resolve under `bockstein`.
 
 import importlib
 import types
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from bockstein.closedform import thh_mod_p_algebra
+from bockstein.engine import PageData, Window, apply_page, bar_at, build_e1, schedule_v2
+
+TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _tracing_tables():
+def _load_tracing():
     module = types.ModuleType("perfbench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
-    return [(module_name, attr) for _, module_name, attr, _ in module.SPANS + module.LEAVES]
+    module.__file__ = str(TRACING_PATH)
+    exec(compile(TRACING_PATH.read_text(encoding="utf-8"), str(TRACING_PATH), "exec"),
+         module.__dict__)
+    return module
 
 
-HOOKS = _tracing_tables()
+TRACING = _load_tracing()
+HOOKS = [(module_name, attr) for _, module_name, attr, _ in TRACING.SPANS + TRACING.LEAVES]
 
 
 def test_the_tracer_tables_are_read():
@@ -36,3 +43,36 @@ def test_every_tracer_hook_resolves(module_name, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_the_tracer_observers_count_the_page_views():
+    # the observers of build_e1 and apply_page count E_1's (t, s) classes
+    # and each fired page's (t, s) differentials through the engine's eager
+    # views; here those counts must equal the views' sizes, counted over
+    # the window from the bars
+    A = thh_mod_p_algebra(2, 2)
+    w = Window(60)
+    sched = schedule_v2(2, w)
+    counts = defaultdict(int)
+    pd = build_e1(A, sched.v, w, pages=sorted(sched.pages))
+    TRACING._cells(counts, (A, sched.v, w), {}, pd)
+    ctx = pd.ctx
+    keys = [(t, s) for t in range(ctx.max_degree + 1) for s in range(ctx.s_lo, ctx.s_hi + 1)
+            if t - s * ctx.deg_v in pd.degrees]
+    assert counts["engine.build_e1.cells"] == counts["engine.build_e1.window_cells"] == len(keys)
+    diffs = ranks = 0
+    for r in sorted(sched.pages):
+        pd = pd if pd.r == r else PageData(r, ctx, pd.degrees)
+        nxt = apply_page(pd, sched.pages[r])
+        TRACING._page(counts, (pd, sched.pages[r]), {}, nxt)
+        for t in range(ctx.max_degree + 2):
+            for s in range(ctx.s_lo, ctx.s_hi - r + 1):
+                row = pd.maps.get(t - s * ctx.deg_v)
+                rec = None if row is None else bar_at(row, s)
+                if rec is not None:
+                    diffs += 1
+                    ranks += rec.rank
+        pd = nxt
+    assert diffs > 0
+    assert counts["engine.apply_page.diffs"] == diffs
+    assert counts["engine.apply_page.rank_sum"] == ranks
