@@ -45,14 +45,35 @@ class NotFreeError(AlgebraError):
     """Raised for operations that only apply to free algebras."""
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly below
+# this bound (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; n >= PRIME_LIMIT is
+    refused with AlgebraError, since these bases do not decide it."""
+    if n >= PRIME_LIMIT:
+        raise AlgebraError(f"{n} is too large: primes are checked below {PRIME_LIMIT:,}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, k = n - 1, 0
+    while d % 2 == 0:
+        d, k = d // 2, k + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -281,69 +302,14 @@ def _degree_walk(gens: Sequence[GeneratorSpec], rem: int,
             stack.append(iter(choices(i + 1, left)))
 
 
-def basis_in_degree(A: Algebra, d: int, filtration_cap: Optional[int] = None) -> List[Monomial]:
-    """All monomials of degree exactly d, in canonical order.
-
-    With `filtration_cap` set, exponents of Laurent generators are bounded by
-    |e| <= cap and exponents of degree-0 polynomial generators by e <= cap;
-    without it those enumerations cannot terminate.
-    """
-    if A.has_divided():
-        raise NotFreeError("expand divided-power generators first (expand_divided)")
-    has_laurent = any(g.kind == LAURENT for g in A.generators)
-    unbounded = has_laurent or any(
-        g.degree == 0 and g.kind in (POLYNOMIAL,) for g in A.generators
-    )
-    if unbounded and filtration_cap is None:
-        raise InfiniteBasisError("infinite basis")
-    if d < 0 and not has_laurent:
-        return []
-
-    gens = A.generators
-    n = len(gens)
-    cap = filtration_cap if filtration_cap is not None else 0
-
-    # Laurent generators let later factors reach degree d from any partial sum,
-    # so the remaining-degree pruning only applies on laurent-free tails.
-    laurent_after = [False] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        laurent_after[i] = laurent_after[i + 1] or gens[i].kind == LAURENT
-
-    def choices(i: int, rem: int) -> Iterator[int]:
-        g = gens[i]
-        if g.kind == EXTERIOR:
-            exps: Iterable[int] = (0, 1)
-        elif g.kind == TRUNCATED:
-            exps = range(g.height)  # type: ignore[arg-type]
-        elif g.kind == LAURENT:
-            exps = range(-cap, cap + 1)
-        elif g.degree == 0:
-            exps = range(0, cap + 1)
-        else:  # polynomial
-            exps = range(0, rem // g.degree + 1) if rem >= 0 else range(0)
-        for e in exps:
-            if not laurent_after[i + 1] and rem - e * g.degree < 0:
-                if g.degree > 0 and e >= 0:
-                    break
-                continue
-            yield e
-
-    out = [m for m, left in _degree_walk(gens, d, choices) if left == 0]
-    out.sort()
-    return out
-
-
-def basis_up_to(A: Algebra, max_degree: int) -> Dict[int, List[Monomial]]:
-    """All monomials of degree 0..max_degree in one pass, by degree, each
-    list in canonical order (as basis_in_degree gives it); degrees without
-    a monomial are left out."""
+def _free_walk(A: Algebra, max_degree: int) -> Iterator[Tuple[Monomial, int]]:
+    """Every monomial of degree <= max_degree, in lexicographic order, with
+    max_degree minus its degree."""
     if A.has_divided():
         raise NotFreeError("expand divided-power generators first (expand_divided)")
     gens = A.generators
     if any(g.kind == LAURENT or (g.degree == 0 and g.kind == POLYNOMIAL) for g in gens):
         raise InfiniteBasisError("infinite basis")
-    if any(g.degree < 0 for g in gens):
-        raise AlgebraError("basis_up_to needs generators of degree >= 0")
 
     def choices(i: int, rem: int) -> Iterable[int]:
         g = gens[i]
@@ -352,8 +318,20 @@ def basis_up_to(A: Algebra, max_degree: int) -> Dict[int, List[Monomial]]:
             top = rem // g.degree if top is None else min(top, rem // g.degree)
         return range(top + 1)  # type: ignore[operator]
 
+    return _degree_walk(gens, max_degree, choices)
+
+
+def basis_in_degree(A: Algebra, d: int) -> List[Monomial]:
+    """All monomials of degree exactly d, in canonical order."""
+    return sorted(m for m, left in _free_walk(A, d) if left == 0)
+
+
+def basis_up_to(A: Algebra, max_degree: int) -> Dict[int, List[Monomial]]:
+    """All monomials of degree 0..max_degree in one pass, by degree, each
+    list in canonical order (as basis_in_degree gives it); degrees without
+    a monomial are left out."""
     out: Dict[int, List[Monomial]] = {}
-    for m, left in _degree_walk(gens, max_degree, choices):
+    for m, left in _free_walk(A, max_degree):
         out.setdefault(max_degree - left, []).append(m)
     for mons in out.values():
         mons.sort()

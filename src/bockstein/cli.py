@@ -7,6 +7,7 @@ Exit codes: 0 success/verified, 1 profile mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -129,16 +130,17 @@ def _r_conj(p: int, n: int, m: Optional[int], family_n: int) -> int:
     return r_conj(p, family_n, m, n)
 
 
-# series name -> value at index n, given p, --m and --N
+# series name -> (value at index n, given p, --m and --N; given n, --m and
+# --N, an exponent e with p^e <= value, or 0 for nu, whose value is below n)
 SERIES = {
-    "r1": lambda p, n, m, family_n: r_len(p, n, 1),
-    "r2": lambda p, n, m, family_n: r_len(p, n, 2),
-    "d1": lambda p, n, m, family_n: d_deg(p, n, 1),
-    "d2": lambda p, n, m, family_n: d_deg(p, n, 2),
-    "dlambda": lambda p, n, m, family_n: deg_lambda(p, n),
-    "dmu": lambda p, n, m, family_n: deg_mu(p, n),
-    "nu": lambda p, n, m, family_n: nu_p(p, n),
-    "rconj": _r_conj,
+    "r1": (lambda p, n, m, family_n: r_len(p, n, 1), lambda n, m, family_n: n + 1),
+    "r2": (lambda p, n, m, family_n: r_len(p, n, 2), lambda n, m, family_n: n),
+    "d1": (lambda p, n, m, family_n: d_deg(p, n, 1), lambda n, m, family_n: n),
+    "d2": (lambda p, n, m, family_n: d_deg(p, n, 2), lambda n, m, family_n: n),
+    "dlambda": (lambda p, n, m, family_n: deg_lambda(p, n), lambda n, m, family_n: n),
+    "dmu": (lambda p, n, m, family_n: deg_mu(p, n), lambda n, m, family_n: n + 1),
+    "nu": (lambda p, n, m, family_n: nu_p(p, n), lambda n, m, family_n: 0),
+    "rconj": (_r_conj, lambda n, m, family_n: family_n - m + n if m else 0),
 }
 
 
@@ -149,7 +151,13 @@ def cmd_formulas(p: int, series: str, rng: Tuple[int, int], m: Optional[int],
     lo, hi = rng
     if lo > hi:
         raise FormulaError(f"empty range {lo}..{hi}")
-    value = SERIES[series]
+    value, exponent = SERIES[series]
+    # every series grows with n; refuse a top value Python would not print
+    # before computing it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and exponent(hi, m, family_n) * math.log10(p) >= limit:
+        raise FormulaError(f"{series} at {hi} has more than {limit:,} digits, the most "
+                           f"Python prints")
     print(", ".join(str(value(p, n, m, family_n)) for n in range(lo, hi + 1)))
     return 0
 

@@ -26,7 +26,8 @@ barcode (Zomorodian-Carlsson, Computing persistent homology, 2005): bars
 from a fired page whose boundaries changed its cell.  A page that does not
 touch an A-degree passes its bars on unchanged.  With v inverted every
 page's boundaries reach every filtration, and each A-degree has one bar.
-Documents and charts read the bars over the window 0..D.
+PageData owns the window 0..D: its readers shown, window and window_maps
+cut the bars to it, and dim, the documents and the chart read only them.
 
 Every page asserts d_r o d_r = 0, that d_r takes the same values from
 every bar (so it is defined on E_r), and the homology bookkeeping of each
@@ -54,6 +55,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import takewhile
 from operator import itemgetter, sub
 from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -259,7 +261,7 @@ class EngineContext:
         self.s_lo, self.s_hi = view_filtrations(v.degree, max_degree, pages, localized)
         self.reach = reach(v.degree, max_degree, pages, localized, max_source)
 
-    def filtrations(self, a: int, top: int) -> Tuple[int, int]:
+    def _filtrations(self, a: int, top: int) -> Tuple[int, int]:
         """The view's filtrations at which A-degree a lies in degrees 0..top
         (empty when the first exceeds the second)."""
         lo, hi, dv = self.s_lo, self.s_hi, self.deg_v
@@ -279,35 +281,41 @@ class DiffRecord:
 Bars = Tuple[Tuple[int, object], ...]
 
 
-def bar_at(bars: Bars, s: int):
+def _bar_at(bars: Bars, s: int):
     """The item of the bar that holds filtration s (s >= the first s_from)."""
     return bars[bisect_right(bars, s, key=itemgetter(0)) - 1][1]
 
 
-def clip_bars(bars: Bars, lo: int, hi: int) -> Iterator[Tuple[int, int, object]]:
-    """(s_from, s_to, item) of each bar, cut to the filtrations lo..hi."""
+def _clip_bars(bars: Bars, lo: int, hi: int) -> Iterator[Tuple[int, int, object]]:
+    """(s_from, s_to, item) of each bar whose item is not None, cut to the
+    filtrations lo..hi."""
     for k, (s0, item) in enumerate(bars):
         s0 = lo if s0 < lo else s0
         s1 = hi if k == len(bars) - 1 else min(hi, bars[k + 1][0] - 1)
-        if s0 <= s1:
+        if s0 <= s1 and item is not None:
             yield s0, s1, item
 
 
 class PageData:
     """The page E_r of a run.
 
-    degrees maps each A-degree a to its bars ((s_from, Cell), ...), the
-    classes at (a + s|v|, s).  The first bar starts at the view's lowest
-    filtration, each later one at a fired page r whose boundaries (which
-    reach filtration r on) changed the cell; consecutive bars hold
-    different Cells, and localized runs keep one bar.  A page that does not
-    touch an A-degree passes the same bars object on to the next.  When the
-    page is applied, maps gives d_r out of each A-degree it does not vanish
-    on, as bars ((s_from, DiffRecord or None), ...) over the A-degree's
-    bars, each record's target the A-degree a - 1 - r|v|.  cells and diffs
-    are (t, s) views of them over the window, cells built when first read;
-    the benchmark's tracer counts E_1's cells and each applied page's
-    diffs, so build_e1 and apply_page build those eagerly (ROADMAP B1).
+    degrees maps each A-degree a, in increasing order, to its bars
+    ((s_from, Cell), ...), the classes at (a + s|v|, s).  The first bar
+    starts at the view's lowest filtration, each later one at a fired page
+    r whose boundaries (which reach filtration r on) changed the cell;
+    consecutive bars hold different Cells, and localized runs keep one bar.
+    A page that does not touch an A-degree passes the same bars object on
+    to the next.  When the page is applied, maps gives d_r out of each
+    A-degree it does not vanish on, as bars ((s_from, DiffRecord or None),
+    ...) over the A-degree's bars, each record's target the A-degree
+    a - 1 - r|v|.
+
+    What a reader shows of them is cut to the window 0..D by shown(),
+    window(a) and window_maps(a); dim, the documents and the chart read
+    only those.  cells and diffs are their (t, s) views, cells built when
+    first read; the benchmark's tracer counts E_1's cells and each applied
+    page's diffs, so build_e1 and apply_page build those eagerly (ROADMAP
+    B1).
     """
 
     def __init__(self, r: int, ctx: EngineContext, degrees: Dict[int, Bars]) -> None:
@@ -324,25 +332,36 @@ class PageData:
             self._cells = _cell_view(self)
         return self._cells
 
+    def shown(self) -> Iterator[Tuple[int, Bars]]:
+        """(a, bars) of each A-degree whose tower meets degrees 0..D, in
+        increasing order: the kept A-degrees 0..D - s_lo|v|."""
+        top = self.ctx.max_degree - self.ctx.s_lo * self.ctx.deg_v
+        return takewhile(lambda item: item[0] <= top, self.degrees.items())
+
+    def window(self, a: int) -> Iterator[Tuple[int, int, Cell]]:
+        """(s_from, s_to, Cell) of each bar of A-degree a, cut to the view's
+        filtrations at which it lies in degrees 0..D."""
+        return _clip_bars(self.degrees.get(a, ()), *self.ctx._filtrations(a, self.ctx.max_degree))
+
+    def window_maps(self, a: int) -> Iterator[Tuple[int, int, DiffRecord]]:
+        """(s_from, s_to, DiffRecord) of each bar of d_r out of A-degree a
+        that does not vanish, cut to the sources in degrees 0..D + 1 whose
+        targets lie in the view's filtrations."""
+        ctx = self.ctx
+        lo, hi = ctx._filtrations(a, ctx.max_degree + 1)
+        return _clip_bars(self.maps.get(a, ()), lo, min(hi, ctx.s_hi - self.r))
+
     def dim(self, t: int, s: int) -> int:
         """The dimension at (t, s); 0 outside the window and the view."""
-        ctx = self.ctx
-        bars = self.degrees.get(t - s * ctx.deg_v)
-        if bars is None or not (0 <= t <= ctx.max_degree and ctx.s_lo <= s <= ctx.s_hi):
-            return 0
-        return bar_at(bars, s).dim
+        return next((cell.dim for s0, s1, cell in self.window(t - s * self.ctx.deg_v)
+                     if s0 <= s <= s1), 0)
 
 
 def _cell_view(pd: PageData) -> Dict[Tuple[int, int], Cell]:
     """The classes of a page at every (t, s) of the window."""
-    ctx, dv = pd.ctx, pd.ctx.deg_v
-    cells = {}
-    for a, bars in pd.degrees.items():
-        lo, hi = ctx.filtrations(a, ctx.max_degree)
-        for s0, s1, cell in clip_bars(bars, lo, hi) if lo <= hi else ():
-            for s in range(s0, s1 + 1):
-                cells[(a + s * dv, s)] = cell
-    return cells
+    dv = pd.ctx.deg_v
+    return {(a + s * dv, s): cell for a, _ in pd.shown()
+            for s0, s1, cell in pd.window(a) for s in range(s0, s1 + 1)}
 
 
 def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool = False,
@@ -429,7 +448,7 @@ def _validate_rules(pd: PageData, page: RulePage) -> None:
         src_bars = pd.degrees.get(sdeg)
         if src_bars is None or rule.source not in src_bars[0][1].monomials:
             raise DeadSourceError("dead source")
-        src_cell = bar_at(src_bars, 0)
+        src_cell = _bar_at(src_bars, 0)
         vec = [0] * len(src_cell.monomials)
         vec[src_cell.monomials.index(rule.source)] = 1
         solver = src_cell.solver(p)
@@ -438,7 +457,7 @@ def _validate_rules(pd: PageData, page: RulePage) -> None:
         tbars = pd.degrees.get(sdeg - 1 - r * ctx.deg_v)
         if tbars is None:
             raise MalformedRuleError("malformed rule (target bidegree empty)")
-        tcell = bar_at(tbars, r)
+        tcell = _bar_at(tbars, r)
         tvec = [0] * len(tcell.monomials)
         for m, c in rule.target.items():
             amon = m[:-1]
@@ -588,18 +607,15 @@ def _span(rec: Optional[DiffRecord], p: int) -> Tuple[Tuple[int, Tuple[int, ...]
                  sorted(linalg.echelon_from_rows(rec.matrix, p).items()))
 
 
-def _diff_view(pd: PageData, maps: Mapping[int, Bars]) -> Dict[Tuple[int, int], DiffRecord]:
-    """The differentials of a page with a source in degrees 0..D + 1, both
-    ends within the view's filtrations."""
-    ctx, dv, r = pd.ctx, pd.ctx.deg_v, pd.r
+def _diff_view(pd: PageData) -> Dict[Tuple[int, int], DiffRecord]:
+    """The differentials of a page at every (t, s) source window_maps shows."""
+    dv, r = pd.ctx.deg_v, pd.r
     diffs = {}
-    for a, row in maps.items():
-        lo, hi = ctx.filtrations(a, ctx.max_degree + 1)
-        for s0, s1, rec in clip_bars(row, lo, min(hi, ctx.s_hi - r)):
-            if rec is not None:
-                for s in range(s0, s1 + 1):
-                    t = a + s * dv
-                    diffs[(t, s)] = DiffRecord((t - 1, s + r), rec.matrix, rec.rank)
+    for a in pd.maps:
+        for s0, s1, rec in pd.window_maps(a):
+            for s in range(s0, s1 + 1):
+                t = a + s * dv
+                diffs[(t, s)] = DiffRecord((t - 1, s + r), rec.matrix, rec.rank)
     return diffs
 
 
@@ -674,7 +690,7 @@ def apply_page(pd: PageData, rules) -> PageData:
         degrees[a] = tuple(new)
 
     pd.maps = maps
-    pd.diffs = _diff_view(pd, maps)  # read by the benchmark's tracer (ROADMAP B1)
+    pd.diffs = _diff_view(pd)  # read by the benchmark's tracer (ROADMAP B1)
     return PageData(r + 1, ctx, degrees)
 
 

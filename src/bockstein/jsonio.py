@@ -10,12 +10,13 @@ emit_json writes schema 2, which is the engine's state: a v-tower is one
 A-degree a, whose bars (PageData.degrees) hold its classes at
 (a + s|v|, s).  Its `meta` adds the schema, v's name and degree, the
 view's filtrations and whether names are ASCII.  A page holds `r`,
-`degrees`: per A-degree `a` whose tower meets the window 0..D, `levels`
-[s_from, s_to, dim, reps], its bars cut to the window and the view, each
+`degrees`: per A-degree `a` that PageData.shown lists, `levels`
+[s_from, s_to, dim, reps], its bars as PageData.window cuts them, each
 rep a lead monomial without its v-power; and `differentials`: per source
 A-degree `a`, its target `to` and `runs` [s_from, s_to, rank, matrix], the
-bars of d_r (PageData.maps) cut to sources in degrees 0..D + 1 whose
-targets are in the view.  json_fragments lays the text out as a flat list
+bars of d_r as PageData.window_maps cuts them (sources in degrees
+0..D + 1 whose targets are in the view).  The writer reads a page only
+through those readers.  json_fragments lays the text out as a flat list
 of fragments, each A-degree's record one string shared by the pages that
 show it; emit_json joins it and `run --json` streams it.
 
@@ -32,7 +33,7 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Monomial
-from .engine import PageData, bar_at, clip_bars
+from .engine import PageData
 from .towers import INF, TowerProfile, Unknown
 
 TOOL_VERSION = "0.1.0"
@@ -86,14 +87,9 @@ def rep_str(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
 def laurent_span(page: PageData, max_degree: int, ascii_: bool = False) -> List[str]:
     """Representatives of the Laurent lines a localized page keeps: its
     classes at filtration 0 in degrees 0..max_degree."""
-    names: List[str] = []
-    for t in range(max_degree + 1):
-        if not page.dim(t, 0):
-            continue
-        cell = bar_at(page.degrees[t], 0)
-        for row in cell.reps_rows():
-            names.append(rep_str(page.ctx.A, cell.monomials, row, page.ctx.v.name, 0, ascii_))
-    return names
+    return [rep_str(page.ctx.A, cell.monomials, row, page.ctx.v.name, 0, ascii_)
+            for t in range(max_degree + 1) for s0, s1, cell in page.window(t) if s0 <= 0 <= s1
+            for row in cell.reps_rows()]
 
 
 def length_json(x) -> object:
@@ -128,7 +124,7 @@ def _degree_record(pd: PageData, a: int, reps: Dict[int, str], ascii_: bool) -> 
     """The record of A-degree a on page pd, None when it shows no class;
     reps holds each cell's lead monomials, rendered once per document."""
     runs = []
-    for s0, s1, cell in clip_bars(pd.degrees[a], *pd.ctx.filtrations(a, pd.ctx.max_degree)):
+    for s0, s1, cell in pd.window(a):
         if not cell.dim:
             continue
         text = reps.get(id(cell))
@@ -140,14 +136,11 @@ def _degree_record(pd: PageData, a: int, reps: Dict[int, str], ascii_: bool) -> 
 
 
 def _diff_record(pd: PageData, a: int) -> Optional[str]:
-    """The record of d_r out of A-degree a on page pd, None when no source
-    lies in degrees 0..D + 1 with both ends within the view's filtrations."""
-    ctx = pd.ctx
-    lo, hi = ctx.filtrations(a, ctx.max_degree + 1)
+    """The record of d_r out of A-degree a on page pd, None when
+    window_maps shows none of it."""
     runs = [f"[{s0}, {s1}, {rec.rank}, {_dumps(rec.matrix)}]"
-            for s0, s1, rec in clip_bars(pd.maps[a], lo, min(hi, ctx.s_hi - pd.r))
-            if rec is not None]
-    target = a - 1 - pd.r * ctx.deg_v
+            for s0, s1, rec in pd.window_maps(a)]
+    target = a - 1 - pd.r * pd.ctx.deg_v
     return f'{{"a": {a}, "to": {target}, "runs": [{", ".join(runs)}]}}' if runs else None
 
 
@@ -167,11 +160,10 @@ def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[
     fragments whose concatenation is the document.
 
     Each A-degree's record is one string, listed once per page that shows
-    it.  A page of the same run and A-degrees as the page listed before it
-    renders only the A-degrees whose bars are not the very object that page
-    holds: a page that does not touch an A-degree passes its bars on, so a
-    document costs the first page plus each page's changes, in any order
-    of pages.  Any other page renders every A-degree."""
+    it.  A page reuses the record of an A-degree whose bars are the very
+    object the page listed before it holds in the same run: a page that
+    does not touch an A-degree passes its bars on, so a document costs the
+    first page plus each page's changes, in any order of pages."""
     ctx = pages[0].ctx if pages else None
     reading = dict(zip(_READING, (2, ctx and ctx.v.name, ctx and ctx.deg_v,
                                   ctx and [ctx.s_lo, ctx.s_hi], ascii_)))
@@ -181,16 +173,9 @@ def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[
     records: Dict[int, Optional[str]] = {}
     before: Optional[PageData] = None
     for pd in pages:
-        shown = {}
-        if (before is None or before.ctx is not pd.ctx
-                or before.degrees.keys() != pd.degrees.keys()):
-            windows = ((a, pd.ctx.filtrations(a, pd.ctx.max_degree)) for a in sorted(pd.degrees))
-            records = {a: None for a, (lo, hi) in windows if lo <= hi}
-        else:
-            shown = before.degrees
-        for a in records:
-            if shown.get(a) is not pd.degrees[a]:
-                records[a] = _degree_record(pd, a, reps, ascii_)
+        held = before.degrees if before is not None and before.ctx is pd.ctx else {}
+        records = {a: records[a] if held.get(a) is bars else _degree_record(pd, a, reps, ascii_)
+                   for a, bars in pd.shown()}
         out += ("\n" if before is None else ",\n", f'{{"r": {pd.r}, "degrees": [')
         _items(out, records.values())
         out.append('],\n"differentials": [')

@@ -1,7 +1,9 @@
 """SVG chart emission: one dot per class, lines along v-multiplication,
 labeled arrows for the page's differentials, x ticks every few columns.
 
-The rendered class count per column always equals the page dimensions
+chart_marks reads a page only through its window readers
+(PageData.shown, window and window_maps), the ones the JSON writer reads,
+so the rendered class count per column always equals the page dimensions
 (each circle carries data-t/data-s attributes so that tests can verify
 this against the JSON document).
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .engine import PageData, clip_bars
+from .engine import PageData
 
 Point = Tuple[int, int]
 
@@ -27,24 +29,15 @@ class ChartStyle:
 
 
 def chart_marks(page: PageData) -> Tuple[Dict[Point, int], List[Tuple[Point, Point]]]:
-    """What a chart can draw of a page, read from its bars (degrees) and the
-    bars of its differentials (maps): the number of classes at each (t, s)
-    of degrees 0..D that holds some, and each d_r out of degrees 0..D + 1
-    with both ends within the view's filtrations as its source and target;
-    both in (t, s) order."""
-    ctx, dv, r = page.ctx, page.ctx.deg_v, page.r
-    dots = {}
-    for a, bars in page.degrees.items():
-        lo, hi = ctx.filtrations(a, ctx.max_degree)
-        for s0, s1, cell in clip_bars(bars, lo, hi) if lo <= hi else ():
-            if cell.dim:
-                dots.update(((a + s * dv, s), cell.dim) for s in range(s0, s1 + 1))
-    arrows = []
-    for a, row in page.maps.items():
-        lo, hi = ctx.filtrations(a, ctx.max_degree + 1)
-        for s0, s1, rec in clip_bars(row, lo, min(hi, ctx.s_hi - r)):
-            if rec is not None:
-                arrows += [((a + s * dv, s), (a + s * dv - 1, s + r)) for s in range(s0, s1 + 1)]
+    """What a chart can draw of a page, read through its window readers:
+    the number of classes at each (t, s) that window shows some at, and
+    each d_r that window_maps shows as its source and target; both in
+    (t, s) order."""
+    dv, r = page.ctx.deg_v, page.r
+    dots = {(a + s * dv, s): cell.dim for a, _ in page.shown()
+            for s0, s1, cell in page.window(a) if cell.dim for s in range(s0, s1 + 1)}
+    arrows = [((a + s * dv, s), (a + s * dv - 1, s + r)) for a in page.maps
+              for s0, s1, _ in page.window_maps(a) for s in range(s0, s1 + 1)]
     return dict(sorted(dots.items())), sorted(arrows)
 
 
@@ -59,20 +52,20 @@ def draw_chart(page: PageData, dots: Dict[Point, int], arrows: List[Tuple[Point,
     dv = page.ctx.deg_v
     dims = {key: dim for key, dim in dots.items() if key[0] <= max_degree}
     s_values = [s for (_t, s) in dims]
-    s_hi = max(s_values, default=0)
+    s_top = max(s_values, default=0)
     if style.max_filtration is not None:
-        s_hi = min(s_hi, style.max_filtration)
-    s_lo = min(s_values, default=0) if page.ctx.localized else 0
+        s_top = min(s_top, style.max_filtration)
+    s_bottom = min(s_values, default=0) if page.ctx.localized else 0
     m = style.margin
 
     def X(t: float) -> float:
         return m + t * style.x_scale
 
     def Y(s: float) -> float:
-        return m + (s_hi - s) * style.y_scale
+        return m + (s_top - s) * style.y_scale
 
     width = X(max_degree) + m
-    height = Y(s_lo) + m
+    height = Y(s_bottom) + m
     out: List[str] = []
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
@@ -80,10 +73,10 @@ def draw_chart(page: PageData, dots: Dict[Point, int], arrows: List[Tuple[Point,
     )
     if title:
         out.append(f'<text x="{m}" y="{m / 2:.1f}" font-size="11">{title}</text>')
-    out.append(f'<line x1="{X(0)}" y1="{Y(s_lo)}" x2="{X(max_degree)}" y2="{Y(s_lo)}" '
+    out.append(f'<line x1="{X(0)}" y1="{Y(s_bottom)}" x2="{X(max_degree)}" y2="{Y(s_bottom)}" '
                'stroke="black" stroke-width="0.5"/>')
     for t in range(0, max_degree + 1, style.x_tick_step):
-        out.append(f'<text x="{X(t):.1f}" y="{Y(s_lo) + 12:.1f}" font-size="7" '
+        out.append(f'<text x="{X(t):.1f}" y="{Y(s_bottom) + 12:.1f}" font-size="7" '
                    f'text-anchor="middle">{t}</text>')
 
     def dots(t: int, s: int, dim: int) -> List[tuple]:
@@ -93,7 +86,7 @@ def draw_chart(page: PageData, dots: Dict[Point, int], arrows: List[Tuple[Point,
     # v-multiplication lines between consecutive filtrations of a tower
     for (t, s), dim in dims.items():
         nxt = dims.get((t + dv, s + 1))
-        if not s_lo <= s < s_hi or nxt is None:
+        if not s_bottom <= s < s_top or nxt is None:
             continue
         k = min(dim, nxt)
         a = dots(t, s, dim)
@@ -106,7 +99,7 @@ def draw_chart(page: PageData, dots: Dict[Point, int], arrows: List[Tuple[Point,
     for (t, s), (t2, s2) in arrows:
         if not (0 <= t <= max_degree and 0 <= t2 <= max_degree):
             continue
-        if not (s_lo <= s <= s_hi and s_lo <= s2 <= s_hi):
+        if not (s_bottom <= s <= s_top and s_bottom <= s2 <= s_top):
             continue
         out.append(f'<line x1="{X(t):.1f}" y1="{Y(s):.1f}" x2="{X(t2):.1f}" y2="{Y(s2):.1f}" '
                    'stroke="#c00" stroke-width="0.7"/>')
@@ -114,7 +107,7 @@ def draw_chart(page: PageData, dots: Dict[Point, int], arrows: List[Tuple[Point,
                    f'font-size="6" fill="#c00">d{page.r}</text>')
     # dots last so they sit on top
     for (t, s), dim in dims.items():
-        if not s_lo <= s <= s_hi:
+        if not s_bottom <= s <= s_top:
             continue
         for (x, y) in dots(t, s, dim):
             out.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{style.dot_radius}" '

@@ -35,11 +35,41 @@ def test_formulas_series(capsys):
     (("--p", "4", "--n", "1..3"), "4 is not prime"),
     (("--p", "1", "--n", "2"), "1 is not prime"),
     (("--p", "3", "--n", "5..2"), "empty range 5..2"),
+    (("--p", "3317044064679887385961981", "--n", "1"),
+     "3317044064679887385961981 is too large: primes are checked below "
+     "3,317,044,064,679,887,385,961,981"),
 ])
 def test_formulas_refuses_bad_input_exit_two(capsys, args, message):
     code, out, err = run_cli(capsys, "formulas", "--series", "r1", *args)
     assert code == 2 and not out
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--series", "r2", "--n", "1000000"), "r2 at 1000000"),
+    (("--series", "r1", "--n", "10000"), "r1 at 10000"),
+    (("--series", "rconj", "--n", "1", "--m", "1", "--N", "1000000"), "rconj at 1"),
+], ids=["r2", "r1", "rconj"])
+def test_formulas_refuses_values_too_long_to_print(monkeypatch, capsys, args, message):
+    # refused from the value's power of p, before any value is computed
+    from bockstein import cli
+
+    def no_value(*args):
+        raise AssertionError("a value was computed")
+
+    monkeypatch.setattr(cli, "r_len", no_value)
+    monkeypatch.setattr(cli, "r_conj", no_value)
+    code, out, err = run_cli(capsys, "formulas", "--p", "3", *args)
+    assert code == 2 and not out
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: {message} has more than {limit:,} digits, the most Python prints\n"
+
+
+def test_formulas_at_a_large_prime(capsys):
+    # 10^18 + 3 is prime; trial division would take about 10^9 steps
+    p = 10**18 + 3
+    code, out, _ = run_cli(capsys, "formulas", "--p", str(p), "--series", "r1", "--n", "1")
+    assert code == 0 and out == f"{p * p}\n"
 
 
 def test_python_dash_m_runs_the_cli():
@@ -233,6 +263,23 @@ def test_oversized_input_exit_two(capsys, args):
     code, out, err = run_cli(capsys, "verify", *args)
     assert code == 2 and not out
     assert "(A-degree, page) states" in err and "above the limit" in err
+
+
+@pytest.mark.parametrize("args", [("--case", "v0", "--p", "2", "--n", "100000000"),
+                                  ("--case", "conj", "--p", "3", "--n", "100000000", "--m", "2")],
+                         ids=["v0", "conj"])
+def test_oversized_n_is_refused_before_any_algebra(monkeypatch, capsys, args):
+    # an algebra of 10^8 generators would not fit in memory; every run
+    # builds its algebra through thh_mod_p_algebra
+    from bockstein import closedform
+
+    def no_algebra(p, n):
+        raise AssertionError("the algebra was built")
+
+    monkeypatch.setattr(closedform, "thh_mod_p_algebra", no_algebra)
+    code, out, err = run_cli(capsys, "verify", *args, "--max-degree", "40")
+    assert code == 2 and not out
+    assert err == "error: n = 100,000,000 is above the limit of 10,000; choose a smaller --n\n"
 
 
 def test_cost_estimate_reads_the_schedule_pages(monkeypatch):

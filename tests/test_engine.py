@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -29,11 +30,11 @@ from bockstein.engine import (
     RulePage,
     ScheduleError,
     Window,
+    _bar_at,
     _d_of_monomial,
     _cell_view,
     _page_generators,
     apply_page,
-    bar_at,
     build_e1,
     run,
     schedule_conj,
@@ -97,7 +98,7 @@ def test_derived_views_equal_whole_views(case, order):
             for s in range(ctx.s_lo, ctx.s_hi + 1):
                 t = a + s * ctx.deg_v
                 if 0 <= t <= ctx.max_degree:
-                    whole[(t, s)] = bar_at(bars, s)
+                    whole[(t, s)] = _bar_at(bars, s)
         assert list(pd.cells) == list(whole)
         assert all(pd.cells[key] is cell for key, cell in whole.items())
     for pd, nxt in zip(pages, pages[1:]):
@@ -128,6 +129,39 @@ def test_untouched_a_degrees_share_their_bars(case):
             assert all(c0 is not c1 for (_, c0), (_, c1) in zip(bars, bars[1:]))
         whole = _cell_view(pd)
         assert all(pd.dim(t, s) == cell.dim for (t, s), cell in whole.items())
+
+
+def _expand(runs):
+    """(s, id(item)) at each filtration of runs (s_from, s_to, item)."""
+    return [(s, id(item)) for s0, s1, item in runs for s in range(s0, s1 + 1)]
+
+
+@pytest.mark.parametrize("case", golden.FIXED + [
+    Case("v2", 3, 10, localized=True), Case("v1", 3, 0), Case("v1", 3, 4)], ids=golden.case_id)
+def test_window_readers_follow_the_window_rule(case):
+    # the readers against the rule written out, probed on every kept
+    # A-degree a: a class at (a + s|v|, s) shows when 0 <= t <= D and
+    # s_lo <= s <= s_hi, and a nonzero d_r out of it when 0 <= t <= D + 1
+    # and s_lo <= s <= s_hi - r.  The cases include s_hi = 0 (localized v2
+    # p=3 D=10), a window with no page (v1 p=3 D=0) and |v| = 0 (v0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, pages, _ = case.run()
+    for pd in pages:
+        ctx = pd.ctx
+        dv, D = ctx.deg_v, ctx.max_degree
+        shown = []
+        for a, bars in pd.degrees.items():
+            want = [(s, id(_bar_at(bars, s))) for s in range(ctx.s_lo, ctx.s_hi + 1)
+                    if 0 <= a + s * dv <= D]
+            assert _expand(pd.window(a)) == want, a
+            shown += [a] if want else []
+            row = pd.maps.get(a, ((ctx.s_lo, None),))
+            want = [(s, id(_bar_at(row, s))) for s in range(ctx.s_lo, ctx.s_hi - pd.r + 1)
+                    if 0 <= a + s * dv <= D + 1 and _bar_at(row, s) is not None]
+            assert _expand(pd.window_maps(a)) == want, a
+        assert list(pd.shown()) == [(a, pd.degrees[a]) for a in shown]
+        assert not list(pd.window(-1)) and not list(pd.window_maps(-1))
 
 
 def test_apply_page_v2_tower_length_two():

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from bockstein.closedform import thh_mod_p_algebra
-from bockstein.engine import PageData, Window, apply_page, bar_at, build_e1, schedule_v2
+from bockstein.engine import PageData, Window, _bar_at, apply_page, build_e1, schedule_v2
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -68,7 +68,7 @@ def test_the_tracer_observers_count_the_page_views():
         for t in range(ctx.max_degree + 2):
             for s in range(ctx.s_lo, ctx.s_hi - r + 1):
                 row = pd.maps.get(t - s * ctx.deg_v)
-                rec = None if row is None else bar_at(row, s)
+                rec = None if row is None else _bar_at(row, s)
                 if rec is not None:
                     diffs += 1
                     ranks += rec.rank
