@@ -33,6 +33,15 @@ Every page asserts d_r o d_r = 0, that d_r takes the same values from
 every bar (so it is defined on E_r), and the homology bookkeeping of each
 state.
 
+A page costs the differentials it fires.  It visits only the A-degrees
+of its clearing index, where a monomial factors over the page generators
+with a rule factor whose Leibniz term can live, since d_r vanishes on
+every other one.  It eliminates each record of d_r once, for its rank,
+its kernel (the source's cycles) and its reduced echelon form (the span
+the well-definedness check compares, and the image the target divides
+by).  And a cell no page has touched expresses a vector as itself, so
+only the cells the homology built keep a solver.
+
 Reading the towers at base degree b: the classes that become boundaries on
 page r are towers of length r, the cycles that never do are free towers,
 and in localized mode Z_inf(b)/B(b) at filtration 0 is the Laurent span.
@@ -147,7 +156,9 @@ class PageGenerators(NamedTuple):
     it holds no dead exterior generator and the mu-exponent its lambdas'
     costs leave is a multiple of q.  rules lists each generator that has a
     rule as (its index, its page generator, d_r of that as Terms over A,
-    the page's v-power stripped)."""
+    the page's v-power stripped).  _rule_degrees reads the same fields for
+    the page's clearing index, the A-degrees where such a factorization
+    has a rule factor whose Leibniz term can live."""
 
     mu: Optional[int]
     q: int
@@ -178,7 +189,7 @@ class Cell:
 
     reps is None for an untouched state (all monomials alive, no
     boundaries); otherwise rows of coefficients over the monomial list.
-    A cell is not changed once built, so its solver is kept.
+    A cell is not changed once built, so the solver express builds is kept.
     """
 
     monomials: Tuple[Monomial, ...]
@@ -197,11 +208,18 @@ class Cell:
             return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
         return [list(r) for r in self.reps]
 
-    def solver(self, p: int) -> linalg.CosetSolver:
+    def express(self, vec: Sequence[int], p: int) -> Optional[List[int]]:
+        """vec over the monomials in the coordinates of the cell's classes,
+        or None when it is not a class; all-zero coordinates mean vec is a
+        boundary.  An untouched cell's classes are its monomials and it has
+        no boundaries, so there vec is its own coordinates and no solver is
+        built: only the cells _homology made need one."""
+        if self.reps is None:
+            return [c % p for c in vec]
         if self._solver is None:
-            self._solver = linalg.CosetSolver(self.reps_rows(), self.boundaries,
+            self._solver = linalg.CosetSolver(self.reps, self.boundaries,
                                               len(self.monomials), p)
-        return self._solver
+        return self._solver.express(vec)
 
 
 def view_filtrations(deg_v: int, max_degree: int, pages: Sequence[int],
@@ -227,7 +245,10 @@ def reach(deg_v: int, max_degree: int, pages: Sequence[int], localized: bool,
 
 # Runs whose estimate_cost exceeds this are refused as oversized.  The
 # largest certified windows (v2 p=5 D=3000: 132,972; v2 p=2 D=2000: 90,230;
-# v1 p=3 D=4000: 82,986) take a few seconds each.
+# v1 p=3 D=4000: 82,986) take 0.21 s, 0.59 s and 0.78 s each as `bockstein
+# verify` (median of 3 on a 2-vCPU Xeon, Python 3.11.7), and v2 p=2
+# D=10000 (860,275) takes about 11 s and 1.5 GB, mostly the pages' (t, s)
+# views.
 MAX_COST = 1_000_000
 
 
@@ -451,8 +472,8 @@ def _validate_rules(pd: PageData, page: RulePage) -> None:
         src_cell = _bar_at(src_bars, 0)
         vec = [0] * len(src_cell.monomials)
         vec[src_cell.monomials.index(rule.source)] = 1
-        solver = src_cell.solver(p)
-        if solver.in_boundaries(vec) or solver.express(vec) is None:
+        coeffs = src_cell.express(vec, p)
+        if coeffs is None or not any(coeffs):
             raise DeadSourceError("dead source")
         tbars = pd.degrees.get(sdeg - 1 - r * ctx.deg_v)
         if tbars is None:
@@ -464,8 +485,8 @@ def _validate_rules(pd: PageData, page: RulePage) -> None:
             if amon not in tcell.monomials:
                 raise MalformedRuleError("malformed rule (target outside bidegree)")
             tvec[tcell.monomials.index(amon)] = c % p
-        tsolver = tcell.solver(p)
-        if tsolver.in_boundaries(tvec) or tsolver.express(tvec) is None:
+        coeffs = tcell.express(tvec, p)
+        if coeffs is None or not any(coeffs):
             raise MalformedRuleError("malformed rule (target does not survive to this page)")
 
 
@@ -518,10 +539,73 @@ def _accumulate(acc: Element, m: Monomial, c: int, p: int) -> None:
         acc.pop(m, None)
 
 
+def _rule_degrees(A: Algebra, gens: PageGenerators, top: int) -> int:
+    """The clearing index of a page, as a bitset: the A-degrees 0..top that
+    hold a monomial which factors over the page generators with a rule
+    factor whose Leibniz term can live.  d_r is 0 on every other A-degree,
+    so apply_page skips them, as persistence skips the columns whose
+    result is known in advance (Chen-Kerber, Persistent homology
+    computation with a twist, 2011).
+
+    For each generator g with a rule and each term t of d_r(g) they are
+    the degrees of g times a product of the other page generators: each
+    live lambda (with its attached mu-power) at most once, and mu^q and
+    every generator that is neither exterior nor mu any number of times,
+    but none that t holds at its cap, since t times it is 0.  For
+    g = mu^q the monomial holds mu^(qk), and the term's multiplicity k
+    must not be a multiple of p.  Caps below the top exponent are not
+    read, so the index may hold a degree with no such monomial, but it
+    misses none that has one."""
+    mask = (1 << (top + 1)) - 1
+
+    def powers(bits: int, d: int) -> int:
+        # doubling the step adds every multiple of d up to top
+        while 0 < d <= top:
+            bits |= (bits << d) & mask
+            d <<= 1
+        return bits
+
+    cost = dict(gens.costs)
+    dmu = 0 if gens.mu is None else A.generators[gens.mu].degree
+    out = 0
+    for gi, source, terms in gens.rules:
+        d = A.degree(source)
+        for _, _, caps in terms:
+            full = {j for j, limit in caps if limit <= 0}
+            bits = 1
+            for i, g in enumerate(A.generators):
+                if i == gi or i in full:
+                    continue
+                if g.kind != EXTERIOR:
+                    bits = powers(bits, gens.q * dmu if i == gens.mu else g.degree)
+                elif i not in gens.dead:
+                    bits |= (bits << (g.degree + cost.get(i, 0) * dmu)) & mask
+            if gi != gens.mu:
+                out |= (bits << d) & mask
+                continue
+            # k = j + pl with 0 < j < p
+            bits = powers(bits, A.p * d)
+            j = 1
+            while j < A.p and j * d <= top:
+                out |= (bits << j * d) & mask
+                j += 1
+    return out
+
+
+class _Eliminated(NamedTuple):
+    """A d_r record of one bar with its two eliminations, each done once:
+    the left kernel (its rank is the rows less the kernel's dimension) and
+    the reduced row echelon form of its rows."""
+
+    rec: DiffRecord
+    kernel: List[List[int]]
+    echelon: Dict[int, List[int]]
+
+
 def _page_map(cell: Cell, images: Sequence[Element], tcell: Cell, p: int,
-              r: int, a: int, ta: int) -> Optional[DiffRecord]:
+              r: int, a: int, ta: int) -> Optional[_Eliminated]:
     """d_r on the classes of one cell, in the coordinates of the target's
-    classes; None when it vanishes."""
+    classes, eliminated; None when it vanishes."""
     tindex = {mon: i for i, mon in enumerate(tcell.monomials)}
     mat: List[List[int]] = []
     nonzero = False
@@ -540,7 +624,7 @@ def _page_map(cell: Cell, images: Sequence[Element], tcell: Cell, p: int,
             if pos is None:
                 raise EngineAssertionError("differential leaves its bidegree")
             vec[pos] = cc
-        coeffs = tcell.solver(p).express(vec)
+        coeffs = tcell.express(vec, p)
         if coeffs is None:
             raise EngineAssertionError(
                 f"d_{r} value in A-degree {a} is not a class of the current page")
@@ -548,26 +632,26 @@ def _page_map(cell: Cell, images: Sequence[Element], tcell: Cell, p: int,
         nonzero = nonzero or any(coeffs)
     if not nonzero:
         return None
-    return DiffRecord(ta, mat, linalg.rank(mat, p))
+    kernel = linalg.left_kernel(mat, tcell.dim, p)
+    return _Eliminated(DiffRecord(ta, mat, len(mat) - len(kernel)), kernel,
+                       linalg.echelon_from_rows(mat, p))
 
 
-def _homology(cell: Cell, rec: Optional[DiffRecord], image_rows: Optional[List[List[int]]],
+def _homology(cell: Cell, out: Optional[_Eliminated], image: Optional[_Eliminated],
               p: int, r: int, a: int) -> Cell:
-    """The next page's cell: the kernel of the outgoing d_r (rec) modulo the
-    incoming image rows, both in the coordinates of the cell's classes."""
-    if rec is None and not image_rows:
+    """The next page's cell: the kernel of the outgoing d_r (out) modulo the
+    rows of the incoming one (image), both in the coordinates of the cell's
+    classes."""
+    if out is None and image is None:
         return cell
     reps = cell.reps_rows()
     n = len(reps)
-    if rec is not None:
-        ker = linalg.left_kernel(rec.matrix, len(rec.matrix[0]) if rec.matrix else 0, p)
+    if out is not None:
+        ker = out.kernel
     else:
         ker = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    im_ech: Dict[int, List[int]] = {}
-    im_count = 0
-    for row in image_rows or ():
-        if linalg.echelon_insert(im_ech, row, p) is not None:
-            im_count += 1
+    im_ech = {} if image is None else image.echelon
+    image_rows = () if image is None else image.rec.matrix
     new_rep_combos: List[List[int]] = []
     combo_ech: Dict[int, List[int]] = {}
     for kv in ker:
@@ -576,7 +660,7 @@ def _homology(cell: Cell, rec: Optional[DiffRecord], image_rows: Optional[List[L
         if any(red):
             linalg.echelon_insert(combo_ech, red, p)
             new_rep_combos.append(red)
-    if len(new_rep_combos) != len(ker) - im_count:
+    if len(new_rep_combos) != len(ker) - len(im_ech):
         raise EngineAssertionError(
             f"homology dimension bookkeeping failed at A-degree {a} on page {r}")
     width = len(cell.monomials)
@@ -592,19 +676,18 @@ def _homology(cell: Cell, rec: Optional[DiffRecord], image_rows: Optional[List[L
         return vec
 
     new_bnd = [list(b) for b in cell.boundaries]
-    for row in image_rows or ():
+    for row in image_rows:
         vec = _combine(row)
         if any(vec):
             new_bnd.append(vec)
     return Cell(cell.monomials, [_combine(combo) for combo in new_rep_combos], new_bnd)
 
 
-def _span(rec: Optional[DiffRecord], p: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+def _span(e: Optional[_Eliminated]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     """Canonical form (reduced echelon) of the row space of a map."""
-    if rec is None:
+    if e is None:
         return ()
-    return tuple((piv, tuple(row)) for piv, row in
-                 sorted(linalg.echelon_from_rows(rec.matrix, p).items()))
+    return tuple((piv, tuple(row)) for piv, row in sorted(e.echelon.items()))
 
 
 def _diff_view(pd: PageData) -> Dict[Tuple[int, int], DiffRecord]:
@@ -626,6 +709,15 @@ def apply_page(pd: PageData, rules) -> PageData:
     which states no attachments; each source must be a page generator.  An
     empty list yields the input's state with r incremented.
     The fired differentials are recorded on the input PageData.
+
+    A page costs what it fires.  It visits only the kept A-degrees of its
+    clearing index (_rule_degrees), in increasing order.  Each record of
+    d_r is eliminated once (_page_map): its left kernel gives the rank and
+    the source bar's cycles, and its reduced echelon form is both the span
+    the well-definedness check compares and the image the target's
+    homology divides by.  A record's target that no page has touched
+    expresses a vector as itself (Cell.express), so only the cells
+    _homology made build a solver.
     """
     ctx = pd.ctx
     p = ctx.A.p
@@ -643,9 +735,15 @@ def apply_page(pd: PageData, rules) -> PageData:
     shift = 1 + r * ctx.deg_v
 
     # d_r per A-degree and bar, into the target's top bar: a target sits at
-    # filtration >= r, where every fired page's boundaries have arrived
+    # filtration >= r, where every fired page's boundaries have arrived;
+    # elim holds each bar's record eliminated, beside maps
     maps: Dict[int, Bars] = {}
-    for a, bars in pd.degrees.items():
+    elim: Dict[int, List[Optional[_Eliminated]]] = {}
+    index = format(_rule_degrees(ctx.A, gens, ctx.reach), "b")[::-1]
+    for a in (a for a, bit in enumerate(index) if bit == "1"):
+        bars = pd.degrees.get(a)
+        if bars is None:
+            continue
         images = [_d_of_monomial(ctx, gens, m) for m in bars[0][1].monomials]
         if not any(images):
             continue
@@ -653,40 +751,40 @@ def apply_page(pd: PageData, rules) -> PageData:
         if tbars is None:
             raise EngineAssertionError("differential leaves its bidegree")
         tcell = tbars[-1][1]
-        row = tuple((s, _page_map(cell, images, tcell, p, r, a, a - shift)) for s, cell in bars)
-        if any(rec is not None for _, rec in row):
-            maps[a] = row
+        row = [_page_map(cell, images, tcell, p, r, a, a - shift) for _, cell in bars]
+        if any(e is not None for e in row):
+            maps[a] = tuple((s, None if e is None else e.rec) for (s, _), e in zip(bars, row))
+            elim[a] = row
 
-    incoming: Dict[int, List[List[int]]] = {}
-    for a, row in maps.items():
-        recs = [rec for _, rec in row]
+    incoming: Dict[int, _Eliminated] = {}
+    for a, row in elim.items():
         # d_r o d_r must vanish; the target's d_r is read at its top bar
         second = maps[a - shift][-1][1] if a - shift in maps else None
-        for rec in recs:
-            if rec is not None and second is not None and any(
-                    map(any, linalg.mat_mul(rec.matrix, second.matrix, p))):
+        for e in row:
+            if e is not None and second is not None and any(
+                    map(any, linalg.mat_mul(e.rec.matrix, second.matrix, p))):
                 raise EngineAssertionError(f"d_{r} o d_{r} != 0 out of A-degree {a}")
         # the sources of a tower's boundaries sit in every bar; d_r must hit
         # the same classes from each, or it is not defined on E_r
-        if len(recs) > 1 and len({_span(rec, p) for rec in recs}) > 1:
+        if len(row) > 1 and len({_span(e) for e in row}) > 1:
             raise EngineAssertionError(
                 f"d_{r} out of A-degree {a} depends on the representatives")
-        incoming[a - shift] = recs[-1].matrix
+        incoming[a - shift] = row[-1]
 
     # every bar loses the cycles that support d_r; the boundaries of page r
     # reach filtration r on, where they start a new top bar
     degrees = dict(pd.degrees)
-    for a in sorted(maps.keys() | incoming.keys()):
+    for a in sorted(elim.keys() | incoming.keys()):
         bars = pd.degrees[a]
-        recs = [rec for _, rec in maps[a]] if a in maps else [None] * len(bars)
-        image_rows = incoming.get(a)
+        row = elim.get(a, [None] * len(bars))
+        image = incoming.get(a)
         if ctx.localized:
             ((s, cell),) = bars
-            degrees[a] = ((s, _homology(cell, recs[0], image_rows, p, r, a)),)
+            degrees[a] = ((s, _homology(cell, row[0], image, p, r, a)),)
             continue
-        new = [(s, _homology(cell, rec, None, p, r, a)) for (s, cell), rec in zip(bars, recs)]
-        if image_rows:
-            new.append((r, _homology(bars[-1][1], recs[-1], image_rows, p, r, a)))
+        new = [(s, _homology(cell, e, None, p, r, a)) for (s, cell), e in zip(bars, row)]
+        if image is not None:
+            new.append((r, _homology(bars[-1][1], row[-1], image, p, r, a)))
         degrees[a] = tuple(new)
 
     pd.maps = maps

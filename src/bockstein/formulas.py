@@ -38,14 +38,18 @@ def deg_mu(p: int, n: int) -> int:
 
 
 def d_deg(p: int, n: int, m: int) -> int:
-    """Topological degree d(n, m) of the m-case lambda_n (recursive form)."""
+    """Topological degree d(n, m) of the m-case lambda_n: the recursion
+    d(n) = 2p^n - 2p^(n-1) + d(n - m - 1) above n = 3, from d(j) = 2p^j - 1
+    at its base j <= 3, run upward in a loop."""
     if m not in (1, 2):
         raise FormulaError("m must be 1 or 2")
     if n < 1:
         raise FormulaError("n must be >= 1")
-    if n <= 3:
-        return 2 * p**n - 1
-    return 2 * p**n - 2 * p ** (n - 1) + d_deg(p, n - (m + 1), m)
+    base = n if n <= 3 else 3 - (3 - n) % (m + 1)
+    d = 2 * p**base - 1
+    for j in range(base + m + 1, n + 1, m + 1):
+        d = 2 * p**j - 2 * p ** (j - 1) + d
+    return d
 
 
 def d_deg_explicit(p: int, n: int, m: int) -> int:

@@ -265,6 +265,17 @@ def test_oversized_input_exit_two(capsys, args):
     assert "(A-degree, page) states" in err and "above the limit" in err
 
 
+def test_oversized_refusal_of_a_cost_too_long_to_print(capsys):
+    # |v| = 2 * 7^10000 - 2 makes the cost a number of about 8,450 digits,
+    # more than Python converts to decimal by default; the refusal states
+    # it by its power of 2
+    code, out, err = run_cli(capsys, "verify", "--case", "conj", "--p", "7", "--n", "10000",
+                             "--m", "10000", "--max-degree", "40")
+    assert code == 2 and not out
+    assert err == ("error: the run would keep at least 2^28077 (A-degree, page) states, "
+                   "above the limit of 1,000,000; choose a smaller --max-degree\n")
+
+
 @pytest.mark.parametrize("args", [("--case", "v0", "--p", "2", "--n", "100000000"),
                                   ("--case", "conj", "--p", "3", "--n", "100000000", "--m", "2")],
                          ids=["v0", "conj"])

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import random
 import warnings
+from collections import defaultdict
 
 import pytest
 
@@ -13,6 +15,7 @@ from bockstein.algebra import (
     mul_monomials,
     multiply,
 )
+from bockstein import engine, linalg
 from bockstein.cases import Case
 from bockstein.closedform import (
     t0n_profile,
@@ -22,6 +25,7 @@ from bockstein.closedform import (
 )
 from bockstein.engine import (
     AmbiguousPatternError,
+    Cell,
     DeadSourceError,
     EngineContext,
     MalformedRuleError,
@@ -34,6 +38,8 @@ from bockstein.engine import (
     _d_of_monomial,
     _cell_view,
     _page_generators,
+    _page_map,
+    _rule_degrees,
     apply_page,
     build_e1,
     run,
@@ -707,3 +713,145 @@ def test_page_derivation_signs_rules_past_odd_factors():
     # d(x1 x3) = -x1 d(x3) = -x1 y - x1 z^2, the x1 x1 x2 term dying
     assert _d_of_monomial(ctx, gens, A.monomial(x1=1, x3=1)) == {
         A.monomial(x1=1, y=1): 2, A.monomial(x1=1, z=2): 2}
+
+
+def _visits(monkeypatch, case):
+    """Run a case, recording the A-degrees each page's derivation is asked
+    about, by page generators."""
+    visits = defaultdict(set)
+    d_of = engine._d_of_monomial
+
+    def record(ctx, gens, m):
+        visits[gens].add(ctx.A.degree(m))
+        return d_of(ctx, gens, m)
+
+    monkeypatch.setattr(engine, "_d_of_monomial", record)
+    sched, pages, _ = case.run()
+    monkeypatch.undo()
+    return sched, pages, visits
+
+
+@pytest.mark.parametrize("case", _derivation_cases(), ids=golden.case_id)
+def test_pages_visit_every_a_degree_d_r_does_not_vanish_on(monkeypatch, case):
+    # the clearing index may hold more, but a page must visit each kept
+    # A-degree with a monomial of nonzero d_r; the golden cases include
+    # variant B's exterior rule d_2(lambda_3) and p = 5
+    sched, pages, visits = _visits(monkeypatch, case)
+    ctx = pages[0].ctx
+    for r, page in sched.pages.items():
+        gens = _page_generators(ctx.A, page)
+        hit = {a for a, bars in pages[0].degrees.items()
+               if any(_d_of_monomial(ctx, gens, m) for m in bars[0][1].monomials)}
+        assert hit <= visits[gens], (r, sorted(hit - visits[gens])[:5])
+
+
+def test_pages_skip_the_a_degrees_no_rule_reaches(monkeypatch):
+    # v2 p=2 D=160 keeps 516 A-degrees over 7 fired pages, and its pages
+    # visit 253 of those 3,612 (A-degree, page) pairs, each with a nonzero
+    # d_r; a page that visited every kept A-degree would fail
+    sched, pages, visits = _visits(monkeypatch, Case("v2", 2, 160))
+    kept, fired = len(pages[0].degrees), len(sched.pages)
+    assert 0 < sum(map(len, visits.values())) <= kept * fired // 10
+
+
+def test_clearing_index_of_rules_on_several_generators():
+    # the Koszul-sign algebra below has a truncated generator besides mu and
+    # two rules on a page, one exterior and one on mu; with no power rule
+    # every polynomial generator is free; d_1(y) = v0 x1 z lives on y z,
+    # whose cofactor holds z below its cap, and dies on y z^2
+    from bockstein.algebra import TRUNCATED, Algebra, basis_up_to
+
+    A = Algebra(3, (GeneratorSpec("x1", 1, EXTERIOR), GeneratorSpec("x2", 3, EXTERIOR),
+                    GeneratorSpec("x3", 5, EXTERIOR), GeneratorSpec("y", 4, POLYNOMIAL),
+                    GeneratorSpec("z", 2, TRUNCATED, height=3)))
+    v = v_gen("v0", 0)
+    Av = A.adjoin(v)
+    d_x3 = element(Av, (1, Av.monomial(y=1, v0=1)), (1, Av.monomial(x1=1, x2=1, v0=1)))
+    d_y = element(Av, (1, Av.monomial(x2=1, v0=1)), (1, Av.monomial(x1=1, z=1, v0=1)))
+    d_y3 = element(Av, (1, Av.monomial(x2=1, y=1, z=2, v0=1)))
+    d_yz = element(Av, (1, Av.monomial(x1=1, z=1, v0=1)))
+    ctx = EngineContext(A, v, False, 40, (1,))
+    basis = basis_up_to(A, 40)
+    for page in (RulePage(1, [Rule(A.monomial(x3=1), d_x3), Rule(A.monomial(y=1), d_y)]),
+                 RulePage(1, [Rule(A.monomial(x3=1), d_x3)]),
+                 RulePage(1, [Rule(A.monomial(y=3), d_y3)], attach={0: 0, 1: 1}),
+                 RulePage(1, [Rule(A.monomial(y=1), d_yz)])):
+        gens = _page_generators(A, page)
+        index = _rule_degrees(A, gens, 40)
+        hit = [a for a, mons in basis.items() if any(_d_of_monomial(ctx, gens, m) for m in mons)]
+        assert hit and all(index >> a & 1 for a in hit), page
+        assert index < 1 << 41
+
+
+def _random_cell(rng, p, n, dim):
+    """A cell over n monomials with dim classes: untouched when dim is n and
+    the coin says so, otherwise reps independent modulo random boundaries."""
+    mons = tuple((i,) for i in range(n))
+    if dim == n and rng.random() < 0.5:
+        return Cell(mons)
+    while True:
+        bnd = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(n - dim + 1))]
+        ech = linalg.echelon_from_rows(bnd, p)
+        reps = []
+        for _ in range(20 * n):
+            row = [rng.randrange(p) for _ in range(n)]
+            if len(reps) < dim and linalg.echelon_insert(ech, row, p) is not None:
+                reps.append(row)
+        if len(reps) == dim:
+            return Cell(mons, reps, bnd)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_each_record_is_eliminated_once_as_linalg_would(p):
+    # _page_map's kernel, rank and reduced echelon form, which apply_page
+    # reuses for the homology and the well-definedness check, against the
+    # linalg functions they replace; every row of its matrix against a
+    # CosetSolver of the target, the untouched targets included
+    rng = random.Random(p)
+    for _ in range(150):
+        tn = rng.randint(1, 5)
+        tcell = _random_cell(rng, p, tn, rng.randint(1, min(4, tn)))
+        sn = rng.randint(1, 5)
+        cell = _random_cell(rng, p, sn, rng.randint(1, min(4, sn)))
+        # each source monomial goes to a class of the target plus a boundary
+        images = []
+        for _ in range(sn):
+            vec = [0] * tn
+            for row in tcell.reps_rows() + tcell.boundaries:
+                c = rng.randrange(p) if rng.random() < 0.6 else 0
+                vec = [(x + c * y) % p for x, y in zip(vec, row)]
+            images.append({(i,): c for i, c in enumerate(vec) if c})
+        e = _page_map(cell, images, tcell, p, 1, 0, 0)
+        solver = linalg.CosetSolver(tcell.reps_rows(), tcell.boundaries, tn, p)
+        want = []
+        for rep in cell.reps_rows():
+            vec = [0] * tn
+            for c, img in zip(rep, images):
+                for (i,), cc in img.items():
+                    vec[i] = (vec[i] + c * cc) % p
+            want.append(solver.express(vec))
+        if not any(map(any, want)):
+            assert e is None
+            continue
+        mat = e.rec.matrix
+        assert mat == want
+        assert e.kernel == linalg.left_kernel(mat, tcell.dim, p)
+        assert e.rec.rank == linalg.rank(mat, p) == len(mat) - len(e.kernel)
+        assert e.echelon == linalg.echelon_from_rows(mat, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_untouched_cells_express_a_vector_as_itself(p):
+    # an untouched cell has every monomial alive and no boundaries, so
+    # Cell.express needs no solver; it must agree with one, and its zero
+    # coordinates with in_boundaries, on vectors not yet reduced mod p
+    rng = random.Random(p)
+    for n in range(1, 5):
+        cell = Cell(tuple((i,) for i in range(n)))
+        solver = linalg.CosetSolver(cell.reps_rows(), [], n, p)
+        for _ in range(50):
+            vec = [rng.randrange(-p, 2 * p) for _ in range(n)]
+            got = cell.express(vec, p)
+            assert got == solver.express(vec)
+            assert (not any(got)) == solver.in_boundaries(vec)
+        assert cell._solver is None

@@ -146,13 +146,12 @@ def test_dims_nonincreasing_and_v_surjective_along_slants():
                 continue
             # v * reps of this cell span the next cell modulo its boundaries
             rows = []
-            nsolver = nxt.solver(p)
             for rep in cell.reps_rows():
                 vec = [0] * len(nxt.monomials)
                 for mon, c in zip(cell.monomials, rep):
                     if c:
                         vec[nxt.monomials.index(mon)] = c
-                coeffs = nsolver.express(vec)
+                coeffs = nxt.express(vec, p)
                 assert coeffs is not None
                 rows.append(coeffs)
             assert linalg.rank(rows, p) == nxt.dim

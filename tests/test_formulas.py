@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from bockstein.closedform import thh_mod_p_algebra
@@ -46,6 +48,18 @@ def test_d_deg_recursive_equals_explicit():
         for m in (1, 2):
             for n in range(1, 41):
                 assert d_deg(p, n, m) == d_deg_explicit(p, n, m)
+
+
+def test_d_deg_takes_no_frame_per_step():
+    # n = 3000 is 1,500 steps of the d1 recursion and 1,000 of d2, past the
+    # default limit of 1,000 frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for m in (1, 2):
+            assert d_deg(2, 3000, m) == d_deg_explicit(2, 3000, m)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_r_len_displayed_values():
