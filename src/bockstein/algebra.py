@@ -77,6 +77,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    """Raise AlgebraError unless p is a prime that is_prime can decide."""
+    if not is_prime(p):
+        raise AlgebraError(f"{p} is not prime")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """A named algebra generator with an internal degree and a kind."""
@@ -115,8 +121,7 @@ class Algebra:
     generators: Tuple[GeneratorSpec, ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise AlgebraError(f"{self.p} is not prime")
+        require_prime(self.p)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise AlgebraError("generator names must be unique")

@@ -10,6 +10,10 @@ and runs it, names its oracle, and gives the `meta` of its JSON document
 and the page its chart draws.  The CLI, the tests and the demos all start
 from it.
 
+Every refusal comes before the work it spares: `verify` calls build(),
+which refuses a bad p or an oversized run before it builds the algebra,
+then oracle(), which refuses a case with no oracle, then the engine.
+
 Schedules and oracles are called through their modules
 (`engine.schedule_v1(...)`), never captured at import, so that a function
 patched there is the one that runs.
@@ -17,7 +21,7 @@ patched there is the one that runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import closedform, engine
@@ -40,8 +44,10 @@ class Family(NamedTuple):
 # Cases whose algebra has n above this are refused before it is built: its
 # n + 2 generators have degrees of up to n log2(p) bits, and the time grows
 # faster than n^1.5.  Measured on a 2-vCPU Xeon with Python 3.11.7 (run and
-# oracle), v0 p=2 D=40 took 0.75 s at n = 10,000 and 2.8 s at 20,000, v0
-# p=7 D=40 took 2.9 s at 10,000, and v0 p=2 D=1000 took 4.8 s at 9,999.
+# oracle, which build the algebra once each; median of 3 fresh interpreters,
+# 5 for D=1000), v0 p=2 D=40 took 0.65 s at n = 10,000 and 1.8 s at
+# 20,000, v0 p=7 D=40 took 2.0 s at 10,000, and v0 p=2 D=1000 took 4.7 s
+# at 9,999.
 MAX_HEIGHT = 10_000
 
 
@@ -91,9 +97,10 @@ class Case:
 
     def build(self) -> Tuple[Algebra, DifferentialSchedule, Window]:
         """Algebra, schedule and window.  Every schedule has one rule per
-        page, and the pages grow with log D (v0) or with the ladder's steps,
-        so the schedule is built first and the size of the run is checked on
-        its pages before the algebra is."""
+        page, and the pages grow with log D (v0) or with the ladder's steps;
+        a schedule builds no algebra and refuses a p that is not prime, so
+        it is made first, and the size of the run is checked on its pages
+        before the one algebra is built."""
         w = Window(self.D)
         sched = KINDS[self.kind].schedule(self, w)
         cost = engine.estimate_cost(sched.v.degree, self.D, sorted(sched.pages),
@@ -119,13 +126,6 @@ class Case:
         if self.localized:
             return closedform.localized_expected_profile(self.kind, self.p, self.D)
         return KINDS[self.kind].oracle(self)
-
-    def check_oracle(self) -> None:
-        """Raise what oracle() raises when no oracle is asserted for the
-        case, without a run or an oracle of the case's size: that depends
-        on the parameters only, never on D, so the same case on the window
-        0..0 answers it."""
-        replace(self, D=0).oracle()
 
     def meta(self, sched: DifferentialSchedule) -> Dict[str, object]:
         """The `meta` of the run's JSON document."""

@@ -12,9 +12,10 @@ import os
 import sys
 import warnings
 from contextlib import ExitStack, contextmanager, suppress
-from typing import Iterator, List, Optional, TextIO, Tuple
+from typing import Callable, Iterator, List, Optional, TextIO, Tuple
 
-from .algebra import AlgebraError, is_prime
+from . import engine
+from .algebra import AlgebraError, require_prime
 from .cases import KINDS, Case
 from .engine import EngineAssertionError, ScheduleError
 from .formulas import FormulaError, d_deg, deg_lambda, deg_mu, nu_p, r_conj, r_len
@@ -30,11 +31,11 @@ def _color(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-def _run(case: Case):
-    """case.run(), printing each warning it raises as a note line on stderr."""
+def _noted(run: Callable):
+    """run(), printing each warning it raises as a note line on stderr."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = case.run()
+        result = run()
     for w in caught:
         print(f"note: {w.message}", file=sys.stderr)
     return result
@@ -43,7 +44,7 @@ def _run(case: Case):
 def cmd_run(case: Case, json_path: Optional[str], svg_path: Optional[str],
             ascii_: bool) -> int:
     with _outputs(json_path, svg_path) as (json_file, svg_file):
-        sched, pages, profile = _run(case)
+        sched, pages, profile = _noted(case.run)
         print(f"run {sched.label}: pages {sorted(sched.pages)}, final E_{pages[-1].r}")
         if case.localized:
             names = laurent_span(pages[-1], case.D, ascii_)
@@ -51,7 +52,7 @@ def cmd_run(case: Case, json_path: Optional[str], svg_path: Optional[str],
         else:
             for line in profile.summary_lines():
                 print(line)
-        if sched.meta.get("conjectural"):
+        if sched.conjectural:
             print("note: conjectural schedule; towers certify internal consistency only")
         if json_file:
             _write(json_file, json_fragments(pages, profile, case.meta(sched), ascii_))
@@ -102,10 +103,12 @@ def _write(fh: TextIO, fragments: List[str]) -> None:
 
 
 def cmd_verify(case: Case) -> int:
-    case.check_oracle()
-    sched, _, profile = _run(case)
-    report = compare(profile, case.oracle(), case.D)
-    tag = " [conjectural]" if sched.meta.get("conjectural") else ""
+    A, sched, w = case.build()
+    expected = case.oracle()
+    _, profile = _noted(lambda: engine.run(A, sched, w, localized=case.localized,
+                                           page_cap=case.page_cap))
+    report = compare(profile, expected, case.D)
+    tag = " [conjectural]" if sched.conjectural else ""
     for line in report.lines():
         print(line)
     if report.ok:
@@ -146,8 +149,7 @@ SERIES = {
 
 def cmd_formulas(p: int, series: str, rng: Tuple[int, int], m: Optional[int],
                  family_n: int) -> int:
-    if not is_prime(p):
-        raise FormulaError(f"{p} is not prime")
+    require_prime(p)
     lo, hi = rng
     if lo > hi:
         raise FormulaError(f"empty range {lo}..{hi}")

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import takewhile
 from operator import itemgetter, sub
 from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -80,6 +80,7 @@ from .algebra import (
     basis_up_to,
     element_degree,
     mul_monomials,
+    require_prime,
 )
 from .formulas import LambdaFamily, deg_mu, nu_p, r_conj, r_len
 from .towers import INF, TowerProfile, Unknown
@@ -172,15 +173,11 @@ class DifferentialSchedule:
     v: GeneratorSpec
     pages: Dict[int, RulePage]
     label: str = ""
-    meta: Dict[str, object] = field(default_factory=dict)
+    conjectural: bool = False  # a conjectured pattern, not a theorem
     # smallest tower-base degree a not-emitted rule could create boundaries
     # on (None = schedule complete), and the smallest not-emitted page
     future_target_floor: Optional[int] = None
     future_min_page: Optional[int] = None
-
-    @property
-    def max_page(self) -> int:
-        return max(self.pages) if self.pages else 0
 
 
 @dataclass
@@ -793,20 +790,16 @@ def apply_page(pd: PageData, rules) -> PageData:
 
 
 # ----------------------------------------------------------------------
-# schedules
+# schedules: stated from p, n and the formulas, with no algebra built.  A
+# source has the n + 2 exponents of lambda_1 .. lambda_{n+1}, mu_{n+1} (the
+# generators of thh_mod_p_algebra(p, n)), a target one more for v.
 
 
-def _thh_algebra(p: int, n: int) -> Algebra:
-    from .closedform import thh_mod_p_algebra
-
-    return thh_mod_p_algebra(p, n)
-
-
-def _target_element(Av: Algebra, exps: Mapping[int, int], coeff: int = 1) -> Element:
-    m = [0] * Av.ngens
+def _monomial(ngens: int, exps: Mapping[int, int]) -> Monomial:
+    m = [0] * ngens
     for i, e in exps.items():
         m[i] += e
-    return {tuple(m): coeff % Av.p}
+    return tuple(m)
 
 
 def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
@@ -814,11 +807,10 @@ def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
     per page, on the page generators lambda_1 .. lambda_n, lambda_{n+1}
     mu^{p^j-1} and mu^{p^j}.  Its Leibniz extension is the paper's
     d_{nu_p(k)+1}(mu^k) = v_0^{nu_p(k)+1} mu^{k-1} lambda_{n+1}, with the
-    unit k / p^{nu_p(k)} mod p."""
+    unit k / p^{nu_p(k)} mod p.  A p that is not prime raises AlgebraError."""
     w = as_window(w)
-    A = _thh_algebra(p, n)
+    require_prime(p)
     v = GeneratorSpec("v0", 0, POLYNOMIAL)
-    Av = A.adjoin(v)
     dm = deg_mu(p, n)
     lam = n          # index of lambda_{n+1}
     mu = n + 1       # index of mu_{n+1}
@@ -834,8 +826,8 @@ def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
     pages: Dict[int, RulePage] = {}
     for j in js:
         q = p ** j
-        src = tuple(q if i == mu else 0 for i in range(A.ngens))
-        target = _target_element(Av, {vi: j + 1, mu: q - 1, lam: 1})
+        src = _monomial(n + 2, {mu: q})
+        target = {_monomial(n + 3, {vi: j + 1, mu: q - 1, lam: 1}): 1}
         attach = {i: 0 for i in range(n)}
         attach[lam] = q - 1
         pages[j + 1] = RulePage(j + 1, [Rule(src, target)], attach)
@@ -843,28 +835,28 @@ def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
     min_page = nu_p(p, k_next) + 1
     return DifferentialSchedule(
         v, pages, label=f"v0 p={p} n={n}",
-        meta={"case": "v0", "p": p, "n": n, "D": w.max_degree},
         future_target_floor=k_next * dm - 1,
         future_min_page=min_page,
     )
 
 
 def _ladder_schedule(p: int, w, family: LambdaFamily, v_name: str, v_deg: int,
-                     page_of, target_index_of, attach_indices, label: str,
-                     meta: Dict[str, object]) -> DifferentialSchedule:
+                     page_of, target_index_of, attach_indices,
+                     label: str) -> DifferentialSchedule:
     """Shared builder for the v1/v2/conjecture mu-power ladders.
 
     Emits one power rule per step s with source mu^{p^{s-1}} while the
     target tower base degree stays inside the reported window; every death
     of an in-window tower is then computable, and anything a not-emitted
-    rule could hit lies above the window.
+    rule could hit lies above the window.  p is checked first: below 2
+    every target degree would lie in the window and the ladder not end.
     """
     w = as_window(w)
-    A = _thh_algebra(p, family.n)
+    require_prime(p)
     v = GeneratorSpec(v_name, v_deg, POLYNOMIAL)
-    Av = A.adjoin(v)
-    mu = A.ngens - 1
-    vi = Av.ngens - 1
+    n = family.n
+    mu = n + 1       # index of mu_{n+1}
+    vi = n + 2
     pages: Dict[int, RulePage] = {}
     s = 1
     while True:
@@ -873,8 +865,8 @@ def _ladder_schedule(p: int, w, family: LambdaFamily, v_name: str, v_deg: int,
             break
         r = page_of(s)
         base, e = family.entry(tgt_idx)
-        target = _target_element(Av, {vi: r, base - 1: 1, mu: e})
-        source = tuple(p ** (s - 1) if i == mu else 0 for i in range(A.ngens))
+        target = {_monomial(n + 3, {vi: r, base - 1: 1, mu: e}): 1}
+        source = _monomial(n + 2, {mu: p ** (s - 1)})
         attach: Dict[int, int] = {}
         for idx in attach_indices(s):
             b, ee = family.entry(idx)
@@ -882,7 +874,7 @@ def _ladder_schedule(p: int, w, family: LambdaFamily, v_name: str, v_deg: int,
         pages[r] = RulePage(r, [Rule(source, target)], attach)
         s += 1
     return DifferentialSchedule(
-        v, pages, label=label, meta=meta,
+        v, pages, label=label,
         future_target_floor=family.degree(target_index_of(s)),
         future_min_page=page_of(s),
     )
@@ -917,32 +909,27 @@ def schedule_v1(p: int, w, variant: Optional[str] = None) -> DifferentialSchedul
         target_index_of=lambda s: s + 1,
         attach_indices=lambda s: (1, s + 1, s + 2),
         label=f"v1 p={p}" + (f" variant {variant}" if variant else ""),
-        meta={"case": "v1", "p": p, "D": w.max_degree, "variant": variant},
     )
 
 
 def _schedule_v1_p2_variant_b(w: Window, family: LambdaFamily) -> DifferentialSchedule:
     p = 2
-    A = _thh_algebra(p, 2)
     v = GeneratorSpec("v1", 2 * p - 2, POLYNOMIAL)
-    Av = A.adjoin(v)
-    mu = A.ngens - 1
-    vi = Av.ngens - 1
+    mu, vi = 3, 4
     pages: Dict[int, RulePage] = {}
     # the candidate differential the paper could not rule out
-    lam3 = tuple(1 if i == 2 else 0 for i in range(A.ngens))
-    pages[2] = RulePage(2, [Rule(lam3, _target_element(Av, {vi: 2, 0: 1, 1: 1}))])
+    lam3 = _monomial(4, {2: 1})
+    pages[2] = RulePage(2, [Rule(lam3, {_monomial(5, {vi: 2, 0: 1, 1: 1}): 1})])
     # the first ladder differential is unaffected by it
     if family.degree(2) <= w.max_degree:
         r = r_len(p, 1, 1)
-        src = tuple(1 if i == mu else 0 for i in range(A.ngens))
-        pages[r] = RulePage(r, [Rule(src, _target_element(Av, {vi: r, 1: 1}))],
+        src = _monomial(4, {mu: 1})
+        pages[r] = RulePage(r, [Rule(src, {_monomial(5, {vi: r, 1: 1}): 1})],
                             attach={0: 0, 1: 0})
     # past this point the branch is uncharted; everything above lambda_3's
     # degree stays unknown
     return DifferentialSchedule(
         v, pages, label="v1 p=2 variant B",
-        meta={"case": "v1", "p": p, "D": w.max_degree, "variant": "B"},
         future_target_floor=family.degree(3),
         future_min_page=r_len(p, 2, 1),
     )
@@ -958,12 +945,12 @@ def schedule_v2(p: int, w) -> DifferentialSchedule:
         target_index_of=lambda s: s,
         attach_indices=lambda s: (s, s + 1, s + 2),
         label=f"v2 p={p}",
-        meta={"case": "v2", "p": p, "D": w.max_degree},
     )
 
 
 def schedule_conj(p: int, n: int, m: int, w) -> DifferentialSchedule:
-    """Conjectural ladder d_{r_n(s,m)}(mu_{n+1}^{p^{s-1}}) = v_m^r lambda_{n-m+s}."""
+    """Conjectural ladder d_{r_n(s,m)}(mu_{n+1}^{p^{s-1}}) = v_m^r lambda_{n-m+s},
+    marked conjectural."""
     w = as_window(w)
     if not 1 <= m <= n:
         raise ScheduleError("need 1 <= m <= n")
@@ -971,15 +958,13 @@ def schedule_conj(p: int, n: int, m: int, w) -> DifferentialSchedule:
         raise AmbiguousPatternError("ambiguous pattern (paper Remark)")
     family = LambdaFamily("conj", p, n=n, m=m)
     permanents = tuple(range(1, n - m + 1))
-    return _ladder_schedule(
+    return replace(_ladder_schedule(
         p, w, family, f"v{m}", 2 * p**m - 2,
         page_of=lambda s: r_conj(p, n, m, s),
         target_index_of=lambda s: n - m + s,
         attach_indices=lambda s: permanents + tuple(range(n - m + s, n + s + 1)),
         label=f"conj p={p} n={n} m={m}",
-        meta={"case": "conj", "p": p, "n": n, "m": m, "D": w.max_degree,
-              "conjectural": True},
-    )
+    ), conjectural=True)
 
 
 # ----------------------------------------------------------------------

@@ -170,12 +170,11 @@ class LambdaFamily:
 
 
 def lambda_expand(family: LambdaFamily, s: int):
-    """Expansion of lambda_s as a monomial over the mod-p THH algebra."""
-    from .closedform import thh_mod_p_algebra
-
+    """Expansion of lambda_s as a monomial over the mod-p THH algebra
+    E(lambda_1..lambda_{n+1}) (x) P(mu_{n+1}), whose n + 2 generators come
+    in that order."""
     base, e = family.entry(s)
-    A = thh_mod_p_algebra(family.p, family.n)
-    m = [0] * A.ngens
+    m = [0] * (family.n + 2)
     m[base - 1] = 1
-    m[A.ngens - 1] += e
+    m[-1] += e
     return tuple(m)

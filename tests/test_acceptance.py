@@ -133,7 +133,7 @@ def test_criterion_6():
         assert tmn_profile(p, 2, 2, 300) == t22_profile(p, 300)
     for (n, m) in ((3, 1), (3, 2)):
         sched, pages, prof = _run_case(Case("conj", 3, 200, n=n, m=m))
-        assert sched.meta.get("conjectural")  # labeled, not asserted as truth
+        assert sched.conjectural  # labeled, not asserted as truth
         _exact_match(prof, tmn_profile(3, n, m, 200), 200)
 
 

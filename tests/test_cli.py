@@ -276,21 +276,59 @@ def test_oversized_refusal_of_a_cost_too_long_to_print(capsys):
                    "above the limit of 1,000,000; choose a smaller --max-degree\n")
 
 
-@pytest.mark.parametrize("args", [("--case", "v0", "--p", "2", "--n", "100000000"),
-                                  ("--case", "conj", "--p", "3", "--n", "100000000", "--m", "2")],
-                         ids=["v0", "conj"])
-def test_oversized_n_is_refused_before_any_algebra(monkeypatch, capsys, args):
-    # an algebra of 10^8 generators would not fit in memory; every run
-    # builds its algebra through thh_mod_p_algebra
+@pytest.mark.parametrize("args, message", [
+    (("verify", "--case", "v0", "--p", "2", "--n", "100000000"),
+     "n = 100,000,000 is above the limit of 10,000; choose a smaller --n"),
+    (("verify", "--case", "conj", "--p", "3", "--n", "100000000", "--m", "2"),
+     "n = 100,000,000 is above the limit of 10,000; choose a smaller --n"),
+    (("verify", "--case", "conj", "--p", "7", "--n", "10000", "--m", "10000"),
+     "the run would keep at least 2^28077 (A-degree, page) states, above the limit of "
+     "1,000,000; choose a smaller --max-degree"),
+    (("run", "--case", "conj", "--p", "7", "--n", "10000", "--m", "10000"),
+     "the run would keep at least 2^28077 (A-degree, page) states, above the limit of "
+     "1,000,000; choose a smaller --max-degree"),
+], ids=["v0", "conj", "conj-cost-verify", "conj-cost-run"])
+def test_oversized_n_is_refused_before_any_algebra(monkeypatch, capsys, args, message):
+    # an algebra of 10^8 generators would not fit in memory, and one of
+    # 10,001 generators of up to 8,450 digits takes most of a second; every
+    # run and every oracle builds its algebra through thh_mod_p_algebra
     from bockstein import closedform
 
     def no_algebra(p, n):
         raise AssertionError("the algebra was built")
 
     monkeypatch.setattr(closedform, "thh_mod_p_algebra", no_algebra)
-    code, out, err = run_cli(capsys, "verify", *args, "--max-degree", "40")
+    code, out, err = run_cli(capsys, *args, "--max-degree", "40")
     assert code == 2 and not out
-    assert err == "error: n = 100,000,000 is above the limit of 10,000; choose a smaller --n\n"
+    assert err == f"error: {message}\n"
+
+
+def test_verify_builds_the_algebra_once_for_the_case_and_once_for_the_oracle(
+        monkeypatch, capsys):
+    from bockstein import closedform
+
+    built = []
+    thh = closedform.thh_mod_p_algebra
+    monkeypatch.setattr(closedform, "thh_mod_p_algebra",
+                        lambda p, n: built.append((p, n)) or thh(p, n))
+    code, out, _ = run_cli(capsys, "verify", "--case", "v2", "--p", "2", "--max-degree", "160")
+    assert code == 0 and "VERIFIED" in out
+    assert built == [(2, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("args", [("--case", "v0", "--n", "2"), ("--case", "v1"),
+                                  ("--case", "v2"), ("--case", "conj", "--n", "3", "--m", "2")],
+                         ids=["v0", "v1", "v2", "conj"])
+@pytest.mark.parametrize("p", ["0", "1", "4", "-3", "3317044064679887385961981"])
+def test_a_p_that_is_not_prime_is_refused(capsys, command, args, p):
+    # the schedule is the first thing a run builds, and it builds no
+    # algebra, so it checks p itself; a ladder at p < 2 would never end
+    code, out, err = run_cli(capsys, command, *args, "--p", p, "--max-degree", "40")
+    assert code == 2 and not out
+    assert err in (f"error: {p} is not prime\n",
+                   f"error: {p} is too large: primes are checked below "
+                   f"3,317,044,064,679,887,385,961,981\n")
 
 
 def test_cost_estimate_reads_the_schedule_pages(monkeypatch):

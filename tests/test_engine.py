@@ -9,6 +9,9 @@ import pytest
 from bockstein.algebra import (
     EXTERIOR,
     POLYNOMIAL,
+    Algebra,
+    AlgebraError,
+    ForeignGeneratorError,
     GeneratorSpec,
     derivation_extend,
     element,
@@ -363,7 +366,7 @@ def test_schedule_v0_page_assignment():
     # one power rule per page, and its Leibniz extension is the paper's
     # d_{nu_p(k)+1}(mu^k) = v0^{nu_p(k)+1} mu^{k-1} lambda_{n+1} up to a unit
     sched = schedule_v0(2, 2, Window(58))
-    assert sorted(sched.pages) == [1, 2] and sched.meta["case"] == "v0"
+    assert sorted(sched.pages) == [1, 2] and sched.label == "v0 p=2 n=2"
     D = 1200
     for p in (2, 3, 5):
         for n in (0, 1, 2):
@@ -490,6 +493,47 @@ def test_schedule_v1_p2_needs_variant():
 def test_schedule_conj_p2_m1_ambiguous():
     with pytest.raises(AmbiguousPatternError):
         schedule_conj(2, 3, 1, Window(60))
+
+
+SCHEDULES = {
+    "v0": lambda p, w: schedule_v0(p, 2, w),
+    "v1": lambda p, w: schedule_v1(p, w),
+    "v2": lambda p, w: schedule_v2(p, w),
+    "conj": lambda p, w: schedule_conj(p, 3, 2, w),
+}
+
+
+@pytest.mark.parametrize("make", [
+    lambda w: schedule_v0(3, 2, w),
+    lambda w: schedule_v1(3, w),
+    lambda w: schedule_v1(2, w, variant="A"),
+    lambda w: schedule_v1(2, w, variant="B"),
+    lambda w: schedule_v2(3, w),
+    lambda w: schedule_conj(3, 3, 2, w),
+], ids=["v0", "v1", "v1-p2-A", "v1-p2-B", "v2", "conj"])
+def test_schedules_build_no_algebra(monkeypatch, make):
+    # a schedule is its pages, stated from p, n and the formulas; the one
+    # algebra of a run is the caller's
+    def no_algebra(self):
+        raise AssertionError("an Algebra was built")
+
+    monkeypatch.setattr(Algebra, "__post_init__", no_algebra)
+    assert make(Window(400)).pages
+
+
+@pytest.mark.parametrize("kind", list(SCHEDULES))
+def test_schedules_refuse_a_p_that_is_not_prime(kind):
+    # with no algebra to refuse it, a ladder at p = 1 would never end: every
+    # lambda-family degree there is 1
+    with pytest.raises(AlgebraError, match="^1 is not prime$"):
+        SCHEDULES[kind](1, Window(10))
+
+
+def test_run_refuses_a_schedule_over_another_algebra():
+    # the caller pairs the algebra with the schedule: v2's rules have the 4
+    # exponents of E(λ1, λ2, λ3) ⊗ P(μ3), and n = 3 has 5 generators
+    with pytest.raises(ForeignGeneratorError):
+        run(thh_mod_p_algebra(2, 3), schedule_v2(2, Window(40)), Window(40))
 
 
 def test_run_v0_chart():
