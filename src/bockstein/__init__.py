@@ -1,10 +1,11 @@
 """Bockstein spectral-sequence engine with closed-form torsion oracles.
 
 The package has three layers: exact graded-commutative algebra over F_p
-(`algebra`), closed-form integer formulas and torsion-module constructors
-(`formulas`, `closedform`, `hochschild`), and a windowed multiplicative
-spectral-sequence engine (`engine`) whose E_infinity tower profiles are
-certified against the closed forms (`towers.compare`).
+on exterior, polynomial and Laurent generators (`algebra`), closed-form
+integer formulas and torsion-module constructors (`formulas`,
+`closedform`), and a windowed multiplicative spectral-sequence engine
+(`engine`) whose E_infinity tower profiles are certified against the
+closed forms (`towers.compare`).
 """
 
 from .algebra import (
@@ -15,8 +16,6 @@ from .algebra import (
     Monomial,
     basis_in_degree,
     derivation_extend,
-    divided_gamma,
-    expand_divided,
     graded_dims,
     multiply,
 )
@@ -60,7 +59,6 @@ from .formulas import (
     r_conj,
     r_len,
 )
-from .hochschild import HHResult, hh_dims, hh_free
 from .towers import INF, DiffReport, TowerProfile, Unknown, compare
 
 __version__ = "0.1.0"

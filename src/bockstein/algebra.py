@@ -5,10 +5,8 @@ Monomials are exponent tuples aligned with the generator list of an
 in ``{1, ..., p-1}``.  The canonical monomial order used everywhere
 downstream is graded lexicographic, i.e. the sort key ``(degree, exponents)``.
 
-Divided-power generators are a constructor-level convenience: they are
-stored in expanded characteristic-p form (one truncated-height-p factor per
-``gamma_{p^k}``) by :func:`expand_divided`.  Operations that need exponent
-arithmetic reject unexpanded divided generators.
+The generator kinds are the ones THH_*(B<n>; F_p)[v] needs: exterior
+(the lambdas), polynomial (mu and v) and Laurent (v inverted).
 """
 
 from __future__ import annotations
@@ -22,11 +20,9 @@ Element = Dict[Monomial, int]
 
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
-TRUNCATED = "truncated"
-DIVIDED = "divided"
 LAURENT = "laurent"
 
-_KINDS = (EXTERIOR, POLYNOMIAL, TRUNCATED, DIVIDED, LAURENT)
+_KINDS = (EXTERIOR, POLYNOMIAL, LAURENT)
 
 
 class AlgebraError(ValueError):
@@ -39,10 +35,6 @@ class ForeignGeneratorError(AlgebraError):
 
 class InfiniteBasisError(AlgebraError):
     """Raised when a basis enumeration cannot terminate."""
-
-
-class NotFreeError(AlgebraError):
-    """Raised for operations that only apply to free algebras."""
 
 
 # Miller-Rabin with the prime bases up to 41 decides primality exactly below
@@ -90,24 +82,16 @@ class GeneratorSpec:
     name: str
     degree: int
     kind: str = POLYNOMIAL
-    height: Optional[int] = None  # truncated kind only: exponents 0..height-1
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise AlgebraError(f"unknown generator kind {self.kind!r}")
         if self.degree < 0:
             raise AlgebraError(f"generator {self.name}: degree must be >= 0")
-        if self.kind == TRUNCATED:
-            if self.height is None or self.height < 2:
-                raise AlgebraError(f"generator {self.name}: truncated height must be >= 2")
-        elif self.height is not None:
-            raise AlgebraError(f"generator {self.name}: height only applies to truncated kind")
 
     def exponent_ok(self, e: int) -> bool:
         if self.kind == EXTERIOR:
             return e in (0, 1)
-        if self.kind == TRUNCATED:
-            return 0 <= e < self.height  # type: ignore[operator]
         if self.kind == LAURENT:
             return True
         return e >= 0
@@ -134,16 +118,14 @@ class Algebra:
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(self.generators)})
         object.__setattr__(self, "_degrees", tuple(g.degree for g in self.generators))
         # the tables mul_monomials reads: the odd-degree generators from the
-        # right, the largest exponent of each exterior and truncated one, and
-        # the generators whose exponents cannot go below zero
+        # right, the exterior ones, and the generators whose exponents cannot
+        # go below zero
         object.__setattr__(self, "_odd_from_right", tuple(
             i for i in reversed(range(len(self.generators))) if self.generators[i].degree % 2))
-        object.__setattr__(self, "_caps", tuple(
-            (i, 1 if g.kind == EXTERIOR else g.height - 1)  # type: ignore[operator]
-            for i, g in enumerate(self.generators) if g.kind in (EXTERIOR, TRUNCATED)))
+        object.__setattr__(self, "_exterior", tuple(
+            i for i, g in enumerate(self.generators) if g.kind == EXTERIOR))
         object.__setattr__(self, "_nonnegative", tuple(
             i for i, g in enumerate(self.generators) if g.kind != LAURENT))
-        object.__setattr__(self, "_divided", any(g.kind == DIVIDED for g in self.generators))
 
     @property
     def ngens(self) -> int:
@@ -185,12 +167,17 @@ class Algebra:
         return Algebra(self.p, self.generators + (gen,))
 
     @property
-    def exponent_caps(self) -> Tuple[Tuple[int, int], ...]:
-        """(index, largest exponent) of each exterior and truncated generator."""
-        return self._caps  # type: ignore[attr-defined,no-any-return]
+    def exterior(self) -> Tuple[int, ...]:
+        """The indices of the exterior generators."""
+        return self._exterior  # type: ignore[attr-defined,no-any-return]
 
-    def has_divided(self) -> bool:
-        return self._divided  # type: ignore[attr-defined,no-any-return]
+
+def sparse_monomial(ngens: int, exps: Mapping[int, int]) -> Monomial:
+    """The monomial over ngens generators with exponent exps[i] at index i."""
+    m = [0] * ngens
+    for i, e in exps.items():
+        m[i] += e
+    return tuple(m)
 
 
 def mul_monomials(A: Algebra, m1: Monomial, m2: Monomial) -> Tuple[int, Monomial]:
@@ -198,16 +185,15 @@ def mul_monomials(A: Algebra, m1: Monomial, m2: Monomial) -> Tuple[int, Monomial
 
     The sign is the Koszul sign of interleaving m2's factors into m1: each
     odd-degree factor of m2 moves past the odd-degree factors of m1 to its
-    right.  Zero means the product dies by a kind constraint (exterior
-    square, truncation).  The work is one exponent sum, a check of each
-    exterior and truncated generator's cap and a walk over the odd-degree
-    generators, read from tables the algebra builds once.
+    right.  Zero means the product dies by an exterior square.  The work is
+    one exponent sum, a check of each exterior generator and a walk over
+    the odd-degree generators, read from tables the algebra builds once.
     """
     if len(m1) != A.ngens or len(m2) != A.ngens:
         raise ForeignGeneratorError("foreign generator (monomial length mismatch)")
     out = tuple(map(add, m1, m2))
-    for j, cap in A._caps:  # type: ignore[attr-defined]
-        if out[j] > cap:
+    for j in A._exterior:  # type: ignore[attr-defined]
+        if out[j] > 1:
             return 0, A.unit
     if out and min(out) < 0:
         for j in A._nonnegative:  # type: ignore[attr-defined]
@@ -246,8 +232,6 @@ def add_into(acc: Element, other: Element, p: int, scale: int = 1) -> None:
 
 def multiply(a: Element, b: Element, A: Algebra) -> Element:
     """Bilinear graded-commutative product with Koszul signs."""
-    if A.has_divided():
-        raise NotFreeError("expand divided-power generators first (expand_divided)")
     out: Element = {}
     p = A.p
     for m1, c1 in a.items():
@@ -310,18 +294,14 @@ def _degree_walk(gens: Sequence[GeneratorSpec], rem: int,
 def _free_walk(A: Algebra, max_degree: int) -> Iterator[Tuple[Monomial, int]]:
     """Every monomial of degree <= max_degree, in lexicographic order, with
     max_degree minus its degree."""
-    if A.has_divided():
-        raise NotFreeError("expand divided-power generators first (expand_divided)")
     gens = A.generators
     if any(g.kind == LAURENT or (g.degree == 0 and g.kind == POLYNOMIAL) for g in gens):
         raise InfiniteBasisError("infinite basis")
 
     def choices(i: int, rem: int) -> Iterable[int]:
         g = gens[i]
-        top = 1 if g.kind == EXTERIOR else g.height - 1 if g.kind == TRUNCATED else None
-        if g.degree:
-            top = rem // g.degree if top is None else min(top, rem // g.degree)
-        return range(top + 1)  # type: ignore[operator]
+        top = rem // g.degree if g.degree else 1  # degree 0 here is exterior
+        return range((min(top, 1) if g.kind == EXTERIOR else top) + 1)
 
     return _degree_walk(gens, max_degree, choices)
 
@@ -347,8 +327,6 @@ def graded_dims(A: Algebra, max_degree: int) -> List[int]:
     """Dimensions of A in degrees 0..max_degree, by generating-series product."""
     if any(g.kind == LAURENT for g in A.generators):
         raise InfiniteBasisError("infinite basis")
-    if A.has_divided():
-        A = expand_divided(A, max_degree)
     dims = [0] * (max_degree + 1)
     dims[0] = 1
     for g in A.generators:
@@ -357,8 +335,6 @@ def graded_dims(A: Algebra, max_degree: int) -> List[int]:
         new = [0] * (max_degree + 1)
         if g.kind == EXTERIOR:
             reach: Iterable[int] = (0, 1)
-        elif g.kind == TRUNCATED:
-            reach = range(g.height)  # type: ignore[arg-type]
         else:
             reach = range(0, max_degree // g.degree + 1)
         for e in reach:
@@ -371,77 +347,12 @@ def graded_dims(A: Algebra, max_degree: int) -> List[int]:
     return dims
 
 
-def expand_divided(A: Algebra, max_degree: int) -> Algebra:
-    """Replace divided-power generators by truncated-height-p factors.
-
-    A divided generator x of degree d becomes generators gamma_{p^k}(x) of
-    degree p^k * d and height p, for all k with p^k * d <= max_degree.
-    """
-    gens: List[GeneratorSpec] = []
-    p = A.p
-    for g in A.generators:
-        if g.kind != DIVIDED:
-            gens.append(g)
-            continue
-        if g.degree == 0:
-            raise AlgebraError(f"divided generator {g.name} must have positive degree")
-        q = 1
-        while q * g.degree <= max_degree:
-            gens.append(GeneratorSpec(f"γ{q}({g.name})", q * g.degree, TRUNCATED, height=p))
-            q *= p
-    return Algebra(p, tuple(gens))
-
-
-def _factorial_unit(n: int, p: int) -> int:
-    """The unit part n! / p^{v_p(n!)} mod p (Wilson recursion)."""
-    u = 1
-    while n > 0:
-        q, r = divmod(n, p)
-        for k in range(2, r + 1):
-            u = (u * k) % p
-        if q % 2 == 1 and p != 2:
-            u = (-u) % p
-        n = q
-    return u % p
-
-
-def divided_gamma(A_exp: Algebra, base_name: str, i: int) -> Element:
-    """The class gamma_i(x) in the expanded model of a divided-power algebra.
-
-    In terms of the truncated generators, gamma_i = u * prod gamma_{p^k}^{d_k}
-    where d_k are the base-p digits of i and u is the unit
-    prod (p^k!)^{d_k} / i!  (the p-adic valuations cancel exactly).
-    """
-    p = A_exp.p
-    if i < 0:
-        raise AlgebraError("gamma index must be >= 0")
-    if i == 0:
-        return {A_exp.unit: 1}
-    exps = [0] * A_exp.ngens
-    num = 1
-    q, k = 1, 0
-    rem = i
-    while rem > 0:
-        d = rem % p
-        if d:
-            name = f"γ{q}({base_name})"
-            exps[A_exp.index(name)] = d
-            num = (num * pow(_factorial_unit(q, p), d, p)) % p
-        rem //= p
-        q *= p
-        k += 1
-    coeff = (num * pow(_factorial_unit(i, p), p - 2, p)) % p
-    return {tuple(exps): coeff}
-
-
 def derivation_extend(rules: Mapping[str, Element], x: Element, A: Algebra) -> Element:
     """Extend generator rules to the unique signed derivation.
 
     `rules` maps generator names to target elements; generators without a
     rule map to zero.  Satisfies d(xy) = d(x) y + (-1)^{|x|} x d(y).
     """
-    if A.has_divided():
-        raise NotFreeError("expand divided-power generators first (expand_divided)")
     for name in rules:
         A.index(name)  # raises ForeignGeneratorError on non-generators
     p = A.p

@@ -45,8 +45,8 @@ class Family(NamedTuple):
 # n + 2 generators have degrees of up to n log2(p) bits, and the time grows
 # faster than n^1.5.  Measured on a 2-vCPU Xeon with Python 3.11.7 (run and
 # oracle, which build the algebra once each; median of 3 fresh interpreters,
-# 5 for D=1000), v0 p=2 D=40 took 0.65 s at n = 10,000 and 1.8 s at
-# 20,000, v0 p=7 D=40 took 2.0 s at 10,000, and v0 p=2 D=1000 took 4.7 s
+# 5 for D=1000), v0 p=2 D=40 took 0.28 s at n = 10,000 and 0.90 s at
+# 20,000, v0 p=7 D=40 took 0.42 s at 10,000, and v0 p=2 D=1000 took 3.7 s
 # at 9,999.
 MAX_HEIGHT = 10_000
 

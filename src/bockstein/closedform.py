@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import EXTERIOR, POLYNOMIAL, Algebra, GeneratorSpec, Monomial, graded_dims
+from .algebra import (
+    EXTERIOR,
+    POLYNOMIAL,
+    Algebra,
+    GeneratorSpec,
+    Monomial,
+    graded_dims,
+    sparse_monomial,
+)
 from .formulas import FormulaError, LambdaFamily, deg_lambda, deg_mu, nu_p, r_conj, r_len
 from .towers import INF, TowerProfile
 
@@ -22,8 +30,12 @@ def thh_mod_p_algebra(p: int, n: int) -> Algebra:
     |lambda_i| = 2p^i - 1 and |mu_{n+1}| = 2p^{n+1}."""
     if n < 0:
         raise FormulaError("n must be >= 0")
-    gens = [GeneratorSpec(f"λ{i}", deg_lambda(p, i), EXTERIOR) for i in range(1, n + 2)]
-    gens.append(GeneratorSpec(f"μ{n + 1}", deg_mu(p, n), POLYNOMIAL))
+    # a running power: p**i afresh for each lambda_i is quadratic in n
+    gens, q = [], 1
+    for i in range(1, n + 2):
+        q *= p
+        gens.append(GeneratorSpec(f"λ{i}", 2 * q - 1, EXTERIOR))
+    gens.append(GeneratorSpec(f"μ{n + 1}", 2 * q, POLYNOMIAL))
     return Algebra(p, tuple(gens))
 
 
@@ -91,13 +103,6 @@ def _exterior_subsets(A: Algebra, indices: List[int], max_degree: int):
     return out
 
 
-def _mono(A: Algebra, exps: Dict[int, int]) -> Monomial:
-    m = [0] * A.ngens
-    for i, e in exps.items():
-        m[i] += e
-    return tuple(m)
-
-
 def t0n_presentation(p: int, n: int, max_degree: int) -> TorsionPresentation:
     """The integral answer: free part E(lambda_1..lambda_n), torsion towers
     of length nu_p(i)+1 on lambda-products times lambda_{n+1} mu^{i-1}."""
@@ -105,7 +110,8 @@ def t0n_presentation(p: int, n: int, max_degree: int) -> TorsionPresentation:
     mu = A.ngens - 1
     lam_top = n
     D = max_degree
-    free = [_mono(A, exps) for _, exps, _ in _exterior_subsets(A, list(range(n)), D)]
+    free = [sparse_monomial(A.ngens, exps)
+            for _, exps, _ in _exterior_subsets(A, list(range(n)), D)]
     torsion: List[TorsionGenerator] = []
     i = 1
     while 2 * i * p ** (n + 1) - 1 <= D:
@@ -113,7 +119,7 @@ def t0n_presentation(p: int, n: int, max_degree: int) -> TorsionPresentation:
         length = nu_p(p, i) + 1
         for deg, exps, label in _exterior_subsets(A, list(range(n)), D - base_deg):
             name = (label + "·" if label else "") + f"λ{n + 1}({i})"
-            proj = _mono(A, {**exps, lam_top: 1, mu: i - 1})
+            proj = sparse_monomial(A.ngens, {**exps, lam_top: 1, mu: i - 1})
             torsion.append(TorsionGenerator(name, deg + base_deg, length, proj))
         i += 1
     return TorsionPresentation(A, free, torsion)
@@ -136,7 +142,7 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
     A = thh_mod_p_algebra(p, family.n)
     mu = A.ngens - 1
     D = max_degree
-    free = [_mono(A, exps) for _, exps, _ in _exterior_subsets(A, permanents, D)]
+    free = [sparse_monomial(A.ngens, exps) for _, exps, _ in _exterior_subsets(A, permanents, D)]
     torsion: List[TorsionGenerator] = []
     s = 1
     while family.degree(head_index_of(s)) <= D:
@@ -171,7 +177,7 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
                 base_name = gen_name(s, m, tail)
                 for pdeg, pexps, plabel in _exterior_subsets(A, permanents, D - deg0):
                     name = (plabel + "·" if plabel else "") + base_name
-                    proj = _mono(A, {**mexps, **pexps})
+                    proj = sparse_monomial(A.ngens, {**mexps, **pexps})
                     torsion.append(TorsionGenerator(name, deg0 + pdeg, length, proj))
                 m += 1
         s += 1

@@ -66,7 +66,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
 from operator import itemgetter, sub
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebra import (
@@ -81,6 +81,7 @@ from .algebra import (
     element_degree,
     mul_monomials,
     require_prime,
+    sparse_monomial,
 )
 from .formulas import LambdaFamily, deg_mu, nu_p, r_conj, r_len
 from .towers import INF, TowerProfile, Unknown
@@ -141,10 +142,10 @@ class RulePage:
     attach: Optional[Dict[int, int]] = None
 
 
-# a term of a rule's target over A: (coefficient mod p, monomial, and each
-# capped generator it raises as (index, the largest exponent a cofactor may
-# hold there for the product to live))
-Term = Tuple[int, Monomial, Tuple[Tuple[int, int], ...]]
+# a term of a rule's target over A: (coefficient mod p, monomial, and the
+# exterior generators it holds, which a cofactor must not hold for the
+# product to live)
+Term = Tuple[int, Monomial, Tuple[int, ...]]
 
 
 class PageGenerators(NamedTuple):
@@ -411,7 +412,7 @@ def _page_generators(A: Algebra, page: RulePage) -> PageGenerators:
     power rule is the one whose source is a pure power of a polynomial
     generator; every other source must be a live exterior generator times
     its attached mu-power."""
-    exterior = tuple(i for i, g in enumerate(A.generators) if g.kind == EXTERIOR)
+    exterior = A.exterior
     attach = {i: 0 for i in exterior} if page.attach is None else page.attach
     mu, q = None, 1
     for rule in page.rules:
@@ -433,10 +434,7 @@ def _page_generators(A: Algebra, page: RulePage) -> PageGenerators:
             raise MalformedRuleError("malformed rule (source is not a page generator)")
         if gi in rules:
             raise MalformedRuleError("malformed rule (duplicate source)")
-        # a term t times a submonomial of a monomial dies only where t
-        # raises a capped generator, past cap - t[j]
-        terms = tuple((c % A.p, mon[:-1],
-                       tuple((j, cap - mon[j]) for j, cap in A.exponent_caps if mon[j]))
+        terms = tuple((c % A.p, mon[:-1], tuple(j for j in exterior if mon[j]))
                       for mon, c in rule.target.items() if c % A.p)
         rules[gi] = (gi, rule.source, terms)
     dead = tuple(i for i in exterior if i not in attach)
@@ -518,9 +516,9 @@ def _d_of_monomial(ctx: EngineContext, gens: PageGenerators, m: Monomial) -> Ele
             continue
         cof = tuple(map(sub, m, source))
         sign, _ = mul_monomials(A, source, cof)
-        for c, t, caps in terms:
-            for j, limit in caps:
-                if cof[j] > limit:
+        for c, t, held in terms:
+            for j in held:
+                if cof[j]:
                     break
             else:
                 s, mon = mul_monomials(A, t, cof)
@@ -548,11 +546,9 @@ def _rule_degrees(A: Algebra, gens: PageGenerators, top: int) -> int:
     the degrees of g times a product of the other page generators: each
     live lambda (with its attached mu-power) at most once, and mu^q and
     every generator that is neither exterior nor mu any number of times,
-    but none that t holds at its cap, since t times it is 0.  For
+    but no exterior generator that t holds, since t times it is 0.  For
     g = mu^q the monomial holds mu^(qk), and the term's multiplicity k
-    must not be a multiple of p.  Caps below the top exponent are not
-    read, so the index may hold a degree with no such monomial, but it
-    misses none that has one."""
+    must not be a multiple of p."""
     mask = (1 << (top + 1)) - 1
 
     def powers(bits: int, d: int) -> int:
@@ -567,11 +563,10 @@ def _rule_degrees(A: Algebra, gens: PageGenerators, top: int) -> int:
     out = 0
     for gi, source, terms in gens.rules:
         d = A.degree(source)
-        for _, _, caps in terms:
-            full = {j for j, limit in caps if limit <= 0}
+        for _, _, held in terms:
             bits = 1
             for i, g in enumerate(A.generators):
-                if i == gi or i in full:
+                if i == gi or i in held:
                     continue
                 if g.kind != EXTERIOR:
                     bits = powers(bits, gens.q * dmu if i == gens.mu else g.degree)
@@ -795,13 +790,6 @@ def apply_page(pd: PageData, rules) -> PageData:
 # generators of thh_mod_p_algebra(p, n)), a target one more for v.
 
 
-def _monomial(ngens: int, exps: Mapping[int, int]) -> Monomial:
-    m = [0] * ngens
-    for i, e in exps.items():
-        m[i] += e
-    return tuple(m)
-
-
 def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
     """d_{j+1}(mu^{p^j}) = v_0^{j+1} mu^{p^j-1} lambda_{n+1}: one power rule
     per page, on the page generators lambda_1 .. lambda_n, lambda_{n+1}
@@ -826,8 +814,8 @@ def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
     pages: Dict[int, RulePage] = {}
     for j in js:
         q = p ** j
-        src = _monomial(n + 2, {mu: q})
-        target = {_monomial(n + 3, {vi: j + 1, mu: q - 1, lam: 1}): 1}
+        src = sparse_monomial(n + 2, {mu: q})
+        target = {sparse_monomial(n + 3, {vi: j + 1, mu: q - 1, lam: 1}): 1}
         attach = {i: 0 for i in range(n)}
         attach[lam] = q - 1
         pages[j + 1] = RulePage(j + 1, [Rule(src, target)], attach)
@@ -865,8 +853,8 @@ def _ladder_schedule(p: int, w, family: LambdaFamily, v_name: str, v_deg: int,
             break
         r = page_of(s)
         base, e = family.entry(tgt_idx)
-        target = {_monomial(n + 3, {vi: r, base - 1: 1, mu: e}): 1}
-        source = _monomial(n + 2, {mu: p ** (s - 1)})
+        target = {sparse_monomial(n + 3, {vi: r, base - 1: 1, mu: e}): 1}
+        source = sparse_monomial(n + 2, {mu: p ** (s - 1)})
         attach: Dict[int, int] = {}
         for idx in attach_indices(s):
             b, ee = family.entry(idx)
@@ -918,13 +906,13 @@ def _schedule_v1_p2_variant_b(w: Window, family: LambdaFamily) -> DifferentialSc
     mu, vi = 3, 4
     pages: Dict[int, RulePage] = {}
     # the candidate differential the paper could not rule out
-    lam3 = _monomial(4, {2: 1})
-    pages[2] = RulePage(2, [Rule(lam3, {_monomial(5, {vi: 2, 0: 1, 1: 1}): 1})])
+    lam3 = sparse_monomial(4, {2: 1})
+    pages[2] = RulePage(2, [Rule(lam3, {sparse_monomial(5, {vi: 2, 0: 1, 1: 1}): 1})])
     # the first ladder differential is unaffected by it
     if family.degree(2) <= w.max_degree:
         r = r_len(p, 1, 1)
-        src = _monomial(4, {mu: 1})
-        pages[r] = RulePage(r, [Rule(src, {_monomial(5, {vi: r, 1: 1}): 1})],
+        src = sparse_monomial(4, {mu: 1})
+        pages[r] = RulePage(r, [Rule(src, {sparse_monomial(5, {vi: r, 1: 1}): 1})],
                             attach={0: 0, 1: 0})
     # past this point the branch is uncharted; everything above lambda_3's
     # degree stays unknown

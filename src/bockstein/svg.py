@@ -17,14 +17,17 @@ from .engine import PageData
 
 Point = Tuple[int, int]
 
+# the layout: points per degree and per filtration, the dot radius, the
+# degrees between x ticks and the margin
+X_SCALE = 10.0
+Y_SCALE = 14.0
+DOT_RADIUS = 2.2
+X_TICK_STEP = 2
+MARGIN = 28.0
+
 
 @dataclass
 class ChartStyle:
-    x_scale: float = 10.0
-    y_scale: float = 14.0
-    dot_radius: float = 2.2
-    x_tick_step: int = 2
-    margin: float = 28.0
     max_filtration: Optional[int] = None
 
 
@@ -56,26 +59,25 @@ def draw_chart(page: PageData, dots: Dict[Point, int], arrows: List[Tuple[Point,
     if style.max_filtration is not None:
         s_top = min(s_top, style.max_filtration)
     s_bottom = min(s_values, default=0) if page.ctx.localized else 0
-    m = style.margin
 
     def X(t: float) -> float:
-        return m + t * style.x_scale
+        return MARGIN + t * X_SCALE
 
     def Y(s: float) -> float:
-        return m + (s_top - s) * style.y_scale
+        return MARGIN + (s_top - s) * Y_SCALE
 
-    width = X(max_degree) + m
-    height = Y(s_bottom) + m
+    width = X(max_degree) + MARGIN
+    height = Y(s_bottom) + MARGIN
     out: List[str] = []
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">'
     )
     if title:
-        out.append(f'<text x="{m}" y="{m / 2:.1f}" font-size="11">{title}</text>')
+        out.append(f'<text x="{MARGIN}" y="{MARGIN / 2:.1f}" font-size="11">{title}</text>')
     out.append(f'<line x1="{X(0)}" y1="{Y(s_bottom)}" x2="{X(max_degree)}" y2="{Y(s_bottom)}" '
                'stroke="black" stroke-width="0.5"/>')
-    for t in range(0, max_degree + 1, style.x_tick_step):
+    for t in range(0, max_degree + 1, X_TICK_STEP):
         out.append(f'<text x="{X(t):.1f}" y="{Y(s_bottom) + 12:.1f}" font-size="7" '
                    f'text-anchor="middle">{t}</text>')
 
@@ -110,7 +112,7 @@ def draw_chart(page: PageData, dots: Dict[Point, int], arrows: List[Tuple[Point,
         if not s_bottom <= s <= s_top:
             continue
         for (x, y) in dots(t, s, dim):
-            out.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{style.dot_radius}" '
+            out.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{DOT_RADIUS}" '
                        f'data-t="{t}" data-s="{s}"/>')
     out.append("</svg>")
     return "\n".join(out)

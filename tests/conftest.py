@@ -7,7 +7,6 @@ from bockstein.algebra import (
     EXTERIOR,
     LAURENT,
     POLYNOMIAL,
-    TRUNCATED,
     Algebra,
     GeneratorSpec,
 )
@@ -20,8 +19,6 @@ def brute_basis(A: Algebra, d: int, cap: int = 0):
     for g in A.generators:
         if g.kind == EXTERIOR:
             ranges.append(range(0, 2))
-        elif g.kind == TRUNCATED:
-            ranges.append(range(0, g.height))
         elif g.kind == LAURENT:
             ranges.append(range(-cap, cap + 1))
         else:
@@ -41,8 +38,6 @@ def series_dims(A: Algebra, max_degree: int):
     for g in A.generators:
         if g.kind == EXTERIOR:
             factor = {0: 1, g.degree: 1}
-        elif g.kind == TRUNCATED:
-            factor = {e * g.degree: 1 for e in range(g.height)}
         else:
             factor = {e * g.degree: 1 for e in range(0, max_degree // g.degree + 1)}
         new = [0] * (max_degree + 1)
@@ -74,18 +69,8 @@ def random_homogeneous(rng: random.Random, A: Algebra, degree: int, basis_cache:
 @pytest.fixture
 def mixed_algebras():
     """Small mixed-kind algebras per prime for property tests."""
-    out = {}
-    out[2] = Algebra(2, (
+    return {p: Algebra(p, (
         GeneratorSpec("a", 1, EXTERIOR),
         GeneratorSpec("b", 3, EXTERIOR),
         GeneratorSpec("x", 2, POLYNOMIAL),
-        GeneratorSpec("t", 4, TRUNCATED, height=2),
-    ))
-    for p in (3, 5):
-        out[p] = Algebra(p, (
-            GeneratorSpec("a", 1, EXTERIOR),
-            GeneratorSpec("b", 3, EXTERIOR),
-            GeneratorSpec("x", 2, POLYNOMIAL),
-            GeneratorSpec("t", 4, TRUNCATED, height=p),
-        ))
-    return out
+    )) for p in (2, 3, 5)}

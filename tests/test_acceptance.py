@@ -7,10 +7,11 @@ assertions inside apply_page, so every run below exercises them.
 """
 
 import functools
+import itertools
 import random
 import time
 
-from bockstein.algebra import derivation_extend, multiply
+from bockstein.algebra import Algebra, derivation_extend, multiply
 from bockstein.cases import Case
 from bockstein.closedform import (
     localized_expected,
@@ -21,15 +22,14 @@ from bockstein.closedform import (
     thh_mod_p_algebra,
     tmn_profile,
 )
-from bockstein.engine import Rule, run
+from bockstein.engine import DifferentialSchedule, Rule, RulePage, Window, run, schedule_v0
 from bockstein.formulas import (
     d_deg,
     d_deg_explicit,
     deg_mu,
     r_len,
 )
-from bockstein.hochschild import hh_dims, hh_free
-from bockstein.towers import INF, compare
+from bockstein.towers import INF, TowerProfile, compare
 from conftest import random_homogeneous
 import golden
 
@@ -203,25 +203,37 @@ def test_criterion_8():
         assert dict(local.towers) == {t: v for t, v in free.items() if v}
         assert golden.same_documents(Case(kind, 3, 120, localized=True))
 
-    # Kuenneth and degree-shift checks through D = 60
-    from bockstein.algebra import Algebra, GeneratorSpec
-
-    p = 3
-    f1 = Algebra(p, (GeneratorSpec("a", 5, "exterior"),))
-    f2 = Algebra(p, (GeneratorSpec("x", 6, "polynomial"),))
-    both = Algebra(p, f1.generators + f2.generators)
-    D = 60
-    d1 = hh_dims(hh_free(f1, p), D)
-    d2 = hh_dims(hh_free(f2, p), D)
-    dboth = hh_dims(hh_free(both, p), D)
-    conv = {}
-    for a, ca in d1.items():
-        for b, cb in d2.items():
-            if a + b <= D:
-                conv[a + b] = conv.get(a + b, 0) + ca * cb
-    assert dboth == conv
-    shifts = {g.name: g.degree for g in hh_free(both, p).algebra.generators}
-    assert shifts["σa"] == 6 and shifts["σx"] == 7
+    # Kuenneth on the engine, by the free (x) tower case of the Bockstein
+    # Kuenneth theorem (J. P. May, A primer on the Bockstein spectral
+    # sequence): the v0 run on E(lambda_1..lambda_{n+1}) (x) P(mu_{n+1}) is
+    # the run on B = E(lambda_{n+1}) (x) P(mu_{n+1}), with the same pages
+    # projected to B's generators, times the free towers of
+    # E(lambda_1..lambda_n), on which every page's rule vanishes
+    for (p, n, D) in ((2, 2, 58), (3, 2, 300), (2, 3, 200)):
+        A, w = thh_mod_p_algebra(p, n), Window(D)
+        sched = schedule_v0(p, n, w)
+        _, prof = run(A, sched, w)
+        B = Algebra(p, A.generators[n:])
+        pages = {}
+        for r, page in sched.pages.items():
+            rules = []
+            for rule in page.rules:
+                assert not any(rule.source[:n]) and not any(any(m[:n]) for m in rule.target)
+                rules.append(Rule(rule.source[n:], {m[n:]: c for m, c in rule.target.items()}))
+            pages[r] = RulePage(r, rules, {i - n: c for i, c in page.attach.items() if i >= n})
+        _, prof_b = run(B, DifferentialSchedule(
+            sched.v, pages, future_target_floor=sched.future_target_floor,
+            future_min_page=sched.future_min_page), w)
+        assert not prof_b.has_unknown()
+        want = TowerProfile(D)
+        for k in range(n + 1):
+            for subset in itertools.combinations(A.generators[:n], k):
+                shift = sum(g.degree for g in subset)
+                for t in prof_b.degrees():
+                    if t + shift <= D:
+                        for length in prof_b.lengths(t):
+                            want.add(t + shift, length)
+        assert prof == want
 
     # rational free part vs t0n free part, n <= 3, p in {2, 3}
     for p in (2, 3):

@@ -6,7 +6,6 @@ from bockstein.algebra import (
     EXTERIOR,
     POLYNOMIAL,
     PRIME_LIMIT,
-    TRUNCATED,
     Algebra,
     AlgebraError,
     ForeignGeneratorError,
@@ -15,9 +14,7 @@ from bockstein.algebra import (
     basis_in_degree,
     basis_up_to,
     derivation_extend,
-    divided_gamma,
     element,
-    expand_divided,
     graded_dims,
     is_prime,
     multiply,
@@ -41,10 +38,11 @@ def test_koszul_sign_odd_prime():
     assert multiply(l1, l2, A) == {prod: 1}
 
 
-def test_truncated_square_vanishes():
-    A = Algebra(2, (GeneratorSpec("x", 4, TRUNCATED, height=2),))
-    x = element(A, (1, (1,)))
-    assert multiply(x, x, A) == {}
+@pytest.mark.parametrize("kind", ["divided", "truncated"])
+def test_only_the_kinds_thh_needs_are_generator_kinds(kind):
+    # THH_*(B<n>; F_p)[v] has exterior, polynomial and Laurent generators
+    with pytest.raises(AlgebraError, match="unknown generator kind"):
+        GeneratorSpec("x", 4, kind)
 
 
 def test_foreign_generator_error():
@@ -222,28 +220,3 @@ def test_derivation_linearity(mixed_algebras):
                 else:
                     want.pop(m, None)
             assert derivation_extend(rules, combo, A) == want
-
-
-def test_divided_power_expansion_and_gamma_law():
-    import math
-
-    for p in (2, 3, 5):
-        A = Algebra(p, (GeneratorSpec("x", 4, "divided"),))
-        E = expand_divided(A, 40 * p)
-        assert all(g.kind == TRUNCATED and g.height == p for g in E.generators)
-        assert [g.degree for g in E.generators][:2] == [4, 4 * p]
-        for i in range(0, 10):
-            for j in range(0, 10):
-                lhs = multiply(divided_gamma(E, "x", i), divided_gamma(E, "x", j), E)
-                c = math.comb(i + j, i) % p
-                rhs = {m: (c * v) % p for m, v in divided_gamma(E, "x", i + j).items()
-                       if (c * v) % p}
-                assert lhs == rhs, (p, i, j)
-
-
-def test_divided_dims_match_binomial_count():
-    # dim of Gamma(x) in degree 4k is 1 for every k (basis gamma_k)
-    A = Algebra(3, (GeneratorSpec("x", 4, "divided"),))
-    dims = graded_dims(A, 120)
-    for d, c in enumerate(dims):
-        assert c == (1 if d % 4 == 0 else 0)

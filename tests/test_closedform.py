@@ -12,7 +12,8 @@ from bockstein.closedform import (
     thh_mod_p_algebra,
     tmn_profile,
 )
-from bockstein.formulas import FormulaError, nu_p, r_conj
+from bockstein.algebra import EXTERIOR, POLYNOMIAL, GeneratorSpec
+from bockstein.formulas import FormulaError, deg_lambda, deg_mu, nu_p, r_conj
 from bockstein.towers import INF, TowerProfile
 
 
@@ -23,6 +24,14 @@ def test_thh_mod_p_algebra_degrees():
     assert [g.degree for g in A.generators] == [5, 17, 53, 54]
     A = thh_mod_p_algebra(5, 0)
     assert [(g.name, g.degree) for g in A.generators] == [("λ1", 9), ("μ1", 10)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_thh_mod_p_algebra_matches_the_degree_formulas(p):
+    for n in range(41):
+        want = [GeneratorSpec(f"λ{i}", deg_lambda(p, i), EXTERIOR) for i in range(1, n + 2)]
+        want.append(GeneratorSpec(f"μ{n + 1}", deg_mu(p, n), POLYNOMIAL))
+        assert thh_mod_p_algebra(p, n).generators == tuple(want)
 
 
 def test_rational_dims():

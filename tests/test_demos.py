@@ -1,6 +1,7 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, and the README lists each one."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,11 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_six_demos():
-    assert len(DEMOS) == 6
+def test_the_readme_demos_section_names_every_demo():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Demos\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"\b\d\d_\w+\.py\b", section))
+    assert DEMOS and named == {d.name for d in DEMOS}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -732,14 +732,13 @@ def test_page_derivation_signs_rules_past_odd_factors():
     # in the schedules every rule source is mu^q or sits right of the odd
     # factors it meets, so the sign of g * (m / g) is always +1 there; here
     # d_1(x3) = v0 (y + x1 x2 + z^2) and d_1(y) = v0 (x2 + x1 z) over
-    # E(x1, x2, x3) (x) P(y) (x) P(z)/z^3 at p = 3, checked on every
-    # monomial up to degree 24 against the reference and the signed
-    # derivation
-    from bockstein.algebra import TRUNCATED, Algebra, basis_up_to
+    # E(x1, x2, x3) (x) P(y, z) at p = 3, checked on every monomial up to
+    # degree 24 against the reference and the signed derivation
+    from bockstein.algebra import Algebra, basis_up_to
 
     A = Algebra(3, (GeneratorSpec("x1", 1, EXTERIOR), GeneratorSpec("x2", 3, EXTERIOR),
                     GeneratorSpec("x3", 5, EXTERIOR), GeneratorSpec("y", 4, POLYNOMIAL),
-                    GeneratorSpec("z", 2, TRUNCATED, height=3)))
+                    GeneratorSpec("z", 2, POLYNOMIAL)))
     v = v_gen("v0", 0)
     Av = A.adjoin(v)
     d_x3 = element(Av, (1, Av.monomial(y=1, v0=1)), (1, Av.monomial(x1=1, x2=1, v0=1)),
@@ -799,27 +798,28 @@ def test_pages_skip_the_a_degrees_no_rule_reaches(monkeypatch):
 
 
 def test_clearing_index_of_rules_on_several_generators():
-    # the Koszul-sign algebra below has a truncated generator besides mu and
-    # two rules on a page, one exterior and one on mu; with no power rule
-    # every polynomial generator is free; d_1(y) = v0 x1 z lives on y z,
-    # whose cofactor holds z below its cap, and dies on y z^2
-    from bockstein.algebra import TRUNCATED, Algebra, basis_up_to
+    # the Koszul-sign algebra below has a polynomial generator besides mu
+    # and two rules on a page, one exterior and one on mu; with no power
+    # rule every polynomial generator is free; d_1(y) = v0 (x2 + x1 z)
+    # lives on y x2 through its x1 z term alone, the x2 term dying on the
+    # cofactor x2, so each term leaves out only the exterior generators it
+    # holds itself
+    from bockstein.algebra import Algebra, basis_up_to
 
     A = Algebra(3, (GeneratorSpec("x1", 1, EXTERIOR), GeneratorSpec("x2", 3, EXTERIOR),
                     GeneratorSpec("x3", 5, EXTERIOR), GeneratorSpec("y", 4, POLYNOMIAL),
-                    GeneratorSpec("z", 2, TRUNCATED, height=3)))
+                    GeneratorSpec("z", 2, POLYNOMIAL)))
     v = v_gen("v0", 0)
     Av = A.adjoin(v)
     d_x3 = element(Av, (1, Av.monomial(y=1, v0=1)), (1, Av.monomial(x1=1, x2=1, v0=1)))
     d_y = element(Av, (1, Av.monomial(x2=1, v0=1)), (1, Av.monomial(x1=1, z=1, v0=1)))
     d_y3 = element(Av, (1, Av.monomial(x2=1, y=1, z=2, v0=1)))
-    d_yz = element(Av, (1, Av.monomial(x1=1, z=1, v0=1)))
     ctx = EngineContext(A, v, False, 40, (1,))
     basis = basis_up_to(A, 40)
     for page in (RulePage(1, [Rule(A.monomial(x3=1), d_x3), Rule(A.monomial(y=1), d_y)]),
                  RulePage(1, [Rule(A.monomial(x3=1), d_x3)]),
                  RulePage(1, [Rule(A.monomial(y=3), d_y3)], attach={0: 0, 1: 1}),
-                 RulePage(1, [Rule(A.monomial(y=1), d_yz)])):
+                 RulePage(1, [Rule(A.monomial(y=1), d_y)])):
         gens = _page_generators(A, page)
         index = _rule_degrees(A, gens, 40)
         hit = [a for a, mons in basis.items() if any(_d_of_monomial(ctx, gens, m) for m in mons)]
