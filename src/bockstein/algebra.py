@@ -111,7 +111,7 @@ class Algebra:
             raise AlgebraError("generator names must be unique")
         if self.p != 2:
             for g in self.generators:
-                if g.kind == EXTERIOR and g.degree % 2 == 0:
+                if g.kind == EXTERIOR and not g.degree & 1:
                     raise AlgebraError(
                         f"generator {g.name}: exterior generators must have odd degree at odd p"
                     )
@@ -121,7 +121,7 @@ class Algebra:
         # right, the exterior ones, and the generators whose exponents cannot
         # go below zero
         object.__setattr__(self, "_odd_from_right", tuple(
-            i for i in reversed(range(len(self.generators))) if self.generators[i].degree % 2))
+            i for i in reversed(range(len(self.generators))) if self.generators[i].degree & 1))
         object.__setattr__(self, "_exterior", tuple(
             i for i, g in enumerate(self.generators) if g.kind == EXTERIOR))
         object.__setattr__(self, "_nonnegative", tuple(

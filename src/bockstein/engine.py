@@ -36,10 +36,13 @@ state.
 A page costs the differentials it fires.  It visits only the A-degrees
 of its clearing index, where a monomial factors over the page generators
 with a rule factor whose Leibniz term can live, since d_r vanishes on
-every other one.  It eliminates each record of d_r once, for its rank,
-its kernel (the source's cycles) and its reduced echelon form (the span
-the well-definedness check compares, and the image the target divides
-by).  And a cell no page has touched expresses a vector as itself, so
+every other one.  It eliminates each record of d_r once: one forward
+elimination gives its rank, its kernel (the source's cycles) and pivot
+rows that back-substitute to its reduced echelon form (the span the
+well-definedness check compares, and the image the target divides by).
+And a cell no page has touched is the identity on its monomials: its
+classes' values are their images, a combination of them is its own
+vector, and it expresses a vector as itself, so it builds no rows and
 only the cells the homology built keep a solver.
 
 Reading the towers at base degree b: the classes that become boundaries on
@@ -534,6 +537,17 @@ def _accumulate(acc: Element, m: Monomial, c: int, p: int) -> None:
         acc.pop(m, None)
 
 
+def _set_bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x >= 0, in increasing order: x is
+    cut into bytes once, and each nonzero byte gives up its lowest set bit
+    until it is empty."""
+    for k, byte in enumerate(x.to_bytes((x.bit_length() + 7) // 8, "little")):
+        while byte:
+            low = byte & -byte
+            yield 8 * k + low.bit_length() - 1
+            byte ^= low
+
+
 def _rule_degrees(A: Algebra, gens: PageGenerators, top: int) -> int:
     """The clearing index of a page, as a bitset: the A-degrees 0..top that
     hold a monomial which factors over the page generators with a rule
@@ -585,9 +599,9 @@ def _rule_degrees(A: Algebra, gens: PageGenerators, top: int) -> int:
 
 
 class _Eliminated(NamedTuple):
-    """A d_r record of one bar with its two eliminations, each done once:
-    the left kernel (its rank is the rows less the kernel's dimension) and
-    the reduced row echelon form of its rows."""
+    """A d_r record of one bar with what one elimination of it gives (see
+    linalg.kernel_and_echelon): the left kernel, whose dimension is the
+    rows less the rank, and the reduced row echelon form of its rows."""
 
     rec: DiffRecord
     kernel: List[List[int]]
@@ -597,16 +611,20 @@ class _Eliminated(NamedTuple):
 def _page_map(cell: Cell, images: Sequence[Element], tcell: Cell, p: int,
               r: int, a: int, ta: int) -> Optional[_Eliminated]:
     """d_r on the classes of one cell, in the coordinates of the target's
-    classes, eliminated; None when it vanishes."""
+    classes, eliminated; None when it vanishes.  An untouched cell's
+    classes are its monomials, so their values are the images themselves."""
     tindex = {mon: i for i, mon in enumerate(tcell.monomials)}
     mat: List[List[int]] = []
     nonzero = False
-    for row in cell.reps_rows():
-        dvec: Element = {}
-        for j, c in enumerate(row):
-            if c and images[j]:
-                for mon, cc in images[j].items():
-                    _accumulate(dvec, mon, c * cc, p)
+    for k in range(cell.dim):
+        if cell.reps is None:
+            dvec = images[k]
+        else:
+            dvec = {}
+            for j, c in enumerate(cell.reps[k]):
+                if c and images[j]:
+                    for mon, cc in images[j].items():
+                        _accumulate(dvec, mon, c * cc, p)
         if not dvec:
             mat.append([0] * tcell.dim)
             continue
@@ -624,20 +642,19 @@ def _page_map(cell: Cell, images: Sequence[Element], tcell: Cell, p: int,
         nonzero = nonzero or any(coeffs)
     if not nonzero:
         return None
-    kernel = linalg.left_kernel(mat, tcell.dim, p)
-    return _Eliminated(DiffRecord(ta, mat, len(mat) - len(kernel)), kernel,
-                       linalg.echelon_from_rows(mat, p))
+    kernel, echelon = linalg.kernel_and_echelon(mat, tcell.dim, p)
+    return _Eliminated(DiffRecord(ta, mat, len(mat) - len(kernel)), kernel, echelon)
 
 
 def _homology(cell: Cell, out: Optional[_Eliminated], image: Optional[_Eliminated],
               p: int, r: int, a: int) -> Cell:
     """The next page's cell: the kernel of the outgoing d_r (out) modulo the
     rows of the incoming one (image), both in the coordinates of the cell's
-    classes."""
+    classes.  An untouched cell's classes are its monomials, so there a
+    combination of classes is its own vector."""
     if out is None and image is None:
         return cell
-    reps = cell.reps_rows()
-    n = len(reps)
+    n = cell.dim
     if out is not None:
         ker = out.kernel
     else:
@@ -655,9 +672,12 @@ def _homology(cell: Cell, out: Optional[_Eliminated], image: Optional[_Eliminate
     if len(new_rep_combos) != len(ker) - len(im_ech):
         raise EngineAssertionError(
             f"homology dimension bookkeeping failed at A-degree {a} on page {r}")
+    reps = cell.reps
     width = len(cell.monomials)
 
     def _combine(combo: List[int]) -> List[int]:
+        if reps is None:
+            return list(combo)
         vec = [0] * width
         for i, c in enumerate(combo):
             if c:
@@ -703,13 +723,17 @@ def apply_page(pd: PageData, rules) -> PageData:
     The fired differentials are recorded on the input PageData.
 
     A page costs what it fires.  It visits only the kept A-degrees of its
-    clearing index (_rule_degrees), in increasing order.  Each record of
-    d_r is eliminated once (_page_map): its left kernel gives the rank and
-    the source bar's cycles, and its reduced echelon form is both the span
-    the well-definedness check compares and the image the target's
-    homology divides by.  A record's target that no page has touched
-    expresses a vector as itself (Cell.express), so only the cells
-    _homology made build a solver.
+    clearing index (_rule_degrees), walking its set bits in increasing
+    order.  Each record of d_r is eliminated once (_page_map, through
+    linalg.kernel_and_echelon): the one forward elimination gives the rank
+    and the source bar's cycles, and its pivot rows, back-substituted, the
+    reduced echelon form that is both the span the well-definedness check
+    compares and the image the target's homology divides by.  A cell that
+    no page has touched builds no identity rows: _page_map reads its
+    classes' values off the images, _homology takes a combination of its
+    classes as its own vector, and as a target it expresses a vector as
+    itself (Cell.express), so only the cells _homology made build a
+    solver.
     """
     ctx = pd.ctx
     p = ctx.A.p
@@ -731,8 +755,7 @@ def apply_page(pd: PageData, rules) -> PageData:
     # elim holds each bar's record eliminated, beside maps
     maps: Dict[int, Bars] = {}
     elim: Dict[int, List[Optional[_Eliminated]]] = {}
-    index = format(_rule_degrees(ctx.A, gens, ctx.reach), "b")[::-1]
-    for a in (a for a, bit in enumerate(index) if bit == "1"):
+    for a in _set_bits(_rule_degrees(ctx.A, gens, ctx.reach)):
         bars = pd.degrees.get(a)
         if bars is None:
             continue

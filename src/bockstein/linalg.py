@@ -76,20 +76,43 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> L
 
 def left_kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> List[Row]:
     """Basis of {x : x . M = 0} for M given by rows (len(x) = len(rows))."""
+    return kernel_and_echelon(rows, ncols, p)[0]
+
+
+def kernel_and_echelon(rows: Sequence[Sequence[int]], ncols: int,
+                       p: int) -> Tuple[List[Row], Dict[int, Row]]:
+    """The left kernel of M (given by rows, ncols wide) and the reduced
+    echelon form of its rows, echelon_from_rows(rows, p), from one forward
+    elimination of [M | 1]: the combos of the rows that reduce to zero are
+    the kernel, and the pivot rows, cut to M's columns and back-substituted
+    from the last pivot up, are the reduced echelon form, which is unique.
+    The rank is the rows less the kernel's dimension."""
     m = len(rows)
-    ech: Dict[int, Row] = {}
+    fwd: Dict[int, Row] = {}
     kernel: List[Row] = []
     for i, row in enumerate(rows):
         aug = list(row) + [0] * m
         aug[ncols + i] = 1
-        r = reduce_row(aug, ech, p)
+        r = reduce_row(aug, fwd, p)
         piv = next((j for j in range(ncols) if r[j]), None)
         if piv is None:
             kernel.append([c % p for c in r[ncols:]])
         else:
             inv = inv_mod(r[piv], p)
-            ech[piv] = [(c * inv) % p for c in r]
-    return kernel
+            fwd[piv] = [(c * inv) % p for c in r]
+    ech: Dict[int, Row] = {}
+    for piv in sorted(fwd, reverse=True):
+        r = fwd[piv][:ncols]
+        # the rows of later pivots are reduced already, so subtracting one
+        # clears its pivot column and leaves the other pivot columns at 0
+        for col, other in ech.items():
+            c = r[col]
+            if c:
+                for j in range(col, ncols):
+                    if other[j]:
+                        r[j] = (r[j] - c * other[j]) % p
+        ech[piv] = r
+    return kernel, ech
 
 
 class CosetSolver:

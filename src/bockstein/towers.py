@@ -146,10 +146,17 @@ def compare(engine: TowerProfile, oracle: TowerProfile, max_degree: Optional[int
 
     A plain Unknown must absorb an oracle entry.  A possibly-absent Unknown
     absorbs one if any is left over, and otherwise stays unmatched without a
-    mismatch; either way it is listed as unverified."""
+    mismatch; either way it is listed as unverified.
+
+    Only the degrees 0..D that either profile holds are visited, in
+    increasing order, and a degree whose two lists are equal and hold no
+    Unknown is passed over: it adds nothing to the report."""
     D = max_degree if max_degree is not None else min(engine.max_degree, oracle.max_degree)
     report = DiffReport()
-    for d in range(0, D + 1):
+    for d in sorted(d for d in engine.towers.keys() | oracle.towers.keys() if 0 <= d <= D):
+        eng = engine.towers.get(d, [])
+        if eng == oracle.towers.get(d, []) and not any(isinstance(x, Unknown) for x in eng):
+            continue
         eng = engine.lengths(d)
         orc = oracle.lengths(d)
         known = [x for x in eng if not isinstance(x, Unknown)]

@@ -30,6 +30,7 @@ from bockstein.engine import (
     AmbiguousPatternError,
     Cell,
     DeadSourceError,
+    DiffRecord,
     EngineContext,
     MalformedRuleError,
     PageData,
@@ -38,11 +39,14 @@ from bockstein.engine import (
     ScheduleError,
     Window,
     _bar_at,
+    _Eliminated,
     _d_of_monomial,
     _cell_view,
+    _homology,
     _page_generators,
     _page_map,
     _rule_degrees,
+    _set_bits,
     apply_page,
     build_e1,
     run,
@@ -827,6 +831,13 @@ def test_clearing_index_of_rules_on_several_generators():
         assert index < 1 << 41
 
 
+def test_set_bits_walks_a_clearing_index_in_increasing_order():
+    rng = random.Random(0)
+    for x in [0, 1, 1 << 8, (1 << 64) - 1] + [rng.getrandbits(rng.randint(1, 3000))
+                                              for _ in range(50)]:
+        assert list(_set_bits(x)) == [a for a in range(x.bit_length()) if x >> a & 1]
+
+
 def _random_cell(rng, p, n, dim):
     """A cell over n monomials with dim classes: untouched when dim is n and
     the coin says so, otherwise reps independent modulo random boundaries."""
@@ -882,6 +893,10 @@ def test_each_record_is_eliminated_once_as_linalg_would(p):
         assert e.kernel == linalg.left_kernel(mat, tcell.dim, p)
         assert e.rec.rank == linalg.rank(mat, p) == len(mat) - len(e.kernel)
         assert e.echelon == linalg.echelon_from_rows(mat, p)
+        # and the kernel on its own terms: it annihilates the matrix, its
+        # rows are independent, and there are rows - rank of them
+        assert not any(map(any, linalg.mat_mul(e.kernel, mat, p)))
+        assert linalg.rank(e.kernel, p) == len(e.kernel) == len(mat) - linalg.rank(mat, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -899,3 +914,136 @@ def test_untouched_cells_express_a_vector_as_itself(p):
             assert got == solver.express(vec)
             assert (not any(got)) == solver.in_boundaries(vec)
         assert cell._solver is None
+
+
+def _reference_homology(cell, out_mat, tdim, image_mat, p):
+    """_homology as computed with identity rows built for an untouched cell
+    and two eliminations of each record: left_kernel of the outgoing one
+    and echelon_from_rows of the incoming one."""
+    if out_mat is None and image_mat is None:
+        return cell
+    reps = cell.reps_rows()
+    n = len(reps)
+    if out_mat is not None:
+        ker = linalg.left_kernel(out_mat, tdim, p)
+    else:
+        ker = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    im_ech = {} if image_mat is None else linalg.echelon_from_rows(image_mat, p)
+    combos, combo_ech = [], {}
+    for kv in ker:
+        red = linalg.reduce_row(linalg.reduce_row(kv, im_ech, p), combo_ech, p)
+        if any(red):
+            linalg.echelon_insert(combo_ech, red, p)
+            combos.append(red)
+    assert len(combos) == len(ker) - len(im_ech)
+    width = len(cell.monomials)
+
+    def combine(combo):
+        vec = [0] * width
+        for c, rep in zip(combo, reps):
+            vec = [(x + c * y) % p for x, y in zip(vec, rep)]
+        return vec
+
+    bnd = [list(b) for b in cell.boundaries]
+    bnd += [vec for vec in map(combine, image_mat or ()) if any(vec)]
+    return Cell(cell.monomials, [combine(c) for c in combos], bnd)
+
+
+def _combinations(rng, p, basis, count):
+    """count random combinations of the basis rows."""
+    rows = []
+    for _ in range(count):
+        row = [0] * len(basis[0])
+        for b in basis:
+            c = rng.randrange(p)
+            row = [(x + c * y) % p for x, y in zip(row, b)]
+        rows.append(row)
+    return rows
+
+
+def _eliminated(mat, ncols, p):
+    kernel, echelon = linalg.kernel_and_echelon(mat, ncols, p)
+    return _Eliminated(DiffRecord(0, mat, len(mat) - len(kernel)), kernel, echelon)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_homology_builds_what_identity_rows_and_two_eliminations_build(p):
+    # touched and untouched cells of dimension 1-4, each with an outgoing
+    # record, an incoming one, both or neither; the incoming rows are
+    # combinations of the outgoing kernel, as d_r o d_r = 0 makes them
+    rng = random.Random(10 + p)
+    untouched = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        cell = _random_cell(rng, p, n, rng.randint(1, n))
+        untouched += cell.reps is None
+        dim = cell.dim
+        out_mat = tdim = None
+        if rng.random() < 0.6:
+            tdim = rng.randint(1, 4)
+            basis = [[rng.randrange(p) for _ in range(tdim)] for _ in range(rng.randint(1, dim))]
+            out_mat = _combinations(rng, p, basis, dim)
+            if not any(map(any, out_mat)):
+                out_mat = None
+        cycles = (linalg.left_kernel(out_mat, tdim, p) if out_mat is not None
+                  else [[int(i == j) for j in range(dim)] for i in range(dim)])
+        image_mat = None
+        if cycles and rng.random() < 0.6:
+            image_mat = _combinations(rng, p, cycles, rng.randint(1, 4))
+            if not any(map(any, image_mat)):
+                image_mat = None
+        out = None if out_mat is None else _eliminated(out_mat, tdim, p)
+        image = None if image_mat is None else _eliminated(image_mat, dim, p)
+        got = _homology(cell, out, image, p, 1, 0)
+        assert got == _reference_homology(cell, out_mat, tdim, image_mat, p)
+    assert 50 < untouched < 250
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kernel_and_echelon_is_left_kernel_and_echelon_from_rows(p):
+    # zero, repeated and dependent rows included; the kernel must equal
+    # left_kernel's row for row, since it picks the next representatives
+    rng = random.Random(20 + p)
+    for _ in range(200):
+        ncols = rng.randint(1, 6)
+        basis = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+        rows = _combinations(rng, p, basis, rng.randint(1, 6))
+        if rng.random() < 0.3:
+            rows.append(list(rows[0]))
+        kernel, echelon = linalg.kernel_and_echelon(rows, ncols, p)
+        assert kernel == linalg.left_kernel(rows, ncols, p)
+        assert echelon == linalg.echelon_from_rows(rows, p)
+
+
+def _counted(calls, name, f):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return f(*args, **kwargs)
+    return counted
+
+
+def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypatch):
+    # v1 p=3 D=400: each nonzero d_r record costs one forward elimination,
+    # echelon_from_rows runs only inside the solvers of touched cells, and
+    # no untouched cell (all of E_1's) is asked for identity rows
+    calls = defaultdict(int)
+    for name in ("kernel_and_echelon", "left_kernel", "echelon_from_rows"):
+        monkeypatch.setattr(linalg, name, _counted(calls, name, getattr(linalg, name)))
+    monkeypatch.setattr(linalg.CosetSolver, "__init__", _counted(
+        calls, "solvers", linalg.CosetSolver.__init__))
+    reps_rows = Cell.reps_rows
+
+    def guarded(cell):
+        calls["untouched reps_rows"] += cell.reps is None
+        return reps_rows(cell)
+
+    monkeypatch.setattr(Cell, "reps_rows", guarded)
+    sched, pages, _ = Case("v1", 3, 400).run()
+    monkeypatch.undo()
+    records = {pd.r: sum(rec is not None for bars in pd.maps.values() for _, rec in bars)
+               for pd in pages}
+    assert records[min(sched.pages)] > 0 and sum(records.values()) > 100
+    assert calls["kernel_and_echelon"] == sum(records.values())
+    assert calls["left_kernel"] == 0
+    assert calls["echelon_from_rows"] == calls["solvers"]
+    assert calls["untouched reps_rows"] == 0

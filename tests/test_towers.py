@@ -91,3 +91,69 @@ def test_possibly_absent_form():
     assert length_str(Unknown(possibly_absent=True)) == "unknown(possibly absent)"
     with pytest.raises(ValueError):
         Unknown(4, possibly_absent=True)
+
+
+def test_compare_reads_equal_lists_that_hold_unknowns():
+    # equal lists are passed over only when they hold no Unknown, since an
+    # Unknown is reported as unverified even against an equal one
+    lens = [Unknown(4), Unknown(possibly_absent=True)]
+    rep = compare(make({3: lens, 7: [2, INF]}), make({3: lens, 7: [2, INF]}), 50)
+    assert rep.mismatches == []
+    assert rep.unverified == [
+        (3, "engine unknown(>= 4) matched to oracle unknown(>= 4) unverified"),
+        (3, "engine unknown(possibly absent) matched to oracle unknown(possibly absent)"
+            " unverified"),
+    ]
+
+
+def test_compare_an_empty_list_is_no_towers():
+    empty = TowerProfile(50, {3: []})
+    assert compare(empty, make({}), 50).lines() == ["profiles agree exactly"]
+    assert compare(make({}), empty, 50).lines() == ["profiles agree exactly"]
+    assert compare(empty, empty, 50).lines() == ["profiles agree exactly"]
+    rep = compare(empty, make({3: [2]}), 50)
+    assert rep.mismatches == [(3, [], [2])] and rep.unverified == []
+    rep = compare(make({3: [Unknown(possibly_absent=True)]}), empty, 50)
+    assert rep.mismatches == [] and [t for t, _ in rep.unverified] == [3]
+
+
+def test_compare_reads_only_the_degrees_0_to_D():
+    eng = make({-2: [1], 5: [2], 50: [3], 51: [INF], 60: [Unknown()]}, D=60)
+    orc = make({-1: [1], 5: [2], 50: [4], 52: [2]}, D=55)
+    rep = compare(eng, orc, 50)
+    assert rep.mismatches == [(50, [3], [4])] and rep.unverified == []
+    rep = compare(eng, orc, 52)
+    assert [d for d, _, _ in rep.mismatches] == [50, 51, 52]
+    # with no max_degree, the smaller of the two profiles' windows
+    rep = compare(eng, orc)
+    assert [d for d, _, _ in rep.mismatches] == [50, 51, 52]
+    assert rep.unverified == []
+    rep = compare(eng, orc, 60)
+    assert [d for d, _, _ in rep.mismatches] == [50, 51, 52, 60]
+    assert compare(eng, orc, 4).lines() == ["profiles agree exactly"]
+
+
+def test_compare_reports_in_increasing_degree_whatever_the_profile_order():
+    # the profiles are filled from the top degree down, so their dicts hold
+    # the degrees in decreasing order; within a degree the unknowns go
+    # smallest bound first, possibly-absent last
+    eng, orc = TowerProfile(50), TowerProfile(50)
+    for d in (40, 12, 9, 3):
+        eng.add(d, Unknown(possibly_absent=True))
+        eng.add(d, Unknown(d // 3))
+        eng.add(d, 1)
+        orc.add(d, d)
+        orc.add(d, 1)
+    orc.add(30, 2)
+    eng.add(20, 2)
+    eng.add(20, 2)
+    orc.add(20, 2)
+    orc.add(20, 2)
+    rep = compare(eng, orc, 50)
+    assert rep.unverified == [
+        (d, msg) for d in (3, 9, 12, 40) for msg in (
+            f"engine unknown(>= {d // 3}) matched to oracle {d} unverified",
+            "engine unknown(possibly absent) matched to no oracle tower; "
+            "the degree may hold none, unverified")]
+    assert rep.mismatches == [(30, [], [2])]
+    assert rep.lines()[0] == "MISMATCH t=30: engine [] vs oracle ['2']"
