@@ -13,7 +13,7 @@ p, D = 3, 130
 print("ladder lengths r(n,1):", [r_len(p, n, 1) for n in range(1, 5)])
 print("target degrees d(n,1):", [d_deg(p, n, 1) for n in range(1, 6)])
 
-family = LambdaFamily("v1", p)
+family = LambdaFamily(p, 2, 1)
 for s in range(4, 7):
     base, e = family.entry(s)
     print(f"  λ{s} unrolls to λ{base}·μ3^{e}  (degree {family.degree(s)})")

@@ -151,18 +151,17 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
         head_deg = family.degree(head_index_of(s))
         step_mu_deg = p ** (s - 1) * deg_mu(p, family.n)
         for tail in tails(s):
+            # the head and tails lie among m + 1 consecutive lambda-indices,
+            # whose entries keep their residues mod m + 1 in n-m+1..n+1: no
+            # two share a base, and none is a permanent (1..n-m)
             exps: Dict[int, int] = {head_base - 1: 1, mu: head_e}
             tail_deg = 0
-            ok = True
             for idx in tail:
                 b, e = family.entry(idx)
-                if exps.get(b - 1):
-                    ok = False  # exterior clash cannot occur in these families
-                    break
                 exps[b - 1] = 1
-                exps[mu] = exps.get(mu, 0) + e
+                exps[mu] += e
                 tail_deg += family.degree(idx)
-            if not ok or head_deg + tail_deg > D:
+            if head_deg + tail_deg > D:
                 continue
             m = 0
             while True:
@@ -189,7 +188,7 @@ def t12_presentation(p: int, max_degree: int) -> TorsionPresentation:
     lambda_1^e z_{n,m} and lambda_1^e z'_{n,m}."""
     if p < 3:
         raise FormulaError("paper assumes p >= 3")
-    family = LambdaFamily("v1", p)
+    family = LambdaFamily(p, 2, 1)
 
     def name(s: int, m: int, tail: Tuple[int, ...]) -> str:
         return (f"z({s},{m})" if not tail else f"z'({s},{m})")
@@ -211,7 +210,7 @@ def t12_profile(p: int, max_degree: int) -> TowerProfile:
 def t22_presentation(p: int, max_degree: int) -> TorsionPresentation:
     """P(v_2) + T_2^2: towers of length r(n,2) on the four families
     y, y', y'', y''' (head lambda_n with optional lambda_{n+1}, lambda_{n+2})."""
-    family = LambdaFamily("v2", p)
+    family = LambdaFamily(p, 2, 2)
 
     def name(s: int, m: int, tail: Tuple[int, ...]) -> str:
         primes = "'" * ((1 if s + 1 in tail else 0) + (2 if s + 2 in tail else 0))
@@ -239,7 +238,7 @@ def tmn_presentation(p: int, n: int, m: int, max_degree: int) -> TorsionPresenta
         raise FormulaError("need 1 <= m <= n")
     if m == 1 and p == 2:
         raise FormulaError("paper assumes p >= 3 in the m = 1 case")
-    family = LambdaFamily("conj", p, n=n, m=m)
+    family = LambdaFamily(p, n, m)
 
     def tails(s: int):
         out: List[Tuple[int, ...]] = [()]

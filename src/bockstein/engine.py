@@ -404,12 +404,6 @@ def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool = False,
     return pd
 
 
-def _normalize_rules(rules, page: int) -> RulePage:
-    if isinstance(rules, RulePage):
-        return rules
-    return RulePage(page, [Rule(tuple(source), dict(target)) for source, target in rules])
-
-
 def _page_generators(A: Algebra, page: RulePage) -> PageGenerators:
     """Resolve a page's generators and compile its rules by generator.  The
     power rule is the one whose source is a pure power of a polynomial
@@ -714,13 +708,12 @@ def _diff_view(pd: PageData) -> Dict[Tuple[int, int], DiffRecord]:
     return diffs
 
 
-def apply_page(pd: PageData, rules) -> PageData:
-    """Fire page pd.r with the given rules and return the next page.
+def apply_page(pd: PageData, page: RulePage) -> PageData:
+    """Fire page pd.r with the rules of page and return the next page.
 
-    rules may be a RulePage or a plain list of (source, target) pairs,
-    which states no attachments; each source must be a page generator.  An
-    empty list yields the input's state with r incremented.
-    The fired differentials are recorded on the input PageData.
+    Each rule's source must be a page generator.  A page with no rules
+    yields the input's state with r incremented.  The fired differentials
+    are recorded on the input PageData.
 
     A page costs what it fires.  It visits only the kept A-degrees of its
     clearing index (_rule_degrees), walking its set bits in increasing
@@ -738,7 +731,6 @@ def apply_page(pd: PageData, rules) -> PageData:
     ctx = pd.ctx
     p = ctx.A.p
     r = pd.r
-    page = _normalize_rules(rules, r)
     if page.r != r:
         raise MalformedRuleError(f"malformed rule (page {page.r} applied at page {r})")
     if not page.rules:
@@ -851,48 +843,47 @@ def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
     )
 
 
-def _ladder_schedule(p: int, w, family: LambdaFamily, v_name: str, v_deg: int,
-                     page_of, target_index_of, attach_indices,
-                     label: str) -> DifferentialSchedule:
-    """Shared builder for the v1/v2/conjecture mu-power ladders.
+def _ladder_schedule(p: int, n: int, m: int, w, label: str) -> DifferentialSchedule:
+    """The mu-power ladder (n, m): step s fires
+    d_{r_n(s,m)}(mu_{n+1}^{p^{s-1}}) = v_m^r lambda_{n-m+s}, with
+    lambda_1 .. lambda_{n-m} and lambda_{n-m+s} .. lambda_{n+s} attached.
+    The paper's v_1 and v_2 ladders are (2, 1) and (2, 2).
 
-    Emits one power rule per step s with source mu^{p^{s-1}} while the
-    target tower base degree stays inside the reported window; every death
-    of an in-window tower is then computable, and anything a not-emitted
-    rule could hit lies above the window.  p is checked first: below 2
-    every target degree would lie in the window and the ladder not end.
+    Emits steps while the target tower base degree stays inside the
+    reported window; every death of an in-window tower is then computable,
+    and anything a not-emitted rule could hit lies above the window.  p is
+    checked first: below 2 every target degree would lie in the window and
+    the ladder not end.
     """
     w = as_window(w)
     require_prime(p)
-    v = GeneratorSpec(v_name, v_deg, POLYNOMIAL)
-    n = family.n
+    v = GeneratorSpec(f"v{m}", 2 * p**m - 2, POLYNOMIAL)
+    family = LambdaFamily(p, n, m)
     mu = n + 1       # index of mu_{n+1}
     vi = n + 2
     pages: Dict[int, RulePage] = {}
     s = 1
-    while True:
-        tgt_idx = target_index_of(s)
-        if family.degree(tgt_idx) > w.max_degree:
-            break
-        r = page_of(s)
-        base, e = family.entry(tgt_idx)
+    while family.degree(n - m + s) <= w.max_degree:
+        r = r_conj(p, n, m, s)
+        base, e = family.entry(n - m + s)
         target = {sparse_monomial(n + 3, {vi: r, base - 1: 1, mu: e}): 1}
         source = sparse_monomial(n + 2, {mu: p ** (s - 1)})
-        attach: Dict[int, int] = {}
-        for idx in attach_indices(s):
+        attach = {i: 0 for i in range(n - m)}
+        for idx in range(n - m + s, n + s + 1):
             b, ee = family.entry(idx)
             attach[b - 1] = ee
         pages[r] = RulePage(r, [Rule(source, target)], attach)
         s += 1
     return DifferentialSchedule(
         v, pages, label=label,
-        future_target_floor=family.degree(target_index_of(s)),
-        future_min_page=page_of(s),
+        future_target_floor=family.degree(n - m + s),
+        future_min_page=r_conj(p, n, m, s),
     )
 
 
 def schedule_v1(p: int, w, variant: Optional[str] = None) -> DifferentialSchedule:
-    """d_{r(s,1)}(mu_3^{p^{s-1}}) = v_1^{r(s,1)} lambda_{s+1} for p >= 3.
+    """d_{r(s,1)}(mu_3^{p^{s-1}}) = v_1^{r(s,1)} lambda_{s+1} for p >= 3: the
+    ladder (2, 1).
 
     At p = 2 the pattern is open (paper Remark): besides the odd-p ladder,
     the candidates d_{r(n,1)+2}(lambda_{n+3}) = v^{r(n,1)+2} lambda_1
@@ -911,20 +902,14 @@ def schedule_v1(p: int, w, variant: Optional[str] = None) -> DifferentialSchedul
                             f"between the open p = 2 patterns")
     if p == 2 and variant not in ("A", "B"):
         raise AmbiguousPatternError("ambiguous pattern (paper Remark)")
-    family = LambdaFamily("v1", p)
     if p == 2 and variant == "B":
-        return _schedule_v1_p2_variant_b(w, family)
-    return _ladder_schedule(
-        p, w, family, "v1", 2 * p - 2,
-        page_of=lambda s: r_len(p, s, 1),
-        target_index_of=lambda s: s + 1,
-        attach_indices=lambda s: (1, s + 1, s + 2),
-        label=f"v1 p={p}" + (f" variant {variant}" if variant else ""),
-    )
+        return _schedule_v1_p2_variant_b(w)
+    return _ladder_schedule(p, 2, 1, w, f"v1 p={p}" + (f" variant {variant}" if variant else ""))
 
 
-def _schedule_v1_p2_variant_b(w: Window, family: LambdaFamily) -> DifferentialSchedule:
+def _schedule_v1_p2_variant_b(w: Window) -> DifferentialSchedule:
     p = 2
+    family = LambdaFamily(p, 2, 1)
     v = GeneratorSpec("v1", 2 * p - 2, POLYNOMIAL)
     mu, vi = 3, 4
     pages: Dict[int, RulePage] = {}
@@ -947,16 +932,9 @@ def _schedule_v1_p2_variant_b(w: Window, family: LambdaFamily) -> DifferentialSc
 
 
 def schedule_v2(p: int, w) -> DifferentialSchedule:
-    """d_{r(s,2)}(mu_3^{p^{s-1}}) = v_2^{r(s,2)} lambda_s, all primes."""
-    w = as_window(w)
-    family = LambdaFamily("v2", p)
-    return _ladder_schedule(
-        p, w, family, "v2", 2 * p * p - 2,
-        page_of=lambda s: r_len(p, s, 2),
-        target_index_of=lambda s: s,
-        attach_indices=lambda s: (s, s + 1, s + 2),
-        label=f"v2 p={p}",
-    )
+    """d_{r(s,2)}(mu_3^{p^{s-1}}) = v_2^{r(s,2)} lambda_s, all primes: the
+    ladder (2, 2)."""
+    return _ladder_schedule(p, 2, 2, w, f"v2 p={p}")
 
 
 def schedule_conj(p: int, n: int, m: int, w) -> DifferentialSchedule:
@@ -967,15 +945,8 @@ def schedule_conj(p: int, n: int, m: int, w) -> DifferentialSchedule:
         raise ScheduleError("need 1 <= m <= n")
     if m == 1 and p == 2:
         raise AmbiguousPatternError("ambiguous pattern (paper Remark)")
-    family = LambdaFamily("conj", p, n=n, m=m)
-    permanents = tuple(range(1, n - m + 1))
-    return replace(_ladder_schedule(
-        p, w, family, f"v{m}", 2 * p**m - 2,
-        page_of=lambda s: r_conj(p, n, m, s),
-        target_index_of=lambda s: n - m + s,
-        attach_indices=lambda s: permanents + tuple(range(n - m + s, n + s + 1)),
-        label=f"conj p={p} n={n} m={m}",
-    ), conjectural=True)
+    return replace(_ladder_schedule(p, n, m, w, f"conj p={p} n={n} m={m}"),
+                   conjectural=True)
 
 
 # ----------------------------------------------------------------------

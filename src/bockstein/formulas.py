@@ -1,5 +1,6 @@
 """Closed-form integer formulas: valuations, generator degrees, differential
-lengths, and the recursive lambda-families.
+lengths, and the recursive lambda-family of the ladder (n, m).  The paper's
+v_1 and v_2 ladders are this ladder at (2, 1) and (2, 2).
 
 All arithmetic is exact big-integer; degrees at p=7, n=25 exceed 64 bits.
 """
@@ -7,7 +8,7 @@ All arithmetic is exact big-integer; degrees at p=7, n=25 exceed 64 bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 class FormulaError(ValueError):
@@ -38,18 +39,12 @@ def deg_mu(p: int, n: int) -> int:
 
 
 def d_deg(p: int, n: int, m: int) -> int:
-    """Topological degree d(n, m) of the m-case lambda_n: the recursion
+    """Topological degree d(n, m) of lambda_n in the ladder (2, m):
     d(n) = 2p^n - 2p^(n-1) + d(n - m - 1) above n = 3, from d(j) = 2p^j - 1
-    at its base j <= 3, run upward in a loop."""
+    at its base j <= 3."""
     if m not in (1, 2):
         raise FormulaError("m must be 1 or 2")
-    if n < 1:
-        raise FormulaError("n must be >= 1")
-    base = n if n <= 3 else 3 - (3 - n) % (m + 1)
-    d = 2 * p**base - 1
-    for j in range(base + m + 1, n + 1, m + 1):
-        d = 2 * p**j - 2 * p ** (j - 1) + d
-    return d
+    return LambdaFamily(p, 2, m).degree(n)
 
 
 def d_deg_explicit(p: int, n: int, m: int) -> int:
@@ -119,48 +114,31 @@ def r_conj(p: int, n: int, m: int, s: int) -> int:
 
 @dataclass(frozen=True)
 class LambdaFamily:
-    """The recursive lambda-family of one Bockstein case.
+    """The recursive lambda-family of the ladder (n, m), 1 <= m <= n:
 
-    case "v1": lambda_s = lambda_{s-2} mu_3^{p^{s-4}(p-1)} for s > 3;
-    case "v2": lambda_s = lambda_{s-3} mu_3^{p^{s-4}(p-1)} for s > 3;
-    case "conj" (with n, m): lambda_s = lambda_{s-(m+1)} mu_{n+1}^{p^{s-(n+2)}(p-1)}
-    for s > n+1.  Entries unroll to (base lambda index, mu exponent).
+        lambda_s = lambda_{s-(m+1)} mu_{n+1}^{p^{s-(n+2)}(p-1)} for s > n + 1.
+
+    At n = 2 this is the paper's v_1 (m = 1) and v_2 (m = 2) family, where
+    lambda_s = lambda_{s-m-1} mu_3^{p^{s-4}(p-1)} for s > 3.  Entries unroll
+    to (base lambda index, mu exponent).
     """
 
-    case: str
     p: int
-    n: int = 2
-    m: Optional[int] = None
+    n: int
+    m: int
 
     def __post_init__(self) -> None:
-        if self.case not in ("v1", "v2", "conj"):
-            raise FormulaError(f"unknown lambda-family case {self.case!r}")
-        if self.case == "conj":
-            if self.m is None or not 1 <= self.m <= self.n:
-                raise FormulaError("conj case needs 1 <= m <= n")
-        elif self.n != 2:
-            raise FormulaError("v1/v2 cases live over n = 2")
-
-    @property
-    def step(self) -> int:
-        if self.case == "v1":
-            return 2
-        if self.case == "v2":
-            return 3
-        return self.m + 1  # type: ignore[operator]
-
-    @property
-    def top_plain_index(self) -> int:
-        return self.n + 1
+        if not 1 <= self.m <= self.n:
+            raise FormulaError("need 1 <= m <= n")
 
     def entry(self, s: int) -> Tuple[int, int]:
         """(base lambda index, mu exponent) of the expansion of lambda_s."""
         if s < 1:
-            raise FormulaError("s must be >= 1")
-        p, step = self.p, self.step
+            raise FormulaError("lambda index must be >= 1")
+        p, step, top = self.p, self.m + 1, self.n + 1
         e = 0
-        while s > self.top_plain_index:
-            e += p ** (s - (self.n + 2)) * (p - 1)
+        while s > top:
+            e += p ** (s - top - 1) * (p - 1)
             s -= step
         return s, e
 

@@ -33,7 +33,7 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Monomial
-from .engine import PageData
+from .engine import Cell, PageData
 from .towers import INF, TowerProfile, Unknown
 
 TOOL_VERSION = "0.1.0"
@@ -78,6 +78,14 @@ def _with_v(lead: Optional[str], v_name: str, s: int, ascii_: bool) -> str:
     return vpart if lead == "1" else f"{lead}{sep}{vpart}"
 
 
+def _leads(A: Algebra, cell: Cell, ascii_: bool) -> List[Optional[str]]:
+    """The lead monomial of each class of a cell; an untouched cell's
+    classes are its monomials."""
+    if cell.reps is None:
+        return [monomial_str(A, mon, ascii_) for mon in cell.monomials]
+    return [_lead(A, cell.monomials, row, ascii_) for row in cell.reps]
+
+
 def rep_str(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
             v_name: str, s: int, ascii_: bool = False) -> str:
     """Lead-monomial string of a representative row, with the v-power."""
@@ -87,9 +95,9 @@ def rep_str(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
 def laurent_span(page: PageData, max_degree: int, ascii_: bool = False) -> List[str]:
     """Representatives of the Laurent lines a localized page keeps: its
     classes at filtration 0 in degrees 0..max_degree."""
-    return [rep_str(page.ctx.A, cell.monomials, row, page.ctx.v.name, 0, ascii_)
+    return [_with_v(lead, page.ctx.v.name, 0, ascii_)
             for t in range(max_degree + 1) for s0, s1, cell in page.window(t) if s0 <= 0 <= s1
-            for row in cell.reps_rows()]
+            for lead in _leads(page.ctx.A, cell, ascii_)]
 
 
 def length_json(x) -> object:
@@ -129,8 +137,7 @@ def _degree_record(pd: PageData, a: int, reps: Dict[int, str], ascii_: bool) -> 
             continue
         text = reps.get(id(cell))
         if text is None:
-            text = reps[id(cell)] = _dumps([_lead(pd.ctx.A, cell.monomials, row, ascii_)
-                                            for row in cell.reps_rows()])
+            text = reps[id(cell)] = _dumps(_leads(pd.ctx.A, cell, ascii_))
         runs.append(f"[{s0}, {s1}, {cell.dim}, {text}]")
     return f'{{"a": {a}, "levels": [{", ".join(runs)}]}}' if runs else None
 

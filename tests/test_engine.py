@@ -56,7 +56,7 @@ from bockstein.engine import (
     schedule_v2,
 )
 from bockstein.formulas import nu_p
-from bockstein.jsonio import emit_json
+from bockstein.jsonio import emit_json, laurent_span
 from bockstein.towers import INF, TowerProfile, compare
 import golden
 
@@ -88,7 +88,7 @@ def test_build_e1_localized_laurent_class():
 def test_apply_page_empty_rules_increments():
     A = thh_mod_p_algebra(2, 2)
     pd = build_e1(A, v_gen("v0", 0), Window(16))
-    nxt = apply_page(pd, [])
+    nxt = apply_page(pd, RulePage(1, []))
     assert nxt.r == 2 and nxt.degrees is pd.degrees
 
 
@@ -181,11 +181,11 @@ def test_apply_page_v2_tower_length_two():
     # d_2(mu_3) = v_2^2 lambda_1 at p=2: the lambda_1 slant keeps s = 0, 1 only
     A = thh_mod_p_algebra(2, 2)
     v = v_gen("v2", 6)
-    pd = apply_page(build_e1(A, v, Window(40), pages=(2,)), [])
+    pd = apply_page(build_e1(A, v, Window(40), pages=(2,)), RulePage(1, []))
     mu = A.monomial(**{"μ3": 1})
     Av = A.adjoin(v)
     target = element(Av, (1, Av.monomial(**{"λ1": 1, "v2": 2})))
-    nxt = apply_page(pd, [(mu, target)])
+    nxt = apply_page(pd, RulePage(2, [Rule(mu, target)]))
     dims = [nxt.dim(3 + 6 * j, j) for j in range(5)]
     assert dims == [1, 1, 0, 0, 0]
 
@@ -199,7 +199,7 @@ def test_apply_page_leibniz_matches_derivation_extend():
     pd = build_e1(A, v, Window(120), pages=(1,))
     mu = A.monomial(**{"μ3": 1})
     target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 1})))
-    nxt = apply_page(pd, [(mu, target)])
+    nxt = apply_page(pd, RulePage(1, [Rule(mu, target)]))
     key = (5 + 54, 0)  # lambda_1 mu_3
     rec = pd.diffs.get(key)
     assert rec is not None and rec.rank == 1
@@ -323,11 +323,11 @@ def test_apply_page_dead_source_error():
     pd = build_e1(A, v, Window(40), pages=(1, 2))
     mu = A.monomial(**{"μ3": 1})
     target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 1})))
-    nxt = apply_page(pd, [(mu, target)])
+    nxt = apply_page(pd, RulePage(1, [Rule(mu, target)]))
     # mu_3 supported d_1, so it is dead on page 2
     t2 = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 2})))
     with pytest.raises(DeadSourceError):
-        apply_page(nxt, [(mu, t2)])
+        apply_page(nxt, RulePage(2, [Rule(mu, t2)]))
 
 
 def test_apply_page_beyond_the_given_pages_errors():
@@ -338,11 +338,11 @@ def test_apply_page_beyond_the_given_pages_errors():
     A = thh_mod_p_algebra(2, 2)
     v = v_gen("v2", 6)
     Av = A.adjoin(v)
-    pd = apply_page(build_e1(A, v, Window(40), pages=(1,)), [])
+    pd = apply_page(build_e1(A, v, Window(40), pages=(1,)), RulePage(1, []))
     mu = A.monomial(**{"μ3": 1})
     target = element(Av, (1, Av.monomial(**{"λ1": 1, "v2": 2})))
     with pytest.raises(EngineError, match="above the A-degrees kept"):
-        apply_page(pd, [(mu, target)])
+        apply_page(pd, RulePage(2, [Rule(mu, target)]))
 
 
 def test_apply_page_malformed_rule_errors():
@@ -353,10 +353,12 @@ def test_apply_page_malformed_rule_errors():
     mu = A.monomial(**{"μ3": 1})
     with pytest.raises(MalformedRuleError):
         # wrong degree: target must sit one below the source
-        apply_page(pd, [(mu, element(Av, (1, Av.monomial(**{"λ2": 1, "v0": 1}))))])
+        target = element(Av, (1, Av.monomial(**{"λ2": 1, "v0": 1})))
+        apply_page(pd, RulePage(1, [Rule(mu, target)]))
     with pytest.raises(MalformedRuleError):
         # wrong filtration shift: v-exponent 2 on page 1
-        apply_page(pd, [(mu, element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 2}))))])
+        target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 2})))
+        apply_page(pd, RulePage(1, [Rule(mu, target)]))
 
 
 def page_derivations(A, sched, D):
@@ -445,11 +447,11 @@ def test_rule_source_must_be_a_page_generator():
     src = A.monomial(λ1=1, μ3=1)
     target = element(Av, (1, Av.monomial(λ1=1, λ3=1, v0=1)))
     with pytest.raises(MalformedRuleError, match="page generator"):
-        apply_page(pd, [(src, target)])
+        apply_page(pd, RulePage(1, [Rule(src, target)]))
     # and a second power rule on a page is not one either
     mu, mu2 = A.monomial(μ3=1), A.monomial(μ3=2)
-    rules = [(mu, element(Av, (1, Av.monomial(λ3=1, v0=1)))),
-             (mu2, element(Av, (1, Av.monomial(λ3=1, μ3=1, v0=1))))]
+    rules = RulePage(1, [Rule(mu, element(Av, (1, Av.monomial(λ3=1, v0=1)))),
+                          Rule(mu2, element(Av, (1, Av.monomial(λ3=1, μ3=1, v0=1))))])
     with pytest.raises(MalformedRuleError, match="page generator"):
         apply_page(pd, rules)
     # a mu-power attached to an exterior generator needs the page's mu
@@ -497,6 +499,24 @@ def test_schedule_v1_p2_needs_variant():
 def test_schedule_conj_p2_m1_ambiguous():
     with pytest.raises(AmbiguousPatternError):
         schedule_conj(2, 3, 1, Window(60))
+
+
+@pytest.mark.parametrize("m, make, primes", [
+    (1, schedule_v1, (3, 5, 7)),
+    (2, schedule_v2, (2, 3, 5)),
+], ids=["v1", "v2"])
+@pytest.mark.parametrize("D", [0, 30, 400, 4000])
+def test_theorem_ladders_are_the_conjectural_ladder_at_height_two(m, make, primes, D):
+    # T_m^n reduces to T_1^2 and T_2^2 at n = 2: the theorems' schedules are
+    # the conjecture's, differing only in their label and conjectural mark
+    for p in primes:
+        sched, conj = make(p, Window(D)), schedule_conj(p, 2, m, Window(D))
+        assert sched.pages == conj.pages
+        assert sched.v == conj.v
+        assert sched.future_target_floor == conj.future_target_floor
+        assert sched.future_min_page == conj.future_min_page
+        assert (sched.label, sched.conjectural) == (f"v{m} p={p}", False)
+        assert (conj.label, conj.conjectural) == (f"conj p={p} n=2 m={m}", True)
 
 
 SCHEDULES = {
@@ -641,7 +661,7 @@ def test_apply_page_rejects_a_differential_not_defined_on_classes():
     Av = A.adjoin(v)
     pd = build_e1(A, v, Window(0), pages=(1, 2))  # keeps A-degrees 0..2
     d1 = element(Av, (1, Av.monomial(x=1, v0=1)), (1, Av.monomial(y=1, v0=1)))
-    pd = apply_page(pd, [(A.monomial(z=1), d1)])
+    pd = apply_page(pd, RulePage(1, [Rule(A.monomial(z=1), d1)]))
     d2 = Rule(A.monomial(y=1), element(Av, (1, Av.monomial(v0=2))))  # exterior generator
     with pytest.raises(EngineAssertionError, match="depends on the representatives"):
         apply_page(pd, RulePage(2, [d2]))
@@ -658,8 +678,8 @@ def test_apply_page_rejects_a_differential_that_does_not_square_to_zero():
     v = v_gen("v0", 0)
     Av = A.adjoin(v)
     pd = build_e1(A, v, Window(3), pages=(1,))
-    rules = [(A.monomial(z=1), element(Av, (1, Av.monomial(y=1, v0=1)))),
-             (A.monomial(y=1), element(Av, (1, Av.monomial(x=1, v0=1))))]
+    rules = RulePage(1, [Rule(A.monomial(z=1), element(Av, (1, Av.monomial(y=1, v0=1)))),
+                          Rule(A.monomial(y=1), element(Av, (1, Av.monomial(x=1, v0=1))))])
     with pytest.raises(EngineAssertionError, match="d_1 o d_1 != 0 out of A-degree 3"):
         apply_page(pd, rules)
 
@@ -1025,7 +1045,8 @@ def _counted(calls, name, f):
 def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypatch):
     # v1 p=3 D=400: each nonzero d_r record costs one forward elimination,
     # echelon_from_rows runs only inside the solvers of touched cells, and
-    # no untouched cell (all of E_1's) is asked for identity rows
+    # no untouched cell (all of E_1's) is asked for identity rows, by the
+    # run or by the writers, which read its classes off its monomials
     calls = defaultdict(int)
     for name in ("kernel_and_echelon", "left_kernel", "echelon_from_rows"):
         monkeypatch.setattr(linalg, name, _counted(calls, name, getattr(linalg, name)))
@@ -1038,12 +1059,15 @@ def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypa
         return reps_rows(cell)
 
     monkeypatch.setattr(Cell, "reps_rows", guarded)
-    sched, pages, _ = Case("v1", 3, 400).run()
-    monkeypatch.undo()
+    sched, pages, profile = Case("v1", 3, 400).run()
     records = {pd.r: sum(rec is not None for bars in pd.maps.values() for _, rec in bars)
                for pd in pages}
     assert records[min(sched.pages)] > 0 and sum(records.values()) > 100
     assert calls["kernel_and_echelon"] == sum(records.values())
     assert calls["left_kernel"] == 0
     assert calls["echelon_from_rows"] == calls["solvers"]
+    emit_json(pages, profile, {})
+    _, local, _ = Case("v2", 3, 120, localized=True).run()
+    assert laurent_span(local[-1], 120) == ["1"]
+    monkeypatch.undo()
     assert calls["untouched reps_rows"] == 0

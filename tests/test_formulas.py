@@ -82,8 +82,8 @@ def test_r_conj_specializes_to_r_len():
 def test_lambda_expand_examples():
     for p in (3, 5):
         A = thh_mod_p_algebra(p, 2)
-        v1 = LambdaFamily("v1", p)
-        v2 = LambdaFamily("v2", p)
+        v1 = LambdaFamily(p, 2, 1)
+        v2 = LambdaFamily(p, 2, 2)
         assert lambda_expand(v1, 4) == A.monomial(**{"λ2": 1, "μ3": p - 1})
         assert lambda_expand(v2, 4) == A.monomial(**{"λ1": 1, "μ3": p - 1})
         assert lambda_expand(v2, 6) == A.monomial(**{"λ3": 1, "μ3": p * p * (p - 1)})
@@ -91,19 +91,25 @@ def test_lambda_expand_examples():
 
 def test_lambda_expand_degrees_match_d_deg():
     for p in PRIMES:
-        for case, m in (("v1", 1), ("v2", 2)):
-            fam = LambdaFamily(case, p)
+        for m in (1, 2):
+            fam = LambdaFamily(p, 2, m)
             for s in range(1, 26):
                 assert fam.degree(s) == d_deg(p, s, m)
 
 
-def test_conjecture_family_specializes():
-    for p in (3, 5):
-        for case, m in (("v1", 1), ("v2", 2)):
-            fam = LambdaFamily(case, p)
-            conj = LambdaFamily("conj", p, n=2, m=m)
-            for s in range(1, 20):
-                assert fam.entry(s) == conj.entry(s)
+def test_d_deg_refuses_an_index_or_case_off_the_ladder():
+    for m in (1, 2):
+        with pytest.raises(FormulaError):
+            d_deg(3, 0, m)
+    for n in (1, 4):
+        with pytest.raises(FormulaError):
+            d_deg(3, n, 3)
+
+
+def test_lambda_family_refuses_m_outside_one_to_n():
+    for n, m in ((2, 0), (2, 3), (0, 1)):
+        with pytest.raises(FormulaError):
+            LambdaFamily(3, n, m)
 
 
 def test_degree_identities():
