@@ -263,14 +263,24 @@ def _degree_walk(gens: Sequence[GeneratorSpec], rem: int,
     with what is left of rem after its degree.
 
     choices(i, rem) gives the exponents of generator i, ascending, where rem
-    is what the generators before it left.  The depth-first walk keeps one
-    iterator per generator on a list, not a stack frame, so an algebra with
-    thousands of generators enumerates without recursion.
+    is what the generators before it left; it must give only 0 when the
+    generator's degree exceeds rem.  The depth-first walk keeps one iterator
+    per generator on a list, not a stack frame, so an algebra with thousands
+    of generators enumerates without recursion.  Once what is left is below
+    the smallest degree of the generators after i (an exterior generator of
+    degree 0 counts as 0), each of them can only be 0, so the walk yields
+    that all-zero tail at once instead of visiting them.
     """
     n = len(gens)
     if n == 0:
         yield (), rem
         return
+    # after[i]: the smallest degree after generator i; above rem for the last
+    after = [0] * n
+    low = rem + 1
+    for i in range(n - 1, -1, -1):
+        after[i] = low
+        low = min(low, gens[i].degree)
     cur = [0] * n
     rems = [rem]
     stack = [iter(choices(0, rem))]
@@ -284,7 +294,7 @@ def _degree_walk(gens: Sequence[GeneratorSpec], rem: int,
             continue
         cur[i] = e
         left = rems[i] - e * gens[i].degree
-        if i + 1 == n:
+        if left < after[i]:
             yield tuple(cur), left
         else:
             rems.append(left)

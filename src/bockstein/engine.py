@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left, bisect_right
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
 from operator import itemgetter, sub
@@ -244,12 +245,14 @@ def reach(deg_v: int, max_degree: int, pages: Sequence[int], localized: bool,
     return max(top + 1 + max(pages, default=0) * deg_v, max_source)
 
 
-# Runs whose estimate_cost exceeds this are refused as oversized.  The
-# largest certified windows (v2 p=5 D=3000: 132,972; v2 p=2 D=2000: 90,230;
-# v1 p=3 D=4000: 82,986) take 0.21 s, 0.59 s and 0.78 s each as `bockstein
-# verify` (median of 3 on a 2-vCPU Xeon, Python 3.11.7), and v2 p=2
-# D=10000 (860,275) takes about 11 s and 1.5 GB, mostly the pages' (t, s)
-# views.
+# Runs whose estimate_cost exceeds this are refused as oversized.  As
+# `bockstein verify` (median of 3, from importing bockstein to the exit, on
+# a 2-vCPU Xeon with Python 3.11.7), v2 p=5 D=3000 (cost 132,972), v2 p=2
+# D=2000 (90,230) and v1 p=3 D=4000 (82,986) take 0.09 s, 0.18 s and 0.10 s,
+# v1 p=3 D=20000 (346,661) takes 0.22 s and 28 MB peak RSS, and v2 p=2
+# D=10000 (860,275) takes 0.97 s and 73 MB.  The cost counts every kept
+# A-degree on every fired page, though late pages touch few of them, so
+# it overstates the ladders' work (ROADMAP D10).
 MAX_COST = 1_000_000
 
 
@@ -334,10 +337,9 @@ class PageData:
 
     What a reader shows of them is cut to the window 0..D by shown(),
     window(a) and window_maps(a); dim, the documents and the chart read
-    only those.  cells and diffs are their (t, s) views, cells built when
-    first read; the benchmark's tracer counts E_1's cells and each applied
-    page's diffs, so build_e1 and apply_page build those eagerly (ROADMAP
-    B1).
+    only those.  cells and diffs are their (t, s) views, read-only mappings
+    computed from the bars when they are read, so a run builds neither;
+    only the benchmark's tracer reads them (ROADMAP B1).
     """
 
     def __init__(self, r: int, ctx: EngineContext, degrees: Dict[int, Bars]) -> None:
@@ -345,14 +347,17 @@ class PageData:
         self.ctx = ctx
         self.degrees = degrees
         self.maps: Dict[int, Bars] = {}
-        self.diffs: Dict[Tuple[int, int], DiffRecord] = {}
-        self._cells: Optional[Dict[Tuple[int, int], Cell]] = None
 
     @property
-    def cells(self) -> Dict[Tuple[int, int], Cell]:
-        if self._cells is None:
-            self._cells = _cell_view(self)
-        return self._cells
+    def cells(self) -> Mapping[Tuple[int, int], Cell]:
+        """The classes at every (t, s) of the window: the bar's own Cell."""
+        return _CellView(self)
+
+    @property
+    def diffs(self) -> Mapping[Tuple[int, int], DiffRecord]:
+        """d_r at every (t, s) source window_maps shows, each record's
+        target the (t - 1, s + r) it hits."""
+        return _DiffView(self)
 
     def shown(self) -> Iterator[Tuple[int, Bars]]:
         """(a, bars) of each A-degree whose tower meets degrees 0..D, in
@@ -379,11 +384,90 @@ class PageData:
                      if s0 <= s <= s1), 0)
 
 
-def _cell_view(pd: PageData) -> Dict[Tuple[int, int], Cell]:
-    """The classes of a page at every (t, s) of the window."""
-    dv = pd.ctx.deg_v
-    return {(a + s * dv, s): cell for a, _ in pd.shown()
-            for s0, s1, cell in pd.window(a) for s in range(s0, s1 + 1)}
+class _PageView(Mapping):
+    """A (t, s) view of a page, read off its bars on every access.
+
+    The keys run over the A-degrees of _sources, in order, and over each
+    one's bars as _clipped cuts them; a lookup reads the one bar of its
+    A-degree that holds it, and items and values walk the bars as the keys
+    do.  The view keeps nothing, so a read allocates only what it returns."""
+
+    __slots__ = ("_pd",)
+
+    def __init__(self, pd: PageData) -> None:
+        self._pd = pd
+
+    def _entries(self) -> Iterator[Tuple[int, int, object]]:
+        """(t, s, item) of every key (t, s), in order."""
+        dv = self._pd.ctx.deg_v
+        for a in self._sources():
+            for s0, s1, item in self._clipped(a):
+                for s in range(s0, s1 + 1):
+                    yield a + s * dv, s, item
+
+    def __getitem__(self, key: Tuple[int, int]):
+        if type(key) is not tuple or len(key) != 2:
+            raise KeyError(key)
+        t, s = key
+        if type(t) is not int or type(s) is not int:
+            raise KeyError(key)
+        for s0, s1, item in self._clipped(t - s * self._pd.ctx.deg_v):
+            if s0 <= s <= s1:
+                return self._value(t, s, item)
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        for t, s, _ in self._entries():
+            yield t, s
+
+    def __len__(self) -> int:
+        return sum(s1 - s0 + 1 for a in self._sources() for s0, s1, _ in self._clipped(a))
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        view = self._mapping
+        for t, s, item in view._entries():
+            yield (t, s), view._value(t, s, item)
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        view = self._mapping
+        for t, s, item in view._entries():
+            yield view._value(t, s, item)
+
+
+class _CellView(_PageView):
+    __slots__ = ()
+
+    def _sources(self) -> Iterator[int]:
+        return map(itemgetter(0), self._pd.shown())
+
+    def _clipped(self, a: int) -> Iterator[Tuple[int, int, Cell]]:
+        return self._pd.window(a)
+
+    def _value(self, t: int, s: int, cell: Cell) -> Cell:
+        return cell
+
+
+class _DiffView(_PageView):
+    __slots__ = ()
+
+    def _sources(self) -> Iterator[int]:
+        return iter(self._pd.maps)
+
+    def _clipped(self, a: int) -> Iterator[Tuple[int, int, DiffRecord]]:
+        return self._pd.window_maps(a)
+
+    def _value(self, t: int, s: int, rec: DiffRecord) -> DiffRecord:
+        return DiffRecord((t - 1, s + self._pd.r), rec.matrix, rec.rank)
 
 
 def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool = False,
@@ -399,9 +483,7 @@ def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool = False,
     ctx = EngineContext(A, v, localized, w.max_degree, tuple(pages), max_source)
     degrees = {a: ((ctx.s_lo, Cell(tuple(mons))),)
                for a, mons in sorted(basis_up_to(A, ctx.reach).items())}
-    pd = PageData(1, ctx, degrees)
-    pd._cells = _cell_view(pd)  # read by the benchmark's tracer (ROADMAP B1)
-    return pd
+    return PageData(1, ctx, degrees)
 
 
 def _page_generators(A: Algebra, page: RulePage) -> PageGenerators:
@@ -696,18 +778,6 @@ def _span(e: Optional[_Eliminated]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     return tuple((piv, tuple(row)) for piv, row in sorted(e.echelon.items()))
 
 
-def _diff_view(pd: PageData) -> Dict[Tuple[int, int], DiffRecord]:
-    """The differentials of a page at every (t, s) source window_maps shows."""
-    dv, r = pd.ctx.deg_v, pd.r
-    diffs = {}
-    for a in pd.maps:
-        for s0, s1, rec in pd.window_maps(a):
-            for s in range(s0, s1 + 1):
-                t = a + s * dv
-                diffs[(t, s)] = DiffRecord((t - 1, s + r), rec.matrix, rec.rank)
-    return diffs
-
-
 def apply_page(pd: PageData, page: RulePage) -> PageData:
     """Fire page pd.r with the rules of page and return the next page.
 
@@ -795,7 +865,6 @@ def apply_page(pd: PageData, page: RulePage) -> PageData:
         degrees[a] = tuple(new)
 
     pd.maps = maps
-    pd.diffs = _diff_view(pd)  # read by the benchmark's tracer (ROADMAP B1)
     return PageData(r + 1, ctx, degrees)
 
 

@@ -11,6 +11,7 @@ from bockstein.algebra import (
     ForeignGeneratorError,
     GeneratorSpec,
     InfiniteBasisError,
+    _free_walk,
     basis_in_degree,
     basis_up_to,
     derivation_extend,
@@ -95,6 +96,26 @@ def test_basis_up_to_matches_basis_in_degree(mixed_algebras):
         got = basis_up_to(A, 300)
         want = {d: basis_in_degree(A, d) for d in range(0, 301)}
         assert got == {d: mons for d, mons in want.items() if mons}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_basis_on_shuffled_generators_equals_brute_force(seed):
+    # the walk yields the all-zero tail once what is left is below every
+    # later generator's degree; that must hold in any generator order, and
+    # exterior generators of degree 0 must never cut a walk short
+    rng = random.Random(seed)
+    gens = [GeneratorSpec("a", 0, EXTERIOR), GeneratorSpec("b", 0, EXTERIOR),
+            GeneratorSpec("c", 1, EXTERIOR), GeneratorSpec("d", 5, EXTERIOR),
+            GeneratorSpec("x", 2, POLYNOMIAL), GeneratorSpec("y", 3, POLYNOMIAL),
+            GeneratorSpec("z", 7, POLYNOMIAL), GeneratorSpec("w", 13, EXTERIOR)]
+    rng.shuffle(gens)
+    A = Algebra(2, tuple(gens[:rng.randint(1, len(gens))]))
+    D = 14
+    want = {d: brute_basis(A, d) for d in range(D + 1)}
+    assert basis_up_to(A, D) == {d: mons for d, mons in want.items() if mons}
+    assert all(basis_in_degree(A, d) == want[d] for d in range(D + 1))
+    # in lexicographic order, each monomial with what it leaves of D
+    assert list(_free_walk(A, D)) == sorted((m, D - d) for d, mons in want.items() for m in mons)
 
 
 def test_basis_lengths_against_series(mixed_algebras):

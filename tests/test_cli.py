@@ -90,6 +90,25 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout == "False\n"
 
 
+def test_verify_of_a_large_window_stays_small():
+    # v1 p=3 D=20000 keeps about 20,000 A-degrees; the pages' (t, s) views
+    # would hold D^2/|v| keys, and a run builds none of them.  The peak RSS
+    # is read inside the fresh interpreter that runs verify
+    env = {**os.environ, "PYTHONPATH": str(Path(bockstein.__file__).parents[1])}
+    code = ("import resource, sys\n"
+            "from bockstein.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    done = subprocess.run([sys.executable, "-c", code, "verify", "--case", "v1", "--p", "3",
+                           "--max-degree", "20000"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    lines = done.stdout.splitlines()
+    assert "VERIFIED" in lines[-2]
+    exit_code, max_rss_kb = map(int, lines[-1].split())
+    assert exit_code == 0 and done.returncode == 0
+    assert max_rss_kb < 100 * 1024
+
+
 def test_verify_v0_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--case", "v0", "--p", "2", "--n", "2",
                            "--max-degree", "58")

@@ -41,7 +41,6 @@ from bockstein.engine import (
     _bar_at,
     _Eliminated,
     _d_of_monomial,
-    _cell_view,
     _homology,
     _page_generators,
     _page_map,
@@ -57,6 +56,7 @@ from bockstein.engine import (
 )
 from bockstein.formulas import nu_p
 from bockstein.jsonio import emit_json, laurent_span
+from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import INF, TowerProfile, compare
 import golden
 
@@ -92,12 +92,107 @@ def test_apply_page_empty_rules_increments():
     assert nxt.r == 2 and nxt.degrees is pd.degrees
 
 
-@pytest.mark.parametrize("order", ["forward", "backward"])
-@pytest.mark.parametrize("case", [
+def _cell_view(pd):
+    """The classes of a page at every (t, s) of the window, built eagerly:
+    the (t, s) view as engine._cell_view built it before the views became
+    lazy, kept as the reference the lazy view is checked against."""
+    dv = pd.ctx.deg_v
+    return {(a + s * dv, s): cell for a, _ in pd.shown()
+            for s0, s1, cell in pd.window(a) for s in range(s0, s1 + 1)}
+
+
+def _diff_view(pd):
+    """The differentials of a page at every (t, s) source window_maps shows,
+    built eagerly as engine._diff_view built them (the reference)."""
+    dv, r = pd.ctx.deg_v, pd.r
+    diffs = {}
+    for a in pd.maps:
+        for s0, s1, rec in pd.window_maps(a):
+            for s in range(s0, s1 + 1):
+                t = a + s * dv
+                diffs[(t, s)] = DiffRecord((t - 1, s + r), rec.matrix, rec.rank)
+    return diffs
+
+
+# |v| = 0, v1, v2 capped early and late, localized, and the p = 2 variant B
+VIEW_CASES = [
     Case("v0", 2, 58, n=2), Case("v1", 3, 130), Case("v2", 2, 120, page_cap=2),
     Case("v2", 2, 120, page_cap=8), Case("v2", 3, 120, localized=True),
     Case("v1", 2, 60, variant="B"),
-], ids=golden.case_id)
+]
+
+
+def _outside(pd, shown):
+    """Keys no view of the page holds, whatever its bars: t < 0, t > D + 1,
+    s outside the view, and an A-degree in the window that is not kept."""
+    ctx = pd.ctx
+    dv, D = ctx.deg_v, ctx.max_degree
+    missing = next(a for a in range(D + 1) if a not in pd.degrees)
+    keys = [(-1, 0), (-1 - dv, -1), (D + 2, 0), (D + 2 + dv, 1), (0, ctx.s_hi + 1),
+            (D, ctx.s_lo - 1), (missing, 0), (missing + dv, 1)]
+    if shown:
+        keys += [(D + 1, 0), (D + 1 + dv, 1)]
+    return keys
+
+
+@pytest.mark.parametrize("case", VIEW_CASES, ids=golden.case_id)
+def test_lazy_views_equal_the_eager_ones(case):
+    # each page's cells and diffs, computed from the bars when read, list
+    # the keys of the eager views in the same order, with the same length;
+    # cells gives the very Cell objects and diffs records of equal target,
+    # matrix and rank; a key outside the window is neither in nor got
+    _, pages, _ = case.run()
+    assert any(pd.maps for pd in pages)
+    for pd in pages:
+        cells, diffs = pd.cells, pd.diffs
+        eager, eager_diffs = _cell_view(pd), _diff_view(pd)
+        for view, ref in ((cells, eager), (diffs, eager_diffs)):
+            assert list(view) == list(ref) and len(view) == len(ref)
+            assert list(view.keys()) == list(ref.keys())
+        assert all(cells[key] is cell for key, cell in eager.items())
+        assert [(key, id(cell)) for key, cell in cells.items()] == [
+            (key, id(cell)) for key, cell in eager.items()]
+        assert list(map(id, cells.values())) == list(map(id, eager.values()))
+        want = [(key, rec.target, rec.matrix, rec.rank) for key, rec in eager_diffs.items()]
+        assert [(key, rec.target, rec.matrix, rec.rank) for key, rec in diffs.items()] == want
+        assert [(key, rec.target, rec.matrix, rec.rank)
+                for key, rec in zip(diffs, diffs.values())] == want
+        assert [(key, diffs[key].target, diffs[key].matrix, diffs[key].rank)
+                for key in diffs] == want
+        for view, shown in ((cells, True), (diffs, False)):
+            for key in _outside(pd, shown) + [(0.5, 0), "t", (1, 2, 3)]:
+                assert key not in view and view.get(key) is None
+        # diffs lists nothing out of an A-degree d_r vanishes on
+        quiet = [a for a in pd.degrees if a not in pd.maps and a <= pd.ctx.max_degree]
+        assert all(diffs.get((a + s * pd.ctx.deg_v, s)) is None for a in quiet[:20]
+                   for s in range(pd.ctx.s_lo, pd.ctx.s_hi + 1))
+
+
+def _refuse(self, *args):
+    raise AssertionError("a (t, s) page view was read")
+
+
+@pytest.mark.parametrize("case", golden.FIXED, ids=golden.case_id)
+def test_no_library_reader_reads_a_page_view(case, monkeypatch):
+    # run, compare, the JSON writer and the chart read the bars through
+    # shown, window and window_maps, never a (t, s) view (_entries is what
+    # items() and values() walk)
+    for name in ("__iter__", "__len__", "__getitem__", "_entries"):
+        monkeypatch.setattr(engine._PageView, name, _refuse)
+    with pytest.raises(AssertionError, match="view was read"):
+        build_e1(thh_mod_p_algebra(2, 1), v_gen("v0", 0), Window(4)).cells.get((0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sched, pages, profile = case.run()
+    # no oracle is asserted for v1 at p = 2; compare the run with itself
+    expected = profile if (case.kind, case.p) == ("v1", 2) else case.oracle()
+    compare(profile, expected, case.D)
+    emit_json(pages, profile, case.meta(sched))
+    emit_svg(case.chart_page(pages), ChartStyle(), case.D, title=sched.label)
+
+
+@pytest.mark.parametrize("order", ["forward", "backward"])
+@pytest.mark.parametrize("case", VIEW_CASES, ids=golden.case_id)
 def test_derived_views_equal_whole_views(case, order):
     # read in either order, each page's (t, s) view has the keys, in the same
     # order, and the very Cell objects of its bars looked up filtration by

@@ -47,9 +47,9 @@ def test_every_tracer_hook_resolves(module_name, attr):
 
 def test_the_tracer_observers_count_the_page_views():
     # the observers of build_e1 and apply_page count E_1's (t, s) classes
-    # and each fired page's (t, s) differentials through the engine's eager
-    # views; here those counts must equal the views' sizes, counted over
-    # the window from the bars
+    # and each fired page's (t, s) differentials through the engine's
+    # views, which compute them from the bars when read; here those counts
+    # must equal the views' sizes, counted over the window from the bars
     A = thh_mod_p_algebra(2, 2)
     w = Window(60)
     sched = schedule_v2(2, w)
