@@ -95,11 +95,13 @@ def _exterior_subsets(A: Algebra, indices: List[int], max_degree: int):
     out = [(0, {}, "")]
     for i in indices:
         d = A.generators[i].degree
-        out = out + [
+        if d > max_degree:  # no subset takes i, not even {i} alone
+            continue
+        out.extend([  # a list, built from out before out grows
             (deg + d, {**exps, i: 1}, label + ("·" if label else "") + A.generators[i].name)
             for deg, exps, label in out
             if deg + d <= max_degree
-        ]
+        ])
     return out
 
 

@@ -5,7 +5,9 @@ chart_marks reads a page only through its window readers
 (PageData.shown, window and window_maps), the ones the JSON writer reads,
 so the rendered class count per column always equals the page dimensions
 (each circle carries data-t/data-s attributes so that tests can verify
-this against the JSON document).
+this against the JSON document).  draw_chart formats each column's and
+each row's coordinate once per chart and writes every element from those
+strings.
 """
 
 from __future__ import annotations
@@ -66,6 +68,18 @@ def draw_chart(page: PageData, dots: Dict[Point, int], arrows: List[Tuple[Point,
     def Y(s: float) -> float:
         return MARGIN + (s_top - s) * Y_SCALE
 
+    # each coordinate formatted once per chart: the x of every class of a
+    # column holding dim of them (several classes in one bidegree fan out
+    # horizontally; xs[t, 1][0] is the column's own x), the y of every row
+    xs: Dict[Point, List[str]] = {}
+
+    def fan(t: int, dim: int) -> List[str]:
+        got = xs.get((t, dim))
+        if got is None:
+            got = xs[t, dim] = [f"{X(t) + (i - (dim - 1) / 2.0) * 2.6:.1f}" for i in range(dim)]
+        return got
+
+    ys = {s: f"{Y(s):.1f}" for s in range(s_bottom, s_top + 1)}
     width = X(max_degree) + MARGIN
     height = Y(s_bottom) + MARGIN
     out: List[str] = []
@@ -74,28 +88,22 @@ def draw_chart(page: PageData, dots: Dict[Point, int], arrows: List[Tuple[Point,
         f'viewBox="0 0 {width:.0f} {height:.0f}">'
     )
     if title:
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(f'<text x="{MARGIN}" y="{MARGIN / 2:.1f}" font-size="11">{title}</text>')
     out.append(f'<line x1="{X(0)}" y1="{Y(s_bottom)}" x2="{X(max_degree)}" y2="{Y(s_bottom)}" '
                'stroke="black" stroke-width="0.5"/>')
+    tick_y = f"{Y(s_bottom) + 12:.1f}"
     for t in range(0, max_degree + 1, X_TICK_STEP):
-        out.append(f'<text x="{X(t):.1f}" y="{Y(s_bottom) + 12:.1f}" font-size="7" '
+        out.append(f'<text x="{fan(t, 1)[0]}" y="{tick_y}" font-size="7" '
                    f'text-anchor="middle">{t}</text>')
-
-    def dots(t: int, s: int, dim: int) -> List[tuple]:
-        # several classes in one bidegree fan out horizontally
-        return [(X(t) + (i - (dim - 1) / 2.0) * 2.6, Y(s)) for i in range(dim)]
-
     # v-multiplication lines between consecutive filtrations of a tower
     for (t, s), dim in dims.items():
         nxt = dims.get((t + dv, s + 1))
         if not s_bottom <= s < s_top or nxt is None:
             continue
-        k = min(dim, nxt)
-        a = dots(t, s, dim)
-        b = dots(t + dv, s + 1, nxt)
-        for i in range(k):
-            out.append(f'<line x1="{a[i][0]:.1f}" y1="{a[i][1]:.1f}" '
-                       f'x2="{b[i][0]:.1f}" y2="{b[i][1]:.1f}" '
+        y, y2 = ys[s], ys[s + 1]
+        for x, x2 in zip(fan(t, dim), fan(t + dv, nxt)):
+            out.append(f'<line x1="{x}" y1="{y}" x2="{x2}" y2="{y2}" '
                        'stroke="#888" stroke-width="0.6"/>')
     # differentials of this page
     for (t, s), (t2, s2) in arrows:
@@ -103,16 +111,17 @@ def draw_chart(page: PageData, dots: Dict[Point, int], arrows: List[Tuple[Point,
             continue
         if not (s_bottom <= s <= s_top and s_bottom <= s2 <= s_top):
             continue
-        out.append(f'<line x1="{X(t):.1f}" y1="{Y(s):.1f}" x2="{X(t2):.1f}" y2="{Y(s2):.1f}" '
+        out.append(f'<line x1="{fan(t, 1)[0]}" y1="{ys[s]}" x2="{fan(t2, 1)[0]}" y2="{ys[s2]}" '
                    'stroke="#c00" stroke-width="0.7"/>')
         out.append(f'<text x="{(X(t) + X(t2)) / 2:.1f}" y="{(Y(s) + Y(s2)) / 2:.1f}" '
                    f'font-size="6" fill="#c00">d{page.r}</text>')
     # dots last so they sit on top
+    radius = f'r="{DOT_RADIUS}"'
     for (t, s), dim in dims.items():
         if not s_bottom <= s <= s_top:
             continue
-        for (x, y) in dots(t, s, dim):
-            out.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{DOT_RADIUS}" '
-                       f'data-t="{t}" data-s="{s}"/>')
+        y = ys[s]
+        for x in fan(t, dim):
+            out.append(f'<circle cx="{x}" cy="{y}" {radius} data-t="{t}" data-s="{s}"/>')
     out.append("</svg>")
     return "\n".join(out)

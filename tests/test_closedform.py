@@ -3,6 +3,7 @@ import pytest
 from bockstein.closedform import (
     TorsionGenerator,
     TorsionPresentation,
+    _exterior_subsets,
     localized_expected,
     rational_thh_dims,
     t0n_presentation,
@@ -152,3 +153,32 @@ def test_presentation_names_are_informative():
     names = {t.name for t in pres.torsion_generators}
     assert "λ3(1)" in names
     assert any(name.startswith("λ1·λ3(") for name in names)
+
+
+def _exterior_subsets_reference(A, indices, max_degree):
+    """The enumeration before it skipped generators too large to take: a
+    new list per generator, whatever its degree."""
+    out = [(0, {}, "")]
+    for i in indices:
+        d = A.generators[i].degree
+        out = out + [
+            (deg + d, {**exps, i: 1}, label + ("·" if label else "") + A.generators[i].name)
+            for deg, exps, label in out
+            if deg + d <= max_degree
+        ]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_exterior_subsets_equal_the_unskipped_enumeration(p):
+    # the same (degree, exponents, label) triples in the same order, for
+    # windows below, at and above generator degrees, and for index lists
+    # out of order and with a generator left out
+    for n in range(7):
+        A = thh_mod_p_algebra(p, n)
+        degrees = sorted({A.generators[i].degree for i in range(n + 1)})
+        windows = {0, 1, 2, 10, 60, 400, 3000} | set(degrees) | {d - 1 for d in degrees}
+        for indices in (list(range(n + 1)), list(range(n, -1, -1)), list(range(0, n + 1, 2))):
+            for D in sorted(windows):
+                got = _exterior_subsets(A, indices, D)
+                assert got == _exterior_subsets_reference(A, indices, D)

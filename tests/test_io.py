@@ -3,6 +3,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -11,7 +12,8 @@ from bockstein.closedform import thh_mod_p_algebra
 from bockstein.engine import Cell, PageData, Window, run, schedule_v0, schedule_v2
 from bockstein.jsonio import (emit_json, expand, json_fragments, monomial_str, parse_json, rep_str,
                              towers_record)
-from bockstein.svg import ChartStyle, emit_svg
+from bockstein import svg
+from bockstein.svg import ChartStyle, chart_marks, draw_chart, emit_svg
 from bockstein.towers import TowerProfile
 import golden
 
@@ -192,9 +194,12 @@ def test_svg_dot_counts_match_dims():
         per_col[(t, s)] = per_col.get((t, s), 0) + 1
     for (t, s), count in per_col.items():
         assert final.dim(t, s) == count
-    for (t, s), cell in final.cells.items():
-        if 0 <= t <= 40 and 0 <= s <= 4 and cell.dim:
-            assert per_col.get((t, s)) == cell.dim
+    dv = final.ctx.deg_v
+    for a, _ in final.shown():
+        for s0, s1, cell in final.window(a):
+            for s in range(s0, s1 + 1):
+                if 0 <= a + s * dv <= 40 and 0 <= s <= 4 and cell.dim:
+                    assert per_col.get((a + s * dv, s)) == cell.dim
 
 
 def test_svg_shows_differential_arrows():
@@ -202,9 +207,119 @@ def test_svg_shows_differential_arrows():
     w = Window(40)
     sched = schedule_v2(2, w)
     pages, prof = run(A, sched, w)
-    fired = next(pg for pg in pages if pg.diffs)
+    fired = next(pg for pg in pages if any(True for a in pg.maps for _ in pg.window_maps(a)))
     svg = emit_svg(fired, ChartStyle(), 40)
     assert f">d{fired.r}</text>" in svg
+
+
+def _draw_chart_reference(page, dots, arrows, style, max_degree, title=""):
+    """svg.draw_chart as it was before it formatted each coordinate once
+    per chart: every coordinate of every element formatted afresh."""
+    X_SCALE, Y_SCALE, DOT_RADIUS = svg.X_SCALE, svg.Y_SCALE, svg.DOT_RADIUS
+    X_TICK_STEP, MARGIN = svg.X_TICK_STEP, svg.MARGIN
+    dv = page.ctx.deg_v
+    dims = {key: dim for key, dim in dots.items() if key[0] <= max_degree}
+    s_values = [s for (_t, s) in dims]
+    s_top = max(s_values, default=0)
+    if style.max_filtration is not None:
+        s_top = min(s_top, style.max_filtration)
+    s_bottom = min(s_values, default=0) if page.ctx.localized else 0
+
+    def X(t):
+        return MARGIN + t * X_SCALE
+
+    def Y(s):
+        return MARGIN + (s_top - s) * Y_SCALE
+
+    width = X(max_degree) + MARGIN
+    height = Y(s_bottom) + MARGIN
+    out = []
+    out.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">'
+    )
+    if title:
+        out.append(f'<text x="{MARGIN}" y="{MARGIN / 2:.1f}" font-size="11">{title}</text>')
+    out.append(f'<line x1="{X(0)}" y1="{Y(s_bottom)}" x2="{X(max_degree)}" y2="{Y(s_bottom)}" '
+               'stroke="black" stroke-width="0.5"/>')
+    for t in range(0, max_degree + 1, X_TICK_STEP):
+        out.append(f'<text x="{X(t):.1f}" y="{Y(s_bottom) + 12:.1f}" font-size="7" '
+                   f'text-anchor="middle">{t}</text>')
+
+    def dots(t, s, dim):
+        return [(X(t) + (i - (dim - 1) / 2.0) * 2.6, Y(s)) for i in range(dim)]
+
+    for (t, s), dim in dims.items():
+        nxt = dims.get((t + dv, s + 1))
+        if not s_bottom <= s < s_top or nxt is None:
+            continue
+        k = min(dim, nxt)
+        a = dots(t, s, dim)
+        b = dots(t + dv, s + 1, nxt)
+        for i in range(k):
+            out.append(f'<line x1="{a[i][0]:.1f}" y1="{a[i][1]:.1f}" '
+                       f'x2="{b[i][0]:.1f}" y2="{b[i][1]:.1f}" '
+                       'stroke="#888" stroke-width="0.6"/>')
+    for (t, s), (t2, s2) in arrows:
+        if not (0 <= t <= max_degree and 0 <= t2 <= max_degree):
+            continue
+        if not (s_bottom <= s <= s_top and s_bottom <= s2 <= s_top):
+            continue
+        out.append(f'<line x1="{X(t):.1f}" y1="{Y(s):.1f}" x2="{X(t2):.1f}" y2="{Y(s2):.1f}" '
+                   'stroke="#c00" stroke-width="0.7"/>')
+        out.append(f'<text x="{(X(t) + X(t2)) / 2:.1f}" y="{(Y(s) + Y(s2)) / 2:.1f}" '
+                   f'font-size="6" fill="#c00">d{page.r}</text>')
+    for (t, s), dim in dims.items():
+        if not s_bottom <= s <= s_top:
+            continue
+        for (x, y) in dots(t, s, dim):
+            out.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{DOT_RADIUS}" '
+                       f'data-t="{t}" data-s="{s}"/>')
+    out.append("</svg>")
+    return "\n".join(out)
+
+
+CHART_CASES = [Case("v2", 2, 120, page_cap=8), Case("v1", 3, 120, localized=True),
+               Case("v0", 2, 58, n=2)]
+
+
+@pytest.mark.parametrize("case", CHART_CASES, ids=golden.case_id)
+def test_chart_equals_the_reference_drawer(case):
+    # the chart of a real page: arrows (v2 under cap 8), filtrations below 0
+    # (localized) and |v| = 0 (v0), whole and cut at max_filtration=2
+    sched, pages, _ = case.run()
+    page = case.chart_page(pages)
+    marks = chart_marks(page)
+    assert marks[0] and (marks[1] or case.page_cap is None)
+    for style in (ChartStyle(), ChartStyle(max_filtration=2)):
+        want = _draw_chart_reference(page, *marks, style, case.D, sched.label)
+        assert draw_chart(page, *marks, style, case.D, sched.label) == want
+
+
+@pytest.mark.parametrize("case", CHART_CASES[:2], ids=golden.case_id)
+def test_chart_fans_out_as_the_reference_drawer(case):
+    # no certified page holds a class of dimension > 1, so the fan-out is
+    # drawn from made-up marks: dimensions 1 to 4 in every pairing along
+    # v-lines, marks past max_degree, below filtration 0 and above
+    # max_filtration, and arrows in and out of the chart
+    _, pages, _ = case.run()
+    page = case.chart_page(pages)
+    dv, D = page.ctx.deg_v, 40
+    dots = {(t, s): 1 + (3 * t * t + 5 * s * s + t * s) % 13 % 4
+            for t in range(D + 20) for s in range(-4, 6) if (t + s) % 3}
+    arrows = sorted(((t, s), (t - 1, s + r)) for (t, s) in dots for r in (1, 3) if t % 5 == 0)
+    pairs = {(dim, dots[t + dv, s + 1]) for (t, s), dim in dots.items() if (t + dv, s + 1) in dots}
+    assert pairs == {(a, b) for a in range(1, 5) for b in range(1, 5)}
+    for style in (ChartStyle(), ChartStyle(max_filtration=2)):
+        want = _draw_chart_reference(page, dots, arrows, style, D, "fan")
+        assert draw_chart(page, dots, arrows, style, D, "fan") == want
+        assert all(mark in want for mark in ("<circle", 'stroke="#888"', 'stroke="#c00"'))
+
+
+def test_svg_title_is_escaped():
+    pages, _, _ = _v0_run(40)
+    root = ET.fromstring(emit_svg(pages[-1], ChartStyle(), 40, title="a<b & c"))
+    assert [el.text for el in root if el.get("font-size") == "11"] == ["a<b & c"]
 
 
 def test_unknown_serializes_per_schema():
