@@ -12,5 +12,5 @@ from bockstein.jsonio import laurent_span
 D = 120
 for kind, p in (("v1", 3), ("v2", 2), ("v2", 3)):
     _, pages, _ = Case(kind, p, D, localized=True).run()
-    print(f"{kind} case, p={p}:  Laurent span", laurent_span(pages[-1], D),
+    print(f"{kind} case, p={p}:  Laurent span", laurent_span(pages[-1]),
           " expected", localized_expected(kind, p))

@@ -1,7 +1,7 @@
 """Bockstein spectral-sequence engine with closed-form torsion oracles.
 
 The package has three layers: exact graded-commutative algebra over F_p
-on exterior, polynomial and Laurent generators (`algebra`), closed-form
+on exterior and polynomial generators (`algebra`), closed-form
 integer formulas and torsion-module constructors (`formulas`,
 `closedform`), and a windowed multiplicative spectral-sequence engine
 (`engine`) whose E_infinity tower profiles are certified against the

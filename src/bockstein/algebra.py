@@ -6,23 +6,23 @@ in ``{1, ..., p-1}``.  The canonical monomial order used everywhere
 downstream is graded lexicographic, i.e. the sort key ``(degree, exponents)``.
 
 The generator kinds are the ones THH_*(B<n>; F_p)[v] needs: exterior
-(the lambdas), polynomial (mu and v) and Laurent (v inverted).
+(the lambdas) and polynomial (mu and v).  Inverting v is a mode of the
+engine, which keeps v's exponent beside an A-monomial, not a kind here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 Element = Dict[Monomial, int]
 
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
-LAURENT = "laurent"
 
-_KINDS = (EXTERIOR, POLYNOMIAL, LAURENT)
+_KINDS = (EXTERIOR, POLYNOMIAL)
 
 
 class AlgebraError(ValueError):
@@ -92,8 +92,6 @@ class GeneratorSpec:
     def exponent_ok(self, e: int) -> bool:
         if self.kind == EXTERIOR:
             return e in (0, 1)
-        if self.kind == LAURENT:
-            return True
         return e >= 0
 
 
@@ -118,14 +116,11 @@ class Algebra:
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(self.generators)})
         object.__setattr__(self, "_degrees", tuple(g.degree for g in self.generators))
         # the tables mul_monomials reads: the odd-degree generators from the
-        # right, the exterior ones, and the generators whose exponents cannot
-        # go below zero
+        # right and the exterior ones
         object.__setattr__(self, "_odd_from_right", tuple(
             i for i in reversed(range(len(self.generators))) if self.generators[i].degree & 1))
         object.__setattr__(self, "_exterior", tuple(
             i for i, g in enumerate(self.generators) if g.kind == EXTERIOR))
-        object.__setattr__(self, "_nonnegative", tuple(
-            i for i, g in enumerate(self.generators) if g.kind != LAURENT))
 
     @property
     def ngens(self) -> int:
@@ -196,10 +191,8 @@ def mul_monomials(A: Algebra, m1: Monomial, m2: Monomial) -> Tuple[int, Monomial
         if out[j] > 1:
             return 0, A.unit
     if out and min(out) < 0:
-        for j in A._nonnegative:  # type: ignore[attr-defined]
-            if out[j] < 0:
-                raise AlgebraError(f"exponent {out[j]} invalid for generator "
-                                   f"{A.generators[j].name}")
+        j = next(j for j, e in enumerate(out) if e < 0)
+        raise AlgebraError(f"exponent {out[j]} invalid for generator {A.generators[j].name}")
     sign = right = 0  # right: parity of m1's odd factors right of j
     for j in A._odd_from_right:  # type: ignore[attr-defined]
         if m2[j] & 1:
@@ -245,16 +238,6 @@ def multiply(a: Element, b: Element, A: Algebra) -> Element:
             else:
                 out.pop(m, None)
     return out
-
-
-def element_degree(a: Element, A: Algebra) -> Optional[int]:
-    """Common degree of a homogeneous element, None for the zero element."""
-    degs = {A.degree(m) for m in a}
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise AlgebraError(f"element is not homogeneous (degrees {sorted(degs)})")
-    return degs.pop()
 
 
 def _degree_walk(gens: Sequence[GeneratorSpec], rem: int,
@@ -305,7 +288,7 @@ def _free_walk(A: Algebra, max_degree: int) -> Iterator[Tuple[Monomial, int]]:
     """Every monomial of degree <= max_degree, in lexicographic order, with
     max_degree minus its degree."""
     gens = A.generators
-    if any(g.kind == LAURENT or (g.degree == 0 and g.kind == POLYNOMIAL) for g in gens):
+    if any(g.degree == 0 and g.kind == POLYNOMIAL for g in gens):
         raise InfiniteBasisError("infinite basis")
 
     def choices(i: int, rem: int) -> Iterable[int]:
@@ -335,8 +318,6 @@ def basis_up_to(A: Algebra, max_degree: int) -> Dict[int, List[Monomial]]:
 
 def graded_dims(A: Algebra, max_degree: int) -> List[int]:
     """Dimensions of A in degrees 0..max_degree, by generating-series product."""
-    if any(g.kind == LAURENT for g in A.generators):
-        raise InfiniteBasisError("infinite basis")
     dims = [0] * (max_degree + 1)
     dims[0] = 1
     for g in A.generators:

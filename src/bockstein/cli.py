@@ -43,13 +43,19 @@ def _noted(run: Callable):
 
 def cmd_run(case: Case, json_path: Optional[str], svg_path: Optional[str],
             ascii_: bool) -> int:
+    if json_path and svg_path and os.path.realpath(json_path) == os.path.realpath(svg_path):
+        raise ValueError(f"--json and --svg both name {json_path}; give each its own file")
     with _outputs(json_path, svg_path) as (json_file, svg_file):
         sched, pages, profile = _noted(case.run)
         print(f"run {sched.label}: pages {sorted(sched.pages)}, final E_{pages[-1].r}")
+        decided = not profile.has_unknown()
         if case.localized:
-            names = laurent_span(pages[-1], case.D, ascii_)
-            print("E_infinity = Laurent span {" + ", ".join(names) + "}")
-        else:
+            # the span is E_infinity's only when every tower is decided;
+            # otherwise it is the page the run read, and the profile follows
+            names = laurent_span(pages[-1], ascii_)
+            page = "E_infinity" if decided else f"E_{pages[-1].r}"
+            print(f"{page} = Laurent span {{{', '.join(names)}}}")
+        if not (case.localized and decided):
             for line in profile.summary_lines():
                 print(line)
         if sched.conjectural:

@@ -75,14 +75,12 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 from . import linalg
 from .algebra import (
     EXTERIOR,
-    LAURENT,
     POLYNOMIAL,
     Algebra,
     Element,
     GeneratorSpec,
     Monomial,
     basis_up_to,
-    element_degree,
     mul_monomials,
     require_prime,
     sparse_monomial,
@@ -205,6 +203,8 @@ class Cell:
         return len(self.monomials) if self.reps is None else len(self.reps)
 
     def reps_rows(self) -> List[List[int]]:
+        """The classes as rows over the monomials, identity rows for an
+        untouched cell.  A run never asks for them (_class_values)."""
         if self.reps is None:
             n = len(self.monomials)
             return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
@@ -278,9 +278,6 @@ class EngineContext:
         self.v = v
         self.deg_v = v.degree
         self.localized = localized
-        vkind = LAURENT if localized else POLYNOMIAL
-        self.Av = A.adjoin(GeneratorSpec(v.name, v.degree, vkind))
-        self.v_index = self.Av.ngens - 1
         self.max_degree = max_degree
         self.top_page = max(pages, default=0)
         self.s_lo, self.s_hi = view_filtrations(v.degree, max_degree, pages, localized)
@@ -522,18 +519,26 @@ def _page_generators(A: Algebra, page: RulePage) -> PageGenerators:
 
 
 def _validate_rules(pd: PageData, page: RulePage) -> None:
+    """Refuse a rule whose target is not one homogeneous element over A[v]
+    at v-exponent r, one degree below its source, or whose source or
+    target does not survive to this page.  A target monomial is an
+    A-monomial with v's exponent last, so its degree is that A-monomial's
+    plus r|v|."""
     ctx = pd.ctx
-    A, Av, p = ctx.A, ctx.Av, ctx.A.p
+    A, p = ctx.A, ctx.A.p
     r = page.r
     for rule in page.rules:
         if not rule.target:
             raise MalformedRuleError("malformed rule (zero target)")
-        vexps = {m[ctx.v_index] for m in rule.target}
+        vexps = {m[-1] for m in rule.target}
         if vexps != {r}:
             raise MalformedRuleError(
                 f"malformed rule (target v-exponent {sorted(vexps)} != page {r})")
         sdeg = A.degree(rule.source)
-        tdeg = element_degree(rule.target, Av)
+        tdegs = {A.degree(m[:-1]) + r * ctx.deg_v for m in rule.target}
+        if len(tdegs) > 1:
+            raise MalformedRuleError("malformed rule (target is not homogeneous)")
+        (tdeg,) = tdegs
         if tdeg != sdeg - 1:
             raise MalformedRuleError(
                 f"malformed rule (target degree {tdeg} != source degree {sdeg} - 1)")
@@ -684,23 +689,32 @@ class _Eliminated(NamedTuple):
     echelon: Dict[int, List[int]]
 
 
+def _class_values(cell: Cell, images: Sequence[Dict], p: int) -> Iterator[Dict]:
+    """The value of each class of a cell under a map given on its monomials
+    (images[j] the value of monomial j, as {key: coefficient mod p}).  An
+    untouched cell's classes are its monomials, so their values are the
+    images themselves; a class of a touched one takes its rep's combination
+    of them."""
+    if cell.reps is None:
+        yield from images
+        return
+    for rep in cell.reps:
+        val: Dict = {}
+        for c, img in zip(rep, images):
+            if c:
+                for key, cc in img.items():
+                    _accumulate(val, key, c * cc, p)
+        yield val
+
+
 def _page_map(cell: Cell, images: Sequence[Element], tcell: Cell, p: int,
               r: int, a: int, ta: int) -> Optional[_Eliminated]:
     """d_r on the classes of one cell, in the coordinates of the target's
-    classes, eliminated; None when it vanishes.  An untouched cell's
-    classes are its monomials, so their values are the images themselves."""
+    classes, eliminated; None when it vanishes."""
     tindex = {mon: i for i, mon in enumerate(tcell.monomials)}
     mat: List[List[int]] = []
     nonzero = False
-    for k in range(cell.dim):
-        if cell.reps is None:
-            dvec = images[k]
-        else:
-            dvec = {}
-            for j, c in enumerate(cell.reps[k]):
-                if c and images[j]:
-                    for mon, cc in images[j].items():
-                        _accumulate(dvec, mon, c * cc, p)
+    for dvec in _class_values(cell, images, p):
         if not dvec:
             mat.append([0] * tcell.dim)
             continue
@@ -1054,17 +1068,17 @@ def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
         final = nxt
     if final is not pages_out[-1]:
         pages_out.append(final)
-    profile = extract_towers(final, sched, w, localized, tuple(unfired))
+    profile = extract_towers(final, sched, tuple(unfired))
     return pages_out, profile
 
 
-def extract_towers(final: PageData, sched: DifferentialSchedule, w, localized: bool,
+def extract_towers(final: PageData, sched: DifferentialSchedule,
                    unfired: Tuple[int, ...] = ()) -> TowerProfile:
-    """The towers over the window, read from the final page's per-degree
-    state; unfired lists the schedule's pages the run did not fire."""
-    w = as_window(w)
+    """The towers over the run's window, read from the final page's
+    per-degree state; unfired lists the schedule's pages the run did not
+    fire."""
     ctx = final.ctx
-    prof = TowerProfile(w.max_degree)
+    prof = TowerProfile(ctx.max_degree)
 
     future_floor = sched.future_target_floor
     future_min_page = sched.future_min_page
@@ -1072,16 +1086,17 @@ def extract_towers(final: PageData, sched: DifferentialSchedule, w, localized: b
     for r in unfired:
         for rule in sched.pages[r].rules:
             for mon in rule.target:
-                base = ctx.Av.degree(mon) - r * ctx.deg_v
+                # the target's tower base is its A-degree
+                base = ctx.A.degree(mon[:-1])
                 future_floor = base if future_floor is None else min(future_floor, base)
         future_min_page = r if future_min_page is None else min(future_min_page, r)
 
-    for b in range(0, w.max_degree + 1):
+    for b in range(0, ctx.max_degree + 1):
         bars = final.degrees.get(b)
         if bars is None:
             continue
         hit = future_floor is not None and b >= future_floor
-        if localized:
+        if ctx.localized:
             # with v inverted a later differential removes its target's
             # Laurent tower as well as its source's, so a future hit may
             # leave nothing
@@ -1097,30 +1112,26 @@ def extract_towers(final: PageData, sched: DifferentialSchedule, w, localized: b
 def _unfired_sources(ctx: EngineContext, unfired: Sequence[PageGenerators], cell: Cell) -> int:
     """How many classes of the cell have a nonzero image under the rules of
     the unfired pages (Leibniz extension included): the rank of their
-    stacked images.  Such a class may support a differential the run did
-    not fire, and then its whole v-tower leaves."""
+    stacked images, each monomial's keyed by (unfired page, monomial).
+    Such a class may support a differential the run did not fire, and then
+    its whole v-tower leaves."""
     if not unfired or cell.dim == 0:
         return 0
-    p = ctx.A.p
-    images = [[_d_of_monomial(ctx, gens, m) for gens in unfired] for m in cell.monomials]
+    images = [{(i, mon): c for i, gens in enumerate(unfired)
+               for mon, c in _d_of_monomial(ctx, gens, m).items()} for m in cell.monomials]
     index: Dict[Tuple[int, Monomial], int] = {}
-    for per_page in images:
-        for i, img in enumerate(per_page):
-            for mon in img:
-                index.setdefault((i, mon), len(index))
+    for img in images:
+        for key in img:
+            index.setdefault(key, len(index))
     if not index:
         return 0
     rows = []
-    for rep in cell.reps_rows():
+    for val in _class_values(cell, images, ctx.A.p):
         row = [0] * len(index)
-        for c, per_page in zip(rep, images):
-            if c:
-                for i, img in enumerate(per_page):
-                    for mon, cc in img.items():
-                        k = index[(i, mon)]
-                        row[k] = (row[k] + c * cc) % p
+        for key, c in val.items():
+            row[index[key]] = c
         rows.append(row)
-    return linalg.rank(rows, p)
+    return linalg.rank(rows, ctx.A.p)
 
 
 def _read_column(prof: TowerProfile, b: int, bars: Bars, future_min_page: Optional[int],

@@ -92,11 +92,12 @@ def rep_str(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
     return _with_v(_lead(A, monomials, row, ascii_), v_name, s, ascii_)
 
 
-def laurent_span(page: PageData, max_degree: int, ascii_: bool = False) -> List[str]:
+def laurent_span(page: PageData, ascii_: bool = False) -> List[str]:
     """Representatives of the Laurent lines a localized page keeps: its
-    classes at filtration 0 in degrees 0..max_degree."""
+    classes at filtration 0 in the run's degrees 0..D."""
     return [_with_v(lead, page.ctx.v.name, 0, ascii_)
-            for t in range(max_degree + 1) for s0, s1, cell in page.window(t) if s0 <= 0 <= s1
+            for t in range(page.ctx.max_degree + 1)
+            for s0, s1, cell in page.window(t) if s0 <= 0 <= s1
             for lead in _leads(page.ctx.A, cell, ascii_)]
 
 

@@ -79,14 +79,12 @@ def left_kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> List[Row]:
     return kernel_and_echelon(rows, ncols, p)[0]
 
 
-def kernel_and_echelon(rows: Sequence[Sequence[int]], ncols: int,
-                       p: int) -> Tuple[List[Row], Dict[int, Row]]:
-    """The left kernel of M (given by rows, ncols wide) and the reduced
-    echelon form of its rows, echelon_from_rows(rows, p), from one forward
-    elimination of [M | 1]: the combos of the rows that reduce to zero are
-    the kernel, and the pivot rows, cut to M's columns and back-substituted
-    from the last pivot up, are the reduced echelon form, which is unique.
-    The rank is the rows less the kernel's dimension."""
+def _forward(rows: Sequence[Sequence[int]], ncols: int,
+             p: int) -> Tuple[Dict[int, Row], List[Row]]:
+    """One forward elimination of [M | 1], M given by rows and ncols wide:
+    the pivot rows, each normalized at its pivot (the first nonzero of its
+    M part) and reduced against the earlier ones only, and, in row order,
+    the combos of the rows (the identity part) that reduce to zero in M."""
     m = len(rows)
     fwd: Dict[int, Row] = {}
     kernel: List[Row] = []
@@ -100,6 +98,18 @@ def kernel_and_echelon(rows: Sequence[Sequence[int]], ncols: int,
         else:
             inv = inv_mod(r[piv], p)
             fwd[piv] = [(c * inv) % p for c in r]
+    return fwd, kernel
+
+
+def kernel_and_echelon(rows: Sequence[Sequence[int]], ncols: int,
+                       p: int) -> Tuple[List[Row], Dict[int, Row]]:
+    """The left kernel of M (given by rows, ncols wide) and the reduced
+    echelon form of its rows, echelon_from_rows(rows, p), from one forward
+    elimination of [M | 1] (_forward): the combos of the rows that reduce
+    to zero are the kernel, and the pivot rows, cut to M's columns and
+    back-substituted from the last pivot up, are the reduced echelon form,
+    which is unique.  The rank is the rows less the kernel's dimension."""
+    fwd, kernel = _forward(rows, ncols, p)
     ech: Dict[int, Row] = {}
     for piv in sorted(fwd, reverse=True):
         r = fwd[piv][:ncols]
@@ -116,54 +126,30 @@ def kernel_and_echelon(rows: Sequence[Sequence[int]], ncols: int,
 
 
 class CosetSolver:
-    """Express vectors of a cell in representative coordinates mod boundaries."""
+    """Express vectors of a cell in representative coordinates mod boundaries.
+
+    One forward elimination (_forward) of the boundaries, then the reps,
+    each row tracking the combo of them it stands for.  A rep that reduces
+    to zero is a combination of the boundaries and the earlier reps, so a
+    kernel combo that takes a rep means the reps are dependent."""
 
     def __init__(self, reps: Sequence[Sequence[int]], boundaries: Sequence[Sequence[int]],
                  width: int, p: int) -> None:
         self.p = p
         self.width = width
-        self.nreps = len(reps)
-        self.bnd = echelon_from_rows(boundaries, p)
-        # echelon of boundary-reduced reps, with tracking matrix T: ech_row = T . reps
-        self.ech: List[Tuple[int, Row, Row]] = []  # (pivot, row, coeffs over reps)
-        for i, rep in enumerate(reps):
-            row = reduce_row(rep, self.bnd, p)
-            track = [0] * self.nreps
-            track[i] = 1
-            for piv, erow, etrack in self.ech:
-                c = row[piv]
-                if c:
-                    for j in range(width):
-                        if erow[j]:
-                            row[j] = (row[j] - c * erow[j]) % p
-                    for j in range(self.nreps):
-                        if etrack[j]:
-                            track[j] = (track[j] - c * etrack[j]) % p
-            piv = next((j for j, c in enumerate(row) if c), None)
-            if piv is None:
-                raise ValueError("representatives are dependent modulo boundaries")
-            inv = inv_mod(row[piv], p)
-            row = [(c * inv) % p for c in row]
-            track = [(c * inv) % p for c in track]
-            self.ech.append((piv, row, track))
+        self.reps_at = width + len(boundaries)  # where the reps' part of a combo starts
+        self.pad = len(boundaries) + len(reps)
+        self.fwd, kernel = _forward(list(boundaries) + list(reps), width, p)
+        if any(any(combo[len(boundaries):]) for combo in kernel):
+            raise ValueError("representatives are dependent modulo boundaries")
 
     def express(self, vec: Sequence[int]) -> Optional[Row]:
-        """Coefficients over the reps, or None if vec is not in their span."""
+        """Coefficients over the reps, or None if vec is not in their span
+        modulo the boundaries.  Reducing [vec | 0] leaves [0 | -c] when vec
+        is the combination c of the rows, so the coefficients are minus the
+        reps' part of what is left."""
         p = self.p
-        row = reduce_row(vec, self.bnd, p)
-        coeffs = [0] * self.nreps
-        for piv, erow, etrack in self.ech:
-            c = row[piv]
-            if c:
-                for j in range(self.width):
-                    if erow[j]:
-                        row[j] = (row[j] - c * erow[j]) % p
-                for j in range(self.nreps):
-                    if etrack[j]:
-                        coeffs[j] = (coeffs[j] + c * etrack[j]) % p
-        if any(row):
+        row = reduce_row(list(vec) + [0] * self.pad, self.fwd, p)
+        if any(row[:self.width]):
             return None
-        return coeffs
-
-    def in_boundaries(self, vec: Sequence[int]) -> bool:
-        return not any(reduce_row(vec, self.bnd, self.p))
+        return [-c % p for c in row[self.reps_at:]]

@@ -5,7 +5,6 @@ import pytest
 
 from bockstein.algebra import (
     EXTERIOR,
-    LAURENT,
     POLYNOMIAL,
     Algebra,
     GeneratorSpec,
@@ -19,8 +18,6 @@ def brute_basis(A: Algebra, d: int, cap: int = 0):
     for g in A.generators:
         if g.kind == EXTERIOR:
             ranges.append(range(0, 2))
-        elif g.kind == LAURENT:
-            ranges.append(range(-cap, cap + 1))
         else:
             hi = cap if g.degree == 0 else (max(d, 0) // g.degree if g.degree else 0)
             ranges.append(range(0, hi + 1))

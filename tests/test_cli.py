@@ -160,6 +160,22 @@ def test_run_localized_span(capsys):
     assert "Laurent span {1, λ1}" in out
 
 
+def test_run_localized_under_a_page_cap_names_the_page_read(capsys):
+    # capped at 3, the unfired d_9 and d_27 may still remove the towers at
+    # 17 and 53, so the span read is E_4's, not E_infinity's; uncapped, every
+    # tower is decided and the output is the span alone
+    args = ("run", "--case", "v2", "--p", "3", "--max-degree", "60", "--localized")
+    code, out, _ = run_cli(capsys, *args, "--page-cap", "3")
+    assert code == 0 and "E_infinity" not in out
+    assert out.splitlines()[1:] == ["E_4 = Laurent span {1, λ2, λ3}",
+                                    "t=    0: inf",
+                                    "t=   17: unknown(possibly absent)",
+                                    "t=   53: unknown(possibly absent)"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out.splitlines()[1:] == ["E_infinity = Laurent span {1}"]
+
+
 def test_run_v1_p2_needs_variant(capsys):
     code, _, err = run_cli(capsys, "run", "--case", "v1", "--p", "2", "--max-degree", "30")
     assert code == 2
@@ -206,6 +222,27 @@ def test_output_path_that_cannot_be_opened_exit_two(tmp_path, capsys, flag):
     assert code == 2 and not out  # refused before the run
     assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("svg", ["x", "./x", "sub/../x", "link"],
+                         ids=["same", "dot", "parent", "symlink"])
+def test_json_and_svg_at_one_path_exit_two(tmp_path, monkeypatch, capsys, svg):
+    # the SVG would overwrite the JSON document; the paths are compared
+    # resolved, and the run is refused before it starts, creating no file
+    from bockstein import engine
+
+    def no_run(*a, **k):
+        raise AssertionError("engine.run called")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link").symlink_to("x")
+    code, out, err = run_cli(capsys, "run", "--case", "v2", "--p", "3", "--max-degree", "20",
+                             "--json", "x", "--svg", svg)
+    assert code == 2 and not out
+    assert err == "error: --json and --svg both name x; give each its own file\n"
+    assert sorted(os.listdir(tmp_path)) == ["link", "sub"]
 
 
 def test_refused_run_leaves_no_new_output_file(tmp_path, capsys):
@@ -324,15 +361,22 @@ def test_oversized_n_is_refused_before_any_algebra(monkeypatch, capsys, args, me
 
 def test_verify_builds_the_algebra_once_for_the_case_and_once_for_the_oracle(
         monkeypatch, capsys):
+    # and no other: the engine reads v's exponent and degree off A, with no
+    # A[v] of its own
     from bockstein import closedform
+    from bockstein.algebra import Algebra
 
-    built = []
+    built, algebras = [], []
     thh = closedform.thh_mod_p_algebra
     monkeypatch.setattr(closedform, "thh_mod_p_algebra",
                         lambda p, n: built.append((p, n)) or thh(p, n))
+    post_init = Algebra.__post_init__
+    monkeypatch.setattr(Algebra, "__post_init__",
+                        lambda A: algebras.append(A.p) or post_init(A))
     code, out, _ = run_cli(capsys, "verify", "--case", "v2", "--p", "2", "--max-degree", "160")
     assert code == 0 and "VERIFIED" in out
     assert built == [(2, 2), (2, 2)]
+    assert algebras == [2, 2]
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

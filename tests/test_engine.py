@@ -57,7 +57,7 @@ from bockstein.engine import (
 from bockstein.formulas import nu_p
 from bockstein.jsonio import emit_json, laurent_span
 from bockstein.svg import ChartStyle, emit_svg
-from bockstein.towers import INF, TowerProfile, compare
+from bockstein.towers import INF, TowerProfile, Unknown, compare
 import golden
 
 
@@ -454,6 +454,11 @@ def test_apply_page_malformed_rule_errors():
         # wrong filtration shift: v-exponent 2 on page 1
         target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 2})))
         apply_page(pd, RulePage(1, [Rule(mu, target)]))
+    with pytest.raises(MalformedRuleError, match=r"^malformed rule \(target is not homogeneous\)$"):
+        # terms of degrees 15 and 7
+        target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 1})),
+                         (1, Av.monomial(**{"λ2": 1, "v0": 1})))
+        apply_page(pd, RulePage(1, [Rule(mu, target)]))
 
 
 def page_derivations(A, sched, D):
@@ -785,6 +790,7 @@ def reference_d_of_monomial(ctx, page, m):
     _page_generators resolves them, then form each Leibniz term
     N * d_r(g) * (m / g) with algebra.multiply over A[v]."""
     A, p = ctx.A, ctx.A.p
+    Av = A.adjoin(ctx.v)
     exterior = [i for i, g in enumerate(A.generators) if g.kind == EXTERIOR]
     attach = {i: 0 for i in exterior} if page.attach is None else page.attach
     mu, q = None, 1
@@ -811,7 +817,7 @@ def reference_d_of_monomial(ctx, page, m):
             continue
         cof = tuple(a - b for a, b in zip(m, rule.source))
         sign, _ = mul_monomials(A, rule.source, cof)
-        for mon, c in multiply(rule.target, {cof + (0,): sign * mult % p}, ctx.Av).items():
+        for mon, c in multiply(rule.target, {cof + (0,): sign * mult % p}, Av).items():
             c = (out.get(mon[:-1], 0) + c) % p
             if c:
                 out[mon[:-1]] = c
@@ -1017,8 +1023,8 @@ def test_each_record_is_eliminated_once_as_linalg_would(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_untouched_cells_express_a_vector_as_itself(p):
     # an untouched cell has every monomial alive and no boundaries, so
-    # Cell.express needs no solver; it must agree with one, and its zero
-    # coordinates with in_boundaries, on vectors not yet reduced mod p
+    # Cell.express needs no solver; it must agree with one on vectors not
+    # yet reduced mod p
     rng = random.Random(p)
     for n in range(1, 5):
         cell = Cell(tuple((i,) for i in range(n)))
@@ -1027,8 +1033,110 @@ def test_untouched_cells_express_a_vector_as_itself(p):
             vec = [rng.randrange(-p, 2 * p) for _ in range(n)]
             got = cell.express(vec, p)
             assert got == solver.express(vec)
-            assert (not any(got)) == solver.in_boundaries(vec)
         assert cell._solver is None
+
+
+class _ReferenceCosetSolver:
+    """linalg.CosetSolver as it was before it shared kernel_and_echelon's
+    forward elimination, kept as its reference: the boundaries' echelon
+    form, then a tracked elimination of the boundary-reduced reps."""
+
+    def __init__(self, reps, boundaries, width, p):
+        self.p = p
+        self.width = width
+        self.nreps = len(reps)
+        self.bnd = linalg.echelon_from_rows(boundaries, p)
+        self.ech = []  # (pivot, row, coeffs over reps)
+        for i, rep in enumerate(reps):
+            row = linalg.reduce_row(rep, self.bnd, p)
+            track = [0] * self.nreps
+            track[i] = 1
+            for piv, erow, etrack in self.ech:
+                c = row[piv]
+                if c:
+                    for j in range(width):
+                        if erow[j]:
+                            row[j] = (row[j] - c * erow[j]) % p
+                    for j in range(self.nreps):
+                        if etrack[j]:
+                            track[j] = (track[j] - c * etrack[j]) % p
+            piv = next((j for j, c in enumerate(row) if c), None)
+            if piv is None:
+                raise ValueError("representatives are dependent modulo boundaries")
+            inv = linalg.inv_mod(row[piv], p)
+            row = [(c * inv) % p for c in row]
+            track = [(c * inv) % p for c in track]
+            self.ech.append((piv, row, track))
+
+    def express(self, vec):
+        p = self.p
+        row = linalg.reduce_row(vec, self.bnd, p)
+        coeffs = [0] * self.nreps
+        for piv, erow, etrack in self.ech:
+            c = row[piv]
+            if c:
+                for j in range(self.width):
+                    if erow[j]:
+                        row[j] = (row[j] - c * erow[j]) % p
+                for j in range(self.nreps):
+                    if etrack[j]:
+                        coeffs[j] = (coeffs[j] + c * etrack[j]) % p
+        if any(row):
+            return None
+        return coeffs
+
+    def in_boundaries(self, vec):
+        return not any(linalg.reduce_row(vec, self.bnd, self.p))
+
+
+def _random_rows(rng, p, count, width, earlier):
+    """count rows of unreduced residues, each at random zero, a combination
+    of earlier rows and those before it (so dependent), or random."""
+    rows = []
+    for _ in range(count):
+        pick = rng.random()
+        if pick < 0.1:
+            row = [rng.choice((0, p, -p)) for _ in range(width)]
+        elif pick < 0.35 and earlier + rows:
+            row = [0] * width
+            for other in earlier + rows:
+                c = rng.randrange(p)
+                row = [x + c * y for x, y in zip(row, other)]
+            row = [x + p * rng.randint(-1, 1) for x in row]
+        else:
+            row = [rng.randrange(-p, 2 * p) for _ in range(width)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_coset_solver_equals_the_reference(p):
+    # dependent reps, unreduced residues, vectors in and out of the span:
+    # the same coordinates, the same None and the same refusal as the
+    # reference, and all-zero coordinates exactly on the boundaries
+    rng = random.Random(100 + p)
+    seen = defaultdict(int)
+    for _ in range(600):
+        width = rng.randint(0, 6)
+        bnd = _random_rows(rng, p, rng.randint(0, 4), width, [])
+        reps = _random_rows(rng, p, rng.randint(0, 4), width, bnd if rng.random() < 0.3 else [])
+        try:
+            ref = _ReferenceCosetSolver(reps, bnd, width, p)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                linalg.CosetSolver(reps, bnd, width, p)
+            seen["refused"] += 1
+            continue
+        solver = linalg.CosetSolver(reps, bnd, width, p)
+        for vec in _random_rows(rng, p, 12, width, reps + bnd):
+            want = ref.express(vec)
+            assert solver.express(vec) == want
+            if want is None:
+                seen["outside"] += 1
+                continue
+            assert (not any(want)) == ref.in_boundaries(vec)
+            seen["boundary" if ref.in_boundaries(vec) else "class"] += 1
+    assert min(seen[k] for k in ("refused", "outside", "boundary", "class")) >= 50, dict(seen)
 
 
 def _reference_homology(cell, out_mat, tdim, image_mat, p):
@@ -1163,6 +1271,18 @@ def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypa
     assert calls["echelon_from_rows"] == calls["solvers"]
     emit_json(pages, profile, {})
     _, local, _ = Case("v2", 3, 120, localized=True).run()
-    assert laurent_span(local[-1], 120) == ["1"]
+    assert laurent_span(local[-1]) == ["1"]
     monkeypatch.undo()
     assert calls["untouched reps_rows"] == 0
+
+
+def test_a_capped_run_builds_no_identity_rows(monkeypatch):
+    # v2 p=2 D=120 cap 4: the classes at 64, 83 and 103 support the unfired
+    # d_8; _unfired_sources forms their images as _page_map forms d_r's
+    # (_class_values), so no cell is asked for rows
+    calls = defaultdict(int)
+    monkeypatch.setattr(Cell, "reps_rows", _counted(calls, "reps_rows", Cell.reps_rows))
+    _, _, profile = Case("v2", 2, 120, page_cap=4).run()
+    for t in (64, 83, 103):
+        assert any(x.possibly_absent for x in profile.lengths(t) if isinstance(x, Unknown))
+    assert calls["reps_rows"] == 0
