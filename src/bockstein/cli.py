@@ -118,8 +118,11 @@ def cmd_verify(case: Case) -> int:
     for line in report.lines():
         print(line)
     if report.ok:
+        unverified = len({d for d, _ in report.unverified})
+        note = (f"; {unverified} degree{'s' if unverified > 1 else ''} unverified"
+                if unverified else "")
         print(_color(f"VERIFIED{tag}: engine matches the closed-form profile "
-                     f"on 0..{case.D}", "32"))
+                     f"on 0..{case.D}{note}", "32"))
         return 0
     print(_color(f"MISMATCH{tag}: {len(report.mismatches)} degrees disagree", "31"))
     return 1

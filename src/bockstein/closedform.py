@@ -144,7 +144,10 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
     A = thh_mod_p_algebra(p, family.n)
     mu = A.ngens - 1
     D = max_degree
-    free = [sparse_monomial(A.ngens, exps) for _, exps, _ in _exterior_subsets(A, permanents, D)]
+    # the permanent products up to D, enumerated once: those up to a
+    # smaller bound are the ones of degree <= it, in the same order
+    products = _exterior_subsets(A, permanents, D)
+    free = [sparse_monomial(A.ngens, exps) for _, exps, _ in products]
     torsion: List[TorsionGenerator] = []
     s = 1
     while family.degree(head_index_of(s)) <= D:
@@ -176,7 +179,9 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
                 mexps = dict(exps)
                 mexps[mu] = mexps.get(mu, 0) + m * p ** (s - 1)
                 base_name = gen_name(s, m, tail)
-                for pdeg, pexps, plabel in _exterior_subsets(A, permanents, D - deg0):
+                for pdeg, pexps, plabel in products:
+                    if pdeg > D - deg0:
+                        continue
                     name = (plabel + "·" if plabel else "") + base_name
                     proj = sparse_monomial(A.ngens, {**mexps, **pexps})
                     torsion.append(TorsionGenerator(name, deg0 + pdeg, length, proj))

@@ -29,16 +29,21 @@ page's boundaries reach every filtration, and each A-degree has one bar.
 PageData owns the window 0..D: its readers shown, window and window_maps
 cut the bars to it, and dim, the documents and the chart read only them.
 
-Every page asserts d_r o d_r = 0, that d_r takes the same values from
-every bar (so it is defined on E_r), and the homology bookkeeping of each
-state.
+Every page asserts, on the records it fires, d_r o d_r = 0, that d_r
+takes the same values from every bar (so it is defined on E_r), and the
+homology bookkeeping of each state.
 
-A page costs the differentials it fires.  It visits only the A-degrees
-of its clearing index, where a monomial factors over the page generators
-with a rule factor whose Leibniz term can live, since d_r vanishes on
-every other one.  It eliminates each record of d_r once: one forward
-elimination gives its rank, its kernel (the source's cycles) and pivot
-rows that back-substitute to its reduced echelon form (the span the
+A page costs the differentials it fires, and a run fires only those its
+output depends on.  A page visits only the A-degrees of its clearing
+index, where a monomial factors over the page generators with a rule
+factor whose Leibniz term can live, since d_r vanishes on every other
+one.  run cuts that index further, to the page's cone (_cones): the
+A-degrees whose records the window, the later pages and the rule checks
+read, found by walking the pages from the last to the first.  With
+|v| > 0 most of a clearing index lies above the window, where nothing
+reads a record's target.  A page eliminates each record of d_r once: one
+forward elimination gives its rank, its kernel (the source's cycles) and
+pivot rows that back-substitute to its reduced echelon form (the span the
 well-definedness check compares, and the image the target divides by).
 And a cell no page has touched is the identity on its monomials: its
 classes' values are their images, a combination of them is its own
@@ -248,11 +253,11 @@ def reach(deg_v: int, max_degree: int, pages: Sequence[int], localized: bool,
 # Runs whose estimate_cost exceeds this are refused as oversized.  As
 # `bockstein verify` (median of 3, from importing bockstein to the exit, on
 # a 2-vCPU Xeon with Python 3.11.7), v2 p=5 D=3000 (cost 132,972), v2 p=2
-# D=2000 (90,230) and v1 p=3 D=4000 (82,986) take 0.09 s, 0.18 s and 0.10 s,
-# v1 p=3 D=20000 (346,661) takes 0.22 s and 28 MB peak RSS, and v2 p=2
-# D=10000 (860,275) takes 0.97 s and 73 MB.  The cost counts every kept
-# A-degree on every fired page, though late pages touch few of them, so
-# it overstates the ladders' work (ROADMAP D10).
+# D=2000 (90,230) and v1 p=3 D=4000 (82,986) take 0.08 s, 0.08 s and 0.07 s,
+# v1 p=3 D=20000 (346,661) takes 0.14 s and 25 MB peak RSS, and v2 p=2
+# D=10000 (860,275) takes 0.39 s and 56 MB.  The cost counts every kept
+# A-degree on every fired page, though a page fires only its cone, so it
+# overstates the ladders' work (ROADMAP D10).
 MAX_COST = 1_000_000
 
 
@@ -792,7 +797,46 @@ def _span(e: Optional[_Eliminated]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     return tuple((piv, tuple(row)) for piv, row in sorted(e.echelon.items()))
 
 
-def apply_page(pd: PageData, page: RulePage) -> PageData:
+def _cones(ctx: EngineContext, pages: Sequence[Tuple[int, RulePage]]) -> Dict[int, int]:
+    """The cone of each page a run fires, as a bitset: the A-degrees of its
+    clearing index whose d_r records what the run reads depends on.  pages
+    are the fired pages (r, RulePage) in the order they fire.
+
+    A record reads the bars of its source and the top bar of its target,
+    and changes only those two A-degrees.  So the pages are walked from the
+    last to the first, keeping a bitset of the A-degrees whose state after
+    the page is read.  It starts as the kept A-degrees of the window, the
+    sources at D + 1 that window_maps shows included (what extract_towers,
+    the documents and the chart read).  Each page adds the source and
+    target A-degree of each of its rules (what _validate_rules reads), and
+    its cone is the A-degrees of its clearing index whose record leaves or
+    enters a needed A-degree, closed downward so that the record out of
+    each fired record's target fires too and the d_r o d_r check reads it.
+    The page before then needs the sources and targets of the cone.  A
+    page whose generators do not compile is refused here, before any page
+    fires."""
+    A, dv = ctx.A, ctx.deg_v
+    compiled = [(r, page, _page_generators(A, page)) for r, page in pages if page.rules]
+    need = (1 << (ctx.max_degree - ctx.s_lo * dv + 2)) - 1
+    cones: Dict[int, int] = {}
+    for r, page, gens in reversed(compiled):
+        shift = 1 + r * dv
+        for rule in page.rules:
+            bit = 1 << A.degree(rule.source)
+            need |= bit | bit >> shift
+        index = _rule_degrees(A, gens, ctx.reach)
+        cone = index & (need | need << shift)
+        while True:
+            grown = cone | (index & cone >> shift)
+            if grown == cone:
+                break
+            cone = grown
+        need |= cone | cone >> shift
+        cones[r] = cone
+    return cones
+
+
+def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None) -> PageData:
     """Fire page pd.r with the rules of page and return the next page.
 
     Each rule's source must be a page generator.  A page with no rules
@@ -801,16 +845,19 @@ def apply_page(pd: PageData, page: RulePage) -> PageData:
 
     A page costs what it fires.  It visits only the kept A-degrees of its
     clearing index (_rule_degrees), walking its set bits in increasing
-    order.  Each record of d_r is eliminated once (_page_map, through
-    linalg.kernel_and_echelon): the one forward elimination gives the rank
-    and the source bar's cycles, and its pivot rows, back-substituted, the
-    reduced echelon form that is both the span the well-definedness check
-    compares and the image the target's homology divides by.  A cell that
-    no page has touched builds no identity rows: _page_map reads its
-    classes' values off the images, _homology takes a combination of its
-    classes as its own vector, and as a target it expresses a vector as
-    itself (Cell.express), so only the cells _homology made build a
-    solver.
+    order.  A cone, the part of that index run computes (_cones), takes
+    its place: the A-degrees outside it keep the state they had before the
+    page, which nothing the run reads looks at.  Without a cone the whole
+    index is walked and every record of d_r fired.  Each record of d_r is
+    eliminated once (_page_map, through linalg.kernel_and_echelon): the
+    one forward elimination gives the rank and the source bar's cycles,
+    and its pivot rows, back-substituted, the reduced echelon form that is
+    both the span the well-definedness check compares and the image the
+    target's homology divides by.  A cell that no page has touched builds
+    no identity rows: _page_map reads its classes' values off the images,
+    _homology takes a combination of its classes as its own vector, and as
+    a target it expresses a vector as itself (Cell.express), so only the
+    cells _homology made build a solver.
     """
     ctx = pd.ctx
     p = ctx.A.p
@@ -831,7 +878,8 @@ def apply_page(pd: PageData, page: RulePage) -> PageData:
     # elim holds each bar's record eliminated, beside maps
     maps: Dict[int, Bars] = {}
     elim: Dict[int, List[Optional[_Eliminated]]] = {}
-    for a in _set_bits(_rule_degrees(ctx.A, gens, ctx.reach)):
+    index = _rule_degrees(ctx.A, gens, ctx.reach) if cone is None else cone
+    for a in _set_bits(index):
         bars = pd.degrees.get(a)
         if bars is None:
             continue
@@ -1053,22 +1101,21 @@ def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
     if not sched.pages:
         warnings.warn("window too small to contain any rule source; E_1 = E_infinity",
                       stacklevel=2)
+    order = sorted(sched.pages)
+    fired = [r for r in order if page_cap is None or r <= page_cap]
+    cones = _cones(pd.ctx, [(r, sched.pages[r]) for r in fired])
     pages_out: List[PageData] = [pd]
     final = pd
-    unfired: List[int] = []
-    for r in sorted(sched.pages):
-        if page_cap is not None and r > page_cap:
-            unfired.append(r)
-            continue
+    for r in fired:
         # the pages between fired ones pass the state through unchanged
         cur = final if final.r == r else PageData(r, final.ctx, final.degrees)
-        nxt = apply_page(cur, sched.pages[r])
+        nxt = apply_page(cur, sched.pages[r], cones.get(r))
         if cur is not pages_out[-1]:
             pages_out.append(cur)
         final = nxt
     if final is not pages_out[-1]:
         pages_out.append(final)
-    profile = extract_towers(final, sched, tuple(unfired))
+    profile = extract_towers(final, sched, tuple(order[len(fired):]))
     return pages_out, profile
 
 

@@ -149,6 +149,27 @@ def test_verify_page_cap_names_degrees_without_a_tower(capsys):
     assert "VERIFIED" in out
 
 
+def test_verify_counts_the_unverified_degrees_on_its_closing_line(capsys, monkeypatch):
+    # at cap 4 six degrees of 0..60 hold unknowns the oracle's towers
+    # match; the closing line says so, and the exit code stays 0.  A run
+    # with none says nothing of them
+    monkeypatch.setenv("BOCKSTEIN_COLOR", "0")
+    code, out, _ = run_cli(capsys, "verify", "--case", "v2", "--p", "2",
+                           "--max-degree", "60", "--page-cap", "4")
+    lines = out.splitlines()
+    unverified = [ln for ln in lines if ln.startswith("unverified t=")]
+    assert code == 0 and len(unverified) == 6
+    assert lines[-1] == ("VERIFIED: engine matches the closed-form profile on 0..60; "
+                         "6 degrees unverified")
+    code, out, _ = run_cli(capsys, "verify", "--case", "v2", "--p", "2",
+                           "--max-degree", "16", "--page-cap", "4")
+    assert code == 0 and out.splitlines()[-1] == (
+        "VERIFIED: engine matches the closed-form profile on 0..16; 1 degree unverified")
+    code, out, _ = run_cli(capsys, "verify", "--case", "v2", "--p", "2", "--max-degree", "60")
+    assert code == 0 and out.splitlines()[-1] == (
+        "VERIFIED: engine matches the closed-form profile on 0..60")
+
+
 def test_run_localized_span(capsys):
     code, out, _ = run_cli(capsys, "run", "--case", "v2", "--p", "3",
                            "--max-degree", "60", "--localized")

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from bockstein import closedform
 from bockstein.closedform import (
     TorsionGenerator,
     TorsionPresentation,
@@ -8,12 +11,15 @@ from bockstein.closedform import (
     rational_thh_dims,
     t0n_presentation,
     t0n_profile,
+    t12_presentation,
     t12_profile,
+    t22_presentation,
     t22_profile,
     thh_mod_p_algebra,
+    tmn_presentation,
     tmn_profile,
 )
-from bockstein.algebra import EXTERIOR, POLYNOMIAL, GeneratorSpec
+from bockstein.algebra import EXTERIOR, POLYNOMIAL, GeneratorSpec, graded_dims, sparse_monomial
 from bockstein.formulas import FormulaError, deg_lambda, deg_mu, nu_p, r_conj
 from bockstein.towers import INF, TowerProfile
 
@@ -182,3 +188,106 @@ def test_exterior_subsets_equal_the_unskipped_enumeration(p):
             for D in sorted(windows):
                 got = _exterior_subsets(A, indices, D)
                 assert got == _exterior_subsets_reference(A, indices, D)
+
+
+# (oracle, its presentation at D, |v| of its Bockstein tower, D); v0 has
+# |v0| = 0, v_m has |v_m| = 2p^m - 2.  The tmn rows are evidence for the
+# conjectured presentations.  tmn p=5 n=4 m=3 goes to D = 10000, since the
+# source of its first finite tower lies at 6,250
+BALANCE_CASES = [
+    ("t12 p=3", lambda D: t12_presentation(3, D), 4, 600),
+    ("t12 p=5", lambda D: t12_presentation(5, D), 8, 600),
+    ("t22 p=2", lambda D: t22_presentation(2, D), 6, 600),
+    ("t22 p=3", lambda D: t22_presentation(3, D), 16, 600),
+    ("t0n p=2 n=2", lambda D: t0n_presentation(2, 2, D), 0, 600),
+    ("t0n p=3 n=2", lambda D: t0n_presentation(3, 2, D), 0, 600),
+    ("t0n p=2 n=3", lambda D: t0n_presentation(2, 3, D), 0, 600),
+    ("t0n p=5 n=1", lambda D: t0n_presentation(5, 1, D), 0, 600),
+    ("tmn p=3 n=3 m=1", lambda D: tmn_presentation(3, 3, 1, D), 4, 600),
+    ("tmn p=3 n=3 m=2", lambda D: tmn_presentation(3, 3, 2, D), 16, 600),
+    ("tmn p=5 n=4 m=3", lambda D: tmn_presentation(5, 4, 3, D), 248, 10000),
+]
+
+
+@pytest.mark.parametrize("presentation, deg_v, D", [c[1:] for c in BALANCE_CASES],
+                         ids=[c[0] for c in BALANCE_CASES])
+def test_the_oracles_balance_e1(presentation, deg_v, D):
+    # a finite tower based at b of length r is one E_1 class at b that
+    # becomes a boundary and one at b + 1 + r|v| that supports it; a free
+    # tower is one class at b.  So in every degree b <= D the mod-p
+    # algebra's dimension is the towers based at b plus the finite towers
+    # whose source lies at b, with no engine run
+    pres = presentation(D)
+    dims = graded_dims(pres.algebra, D)
+    prof = pres.profile(D)
+    sources = Counter(b + 1 + r * deg_v for b in prof.degrees() for r in prof.lengths(b)
+                      if r != INF)
+    assert any(sources[b] for b in range(D + 1))
+    assert [b for b in range(D + 1) if dims[b] != len(prof.lengths(b)) + sources[b]] == []
+
+
+def _ladder_presentation_reference(p, max_degree, family, length_of, head_index_of, tails,
+                                   permanents, gen_name):
+    """_ladder_presentation as it was before it enumerated the permanent
+    products once: one _exterior_subsets call per (step, tail, multiple)."""
+    A = thh_mod_p_algebra(p, family.n)
+    mu = A.ngens - 1
+    D = max_degree
+    free = [sparse_monomial(A.ngens, exps) for _, exps, _ in _exterior_subsets(A, permanents, D)]
+    torsion = []
+    s = 1
+    while family.degree(head_index_of(s)) <= D:
+        length = length_of(s)
+        head_base, head_e = family.entry(head_index_of(s))
+        head_deg = family.degree(head_index_of(s))
+        step_mu_deg = p ** (s - 1) * deg_mu(p, family.n)
+        for tail in tails(s):
+            exps = {head_base - 1: 1, mu: head_e}
+            tail_deg = 0
+            for idx in tail:
+                b, e = family.entry(idx)
+                exps[b - 1] = 1
+                exps[mu] += e
+                tail_deg += family.degree(idx)
+            if head_deg + tail_deg > D:
+                continue
+            m = 0
+            while True:
+                if m % p == p - 1:
+                    m += 1
+                    continue
+                deg0 = head_deg + tail_deg + m * step_mu_deg
+                if deg0 > D:
+                    break
+                mexps = dict(exps)
+                mexps[mu] = mexps.get(mu, 0) + m * p ** (s - 1)
+                base_name = gen_name(s, m, tail)
+                for pdeg, pexps, plabel in _exterior_subsets(A, permanents, D - deg0):
+                    name = (plabel + "·" if plabel else "") + base_name
+                    proj = sparse_monomial(A.ngens, {**mexps, **pexps})
+                    torsion.append(TorsionGenerator(name, deg0 + pdeg, length, proj))
+                m += 1
+        s += 1
+    return TorsionPresentation(A, free, torsion)
+
+
+@pytest.mark.parametrize("presentation", [
+    lambda D: t12_presentation(3, D), lambda D: t12_presentation(5, D),
+    lambda D: t22_presentation(2, D), lambda D: t22_presentation(3, D),
+    lambda D: tmn_presentation(3, 3, 1, D), lambda D: tmn_presentation(3, 3, 2, D),
+    lambda D: tmn_presentation(3, 4, 2, D), lambda D: tmn_presentation(5, 4, 3, D),
+    lambda D: tmn_presentation(2, 5, 2, D)],
+    ids=["t12-p3", "t12-p5", "t22-p2", "t22-p3", "tmn-p3-n3-m1", "tmn-p3-n3-m2",
+         "tmn-p3-n4-m2", "tmn-p5-n4-m3", "tmn-p2-n5-m2"])
+def test_ladder_presentations_equal_the_reference(presentation, monkeypatch):
+    # the same free part and the same generators (names, degrees, lengths,
+    # projections) in the same order, at windows below, at and above the
+    # permanents' degrees
+    for D in (0, 5, 17, 60, 200, 600, 2000):
+        got = presentation(D)
+        with monkeypatch.context() as patch:
+            patch.setattr(closedform, "_ladder_presentation", _ladder_presentation_reference)
+            want = presentation(D)
+        assert got.free_part == want.free_part
+        assert got.torsion_generators == want.torsion_generators, D
+    assert len({g.name for g in got.torsion_generators}) > 10

@@ -30,6 +30,7 @@ from bockstein.engine import (
     AmbiguousPatternError,
     Cell,
     DeadSourceError,
+    DifferentialSchedule,
     DiffRecord,
     EngineContext,
     MalformedRuleError,
@@ -57,7 +58,7 @@ from bockstein.engine import (
 from bockstein.formulas import nu_p
 from bockstein.jsonio import emit_json, laurent_span
 from bockstein.svg import ChartStyle, emit_svg
-from bockstein.towers import INF, TowerProfile, Unknown, compare
+from bockstein.towers import INF, TowerProfile, Unknown, compare, length_str
 import golden
 
 
@@ -708,6 +709,29 @@ def test_localization_injectivity_small():
         assert golden.same_documents(Case(kind, 3, 60, localized=True))
 
 
+@pytest.mark.parametrize("kind, p, D, n, m", [
+    ("v1", 3, 120, None, None), ("v2", 2, 120, None, None), ("v2", 3, 120, None, None),
+    ("conj", 3, 200, 3, 1), ("conj", 3, 200, 3, 2), ("conj", 3, 250, 4, 2),
+    ("conj", 5, 150, 3, 2)], ids=lambda x: str(x))
+def test_the_localized_run_keeps_exactly_the_free_towers(kind, p, D, n, m):
+    # with v inverted exactly the unlocalized run's free towers survive, an
+    # answer that needs no oracle.  The two modes fire different cones
+    # (a localized view reaches about twice as far up), so each checks
+    # the other.  Case refuses localized conj, which has no asserted
+    # answer, so conj runs through engine.run
+    if kind == "conj":
+        A, w = thh_mod_p_algebra(p, n), Window(D)
+        sched = schedule_conj(p, n, m, w)
+        (_, plain), (_, local) = run(A, sched, w), run(A, sched, w, localized=True)
+    else:
+        _, _, plain = Case(kind, p, D).run()
+        _, _, local = Case(kind, p, D, localized=True).run()
+    assert not plain.has_unknown() and not local.has_unknown()
+    free = {t: [x for x in plain.lengths(t) if x == INF] for t in plain.degrees()}
+    assert dict(local.towers) == {t: v for t, v in free.items() if v}
+    assert len(local.towers) >= 1
+
+
 def test_page_cap_reports_unknown():
     # stopping before the ladder's last page must not fake certainty
     A = thh_mod_p_algebra(3, 2)
@@ -901,25 +925,196 @@ def _visits(monkeypatch, case):
 
 @pytest.mark.parametrize("case", _derivation_cases(), ids=golden.case_id)
 def test_pages_visit_every_a_degree_d_r_does_not_vanish_on(monkeypatch, case):
-    # the clearing index may hold more, but a page must visit each kept
-    # A-degree with a monomial of nonzero d_r; the golden cases include
-    # variant B's exterior rule d_2(lambda_3) and p = 5
+    # a page walks its cone (engine._cones), which may hold more, but it
+    # must visit each kept A-degree of the cone with a monomial of nonzero
+    # d_r, and the cone must hold every such A-degree up to the sources at
+    # D + 1 that window_maps shows; the golden cases include variant B's
+    # exterior rule d_2(lambda_3) and p = 5
     sched, pages, visits = _visits(monkeypatch, case)
     ctx = pages[0].ctx
+    cones = engine._cones(ctx, sorted(sched.pages.items()))
+    shown = ctx.max_degree + 1 - ctx.s_lo * ctx.deg_v
     for r, page in sched.pages.items():
         gens = _page_generators(ctx.A, page)
         hit = {a for a, bars in pages[0].degrees.items()
                if any(_d_of_monomial(ctx, gens, m) for m in bars[0][1].monomials)}
-        assert hit <= visits[gens], (r, sorted(hit - visits[gens])[:5])
+        cone = {a for a in hit if cones[r] >> a & 1}
+        assert {a for a in hit if a <= shown} <= cone, r
+        assert cone <= visits[gens], (r, sorted(cone - visits[gens])[:5])
 
 
 def test_pages_skip_the_a_degrees_no_rule_reaches(monkeypatch):
     # v2 p=2 D=160 keeps 516 A-degrees over 7 fired pages, and its pages
-    # visit 253 of those 3,612 (A-degree, page) pairs, each with a nonzero
-    # d_r; a page that visited every kept A-degree would fail
+    # visit 44 of those 3,612 (A-degree, page) pairs, each in the page's
+    # cone with a nonzero d_r (their clearing indices hold 253 such pairs);
+    # a page that visited every kept A-degree would fail
     sched, pages, visits = _visits(monkeypatch, Case("v2", 2, 160))
     kept, fired = len(pages[0].degrees), len(sched.pages)
     assert 0 < sum(map(len, visits.values())) <= kept * fired // 10
+
+
+def _hand_built():
+    """Runs built by hand, (label, algebra, schedule, window), whose cells
+    hold up to 8 monomials: the three pages of
+    test_cells_of_several_monomials_over_three_pages at |v0| = 0, and two
+    schedules at |v| = 2, one of three power rules over F_2 and one over
+    F_5 whose d_3 has its source at A-degree 50, far above the window."""
+    def gens(p, *specs):
+        return Algebra(p, tuple(GeneratorSpec(name, d, kind) for name, d, kind in specs))
+
+    A = gens(3, ("x1", 1, EXTERIOR), ("x2", 1, EXTERIOR), ("x3", 3, EXTERIOR),
+             ("y", 2, POLYNOMIAL))
+    v = v_gen("v0", 0)
+    Av = A.adjoin(v)
+    multi = {
+        1: RulePage(1, [Rule(A.monomial(x3=1), element(Av, (1, Av.monomial(x1=1, x2=1, v0=1))))]),
+        2: RulePage(2, [Rule(A.monomial(y=1), element(Av, (1, Av.monomial(x1=1, v0=2)),
+                                                      (2, Av.monomial(x2=1, v0=2))))]),
+        3: RulePage(3, [Rule(A.monomial(y=3), element(Av, (1, Av.monomial(x1=1, y=2, v0=3))))],
+                    attach={0: 0, 1: 0}),
+    }
+    out = [("multi-v0", A, DifferentialSchedule(v, multi), Window(6))]
+    v = v_gen("v", 2)
+    B = gens(2, ("x1", 3, EXTERIOR), ("x2", 3, EXTERIOR), ("x3", 1, EXTERIOR),
+             ("x4", 1, EXTERIOR), ("y", 4, POLYNOMIAL))
+    Bv = B.adjoin(v)
+    powers = {
+        1: RulePage(1, [Rule(B.monomial(y=1), element(Bv, (1, Bv.monomial(x3=1, v=1)),
+                                                      (1, Bv.monomial(x4=1, v=1))))]),
+        2: RulePage(2, [Rule(B.monomial(y=2), element(Bv, (1, Bv.monomial(x1=1, v=2))))]),
+        3: RulePage(3, [Rule(B.monomial(y=4), element(
+            Bv, (1, Bv.monomial(x3=1, y=2, v=3)), (1, Bv.monomial(x1=1, x3=1, x4=1, y=1, v=3)),
+            (1, Bv.monomial(x4=1, y=2, v=3))))]),
+    }
+    out.append(("powers-p2", B, DifferentialSchedule(v, powers), Window(30)))
+    C = gens(5, ("x1", 7, EXTERIOR), ("x2", 1, EXTERIOR), ("x3", 1, EXTERIOR),
+             ("x4", 1, EXTERIOR), ("y", 2, POLYNOMIAL))
+    Cv = C.adjoin(v)
+    high = {
+        1: RulePage(1, [Rule(C.monomial(x1=1), element(Cv, (3, Cv.monomial(x2=1, x4=1, y=1, v=1))))]),
+        3: RulePage(3, [Rule(C.monomial(y=25), element(
+            Cv, (4, Cv.monomial(x1=1, x3=1, x4=1, y=17, v=3)), (3, Cv.monomial(x4=1, y=21, v=3)),
+            (4, Cv.monomial(x3=1, y=21, v=3))))]),
+    }
+    out.append(("high-source-p5", C, DifferentialSchedule(v, high), Window(28)))
+    return out
+
+
+def _outputs(pages, profile, meta, chart, D, label):
+    """What a reader sees of a run: its profile with the advisory marks of
+    its unknowns, its JSON document, its chart, and d_r on every page as
+    window_maps shows it."""
+    towers = {t: [length_str(x) for x in profile.lengths(t)] for t in profile.degrees()}
+    maps = [(pd.r, a, runs) for pd in pages for a in sorted(pd.maps)
+            if (runs := list(pd.window_maps(a)))]
+    return (towers, emit_json(pages, profile, meta), emit_svg(chart, ChartStyle(), D, title=label),
+            maps)
+
+
+def _records(pages):
+    return sum(rec is not None for pd in pages for bars in pd.maps.values() for _, rec in bars)
+
+
+HAND_BUILT = _hand_built()
+
+
+@pytest.mark.parametrize("case", golden.all_cases() + HAND_BUILT,
+                         ids=lambda c: c[0] if isinstance(c, tuple) else golden.case_id(c))
+def test_cones_fire_what_the_full_walk_fires(case, monkeypatch):
+    # run fires each page on its cone (engine._cones); a page's full
+    # clearing index, apply_page with no cone as run loops without cones,
+    # must give the same profile (unknowns' marks included), the same JSON
+    # and SVG bytes and the same d_r records through window_maps on every
+    # page, over every golden case, every page-cap sweep point and the
+    # hand-built runs, whose cells hold several monomials
+    if isinstance(case, tuple):
+        label, A, sched, w = case
+
+        def once():
+            pages, profile = run(A, sched, w)
+            return pages, _outputs(pages, profile, {}, pages[-1], w.max_degree, label)
+    else:
+        def once():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sched, pages, profile = case.run()
+            return pages, _outputs(pages, profile, case.meta(sched), case.chart_page(pages),
+                                   case.D, sched.label)
+    pages, got = once()
+    monkeypatch.setattr(engine, "_cones", lambda ctx, fired: {})
+    full, want = once()
+    assert [pd.r for pd in pages] == [pd.r for pd in full]
+    assert got == want
+    assert _records(pages) <= _records(full)
+    if isinstance(case, tuple) and pages[0].ctx.deg_v:
+        assert _records(pages) < _records(full)
+
+
+def _targets_read_below():
+    """A schedule, for its cones only (page 2's target dies on page 1),
+    whose page 1 cone holds A-degree 6 only through a target: page 4's
+    rule reads its source at 7, page 2 fires a record from 7 into 4, and
+    page 1's record from 6 enters 4.  E(x1, x2, x3, x4) (x) P(y) over
+    F_2, |v| = 1, window 0..1."""
+    A = Algebra(2, (GeneratorSpec("x1", 1, EXTERIOR), GeneratorSpec("x2", 2, EXTERIOR),
+                    GeneratorSpec("x3", 7, EXTERIOR), GeneratorSpec("x4", 5, EXTERIOR),
+                    GeneratorSpec("y", 2, POLYNOMIAL)))
+    v = v_gen("v", 1)
+    Av = A.adjoin(v)
+    sched = DifferentialSchedule(v, {
+        1: RulePage(1, [Rule(A.monomial(x2=1), element(Av, (1, Av.monomial(v=1))))]),
+        2: RulePage(2, [Rule(A.monomial(x4=1), element(Av, (1, Av.monomial(x2=1, v=2))))]),
+        4: RulePage(4, [Rule(A.monomial(x3=1), element(Av, (1, Av.monomial(y=1, v=4))))]),
+    })
+    return "targets-read-below", A, sched, Window(1)
+
+
+@pytest.mark.parametrize("case", golden.FIXED + HAND_BUILT + [_targets_read_below()],
+                         ids=lambda c: c[0] if isinstance(c, tuple) else golden.case_id(c))
+def test_each_cone_holds_every_record_a_later_read_depends_on(case):
+    # the cones against their rule, stated as sets: before page r the run
+    # reads the window and the sources at D + 1, each later rule's source
+    # and target, and the source and target of each later cone's record; a
+    # page's cone must hold each record of its clearing index that leaves
+    # or enters one of them, and the record out of each of its records'
+    # targets
+    if isinstance(case, tuple):
+        _, A, sched, w = case
+        localized = False
+    else:
+        A, sched, w = case.build()
+        localized = case.localized
+    max_source = max(A.degree(rule.source) for pg in sched.pages.values() for rule in pg.rules)
+    ctx = EngineContext(A, sched.v, localized, w.max_degree, sorted(sched.pages), max_source)
+    cones = engine._cones(ctx, sorted(sched.pages.items()))
+    read = set(range(ctx.max_degree - ctx.s_lo * ctx.deg_v + 2))
+    for r in sorted(sched.pages, reverse=True):
+        shift = 1 + r * ctx.deg_v
+        for rule in sched.pages[r].rules:
+            read |= {A.degree(rule.source), A.degree(rule.source) - shift}
+        index = set(_set_bits(_rule_degrees(A, _page_generators(A, sched.pages[r]), ctx.reach)))
+        cone = set(_set_bits(cones[r]))
+        assert cone <= index
+        assert {a for a in index if a in read or a - shift in read} <= cone, r
+        assert {a - shift for a in cone} & index <= cone, r
+        read |= cone | {a - shift for a in cone}
+
+
+def test_a_rule_source_killed_above_the_window_is_still_refused():
+    # d_1(z) = v w^2 leaves z no cycle, so d_2(z) = v^2 w has a dead
+    # source.  With the window at 0 both records lie above it and change
+    # nothing the run reads; page 1 fires at z's A-degree only because
+    # page 2's rule check reads it
+    A = Algebra(3, (GeneratorSpec("z", 7, EXTERIOR), GeneratorSpec("w", 2, POLYNOMIAL)))
+    v = v_gen("v", 2)
+    Av = A.adjoin(v)
+    sched = DifferentialSchedule(v, {
+        1: RulePage(1, [Rule(A.monomial(z=1), element(Av, (1, Av.monomial(w=2, v=1))))]),
+        2: RulePage(2, [Rule(A.monomial(z=1), element(Av, (1, Av.monomial(w=1, v=2))))]),
+    })
+    for D in (0, 5):
+        with pytest.raises(DeadSourceError):
+            run(A, sched, Window(D))
 
 
 def test_clearing_index_of_rules_on_several_generators():
@@ -1246,10 +1441,11 @@ def _counted(calls, name, f):
 
 
 def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypatch):
-    # v1 p=3 D=400: each nonzero d_r record costs one forward elimination,
-    # echelon_from_rows runs only inside the solvers of touched cells, and
-    # no untouched cell (all of E_1's) is asked for identity rows, by the
-    # run or by the writers, which read its classes off its monomials
+    # v1 p=3 D=2000, whose cones fire 151 records: each nonzero d_r record
+    # costs one forward elimination, echelon_from_rows runs only inside the
+    # solvers of touched cells, and no untouched cell (all of E_1's) is
+    # asked for identity rows, by the run or by the writers, which read its
+    # classes off its monomials
     calls = defaultdict(int)
     for name in ("kernel_and_echelon", "left_kernel", "echelon_from_rows"):
         monkeypatch.setattr(linalg, name, _counted(calls, name, getattr(linalg, name)))
@@ -1262,7 +1458,7 @@ def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypa
         return reps_rows(cell)
 
     monkeypatch.setattr(Cell, "reps_rows", guarded)
-    sched, pages, profile = Case("v1", 3, 400).run()
+    sched, pages, profile = Case("v1", 3, 2000).run()
     records = {pd.r: sum(rec is not None for bars in pd.maps.values() for _, rec in bars)
                for pd in pages}
     assert records[min(sched.pages)] > 0 and sum(records.values()) > 100
