@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import (Callable, Container, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 Monomial = Tuple[int, ...]
 Element = Dict[Monomial, int]
@@ -241,9 +242,11 @@ def multiply(a: Element, b: Element, A: Algebra) -> Element:
 
 
 def _degree_walk(gens: Sequence[GeneratorSpec], rem: int,
-                 choices: Callable[[int, int], Iterable[int]]) -> Iterator[Tuple[Monomial, int]]:
+                 choices: Callable[[int, int], Iterable[int]],
+                 keep: Optional[Container[int]] = None) -> Iterator[Tuple[Monomial, int]]:
     """Every monomial over gens that choices allows, in lexicographic order,
-    with what is left of rem after its degree.
+    with what is left of rem after its degree; with keep, only those whose
+    leftover keep holds.
 
     choices(i, rem) gives the exponents of generator i, ascending, where rem
     is what the generators before it left; it must give only 0 when the
@@ -278,25 +281,35 @@ def _degree_walk(gens: Sequence[GeneratorSpec], rem: int,
         cur[i] = e
         left = rems[i] - e * gens[i].degree
         if left < after[i]:
-            yield tuple(cur), left
+            if keep is None or left in keep:
+                yield tuple(cur), left
         else:
             rems.append(left)
             stack.append(iter(choices(i + 1, left)))
 
 
-def _free_walk(A: Algebra, max_degree: int) -> Iterator[Tuple[Monomial, int]]:
+def _free_walk(A: Algebra, max_degree: int,
+               degrees: Optional[Iterable[int]] = None) -> Iterator[Tuple[Monomial, int]]:
     """Every monomial of degree <= max_degree, in lexicographic order, with
-    max_degree minus its degree."""
+    max_degree minus its degree; with degrees, only those whose degree it
+    holds.  The last generator then takes only the exponents that land in
+    degrees, and of the walk's earlier all-zero tails only those in degrees
+    are yielded, so the walk costs the monomials it keeps."""
     gens = A.generators
     if any(g.degree == 0 and g.kind == POLYNOMIAL for g in gens):
         raise InfiniteBasisError("infinite basis")
+    last = len(gens) - 1
+    lefts = None if degrees is None else {max_degree - d for d in degrees}
 
     def choices(i: int, rem: int) -> Iterable[int]:
         g = gens[i]
         top = rem // g.degree if g.degree else 1  # degree 0 here is exterior
-        return range((min(top, 1) if g.kind == EXTERIOR else top) + 1)
+        exps = range((min(top, 1) if g.kind == EXTERIOR else top) + 1)
+        if lefts is None or i < last:
+            return exps
+        return [e for e in exps if rem - e * g.degree in lefts]
 
-    return _degree_walk(gens, max_degree, choices)
+    return _degree_walk(gens, max_degree, choices, lefts)
 
 
 def basis_in_degree(A: Algebra, d: int) -> List[Monomial]:
@@ -304,12 +317,14 @@ def basis_in_degree(A: Algebra, d: int) -> List[Monomial]:
     return sorted(m for m, left in _free_walk(A, d) if left == 0)
 
 
-def basis_up_to(A: Algebra, max_degree: int) -> Dict[int, List[Monomial]]:
+def basis_up_to(A: Algebra, max_degree: int,
+                degrees: Optional[Iterable[int]] = None) -> Dict[int, List[Monomial]]:
     """All monomials of degree 0..max_degree in one pass, by degree, each
     list in canonical order (as basis_in_degree gives it); degrees without
-    a monomial are left out."""
+    a monomial are left out, and so, when degrees is given, are the degrees
+    it does not hold."""
     out: Dict[int, List[Monomial]] = {}
-    for m, left in _free_walk(A, max_degree):
+    for m, left in _free_walk(A, max_degree, degrees):
         out.setdefault(max_degree - left, []).append(m)
     for mons in out.values():
         mons.sort()

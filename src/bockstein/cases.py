@@ -106,11 +106,11 @@ class Case:
         cost = engine.estimate_cost(sched.v.degree, self.D, sorted(sched.pages),
                                     self.localized, self.page_cap)
         if cost > MAX_COST:
-            # a cost too long to print in decimal (|v| = 2p^m - 2 at a large
-            # m) is stated by its power of 2
-            size = (f"about {cost:,}" if cost.bit_length() <= 64
-                    else f"at least 2^{cost.bit_length() - 1}")
-            raise ScheduleError(f"the run would keep {size} (A-degree, page) states, "
+            # the cost bounds the states from above; one too long to print in
+            # decimal (|v| = 2p^m - 2 at a large m) is rounded up to a power
+            # of 2
+            size = f"{cost:,}" if cost.bit_length() <= 64 else f"2^{cost.bit_length()}"
+            raise ScheduleError(f"the run may keep up to {size} (A-degree, page) states, "
                                 f"above the limit of {MAX_COST:,}; choose a smaller --max-degree")
         return closedform.thh_mod_p_algebra(self.p, self.height), sched, w
 

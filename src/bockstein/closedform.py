@@ -59,11 +59,17 @@ class TorsionGenerator:
 
 @dataclass
 class TorsionPresentation:
-    """Free towers plus named finite towers with their projection monomials."""
+    """Free towers plus named finite towers with their projection monomials.
+
+    free_degrees holds the degree of each free monomial.  The constructors
+    below pass the degrees their enumeration yields, since Algebra.degree
+    sums a dense exponent tuple; left out, they are taken from the algebra.
+    """
 
     algebra: Algebra
     free_part: List[Monomial]
     torsion_generators: List[TorsionGenerator]
+    free_degrees: Optional[List[int]] = None
 
     def __post_init__(self) -> None:
         names = [t.name for t in self.torsion_generators]
@@ -76,11 +82,12 @@ class TorsionPresentation:
                 raise ValueError(
                     f"{t.name}: projection degree {self.algebra.degree(t.projection)}"
                     f" != stated degree {t.degree}")
+        if self.free_degrees is None:
+            self.free_degrees = [self.algebra.degree(m) for m in self.free_part]
 
     def profile(self, max_degree: int) -> TowerProfile:
         prof = TowerProfile(max_degree)
-        for m in self.free_part:
-            d = self.algebra.degree(m)
+        for d in self.free_degrees:
             if d <= max_degree:
                 prof.add(d, INF)
         for t in self.torsion_generators:
@@ -112,8 +119,8 @@ def t0n_presentation(p: int, n: int, max_degree: int) -> TorsionPresentation:
     mu = A.ngens - 1
     lam_top = n
     D = max_degree
-    free = [sparse_monomial(A.ngens, exps)
-            for _, exps, _ in _exterior_subsets(A, list(range(n)), D)]
+    subsets = _exterior_subsets(A, list(range(n)), D)
+    free = [sparse_monomial(A.ngens, exps) for _, exps, _ in subsets]
     torsion: List[TorsionGenerator] = []
     i = 1
     while 2 * i * p ** (n + 1) - 1 <= D:
@@ -124,7 +131,7 @@ def t0n_presentation(p: int, n: int, max_degree: int) -> TorsionPresentation:
             proj = sparse_monomial(A.ngens, {**exps, lam_top: 1, mu: i - 1})
             torsion.append(TorsionGenerator(name, deg + base_deg, length, proj))
         i += 1
-    return TorsionPresentation(A, free, torsion)
+    return TorsionPresentation(A, free, torsion, [deg for deg, _, _ in subsets])
 
 
 def t0n_profile(p: int, n: int, max_degree: int) -> TowerProfile:
@@ -187,7 +194,7 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
                     torsion.append(TorsionGenerator(name, deg0 + pdeg, length, proj))
                 m += 1
         s += 1
-    return TorsionPresentation(A, free, torsion)
+    return TorsionPresentation(A, free, torsion, [deg for deg, _, _ in products])
 
 
 def t12_presentation(p: int, max_degree: int) -> TorsionPresentation:

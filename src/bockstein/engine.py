@@ -54,8 +54,11 @@ Reading the towers at base degree b: the classes that become boundaries on
 page r are towers of length r, the cycles that never do are free towers,
 and in localized mode Z_inf(b)/B(b) at filtration 0 is the Laurent span.
 The boundaries into the window come from at most 1 + R|v| A-degrees above
-it (R the last page), so the state covers exactly those degrees and every
-tower is decided by what the run fired.  The only unknowns come from the
+it (R the last page), so no run reads an A-degree above that reach, and
+every tower is decided by what the run fired.  The state holds only the
+A-degrees the run reads: the window, the sources and targets of the rules
+and of the cones' records.  run finds them before it builds E_1 and has
+build_e1 enumerate only them.  The only unknowns come from the
 schedule: a degree that a rule the schedule did not emit (its future
 floor) or a page the run did not fire (a page cap) can hit is read only up
 to the smallest such page, and what survives there is "unknown" with that
@@ -253,18 +256,20 @@ def reach(deg_v: int, max_degree: int, pages: Sequence[int], localized: bool,
 # Runs whose estimate_cost exceeds this are refused as oversized.  As
 # `bockstein verify` (median of 3, from importing bockstein to the exit, on
 # a 2-vCPU Xeon with Python 3.11.7), v2 p=5 D=3000 (cost 132,972), v2 p=2
-# D=2000 (90,230) and v1 p=3 D=4000 (82,986) take 0.08 s, 0.08 s and 0.07 s,
-# v1 p=3 D=20000 (346,661) takes 0.14 s and 25 MB peak RSS, and v2 p=2
-# D=10000 (860,275) takes 0.39 s and 56 MB.  The cost counts every kept
-# A-degree on every fired page, though a page fires only its cone, so it
-# overstates the ladders' work (ROADMAP D10).
+# D=2000 (90,230) and v1 p=3 D=4000 (82,986) take 0.09 s, 0.12 s and 0.11 s,
+# v1 p=3 D=20000 (346,661) takes 0.19 s and 21 MB peak RSS, and v2 p=2
+# D=10000 (860,275) takes 0.28 s and 25 MB.  The cost counts every A-degree
+# up to reach on every fired page, though E_1 holds only the A-degrees the
+# run reads (5,019 of 33,084 for v2 p=2 D=10000) and a page fires only its
+# cone, so it bounds the ladders' work loosely from above (ROADMAP D10).
 MAX_COST = 1_000_000
 
 
 def estimate_cost(deg_v: int, max_degree: int, pages: Sequence[int], localized: bool,
                   page_cap: Optional[int] = None) -> int:
-    """A-degrees a run keeps times the pages it fires: its work and memory
-    up to a factor that depends on the algebra only."""
+    """An upper bound on the (A-degree, page) states a run keeps: the
+    A-degrees up to reach times the pages it fires.  It builds no algebra;
+    the run keeps only the A-degrees it reads, often a small part."""
     fired = [r for r in pages if page_cap is None or r <= page_cap]
     return (reach(deg_v, max_degree, pages, localized) + 1) * max(1, len(fired))
 
@@ -327,9 +332,10 @@ class PageData:
     """The page E_r of a run.
 
     degrees maps each A-degree a, in increasing order, to its bars
-    ((s_from, Cell), ...), the classes at (a + s|v|, s).  The first bar
-    starts at the view's lowest filtration, each later one at a fired page
-    r whose boundaries (which reach filtration r on) changed the cell;
+    ((s_from, Cell), ...), the classes at (a + s|v|, s).  A run keeps the
+    nonempty A-degrees it reads (see run), every page the same ones.  The
+    first bar starts at the view's lowest filtration, each later one at a
+    fired page r whose boundaries (which reach filtration r on) changed the cell;
     consecutive bars hold different Cells, and localized runs keep one bar.
     A page that does not touch an A-degree passes the same bars object on
     to the next.  When the page is applied, maps gives d_r out of each
@@ -473,18 +479,23 @@ class _DiffView(_PageView):
 
 
 def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool = False,
-             pages: Sequence[int] = (), max_source: int = 0) -> PageData:
+             pages: Sequence[int] = (), max_source: int = 0,
+             needed: Optional[int] = None) -> PageData:
     """E_1 = A[v] (A[v^{+-1}] when localized), seen through the window.
 
     pages are the schedule's page numbers: the largest fixes how far above
     the window boundaries come from, and with |v| = 0 they fix the
     filtrations a view lists.  max_source is the largest A-degree of a rule
-    source, so that every rule can be checked against its state.
+    source, so that every rule can be checked against its state.  E_1
+    holds every nonempty A-degree up to reach, or only those of needed, a
+    bitset: run passes the A-degrees it reads (_cones), and the basis walk
+    enumerates only them (basis_up_to).
     """
     w = as_window(w)
     ctx = EngineContext(A, v, localized, w.max_degree, tuple(pages), max_source)
+    only = None if needed is None else _set_bits(needed)
     degrees = {a: ((ctx.s_lo, Cell(tuple(mons))),)
-               for a, mons in sorted(basis_up_to(A, ctx.reach).items())}
+               for a, mons in sorted(basis_up_to(A, ctx.reach, only).items())}
     return PageData(1, ctx, degrees)
 
 
@@ -797,10 +808,13 @@ def _span(e: Optional[_Eliminated]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
     return tuple((piv, tuple(row)) for piv, row in sorted(e.echelon.items()))
 
 
-def _cones(ctx: EngineContext, pages: Sequence[Tuple[int, RulePage]]) -> Dict[int, int]:
+def _cones(ctx: EngineContext,
+           pages: Sequence[Tuple[int, PageGenerators]]) -> Dict[Optional[int], int]:
     """The cone of each page a run fires, as a bitset: the A-degrees of its
     clearing index whose d_r records what the run reads depends on.  pages
-    are the fired pages (r, RulePage) in the order they fire.
+    are the fired pages (r, their compiled generators) in the order they
+    fire.  Under the key None it gives what the walk ends with: the
+    A-degrees of E_1 that the run reads, which run has build_e1 build.
 
     A record reads the bars of its source and the top bar of its target,
     and changes only those two A-degrees.  So the pages are walked from the
@@ -812,17 +826,14 @@ def _cones(ctx: EngineContext, pages: Sequence[Tuple[int, RulePage]]) -> Dict[in
     its cone is the A-degrees of its clearing index whose record leaves or
     enters a needed A-degree, closed downward so that the record out of
     each fired record's target fires too and the d_r o d_r check reads it.
-    The page before then needs the sources and targets of the cone.  A
-    page whose generators do not compile is refused here, before any page
-    fires."""
+    The page before then needs the sources and targets of the cone."""
     A, dv = ctx.A, ctx.deg_v
-    compiled = [(r, page, _page_generators(A, page)) for r, page in pages if page.rules]
     need = (1 << (ctx.max_degree - ctx.s_lo * dv + 2)) - 1
-    cones: Dict[int, int] = {}
-    for r, page, gens in reversed(compiled):
+    cones: Dict[Optional[int], int] = {}
+    for r, gens in reversed(pages):
         shift = 1 + r * dv
-        for rule in page.rules:
-            bit = 1 << A.degree(rule.source)
+        for _, source, _ in gens.rules:
+            bit = 1 << A.degree(source)
             need |= bit | bit >> shift
         index = _rule_degrees(A, gens, ctx.reach)
         cone = index & (need | need << shift)
@@ -833,15 +844,19 @@ def _cones(ctx: EngineContext, pages: Sequence[Tuple[int, RulePage]]) -> Dict[in
             cone = grown
         need |= cone | cone >> shift
         cones[r] = cone
+    cones[None] = need
     return cones
 
 
-def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None) -> PageData:
+def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
+               gens: Optional[PageGenerators] = None) -> PageData:
     """Fire page pd.r with the rules of page and return the next page.
 
     Each rule's source must be a page generator.  A page with no rules
     yields the input's state with r incremented.  The fired differentials
-    are recorded on the input PageData.
+    are recorded on the input PageData.  gens is the page compiled
+    (_page_generators), which run does once per page; without it the page
+    is compiled here.
 
     A page costs what it fires.  It visits only the kept A-degrees of its
     clearing index (_rule_degrees), walking its set bits in increasing
@@ -869,7 +884,8 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None) -> Page
     if ctx.deg_v and r > ctx.top_page:
         raise EngineError(f"page {r} draws boundaries from above the A-degrees kept "
                           f"for pages up to {ctx.top_page}")
-    gens = _page_generators(ctx.A, page)
+    if gens is None:
+        gens = _page_generators(ctx.A, page)
     _validate_rules(pd, page)
     shift = 1 + r * ctx.deg_v
 
@@ -1091,45 +1107,56 @@ def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
     Returns the recorded pages (E_1, each fired page carrying its
     differentials, and the final page) and the tower profile over degrees
     0..max_degree.  A page cap leaves the pages above it unfired.
+
+    Every page is compiled once (_page_generators), before any page fires,
+    and its compiled generators serve _cones, apply_page and, for the
+    unfired pages, extract_towers.  The cones come next, and E_1 is built
+    last, on the A-degrees their walk ends with: the window, the rules'
+    sources and targets and the cones' sources and targets.  When _cones
+    gives no cones, every page walks its whole clearing index and E_1 holds
+    every A-degree up to reach.
     """
     w = as_window(w)
     if page_cap is not None and page_cap < 1:
         raise ScheduleError(f"page cap {page_cap} is below 1, so no page could fire")
+    order = sorted(sched.pages)
     max_source = max((A.degree(rule.source) for pg in sched.pages.values()
                       for rule in pg.rules), default=0)
-    pd = build_e1(A, sched.v, w, localized, pages=sorted(sched.pages), max_source=max_source)
+    ctx = EngineContext(A, sched.v, localized, w.max_degree, order, max_source)
+    gens = {r: _page_generators(A, sched.pages[r]) for r in order}
+    fired = [r for r in order if page_cap is None or r <= page_cap]
+    cones = _cones(ctx, [(r, gens[r]) for r in fired])
+    pd = build_e1(A, sched.v, w, localized, pages=order, max_source=max_source,
+                  needed=cones.get(None))
     if not sched.pages:
         warnings.warn("window too small to contain any rule source; E_1 = E_infinity",
                       stacklevel=2)
-    order = sorted(sched.pages)
-    fired = [r for r in order if page_cap is None or r <= page_cap]
-    cones = _cones(pd.ctx, [(r, sched.pages[r]) for r in fired])
     pages_out: List[PageData] = [pd]
     final = pd
     for r in fired:
         # the pages between fired ones pass the state through unchanged
         cur = final if final.r == r else PageData(r, final.ctx, final.degrees)
-        nxt = apply_page(cur, sched.pages[r], cones.get(r))
+        nxt = apply_page(cur, sched.pages[r], cones.get(r), gens[r])
         if cur is not pages_out[-1]:
             pages_out.append(cur)
         final = nxt
     if final is not pages_out[-1]:
         pages_out.append(final)
-    profile = extract_towers(final, sched, tuple(order[len(fired):]))
+    profile = extract_towers(final, sched, {r: gens[r] for r in order[len(fired):]})
     return pages_out, profile
 
 
 def extract_towers(final: PageData, sched: DifferentialSchedule,
-                   unfired: Tuple[int, ...] = ()) -> TowerProfile:
+                   unfired: Mapping[int, PageGenerators]) -> TowerProfile:
     """The towers over the run's window, read from the final page's
-    per-degree state; unfired lists the schedule's pages the run did not
-    fire."""
+    per-degree state; unfired maps each of the schedule's pages the run did
+    not fire to its compiled generators."""
     ctx = final.ctx
     prof = TowerProfile(ctx.max_degree)
 
     future_floor = sched.future_target_floor
     future_min_page = sched.future_min_page
-    unfired_gens = [_page_generators(ctx.A, sched.pages[r]) for r in unfired]
+    unfired_gens = list(unfired.values())
     for r in unfired:
         for rule in sched.pages[r].rules:
             for mon in rule.target:

@@ -118,6 +118,30 @@ def test_basis_on_shuffled_generators_equals_brute_force(seed):
     assert list(_free_walk(A, D)) == sorted((m, D - d) for d, mons in want.items() for m in mons)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_basis_up_to_a_degree_set_is_the_basis_cut_to_it(seed):
+    # the walk filters the last generator's exponents and its early
+    # all-zero tails by the set; in any generator order (exterior
+    # generators of degree 0 included) it must yield exactly the monomials
+    # of the full walk whose degree the set holds, in the same order, and
+    # degrees outside 0..D change nothing
+    rng = random.Random(seed)
+    gens = [GeneratorSpec("a", 0, EXTERIOR), GeneratorSpec("c", 1, EXTERIOR),
+            GeneratorSpec("d", 5, EXTERIOR), GeneratorSpec("x", 2, POLYNOMIAL),
+            GeneratorSpec("y", 3, POLYNOMIAL), GeneratorSpec("z", 7, POLYNOMIAL),
+            GeneratorSpec("w", 13, EXTERIOR)]
+    rng.shuffle(gens)
+    algebras = [Algebra(2, tuple(gens[:rng.randint(1, len(gens))])), thh_mod_p_algebra(2, 2)]
+    for A, D in zip(algebras, (14, 200)):
+        full = list(_free_walk(A, D))
+        for degrees in [set(), {0}, {D}, set(range(D + 1)), {-3, D + 1, D + 40},
+                        set(rng.sample(range(D + 5), D // 3))]:
+            assert list(_free_walk(A, D, degrees)) == [
+                (m, left) for m, left in full if D - left in degrees], degrees
+            assert basis_up_to(A, D, degrees) == {
+                d: mons for d, mons in basis_up_to(A, D).items() if d in degrees}
+
+
 def test_basis_lengths_against_series(mixed_algebras):
     for A in mixed_algebras.values():
         dims = series_dims(A, 60)

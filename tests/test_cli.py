@@ -345,11 +345,11 @@ def test_oversized_input_exit_two(capsys, args):
 def test_oversized_refusal_of_a_cost_too_long_to_print(capsys):
     # |v| = 2 * 7^10000 - 2 makes the cost a number of about 8,450 digits,
     # more than Python converts to decimal by default; the refusal states
-    # it by its power of 2
+    # the bound rounded up to a power of 2
     code, out, err = run_cli(capsys, "verify", "--case", "conj", "--p", "7", "--n", "10000",
                              "--m", "10000", "--max-degree", "40")
     assert code == 2 and not out
-    assert err == ("error: the run would keep at least 2^28077 (A-degree, page) states, "
+    assert err == ("error: the run may keep up to 2^28078 (A-degree, page) states, "
                    "above the limit of 1,000,000; choose a smaller --max-degree\n")
 
 
@@ -359,10 +359,10 @@ def test_oversized_refusal_of_a_cost_too_long_to_print(capsys):
     (("verify", "--case", "conj", "--p", "3", "--n", "100000000", "--m", "2"),
      "n = 100,000,000 is above the limit of 10,000; choose a smaller --n"),
     (("verify", "--case", "conj", "--p", "7", "--n", "10000", "--m", "10000"),
-     "the run would keep at least 2^28077 (A-degree, page) states, above the limit of "
+     "the run may keep up to 2^28078 (A-degree, page) states, above the limit of "
      "1,000,000; choose a smaller --max-degree"),
     (("run", "--case", "conj", "--p", "7", "--n", "10000", "--m", "10000"),
-     "the run would keep at least 2^28077 (A-degree, page) states, above the limit of "
+     "the run may keep up to 2^28078 (A-degree, page) states, above the limit of "
      "1,000,000; choose a smaller --max-degree"),
 ], ids=["v0", "conj", "conj-cost-verify", "conj-cost-run"])
 def test_oversized_n_is_refused_before_any_algebra(monkeypatch, capsys, args, message):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 import warnings
 from collections import defaultdict
 
@@ -13,6 +14,7 @@ from bockstein.algebra import (
     AlgebraError,
     ForeignGeneratorError,
     GeneratorSpec,
+    basis_up_to,
     derivation_extend,
     element,
     mul_monomials,
@@ -932,10 +934,10 @@ def test_pages_visit_every_a_degree_d_r_does_not_vanish_on(monkeypatch, case):
     # exterior rule d_2(lambda_3) and p = 5
     sched, pages, visits = _visits(monkeypatch, case)
     ctx = pages[0].ctx
-    cones = engine._cones(ctx, sorted(sched.pages.items()))
+    compiled = {r: _page_generators(ctx.A, page) for r, page in sched.pages.items()}
+    cones = engine._cones(ctx, sorted(compiled.items()))
     shown = ctx.max_degree + 1 - ctx.s_lo * ctx.deg_v
-    for r, page in sched.pages.items():
-        gens = _page_generators(ctx.A, page)
+    for r, gens in compiled.items():
         hit = {a for a, bars in pages[0].degrees.items()
                if any(_d_of_monomial(ctx, gens, m) for m in bars[0][1].monomials)}
         cone = {a for a in hit if cones[r] >> a & 1}
@@ -944,10 +946,11 @@ def test_pages_visit_every_a_degree_d_r_does_not_vanish_on(monkeypatch, case):
 
 
 def test_pages_skip_the_a_degrees_no_rule_reaches(monkeypatch):
-    # v2 p=2 D=160 keeps 516 A-degrees over 7 fired pages, and its pages
-    # visit 44 of those 3,612 (A-degree, page) pairs, each in the page's
-    # cone with a nonzero d_r (their clearing indices hold 253 such pairs);
-    # a page that visited every kept A-degree would fail
+    # v2 p=2 D=160 keeps 89 A-degrees (of the 516 up to reach) over 7
+    # fired pages, and its pages visit 44 of those 623 (A-degree, page)
+    # pairs, each in the page's cone with a nonzero d_r (their clearing
+    # indices hold 253 such pairs); a page that visited every kept A-degree
+    # would fail
     sched, pages, visits = _visits(monkeypatch, Case("v2", 2, 160))
     kept, fired = len(pages[0].degrees), len(sched.pages)
     assert 0 < sum(map(len, visits.values())) <= kept * fired // 10
@@ -1050,6 +1053,100 @@ def test_cones_fire_what_the_full_walk_fires(case, monkeypatch):
         assert _records(pages) < _records(full)
 
 
+@pytest.mark.parametrize("case", golden.all_cases() + HAND_BUILT,
+                         ids=lambda c: c[0] if isinstance(c, tuple) else golden.case_id(c))
+def test_e1_holds_exactly_the_a_degrees_the_run_reads(case, monkeypatch):
+    # run builds E_1 on the A-degrees its cones' walk ends with, restated
+    # here with sets: the window and the sources at D + 1, each fired
+    # page's rule sources and targets, and its cone's sources and targets.
+    # E_1 must hold exactly the nonempty ones, and the same run on the full
+    # E_1, its cones kept, must show the same on every page
+    if isinstance(case, tuple):
+        label, A, sched, w = case
+        cap = None
+
+        def once():
+            pages, profile = run(A, sched, w)
+            return pages, _outputs(pages, profile, {}, pages[-1], w.max_degree, label)
+    else:
+        A, sched, w = case.build()
+        cap = case.page_cap
+
+        def once():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                _, pages, profile = case.run()
+            return pages, _outputs(pages, profile, case.meta(sched), case.chart_page(pages),
+                                   case.D, sched.label)
+    pages, got = once()
+    ctx = pages[0].ctx
+    fired = [r for r in sorted(sched.pages) if cap is None or r <= cap]
+    cones = engine._cones(ctx, [(r, _page_generators(A, sched.pages[r])) for r in fired])
+    read = set(range(ctx.max_degree - ctx.s_lo * ctx.deg_v + 2))
+    for r in fired:
+        shift = 1 + r * ctx.deg_v
+        for rule in sched.pages[r].rules:
+            read |= {A.degree(rule.source), A.degree(rule.source) - shift}
+        cone = set(_set_bits(cones[r]))
+        read |= cone | {a - shift for a in cone}
+    basis = basis_up_to(A, ctx.reach)
+    assert list(pages[0].degrees) == sorted(a for a in read if a in basis)
+    build = engine.build_e1
+    monkeypatch.setattr(engine, "build_e1",
+                        lambda *args, needed=None, **kwargs: build(*args, **kwargs))
+    full, want = once()
+    assert list(full[0].degrees) == sorted(basis)
+    assert got == want
+    assert _records(pages) == _records(full)
+
+
+def test_e1_keeps_the_a_degrees_the_ladders_read():
+    # of the 516 and 33,084 A-degrees up to reach, v2 p=2 D=160 and
+    # D=10000 read 89 and 5,019: their windows, rules and cones
+    for D, kept in ((160, 89), (10000, 5019)):
+        _, pages, _ = Case("v2", 2, D).run()
+        assert len(pages[0].degrees) == kept, D
+
+
+@pytest.mark.parametrize("case, compiled", [
+    (Case("v2", 2, 120, page_cap=8), 6), (Case("v2", 2, 160), 7),
+    (Case("v0", 2, 1000, n=3), 5)], ids=["v2-p2-D120-cap8", "v2-p2-D160", "v0-p2-n3-D1000"])
+def test_a_run_compiles_each_page_once(monkeypatch, case, compiled):
+    # the cones, the fired pages and the unfired pages' unknowns share one
+    # compiled PageGenerators per page; apply_page on its own compiles its
+    # page
+    calls = []
+    compile_page = engine._page_generators
+
+    def count(A, page):
+        calls.append(page.r)
+        return compile_page(A, page)
+
+    monkeypatch.setattr(engine, "_page_generators", count)
+    sched, _, _ = case.run()
+    assert sorted(calls) == sorted(sched.pages) and len(calls) == compiled
+    A, sched, w = case.build()
+    first = min(sched.pages)
+    e1 = build_e1(A, sched.v, w, pages=sorted(sched.pages))
+    apply_page(PageData(first, e1.ctx, e1.degrees), sched.pages[first])
+    assert calls[compiled:] == [first]
+
+
+def test_a_run_on_v2_p2_d2000_allocates_under_three_mib():
+    # a memory guard: tracemalloc's peak over engine.run is 4.17 MiB with
+    # E_1 on every A-degree up to reach (4,508) and 1.55 MiB on the 1,011
+    # the run reads (Python 3.11), so a change that builds the full E_1
+    # again fails
+    A, sched, w = Case("v2", 2, 2000).build()
+    tracemalloc.start()
+    try:
+        run(A, sched, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+
+
 def _targets_read_below():
     """A schedule, for its cones only (page 2's target dies on page 1),
     whose page 1 cone holds A-degree 6 only through a target: page 4's
@@ -1086,7 +1183,8 @@ def test_each_cone_holds_every_record_a_later_read_depends_on(case):
         localized = case.localized
     max_source = max(A.degree(rule.source) for pg in sched.pages.values() for rule in pg.rules)
     ctx = EngineContext(A, sched.v, localized, w.max_degree, sorted(sched.pages), max_source)
-    cones = engine._cones(ctx, sorted(sched.pages.items()))
+    cones = engine._cones(ctx, [(r, _page_generators(A, pg))
+                                for r, pg in sorted(sched.pages.items())])
     read = set(range(ctx.max_degree - ctx.s_lo * ctx.deg_v + 2))
     for r in sorted(sched.pages, reverse=True):
         shift = 1 + r * ctx.deg_v
