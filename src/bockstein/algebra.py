@@ -116,8 +116,8 @@ class Algebra:
                     )
         object.__setattr__(self, "_index", {g.name: i for i, g in enumerate(self.generators)})
         object.__setattr__(self, "_degrees", tuple(g.degree for g in self.generators))
-        # the tables mul_monomials reads: the odd-degree generators from the
-        # right and the exterior ones
+        # the tables mul_monomials and koszul_sign read: the odd-degree
+        # generators from the right and the exterior ones
         object.__setattr__(self, "_odd_from_right", tuple(
             i for i in reversed(range(len(self.generators))) if self.generators[i].degree & 1))
         object.__setattr__(self, "_exterior", tuple(
@@ -176,14 +176,26 @@ def sparse_monomial(ngens: int, exps: Mapping[int, int]) -> Monomial:
     return tuple(m)
 
 
+def koszul_sign(A: Algebra, m1: Monomial, m2: Monomial) -> int:
+    """The Koszul sign (1 or -1) of interleaving m2's factors into m1: each
+    odd-degree factor of m2 moves past the odd-degree factors of m1 to its
+    right.  It walks the odd-degree generators, from a table the algebra
+    builds once, and does not check the monomials."""
+    sign = right = 0  # right: parity of m1's odd factors right of j
+    for j in A._odd_from_right:  # type: ignore[attr-defined]
+        if m2[j] & 1:
+            sign ^= right
+        right ^= m1[j] & 1
+    return -1 if sign else 1
+
+
 def mul_monomials(A: Algebra, m1: Monomial, m2: Monomial) -> Tuple[int, Monomial]:
     """Product of two monomials: (sign in {0, 1, -1}, canonical monomial).
 
-    The sign is the Koszul sign of interleaving m2's factors into m1: each
-    odd-degree factor of m2 moves past the odd-degree factors of m1 to its
-    right.  Zero means the product dies by an exterior square.  The work is
-    one exponent sum, a check of each exterior generator and a walk over
-    the odd-degree generators, read from tables the algebra builds once.
+    The sign is the Koszul sign (koszul_sign); zero means the product dies
+    by an exterior square.  The work is one exponent sum, a check of each
+    exterior generator and the sign, read from tables the algebra builds
+    once.
     """
     if len(m1) != A.ngens or len(m2) != A.ngens:
         raise ForeignGeneratorError("foreign generator (monomial length mismatch)")
@@ -194,12 +206,7 @@ def mul_monomials(A: Algebra, m1: Monomial, m2: Monomial) -> Tuple[int, Monomial
     if out and min(out) < 0:
         j = next(j for j, e in enumerate(out) if e < 0)
         raise AlgebraError(f"exponent {out[j]} invalid for generator {A.generators[j].name}")
-    sign = right = 0  # right: parity of m1's odd factors right of j
-    for j in A._odd_from_right:  # type: ignore[attr-defined]
-        if m2[j] & 1:
-            sign ^= right
-        right ^= m1[j] & 1
-    return (-1 if sign else 1), out
+    return koszul_sign(A, m1, m2), out
 
 
 def element(A: Algebra, *terms: Tuple[int, Monomial]) -> Element:

@@ -48,7 +48,14 @@ well-definedness check compares, and the image the target divides by).
 And a cell no page has touched is the identity on its monomials: its
 classes' values are their images, a combination of them is its own
 vector, and it expresses a vector as itself, so it builds no rows and
-only the cells the homology built keep a solver.
+only the cells the homology built keep a solver.  A record costs its
+arithmetic, not its calls: each Leibniz term is one exponent sum signed
+from the algebra's odd-generator table (koszul_sign), the target's
+monomial index is built once per A-degree, the elimination reduces each
+row in the one list it is built in, the checks run in the walk that
+fires the records, and the homology is taken on the bars of each source
+and on one new top bar per target, while an A-degree that d_r only
+enters passes its old bars on.
 
 Reading the towers at base degree b: the classes that become boundaries on
 page r are towers of length r, the cycles that never do are free towers,
@@ -77,7 +84,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
@@ -89,7 +96,7 @@ from .algebra import (
     GeneratorSpec,
     Monomial,
     basis_up_to,
-    mul_monomials,
+    koszul_sign,
     require_prime,
     sparse_monomial,
 )
@@ -254,14 +261,15 @@ def reach(deg_v: int, max_degree: int, pages: Sequence[int], localized: bool,
 
 
 # Runs whose estimate_cost exceeds this are refused as oversized.  As
-# `bockstein verify` (median of 3, from importing bockstein to the exit, on
-# a 2-vCPU Xeon with Python 3.11.7), v2 p=5 D=3000 (cost 132,972), v2 p=2
-# D=2000 (90,230) and v1 p=3 D=4000 (82,986) take 0.09 s, 0.12 s and 0.11 s,
-# v1 p=3 D=20000 (346,661) takes 0.19 s and 21 MB peak RSS, and v2 p=2
-# D=10000 (860,275) takes 0.28 s and 25 MB.  The cost counts every A-degree
-# up to reach on every fired page, though E_1 holds only the A-degrees the
-# run reads (5,019 of 33,084 for v2 p=2 D=10000) and a page fires only its
-# cone, so it bounds the ladders' work loosely from above (ROADMAP D10).
+# `bockstein verify` (median of 5, a fresh interpreter from its start to
+# the exit, on a 2-vCPU Xeon with Python 3.11.7), v2 p=5 D=3000 (cost
+# 132,972), v2 p=2 D=2000 (90,230) and v1 p=3 D=4000 (82,986) take 0.11 s,
+# 0.12 s and 0.13 s, v1 p=3 D=20000 (346,661) takes 0.17 s and 21.5 MB
+# peak RSS, and v2 p=2 D=10000 (860,275) takes 0.25 s and 25 MB.  The cost
+# counts every A-degree up to reach on every fired page, though E_1 holds
+# only the A-degrees the run reads (5,019 of 33,084 for v2 p=2 D=10000) and
+# a page fires only its cone, so it bounds the ladders' work loosely from
+# above (ROADMAP D10).
 MAX_COST = 1_000_000
 
 
@@ -526,6 +534,8 @@ def _page_generators(A: Algebra, page: RulePage) -> PageGenerators:
             raise MalformedRuleError("malformed rule (source is not a page generator)")
         if gi in rules:
             raise MalformedRuleError("malformed rule (duplicate source)")
+        for mon in rule.target:
+            A.validate_monomial(mon[:-1])
         terms = tuple((c % A.p, mon[:-1], tuple(j for j in exterior if mon[j]))
                       for mon, c in rule.target.items() if c % A.p)
         rules[gi] = (gi, rule.source, terms)
@@ -594,7 +604,8 @@ def _d_of_monomial(ctx: EngineContext, gens: PageGenerators, m: Monomial) -> Ele
     nothing.  Otherwise each factor g with a rule, N times in m (N = 1 for
     an exterior one), gives the Leibniz term N * d_r(g) * (m / g), signed
     by g * (m / g) = +-m.  Each term of d_r(g) * (m / g) is one product of
-    A-monomials (mul_monomials), its coefficient taken mod p.
+    A-monomials, its exponent sum signed by koszul_sign, its coefficient
+    taken mod p.
     """
     for i in gens.dead:
         if m[i]:
@@ -614,15 +625,20 @@ def _d_of_monomial(ctx: EngineContext, gens: PageGenerators, m: Monomial) -> Ele
         mult = (left // gens.q if i == gens.mu else 1) % p
         if mult == 0:
             continue
+        # m factors over the page generators, so the cofactor m / g is >= 0,
+        # and it holds each exterior generator at most once, as m does; a
+        # term is a monomial of A (_page_generators) whose exterior
+        # generators are held.  So the held test is the exterior-square
+        # test, and mul_monomials' length, exterior and negative checks
+        # cannot fire here.
         cof = tuple(map(sub, m, source))
-        sign, _ = mul_monomials(A, source, cof)
+        scale = koszul_sign(A, source, cof) * mult
         for c, t, held in terms:
             for j in held:
                 if cof[j]:
                     break
             else:
-                s, mon = mul_monomials(A, t, cof)
-                _accumulate(out, mon, s * sign * mult * c, p)
+                _accumulate(out, tuple(map(add, t, cof)), koszul_sign(A, t, cof) * scale * c, p)
     return out
 
 
@@ -634,15 +650,24 @@ def _accumulate(acc: Element, m: Monomial, c: int, p: int) -> None:
         acc.pop(m, None)
 
 
-def _set_bits(x: int) -> Iterator[int]:
+def _byte_bits() -> Tuple[Tuple[int, ...], ...]:
+    """The positions of the set bits of each byte value, in increasing
+    order.  Bit j doubles the table, so an import builds 255 small tuples."""
+    table: List[Tuple[int, ...]] = [()]
+    for j in range(8):
+        table += [bits + (j,) for bits in table]
+    return tuple(table)
+
+
+_BYTE_BITS = _byte_bits()
+
+
+def _set_bits(x: int) -> List[int]:
     """The positions of the set bits of x >= 0, in increasing order: x is
-    cut into bytes once, and each nonzero byte gives up its lowest set bit
-    until it is empty."""
-    for k, byte in enumerate(x.to_bytes((x.bit_length() + 7) // 8, "little")):
-        while byte:
-            low = byte & -byte
-            yield 8 * k + low.bit_length() - 1
-            byte ^= low
+    cut into bytes once, and each nonzero byte reads its bits off
+    _BYTE_BITS."""
+    return [8 * k + j for k, byte in enumerate(x.to_bytes((x.bit_length() + 7) // 8, "little"))
+            if byte for j in _BYTE_BITS[byte]]
 
 
 def _rule_degrees(A: Algebra, gens: PageGenerators, top: int) -> int:
@@ -705,36 +730,38 @@ class _Eliminated(NamedTuple):
     echelon: Dict[int, List[int]]
 
 
-def _class_values(cell: Cell, images: Sequence[Dict], p: int) -> Iterator[Dict]:
+def _class_values(cell: Cell, images: Sequence[Dict], p: int) -> Sequence[Dict]:
     """The value of each class of a cell under a map given on its monomials
     (images[j] the value of monomial j, as {key: coefficient mod p}).  An
     untouched cell's classes are its monomials, so their values are the
     images themselves; a class of a touched one takes its rep's combination
     of them."""
     if cell.reps is None:
-        yield from images
-        return
+        return images
+    out = []
     for rep in cell.reps:
         val: Dict = {}
         for c, img in zip(rep, images):
             if c:
                 for key, cc in img.items():
                     _accumulate(val, key, c * cc, p)
-        yield val
+        out.append(val)
+    return out
 
 
-def _page_map(cell: Cell, images: Sequence[Element], tcell: Cell, p: int,
-              r: int, a: int, ta: int) -> Optional[_Eliminated]:
+def _page_map(cell: Cell, images: Sequence[Element], tcell: Cell, tindex: Dict[Monomial, int],
+              p: int, r: int, a: int, ta: int) -> Optional[_Eliminated]:
     """d_r on the classes of one cell, in the coordinates of the target's
-    classes, eliminated; None when it vanishes."""
-    tindex = {mon: i for i, mon in enumerate(tcell.monomials)}
+    classes, eliminated; None when it vanishes.  tindex gives the position
+    of each of the target's monomials, which apply_page builds once for
+    all the bars of an A-degree."""
     mat: List[List[int]] = []
     nonzero = False
     for dvec in _class_values(cell, images, p):
         if not dvec:
             mat.append([0] * tcell.dim)
             continue
-        vec = [0] * len(tcell.monomials)
+        vec = [0] * len(tindex)
         for mon, cc in dvec.items():
             pos = tindex.get(mon)
             if pos is None:
@@ -752,26 +779,41 @@ def _page_map(cell: Cell, images: Sequence[Element], tcell: Cell, p: int,
     return _Eliminated(DiffRecord(ta, mat, len(mat) - len(kernel)), kernel, echelon)
 
 
+def _combination(combo: Sequence[int], reps: Sequence[Sequence[int]], width: int,
+                 p: int) -> List[int]:
+    """The vector over a touched cell's width monomials of a combination of
+    its classes."""
+    vec = [0] * width
+    for c, rep in zip(combo, reps):
+        if c:
+            for j, x in enumerate(rep):
+                if x:
+                    vec[j] = (vec[j] + c * x) % p
+    return vec
+
+
 def _homology(cell: Cell, out: Optional[_Eliminated], image: Optional[_Eliminated],
               p: int, r: int, a: int) -> Cell:
     """The next page's cell: the kernel of the outgoing d_r (out) modulo the
     rows of the incoming one (image), both in the coordinates of the cell's
     classes.  An untouched cell's classes are its monomials, so there a
-    combination of classes is its own vector."""
+    combination of classes is its own vector, and the combinations are the
+    reps and boundaries as they are.  A kernel row is reduced against an
+    echelon form only when that holds a row: both are reduced mod p."""
     if out is None and image is None:
         return cell
-    n = cell.dim
     if out is not None:
         ker = out.kernel
     else:
+        n = cell.dim
         ker = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     im_ech = {} if image is None else image.echelon
-    image_rows = () if image is None else image.rec.matrix
     new_rep_combos: List[List[int]] = []
     combo_ech: Dict[int, List[int]] = {}
     for kv in ker:
-        red = linalg.reduce_row(kv, im_ech, p)
-        red = linalg.reduce_row(red, combo_ech, p)
+        red = linalg.reduce_row(kv, im_ech, p) if im_ech else kv
+        if combo_ech:
+            red = linalg.reduce_row(red, combo_ech, p)
         if any(red):
             linalg.echelon_insert(combo_ech, red, p)
             new_rep_combos.append(red)
@@ -779,26 +821,14 @@ def _homology(cell: Cell, out: Optional[_Eliminated], image: Optional[_Eliminate
         raise EngineAssertionError(
             f"homology dimension bookkeeping failed at A-degree {a} on page {r}")
     reps = cell.reps
-    width = len(cell.monomials)
-
-    def _combine(combo: List[int]) -> List[int]:
-        if reps is None:
-            return list(combo)
-        vec = [0] * width
-        for i, c in enumerate(combo):
-            if c:
-                ri = reps[i]
-                for j in range(width):
-                    if ri[j]:
-                        vec[j] = (vec[j] + c * ri[j]) % p
-        return vec
-
-    new_bnd = [list(b) for b in cell.boundaries]
-    for row in image_rows:
-        vec = _combine(row)
-        if any(vec):
-            new_bnd.append(vec)
-    return Cell(cell.monomials, [_combine(combo) for combo in new_rep_combos], new_bnd)
+    image_vecs = () if image is None else image.rec.matrix
+    if reps is None:
+        new_reps = new_rep_combos
+    else:
+        width = len(cell.monomials)
+        new_reps = [_combination(combo, reps, width, p) for combo in new_rep_combos]
+        image_vecs = [_combination(row, reps, width, p) for row in image_vecs]
+    return Cell(cell.monomials, new_reps, cell.boundaries + list(filter(any, image_vecs)))
 
 
 def _span(e: Optional[_Eliminated]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
@@ -872,7 +902,9 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
     no identity rows: _page_map reads its classes' values off the images,
     _homology takes a combination of its classes as its own vector, and as
     a target it expresses a vector as itself (Cell.express), so only the
-    cells _homology made build a solver.
+    cells _homology made build a solver.  _homology runs on each bar of a
+    source and on the new top bar of each target; a target's old bars
+    pass on as they are.
     """
     ctx = pd.ctx
     p = ctx.A.p
@@ -891,9 +923,11 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
 
     # d_r per A-degree and bar, into the target's top bar: a target sits at
     # filtration >= r, where every fired page's boundaries have arrived;
-    # elim holds each bar's record eliminated, beside maps
+    # elim holds each bar's record eliminated, beside maps.  The walk goes
+    # up, so a record's target has its own record, if any, already.
     maps: Dict[int, Bars] = {}
     elim: Dict[int, List[Optional[_Eliminated]]] = {}
+    incoming: Dict[int, _Eliminated] = {}
     index = _rule_degrees(ctx.A, gens, ctx.reach) if cone is None else cone
     for a in _set_bits(index):
         bars = pd.degrees.get(a)
@@ -906,40 +940,43 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
         if tbars is None:
             raise EngineAssertionError("differential leaves its bidegree")
         tcell = tbars[-1][1]
-        row = [_page_map(cell, images, tcell, p, r, a, a - shift) for _, cell in bars]
-        if any(e is not None for e in row):
-            maps[a] = tuple((s, None if e is None else e.rec) for (s, _), e in zip(bars, row))
-            elim[a] = row
-
-    incoming: Dict[int, _Eliminated] = {}
-    for a, row in elim.items():
+        tindex = {mon: i for i, mon in enumerate(tcell.monomials)}
+        row = [_page_map(cell, images, tcell, tindex, p, r, a, a - shift) for _, cell in bars]
+        if not any(row):  # an _Eliminated is a nonempty tuple
+            continue
         # d_r o d_r must vanish; the target's d_r is read at its top bar
         second = maps[a - shift][-1][1] if a - shift in maps else None
-        for e in row:
-            if e is not None and second is not None and any(
-                    map(any, linalg.mat_mul(e.rec.matrix, second.matrix, p))):
-                raise EngineAssertionError(f"d_{r} o d_{r} != 0 out of A-degree {a}")
+        if second is not None:
+            for e in row:
+                if e is not None and any(
+                        map(any, linalg.mat_mul(e.rec.matrix, second.matrix, p))):
+                    raise EngineAssertionError(f"d_{r} o d_{r} != 0 out of A-degree {a}")
         # the sources of a tower's boundaries sit in every bar; d_r must hit
         # the same classes from each, or it is not defined on E_r
         if len(row) > 1 and len({_span(e) for e in row}) > 1:
             raise EngineAssertionError(
                 f"d_{r} out of A-degree {a} depends on the representatives")
+        maps[a] = tuple([(s, None if e is None else e.rec) for (s, _), e in zip(bars, row)])
+        elim[a] = row
         incoming[a - shift] = row[-1]
 
-    # every bar loses the cycles that support d_r; the boundaries of page r
-    # reach filtration r on, where they start a new top bar
+    # every bar of a source loses the cycles that support d_r; the
+    # boundaries of page r reach filtration r on, where they start a new top
+    # bar, so an A-degree that d_r only enters keeps its old bars
     degrees = dict(pd.degrees)
     for a in sorted(elim.keys() | incoming.keys()):
         bars = pd.degrees[a]
-        row = elim.get(a, [None] * len(bars))
+        row = elim.get(a)
+        out = None if row is None else row[-1]
         image = incoming.get(a)
         if ctx.localized:
             ((s, cell),) = bars
-            degrees[a] = ((s, _homology(cell, row[0], image, p, r, a)),)
+            degrees[a] = ((s, _homology(cell, out, image, p, r, a)),)
             continue
-        new = [(s, _homology(cell, e, None, p, r, a)) for (s, cell), e in zip(bars, row)]
+        new = list(bars) if row is None else [
+            (s, _homology(cell, e, None, p, r, a)) for (s, cell), e in zip(bars, row)]
         if image is not None:
-            new.append((r, _homology(bars[-1][1], row[-1], image, p, r, a)))
+            new.append((r, _homology(bars[-1][1], out, image, p, r, a)))
         degrees[a] = tuple(new)
 
     pd.maps = maps
@@ -1157,6 +1194,10 @@ def extract_towers(final: PageData, sched: DifferentialSchedule,
     future_floor = sched.future_target_floor
     future_min_page = sched.future_min_page
     unfired_gens = list(unfired.values())
+
+    def leaving(cell: Cell) -> int:
+        return _unfired_sources(ctx, unfired_gens, cell)
+
     for r in unfired:
         for rule in sched.pages[r].rules:
             for mon in rule.target:
@@ -1165,10 +1206,9 @@ def extract_towers(final: PageData, sched: DifferentialSchedule,
                 future_floor = base if future_floor is None else min(future_floor, base)
         future_min_page = r if future_min_page is None else min(future_min_page, r)
 
-    for b in range(0, ctx.max_degree + 1):
-        bars = final.degrees.get(b)
-        if bars is None:
-            continue
+    for b, bars in final.degrees.items():
+        if b > ctx.max_degree:
+            break
         hit = future_floor is not None and b >= future_floor
         if ctx.localized:
             # with v inverted a later differential removes its target's
@@ -1178,8 +1218,7 @@ def extract_towers(final: PageData, sched: DifferentialSchedule,
             for _ in range(bars[0][1].dim):
                 prof.add(b, length)
             continue
-        _read_column(prof, b, bars, future_min_page if hit else None,
-                     lambda cell: _unfired_sources(ctx, unfired_gens, cell))
+        _read_column(prof, b, bars, future_min_page if hit else None, leaving)
     return prof
 
 

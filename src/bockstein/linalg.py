@@ -84,20 +84,35 @@ def _forward(rows: Sequence[Sequence[int]], ncols: int,
     """One forward elimination of [M | 1], M given by rows and ncols wide:
     the pivot rows, each normalized at its pivot (the first nonzero of its
     M part) and reduced against the earlier ones only, and, in row order,
-    the combos of the rows (the identity part) that reduce to zero in M."""
-    m = len(rows)
+    the combos of the rows (the identity part) that reduce to zero in M.
+
+    Each row is reduced as reduce_row would, against the pivots in
+    increasing order (cols, kept sorted), in the one list it is built in."""
+    width = ncols + len(rows)
+    zeros = [0] * len(rows)
     fwd: Dict[int, Row] = {}
+    cols: List[int] = []
     kernel: List[Row] = []
     for i, row in enumerate(rows):
-        aug = list(row) + [0] * m
-        aug[ncols + i] = 1
-        r = reduce_row(aug, fwd, p)
-        piv = next((j for j in range(ncols) if r[j]), None)
-        if piv is None:
-            kernel.append([c % p for c in r[ncols:]])
+        r = [c % p for c in row]
+        r += zeros
+        r[ncols + i] = 1
+        for col in cols:
+            c = r[col]
+            if c:
+                piv = fwd[col]
+                for j in range(col, width):
+                    if piv[j]:
+                        r[j] = (r[j] - c * piv[j]) % p
+        for j in range(ncols):
+            if r[j]:
+                inv = inv_mod(r[j], p)
+                fwd[j] = [(c * inv) % p for c in r]
+                cols.append(j)
+                cols.sort()
+                break
         else:
-            inv = inv_mod(r[piv], p)
-            fwd[piv] = [(c * inv) % p for c in r]
+            kernel.append(r[ncols:])
     return fwd, kernel
 
 

@@ -72,8 +72,10 @@ class TowerProfile:
     def add(self, degree: int, length: TowerLength) -> None:
         if isinstance(length, int) and length < 1:
             raise ValueError("tower length must be >= 1")
-        self.towers.setdefault(degree, []).append(length)
-        self.towers[degree].sort(key=_length_key)
+        lengths = self.towers.setdefault(degree, [])
+        lengths.append(length)
+        if len(lengths) > 1:
+            lengths.sort(key=_length_key)
 
     def lengths(self, degree: int) -> List[TowerLength]:
         return list(self.towers.get(degree, []))

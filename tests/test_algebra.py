@@ -18,6 +18,8 @@ from bockstein.algebra import (
     element,
     graded_dims,
     is_prime,
+    koszul_sign,
+    mul_monomials,
     multiply,
 )
 from bockstein.closedform import thh_mod_p_algebra
@@ -185,6 +187,35 @@ def test_associativity_and_commutativity(mixed_algebras):
             ba = multiply(b, a, A)
             sign = -1 if (degs[0] % 2 and degs[1] % 2) else 1
             assert ab == {m: (sign * v) % A.p for m, v in ba.items()}
+
+
+def _odd_transpositions(A, m1, m2):
+    """How many pairs of odd-degree factors trade places when the factors
+    of m1, then those of m2, are sorted into generator order."""
+    odd = [i for m in (m1, m2) for i, e in enumerate(m) for _ in range(e)
+           if A.generators[i].degree % 2]
+    return sum(odd[x] > odd[y] for x in range(len(odd)) for y in range(x + 1, len(odd)))
+
+
+def test_koszul_sign_counts_the_odd_transpositions(mixed_algebras):
+    # the sign mul_monomials gives a living product and _d_of_monomial
+    # gives each Leibniz term, against a count of the transpositions; the
+    # p = 2 algebra has odd polynomial generators, so odd exponents above 1
+    rng = random.Random(12)
+    algebras = list(mixed_algebras.values()) + [Algebra(2, (
+        GeneratorSpec("y", 1, POLYNOMIAL), GeneratorSpec("a", 3, EXTERIOR),
+        GeneratorSpec("z", 5, POLYNOMIAL)))]
+    for A in algebras:
+        mons = [m for d in range(14) for m in basis_in_degree(A, d)]
+        dead = 0
+        for _ in range(3000):
+            m1, m2 = rng.choice(mons), rng.choice(mons)
+            want = -1 if _odd_transpositions(A, m1, m2) % 2 else 1
+            assert koszul_sign(A, m1, m2) == want, (m1, m2)
+            s, _ = mul_monomials(A, m1, m2)
+            assert s in (0, want)
+            dead += s == 0
+        assert 0 < dead < 3000
 
 
 def _random_rules(rng, A, cache):

@@ -2,6 +2,9 @@
 inside a function counts as much as one at the top of the file."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +70,17 @@ def lazy():
 """
     assert imports(source) == {"engine", "towers", "jsonio", "svg", "cli", "cases",
                                "closedform"}
+
+
+def test_the_cli_starts_on_the_standard_library_alone():
+    # every `bockstein` command imports the CLI first, so a module it pulls
+    # in that is neither the package's nor the standard library's would
+    # cost every start; a fresh interpreter lists what the import adds
+    code = ("import sys; before = set(sys.modules); import bockstein.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    added = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                           capture_output=True, text=True, check=True).stdout.split()
+    assert "bockstein.cli" in added
+    assert [name for name in added if name.split(".")[0] != "bockstein"
+            and name.split(".")[0] not in sys.stdlib_module_names] == []
