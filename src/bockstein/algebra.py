@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import (Callable, Container, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 Monomial = Tuple[int, ...]
 Element = Dict[Monomial, int]
@@ -248,38 +247,52 @@ def multiply(a: Element, b: Element, A: Algebra) -> Element:
     return out
 
 
-def _degree_walk(gens: Sequence[GeneratorSpec], rem: int,
-                 choices: Callable[[int, int], Iterable[int]],
-                 keep: Optional[Container[int]] = None) -> Iterator[Tuple[Monomial, int]]:
-    """Every monomial over gens that choices allows, in lexicographic order,
-    with what is left of rem after its degree; with keep, only those whose
-    leftover keep holds.
+def _free_walk(A: Algebra, max_degree: int,
+               degrees: Optional[Iterable[int]] = None) -> Iterator[Tuple[Monomial, int]]:
+    """Every monomial of degree <= max_degree, in lexicographic order, with
+    max_degree minus its degree; with degrees, only those whose degree it
+    holds.
 
-    choices(i, rem) gives the exponents of generator i, ascending, where rem
-    is what the generators before it left; it must give only 0 when the
-    generator's degree exceeds rem.  The depth-first walk keeps one iterator
-    per generator on a list, not a stack frame, so an algebra with thousands
-    of generators enumerates without recursion.  Once what is left is below
-    the smallest degree of the generators after i (an exterior generator of
-    degree 0 counts as 0), each of them can only be 0, so the walk yields
-    that all-zero tail at once instead of visiting them.
-    """
+    The depth-first walk keeps one iterator of exponents per generator on a
+    list, not a stack frame, so an algebra with thousands of generators
+    enumerates without recursion.  Once what is left is below the smallest
+    degree of the generators after i (an exterior generator of degree 0
+    counts as 0), each of them can only be 0, so the walk yields that
+    all-zero tail at once instead of visiting them.  With degrees, the last
+    generator takes only the exponents that land in degrees, and of the
+    earlier all-zero tails only those in degrees are yielded, so the walk
+    costs the monomials it keeps."""
+    gens = A.generators
+    if any(g.degree == 0 and g.kind == POLYNOMIAL for g in gens):
+        raise InfiniteBasisError("infinite basis")
+    lefts = None if degrees is None else {max_degree - d for d in degrees}
     n = len(gens)
     if n == 0:
-        yield (), rem
+        if lefts is None or max_degree in lefts:
+            yield (), max_degree
         return
-    # after[i]: the smallest degree after generator i; above rem for the last
+    # after[i]: the smallest degree after generator i; above max_degree for the last
     after = [0] * n
-    low = rem + 1
+    low = max_degree + 1
     for i in range(n - 1, -1, -1):
         after[i] = low
         low = min(low, gens[i].degree)
     cur = [0] * n
-    rems = [rem]
-    stack = [iter(choices(0, rem))]
-    while stack:
+    rems: List[int] = []
+    stack: List[Iterator[int]] = []
+    rem: Optional[int] = max_degree  # what is left for the next generator, on a step down
+    while rem is not None or stack:
+        if rem is not None:
+            g = gens[len(stack)]
+            top = rem // g.degree if g.degree else 1  # degree 0 here is exterior
+            exps: Iterable[int] = range((min(top, 1) if g.kind == EXTERIOR else top) + 1)
+            if lefts is not None and len(stack) == n - 1:
+                exps = [e for e in exps if rem - e * g.degree in lefts]
+            rems.append(rem)
+            stack.append(iter(exps))
         i = len(stack) - 1
         e = next(stack[i], None)
+        rem = None
         if e is None:
             stack.pop()
             rems.pop()
@@ -287,36 +300,10 @@ def _degree_walk(gens: Sequence[GeneratorSpec], rem: int,
             continue
         cur[i] = e
         left = rems[i] - e * gens[i].degree
-        if left < after[i]:
-            if keep is None or left in keep:
-                yield tuple(cur), left
-        else:
-            rems.append(left)
-            stack.append(iter(choices(i + 1, left)))
-
-
-def _free_walk(A: Algebra, max_degree: int,
-               degrees: Optional[Iterable[int]] = None) -> Iterator[Tuple[Monomial, int]]:
-    """Every monomial of degree <= max_degree, in lexicographic order, with
-    max_degree minus its degree; with degrees, only those whose degree it
-    holds.  The last generator then takes only the exponents that land in
-    degrees, and of the walk's earlier all-zero tails only those in degrees
-    are yielded, so the walk costs the monomials it keeps."""
-    gens = A.generators
-    if any(g.degree == 0 and g.kind == POLYNOMIAL for g in gens):
-        raise InfiniteBasisError("infinite basis")
-    last = len(gens) - 1
-    lefts = None if degrees is None else {max_degree - d for d in degrees}
-
-    def choices(i: int, rem: int) -> Iterable[int]:
-        g = gens[i]
-        top = rem // g.degree if g.degree else 1  # degree 0 here is exterior
-        exps = range((min(top, 1) if g.kind == EXTERIOR else top) + 1)
-        if lefts is None or i < last:
-            return exps
-        return [e for e in exps if rem - e * g.degree in lefts]
-
-    return _degree_walk(gens, max_degree, choices, lefts)
+        if left >= after[i]:
+            rem = left
+        elif lefts is None or left in lefts:
+            yield tuple(cur), left
 
 
 def basis_in_degree(A: Algebra, d: int) -> List[Monomial]:

@@ -12,7 +12,9 @@ from it.
 
 Every refusal comes before the work it spares: `verify` calls build(),
 which refuses a bad p or an oversized run before it builds the algebra,
-then oracle(), which refuses a case with no oracle, then the engine.
+then oracle(), which refuses a case with no oracle, then the engine,
+which refuses a malformed rule on any page, fired or capped, before it
+builds E_1.
 
 Schedules and oracles are called through their modules
 (`engine.schedule_v1(...)`), never captured at import, so that a function

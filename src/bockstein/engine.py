@@ -11,7 +11,13 @@ with the power of mu (the page's polynomial generator) attached to it, and
 the power of mu that the page's power rule fires on.  A rule is d_r on one
 of those generators.  d_r of a monomial is 0 when it does not factor over
 them (a torsion remnant of earlier pages), and otherwise the sum of the
-Leibniz terms of its factors that carry a rule.
+Leibniz terms of its factors that carry a rule.  One function reads the
+rules (_page_generators): it checks each rule's form (its source a page
+generator, its target a nonzero homogeneous element at v-exponent r one
+degree below the source) and records the A-degrees of its ends, which every
+later stage reads instead.  run checks and compiles every page, fired or
+capped, before it builds E_1; firing a page checks only what needs its
+state, that each source lives and each target survives (_validate_rules).
 
 Since d_r(x*v^s) = d_r(x)*v^s, page r maps A-degree a to a - 1 - r|v|
 whatever the filtration, and one v-tower is one A-degree.  So the state is
@@ -175,15 +181,18 @@ class PageGenerators(NamedTuple):
     it holds no dead exterior generator and the mu-exponent its lambdas'
     costs leave is a multiple of q.  rules lists each generator that has a
     rule as (its index, its page generator, d_r of that as Terms over A,
-    the page's v-power stripped).  _rule_degrees reads the same fields for
-    the page's clearing index, the A-degrees where such a factorization
-    has a rule factor whose Leibniz term can live."""
+    the page's v-power stripped), and ends gives each one's source and
+    target A-degree, in the same order.  _rule_degrees reads the same fields
+    for the page's clearing index, the A-degrees where such a factorization
+    has a rule factor whose Leibniz term can live; the cones, the rule
+    checks, the run's reach and the unknowns read ends."""
 
     mu: Optional[int]
     q: int
     dead: Tuple[int, ...]                # exterior generators that are not live
     costs: Tuple[Tuple[int, int], ...]   # live lambdas with a nonzero mu-cost
     rules: Tuple[Tuple[int, Monomial, Tuple[Term, ...]], ...]
+    ends: Tuple[Tuple[int, int], ...]    # (source, target) A-degree of each rule
 
 
 @dataclass
@@ -507,12 +516,18 @@ def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool = False,
     return PageData(1, ctx, degrees)
 
 
-def _page_generators(A: Algebra, page: RulePage) -> PageGenerators:
-    """Resolve a page's generators and compile its rules by generator.  The
-    power rule is the one whose source is a pure power of a polynomial
-    generator; every other source must be a live exterior generator times
-    its attached mu-power."""
+def _page_generators(A: Algebra, deg_v: int, page: RulePage) -> PageGenerators:
+    """Check a page's rules and compile them by generator: the one place
+    that reads a Rule.  The power rule is the one whose source is a pure
+    power of a polynomial generator; every other source must be a live
+    exterior generator times its attached mu-power.  A target must be one
+    nonzero homogeneous element over A[v] at v-exponent r, one degree below
+    its source; a target monomial is an A-monomial with v's exponent last,
+    so its degree is that A-monomial's plus r|v|.  What needs the page's
+    state, that the source and target survive to it, _validate_rules
+    checks."""
     exterior = A.exterior
+    r = page.r
     attach = {i: 0 for i in exterior} if page.attach is None else page.attach
     mu, q = None, 1
     for rule in page.rules:
@@ -528,68 +543,63 @@ def _page_generators(A: Algebra, page: RulePage) -> PageGenerators:
     if mu is not None:
         index[tuple(q if j == mu else 0 for j in range(A.ngens))] = mu
     rules: Dict[int, Tuple[int, Monomial, Tuple[Term, ...]]] = {}
+    ends: List[Tuple[int, int]] = []
     for rule in page.rules:
         gi = index.get(rule.source)
         if gi is None:
             raise MalformedRuleError("malformed rule (source is not a page generator)")
         if gi in rules:
             raise MalformedRuleError("malformed rule (duplicate source)")
-        for mon in rule.target:
-            A.validate_monomial(mon[:-1])
-        terms = tuple((c % A.p, mon[:-1], tuple(j for j in exterior if mon[j]))
-                      for mon, c in rule.target.items() if c % A.p)
-        rules[gi] = (gi, rule.source, terms)
-    dead = tuple(i for i in exterior if i not in attach)
-    costs = tuple((i, c) for i, c in attach.items() if c)
-    return PageGenerators(mu, q, dead, costs, tuple(rules.values()))
-
-
-def _validate_rules(pd: PageData, page: RulePage) -> None:
-    """Refuse a rule whose target is not one homogeneous element over A[v]
-    at v-exponent r, one degree below its source, or whose source or
-    target does not survive to this page.  A target monomial is an
-    A-monomial with v's exponent last, so its degree is that A-monomial's
-    plus r|v|."""
-    ctx = pd.ctx
-    A, p = ctx.A, ctx.A.p
-    r = page.r
-    for rule in page.rules:
         if not rule.target:
             raise MalformedRuleError("malformed rule (zero target)")
+        for mon in rule.target:
+            A.validate_monomial(mon[:-1])
         vexps = {m[-1] for m in rule.target}
         if vexps != {r}:
             raise MalformedRuleError(
                 f"malformed rule (target v-exponent {sorted(vexps)} != page {r})")
-        sdeg = A.degree(rule.source)
-        tdegs = {A.degree(m[:-1]) + r * ctx.deg_v for m in rule.target}
-        if len(tdegs) > 1:
+        tas = {A.degree(m[:-1]) for m in rule.target}
+        if len(tas) > 1:
             raise MalformedRuleError("malformed rule (target is not homogeneous)")
-        (tdeg,) = tdegs
+        (ta,) = tas
+        sdeg, tdeg = A.degree(rule.source), ta + r * deg_v
         if tdeg != sdeg - 1:
             raise MalformedRuleError(
                 f"malformed rule (target degree {tdeg} != source degree {sdeg} - 1)")
-        # survival: the source must be a live class (a cycle that is not a
-        # boundary) at filtration 0 and the target must still be nonzero at
-        # filtration r on this page
-        src_bars = pd.degrees.get(sdeg)
-        if src_bars is None or rule.source not in src_bars[0][1].monomials:
+        terms = tuple((c % A.p, mon[:-1], tuple(j for j in exterior if mon[j]))
+                      for mon, c in rule.target.items() if c % A.p)
+        rules[gi] = (gi, rule.source, terms)
+        ends.append((sdeg, ta))
+    dead = tuple(i for i in exterior if i not in attach)
+    costs = tuple((i, c) for i, c in attach.items() if c)
+    return PageGenerators(mu, q, dead, costs, tuple(rules.values()), tuple(ends))
+
+
+def _validate_rules(pd: PageData, gens: PageGenerators) -> None:
+    """Refuse a rule whose source is not a live class at filtration 0 or
+    whose target is not a nonzero class at filtration r on this page.
+    _page_generators has checked the rules' form and found their ends; a
+    hand-built page may still lack the target's A-degree or monomials."""
+    p = pd.ctx.A.p
+    for (_, source, terms), (sa, ta) in zip(gens.rules, gens.ends):
+        src_bars = pd.degrees.get(sa)
+        if src_bars is None or source not in src_bars[0][1].monomials:
             raise DeadSourceError("dead source")
         src_cell = _bar_at(src_bars, 0)
         vec = [0] * len(src_cell.monomials)
-        vec[src_cell.monomials.index(rule.source)] = 1
+        vec[src_cell.monomials.index(source)] = 1
         coeffs = src_cell.express(vec, p)
         if coeffs is None or not any(coeffs):
             raise DeadSourceError("dead source")
-        tbars = pd.degrees.get(sdeg - 1 - r * ctx.deg_v)
+        tbars = pd.degrees.get(ta)
         if tbars is None:
             raise MalformedRuleError("malformed rule (target bidegree empty)")
-        tcell = _bar_at(tbars, r)
+        tcell = _bar_at(tbars, pd.r)
         tvec = [0] * len(tcell.monomials)
-        for m, c in rule.target.items():
-            amon = m[:-1]
+        for c, amon, _ in terms:
             if amon not in tcell.monomials:
                 raise MalformedRuleError("malformed rule (target outside bidegree)")
-            tvec[tcell.monomials.index(amon)] = c % p
+            tvec[tcell.monomials.index(amon)] = c
         coeffs = tcell.express(tvec, p)
         if coeffs is None or not any(coeffs):
             raise MalformedRuleError("malformed rule (target does not survive to this page)")
@@ -697,8 +707,7 @@ def _rule_degrees(A: Algebra, gens: PageGenerators, top: int) -> int:
     cost = dict(gens.costs)
     dmu = 0 if gens.mu is None else A.generators[gens.mu].degree
     out = 0
-    for gi, source, terms in gens.rules:
-        d = A.degree(source)
+    for (gi, _, terms), (d, _) in zip(gens.rules, gens.ends):
         for _, _, held in terms:
             bits = 1
             for i, g in enumerate(A.generators):
@@ -851,21 +860,20 @@ def _cones(ctx: EngineContext,
     last to the first, keeping a bitset of the A-degrees whose state after
     the page is read.  It starts as the kept A-degrees of the window, the
     sources at D + 1 that window_maps shows included (what extract_towers,
-    the documents and the chart read).  Each page adds the source and
-    target A-degree of each of its rules (what _validate_rules reads), and
-    its cone is the A-degrees of its clearing index whose record leaves or
-    enters a needed A-degree, closed downward so that the record out of
+    the documents and the chart read).  Each page adds the ends of its
+    rules, their source and target A-degrees (what _validate_rules reads),
+    and its cone is the A-degrees of its clearing index whose record leaves
+    or enters a needed A-degree, closed downward so that the record out of
     each fired record's target fires too and the d_r o d_r check reads it.
     The page before then needs the sources and targets of the cone."""
-    A, dv = ctx.A, ctx.deg_v
+    dv = ctx.deg_v
     need = (1 << (ctx.max_degree - ctx.s_lo * dv + 2)) - 1
     cones: Dict[Optional[int], int] = {}
     for r, gens in reversed(pages):
         shift = 1 + r * dv
-        for _, source, _ in gens.rules:
-            bit = 1 << A.degree(source)
-            need |= bit | bit >> shift
-        index = _rule_degrees(A, gens, ctx.reach)
+        for sa, ta in gens.ends:
+            need |= 1 << sa | 1 << ta
+        index = _rule_degrees(ctx.A, gens, ctx.reach)
         cone = index & (need | need << shift)
         while True:
             grown = cone | (index & cone >> shift)
@@ -882,11 +890,13 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
                gens: Optional[PageGenerators] = None) -> PageData:
     """Fire page pd.r with the rules of page and return the next page.
 
-    Each rule's source must be a page generator.  A page with no rules
-    yields the input's state with r incremented.  The fired differentials
-    are recorded on the input PageData.  gens is the page compiled
-    (_page_generators), which run does once per page; without it the page
-    is compiled here.
+    A page with no rules yields the input's state with r incremented.  The
+    fired differentials are recorded on the input PageData.  gens is the
+    page checked and compiled (_page_generators), which run does once per
+    page before it builds E_1; without it the page is compiled here.
+    Firing checks only what needs the page's state (_validate_rules): each
+    rule's source is a live class at filtration 0 and its target a nonzero
+    class at filtration r.
 
     A page costs what it fires.  It visits only the kept A-degrees of its
     clearing index (_rule_degrees), walking its set bits in increasing
@@ -917,8 +927,8 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
         raise EngineError(f"page {r} draws boundaries from above the A-degrees kept "
                           f"for pages up to {ctx.top_page}")
     if gens is None:
-        gens = _page_generators(ctx.A, page)
-    _validate_rules(pd, page)
+        gens = _page_generators(ctx.A, ctx.deg_v, page)
+    _validate_rules(pd, gens)
     shift = 1 + r * ctx.deg_v
 
     # d_r per A-degree and bar, into the target's top bar: a target sits at
@@ -1145,8 +1155,10 @@ def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
     differentials, and the final page) and the tower profile over degrees
     0..max_degree.  A page cap leaves the pages above it unfired.
 
-    Every page is compiled once (_page_generators), before any page fires,
-    and its compiled generators serve _cones, apply_page and, for the
+    Every page, fired or capped, is checked and compiled once
+    (_page_generators) before anything else, so a malformed rule on any
+    page is refused before any work.  Its compiled generators serve the
+    reach (the ends' largest source), _cones, apply_page and, for the
     unfired pages, extract_towers.  The cones come next, and E_1 is built
     last, on the A-degrees their walk ends with: the window, the rules'
     sources and targets and the cones' sources and targets.  When _cones
@@ -1157,10 +1169,9 @@ def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
     if page_cap is not None and page_cap < 1:
         raise ScheduleError(f"page cap {page_cap} is below 1, so no page could fire")
     order = sorted(sched.pages)
-    max_source = max((A.degree(rule.source) for pg in sched.pages.values()
-                      for rule in pg.rules), default=0)
+    gens = {r: _page_generators(A, sched.v.degree, sched.pages[r]) for r in order}
+    max_source = max((sa for g in gens.values() for sa, _ in g.ends), default=0)
     ctx = EngineContext(A, sched.v, localized, w.max_degree, order, max_source)
-    gens = {r: _page_generators(A, sched.pages[r]) for r in order}
     fired = [r for r in order if page_cap is None or r <= page_cap]
     cones = _cones(ctx, [(r, gens[r]) for r in fired])
     pd = build_e1(A, sched.v, w, localized, pages=order, max_source=max_source,
@@ -1198,12 +1209,10 @@ def extract_towers(final: PageData, sched: DifferentialSchedule,
     def leaving(cell: Cell) -> int:
         return _unfired_sources(ctx, unfired_gens, cell)
 
-    for r in unfired:
-        for rule in sched.pages[r].rules:
-            for mon in rule.target:
-                # the target's tower base is its A-degree
-                base = ctx.A.degree(mon[:-1])
-                future_floor = base if future_floor is None else min(future_floor, base)
+    for r, gens in unfired.items():
+        # a target's tower base is its A-degree
+        for _, base in gens.ends:
+            future_floor = base if future_floor is None else min(future_floor, base)
         future_min_page = r if future_min_page is None else min(future_min_page, r)
 
     for b, bars in final.degrees.items():

@@ -464,10 +464,37 @@ def test_apply_page_malformed_rule_errors():
         apply_page(pd, RulePage(1, [Rule(mu, target)]))
 
 
+def test_a_malformed_rule_is_refused_before_any_page_fires(monkeypatch):
+    # page 8's target lambda_3 v2^8 times lambda_1 sits at A-degree 18, not
+    # 15.  Capped at 4, the run never fires page 8 but reads its target's
+    # A-degree as the floor of its unknowns, so the form of every page's
+    # rules is checked before E_1 is built, fired or not
+    A = thh_mod_p_algebra(2, 2)
+    w = Window(60)
+    sched = schedule_v2(2, w)
+    (rule,) = sched.pages[8].rules
+    lam1 = A.index("λ1")
+    target = {tuple(e + (j == lam1) for j, e in enumerate(m)): c for m, c in rule.target.items()}
+    sched.pages[8] = dataclasses.replace(sched.pages[8], rules=[Rule(rule.source, target)])
+    fired = []
+    apply = engine.apply_page
+
+    def record(pd, *args):
+        fired.append(pd.r)
+        return apply(pd, *args)
+
+    monkeypatch.setattr(engine, "apply_page", record)
+    for cap in (4, None):
+        with pytest.raises(MalformedRuleError,
+                           match=r"^malformed rule \(target degree 66 != source degree 64 - 1\)$"):
+            run(A, sched, w, page_cap=cap)
+    assert fired == []
+
+
 def page_derivations(A, sched, D):
     """d_r of a monomial on each page of the schedule, as the engine runs it."""
     ctx = EngineContext(A, sched.v, False, D, sorted(sched.pages))
-    gens = {r: _page_generators(A, pg) for r, pg in sched.pages.items()}
+    gens = {r: _page_generators(A, ctx.deg_v, pg) for r, pg in sched.pages.items()}
     return lambda r, m: _d_of_monomial(ctx, gens[r], m)
 
 
@@ -872,7 +899,7 @@ def test_page_derivation_matches_the_leibniz_reference(case):
     sched, pages, _ = case.run()
     ctx = pages[0].ctx
     for r, page in sched.pages.items():
-        gens = _page_generators(ctx.A, page)
+        gens = _page_generators(ctx.A, ctx.deg_v, page)
         for bars in pages[0].degrees.values():
             for m in bars[0][1].monomials:
                 assert _d_of_monomial(ctx, gens, m) == reference_d_of_monomial(ctx, page, m), \
@@ -897,7 +924,7 @@ def test_page_derivation_signs_rules_past_odd_factors():
     d_y = element(Av, (1, Av.monomial(x2=1, v0=1)), (1, Av.monomial(x1=1, z=1, v0=1)))
     page = RulePage(1, [Rule(A.monomial(x3=1), d_x3), Rule(A.monomial(y=1), d_y)])
     ctx = EngineContext(A, v, False, 24, (1,))
-    gens = _page_generators(A, page)
+    gens = _page_generators(A, ctx.deg_v, page)
     for mons in basis_up_to(A, 24).values():
         for m in mons:
             got = _d_of_monomial(ctx, gens, m)
@@ -934,7 +961,7 @@ def test_pages_visit_every_a_degree_d_r_does_not_vanish_on(monkeypatch, case):
     # exterior rule d_2(lambda_3) and p = 5
     sched, pages, visits = _visits(monkeypatch, case)
     ctx = pages[0].ctx
-    compiled = {r: _page_generators(ctx.A, page) for r, page in sched.pages.items()}
+    compiled = {r: _page_generators(ctx.A, ctx.deg_v, page) for r, page in sched.pages.items()}
     cones = engine._cones(ctx, sorted(compiled.items()))
     shown = ctx.max_degree + 1 - ctx.s_lo * ctx.deg_v
     for r, gens in compiled.items():
@@ -1081,7 +1108,8 @@ def test_e1_holds_exactly_the_a_degrees_the_run_reads(case, monkeypatch):
     pages, got = once()
     ctx = pages[0].ctx
     fired = [r for r in sorted(sched.pages) if cap is None or r <= cap]
-    cones = engine._cones(ctx, [(r, _page_generators(A, sched.pages[r])) for r in fired])
+    cones = engine._cones(ctx, [(r, _page_generators(A, ctx.deg_v, sched.pages[r]))
+                               for r in fired])
     read = set(range(ctx.max_degree - ctx.s_lo * ctx.deg_v + 2))
     for r in fired:
         shift = 1 + r * ctx.deg_v
@@ -1118,9 +1146,9 @@ def test_a_run_compiles_each_page_once(monkeypatch, case, compiled):
     calls = []
     compile_page = engine._page_generators
 
-    def count(A, page):
+    def count(A, deg_v, page):
         calls.append(page.r)
-        return compile_page(A, page)
+        return compile_page(A, deg_v, page)
 
     monkeypatch.setattr(engine, "_page_generators", count)
     sched, _, _ = case.run()
@@ -1183,14 +1211,15 @@ def test_each_cone_holds_every_record_a_later_read_depends_on(case):
         localized = case.localized
     max_source = max(A.degree(rule.source) for pg in sched.pages.values() for rule in pg.rules)
     ctx = EngineContext(A, sched.v, localized, w.max_degree, sorted(sched.pages), max_source)
-    cones = engine._cones(ctx, [(r, _page_generators(A, pg))
+    cones = engine._cones(ctx, [(r, _page_generators(A, ctx.deg_v, pg))
                                 for r, pg in sorted(sched.pages.items())])
     read = set(range(ctx.max_degree - ctx.s_lo * ctx.deg_v + 2))
     for r in sorted(sched.pages, reverse=True):
         shift = 1 + r * ctx.deg_v
         for rule in sched.pages[r].rules:
             read |= {A.degree(rule.source), A.degree(rule.source) - shift}
-        index = set(_set_bits(_rule_degrees(A, _page_generators(A, sched.pages[r]), ctx.reach)))
+        gens = _page_generators(A, ctx.deg_v, sched.pages[r])
+        index = set(_set_bits(_rule_degrees(A, gens, ctx.reach)))
         cone = set(_set_bits(cones[r]))
         assert cone <= index
         assert {a for a in index if a in read or a - shift in read} <= cone, r
@@ -1238,7 +1267,7 @@ def test_clearing_index_of_rules_on_several_generators():
                  RulePage(1, [Rule(A.monomial(x3=1), d_x3)]),
                  RulePage(1, [Rule(A.monomial(y=3), d_y3)], attach={0: 0, 1: 1}),
                  RulePage(1, [Rule(A.monomial(y=1), d_y)])):
-        gens = _page_generators(A, page)
+        gens = _page_generators(A, ctx.deg_v, page)
         index = _rule_degrees(A, gens, 40)
         hit = [a for a, mons in basis.items() if any(_d_of_monomial(ctx, gens, m) for m in mons)]
         assert hit and all(index >> a & 1 for a in hit), page

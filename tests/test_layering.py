@@ -84,3 +84,18 @@ def test_the_cli_starts_on_the_standard_library_alone():
     assert "bockstein.cli" in added
     assert [name for name in added if name.split(".")[0] != "bockstein"
             and name.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_only_the_page_compile_reads_a_rule():
+    # _page_generators checks every rule and records the A-degrees of its
+    # ends, which the later stages read, so no other code in the engine
+    # reads a Rule's source or target and decides again what a rule is
+    tree = ast.parse((PACKAGE / "engine.py").read_text(encoding="utf-8"))
+
+    def reads(root):
+        return {(node.lineno, node.col_offset) for node in ast.walk(root)
+                if isinstance(node, ast.Attribute) and node.attr in ("source", "target")}
+
+    (compile_page,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                       and node.name == "_page_generators"]
+    assert reads(compile_page) and reads(tree) == reads(compile_page)
