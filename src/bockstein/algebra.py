@@ -13,7 +13,7 @@ engine, which keeps v's exponent beside an A-monomial, not a kind here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 Monomial = Tuple[int, ...]
@@ -140,7 +140,7 @@ class Algebra:
         if len(m) != len(self.generators):
             raise ForeignGeneratorError("foreign generator (monomial length mismatch)")
         degs: Tuple[int, ...] = self._degrees  # type: ignore[attr-defined]
-        return sum(e * d for e, d in zip(m, degs))
+        return sum(map(mul, m, degs))
 
     def validate_monomial(self, m: Monomial) -> None:
         if len(m) != len(self.generators):

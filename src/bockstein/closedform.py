@@ -119,17 +119,23 @@ def t0n_presentation(p: int, n: int, max_degree: int) -> TorsionPresentation:
     mu = A.ngens - 1
     lam_top = n
     D = max_degree
+    # the lambda-products up to D, enumerated once: those up to a smaller
+    # bound are the ones of degree <= it, in the same order
     subsets = _exterior_subsets(A, list(range(n)), D)
     free = [sparse_monomial(A.ngens, exps) for _, exps, _ in subsets]
+    # each product times lambda_{n+1}, without mu (the last generator), and
+    # the prefix of its generators' names
+    heads = [(deg, sparse_monomial(mu, {**exps, lam_top: 1}), label + "·" if label else "")
+             for deg, exps, label in subsets]
     torsion: List[TorsionGenerator] = []
     i = 1
     while 2 * i * p ** (n + 1) - 1 <= D:
         base_deg = 2 * i * p ** (n + 1) - 1
         length = nu_p(p, i) + 1
-        for deg, exps, label in _exterior_subsets(A, list(range(n)), D - base_deg):
-            name = (label + "·" if label else "") + f"λ{n + 1}({i})"
-            proj = sparse_monomial(A.ngens, {**exps, lam_top: 1, mu: i - 1})
-            torsion.append(TorsionGenerator(name, deg + base_deg, length, proj))
+        for deg, head, prefix in heads:
+            if deg <= D - base_deg:
+                torsion.append(TorsionGenerator(f"{prefix}λ{n + 1}({i})", deg + base_deg,
+                                                length, head + (i - 1,)))
         i += 1
     return TorsionPresentation(A, free, torsion, [deg for deg, _, _ in subsets])
 

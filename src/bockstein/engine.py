@@ -58,10 +58,12 @@ only the cells the homology built keep a solver.  A record costs its
 arithmetic, not its calls: each Leibniz term is one exponent sum signed
 from the algebra's odd-generator table (koszul_sign), the target's
 monomial index is built once per A-degree, the elimination reduces each
-row in the one list it is built in, the checks run in the walk that
-fires the records, and the homology is taken on the bars of each source
-and on one new top bar per target, while an A-degree that d_r only
-enters passes its old bars on.
+row in the one list it is built in, and one upward walk fires the
+records, checks them and forms the next state: the homology is taken on
+the bars of each source and, as soon as its record fires, on one new top
+bar per target, whose reps are read off the image's reduced echelon form
+with no identity rows built, while an A-degree that d_r only enters
+passes its old bars on.
 
 Reading the towers at base degree b: the classes that become boundaries on
 page r are towers of length r, the cycles that never do are free towers,
@@ -207,7 +209,7 @@ class DifferentialSchedule:
     future_min_page: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Cell:
     """The classes of one A-degree on one bar of one page.
 
@@ -271,10 +273,12 @@ def reach(deg_v: int, max_degree: int, pages: Sequence[int], localized: bool,
 
 # Runs whose estimate_cost exceeds this are refused as oversized.  As
 # `bockstein verify` (median of 5, a fresh interpreter from its start to
-# the exit, on a 2-vCPU Xeon with Python 3.11.7), v2 p=5 D=3000 (cost
-# 132,972), v2 p=2 D=2000 (90,230) and v1 p=3 D=4000 (82,986) take 0.11 s,
-# 0.12 s and 0.13 s, v1 p=3 D=20000 (346,661) takes 0.17 s and 21.5 MB
-# peak RSS, and v2 p=2 D=10000 (860,275) takes 0.25 s and 25 MB.  The cost
+# the exit, on a 2-vCPU Xeon with Python 3.11.7, whose speed varies by up
+# to about 1.6x from one minute to the next), v2 p=5 D=3000 (cost
+# 132,972), v2 p=2 D=2000 (90,230) and v1 p=3 D=4000 (82,986) take 0.19 s,
+# 0.22 s and 0.19 s, most of it the interpreter's start and the imports,
+# v1 p=3 D=20000 (346,661) takes 0.26 s and 21.6 MB peak RSS, and v2 p=2
+# D=10000 (860,275) takes 0.24 s and 23.7 MB.  The cost
 # counts every A-degree up to reach on every fired page, though E_1 holds
 # only the A-degrees the run reads (5,019 of 33,084 for v2 p=2 D=10000) and
 # a page fires only its cone, so it bounds the ladders' work loosely from
@@ -319,7 +323,7 @@ class EngineContext:
         return max(lo, -(a // dv)), min(hi, (top - a) // dv)
 
 
-@dataclass
+@dataclass(slots=True)
 class DiffRecord:
     target: object  # (t, s) in a page view; the target A-degree in PageData.maps
     matrix: List[List[int]]  # rows: source reps, cols: target reps
@@ -763,20 +767,24 @@ def _page_map(cell: Cell, images: Sequence[Element], tcell: Cell, tindex: Dict[M
     """d_r on the classes of one cell, in the coordinates of the target's
     classes, eliminated; None when it vanishes.  tindex gives the position
     of each of the target's monomials, which apply_page builds once for
-    all the bars of an A-degree."""
+    all the bars of an A-degree.  An untouched cell's classes are its
+    monomials, so their values are the images as they are."""
     mat: List[List[int]] = []
     nonzero = False
-    for dvec in _class_values(cell, images, p):
+    width = len(tindex)
+    for dvec in images if cell.reps is None else _class_values(cell, images, p):
         if not dvec:
             mat.append([0] * tcell.dim)
             continue
-        vec = [0] * len(tindex)
+        vec = [0] * width
         for mon, cc in dvec.items():
             pos = tindex.get(mon)
             if pos is None:
                 raise EngineAssertionError("differential leaves its bidegree")
             vec[pos] = cc
-        coeffs = tcell.express(vec, p)
+        # the values are reduced mod p, so an untouched target's coordinates
+        # are vec itself (Cell.express)
+        coeffs = vec if tcell.reps is None else tcell.express(vec, p)
         if coeffs is None:
             raise EngineAssertionError(
                 f"d_{r} value in A-degree {a} is not a class of the current page")
@@ -807,44 +815,68 @@ def _homology(cell: Cell, out: Optional[_Eliminated], image: Optional[_Eliminate
     rows of the incoming one (image), both in the coordinates of the cell's
     classes.  An untouched cell's classes are its monomials, so there a
     combination of classes is its own vector, and the combinations are the
-    reps and boundaries as they are.  A kernel row is reduced against an
-    echelon form only when that holds a row: both are reduced mod p."""
-    if out is None and image is None:
-        return cell
-    if out is not None:
+    reps and boundaries as they are.
+
+    Each kernel row is reduced against the image's reduced echelon form,
+    then against the new reps found so far.  Without an outgoing d_r the
+    kernel is every class, and identity row i reduced against a reduced
+    echelon form is e_i less the echelon row of pivot i, or e_i when i is
+    no pivot, so those rows are read off the echelon form and no identity
+    row is built or reduced.  The rows that stay nonzero are the new reps,
+    and there must be as many as the kernel's rows less the image's rank."""
+    if image is None:
+        if out is None:
+            return cell
         ker = out.kernel
+        im_rank = 0
     else:
-        n = cell.dim
-        ker = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    im_ech = {} if image is None else image.echelon
-    new_rep_combos: List[List[int]] = []
+        im_ech = image.echelon
+        im_rank = len(im_ech)
+        if out is not None:
+            ker = [linalg.reduce_row(kv, im_ech, p) for kv in out.kernel]
+        else:
+            n = cell.dim
+            ker = []
+            for i in range(n):
+                row = im_ech.get(i)
+                if row is None:
+                    row = [0] * n
+                    row[i] = 1
+                else:
+                    row = [-c % p for c in row]
+                    row[i] = 0  # the echelon row is 1 at its pivot
+                ker.append(row)
+    combos: List[List[int]] = []
     combo_ech: Dict[int, List[int]] = {}
-    for kv in ker:
-        red = linalg.reduce_row(kv, im_ech, p) if im_ech else kv
+    for red in ker:
         if combo_ech:
             red = linalg.reduce_row(red, combo_ech, p)
         if any(red):
             linalg.echelon_insert(combo_ech, red, p)
-            new_rep_combos.append(red)
-    if len(new_rep_combos) != len(ker) - len(im_ech):
+            combos.append(red)
+    if len(combos) != len(ker) - im_rank:
         raise EngineAssertionError(
             f"homology dimension bookkeeping failed at A-degree {a} on page {r}")
     reps = cell.reps
-    image_vecs = () if image is None else image.rec.matrix
     if reps is None:
-        new_reps = new_rep_combos
+        new_reps = combos
+        image_vecs = () if image is None else image.rec.matrix
     else:
         width = len(cell.monomials)
-        new_reps = [_combination(combo, reps, width, p) for combo in new_rep_combos]
-        image_vecs = [_combination(row, reps, width, p) for row in image_vecs]
-    return Cell(cell.monomials, new_reps, cell.boundaries + list(filter(any, image_vecs)))
+        new_reps = [_combination(combo, reps, width, p) for combo in combos]
+        image_vecs = () if image is None else [
+            _combination(row, reps, width, p) for row in image.rec.matrix]
+    # cells are not changed once built, so one that gains no boundary
+    # shares its list with the cell before it
+    boundaries = list(filter(any, image_vecs))
+    return Cell(cell.monomials, new_reps,
+                cell.boundaries + boundaries if boundaries else cell.boundaries)
 
 
-def _span(e: Optional[_Eliminated]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """Canonical form (reduced echelon) of the row space of a map."""
-    if e is None:
-        return ()
-    return tuple((piv, tuple(row)) for piv, row in sorted(e.echelon.items()))
+def _span(e: Optional[_Eliminated]) -> Dict[int, List[int]]:
+    """Canonical form of the row space of a map: its reduced echelon form,
+    which is unique, by pivot."""
+    return {} if e is None else e.echelon
 
 
 def _cones(ctx: EngineContext,
@@ -912,9 +944,15 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
     no identity rows: _page_map reads its classes' values off the images,
     _homology takes a combination of its classes as its own vector, and as
     a target it expresses a vector as itself (Cell.express), so only the
-    cells _homology made build a solver.  _homology runs on each bar of a
-    source and on the new top bar of each target; a target's old bars
-    pass on as they are.
+    cells _homology made build a solver.
+
+    One upward walk fires the records and forms the next page's state.
+    _homology runs on each bar of a source as its record fires, and then
+    on the target's new top bar: the target lies below the source, so its
+    own record, if any, has fired, and it is divided by the record's
+    image at once.  Without an outgoing record the target's new reps are
+    read off the image's reduced echelon form.  A target's old bars pass
+    on as they are; with v inverted its one bar is replaced.
     """
     ctx = pd.ctx
     p = ctx.A.p
@@ -932,12 +970,18 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
     shift = 1 + r * ctx.deg_v
 
     # d_r per A-degree and bar, into the target's top bar: a target sits at
-    # filtration >= r, where every fired page's boundaries have arrived;
-    # elim holds each bar's record eliminated, beside maps.  The walk goes
-    # up, so a record's target has its own record, if any, already.
+    # filtration >= r, where every fired page's boundaries have arrived.
+    # The walk goes up and a record's target lies below its source, so the
+    # target's own record, if any, has fired (tops holds each A-degree's
+    # top-bar record eliminated): the record is checked against it and
+    # forms the target's new state at once.  Every bar of a source loses
+    # the cycles that support d_r; the boundaries of page r reach
+    # filtration r on, where they start a new top bar over the target's
+    # bars (with v inverted they reach every filtration, and the one bar
+    # is replaced), so an A-degree that d_r only enters keeps its old bars.
     maps: Dict[int, Bars] = {}
-    elim: Dict[int, List[Optional[_Eliminated]]] = {}
-    incoming: Dict[int, _Eliminated] = {}
+    tops: Dict[int, _Eliminated] = {}
+    degrees = dict(pd.degrees)
     index = _rule_degrees(ctx.A, gens, ctx.reach) if cone is None else cone
     for a in _set_bits(index):
         bars = pd.degrees.get(a)
@@ -946,48 +990,40 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
         images = [_d_of_monomial(ctx, gens, m) for m in bars[0][1].monomials]
         if not any(images):
             continue
-        tbars = pd.degrees.get(a - shift)
+        ta = a - shift
+        tbars = pd.degrees.get(ta)
         if tbars is None:
             raise EngineAssertionError("differential leaves its bidegree")
         tcell = tbars[-1][1]
-        tindex = {mon: i for i, mon in enumerate(tcell.monomials)}
-        row = [_page_map(cell, images, tcell, tindex, p, r, a, a - shift) for _, cell in bars]
-        if not any(row):  # an _Eliminated is a nonempty tuple
+        tindex = dict(zip(tcell.monomials, range(len(tcell.monomials))))
+        row = [_page_map(cell, images, tcell, tindex, p, r, a, ta) for _, cell in bars]
+        top = row[-1]
+        if top is None and not any(row):  # an _Eliminated is a nonempty tuple
             continue
         # d_r o d_r must vanish; the target's d_r is read at its top bar
-        second = maps[a - shift][-1][1] if a - shift in maps else None
+        second = tops.get(ta)
         if second is not None:
             for e in row:
                 if e is not None and any(
-                        map(any, linalg.mat_mul(e.rec.matrix, second.matrix, p))):
+                        map(any, linalg.mat_mul(e.rec.matrix, second.rec.matrix, p))):
                     raise EngineAssertionError(f"d_{r} o d_{r} != 0 out of A-degree {a}")
         # the sources of a tower's boundaries sit in every bar; d_r must hit
-        # the same classes from each, or it is not defined on E_r
-        if len(row) > 1 and len({_span(e) for e in row}) > 1:
+        # the same classes from each, or it is not defined on E_r.  So past
+        # this check every bar has a record.
+        if len(row) > 1 and any(_span(e) != _span(top) for e in row):
             raise EngineAssertionError(
                 f"d_{r} out of A-degree {a} depends on the representatives")
-        maps[a] = tuple([(s, None if e is None else e.rec) for (s, _), e in zip(bars, row)])
-        elim[a] = row
-        incoming[a - shift] = row[-1]
-
-    # every bar of a source loses the cycles that support d_r; the
-    # boundaries of page r reach filtration r on, where they start a new top
-    # bar, so an A-degree that d_r only enters keeps its old bars
-    degrees = dict(pd.degrees)
-    for a in sorted(elim.keys() | incoming.keys()):
-        bars = pd.degrees[a]
-        row = elim.get(a)
-        out = None if row is None else row[-1]
-        image = incoming.get(a)
+        recs, kept = [], []
+        for (s, cell), e in zip(bars, row):
+            recs.append((s, e.rec))
+            kept.append((s, _homology(cell, e, None, p, r, a)))
+        maps[a] = tuple(recs)
+        degrees[a] = tuple(kept)
+        tops[a] = top
         if ctx.localized:
-            ((s, cell),) = bars
-            degrees[a] = ((s, _homology(cell, out, image, p, r, a)),)
-            continue
-        new = list(bars) if row is None else [
-            (s, _homology(cell, e, None, p, r, a)) for (s, cell), e in zip(bars, row)]
-        if image is not None:
-            new.append((r, _homology(bars[-1][1], out, image, p, r, a)))
-        degrees[a] = tuple(new)
+            degrees[ta] = ((tbars[0][0], _homology(tcell, second, top, p, r, ta)),)
+        else:
+            degrees[ta] += ((r, _homology(tcell, second, top, p, r, ta)),)
 
     pd.maps = maps
     return PageData(r + 1, ctx, degrees)
@@ -1263,26 +1299,33 @@ def _read_column(prof: TowerProfile, b: int, bars: Bars, future_min_page: Option
     boundaries on page r, so they are towers of length r.  With a future
     page at future_min_page, only the bars that start below it are read,
     and the classes of the last of them are unknown; leaving(cell) counts
-    those that may support an unfired differential."""
-    dims = [cell.dim for _, cell in bars]
-    for k in range(1, len(dims)):
-        if dims[k] > dims[k - 1]:
-            raise EngineAssertionError(
-                f"dimensions increase along the v-tower at base degree {b}")
+    those that may support an unfired differential.  One pass over the
+    bars checks that the dimensions never increase and adds the finite
+    towers, with no list of the dimensions built."""
     # observations past the smallest unfired page are not trustworthy
     top = (len(bars) if future_min_page is None
            else bisect_left(bars, future_min_page, key=itemgetter(0))) - 1
-    for k in range(1, top + 1):
-        for _ in range(dims[k - 1] - dims[k]):
-            prof.add(b, bars[k][0])
-    if future_min_page is None:
-        for _ in range(dims[top]):
+    below = bars[0][1].dim
+    for k in range(1, len(bars)):
+        s, cell = bars[k]
+        dim = cell.dim
+        if dim > below:
+            raise EngineAssertionError(
+                f"dimensions increase along the v-tower at base degree {b}")
+        if k <= top:
+            for _ in range(below - dim):
+                prof.add(b, s)
+        below = dim
+    if future_min_page is None:  # the top bar is the last one
+        for _ in range(below):
             prof.add(b, INF)
         return
     # a class that may support an unfired differential may hold no tower at
     # all, so it gets no lower bound; the rest can only be hit later
-    absent = leaving(bars[top][1]) if dims[top] else 0
+    last = bars[top][1]
+    left = last.dim
+    absent = leaving(last) if left else 0
     for _ in range(absent):
         prof.add(b, Unknown(possibly_absent=True))
-    for _ in range(dims[top] - absent):
+    for _ in range(left - absent):
         prof.add(b, Unknown(future_min_page))

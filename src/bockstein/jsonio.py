@@ -30,7 +30,7 @@ and the golden digests (tests/golden.py) pin its bytes.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Monomial
 from .engine import Cell, PageData
@@ -49,15 +49,14 @@ def _name(name: str, ascii_: bool) -> str:
     return name
 
 
+def _spell(names: Sequence[str], sep: str, m: Monomial) -> str:
+    """m written with one name per generator: its factors' names, each with
+    its exponent when above 1, joined by sep, or "1"."""
+    return sep.join([nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, m) if e]) or "1"
+
+
 def monomial_str(A: Algebra, m: Monomial, ascii_: bool = False) -> str:
-    parts = []
-    for g, e in zip(A.generators, m):
-        if e == 0:
-            continue
-        nm = _name(g.name, ascii_)
-        parts.append(nm if e == 1 else f"{nm}^{e}")
-    sep = "*" if ascii_ else "·"
-    return sep.join(parts) if parts else "1"
+    return _spell([_name(g.name, ascii_) for g in A.generators], "*" if ascii_ else "·", m)
 
 
 def _lead(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
@@ -78,12 +77,34 @@ def _with_v(lead: Optional[str], v_name: str, s: int, ascii_: bool) -> str:
     return vpart if lead == "1" else f"{lead}{sep}{vpart}"
 
 
-def _leads(A: Algebra, cell: Cell, ascii_: bool) -> List[Optional[str]]:
-    """The lead monomial of each class of a cell; an untouched cell's
-    classes are its monomials."""
-    if cell.reps is None:
-        return [monomial_str(A, mon, ascii_) for mon in cell.monomials]
-    return [_lead(A, cell.monomials, row, ascii_) for row in cell.reps]
+def _lead_renderer(A: Algebra, ascii_: bool,
+                   escape: bool) -> Callable[[Cell], List[Optional[str]]]:
+    """The lead monomial of each class of a cell (None for a zero row),
+    written as monomial_str writes it; an untouched cell's classes are its
+    monomials.  The generators' names are taken once, JSON-escaped with
+    escape: the separator, the carets and the digits need no escape, so a
+    lead is then its own JSON string body."""
+    names = [_name(g.name, ascii_) for g in A.generators]
+    if escape:
+        names = [_dumps(nm)[1:-1] for nm in names]
+    sep = "*" if ascii_ else "·"
+
+    def leads(cell: Cell) -> List[Optional[str]]:
+        mons = cell.monomials
+        if cell.reps is None:
+            return [_spell(names, sep, m) for m in mons]
+        return [next((_spell(names, sep, m) for m, c in zip(mons, row) if c), None)
+                for row in cell.reps]
+
+    return leads
+
+
+def _json_list(leads: Sequence[Optional[str]]) -> str:
+    """The JSON text of a nonempty list of escaped leads, as _dumps lays it
+    out; a missing lead is null."""
+    if None in leads:
+        return "[" + ", ".join("null" if x is None else f'"{x}"' for x in leads) + "]"
+    return '["' + '", "'.join(leads) + '"]'
 
 
 def rep_str(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
@@ -95,10 +116,11 @@ def rep_str(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
 def laurent_span(page: PageData, ascii_: bool = False) -> List[str]:
     """Representatives of the Laurent lines a localized page keeps: its
     classes at filtration 0 in the run's degrees 0..D."""
+    leads = _lead_renderer(page.ctx.A, ascii_, escape=False)
     return [_with_v(lead, page.ctx.v.name, 0, ascii_)
             for t in range(page.ctx.max_degree + 1)
             for s0, s1, cell in page.window(t) if s0 <= 0 <= s1
-            for lead in _leads(page.ctx.A, cell, ascii_)]
+            for lead in leads(cell)]
 
 
 def length_json(x) -> object:
@@ -129,16 +151,18 @@ _READING = ("schema", "v", "v_degree", "filtrations", "ascii")
 _dumps = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _degree_record(pd: PageData, a: int, reps: Dict[int, str], ascii_: bool) -> Optional[str]:
+def _degree_record(pd: PageData, a: int, reps: Dict[int, str],
+                   leads: Callable[[Cell], List[Optional[str]]]) -> Optional[str]:
     """The record of A-degree a on page pd, None when it shows no class;
-    reps holds each cell's lead monomials, rendered once per document."""
+    reps holds each cell's lead monomials as JSON, rendered once per
+    document by leads (_lead_renderer, with escaped names)."""
     runs = []
     for s0, s1, cell in pd.window(a):
         if not cell.dim:
             continue
         text = reps.get(id(cell))
         if text is None:
-            text = reps[id(cell)] = _dumps(_leads(pd.ctx.A, cell, ascii_))
+            text = reps[id(cell)] = _json_list(leads(cell))
         runs.append(f"[{s0}, {s1}, {cell.dim}, {text}]")
     return f'{{"a": {a}, "levels": [{", ".join(runs)}]}}' if runs else None
 
@@ -178,11 +202,12 @@ def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[
     out = ['{"meta": ', _dumps({**meta, "tool_version": TOOL_VERSION, **reading}),
            ',\n"pages": [']
     reps: Dict[int, str] = {}
+    leads = _lead_renderer(ctx.A, ascii_, escape=True) if ctx else None
     records: Dict[int, Optional[str]] = {}
     before: Optional[PageData] = None
     for pd in pages:
         held = before.degrees if before is not None and before.ctx is pd.ctx else {}
-        records = {a: records[a] if held.get(a) is bars else _degree_record(pd, a, reps, ascii_)
+        records = {a: records[a] if held.get(a) is bars else _degree_record(pd, a, reps, leads)
                    for a, bars in pd.shown()}
         out += ("\n" if before is None else ",\n", f'{{"r": {pd.r}, "degrees": [')
         _items(out, records.values())

@@ -107,7 +107,8 @@ def _forward(rows: Sequence[Sequence[int]], ncols: int,
         for j in range(ncols):
             if r[j]:
                 inv = inv_mod(r[j], p)
-                fwd[j] = [(c * inv) % p for c in r]
+                # r is reduced mod p, so a pivot of 1 leaves it normalized
+                fwd[j] = r if inv == 1 else [(c * inv) % p for c in r]
                 cols.append(j)
                 cols.sort()
                 break

@@ -291,3 +291,41 @@ def test_ladder_presentations_equal_the_reference(presentation, monkeypatch):
         assert got.free_part == want.free_part
         assert got.torsion_generators == want.torsion_generators, D
     assert len({g.name for g in got.torsion_generators}) > 10
+
+
+def _t0n_presentation_reference(p, n, max_degree):
+    """t0n_presentation as it was before it enumerated the lambda-products
+    once, kept as its reference: one _exterior_subsets call per step i."""
+    A = thh_mod_p_algebra(p, n)
+    mu = A.ngens - 1
+    lam_top = n
+    D = max_degree
+    subsets = _exterior_subsets(A, list(range(n)), D)
+    free = [sparse_monomial(A.ngens, exps) for _, exps, _ in subsets]
+    torsion = []
+    i = 1
+    while 2 * i * p ** (n + 1) - 1 <= D:
+        base_deg = 2 * i * p ** (n + 1) - 1
+        length = nu_p(p, i) + 1
+        for deg, exps, label in _exterior_subsets(A, list(range(n)), D - base_deg):
+            name = (label + "·" if label else "") + f"λ{n + 1}({i})"
+            proj = sparse_monomial(A.ngens, {**exps, lam_top: 1, mu: i - 1})
+            torsion.append(TorsionGenerator(name, deg + base_deg, length, proj))
+        i += 1
+    return TorsionPresentation(A, free, torsion, [deg for deg, _, _ in subsets])
+
+
+@pytest.mark.parametrize("p, n", [(2, 0), (2, 1), (2, 3), (2, 4), (3, 0), (3, 2), (5, 1),
+                                  (7, 1), (2, 8)])
+def test_t0n_presentation_equals_the_reference(p, n):
+    # the same free part and degrees and the same generators (names,
+    # degrees, lengths, projections) in the same order, at windows below,
+    # at and above the torsion's first degree and the products' degrees
+    seen = 0
+    for D in (0, 3, 31, 63, 100, 1000, 5000):
+        got, want = t0n_presentation(p, n, D), _t0n_presentation_reference(p, n, D)
+        assert got.free_part == want.free_part
+        assert got.free_degrees == want.free_degrees
+        assert got.torsion_generators == want.torsion_generators, D
+        seen += len(got.torsion_generators)
+    assert seen > 10

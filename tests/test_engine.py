@@ -3,7 +3,9 @@ import json
 import random
 import tracemalloc
 import warnings
+from bisect import bisect_left
 from collections import defaultdict
+from operator import itemgetter
 
 import pytest
 
@@ -1675,6 +1677,15 @@ def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypa
     emit_json(pages, profile, {})
     _, local, _ = Case("v2", 3, 120, localized=True).run()
     assert laurent_span(local[-1]) == ["1"]
+    # v0 p=2 n=3 D=1000 fires 244 records on 1 x 1 cells: each target's new
+    # top bar reads its reps off the image's echelon form, and a source's
+    # kernel is empty, so no row is reduced (one reduce_row per record when
+    # the target's identity rows were built and reduced)
+    monkeypatch.setattr(linalg, "reduce_row", _counted(calls, "reduce_row", linalg.reduce_row))
+    _, v0_pages, _ = Case("v0", 2, 1000, n=3).run()
+    assert sum(rec is not None for pd in v0_pages for bars in pd.maps.values()
+               for _, rec in bars) == 244
+    assert calls["reduce_row"] == 0
     monkeypatch.undo()
     assert calls["untouched reps_rows"] == 0
 
@@ -1689,3 +1700,146 @@ def test_a_capped_run_builds_no_identity_rows(monkeypatch):
     for t in (64, 83, 103):
         assert any(x.possibly_absent for x in profile.lengths(t) if isinstance(x, Unknown))
     assert calls["reps_rows"] == 0
+
+
+def _reference_read_column(prof, b, bars, future_min_page, leaving):
+    """engine._read_column as it was before it read the bars in one pass,
+    kept as its reference: a list of every bar's dimension, the check that
+    they never increase, then the towers."""
+    dims = [cell.dim for _, cell in bars]
+    for k in range(1, len(dims)):
+        if dims[k] > dims[k - 1]:
+            raise engine.EngineAssertionError(
+                f"dimensions increase along the v-tower at base degree {b}")
+    top = (len(bars) if future_min_page is None
+           else bisect_left(bars, future_min_page, key=itemgetter(0))) - 1
+    for k in range(1, top + 1):
+        for _ in range(dims[k - 1] - dims[k]):
+            prof.add(b, bars[k][0])
+    if future_min_page is None:
+        for _ in range(dims[top]):
+            prof.add(b, INF)
+        return
+    absent = leaving(bars[top][1]) if dims[top] else 0
+    for _ in range(absent):
+        prof.add(b, Unknown(possibly_absent=True))
+    for _ in range(dims[top] - absent):
+        prof.add(b, Unknown(future_min_page))
+
+
+def _marked(profile):
+    """A profile with its unknowns' advisory marks: lower bounds and the
+    possibly-absent mark, which TowerProfile's equality leaves out."""
+    return {t: [length_str(x) for x in profile.towers[t]] for t in profile.degrees()}
+
+
+@pytest.mark.parametrize("case", golden.all_cases(), ids=golden.case_id)
+def test_towers_are_read_as_the_reference_reads_them(case, monkeypatch):
+    # every golden case and page-cap sweep point: the final page's towers
+    # read again with the reference column reader give the same lengths,
+    # the same unknowns' lower bounds and the same possibly-absent marks
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sched, pages, profile = case.run()
+    ctx = pages[-1].ctx
+    unfired = {r: _page_generators(ctx.A, ctx.deg_v, sched.pages[r]) for r in sorted(sched.pages)
+               if case.page_cap is not None and r > case.page_cap}
+    monkeypatch.setattr(engine, "_read_column", _reference_read_column)
+    want = engine.extract_towers(pages[-1], sched, unfired)
+    assert _marked(profile) == _marked(want)
+    assert profile.towers
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_read_column_equals_the_reference_on_random_bars(seed):
+    # random bars of 1-5 cells of dimension 0-4 starting at 0 and at random
+    # pages, mostly non-increasing, with and without a future page (below,
+    # among and above the bars' starts); leaving counts a part of the top
+    # cell's classes.  The same towers and marks, or the same refusal
+    rng = random.Random(seed)
+    seen = defaultdict(int)
+
+    def leaving(cell):
+        return len(cell.monomials) % (cell.dim + 1)
+
+    for _ in range(400):
+        starts = [0] + sorted(rng.sample(range(1, 30), rng.randint(0, 4)))
+        dims = [rng.randint(0, 4)]
+        for _ in starts[1:]:
+            dims.append(rng.randint(0, dims[-1]) if rng.random() < 0.9 else rng.randint(0, 5))
+        bars = tuple((s, Cell(tuple((i,) for i in range(rng.randint(d, 5))), [[1]] * d))
+                     for s, d in zip(starts, dims))
+        future = None if rng.random() < 0.4 else rng.randint(1, 32)
+        got, want = TowerProfile(10), TowerProfile(10)
+        errors = []
+        for reader, prof in ((engine._read_column, got), (_reference_read_column, want)):
+            try:
+                reader(prof, 7, bars, future, leaving)
+                errors.append(None)
+            except engine.EngineAssertionError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+        if errors[0] is None:
+            assert _marked(got) == _marked(want)
+            seen["unknown" if got.has_unknown() else "read"] += 1
+        else:
+            seen["refused"] += 1
+        seen[min(len(bars), 2)] += 1
+    assert min(seen[k] for k in ("unknown", "read", "refused", 1, 2)) >= 20, dict(seen)
+
+
+def _reference_next_state(pd):
+    """The state after page pd as the walk that gathered the fired records
+    first and then took the homology of each A-degree they leave or enter,
+    in increasing order, built it, from pd's records by _reference_homology:
+    each bar of a source loses its cycles, and a target gains a new top bar
+    (with v inverted, its one bar is replaced) from its old top bar, its
+    own top record and the incoming one."""
+    ctx, r, p = pd.ctx, pd.r, pd.ctx.A.p
+    shift = 1 + r * ctx.deg_v
+    incoming = {a - shift: bars[-1][1].matrix for a, bars in pd.maps.items()}
+    state = dict(pd.degrees)
+    for a in sorted(pd.maps.keys() | incoming.keys()):
+        bars, out, image = pd.degrees[a], pd.maps.get(a), incoming.get(a)
+        tdim = None if out is None else pd.degrees[a - shift][-1][1].dim
+        top = None if out is None else out[-1][1].matrix
+        if ctx.localized:
+            ((s, cell),) = bars
+            state[a] = ((s, _reference_homology(cell, top, tdim, image, p)),)
+            continue
+        new = list(bars) if out is None else [
+            (s, _reference_homology(cell, rec.matrix, tdim, None, p))
+            for (s, cell), (_, rec) in zip(bars, out)]
+        if image is not None:
+            new.append((r, _reference_homology(bars[-1][1], top, tdim, image, p)))
+        state[a] = tuple(new)
+    return state
+
+
+def _step_cases():
+    out = [(label, lambda A=A, s=s, w=w: run(A, s, w)[0]) for label, A, s, w in HAND_BUILT]
+    out += [(label + "-loc", lambda A=A, s=s, w=w: run(A, s, w, localized=True)[0])
+            for label, A, s, w in HAND_BUILT if s.v.degree]
+    out += [(golden.case_id(c), lambda c=c: c.run()[1]) for c in (
+        Case("v2", 2, 120, localized=True), Case("v0", 2, 200, n=3),
+        Case("v1", 3, 130, page_cap=27), Case("conj", 3, 160, n=4, m=3))]
+    return out
+
+
+@pytest.mark.parametrize("label, pages_of", _step_cases(), ids=[c[0] for c in _step_cases()])
+def test_each_page_builds_the_state_the_reference_builds(label, pages_of):
+    # apply_page forms each target's new top bar in the upward walk that
+    # fires the records, as soon as the target's incoming record fires;
+    # every fired page must leave the state the two-pass reference builds
+    # from the same records, on runs whose A-degrees are both a source and
+    # a target of one page (the hand-built ones, localized included)
+    pages = pages_of()
+    both = 0
+    for pd, nxt in zip(pages, pages[1:]):
+        if not pd.maps:
+            continue
+        shift = 1 + pd.r * pd.ctx.deg_v
+        both += len(pd.maps.keys() & {a - shift for a in pd.maps})
+        assert nxt.degrees == _reference_next_state(pd), pd.r
+    if label in ("powers-p2", "high-source-p5", "powers-p2-loc", "high-source-p5-loc"):
+        assert both > 0

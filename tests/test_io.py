@@ -7,11 +7,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from bockstein.algebra import EXTERIOR, POLYNOMIAL, Algebra, GeneratorSpec
 from bockstein.cases import Case
 from bockstein.closedform import thh_mod_p_algebra
 from bockstein.engine import Cell, PageData, Window, run, schedule_v0, schedule_v2
-from bockstein.jsonio import (emit_json, expand, json_fragments, monomial_str, parse_json, rep_str,
-                             towers_record)
+from bockstein.jsonio import (_json_list, _lead_renderer, emit_json, expand, json_fragments,
+                             monomial_str, parse_json, rep_str, towers_record)
 from bockstein import svg
 from bockstein.svg import ChartStyle, chart_marks, draw_chart, emit_svg
 from bockstein.towers import TowerProfile
@@ -347,3 +348,26 @@ def test_empty_document():
                                           "localized": False, "variant": None})
     for doc in (json.loads(text), json.loads(expand(text))):
         assert doc["pages"] == [] and doc["towers"] == []
+
+
+@pytest.mark.parametrize("ascii_", [False, True])
+def test_the_lead_renderer_writes_what_json_writes(ascii_):
+    # generator names JSON must escape (a quote, a backslash, a control
+    # character) beside non-ASCII ones, on untouched and touched cells, a
+    # zero rep row among them: the escaped leads joined as a JSON list are
+    # the bytes json gives for monomial_str's leads, and the plain leads
+    # are monomial_str's
+    A = Algebra(3, (GeneratorSpec('a"1', 1, EXTERIOR), GeneratorSpec("b\\2", 3, EXTERIOR),
+                    GeneratorSpec("λ\t", 2, POLYNOMIAL), GeneratorSpec("μ3", 4, POLYNOMIAL)))
+    mons = ((0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 2, 0), (0, 1, 1, 3), (0, 0, 0, 1))
+    cells = [Cell(mons), Cell(mons[:1]), Cell(mons, [[0, 0, 1, 2, 0], [0, 0, 0, 0, 0],
+                                                      [2, 1, 0, 0, 1], [0, 0, 0, 0, 1]])]
+    escaped = _lead_renderer(A, ascii_, escape=True)
+    plain = _lead_renderer(A, ascii_, escape=False)
+    for cell in cells:
+        rows = cell.reps_rows()
+        want = [next((monomial_str(A, m, ascii_) for m, c in zip(cell.monomials, row) if c), None)
+                for row in rows]
+        assert plain(cell) == want
+        assert _json_list(escaped(cell)) == json.dumps(want, ensure_ascii=False)
+    assert None in want and '\\"' in _json_list(escaped(cells[0]))
