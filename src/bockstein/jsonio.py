@@ -16,9 +16,13 @@ rep a lead monomial without its v-power; and `differentials`: per source
 A-degree `a`, its target `to` and `runs` [s_from, s_to, rank, matrix], the
 bars of d_r as PageData.window_maps cuts them (sources in degrees
 0..D + 1 whose targets are in the view).  The writer reads a page only
-through those readers.  json_fragments lays the text out as a flat list
-of fragments, each A-degree's record one string shared by the pages that
-show it; emit_json joins it and `run --json` streams it.
+through those readers, cutting the bars shown() lists as window does.
+json_fragments lays the text out as a flat list of fragments, each
+A-degree's record one string shared by the pages that show it; emit_json
+joins it and `run --json` streams it.  Records are formatted from ints
+and from strings made once per document (escaped generator names, each
+cell's level text); a d_r matrix, a list of lists of ints, is its own
+JSON text as str writes it, so the encoder writes only meta and names.
 
 Schema 1 is the (t, s) reading, in the layout of json.dumps(doc,
 indent=1, ensure_ascii=False): per page `classes` {t, s, dim, reps with
@@ -33,7 +37,7 @@ import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Monomial
-from .engine import Cell, PageData
+from .engine import Bars, Cell, PageData, _clip_bars
 from .towers import INF, TowerProfile, Unknown
 
 TOOL_VERSION = "0.1.0"
@@ -57,14 +61,6 @@ def _spell(names: Sequence[str], sep: str, m: Monomial) -> str:
 
 def monomial_str(A: Algebra, m: Monomial, ascii_: bool = False) -> str:
     return _spell([_name(g.name, ascii_) for g in A.generators], "*" if ascii_ else "·", m)
-
-
-def _lead(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
-          ascii_: bool) -> Optional[str]:
-    for mon, c in zip(monomials, row):
-        if c:
-            return monomial_str(A, mon, ascii_)
-    return None
 
 
 def _with_v(lead: Optional[str], v_name: str, s: int, ascii_: bool) -> str:
@@ -107,12 +103,6 @@ def _json_list(leads: Sequence[Optional[str]]) -> str:
     return '["' + '", "'.join(leads) + '"]'
 
 
-def rep_str(A: Algebra, monomials: Sequence[Monomial], row: Sequence[int],
-            v_name: str, s: int, ascii_: bool = False) -> str:
-    """Lead-monomial string of a representative row, with the v-power."""
-    return _with_v(_lead(A, monomials, row, ascii_), v_name, s, ascii_)
-
-
 def laurent_span(page: PageData, ascii_: bool = False) -> List[str]:
     """Representatives of the Laurent lines a localized page keeps: its
     classes at filtration 0 in the run's degrees 0..D."""
@@ -123,25 +113,12 @@ def laurent_span(page: PageData, ascii_: bool = False) -> List[str]:
             for lead in leads(cell)]
 
 
-def length_json(x) -> object:
-    if isinstance(x, Unknown):
-        return "unknown"
-    if x == INF:
-        return "inf"
-    return int(x)
-
-
 def length_from_json(x) -> object:
     if x == "unknown":
         return Unknown()
     if x == "inf":
         return INF
     return int(x)
-
-
-def towers_record(profile: TowerProfile) -> List[dict]:
-    return [{"t": d, "lengths": [length_json(x) for x in profile.towers[d]]}
-            for d in profile.degrees()]
 
 
 # the keys schema 2 adds to the caller's meta, which expand drops again
@@ -151,29 +128,42 @@ _READING = ("schema", "v", "v_degree", "filtrations", "ascii")
 _dumps = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _degree_record(pd: PageData, a: int, reps: Dict[int, str],
+def _degree_record(pd: PageData, a: int, bars: Bars, reps: Dict[int, str],
                    leads: Callable[[Cell], List[Optional[str]]]) -> Optional[str]:
-    """The record of A-degree a on page pd, None when it shows no class;
-    reps holds each cell's lead monomials as JSON, rendered once per
-    document by leads (_lead_renderer, with escaped names)."""
+    """The record of A-degree a, whose bars page pd shows, None when it
+    shows no class; the bars are cut as PageData.window cuts them.  reps
+    holds the text each cell gives a level after its filtrations, rendered
+    once per document: its dim and its lead monomials (leads, with escaped
+    names), or "" for a cell with no class."""
     runs = []
-    for s0, s1, cell in pd.window(a):
-        if not cell.dim:
-            continue
+    for s0, s1, cell in _clip_bars(bars, *pd.ctx._filtrations(a, pd.ctx.max_degree)):
         text = reps.get(id(cell))
         if text is None:
-            text = reps[id(cell)] = _json_list(leads(cell))
-        runs.append(f"[{s0}, {s1}, {cell.dim}, {text}]")
+            dim = cell.dim
+            text = reps[id(cell)] = f", {dim}, {_json_list(leads(cell))}]" if dim else ""
+        if text:
+            runs.append(f"[{s0}, {s1}{text}")
     return f'{{"a": {a}, "levels": [{", ".join(runs)}]}}' if runs else None
 
 
 def _diff_record(pd: PageData, a: int) -> Optional[str]:
     """The record of d_r out of A-degree a on page pd, None when
-    window_maps shows none of it."""
-    runs = [f"[{s0}, {s1}, {rec.rank}, {_dumps(rec.matrix)}]"
-            for s0, s1, rec in pd.window_maps(a)]
+    window_maps shows none of it.  A matrix is a list of lists of ints,
+    whose str is its JSON text."""
+    runs = [f"[{s0}, {s1}, {rec.rank}, {rec.matrix}]" for s0, s1, rec in pd.window_maps(a)]
     target = a - 1 - pd.r * pd.ctx.deg_v
     return f'{{"a": {a}, "to": {target}, "runs": [{", ".join(runs)}]}}' if runs else None
+
+
+def _towers(profile: TowerProfile) -> List[str]:
+    """The record of each degree of a profile: t and its lengths, each an
+    int, "inf" or "unknown" (which drops an unknown's advisory marks)."""
+    out = []
+    for d in profile.degrees():
+        lengths = ", ".join(['"unknown"' if isinstance(x, Unknown) else '"inf"' if x == INF
+                             else str(int(x)) for x in profile.towers[d]])
+        out.append(f'{{"t": {d}, "lengths": [{lengths}]}}')
+    return out
 
 
 def _items(out: List[str], items) -> None:
@@ -207,7 +197,7 @@ def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[
     before: Optional[PageData] = None
     for pd in pages:
         held = before.degrees if before is not None and before.ctx is pd.ctx else {}
-        records = {a: records[a] if held.get(a) is bars else _degree_record(pd, a, reps, leads)
+        records = {a: records[a] if held.get(a) is bars else _degree_record(pd, a, bars, reps, leads)
                    for a, bars in pd.shown()}
         out += ("\n" if before is None else ",\n", f'{{"r": {pd.r}, "degrees": [')
         _items(out, records.values())
@@ -216,7 +206,7 @@ def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[
         out.append("]}")
         before = pd
     out.append('],\n"towers": [')
-    _items(out, [_dumps(rec) for rec in towers_record(profile)])
+    _items(out, _towers(profile))
     out.append("]}\n")
     return out
 

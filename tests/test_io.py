@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 import tracemalloc
@@ -10,13 +11,41 @@ import pytest
 from bockstein.algebra import EXTERIOR, POLYNOMIAL, Algebra, GeneratorSpec
 from bockstein.cases import Case
 from bockstein.closedform import thh_mod_p_algebra
-from bockstein.engine import Cell, PageData, Window, run, schedule_v0, schedule_v2
-from bockstein.jsonio import (_json_list, _lead_renderer, emit_json, expand, json_fragments,
-                             monomial_str, parse_json, rep_str, towers_record)
-from bockstein import svg
+from bockstein.engine import (Cell, DiffRecord, PageData, Window, run, schedule_v0,
+                              schedule_v2)
+from bockstein.jsonio import (_json_list, _lead_renderer, _with_v, emit_json, expand,
+                             json_fragments, monomial_str, parse_json)
+from bockstein import jsonio, svg
 from bockstein.svg import ChartStyle, chart_marks, draw_chart, emit_svg
-from bockstein.towers import TowerProfile
+from bockstein.towers import INF, TowerProfile, Unknown
 import golden
+
+
+def _lead(A, monomials, row, ascii_):
+    for mon, c in zip(monomials, row):
+        if c:
+            return monomial_str(A, mon, ascii_)
+    return None
+
+
+def rep_str(A, monomials, row, v_name, s, ascii_=False):
+    """Lead-monomial string of a representative row, with the v-power."""
+    return _with_v(_lead(A, monomials, row, ascii_), v_name, s, ascii_)
+
+
+def length_json(x):
+    if isinstance(x, Unknown):
+        return "unknown"
+    if x == INF:
+        return "inf"
+    return int(x)
+
+
+def towers_record(profile):
+    """The writer's towers as the encoder was given them: the reference the
+    tower text is checked against."""
+    return [{"t": d, "lengths": [length_json(x) for x in profile.towers[d]]}
+            for d in profile.degrees()]
 
 
 def _v0_run(D=58):
@@ -280,37 +309,57 @@ def _draw_chart_reference(page, dots, arrows, style, max_degree, title=""):
     return "\n".join(out)
 
 
-CHART_CASES = [Case("v2", 2, 120, page_cap=8), Case("v1", 3, 120, localized=True),
-               Case("v0", 2, 58, n=2)]
+# the chart page of every case of the benchmark's three workloads (ladders,
+# localized and page caps), the first two the fan-out test's, and a v0 run
+CHART_CASES = ([Case("v2", 2, 120, page_cap=8), Case("v1", 3, 120, localized=True),
+                Case("v2", 2, 120, localized=True), Case("v2", 3, 120, localized=True),
+                Case("v1", 3, 400), Case("v2", 2, 160), Case("v2", 3, 200),
+                Case("conj", 3, 200, n=3, m=1), Case("conj", 3, 200, n=3, m=2),
+                Case("v0", 2, 1000, n=3), Case("v0", 2, 1000, n=4)]
+               + [Case("v2", 2, 120, page_cap=c) for c in (18, 36)]
+               + [Case("v1", 3, 400, page_cap=c) for c in (27, 90)] + [Case("v0", 2, 58, n=2)])
+# the d_r arrows a whole chart draws, where there are any
+CHART_ARROWS = {Case("v2", 2, 120, page_cap=8): 20, Case("v1", 3, 400, page_cap=27): 214}
 
 
 @pytest.mark.parametrize("case", CHART_CASES, ids=golden.case_id)
 def test_chart_equals_the_reference_drawer(case):
-    # the chart of a real page: arrows (v2 under cap 8), filtrations below 0
-    # (localized) and |v| = 0 (v0), whole and cut at max_filtration=2
+    # the chart of a real page: arrows (under caps 8 and 27), filtrations
+    # below 0 (localized) and |v| = 0 (v0), whole and cut at max_filtration=2
     sched, pages, _ = case.run()
     page = case.chart_page(pages)
     marks = chart_marks(page)
-    assert marks[0] and (marks[1] or case.page_cap is None)
+    assert marks[0]
+    charts = []
     for style in (ChartStyle(), ChartStyle(max_filtration=2)):
         want = _draw_chart_reference(page, *marks, style, case.D, sched.label)
         assert draw_chart(page, *marks, style, case.D, sched.label) == want
+        charts.append(want)
+    assert charts[0].count('stroke="#c00"') == CHART_ARROWS.get(case, 0)
 
 
 @pytest.mark.parametrize("case", CHART_CASES[:2], ids=golden.case_id)
 def test_chart_fans_out_as_the_reference_drawer(case):
     # no certified page holds a class of dimension > 1, so the fan-out is
     # drawn from made-up marks: dimensions 1 to 4 in every pairing along
-    # v-lines, marks past max_degree, below filtration 0 and above
-    # max_filtration, and arrows in and out of the chart
+    # v-lines, marks left of t = 0, past max_degree, below filtration 0 and
+    # above max_filtration, arrows in and out of the chart, and every dimension
+    # in the columns t = 0 and t = max_degree, whose v-line partners lie
+    # past max_degree
     _, pages, _ = case.run()
     page = case.chart_page(pages)
     dv, D = page.ctx.deg_v, 40
     dots = {(t, s): 1 + (3 * t * t + 5 * s * s + t * s) % 13 % 4
-            for t in range(D + 20) for s in range(-4, 6) if (t + s) % 3}
+            for t in range(-5, D + 20) for s in range(-4, 6) if (t + s) % 3}
+    dots.update({(t, s): 1 + s % 4 for t in (0, D) for s in range(-4, 6)})
+    dots.update({(D + dv, s): 1 + s % 3 for s in range(-3, 7)})
+    dots = dict(sorted(dots.items()))
     arrows = sorted(((t, s), (t - 1, s + r)) for (t, s) in dots for r in (1, 3) if t % 5 == 0)
     pairs = {(dim, dots[t + dv, s + 1]) for (t, s), dim in dots.items() if (t + dv, s + 1) in dots}
     assert pairs == {(a, b) for a in range(1, 5) for b in range(1, 5)}
+    for t in (0, D):
+        assert {dim for (t2, _), dim in dots.items() if t2 == t} == {1, 2, 3, 4}
+    assert all((D + dv, s + 1) in dots for s in range(-4, 6))
     for style in (ChartStyle(), ChartStyle(max_filtration=2)):
         want = _draw_chart_reference(page, dots, arrows, style, D, "fan")
         assert draw_chart(page, dots, arrows, style, D, "fan") == want
@@ -324,23 +373,77 @@ def test_svg_title_is_escaped():
 
 
 def test_unknown_serializes_per_schema():
-    from bockstein.towers import Unknown
-
     prof = TowerProfile(10)
     prof.add(3, Unknown(7))
-    assert towers_record(prof) == [{"t": 3, "lengths": ["unknown"]}]
+    assert json.loads(emit_json([], prof, {}))["towers"] == [{"t": 3, "lengths": ["unknown"]}]
 
 
 def test_possibly_absent_unknown_serializes_as_unknown():
-    from bockstein.towers import Unknown
-
     prof = TowerProfile(10)
     prof.add(3, Unknown(possibly_absent=True))
-    assert towers_record(prof) == [{"t": 3, "lengths": ["unknown"]}]
+    doc = emit_json([], prof, {"D": 10})
+    assert json.loads(doc)["towers"] == [{"t": 3, "lengths": ["unknown"]}]
     # the mark does not survive a round trip: it comes back a plain unknown
-    doc = json.dumps({"meta": {"D": 10}, "pages": [], "towers": towers_record(prof)})
     (back,) = parse_json(doc)[2].lengths(3)
     assert isinstance(back, Unknown) and not back.possibly_absent
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tower_text_is_what_json_writes_of_the_records(seed):
+    # random profiles of ints, INF, unknowns with a lower bound or the
+    # possibly-absent mark, several lengths at one degree, and an empty
+    # profile: the writer's towers are json.dumps of the records the
+    # encoder was given before the writer spelled them itself
+    rng = random.Random(seed)
+    lengths = [lambda: rng.randint(1, 10 ** rng.randint(1, 30)), lambda: INF, lambda: Unknown(),
+               lambda: Unknown(rng.randint(1, 99)), lambda: Unknown(possibly_absent=True)]
+    profiles = [TowerProfile(0)]
+    for _ in range(20):
+        prof = TowerProfile(200)
+        for t in rng.sample(range(201), rng.randint(1, 60)):
+            for _ in range(rng.choice((1, 1, 2, 5))):
+                prof.add(t, rng.choice(lengths)())
+        profiles.append(prof)
+    assert any(len(prof.lengths(t)) > 1 for prof in profiles for t in prof.degrees())
+    for prof in profiles:
+        want = ",\n".join(json.dumps(rec, ensure_ascii=False) for rec in towers_record(prof))
+        doc = emit_json([], prof, {})
+        assert doc.endswith('"towers": [' + ("\n" + want if want else "") + "]}\n")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_text_is_what_json_writes(seed):
+    # made-up d_r bars on a page whose matrices are random ints, [], [[]]
+    # and [[0, 0]] among them: each differential record is json.dumps of
+    # its runs as window_maps cuts them
+    ctx = Case("v2", 2, 50).run()[1][0].ctx
+    rng = random.Random(seed)
+    matrices = [[], [[]], [[0, 0]]] + [
+        [[rng.randint(0, 10 ** rng.randint(0, 25)) for _ in range(w)] for _ in range(h)]
+        for h, w in ((rng.randint(1, 6), rng.randint(0, 6)) for _ in range(40))]
+    pd = PageData(1, ctx, {})
+    pd.maps = {a: ((ctx.s_lo, DiffRecord(a - 1 - ctx.deg_v, m, rng.randint(0, 6))),)
+               for a, m in enumerate(matrices)}
+    want = [json.dumps({"a": a, "to": a - 1 - ctx.deg_v,
+                        "runs": [[s0, s1, rec.rank, rec.matrix] for s0, s1, rec in pd.window_maps(a)]},
+                       ensure_ascii=False) for a in sorted(pd.maps)]
+    records = [text for text in json_fragments([pd], TowerProfile(50), {})
+               if text.startswith('{"a": ')]
+    assert records == want and '"runs": []' not in "".join(want)
+
+
+def test_the_encoder_writes_only_the_meta_and_the_names(monkeypatch):
+    # every record is formatted from ints and strings prepared once per
+    # document: the encoder runs once for the meta and once for each
+    # generator's name (500 calls at v0 p=2 n=3 D=1000 when it also wrote
+    # each tower degree and each d_r run's matrix)
+    case = Case("v0", 2, 1000, n=3)
+    sched, pages, prof = case.run()
+    calls = []
+    encode = jsonio._dumps
+    monkeypatch.setattr(jsonio, "_dumps", lambda obj: calls.append(obj) or encode(obj))
+    emit_json(pages, prof, case.meta(sched))
+    assert len(calls) == 1 + len(pages[0].ctx.A.generators) == 6
 
 
 def test_empty_document():
