@@ -175,17 +175,23 @@ def sparse_monomial(ngens: int, exps: Mapping[int, int]) -> Monomial:
     return tuple(m)
 
 
-def koszul_sign(A: Algebra, m1: Monomial, m2: Monomial) -> int:
-    """The Koszul sign (1 or -1) of interleaving m2's factors into m1: each
-    odd-degree factor of m2 moves past the odd-degree factors of m1 to its
-    right.  It walks the odd-degree generators, from a table the algebra
-    builds once, and does not check the monomials."""
-    sign = right = 0  # right: parity of m1's odd factors right of j
+def koszul_flips(A: Algebra, m: Monomial) -> Tuple[int, ...]:
+    """The odd-degree generators with an odd number of m's odd-degree
+    factors to their right: the Koszul sign of m * m2 is -1 to the sum of
+    m2's exponents there, since each odd factor of m2 moves past those."""
+    out = []
+    right = 0  # parity of m's odd factors right of j
     for j in A._odd_from_right:  # type: ignore[attr-defined]
-        if m2[j] & 1:
-            sign ^= right
-        right ^= m1[j] & 1
-    return -1 if sign else 1
+        if right:
+            out.append(j)
+        right ^= m[j] & 1
+    return tuple(out)
+
+
+def koszul_sign(A: Algebra, m1: Monomial, m2: Monomial) -> int:
+    """The Koszul sign (1 or -1) of m1 * m2 (koszul_flips); the monomials
+    are not checked."""
+    return -1 if sum(map(m2.__getitem__, koszul_flips(A, m1))) & 1 else 1
 
 
 def mul_monomials(A: Algebra, m1: Monomial, m2: Monomial) -> Tuple[int, Monomial]:
@@ -261,7 +267,8 @@ def _free_walk(A: Algebra, max_degree: int,
     all-zero tail at once instead of visiting them.  With degrees, the last
     generator takes only the exponents that land in degrees, and of the
     earlier all-zero tails only those in degrees are yielded, so the walk
-    costs the monomials it keeps."""
+    costs the monomials it keeps.  The last generator's exponents are
+    yielded in one loop."""
     gens = A.generators
     if any(g.degree == 0 and g.kind == POLYNOMIAL for g in gens):
         raise InfiniteBasisError("infinite basis")
@@ -285,11 +292,19 @@ def _free_walk(A: Algebra, max_degree: int,
         if rem is not None:
             g = gens[len(stack)]
             top = rem // g.degree if g.degree else 1  # degree 0 here is exterior
-            exps: Iterable[int] = range((min(top, 1) if g.kind == EXTERIOR else top) + 1)
-            if lefts is not None and len(stack) == n - 1:
-                exps = [e for e in exps if rem - e * g.degree in lefts]
-            rems.append(rem)
-            stack.append(iter(exps))
+            exps = range((min(top, 1) if g.kind == EXTERIOR else top) + 1)
+            if len(stack) < n - 1:
+                rems.append(rem)
+                stack.append(iter(exps))
+            else:
+                for e in exps:
+                    left = rem - e * g.degree
+                    if lefts is None or left in lefts:
+                        cur[-1] = e
+                        yield tuple(cur), left
+                cur[-1] = 0
+                if not stack:
+                    break
         i = len(stack) - 1
         e = next(stack[i], None)
         rem = None

@@ -10,7 +10,8 @@ v_2 a length-k tower is a P(v)/v^k summand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import add
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
     EXTERIOR,
@@ -49,8 +50,7 @@ def rational_thh_dims(p: int, n: int, max_degree: int) -> Dict[int, int]:
     return {d: c for d, c in enumerate(dims) if c}
 
 
-@dataclass(frozen=True)
-class TorsionGenerator:
+class TorsionGenerator(NamedTuple):
     name: str
     degree: int
     length: int
@@ -72,18 +72,19 @@ class TorsionPresentation:
     free_degrees: Optional[List[int]] = None
 
     def __post_init__(self) -> None:
-        names = [t.name for t in self.torsion_generators]
-        if len(set(names)) != len(names):
+        names = {t.name for t in self.torsion_generators}
+        if len(names) != len(self.torsion_generators):
             raise ValueError("torsion generator names must be unique")
+        degree = self.algebra.degree
         for t in self.torsion_generators:
             if t.length < 1:
                 raise ValueError(f"{t.name}: tower length must be >= 1")
-            if self.algebra.degree(t.projection) != t.degree:
+            if degree(t.projection) != t.degree:
                 raise ValueError(
-                    f"{t.name}: projection degree {self.algebra.degree(t.projection)}"
+                    f"{t.name}: projection degree {degree(t.projection)}"
                     f" != stated degree {t.degree}")
         if self.free_degrees is None:
-            self.free_degrees = [self.algebra.degree(m) for m in self.free_part]
+            self.free_degrees = [degree(m) for m in self.free_part]
 
     def profile(self, max_degree: int) -> TowerProfile:
         prof = TowerProfile(max_degree)
@@ -181,6 +182,8 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
                 tail_deg += family.degree(idx)
             if head_deg + tail_deg > D:
                 continue
+            # the head and tails without mu, the last generator
+            head = sparse_monomial(A.ngens, exps)[:mu]
             m = 0
             while True:
                 if m % p == p - 1:
@@ -189,15 +192,15 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
                 deg0 = head_deg + tail_deg + m * step_mu_deg
                 if deg0 > D:
                     break
-                mexps = dict(exps)
-                mexps[mu] = mexps.get(mu, 0) + m * p ** (s - 1)
                 base_name = gen_name(s, m, tail)
-                for pdeg, pexps, plabel in products:
+                # the permanents are no head or tail: a projection is a sum
+                base = head + (exps[mu] + m * p ** (s - 1),)
+                for (pdeg, _, plabel), product in zip(products, free):
                     if pdeg > D - deg0:
                         continue
                     name = (plabel + "·" if plabel else "") + base_name
-                    proj = sparse_monomial(A.ngens, {**mexps, **pexps})
-                    torsion.append(TorsionGenerator(name, deg0 + pdeg, length, proj))
+                    torsion.append(TorsionGenerator(name, deg0 + pdeg, length,
+                                                    tuple(map(add, base, product))))
                 m += 1
         s += 1
     return TorsionPresentation(A, free, torsion, [deg for deg, _, _ in products])

@@ -33,7 +33,8 @@ from a fired page whose boundaries changed its cell.  A page that does not
 touch an A-degree passes its bars on unchanged.  With v inverted every
 page's boundaries reach every filtration, and each A-degree has one bar.
 PageData owns the window 0..D: its readers shown, window and window_maps
-cut the bars to it, and dim, the documents and the chart read only them.
+cut the bars to it, and dim, the documents and the chart read only them;
+window is the one place that cuts an A-degree's bars.
 
 Every page asserts, on the records it fires, d_r o d_r = 0, that d_r
 takes the same values from every bar (so it is defined on E_r), and the
@@ -55,10 +56,11 @@ And a cell no page has touched is the identity on its monomials: its
 classes' values are their images, a combination of them is its own
 vector, and it expresses a vector as itself, so it builds no rows and
 only the cells the homology built keep a solver.  A record costs its
-arithmetic, not its calls: each Leibniz term is one exponent sum signed
-from the algebra's odd-generator table (koszul_sign), the target's
-monomial index is built once per A-degree, the elimination reduces each
-row in the one list it is built in, and one upward walk fires the
+arithmetic, not its calls: a Leibniz term is an exponent sum and a
+parity (koszul_flips), the images are written once per A-degree as rows
+over the target's monomials, the elimination reduces each row in the one
+list it is built in, a record is plain tuples until its DiffRecord is
+made, a cell stores its dimension, and one upward walk fires the
 records, checks them and forms the next state: the homology is taken on
 the bars of each source and, as soon as its record fires, on one new top
 bar per target, whose reps are read off the image's reduced echelon form
@@ -91,7 +93,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, replace
-from itertools import takewhile
+from itertools import repeat, takewhile
 from operator import add, itemgetter, sub
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -104,7 +106,7 @@ from .algebra import (
     GeneratorSpec,
     Monomial,
     basis_up_to,
-    koszul_sign,
+    koszul_flips,
     require_prime,
     sparse_monomial,
 )
@@ -167,10 +169,11 @@ class RulePage:
     attach: Optional[Dict[int, int]] = None
 
 
-# a term of a rule's target over A: (coefficient mod p, monomial, and the
+# a term of a rule's target over A: (coefficient mod p, monomial, the
 # exterior generators it holds, which a cofactor must not hold for the
-# product to live)
-Term = Tuple[int, Monomial, Tuple[int, ...]]
+# product to live, and the symmetric difference of the koszul_flips of the
+# rule's source and of the term, where the cofactor's exponents sign it)
+Term = Tuple[int, Monomial, Tuple[int, ...], Tuple[int, ...]]
 
 
 class PageGenerators(NamedTuple):
@@ -209,28 +212,34 @@ class DifferentialSchedule:
     future_min_page: Optional[int] = None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Cell:
     """The classes of one A-degree on one bar of one page.
 
     reps is None for an untouched state (all monomials alive, no
     boundaries); otherwise rows of coefficients over the monomial list.
-    A cell is not changed once built, so the solver express builds is kept.
+    A cell is not changed once built, so its dimension is stored when it
+    is built, and the solver express builds is kept.
     """
 
     monomials: Tuple[Monomial, ...]
-    reps: Optional[List[List[int]]] = None
-    boundaries: List[List[int]] = field(default_factory=list)
-    _solver: Optional[linalg.CosetSolver] = field(default=None, init=False, repr=False,
-                                                  compare=False)
+    reps: Optional[List[List[int]]]
+    boundaries: List[List[int]]
+    dim: int = field(compare=False)
+    _solver: Optional[linalg.CosetSolver] = field(repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        return len(self.monomials) if self.reps is None else len(self.reps)
+    def __init__(self, monomials: Tuple[Monomial, ...], reps: Optional[List[List[int]]] = None,
+                 boundaries: Optional[List[List[int]]] = None) -> None:
+        self.monomials = monomials
+        self.reps = reps
+        self.boundaries = [] if boundaries is None else boundaries
+        self.dim = len(monomials if reps is None else reps)
+        self._solver = None
 
     def reps_rows(self) -> List[List[int]]:
         """The classes as rows over the monomials, identity rows for an
-        untouched cell.  A run never asks for them (_class_values)."""
+        untouched cell.  A run never asks for them: it takes a class's
+        value as its rep's combination of its monomials' (_combination)."""
         if self.reps is None:
             n = len(self.monomials)
             return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
@@ -366,9 +375,9 @@ class PageData:
 
     What a reader shows of them is cut to the window 0..D by shown(),
     window(a) and window_maps(a); dim, the documents and the chart read
-    only those.  cells and diffs are their (t, s) views, read-only mappings
-    computed from the bars when they are read, so a run builds neither;
-    only the benchmark's tracer reads them (ROADMAP B1).
+    only those.  cells and diffs are their (t, s) views,
+    read-only mappings computed from the bars when they are read, so a run
+    builds neither; only the benchmark's tracer reads them (ROADMAP B1).
     """
 
     def __init__(self, r: int, ctx: EngineContext, degrees: Dict[int, Bars]) -> None:
@@ -510,13 +519,16 @@ def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool = False,
     source, so that every rule can be checked against its state.  E_1
     holds every nonempty A-degree up to reach, or only those of needed, a
     bitset: run passes the A-degrees it reads (_cones), and the basis walk
-    enumerates only them (basis_up_to).
+    enumerates only them (basis_up_to), or every one when they are all of
+    0..reach, as with |v| = 0.
     """
     w = as_window(w)
     ctx = EngineContext(A, v, localized, w.max_degree, tuple(pages), max_source)
-    only = None if needed is None else _set_bits(needed)
-    degrees = {a: ((ctx.s_lo, Cell(tuple(mons))),)
-               for a, mons in sorted(basis_up_to(A, ctx.reach, only).items())}
+    every = needed is None or needed == (1 << ctx.reach + 1) - 1
+    only = None if every else _set_bits(needed)
+    basis = basis_up_to(A, ctx.reach, only)
+    # sorted by the degrees alone, which are distinct ints
+    degrees = {a: ((ctx.s_lo, Cell(tuple(basis[a]))),) for a in sorted(basis)}
     return PageData(1, ctx, degrees)
 
 
@@ -543,9 +555,15 @@ def _page_generators(A: Algebra, deg_v: int, page: RulePage) -> PageGenerators:
         raise MalformedRuleError("malformed rule (mu attached on a page with no power rule)")
     index: Dict[Monomial, int] = {}
     for i, c in attach.items():
-        index[tuple(1 if j == i else c if j == mu else 0 for j in range(A.ngens))] = i
+        gen = [0] * A.ngens
+        gen[i] = 1
+        if c:  # mu is not None, or the check above refused the page
+            gen[mu] = c
+        index[tuple(gen)] = i
     if mu is not None:
-        index[tuple(q if j == mu else 0 for j in range(A.ngens))] = mu
+        gen = [0] * A.ngens
+        gen[mu] = q
+        index[tuple(gen)] = mu
     rules: Dict[int, Tuple[int, Monomial, Tuple[Term, ...]]] = {}
     ends: List[Tuple[int, int]] = []
     for rule in page.rules:
@@ -570,7 +588,9 @@ def _page_generators(A: Algebra, deg_v: int, page: RulePage) -> PageGenerators:
         if tdeg != sdeg - 1:
             raise MalformedRuleError(
                 f"malformed rule (target degree {tdeg} != source degree {sdeg} - 1)")
-        terms = tuple((c % A.p, mon[:-1], tuple(j for j in exterior if mon[j]))
+        flips = set(koszul_flips(A, rule.source))
+        terms = tuple((c % A.p, mon[:-1], tuple(j for j in exterior if mon[j]),
+                       tuple(sorted(flips.symmetric_difference(koszul_flips(A, mon[:-1])))))
                       for mon, c in rule.target.items() if c % A.p)
         rules[gi] = (gi, rule.source, terms)
         ends.append((sdeg, ta))
@@ -600,7 +620,7 @@ def _validate_rules(pd: PageData, gens: PageGenerators) -> None:
             raise MalformedRuleError("malformed rule (target bidegree empty)")
         tcell = _bar_at(tbars, pd.r)
         tvec = [0] * len(tcell.monomials)
-        for c, amon, _ in terms:
+        for c, amon, _, _ in terms:
             if amon not in tcell.monomials:
                 raise MalformedRuleError("malformed rule (target outside bidegree)")
             tvec[tcell.monomials.index(amon)] = c
@@ -618,25 +638,25 @@ def _d_of_monomial(ctx: EngineContext, gens: PageGenerators, m: Monomial) -> Ele
     nothing.  Otherwise each factor g with a rule, N times in m (N = 1 for
     an exterior one), gives the Leibniz term N * d_r(g) * (m / g), signed
     by g * (m / g) = +-m.  Each term of d_r(g) * (m / g) is one product of
-    A-monomials, its exponent sum signed by koszul_sign, its coefficient
-    taken mod p.
+    A-monomials: its exponent sum, its coefficient taken mod p, signed by
+    the parity of the cofactor's exponents at the term's flips (Term).
     """
-    for i in gens.dead:
+    mu, q, dead, costs, rules, _ = gens
+    for i in dead:
         if m[i]:
             return {}
-    left = 0 if gens.mu is None else m[gens.mu]
-    for i, c in gens.costs:
+    left = 0 if mu is None else m[mu]
+    for i, c in costs:
         if m[i]:
             left -= c
-    if left < 0 or left % gens.q:
+    if left < 0 or left % q:
         return {}
-    A = ctx.A
-    p = A.p
+    p = ctx.A.p
     out: Element = {}
-    for i, source, terms in gens.rules:
+    for i, source, terms in rules:
         if not m[i]:
             continue
-        mult = (left // gens.q if i == gens.mu else 1) % p
+        mult = (left // q if i == mu else 1) % p
         if mult == 0:
             continue
         # m factors over the page generators, so the cofactor m / g is >= 0,
@@ -646,22 +666,18 @@ def _d_of_monomial(ctx: EngineContext, gens: PageGenerators, m: Monomial) -> Ele
         # test, and mul_monomials' length, exterior and negative checks
         # cannot fire here.
         cof = tuple(map(sub, m, source))
-        scale = koszul_sign(A, source, cof) * mult
-        for c, t, held in terms:
-            for j in held:
-                if cof[j]:
-                    break
+        exps = cof.__getitem__
+        for c, t, held, flips in terms:
+            if any(map(exps, held)):
+                continue
+            mon = tuple(map(add, t, cof))
+            # c and mult are units mod p: a sum of 0 cancels a held term
+            v = (out.get(mon, 0) + (-c if sum(map(exps, flips)) & 1 else c) * mult) % p
+            if v:
+                out[mon] = v
             else:
-                _accumulate(out, tuple(map(add, t, cof)), koszul_sign(A, t, cof) * scale * c, p)
+                del out[mon]
     return out
-
-
-def _accumulate(acc: Element, m: Monomial, c: int, p: int) -> None:
-    v = (acc.get(m, 0) + c) % p
-    if v:
-        acc[m] = v
-    else:
-        acc.pop(m, None)
 
 
 def _byte_bits() -> Tuple[Tuple[int, ...], ...]:
@@ -712,7 +728,7 @@ def _rule_degrees(A: Algebra, gens: PageGenerators, top: int) -> int:
     dmu = 0 if gens.mu is None else A.generators[gens.mu].degree
     out = 0
     for (gi, _, terms), (d, _) in zip(gens.rules, gens.ends):
-        for _, _, held in terms:
+        for _, _, held, _ in terms:
             bits = 1
             for i, g in enumerate(A.generators):
                 if i == gi or i in held:
@@ -733,73 +749,10 @@ def _rule_degrees(A: Algebra, gens: PageGenerators, top: int) -> int:
     return out
 
 
-class _Eliminated(NamedTuple):
-    """A d_r record of one bar with what one elimination of it gives (see
-    linalg.kernel_and_echelon): the left kernel, whose dimension is the
-    rows less the rank, and the reduced row echelon form of its rows."""
-
-    rec: DiffRecord
-    kernel: List[List[int]]
-    echelon: Dict[int, List[int]]
-
-
-def _class_values(cell: Cell, images: Sequence[Dict], p: int) -> Sequence[Dict]:
-    """The value of each class of a cell under a map given on its monomials
-    (images[j] the value of monomial j, as {key: coefficient mod p}).  An
-    untouched cell's classes are its monomials, so their values are the
-    images themselves; a class of a touched one takes its rep's combination
-    of them."""
-    if cell.reps is None:
-        return images
-    out = []
-    for rep in cell.reps:
-        val: Dict = {}
-        for c, img in zip(rep, images):
-            if c:
-                for key, cc in img.items():
-                    _accumulate(val, key, c * cc, p)
-        out.append(val)
-    return out
-
-
-def _page_map(cell: Cell, images: Sequence[Element], tcell: Cell, tindex: Dict[Monomial, int],
-              p: int, r: int, a: int, ta: int) -> Optional[_Eliminated]:
-    """d_r on the classes of one cell, in the coordinates of the target's
-    classes, eliminated; None when it vanishes.  tindex gives the position
-    of each of the target's monomials, which apply_page builds once for
-    all the bars of an A-degree.  An untouched cell's classes are its
-    monomials, so their values are the images as they are."""
-    mat: List[List[int]] = []
-    nonzero = False
-    width = len(tindex)
-    for dvec in images if cell.reps is None else _class_values(cell, images, p):
-        if not dvec:
-            mat.append([0] * tcell.dim)
-            continue
-        vec = [0] * width
-        for mon, cc in dvec.items():
-            pos = tindex.get(mon)
-            if pos is None:
-                raise EngineAssertionError("differential leaves its bidegree")
-            vec[pos] = cc
-        # the values are reduced mod p, so an untouched target's coordinates
-        # are vec itself (Cell.express)
-        coeffs = vec if tcell.reps is None else tcell.express(vec, p)
-        if coeffs is None:
-            raise EngineAssertionError(
-                f"d_{r} value in A-degree {a} is not a class of the current page")
-        mat.append(coeffs)
-        nonzero = nonzero or any(coeffs)
-    if not nonzero:
-        return None
-    kernel, echelon = linalg.kernel_and_echelon(mat, tcell.dim, p)
-    return _Eliminated(DiffRecord(ta, mat, len(mat) - len(kernel)), kernel, echelon)
-
-
 def _combination(combo: Sequence[int], reps: Sequence[Sequence[int]], width: int,
                  p: int) -> List[int]:
-    """The vector over a touched cell's width monomials of a combination of
-    its classes."""
+    """The vector over width coordinates of a combination of the rows
+    reps, such as a touched cell's classes over its monomials."""
     vec = [0] * width
     for c, rep in zip(combo, reps):
         if c:
@@ -809,42 +762,81 @@ def _combination(combo: Sequence[int], reps: Sequence[Sequence[int]], width: int
     return vec
 
 
-def _homology(cell: Cell, out: Optional[_Eliminated], image: Optional[_Eliminated],
-              p: int, r: int, a: int) -> Cell:
-    """The next page's cell: the kernel of the outgoing d_r (out) modulo the
-    rows of the incoming one (image), both in the coordinates of the cell's
-    classes.  An untouched cell's classes are its monomials, so there a
-    combination of classes is its own vector, and the combinations are the
-    reps and boundaries as they are.
+# one bar's d_r record eliminated (_record): its matrix, the matrix's left
+# kernel and its reduced echelon form by pivot
+_Eliminated = Tuple[List[List[int]], List[List[int]], Dict[int, List[int]]]
+
+
+def _record(cell: Cell, rows: List[List[int]], tcell: Cell, p: int, r: int,
+            a: int) -> Optional[_Eliminated]:
+    """d_r on the classes of one bar of A-degree a in the coordinates of
+    the target's classes, eliminated once (linalg.kernel_and_echelon):
+    (matrix, left kernel, reduced echelon form), or None when it vanishes.
+    rows are the bar's monomials' images over the target's monomials.  An
+    untouched cell's classes are its monomials, so their values are the
+    rows, and an untouched target's coordinates of a value, reduced mod p,
+    are the value itself (Cell.express)."""
+    if cell.reps is None:
+        values = rows
+    else:
+        width = len(tcell.monomials)
+        values = [_combination(rep, rows, width, p) for rep in cell.reps]
+    if tcell.reps is None:
+        mat = values
+    else:
+        mat = []
+        for vec in values:
+            coeffs = tcell.express(vec, p) if any(vec) else [0] * tcell.dim
+            if coeffs is None:
+                raise EngineAssertionError(
+                    f"d_{r} value in A-degree {a} is not a class of the current page")
+            mat.append(coeffs)
+    if not any(map(any, mat)):
+        return None
+    kernel, echelon = linalg.kernel_and_echelon(mat, tcell.dim, p)
+    return mat, kernel, echelon
+
+
+def _homology(cell: Cell, kernel: Optional[List[List[int]]], image: Optional[List[List[int]]],
+              echelon: Dict[int, List[int]], p: int, r: int, a: int) -> Cell:
+    """The next page's cell: the classes in kernel (the left kernel of the
+    outgoing d_r, or every class when it is None) modulo the rows of image
+    (the incoming d_r's matrix, or none when it is None), whose reduced
+    echelon form is echelon, all in the coordinates of the cell's classes.
+    An untouched cell's classes are its monomials, so there a combination
+    of classes is its own vector, and the combinations are the reps and
+    boundaries as they are.
 
     Each kernel row is reduced against the image's reduced echelon form,
     then against the new reps found so far.  Without an outgoing d_r the
     kernel is every class, and identity row i reduced against a reduced
     echelon form is e_i less the echelon row of pivot i, or e_i when i is
     no pivot, so those rows are read off the echelon form and no identity
-    row is built or reduced.  The rows that stay nonzero are the new reps,
-    and there must be as many as the kernel's rows less the image's rank."""
+    row is built or reduced (nor the zero row of a pivot whose echelon row
+    is its unit vector).  The rows that stay nonzero are the new reps, and
+    there must be as many as the kernel's rows less the image's rank."""
     if image is None:
-        if out is None:
+        if kernel is None:
             return cell
-        ker = out.kernel
+        ker = kernel
         im_rank = 0
     else:
-        im_ech = image.echelon
-        im_rank = len(im_ech)
-        if out is not None:
-            ker = [linalg.reduce_row(kv, im_ech, p) for kv in out.kernel]
+        im_rank = len(echelon)
+        if kernel is not None:
+            ker = [linalg.reduce_row(kv, echelon, p) for kv in kernel]
         else:
             n = cell.dim
             ker = []
             for i in range(n):
-                row = im_ech.get(i)
+                row = echelon.get(i)
                 if row is None:
                     row = [0] * n
                     row[i] = 1
-                else:
+                elif any(row[i + 1:]):
                     row = [-c % p for c in row]
-                    row[i] = 0  # the echelon row is 1 at its pivot
+                    row[i] = 0  # the echelon row is 1 at its pivot, 0 before
+                else:
+                    continue  # e_i less the echelon row e_i is 0: no class
                 ker.append(row)
     combos: List[List[int]] = []
     combo_ech: Dict[int, List[int]] = {}
@@ -854,29 +846,22 @@ def _homology(cell: Cell, out: Optional[_Eliminated], image: Optional[_Eliminate
         if any(red):
             linalg.echelon_insert(combo_ech, red, p)
             combos.append(red)
-    if len(combos) != len(ker) - im_rank:
+    if len(combos) != (cell.dim if kernel is None else len(kernel)) - im_rank:
         raise EngineAssertionError(
             f"homology dimension bookkeeping failed at A-degree {a} on page {r}")
     reps = cell.reps
-    if reps is None:
-        new_reps = combos
-        image_vecs = () if image is None else image.rec.matrix
-    else:
+    if reps is not None:
         width = len(cell.monomials)
-        new_reps = [_combination(combo, reps, width, p) for combo in combos]
-        image_vecs = () if image is None else [
-            _combination(row, reps, width, p) for row in image.rec.matrix]
+        if combos:
+            combos = [_combination(combo, reps, width, p) for combo in combos]
+        if image is not None:
+            image = [_combination(row, reps, width, p) for row in image]
     # cells are not changed once built, so one that gains no boundary
     # shares its list with the cell before it
-    boundaries = list(filter(any, image_vecs))
-    return Cell(cell.monomials, new_reps,
-                cell.boundaries + boundaries if boundaries else cell.boundaries)
-
-
-def _span(e: Optional[_Eliminated]) -> Dict[int, List[int]]:
-    """Canonical form of the row space of a map: its reduced echelon form,
-    which is unique, by pivot."""
-    return {} if e is None else e.echelon
+    boundaries = cell.boundaries
+    if image is not None and any(map(any, image)):
+        boundaries = boundaries + list(filter(any, image))
+    return Cell(cell.monomials, combos, boundaries)
 
 
 def _cones(ctx: EngineContext,
@@ -935,24 +920,28 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
     order.  A cone, the part of that index run computes (_cones), takes
     its place: the A-degrees outside it keep the state they had before the
     page, which nothing the run reads looks at.  Without a cone the whole
-    index is walked and every record of d_r fired.  Each record of d_r is
-    eliminated once (_page_map, through linalg.kernel_and_echelon): the
-    one forward elimination gives the rank and the source bar's cycles,
-    and its pivot rows, back-substituted, the reduced echelon form that is
-    both the span the well-definedness check compares and the image the
-    target's homology divides by.  A cell that no page has touched builds
-    no identity rows: _page_map reads its classes' values off the images,
-    _homology takes a combination of its classes as its own vector, and as
-    a target it expresses a vector as itself (Cell.express), so only the
-    cells _homology made build a solver.
+    index is walked and every record of d_r fired.  The images of a
+    source's monomials are written once, as rows over the target's
+    monomials, for all its bars.  Each record of d_r is eliminated once
+    (_record, through linalg.kernel_and_echelon): the one forward
+    elimination gives the rank and the source bar's cycles, and its pivot
+    rows, back-substituted, the reduced echelon form that is both the span
+    the well-definedness check compares and the image the target's
+    homology divides by.  A record is kept as plain (matrix, kernel,
+    echelon) tuples until its DiffRecord is made.  A cell that no page has
+    touched builds no identity rows: _record reads its classes' values off
+    the rows, _homology takes a combination of its classes as its own
+    vector, and as a target it expresses a vector as itself
+    (Cell.express), so only the cells _homology made build a solver.
 
     One upward walk fires the records and forms the next page's state.
     _homology runs on each bar of a source as its record fires, and then
     on the target's new top bar: the target lies below the source, so its
     own record, if any, has fired, and it is divided by the record's
     image at once.  Without an outgoing record the target's new reps are
-    read off the image's reduced echelon form.  A target's old bars pass
-    on as they are; with v inverted its one bar is replaced.
+    read off the image's reduced echelon form, and a pivot whose echelon
+    row is its own unit vector adds no row.  A target's old bars pass on
+    as they are; with v inverted its one bar is replaced.
     """
     ctx = pd.ctx
     p = ctx.A.p
@@ -995,35 +984,46 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
         if tbars is None:
             raise EngineAssertionError("differential leaves its bidegree")
         tcell = tbars[-1][1]
-        tindex = dict(zip(tcell.monomials, range(len(tcell.monomials))))
-        row = [_page_map(cell, images, tcell, tindex, p, r, a, ta) for _, cell in bars]
-        top = row[-1]
-        if top is None and not any(row):  # an _Eliminated is a nonempty tuple
+        # the images as rows over the target's monomials, once for all
+        # bars; a nonzero coefficient outside the target is one a row misses
+        tmons = tcell.monomials
+        rows = []
+        for image in images:
+            row = list(map(image.get, tmons, repeat(0)))
+            if len(tmons) - row.count(0) != len(image):
+                raise EngineAssertionError("differential leaves its bidegree")
+            rows.append(row)
+        elim = []
+        for _, cell in bars:
+            elim.append(_record(cell, rows, tcell, p, r, a))
+        top = elim[-1]
+        if top is None and not any(elim):
             continue
         # d_r o d_r must vanish; the target's d_r is read at its top bar
         second = tops.get(ta)
         if second is not None:
-            for e in row:
-                if e is not None and any(
-                        map(any, linalg.mat_mul(e.rec.matrix, second.rec.matrix, p))):
+            for e in elim:
+                if e is not None and any(map(any, linalg.mat_mul(e[0], second[0], p))):
                     raise EngineAssertionError(f"d_{r} o d_{r} != 0 out of A-degree {a}")
         # the sources of a tower's boundaries sit in every bar; d_r must hit
-        # the same classes from each, or it is not defined on E_r.  So past
-        # this check every bar has a record.
-        if len(row) > 1 and any(_span(e) != _span(top) for e in row):
+        # the same classes from each, or it is not defined on E_r: each
+        # record's row space, its reduced echelon form (which is unique),
+        # must be the top one's.  So past this check every bar has a record.
+        if len(elim) > 1 and (top is None or any(e is None or e[2] != top[2] for e in elim)):
             raise EngineAssertionError(
                 f"d_{r} out of A-degree {a} depends on the representatives")
         recs, kept = [], []
-        for (s, cell), e in zip(bars, row):
-            recs.append((s, e.rec))
-            kept.append((s, _homology(cell, e, None, p, r, a)))
+        for (s, cell), (mat, kernel, _) in zip(bars, elim):
+            recs.append((s, DiffRecord(ta, mat, len(mat) - len(kernel))))
+            kept.append((s, _homology(cell, kernel, None, {}, p, r, a)))
         maps[a] = tuple(recs)
         degrees[a] = tuple(kept)
         tops[a] = top
+        new = _homology(tcell, None if second is None else second[1], top[0], top[2], p, r, ta)
         if ctx.localized:
-            degrees[ta] = ((tbars[0][0], _homology(tcell, second, top, p, r, ta)),)
+            degrees[ta] = ((tbars[0][0], new),)
         else:
-            degrees[ta] += ((r, _homology(tcell, second, top, p, r, ta)),)
+            degrees[ta] += ((r, new),)
 
     pd.maps = maps
     return PageData(r + 1, ctx, degrees)
@@ -1284,11 +1284,14 @@ def _unfired_sources(ctx: EngineContext, unfired: Sequence[PageGenerators], cell
     if not index:
         return 0
     rows = []
-    for val in _class_values(cell, images, ctx.A.p):
+    for img in images:
         row = [0] * len(index)
-        for key, c in val.items():
+        for key, c in img.items():
             row[index[key]] = c
         rows.append(row)
+    # a class's value is its rep's combination of its monomials' (_record)
+    if cell.reps is not None:
+        rows = [_combination(rep, rows, len(index), ctx.A.p) for rep in cell.reps]
     return linalg.rank(rows, ctx.A.p)
 
 

@@ -16,9 +16,10 @@ rep a lead monomial without its v-power; and `differentials`: per source
 A-degree `a`, its target `to` and `runs` [s_from, s_to, rank, matrix], the
 bars of d_r as PageData.window_maps cuts them (sources in degrees
 0..D + 1 whose targets are in the view).  The writer reads a page only
-through those readers, cutting the bars shown() lists as window does.
-json_fragments lays the text out as a flat list of fragments, each
-A-degree's record one string shared by the pages that show it; emit_json
+through PageData.shown, window (for the A-degrees whose bars changed)
+and window_maps.  json_fragments lays the text out as a flat list of
+fragments, each A-degree's record one string shared by the pages that
+show it, and each page's list laid out by slice assignment; emit_json
 joins it and `run --json` streams it.  Records are formatted from ints
 and from strings made once per document (escaped generator names, each
 cell's level text); a d_r matrix, a list of lists of ints, is its own
@@ -34,10 +35,10 @@ and the golden digests (tests/golden.py) pin its bytes.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Monomial
-from .engine import Bars, Cell, PageData, _clip_bars
+from .engine import Cell, PageData
 from .towers import INF, TowerProfile, Unknown
 
 TOOL_VERSION = "0.1.0"
@@ -128,15 +129,15 @@ _READING = ("schema", "v", "v_degree", "filtrations", "ascii")
 _dumps = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _degree_record(pd: PageData, a: int, bars: Bars, reps: Dict[int, str],
+def _degree_record(a: int, window: Iterable[Tuple[int, int, Cell]], reps: Dict[int, str],
                    leads: Callable[[Cell], List[Optional[str]]]) -> Optional[str]:
-    """The record of A-degree a, whose bars page pd shows, None when it
-    shows no class; the bars are cut as PageData.window cuts them.  reps
-    holds the text each cell gives a level after its filtrations, rendered
-    once per document: its dim and its lead monomials (leads, with escaped
-    names), or "" for a cell with no class."""
+    """The record of A-degree a from its window (PageData.window), None
+    when it shows no class.  reps holds the text each cell gives a
+    level after its filtrations, rendered once per document: its dim and
+    its lead monomials (leads, with escaped names), or "" for a cell with
+    no class."""
     runs = []
-    for s0, s1, cell in _clip_bars(bars, *pd.ctx._filtrations(a, pd.ctx.max_degree)):
+    for s0, s1, cell in window:
         text = reps.get(id(cell))
         if text is None:
             dim = cell.dim
@@ -167,13 +168,15 @@ def _towers(profile: TowerProfile) -> List[str]:
 
 
 def _items(out: List[str], items) -> None:
-    """Append the items of a JSON list, one a line, after its opening."""
-    start = len(out)
-    for text in items:
-        if text is not None:
-            out += (",\n", text)
-    if len(out) > start:
-        out[start] = "\n"
+    """Append the items of a JSON list that are not None, one a line,
+    after its opening: the list's fragments are laid out by slice
+    assignment, each item after its separator."""
+    texts = [text for text in items if text is not None]
+    if texts:
+        seq = [",\n"] * (2 * len(texts))
+        seq[0] = "\n"
+        seq[1::2] = texts
+        out += seq
 
 
 def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[str, object],
@@ -197,8 +200,8 @@ def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[
     before: Optional[PageData] = None
     for pd in pages:
         held = before.degrees if before is not None and before.ctx is pd.ctx else {}
-        records = {a: records[a] if held.get(a) is bars else _degree_record(pd, a, bars, reps, leads)
-                   for a, bars in pd.shown()}
+        records = {a: records[a] if held.get(a) is bars
+                   else _degree_record(a, pd.window(a), reps, leads) for a, bars in pd.shown()}
         out += ("\n" if before is None else ",\n", f'{{"r": {pd.r}, "degrees": [')
         _items(out, records.values())
         out.append('],\n"differentials": [')

@@ -106,7 +106,7 @@ def _forward(rows: Sequence[Sequence[int]], ncols: int,
                         r[j] = (r[j] - c * piv[j]) % p
         for j in range(ncols):
             if r[j]:
-                inv = inv_mod(r[j], p)
+                inv = pow(r[j], p - 2, p)
                 # r is reduced mod p, so a pivot of 1 leaves it normalized
                 fwd[j] = r if inv == 1 else [(c * inv) % p for c in r]
                 cols.append(j)
@@ -124,7 +124,10 @@ def kernel_and_echelon(rows: Sequence[Sequence[int]], ncols: int,
     elimination of [M | 1] (_forward): the combos of the rows that reduce
     to zero are the kernel, and the pivot rows, cut to M's columns and
     back-substituted from the last pivot up, are the reduced echelon form,
-    which is unique.  The rank is the rows less the kernel's dimension."""
+    which is unique.  The rank is the rows less the kernel's dimension.
+    Each kernel row is 1 at its own row and 0 at the rows after it, so the
+    kernel's rows are independent.  A run makes one call per d_r record
+    (engine._record)."""
     fwd, kernel = _forward(rows, ncols, p)
     ech: Dict[int, Row] = {}
     for piv in sorted(fwd, reverse=True):

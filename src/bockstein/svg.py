@@ -2,13 +2,13 @@
 labeled arrows for the page's differentials, x ticks every few columns.
 
 chart_marks reads a page only through its window readers (PageData.shown,
-its bars cut as window cuts them, and window_maps), the ones the JSON
-writer reads, so the rendered class count per column always equals the
-page dimensions (each circle carries data-t/data-s attributes so that
-tests can verify this against the JSON document).  draw_chart formats
-the x of every column, the y of every row and each fan of several
-classes in one column once per chart, and writes every element from
-those strings; a column of one class reads its own x with no call.
+window and window_maps), the ones the JSON writer reads, so the rendered
+class count per column always equals the page dimensions (each circle
+carries data-t/data-s attributes so that tests can verify this against
+the JSON document).  draw_chart formats the x of every column, the y of
+every row and each fan of several classes in one column once per chart,
+and writes every element from those strings; a column of one class reads
+its own x with no call.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .engine import PageData, _clip_bars
+from .engine import PageData
 
 Point = Tuple[int, int]
 
@@ -39,9 +39,8 @@ def chart_marks(page: PageData) -> Tuple[Dict[Point, int], List[Tuple[Point, Poi
     the number of classes at each (t, s) that window shows some at, and
     each d_r that window_maps shows as its source and target; both in
     (t, s) order."""
-    ctx, r, dv = page.ctx, page.r, page.ctx.deg_v
-    dots = {(a + s * dv, s): dim for a, bars in page.shown()
-            for s0, s1, cell in _clip_bars(bars, *ctx._filtrations(a, ctx.max_degree))
+    r, dv = page.r, page.ctx.deg_v
+    dots = {(a + s * dv, s): dim for a, _ in page.shown() for s0, s1, cell in page.window(a)
             for dim in (cell.dim,) if dim for s in range(s0, s1 + 1)}
     arrows = [((a + s * dv, s), (a + s * dv - 1, s + r)) for a in page.maps
               for s0, s1, _ in page.window_maps(a) for s in range(s0, s1 + 1)]

@@ -155,9 +155,12 @@ def compare(engine: TowerProfile, oracle: TowerProfile, max_degree: Optional[int
     Unknown is passed over: it adds nothing to the report."""
     D = max_degree if max_degree is not None else min(engine.max_degree, oracle.max_degree)
     report = DiffReport()
+    # asked once, so that a profile with no unknown is not asked per degree
+    unknowns = engine.has_unknown()
     for d in sorted(d for d in engine.towers.keys() | oracle.towers.keys() if 0 <= d <= D):
         eng = engine.towers.get(d, [])
-        if eng == oracle.towers.get(d, []) and not any(isinstance(x, Unknown) for x in eng):
+        if eng == oracle.towers.get(d, []) and not (
+                unknowns and any(isinstance(x, Unknown) for x in eng)):
             continue
         eng = engine.lengths(d)
         orc = oracle.lengths(d)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import sys
 import tracemalloc
 import warnings
 from bisect import bisect_left
@@ -44,11 +45,10 @@ from bockstein.engine import (
     ScheduleError,
     Window,
     _bar_at,
-    _Eliminated,
     _d_of_monomial,
     _homology,
     _page_generators,
-    _page_map,
+    _record,
     _rule_degrees,
     _set_bits,
     apply_page,
@@ -1303,7 +1303,7 @@ def _random_cell(rng, p, n, dim):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_each_record_is_eliminated_once_as_linalg_would(p):
-    # _page_map's kernel, rank and reduced echelon form, which apply_page
+    # _record's kernel, rank and reduced echelon form, which apply_page
     # reuses for the homology and the well-definedness check, against the
     # linalg functions they replace; every row of its matrix against a
     # CosetSolver of the target, the untouched targets included
@@ -1313,36 +1313,35 @@ def test_each_record_is_eliminated_once_as_linalg_would(p):
         tcell = _random_cell(rng, p, tn, rng.randint(1, min(4, tn)))
         sn = rng.randint(1, 5)
         cell = _random_cell(rng, p, sn, rng.randint(1, min(4, sn)))
-        # each source monomial goes to a class of the target plus a boundary
-        images = []
+        # each source monomial goes to a class of the target plus a boundary,
+        # as a row over the target's monomials
+        rows = []
         for _ in range(sn):
             vec = [0] * tn
             for row in tcell.reps_rows() + tcell.boundaries:
                 c = rng.randrange(p) if rng.random() < 0.6 else 0
                 vec = [(x + c * y) % p for x, y in zip(vec, row)]
-            images.append({(i,): c for i, c in enumerate(vec) if c})
-        tindex = {mon: i for i, mon in enumerate(tcell.monomials)}
-        e = _page_map(cell, images, tcell, tindex, p, 1, 0, 0)
+            rows.append(vec)
+        e = _record(cell, rows, tcell, p, 1, 0)
         solver = linalg.CosetSolver(tcell.reps_rows(), tcell.boundaries, tn, p)
         want = []
         for rep in cell.reps_rows():
             vec = [0] * tn
-            for c, img in zip(rep, images):
-                for (i,), cc in img.items():
-                    vec[i] = (vec[i] + c * cc) % p
+            for c, row in zip(rep, rows):
+                vec = [(x + c * y) % p for x, y in zip(vec, row)]
             want.append(solver.express(vec))
         if not any(map(any, want)):
             assert e is None
             continue
-        mat = e.rec.matrix
+        mat, kernel, echelon = e
         assert mat == want
-        assert e.kernel == linalg.left_kernel(mat, tcell.dim, p)
-        assert e.rec.rank == linalg.rank(mat, p) == len(mat) - len(e.kernel)
-        assert e.echelon == linalg.echelon_from_rows(mat, p)
+        assert kernel == linalg.left_kernel(mat, tcell.dim, p)
+        assert linalg.rank(mat, p) == len(mat) - len(kernel)
+        assert echelon == linalg.echelon_from_rows(mat, p)
         # and the kernel on its own terms: it annihilates the matrix, its
         # rows are independent, and there are rows - rank of them
-        assert not any(map(any, linalg.mat_mul(e.kernel, mat, p)))
-        assert linalg.rank(e.kernel, p) == len(e.kernel) == len(mat) - linalg.rank(mat, p)
+        assert not any(map(any, linalg.mat_mul(kernel, mat, p)))
+        assert linalg.rank(kernel, p) == len(kernel) == len(mat) - linalg.rank(mat, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1510,8 +1509,8 @@ def _combinations(rng, p, basis, count):
 
 
 def _eliminated(mat, ncols, p):
-    kernel, echelon = linalg.kernel_and_echelon(mat, ncols, p)
-    return _Eliminated(DiffRecord(0, mat, len(mat) - len(kernel)), kernel, echelon)
+    """A record as _record gives it: (matrix, left kernel, echelon form)."""
+    return (mat, *linalg.kernel_and_echelon(mat, ncols, p))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1542,7 +1541,8 @@ def test_homology_builds_what_identity_rows_and_two_eliminations_build(p):
                 image_mat = None
         out = None if out_mat is None else _eliminated(out_mat, tdim, p)
         image = None if image_mat is None else _eliminated(image_mat, dim, p)
-        got = _homology(cell, out, image, p, 1, 0)
+        got = _homology(cell, None if out is None else out[1], image_mat,
+                        {} if image is None else image[2], p, 1, 0)
         assert got == _reference_homology(cell, out_mat, tdim, image_mat, p)
     assert 50 < untouched < 250
 
@@ -1653,10 +1653,10 @@ def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypa
     monkeypatch.setattr(Cell, "reps_rows", guarded)
     homology = engine._homology
 
-    def counted_homology(cell, out, image, p, r, a):
+    def counted_homology(cell, kernel, image, echelon, p, r, a):
         calls["homology"] += 1
-        calls["homology of neither"] += out is None and image is None
-        return homology(cell, out, image, p, r, a)
+        calls["homology of neither"] += kernel is None and image is None
+        return homology(cell, kernel, image, echelon, p, r, a)
 
     monkeypatch.setattr(engine, "_homology", counted_homology)
     sched, pages, profile = Case("v1", 3, 2000).run()
@@ -1692,8 +1692,8 @@ def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypa
 
 def test_a_capped_run_builds_no_identity_rows(monkeypatch):
     # v2 p=2 D=120 cap 4: the classes at 64, 83 and 103 support the unfired
-    # d_8; _unfired_sources forms their images as _page_map forms d_r's
-    # (_class_values), so no cell is asked for rows
+    # d_8; _unfired_sources forms their images off the monomials' images
+    # (_combination), so no cell is asked for rows
     calls = defaultdict(int)
     monkeypatch.setattr(Cell, "reps_rows", _counted(calls, "reps_rows", Cell.reps_rows))
     _, _, profile = Case("v2", 2, 120, page_cap=4).run()
@@ -1843,3 +1843,69 @@ def test_each_page_builds_the_state_the_reference_builds(label, pages_of):
         assert nxt.degrees == _reference_next_state(pd), pd.r
     if label in ("powers-p2", "high-source-p5", "powers-p2-loc", "high-source-p5-loc"):
         assert both > 0
+
+
+# sha256 of the schema-2 document (UTF-8, meta {}) and of the profile's
+# summary lines of the multi-row run below, recorded by the engine before
+# the record step was rewritten to make fewer calls and objects per record
+MULTI_ROW_JSON_SHA256 = "ceab174f24c502ae6e5f373d11050cbab7bf3f405a56964ea7efb7177c5e4cc9"
+MULTI_ROW_PROFILE_SHA256 = "04a308b1b5a7e363b7dc721842f8ea78ac11543954d27bf8af99c4d6d813e7bb"
+
+
+def test_a_run_on_cells_of_up_to_eight_classes_keeps_its_document(monkeypatch):
+    # E(λ0..λ5: 3, 5, 7, 9, 11, 13) ⊗ P(μ: 16) at p = 3 and |v| = 3, D = 300,
+    # with d_1(μ) = v·λ0λ3 and d_2(μ^3) = v^2·μ^2λ3: no certified case has a
+    # cell of dimension > 1, and this run reaches the multi-row paths of the
+    # record step, the homology and CosetSolver end to end
+    gens = tuple(GeneratorSpec(f"λ{i}", d, EXTERIOR) for i, d in enumerate((3, 5, 7, 9, 11, 13)))
+    A = Algebra(3, gens + (GeneratorSpec("μ", 16, POLYNOMIAL),))
+    v = v_gen("v", 3)
+    Av = A.adjoin(v)
+    sched = DifferentialSchedule(v, {
+        1: RulePage(1, [Rule(A.monomial(μ=1), element(Av, (1, Av.monomial(λ0=1, λ3=1, v=1))))]),
+        2: RulePage(2, [Rule(A.monomial(μ=3), element(Av, (1, Av.monomial(μ=2, λ3=1, v=2))))]),
+    })
+    solvers = []
+    init = linalg.CosetSolver.__init__
+
+    def counted(self, reps, boundaries, width, p):
+        solvers.append(len(reps))
+        init(self, reps, boundaries, width, p)
+
+    monkeypatch.setattr(linalg.CosetSolver, "__init__", counted)
+    pages, profile = run(A, sched, Window(300))
+    monkeypatch.undo()
+    doc = emit_json(pages, profile, {})
+    summary = "\n".join(profile.summary_lines())
+    assert golden._sha(doc) == MULTI_ROW_JSON_SHA256
+    assert golden._sha(summary) == MULTI_ROW_PROFILE_SHA256
+    records = [rec for pd in pages for bars in pd.maps.values() for _, rec in bars if rec]
+    assert [pd.r for pd in pages] == [1, 2, 3]
+    assert (len(records), sum(len(rec.matrix) > 1 for rec in records)) == (324, 316)
+    assert max(cell.dim for pd in pages for bars in pd.degrees.values() for _, cell in bars) == 8
+    assert (len(solvers), sum(n > 1 for n in solvers)) == (93, 85)
+    assert sum(map(len, profile.towers.values())) == 821
+
+
+def test_a_run_makes_about_twenty_python_calls_per_record():
+    # the Python-level calls engine.run makes, counted with sys.setprofile
+    # (generator resumes included), on v0 p=2 n=3 D=1000, whose 244 records
+    # are 1 x 1: 7,795 when each record made about ten calls and a cell
+    # computed its dimension on each read, 4,702 (19.3 a record, E_1 and
+    # the tower reading included) since, in a fresh interpreter; the test
+    # runner may add a call or two of its own
+    A, sched, w = Case("v0", 2, 1000, n=3).build()
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profiler)
+    try:
+        pages, _ = run(A, sched, w)
+    finally:
+        sys.setprofile(None)
+    assert sum(rec is not None for pd in pages for bars in pd.maps.values()
+               for _, rec in bars) == 244
+    assert calls <= 4710, calls
