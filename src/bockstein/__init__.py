@@ -41,8 +41,6 @@ from .engine import (
     Rule,
     RulePage,
     Window,
-    apply_page,
-    build_e1,
     run,
     schedule_conj,
     schedule_v0,

@@ -41,17 +41,20 @@ takes the same values from every bar (so it is defined on E_r), and the
 homology bookkeeping of each state.
 
 A page costs the differentials it fires, and a run fires only those its
-output depends on.  A page visits only the A-degrees of its clearing
-index, where a monomial factors over the page generators with a rule
-factor whose Leibniz term can live, since d_r vanishes on every other
-one.  run cuts that index further, to the page's cone (_cones): the
-A-degrees whose records the window, the later pages and the rule checks
-read, found by walking the pages from the last to the first.  With
-|v| > 0 most of a clearing index lies above the window, where nothing
-reads a record's target.  A page eliminates each record of d_r once: one
-forward elimination gives its rank, its kernel (the source's cycles) and
-pivot rows that back-substitute to its reduced echelon form (the span the
-well-definedness check compares, and the image the target divides by).
+output depends on.  A page's clearing index holds the A-degrees where a
+monomial factors over the page generators with a rule factor whose
+Leibniz term can live, since d_r vanishes on every other one.  A page
+visits only its cone (_cones), the A-degrees of that index whose records
+the window, the later pages and the rule checks read, found by walking
+the pages from the last to the first.  With |v| > 0 most of a clearing
+index lies above the window, where nothing reads a record's target.  run
+is the engine's one path: it compiles the pages, finds their cones,
+builds E_1 on what they read and folds the fired pages over it, each page
+step given its compiled page and its cone.  A page eliminates each record
+of d_r once: one forward elimination gives its rank, its kernel (the
+source's cycles) and pivot rows that back-substitute to its reduced
+echelon form (the span the well-definedness check compares, and the image
+the target divides by).
 And a cell no page has touched is the identity on its monomials: its
 classes' values are their images, a combination of them is its own
 vector, and it expresses a vector as itself, so it builds no rows and
@@ -508,24 +511,21 @@ class _DiffView(_PageView):
         return DiffRecord((t - 1, s + self._pd.r), rec.matrix, rec.rank)
 
 
-def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool = False,
-             pages: Sequence[int] = (), max_source: int = 0,
-             needed: Optional[int] = None) -> PageData:
-    """E_1 = A[v] (A[v^{+-1}] when localized), seen through the window.
+def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool, pages: Sequence[int],
+             max_source: int, needed: int) -> PageData:
+    """E_1 = A[v] (A[v^{+-1}] when localized), seen through the window, on
+    the nonempty A-degrees of needed, a bitset.
 
     pages are the schedule's page numbers: the largest fixes how far above
     the window boundaries come from, and with |v| = 0 they fix the
     filtrations a view lists.  max_source is the largest A-degree of a rule
-    source, so that every rule can be checked against its state.  E_1
-    holds every nonempty A-degree up to reach, or only those of needed, a
-    bitset: run passes the A-degrees it reads (_cones), and the basis walk
-    enumerates only them (basis_up_to), or every one when they are all of
-    0..reach, as with |v| = 0.
+    source, so that every rule can be checked against its state.  run
+    passes the A-degrees it reads (_cones), and the basis walk enumerates
+    only them (basis_up_to), or every one when they are all of 0..reach.
     """
     w = as_window(w)
     ctx = EngineContext(A, v, localized, w.max_degree, tuple(pages), max_source)
-    every = needed is None or needed == (1 << ctx.reach + 1) - 1
-    only = None if every else _set_bits(needed)
+    only = None if needed == (1 << ctx.reach + 1) - 1 else _set_bits(needed)
     basis = basis_up_to(A, ctx.reach, only)
     # sorted by the degrees alone, which are distinct ints
     degrees = {a: ((ctx.s_lo, Cell(tuple(basis[a]))),) for a in sorted(basis)}
@@ -704,7 +704,7 @@ def _rule_degrees(A: Algebra, gens: PageGenerators, top: int) -> int:
     """The clearing index of a page, as a bitset: the A-degrees 0..top that
     hold a monomial which factors over the page generators with a rule
     factor whose Leibniz term can live.  d_r is 0 on every other A-degree,
-    so apply_page skips them, as persistence skips the columns whose
+    so no cone holds them (_cones), as persistence skips the columns whose
     result is known in advance (Chen-Kerber, Persistent homology
     computation with a twist, 2011).
 
@@ -903,27 +903,23 @@ def _cones(ctx: EngineContext,
     return cones
 
 
-def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
-               gens: Optional[PageGenerators] = None) -> PageData:
-    """Fire page pd.r with the rules of page and return the next page.
+def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
+    """Fire page pd.r and return the next page.
 
-    A page with no rules yields the input's state with r incremented.  The
-    fired differentials are recorded on the input PageData.  gens is the
-    page checked and compiled (_page_generators), which run does once per
-    page before it builds E_1; without it the page is compiled here.
-    Firing checks only what needs the page's state (_validate_rules): each
-    rule's source is a live class at filtration 0 and its target a nonzero
-    class at filtration r.
+    gens is the page checked and compiled (_page_generators) and cone the
+    A-degrees it fires, a bitset of kept A-degrees of pd (_cones); run
+    finds both before it builds E_1.  The fired differentials are recorded
+    on the input PageData.  Firing checks only what needs the page's state
+    (_validate_rules): each rule's source is a live class at filtration 0
+    and its target a nonzero class at filtration r.
 
-    A page costs what it fires.  It visits only the kept A-degrees of its
-    clearing index (_rule_degrees), walking its set bits in increasing
-    order.  A cone, the part of that index run computes (_cones), takes
-    its place: the A-degrees outside it keep the state they had before the
-    page, which nothing the run reads looks at.  Without a cone the whole
-    index is walked and every record of d_r fired.  The images of a
-    source's monomials are written once, as rows over the target's
-    monomials, for all its bars.  Each record of d_r is eliminated once
-    (_record, through linalg.kernel_and_echelon): the one forward
+    A page costs what it fires.  It visits the A-degrees of its cone,
+    walking its set bits in increasing order.  Every other A-degree keeps
+    the state it had before the page: d_r vanishes there, or nothing the
+    run reads looks at it.  A page with no rules has an empty cone.  The
+    images of a source's monomials are written once, as rows over the
+    target's monomials, for all its bars.  Each record of d_r is eliminated
+    once (_record, through linalg.kernel_and_echelon): the one forward
     elimination gives the rank and the source bar's cycles, and its pivot
     rows, back-substituted, the reduced echelon form that is both the span
     the well-definedness check compares and the image the target's
@@ -946,15 +942,9 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
     ctx = pd.ctx
     p = ctx.A.p
     r = pd.r
-    if page.r != r:
-        raise MalformedRuleError(f"malformed rule (page {page.r} applied at page {r})")
-    if not page.rules:
-        return PageData(r + 1, ctx, pd.degrees)
     if ctx.deg_v and r > ctx.top_page:
         raise EngineError(f"page {r} draws boundaries from above the A-degrees kept "
                           f"for pages up to {ctx.top_page}")
-    if gens is None:
-        gens = _page_generators(ctx.A, ctx.deg_v, page)
     _validate_rules(pd, gens)
     shift = 1 + r * ctx.deg_v
 
@@ -971,11 +961,8 @@ def apply_page(pd: PageData, page: RulePage, cone: Optional[int] = None,
     maps: Dict[int, Bars] = {}
     tops: Dict[int, _Eliminated] = {}
     degrees = dict(pd.degrees)
-    index = _rule_degrees(ctx.A, gens, ctx.reach) if cone is None else cone
-    for a in _set_bits(index):
-        bars = pd.degrees.get(a)
-        if bars is None:
-            continue
+    for a in _set_bits(cone):
+        bars = pd.degrees[a]
         images = [_d_of_monomial(ctx, gens, m) for m in bars[0][1].monomials]
         if not any(images):
             continue
@@ -1191,42 +1178,43 @@ def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
     differentials, and the final page) and the tower profile over degrees
     0..max_degree.  A page cap leaves the pages above it unfired.
 
-    Every page, fired or capped, is checked and compiled once
-    (_page_generators) before anything else, so a malformed rule on any
-    page is refused before any work.  Its compiled generators serve the
+    Every page, fired or capped, is checked against its key and compiled
+    once (_page_generators) before anything else, so a malformed rule on
+    any page is refused before any work.  Its compiled generators serve the
     reach (the ends' largest source), _cones, apply_page and, for the
     unfired pages, extract_towers.  The cones come next, and E_1 is built
     last, on the A-degrees their walk ends with: the window, the rules'
-    sources and targets and the cones' sources and targets.  When _cones
-    gives no cones, every page walks its whole clearing index and E_1 holds
-    every A-degree up to reach.
+    sources and targets and the cones' sources and targets.  Then the run
+    is a fold: each fired page r fires its cone on E_r, the state the
+    fired pages below it left.
     """
     w = as_window(w)
     if page_cap is not None and page_cap < 1:
         raise ScheduleError(f"page cap {page_cap} is below 1, so no page could fire")
     order = sorted(sched.pages)
-    gens = {r: _page_generators(A, sched.v.degree, sched.pages[r]) for r in order}
+    gens: Dict[int, PageGenerators] = {}
+    for r in order:
+        page = sched.pages[r]
+        if page.r != r:
+            raise MalformedRuleError(f"malformed rule (page {page.r} scheduled at page {r})")
+        gens[r] = _page_generators(A, sched.v.degree, page)
     max_source = max((sa for g in gens.values() for sa, _ in g.ends), default=0)
     ctx = EngineContext(A, sched.v, localized, w.max_degree, order, max_source)
     fired = [r for r in order if page_cap is None or r <= page_cap]
     cones = _cones(ctx, [(r, gens[r]) for r in fired])
-    pd = build_e1(A, sched.v, w, localized, pages=order, max_source=max_source,
-                  needed=cones.get(None))
+    pd = build_e1(A, sched.v, w, localized, order, max_source, cones[None])
     if not sched.pages:
         warnings.warn("window too small to contain any rule source; E_1 = E_infinity",
                       stacklevel=2)
     pages_out: List[PageData] = [pd]
-    final = pd
     for r in fired:
-        # the pages between fired ones pass the state through unchanged
-        cur = final if final.r == r else PageData(r, final.ctx, final.degrees)
-        nxt = apply_page(cur, sched.pages[r], cones.get(r), gens[r])
-        if cur is not pages_out[-1]:
-            pages_out.append(cur)
-        final = nxt
-    if final is not pages_out[-1]:
-        pages_out.append(final)
-    profile = extract_towers(final, sched, {r: gens[r] for r in order[len(fired):]})
+        if r > 1:  # E_r holds the state the fired pages below r left
+            pd = PageData(r, pd.ctx, pd.degrees)
+            pages_out.append(pd)
+        pd = apply_page(pd, gens[r], cones[r])
+    if fired:
+        pages_out.append(pd)
+    profile = extract_towers(pd, sched, {r: gens[r] for r in order[len(fired):]})
     return pages_out, profile
 
 

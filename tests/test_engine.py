@@ -53,6 +53,7 @@ from bockstein.engine import (
     _set_bits,
     apply_page,
     build_e1,
+    reach,
     run,
     schedule_conj,
     schedule_v0,
@@ -71,8 +72,10 @@ def v_gen(name, deg):
 
 
 def test_build_e1_dims():
+    # pages 1 and 2 with no rules fire nothing and fix the view's filtrations
     A = thh_mod_p_algebra(2, 2)
-    pd = build_e1(A, v_gen("v0", 0), Window(16), pages=(1, 2))
+    sched = DifferentialSchedule(v_gen("v0", 0), {1: RulePage(1, []), 2: RulePage(2, [])})
+    pd = run(A, sched, Window(16))[0][0]
     assert max(s for (_t, s) in pd.cells) == 7  # sum(pages) + 2 + max(pages)
     for s in range(0, 8):
         assert pd.dim(15, s) == 1  # lambda_3 v0^s
@@ -82,7 +85,8 @@ def test_build_e1_dims():
 
 def test_build_e1_localized_laurent_class():
     A = thh_mod_p_algebra(2, 2)
-    pd = build_e1(A, v_gen("v2", 6), Window(12), localized=True)
+    with pytest.warns(UserWarning, match="window too small"):
+        (pd,), _ = run(A, DifferentialSchedule(v_gen("v2", 6), {}), Window(12), localized=True)
     cell = pd.cells.get((3, -2))  # lambda_3 v2^{-2}
     assert cell is not None and cell.dim == 1
     assert cell.monomials == (A.monomial(**{"λ3": 1}),)
@@ -91,10 +95,13 @@ def test_build_e1_localized_laurent_class():
 
 
 def test_apply_page_empty_rules_increments():
+    # a page with no rules has an empty cone: it records no differential
+    # and passes every A-degree's bars on as they are
     A = thh_mod_p_algebra(2, 2)
-    pd = build_e1(A, v_gen("v0", 0), Window(16))
-    nxt = apply_page(pd, RulePage(1, []))
-    assert nxt.r == 2 and nxt.degrees is pd.degrees
+    (pd, nxt), _ = run(A, DifferentialSchedule(v_gen("v0", 0), {1: RulePage(1, [])}), Window(16))
+    assert nxt.r == 2 and not pd.maps and pd.degrees
+    assert list(nxt.degrees) == list(pd.degrees)
+    assert all(nxt.degrees[a] is bars for a, bars in pd.degrees.items())
 
 
 def _cell_view(pd):
@@ -185,7 +192,7 @@ def test_no_library_reader_reads_a_page_view(case, monkeypatch):
     for name in ("__iter__", "__len__", "__getitem__", "_entries"):
         monkeypatch.setattr(engine._PageView, name, _refuse)
     with pytest.raises(AssertionError, match="view was read"):
-        build_e1(thh_mod_p_algebra(2, 1), v_gen("v0", 0), Window(4)).cells.get((0, 0))
+        PageData(1, None, {}).cells.get((0, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sched, pages, profile = case.run()
@@ -281,11 +288,12 @@ def test_apply_page_v2_tower_length_two():
     # d_2(mu_3) = v_2^2 lambda_1 at p=2: the lambda_1 slant keeps s = 0, 1 only
     A = thh_mod_p_algebra(2, 2)
     v = v_gen("v2", 6)
-    pd = apply_page(build_e1(A, v, Window(40), pages=(2,)), RulePage(1, []))
     mu = A.monomial(**{"μ3": 1})
     Av = A.adjoin(v)
     target = element(Av, (1, Av.monomial(**{"λ1": 1, "v2": 2})))
-    nxt = apply_page(pd, RulePage(2, [Rule(mu, target)]))
+    pages, _ = run(A, DifferentialSchedule(v, {2: RulePage(2, [Rule(mu, target)])}), Window(40))
+    nxt = pages[-1]
+    assert [pd.r for pd in pages] == [1, 2, 3]
     dims = [nxt.dim(3 + 6 * j, j) for j in range(5)]
     assert dims == [1, 1, 0, 0, 0]
 
@@ -296,10 +304,10 @@ def test_apply_page_leibniz_matches_derivation_extend():
     A = thh_mod_p_algebra(3, 2)
     v = v_gen("v0", 0)
     Av = A.adjoin(v)
-    pd = build_e1(A, v, Window(120), pages=(1,))
     mu = A.monomial(**{"μ3": 1})
     target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 1})))
-    nxt = apply_page(pd, RulePage(1, [Rule(mu, target)]))
+    (pd, nxt), _ = run(A, DifferentialSchedule(v, {1: RulePage(1, [Rule(mu, target)])}),
+                       Window(120))
     key = (5 + 54, 0)  # lambda_1 mu_3
     rec = pd.diffs.get(key)
     assert rec is not None and rec.rank == 1
@@ -400,9 +408,8 @@ def test_cells_of_several_monomials_over_three_pages():
         RulePage(3, [Rule(A.monomial(y=3), element(Av, (1, Av.monomial(x1=1, y=2, v0=3))))],
                  attach={0: 0, 1: 0}),
     ]
-    pages = [build_e1(A, v, Window(6), pages=(1, 2, 3))]
-    for page in rules:
-        pages.append(apply_page(pages[-1], page))
+    pages, _ = run(A, DifferentialSchedule(v, {page.r: page for page in rules}), Window(6))
+    assert [pd.r for pd in pages] == [1, 2, 3, 4]
     assert pages[2].degrees[1][0][1] is pages[1].degrees[1][0][1]  # d_2 keeps its bar at 0
     doc = json.loads(emit_json(pages, TowerProfile(6), {}))
     for pd, record in zip(pages, doc["pages"]):
@@ -416,54 +423,80 @@ def test_cells_of_several_monomials_over_three_pages():
                 if pd.dim(t, s)} == want
 
 
-def test_apply_page_dead_source_error():
+def test_apply_page_dead_source_error(monkeypatch):
     A = thh_mod_p_algebra(2, 2)
     v = v_gen("v0", 0)
     Av = A.adjoin(v)
-    pd = build_e1(A, v, Window(40), pages=(1, 2))
     mu = A.monomial(**{"μ3": 1})
     target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 1})))
-    nxt = apply_page(pd, RulePage(1, [Rule(mu, target)]))
-    # mu_3 supported d_1, so it is dead on page 2
+    # mu_3 supports d_1, so it is dead on page 2
     t2 = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 2})))
-    with pytest.raises(DeadSourceError):
-        apply_page(nxt, RulePage(2, [Rule(mu, t2)]))
+    sched = DifferentialSchedule(v, {1: RulePage(1, [Rule(mu, target)]),
+                                     2: RulePage(2, [Rule(mu, t2)])})
+    fired = _record_fired(monkeypatch)
+    with pytest.raises(DeadSourceError, match="^dead source$"):
+        run(A, sched, Window(40))
+    assert fired == [1, 2]
 
 
 def test_apply_page_beyond_the_given_pages_errors():
     # with |v| > 0 the kept A-degrees are fixed by the largest page given to
-    # build_e1; a later page would draw boundaries from degrees not kept
+    # build_e1; a later page would draw boundaries from degrees not kept.
+    # run always gives every page, so this step is made by hand, on E_1
+    # over every A-degree up to reach and page 2's whole clearing index
     from bockstein.engine import EngineError
 
     A = thh_mod_p_algebra(2, 2)
     v = v_gen("v2", 6)
     Av = A.adjoin(v)
-    pd = apply_page(build_e1(A, v, Window(40), pages=(1,)), RulePage(1, []))
+    w = Window(40)
+    e1 = build_e1(A, v, w, False, (1,), 0, (1 << reach(v.degree, 40, (1,), False) + 1) - 1)
     mu = A.monomial(**{"μ3": 1})
     target = element(Av, (1, Av.monomial(**{"λ1": 1, "v2": 2})))
+    gens = _page_generators(A, v.degree, RulePage(2, [Rule(mu, target)]))
     with pytest.raises(EngineError, match="above the A-degrees kept"):
-        apply_page(pd, RulePage(2, [Rule(mu, target)]))
+        apply_page(PageData(2, e1.ctx, e1.degrees), gens, _rule_degrees(A, gens, e1.ctx.reach))
+
+
+def _one_page(v, *rules, attach=None):
+    """A schedule of page 1 alone."""
+    return DifferentialSchedule(v, {1: RulePage(1, list(rules), attach)})
 
 
 def test_apply_page_malformed_rule_errors():
     A = thh_mod_p_algebra(2, 2)
     v = v_gen("v0", 0)
     Av = A.adjoin(v)
-    pd = build_e1(A, v, Window(40), pages=(1,))
+    w = Window(40)
     mu = A.monomial(**{"μ3": 1})
-    with pytest.raises(MalformedRuleError):
+    with pytest.raises(MalformedRuleError, match=r"^malformed rule \(target degree 7 != "
+                                                 r"source degree 16 - 1\)$"):
         # wrong degree: target must sit one below the source
         target = element(Av, (1, Av.monomial(**{"λ2": 1, "v0": 1})))
-        apply_page(pd, RulePage(1, [Rule(mu, target)]))
-    with pytest.raises(MalformedRuleError):
+        run(A, _one_page(v, Rule(mu, target)), w)
+    with pytest.raises(MalformedRuleError, match=r"^malformed rule \(target v-exponent \[2\] "
+                                                 r"!= page 1\)$"):
         # wrong filtration shift: v-exponent 2 on page 1
         target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 2})))
-        apply_page(pd, RulePage(1, [Rule(mu, target)]))
+        run(A, _one_page(v, Rule(mu, target)), w)
     with pytest.raises(MalformedRuleError, match=r"^malformed rule \(target is not homogeneous\)$"):
         # terms of degrees 15 and 7
         target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 1})),
                          (1, Av.monomial(**{"λ2": 1, "v0": 1})))
-        apply_page(pd, RulePage(1, [Rule(mu, target)]))
+        run(A, _one_page(v, Rule(mu, target)), w)
+
+
+def _record_fired(monkeypatch):
+    """The page of each apply_page call a run makes, in order."""
+    fired = []
+    apply = engine.apply_page
+
+    def record(pd, *args):
+        fired.append(pd.r)
+        return apply(pd, *args)
+
+    monkeypatch.setattr(engine, "apply_page", record)
+    return fired
 
 
 def test_a_malformed_rule_is_refused_before_any_page_fires(monkeypatch):
@@ -478,17 +511,29 @@ def test_a_malformed_rule_is_refused_before_any_page_fires(monkeypatch):
     lam1 = A.index("λ1")
     target = {tuple(e + (j == lam1) for j, e in enumerate(m)): c for m, c in rule.target.items()}
     sched.pages[8] = dataclasses.replace(sched.pages[8], rules=[Rule(rule.source, target)])
-    fired = []
-    apply = engine.apply_page
-
-    def record(pd, *args):
-        fired.append(pd.r)
-        return apply(pd, *args)
-
-    monkeypatch.setattr(engine, "apply_page", record)
+    fired = _record_fired(monkeypatch)
     for cap in (4, None):
         with pytest.raises(MalformedRuleError,
                            match=r"^malformed rule \(target degree 66 != source degree 64 - 1\)$"):
+            run(A, sched, w, page_cap=cap)
+    assert fired == []
+
+
+def test_a_page_under_another_key_is_refused_before_any_page_fires(monkeypatch):
+    # v0 p=2 n=2 D=60 keys its page 2 as 2; stated as RulePage(3, ...) with
+    # the target v0^3 lambda_3 mu_3 that page 3 would need, each rule is
+    # well formed, and the run refuses the page under key 2, capped or not,
+    # before E_1 or page 1
+    A = thh_mod_p_algebra(2, 2)
+    w = Window(60)
+    sched = schedule_v0(2, 2, w)
+    (rule,) = sched.pages[2].rules
+    target = {m[:-1] + (3,): c for m, c in rule.target.items()}
+    sched.pages[2] = RulePage(3, [Rule(rule.source, target)], sched.pages[2].attach)
+    fired = _record_fired(monkeypatch)
+    for cap in (1, None):
+        with pytest.raises(MalformedRuleError,
+                           match=r"^malformed rule \(page 3 scheduled at page 2\)$"):
             run(A, sched, w, page_cap=cap)
     assert fired == []
 
@@ -573,23 +618,23 @@ def test_rule_source_must_be_a_page_generator():
     A = thh_mod_p_algebra(2, 2)
     v = v_gen("v0", 0)
     Av = A.adjoin(v)
-    pd = build_e1(A, v, Window(40), pages=(1,))
+    w = Window(40)
     # lambda_1 mu_3 is a product of two page generators of a page with no
     # attachments, not one of them
     src = A.monomial(λ1=1, μ3=1)
     target = element(Av, (1, Av.monomial(λ1=1, λ3=1, v0=1)))
     with pytest.raises(MalformedRuleError, match="page generator"):
-        apply_page(pd, RulePage(1, [Rule(src, target)]))
+        run(A, _one_page(v, Rule(src, target)), w)
     # and a second power rule on a page is not one either
     mu, mu2 = A.monomial(μ3=1), A.monomial(μ3=2)
-    rules = RulePage(1, [Rule(mu, element(Av, (1, Av.monomial(λ3=1, v0=1)))),
-                          Rule(mu2, element(Av, (1, Av.monomial(λ3=1, μ3=1, v0=1))))])
+    rules = [Rule(mu, element(Av, (1, Av.monomial(λ3=1, v0=1)))),
+             Rule(mu2, element(Av, (1, Av.monomial(λ3=1, μ3=1, v0=1))))]
     with pytest.raises(MalformedRuleError, match="page generator"):
-        apply_page(pd, rules)
+        run(A, _one_page(v, *rules), w)
     # a mu-power attached to an exterior generator needs the page's mu
     lam3 = (A.monomial(λ3=1), element(Av, (1, Av.monomial(λ1=1, λ2=1, v0=1))))
     with pytest.raises(MalformedRuleError, match="no power rule"):
-        apply_page(pd, RulePage(1, [Rule(*lam3)], attach={0: 0, 1: 0, 2: 1}))
+        run(A, _one_page(v, Rule(*lam3), attach={0: 0, 1: 0, 2: 1}), w)
 
 
 def test_schedule_v1_paper_pages():
@@ -814,12 +859,13 @@ def test_apply_page_rejects_a_differential_not_defined_on_classes():
                     GeneratorSpec("z", 2, POLYNOMIAL)))
     v = v_gen("v0", 0)
     Av = A.adjoin(v)
-    pd = build_e1(A, v, Window(0), pages=(1, 2))  # keeps A-degrees 0..2
     d1 = element(Av, (1, Av.monomial(x=1, v0=1)), (1, Av.monomial(y=1, v0=1)))
-    pd = apply_page(pd, RulePage(1, [Rule(A.monomial(z=1), d1)]))
     d2 = Rule(A.monomial(y=1), element(Av, (1, Av.monomial(v0=2))))  # exterior generator
-    with pytest.raises(EngineAssertionError, match="depends on the representatives"):
-        apply_page(pd, RulePage(2, [d2]))
+    sched = DifferentialSchedule(v, {1: RulePage(1, [Rule(A.monomial(z=1), d1)]),
+                                     2: RulePage(2, [d2])})
+    with pytest.raises(EngineAssertionError,
+                       match="^d_2 out of A-degree 1 depends on the representatives$"):
+        run(A, sched, Window(0))  # keeps A-degrees 0..2
 
 
 def test_apply_page_rejects_a_differential_that_does_not_square_to_zero():
@@ -832,11 +878,10 @@ def test_apply_page_rejects_a_differential_that_does_not_square_to_zero():
                     GeneratorSpec("z", 3, EXTERIOR)))
     v = v_gen("v0", 0)
     Av = A.adjoin(v)
-    pd = build_e1(A, v, Window(3), pages=(1,))
-    rules = RulePage(1, [Rule(A.monomial(z=1), element(Av, (1, Av.monomial(y=1, v0=1)))),
-                          Rule(A.monomial(y=1), element(Av, (1, Av.monomial(x=1, v0=1))))])
+    rules = [Rule(A.monomial(z=1), element(Av, (1, Av.monomial(y=1, v0=1)))),
+             Rule(A.monomial(y=1), element(Av, (1, Av.monomial(x=1, v0=1))))]
     with pytest.raises(EngineAssertionError, match="d_1 o d_1 != 0 out of A-degree 3"):
-        apply_page(pd, rules)
+        run(A, _one_page(v, *rules), Window(3))
 
 
 def reference_d_of_monomial(ctx, page, m):
@@ -1050,11 +1095,21 @@ def _records(pages):
 HAND_BUILT = _hand_built()
 
 
+def _full_walk(ctx, fired):
+    """What engine._cones gives a run, made with no cone: each fired page's
+    whole clearing index and every A-degree up to reach for E_1.  A run
+    given these fires every record of d_r on every page, the reference the
+    cones are checked against."""
+    cones = {r: _rule_degrees(ctx.A, gens, ctx.reach) for r, gens in fired}
+    cones[None] = (1 << ctx.reach + 1) - 1
+    return cones
+
+
 @pytest.mark.parametrize("case", golden.all_cases() + HAND_BUILT,
                          ids=lambda c: c[0] if isinstance(c, tuple) else golden.case_id(c))
 def test_cones_fire_what_the_full_walk_fires(case, monkeypatch):
     # run fires each page on its cone (engine._cones); a page's full
-    # clearing index, apply_page with no cone as run loops without cones,
+    # clearing index on E_1 over every A-degree up to reach (_full_walk)
     # must give the same profile (unknowns' marks included), the same JSON
     # and SVG bytes and the same d_r records through window_maps on every
     # page, over every golden case, every page-cap sweep point and the
@@ -1073,7 +1128,7 @@ def test_cones_fire_what_the_full_walk_fires(case, monkeypatch):
             return pages, _outputs(pages, profile, case.meta(sched), case.chart_page(pages),
                                    case.D, sched.label)
     pages, got = once()
-    monkeypatch.setattr(engine, "_cones", lambda ctx, fired: {})
+    monkeypatch.setattr(engine, "_cones", _full_walk)
     full, want = once()
     assert [pd.r for pd in pages] == [pd.r for pd in full]
     assert got == want
@@ -1121,9 +1176,9 @@ def test_e1_holds_exactly_the_a_degrees_the_run_reads(case, monkeypatch):
         read |= cone | {a - shift for a in cone}
     basis = basis_up_to(A, ctx.reach)
     assert list(pages[0].degrees) == sorted(a for a in read if a in basis)
-    build = engine.build_e1
-    monkeypatch.setattr(engine, "build_e1",
-                        lambda *args, needed=None, **kwargs: build(*args, **kwargs))
+    find_cones = engine._cones
+    monkeypatch.setattr(engine, "_cones", lambda ctx, fired: {
+        **find_cones(ctx, fired), None: _full_walk(ctx, ())[None]})
     full, want = once()
     assert list(full[0].degrees) == sorted(basis)
     assert got == want
@@ -1143,8 +1198,7 @@ def test_e1_keeps_the_a_degrees_the_ladders_read():
     (Case("v0", 2, 1000, n=3), 5)], ids=["v2-p2-D120-cap8", "v2-p2-D160", "v0-p2-n3-D1000"])
 def test_a_run_compiles_each_page_once(monkeypatch, case, compiled):
     # the cones, the fired pages and the unfired pages' unknowns share one
-    # compiled PageGenerators per page; apply_page on its own compiles its
-    # page
+    # compiled PageGenerators per page
     calls = []
     compile_page = engine._page_generators
 
@@ -1155,11 +1209,6 @@ def test_a_run_compiles_each_page_once(monkeypatch, case, compiled):
     monkeypatch.setattr(engine, "_page_generators", count)
     sched, _, _ = case.run()
     assert sorted(calls) == sorted(sched.pages) and len(calls) == compiled
-    A, sched, w = case.build()
-    first = min(sched.pages)
-    e1 = build_e1(A, sched.v, w, pages=sorted(sched.pages))
-    apply_page(PageData(first, e1.ctx, e1.degrees), sched.pages[first])
-    assert calls[compiled:] == [first]
 
 
 def test_a_run_on_v2_p2_d2000_allocates_under_three_mib():

@@ -99,3 +99,81 @@ def test_only_the_page_compile_reads_a_rule():
     (compile_page,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                        and node.name == "_page_generators"]
     assert reads(compile_page) and reads(tree) == reads(compile_page)
+
+
+# Library names that only the tests, the benchmark or the demos read, each
+# with the reason it stays; ROADMAP D16 moves the last group into test
+# tooling.
+READ_ONLY_OUTSIDE = {
+    "jsonio.emit_json": "public API: the benchmark and the demos write documents with it",
+    "jsonio.monomial_str": "public API: the demos print monomials with it",
+    "algebra.Algebra.monomial": "public API: how a caller names a monomial",
+    "algebra.Algebra.adjoin": "public API: how a caller writes a rule target over A[v]",
+    "closedform.rational_thh_dims": "oracle code, kept beside graded_dims",
+    "algebra.basis_in_degree": "benchmark tracer hook",
+    "linalg.left_kernel": "benchmark tracer hook",
+    "engine.PageData.cells": "benchmark tracer hook (ROADMAP B1, D9)",
+    "engine.PageData.diffs": "benchmark tracer hook (ROADMAP B1, D9)",
+    "algebra.element": "waits on D16: test-side Leibniz reference",
+    "algebra.derivation_extend": "waits on D16: test-side Leibniz reference",
+    "formulas.d_deg_explicit": "waits on D16: cross-check formula",
+    "formulas.lambda_expand": "waits on D16: cross-check formula",
+    "jsonio.expand": "waits on D16: schema 1 is test tooling",
+    "jsonio.parse_json": "waits on D16: schema 1 is test tooling",
+    "engine.Cell.reps_rows": "waits on D16: read only by tests",
+    "towers.TowerProfile.restrict": "waits on D16: read only by tests",
+}
+
+
+def definitions(tree):
+    """(qualified name, how a reader reaches it) of each module-level
+    function and class, by name or as a module's attribute, and of each
+    method of such a class, as an attribute only; the dunder methods are
+    left out, since Python calls those itself."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield f"{node.name}.{sub.name}", "." + sub.name
+
+
+def names_read(tree, strings):
+    """Every name the code loads, and ".attr" for every attribute it reads;
+    with strings, also each dotted part of a string constant in both forms,
+    as the benchmark's tracer names the functions it hooks."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.update((node.attr, "." + node.attr))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for part in node.value.split("."):
+                out.update((part, "." + part))
+    return out
+
+
+def test_the_library_reads_what_it_defines():
+    # a function, class or method defined under src/bockstein that no
+    # library module reads, only tests/, perfbench/ or demos/, is code the
+    # system does not need; the ones that stay are named above with their
+    # reason, and a name the library comes to read, or that goes, leaves
+    # the list.  A name is matched, not resolved, so a method counts as
+    # read wherever an attribute of that name is
+    root = Path(__file__).resolve().parents[1]
+    defined, inside = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update((f"{path.stem}.{qual}", name) for qual, name in definitions(tree))
+        if path.stem != "__init__":  # its imports export, they do not read
+            inside |= names_read(tree, strings=False)
+    outside = set()
+    for folder in ("tests", "perfbench", "demos"):
+        for path in (root / folder).rglob("*.py"):
+            outside |= names_read(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    unread = {qual for qual, name in defined.items() if name not in inside}
+    assert {qual for qual in unread if defined[qual] not in outside} == set()
+    assert unread == set(READ_ONLY_OUTSIDE)

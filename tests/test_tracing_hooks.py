@@ -16,7 +16,17 @@ from pathlib import Path
 import pytest
 
 from bockstein.closedform import thh_mod_p_algebra
-from bockstein.engine import PageData, Window, _bar_at, apply_page, build_e1, schedule_v2
+from bockstein.engine import (
+    PageData,
+    Window,
+    _bar_at,
+    _page_generators,
+    _rule_degrees,
+    apply_page,
+    build_e1,
+    reach,
+    schedule_v2,
+)
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -54,7 +64,8 @@ def test_the_tracer_observers_count_the_page_views():
     w = Window(60)
     sched = schedule_v2(2, w)
     counts = defaultdict(int)
-    pd = build_e1(A, sched.v, w, pages=sorted(sched.pages))
+    every = (1 << reach(sched.v.degree, w.max_degree, sorted(sched.pages), False) + 1) - 1
+    pd = build_e1(A, sched.v, w, False, sorted(sched.pages), 0, every)
     TRACING._cells(counts, (A, sched.v, w), {}, pd)
     ctx = pd.ctx
     keys = [(t, s) for t in range(ctx.max_degree + 1) for s in range(ctx.s_lo, ctx.s_hi + 1)
@@ -63,8 +74,10 @@ def test_the_tracer_observers_count_the_page_views():
     diffs = ranks = 0
     for r in sorted(sched.pages):
         pd = pd if pd.r == r else PageData(r, ctx, pd.degrees)
-        nxt = apply_page(pd, sched.pages[r])
-        TRACING._page(counts, (pd, sched.pages[r]), {}, nxt)
+        gens = _page_generators(A, ctx.deg_v, sched.pages[r])
+        index = _rule_degrees(A, gens, ctx.reach)
+        nxt = apply_page(pd, gens, index)
+        TRACING._page(counts, (pd, gens, index), {}, nxt)
         for t in range(ctx.max_degree + 2):
             for s in range(ctx.s_lo, ctx.s_hi - r + 1):
                 row = pd.maps.get(t - s * ctx.deg_v)
