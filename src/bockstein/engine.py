@@ -113,7 +113,7 @@ from .algebra import (
     require_prime,
     sparse_monomial,
 )
-from .formulas import LambdaFamily, deg_mu, nu_p, r_conj, r_len
+from .formulas import LambdaFamily, deg_mu, r_conj, r_len
 from .towers import INF, TowerProfile, Unknown
 
 
@@ -262,25 +262,27 @@ class Cell:
         return self._solver.express(vec)
 
 
-def view_filtrations(deg_v: int, max_degree: int, pages: Sequence[int],
+def view_filtrations(deg_v: int, max_degree: int, top_page: int,
                      localized: bool) -> Tuple[int, int]:
-    """The filtrations a page view lists.  With |v| > 0 they are every
-    filtration a class of degree <= D can have (localized: the same range
-    below zero); with |v| = 0, s <= sum(pages) + 2 + max(pages)."""
+    """The filtrations a page view lists, top_page the schedule's last page
+    R.  With |v| > 0, every filtration a class of degree <= D can have
+    (localized: the same range below zero).  With |v| = 0, s <= R: the
+    smallest bound that holds every bar's start (a fired page) and every
+    d_r's target (r, from a source at 0), and E_{R+1} = E_infinity."""
     if deg_v == 0:
-        return 0, sum(pages) + 2 + max(pages, default=0)
+        return 0, top_page
     s_hi = max_degree // deg_v
     return (-s_hi if localized else 0), s_hi
 
 
-def reach(deg_v: int, max_degree: int, pages: Sequence[int], localized: bool,
+def reach(deg_v: int, max_degree: int, top_page: int, localized: bool,
           max_source: int = 0) -> int:
     """The largest A-degree a run keeps: the view's A-degrees (differential
-    sources at t = D + 1 included), the sources of every boundary into them,
-    and every rule source."""
-    s_lo = view_filtrations(deg_v, max_degree, pages, localized)[0]
+    sources at t = D + 1 included), the sources of every boundary into them
+    up to page top_page, and every rule source."""
+    s_lo = view_filtrations(deg_v, max_degree, top_page, localized)[0]
     top = max_degree + 1 - s_lo * deg_v
-    return max(top + 1 + max(pages, default=0) * deg_v, max_source)
+    return max(top + 1 + top_page * deg_v, max_source)
 
 
 # Runs whose estimate_cost exceeds this are refused as oversized.  As
@@ -304,15 +306,15 @@ def estimate_cost(deg_v: int, max_degree: int, pages: Sequence[int], localized: 
     A-degrees up to reach times the pages it fires.  It builds no algebra;
     the run keeps only the A-degrees it reads, often a small part."""
     fired = [r for r in pages if page_cap is None or r <= page_cap]
-    return (reach(deg_v, max_degree, pages, localized) + 1) * max(1, len(fired))
+    return (reach(deg_v, max_degree, max(pages, default=0), localized) + 1) * max(1, len(fired))
 
 
 class EngineContext:
-    """Shared immutable state of one run: algebra, v, window, view range
-    and A-degree reach."""
+    """Shared immutable state of one run: algebra, v, window, the
+    schedule's last page (top_page), view range and A-degree reach."""
 
     def __init__(self, A: Algebra, v: GeneratorSpec, localized: bool, max_degree: int,
-                 pages: Sequence[int] = (), max_source: int = 0) -> None:
+                 top_page: int = 0, max_source: int = 0) -> None:
         if any(g.name == v.name for g in A.generators):
             raise ScheduleError(f"v generator {v.name!r} already present in the algebra")
         if localized and v.degree == 0:
@@ -322,9 +324,9 @@ class EngineContext:
         self.deg_v = v.degree
         self.localized = localized
         self.max_degree = max_degree
-        self.top_page = max(pages, default=0)
-        self.s_lo, self.s_hi = view_filtrations(v.degree, max_degree, pages, localized)
-        self.reach = reach(v.degree, max_degree, pages, localized, max_source)
+        self.top_page = top_page
+        self.s_lo, self.s_hi = view_filtrations(v.degree, max_degree, top_page, localized)
+        self.reach = reach(v.degree, max_degree, top_page, localized, max_source)
 
     def _filtrations(self, a: int, top: int) -> Tuple[int, int]:
         """The view's filtrations at which A-degree a lies in degrees 0..top
@@ -511,20 +513,21 @@ class _DiffView(_PageView):
         return DiffRecord((t - 1, s + self._pd.r), rec.matrix, rec.rank)
 
 
-def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool, pages: Sequence[int],
+def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool, top_page: int,
              max_source: int, needed: int) -> PageData:
     """E_1 = A[v] (A[v^{+-1}] when localized), seen through the window, on
     the nonempty A-degrees of needed, a bitset.
 
-    pages are the schedule's page numbers: the largest fixes how far above
-    the window boundaries come from, and with |v| = 0 they fix the
-    filtrations a view lists.  max_source is the largest A-degree of a rule
-    source, so that every rule can be checked against its state.  run
-    passes the A-degrees it reads (_cones), and the basis walk enumerates
-    only them (basis_up_to), or every one when they are all of 0..reach.
+    top_page is the schedule's last page R: with |v| > 0 it fixes how far
+    above the window boundaries come from, and with |v| = 0 the view ends
+    at filtration R (view_filtrations).  max_source is the largest A-degree
+    of a rule source, so that every rule can be checked against its state.
+    run passes the A-degrees it reads (_cones), and the basis walk
+    enumerates only them (basis_up_to), or every one when they are all of
+    0..reach.
     """
     w = as_window(w)
-    ctx = EngineContext(A, v, localized, w.max_degree, tuple(pages), max_source)
+    ctx = EngineContext(A, v, localized, w.max_degree, top_page, max_source)
     only = None if needed == (1 << ctx.reach + 1) - 1 else _set_bits(needed)
     basis = basis_up_to(A, ctx.reach, only)
     # sorted by the degrees alone, which are distinct ints
@@ -1027,7 +1030,11 @@ def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
     per page, on the page generators lambda_1 .. lambda_n, lambda_{n+1}
     mu^{p^j-1} and mu^{p^j}.  Its Leibniz extension is the paper's
     d_{nu_p(k)+1}(mu^k) = v_0^{nu_p(k)+1} mu^{k-1} lambda_{n+1}, with the
-    unit k / p^{nu_p(k)} mod p.  A p that is not prime raises AlgebraError."""
+    unit k / p^{nu_p(k)} mod p.  A p that is not prime raises AlgebraError.
+
+    Page j + 1 is emitted exactly when p^j |mu| <= D + 1, when its d has an
+    end in 0..D (the lowest, its rule's target, is in degree p^j |mu| - 1).
+    So of J pages the first not emitted, J + 1, hits p^J |mu| - 1 > D up."""
     w = as_window(w)
     require_prime(p)
     v = GeneratorSpec("v0", 0, POLYNOMIAL)
@@ -1035,28 +1042,19 @@ def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
     lam = n          # index of lambda_{n+1}
     mu = n + 1       # index of mu_{n+1}
     vi = n + 2
-    # page j + 1 is emitted while mu^{p^j} lies within D + 1 plus one degree
-    # per page; the page count feeds back into that bound
-    t_hi = w.max_degree + 1
-    while True:
-        js = [j for j in range(t_hi.bit_length()) if p ** j * dm <= t_hi]
-        if w.max_degree + 1 + len(js) == t_hi:
-            break
-        t_hi = w.max_degree + 1 + len(js)
     pages: Dict[int, RulePage] = {}
-    for j in js:
-        q = p ** j
+    j, q = 0, 1
+    while q * dm <= w.max_degree + 1:
         src = sparse_monomial(n + 2, {mu: q})
         target = {sparse_monomial(n + 3, {vi: j + 1, mu: q - 1, lam: 1}): 1}
         attach = {i: 0 for i in range(n)}
         attach[lam] = q - 1
         pages[j + 1] = RulePage(j + 1, [Rule(src, target)], attach)
-    k_next = t_hi // dm + 1
-    min_page = nu_p(p, k_next) + 1
+        j, q = j + 1, q * p
     return DifferentialSchedule(
         v, pages, label=f"v0 p={p} n={n}",
-        future_target_floor=k_next * dm - 1,
-        future_min_page=min_page,
+        future_target_floor=q * dm - 1,
+        future_min_page=j + 1,
     )
 
 
@@ -1199,10 +1197,10 @@ def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
             raise MalformedRuleError(f"malformed rule (page {page.r} scheduled at page {r})")
         gens[r] = _page_generators(A, sched.v.degree, page)
     max_source = max((sa for g in gens.values() for sa, _ in g.ends), default=0)
-    ctx = EngineContext(A, sched.v, localized, w.max_degree, order, max_source)
+    ctx = EngineContext(A, sched.v, localized, w.max_degree, max(order, default=0), max_source)
     fired = [r for r in order if page_cap is None or r <= page_cap]
     cones = _cones(ctx, [(r, gens[r]) for r in fired])
-    pd = build_e1(A, sched.v, w, localized, order, max_source, cones[None])
+    pd = build_e1(A, sched.v, w, localized, ctx.top_page, max_source, cones[None])
     if not sched.pages:
         warnings.warn("window too small to contain any rule source; E_1 = E_infinity",
                       stacklevel=2)

@@ -80,11 +80,12 @@ def left_kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> List[Row]:
 
 
 def _forward(rows: Sequence[Sequence[int]], ncols: int,
-             p: int) -> Tuple[Dict[int, Row], List[Row]]:
+             p: int) -> Tuple[Dict[int, Row], List[int], List[Row]]:
     """One forward elimination of [M | 1], M given by rows and ncols wide:
-    the pivot rows, each normalized at its pivot (the first nonzero of its
-    M part) and reduced against the earlier ones only, and, in row order,
-    the combos of the rows (the identity part) that reduce to zero in M.
+    the pivot rows by pivot column, each normalized at its pivot (the first
+    nonzero of its M part) and reduced against the earlier ones only, the
+    pivot columns in increasing order, and, in row order, the combos of the
+    rows (the identity part) that reduce to zero in M.
 
     Each row is reduced as reduce_row would, against the pivots in
     increasing order (cols, kept sorted), in the one list it is built in."""
@@ -114,7 +115,7 @@ def _forward(rows: Sequence[Sequence[int]], ncols: int,
                 break
         else:
             kernel.append(r[ncols:])
-    return fwd, kernel
+    return fwd, cols, kernel
 
 
 def kernel_and_echelon(rows: Sequence[Sequence[int]], ncols: int,
@@ -128,9 +129,9 @@ def kernel_and_echelon(rows: Sequence[Sequence[int]], ncols: int,
     Each kernel row is 1 at its own row and 0 at the rows after it, so the
     kernel's rows are independent.  A run makes one call per d_r record
     (engine._record)."""
-    fwd, kernel = _forward(rows, ncols, p)
+    fwd, cols, kernel = _forward(rows, ncols, p)
     ech: Dict[int, Row] = {}
-    for piv in sorted(fwd, reverse=True):
+    for piv in reversed(cols):
         r = fwd[piv][:ncols]
         # the rows of later pivots are reduced already, so subtracting one
         # clears its pivot column and leaves the other pivot columns at 0
@@ -158,7 +159,7 @@ class CosetSolver:
         self.width = width
         self.reps_at = width + len(boundaries)  # where the reps' part of a combo starts
         self.pad = len(boundaries) + len(reps)
-        self.fwd, kernel = _forward(list(boundaries) + list(reps), width, p)
+        self.fwd, _, kernel = _forward(list(boundaries) + list(reps), width, p)
         if any(any(combo[len(boundaries):]) for combo in kernel):
             raise ValueError("representatives are dependent modulo boundaries")
 

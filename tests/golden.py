@@ -41,6 +41,29 @@ own path through the writer.  They were recorded by the writer that
 encoded a dict tree with `json.dumps(indent=1)`, so they check the
 writers that replaced it.
 
+The v0 records (|v| = 0) hold two generations of digests.  The first
+(the keys above) was recorded when a |v| = 0 view listed the filtrations
+s <= sum(pages) + 2 + max(pages), a bound the (t, s) grid left behind.  A
+view now ends at the schedule's last page R (`engine.view_filtrations`),
+so the v0 documents list fewer filtrations.  Their first generation is
+checked on a re-read: the pages of the same run, read through a copy of
+their context whose view ends at the old bound (`gen1_pages`), which gives
+back the documents the old view wrote.  The second generation, under the
+key "gen2", holds the same digests of the documents as the run writes
+them now, whole: the classes the old grid left undecided (`dropped`) all
+lie above R.  The ASCII record of a v0 case holds both generations too.
+
+A capped v0 run also reads its towers further than the recorded one.  The
+recorded schedule named a future page that could be page 1, which every
+v0 schedule fires, so a capped run read only the first bar of a tower at
+or above the schedule's future floor, and recorded `unknown(>= 1)` for
+towers its fired pages decided.  The future page is now the first page
+the schedule did not emit.  So on a capped v0 case, at cap c, a recorded
+`unknown(>= 1)` may now read `unknown(>= c+1)` or a length in 1..c, and
+every other entry stays as recorded (`test_golden.py`).  The first
+generation's JSON digest holds the recorded towers, so the re-read is
+written with a profile rebuilt from them (`recorded_profile`).
+
 `PYTHONPATH=src python tests/golden.py` fills in what the file lacks: a
 record for each case that has none and each key a record lacks, taken from
 the current engine.  Every existing record and digest is kept as it is, so
@@ -49,6 +72,7 @@ a digest made by an older engine is never re-recorded.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -56,9 +80,10 @@ import sys
 from pathlib import Path
 
 from bockstein.cases import Case
+from bockstein.engine import PageData
 from bockstein.jsonio import emit_json, expand, parse_json
 from bockstein.svg import ChartStyle, chart_marks, draw_chart
-from bockstein.towers import length_str
+from bockstein.towers import INF, TowerProfile, Unknown, length_str
 
 DATA = Path(__file__).resolve().parent / "data" / "golden.json"
 
@@ -176,9 +201,72 @@ def _stored(c: Case) -> dict:
             "localized": c.localized, "variant": c.variant, "page_cap": c.page_cap}
 
 
-def snapshot(c, dropped=()):
+def reread(pages, s_hi):
+    """The pages of a run read through one copy of their context whose
+    view ends at filtration s_hi: the same bars and differentials, each
+    shown up to s_hi."""
+    ctx = copy.copy(pages[0].ctx)
+    ctx.s_hi = s_hi
+    out = []
+    for pd in pages:
+        seen = PageData(pd.r, ctx, pd.degrees)
+        seen.maps = pd.maps
+        out.append(seen)
+    return out
+
+
+def gen1_pages(sched, pages):
+    """The pages of a v0 run read through the view the first generation was
+    recorded with: s <= sum(pages) + 2 + max(pages) over the schedule's."""
+    return reread(pages, sum(sched.pages) + 2 + max(sched.pages, default=0))
+
+
+def _length(text: str):
+    """The tower length length_str wrote as text."""
+    if text == "inf":
+        return INF
+    if text == "unknown(possibly absent)":
+        return Unknown(possibly_absent=True)
+    if text == "unknown":
+        return Unknown()
+    if text.startswith("unknown(>= "):
+        return Unknown(int(text[len("unknown(>= "):-1]))
+    return int(text)
+
+
+def recorded_profile(D: int, towers) -> TowerProfile:
+    """The profile of a record's towers."""
+    prof = TowerProfile(D)
+    for t, lengths in towers.items():
+        for text in lengths:
+            prof.add(int(t), _length(text))
+    return prof
+
+
+def _digests(c, sched, pages, profile, drop, s_range, whole) -> dict:
+    """The digests of the documents of one reading of a run: the schema-1
+    JSON and the chart, restricted as the module docstring says, and with
+    whole the schema-2 document itself, UTF-8 and --ascii."""
+    filtered = bool(drop) or s_range is not None
+    doc = emit_json(pages, profile, c.meta(sched))
+    schema1 = _restricted(doc, drop, s_range) if filtered else expand(doc)
+    chart_page = c.chart_page(pages)
+    i = next(i for i, pd in enumerate(pages) if pd is chart_page)
+    chart = draw_chart(chart_page, *_marks(chart_page, drop.get(i, set()), s_range), ChartStyle(),
+                       c.D, title=sched.label)
+    out = {"json_sha256": _sha(schema1), "svg_sha256": _sha(chart)}
+    if whole:
+        out["json2_sha256"] = _sha(doc)
+        out["json2_ascii_sha256"] = _sha(emit_json(pages, profile, c.meta(sched), ascii_=True))
+    return out
+
+
+def snapshot(c, dropped=(), towers=None):
     """The golden record of one case, and its pages.  dropped lists
-    [page index, t, s, ...] of classes to leave out of the documents."""
+    [page index, t, s, ...] of classes to leave out of the documents.  A
+    v0 record's first generation is read off the same run's pages
+    (gen1_pages), its JSON written with the profile of towers, the
+    recorded towers, when they are given."""
     sched, pages, profile = c.run()
     drop = {}
     for i, t, s, *_ in dropped:
@@ -187,34 +275,37 @@ def snapshot(c, dropped=()):
     if c.localized:
         bound = c.D // sched.v.degree
         s_range = (-bound, bound)
-    filtered = bool(drop) or s_range is not None
-    doc = emit_json(pages, profile, c.meta(sched))
-    schema1 = _restricted(doc, drop, s_range) if filtered else expand(doc)
-    chart_page = c.chart_page(pages)
-    i = next(i for i, pd in enumerate(pages) if pd is chart_page)
-    chart = draw_chart(chart_page, *_marks(chart_page, drop.get(i, set()), s_range), ChartStyle(),
-                       c.D, title=sched.label)
     rec = {
         "case": _stored(c),
         "towers": {str(t): [length_str(x) for x in profile.lengths(t)]
                    for t in profile.degrees()},
         "pages": [pd.r for pd in pages],
-        "filtered": filtered,
+        "filtered": bool(drop) or s_range is not None,
         "dropped": [list(d) for d in dropped],
-        "json_sha256": _sha(schema1),
-        "svg_sha256": _sha(chart),
     }
-    if c in FIXED:
-        rec["json2_sha256"] = _sha(doc)
-        rec["json2_ascii_sha256"] = _sha(emit_json(pages, profile, c.meta(sched), ascii_=True))
+    if sched.v.degree:
+        rec.update(_digests(c, sched, pages, profile, drop, s_range, c in FIXED))
+        return rec, pages
+    gen1_profile = profile if towers is None else recorded_profile(c.D, towers)
+    rec.update(_digests(c, sched, gen1_pages(sched, pages), gen1_profile, drop, s_range,
+                        c in FIXED))
+    rec["gen2"] = _digests(c, sched, pages, profile, {}, None, c in FIXED)
     return rec, pages
 
 
 def ascii_snapshot(c) -> dict:
-    """The golden record of the whole --ascii JSON document of one case."""
+    """The golden record of the whole --ascii JSON document of one case,
+    with a second generation for a v0 case (snapshot)."""
     sched, pages, profile = c.run()
-    doc = expand(emit_json(pages, profile, c.meta(sched), ascii_=True))
-    return {"case": _stored(c), "ascii": True, "json_sha256": _sha(doc)}
+
+    def digest(pages):
+        return _sha(expand(emit_json(pages, profile, c.meta(sched), ascii_=True)))
+
+    if sched.v.degree:
+        return {"case": _stored(c), "ascii": True, "json_sha256": digest(pages)}
+    return {"case": _stored(c), "ascii": True,
+            "json_sha256": digest(gen1_pages(sched, pages)),
+            "gen2": {"json_sha256": digest(pages)}}
 
 
 def load(ascii_=False):
@@ -224,10 +315,12 @@ def load(ascii_=False):
 
 
 def same_documents(c) -> bool:
-    """Whether a recorded case's JSON and SVG documents come out the same."""
+    """Whether a recorded case's JSON and SVG documents come out the same,
+    in both generations of a v0 case."""
     want = next(rec for rec in load() if case_of(rec) == c)
-    got, _ = snapshot(c, dropped=want["dropped"])
-    return (got["json_sha256"], got["svg_sha256"]) == (want["json_sha256"], want["svg_sha256"])
+    got, _ = snapshot(c, dropped=want["dropped"], towers=want["towers"])
+    keys = ("json_sha256", "svg_sha256", "gen2")
+    return [got.get(key) for key in keys] == [want.get(key) for key in keys]
 
 
 def main() -> int:
@@ -236,7 +329,8 @@ def main() -> int:
     records = []
     for c, ascii_ in [(c, False) for c in all_cases()] + [(c, True) for c in ASCII]:
         rec = kept.pop((case_id(c), ascii_), {})
-        fresh = ascii_snapshot(c) if ascii_ else snapshot(c, rec.get("dropped", ()))[0]
+        fresh = (ascii_snapshot(c) if ascii_
+                 else snapshot(c, rec.get("dropped", ()), rec.get("towers"))[0])
         added = [key for key in fresh if key not in rec]
         for key in added:
             rec[key] = fresh[key]

@@ -416,8 +416,9 @@ def test_a_p_that_is_not_prime_is_refused(capsys, command, args, p):
 
 
 def test_cost_estimate_reads_the_schedule_pages(monkeypatch):
-    # v0 p=2 n=0 D=6 emits pages 1 and 2: mu_1^2 sits in degree 8, within
-    # D + 1 plus one degree per page, so the size check must count both
+    # the size check counts the pages the schedule emits: v0 p=2 n=0 emits
+    # page 2 from D = 7 on, where its d_2(mu_1^2) hits degree 7, and page 1
+    # alone at D = 6, where both ends of d_2, 8 and 7, lie past the window
     from bockstein import engine
     from bockstein.cases import Case
 
@@ -426,8 +427,10 @@ def test_cost_estimate_reads_the_schedule_pages(monkeypatch):
     monkeypatch.setattr(engine, "estimate_cost",
                         lambda deg_v, D, pages, *rest: seen.append(list(pages))
                         or estimate(deg_v, D, pages, *rest))
-    _, sched, _ = Case("v0", 2, 6, n=0).build()
-    assert sorted(sched.pages) == [1, 2] and seen == [[1, 2]]
+    _, sched6, _ = Case("v0", 2, 6, n=0).build()
+    _, sched7, _ = Case("v0", 2, 7, n=0).build()
+    assert sorted(sched6.pages) == [1] and sorted(sched7.pages) == [1, 2]
+    assert seen == [[1], [1, 2]]
 
 
 @pytest.mark.parametrize("args, message", [

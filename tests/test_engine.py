@@ -76,10 +76,11 @@ def test_build_e1_dims():
     A = thh_mod_p_algebra(2, 2)
     sched = DifferentialSchedule(v_gen("v0", 0), {1: RulePage(1, []), 2: RulePage(2, [])})
     pd = run(A, sched, Window(16))[0][0]
-    assert max(s for (_t, s) in pd.cells) == 7  # sum(pages) + 2 + max(pages)
-    for s in range(0, 8):
+    assert max(s for (_t, s) in pd.cells) == 2  # the last page
+    for s in range(0, 3):
         assert pd.dim(15, s) == 1  # lambda_3 v0^s
         assert pd.dim(1, s) == 0
+    assert pd.dim(15, 3) == 0  # above the view
     assert pd.r == 1 and not pd.diffs
 
 
@@ -324,64 +325,66 @@ def test_apply_page_leibniz_matches_derivation_extend():
 
 # the bars of each page of the run below, as its schema-2 `levels`:
 # A-degree -> [(s_from, s_to, dim, lead monomials)], recorded by the engine
-# that kept one boundary level per fired page
+# that kept one boundary level per fired page, each cut at the view's top
+# filtration, the last page 3
 MULTI_BARS = {
     1: {
-        0: [(0, 11, 1, ['1'])],
-        1: [(0, 11, 2, ['x2', 'x1'])],
-        2: [(0, 11, 2, ['y', 'x1·x2'])],
-        3: [(0, 11, 3, ['x3', 'x2·y', 'x1·y'])],
-        4: [(0, 11, 4, ['y^2', 'x2·x3', 'x1·x3', 'x1·x2·y'])],
-        5: [(0, 11, 4, ['x3·y', 'x2·y^2', 'x1·y^2', 'x1·x2·x3'])],
-        6: [(0, 11, 4, ['y^3', 'x2·x3·y', 'x1·x3·y', 'x1·x2·y^2'])],
+        0: [(0, 3, 1, ['1'])],
+        1: [(0, 3, 2, ['x2', 'x1'])],
+        2: [(0, 3, 2, ['y', 'x1·x2'])],
+        3: [(0, 3, 3, ['x3', 'x2·y', 'x1·y'])],
+        4: [(0, 3, 4, ['y^2', 'x2·x3', 'x1·x3', 'x1·x2·y'])],
+        5: [(0, 3, 4, ['x3·y', 'x2·y^2', 'x1·y^2', 'x1·x2·x3'])],
+        6: [(0, 3, 4, ['y^3', 'x2·x3·y', 'x1·x3·y', 'x1·x2·y^2'])],
     },
     2: {
-        0: [(0, 11, 1, ['1'])],
-        1: [(0, 11, 2, ['x2', 'x1'])],
-        2: [(0, 0, 2, ['y', 'x1·x2']), (1, 11, 1, ['y'])],
-        3: [(0, 11, 2, ['x2·y', 'x1·y'])],
-        4: [(0, 0, 4, ['y^2', 'x2·x3', 'x1·x3', 'x1·x2·y']), (1, 11, 3, ['y^2', 'x2·x3', 'x1·x3'])],
-        5: [(0, 11, 3, ['x2·y^2', 'x1·y^2', 'x1·x2·x3'])],
+        0: [(0, 3, 1, ['1'])],
+        1: [(0, 3, 2, ['x2', 'x1'])],
+        2: [(0, 0, 2, ['y', 'x1·x2']), (1, 3, 1, ['y'])],
+        3: [(0, 3, 2, ['x2·y', 'x1·y'])],
+        4: [(0, 0, 4, ['y^2', 'x2·x3', 'x1·x3', 'x1·x2·y']), (1, 3, 3, ['y^2', 'x2·x3', 'x1·x3'])],
+        5: [(0, 3, 3, ['x2·y^2', 'x1·y^2', 'x1·x2·x3'])],
         6: [(0, 0, 4, ['y^3', 'x2·x3·y', 'x1·x3·y', 'x1·x2·y^2']),
-            (1, 11, 3, ['y^3', 'x2·x3·y', 'x1·x3·y'])],
+            (1, 3, 3, ['y^3', 'x2·x3·y', 'x1·x3·y'])],
     },
     3: {
-        0: [(0, 11, 1, ['1'])],
-        1: [(0, 1, 2, ['x2', 'x1']), (2, 11, 1, ['x1'])],
+        0: [(0, 3, 1, ['1'])],
+        1: [(0, 1, 2, ['x2', 'x1']), (2, 3, 1, ['x1'])],
         2: [(0, 0, 1, ['x1·x2'])],
-        3: [(0, 1, 2, ['x2·y', 'x1·y']), (2, 11, 1, ['x1·y'])],
-        4: [(0, 0, 3, ['x2·x3', 'x1·x3', 'x1·x2·y']), (1, 11, 2, ['x2·x3', 'x1·x3'])],
-        5: [(0, 1, 3, ['x2·y^2', 'x1·y^2', 'x1·x2·x3']), (2, 11, 2, ['x2·y^2', 'x1·y^2'])],
-        6: [(0, 0, 3, ['y^3', 'x2·x3·y', 'x1·x2·y^2']), (1, 11, 2, ['y^3', 'x2·x3·y'])],
+        3: [(0, 1, 2, ['x2·y', 'x1·y']), (2, 3, 1, ['x1·y'])],
+        4: [(0, 0, 3, ['x2·x3', 'x1·x3', 'x1·x2·y']), (1, 3, 2, ['x2·x3', 'x1·x3'])],
+        5: [(0, 1, 3, ['x2·y^2', 'x1·y^2', 'x1·x2·x3']), (2, 3, 2, ['x2·y^2', 'x1·y^2'])],
+        6: [(0, 0, 3, ['y^3', 'x2·x3·y', 'x1·x2·y^2']), (1, 3, 2, ['y^3', 'x2·x3·y'])],
     },
     4: {
-        0: [(0, 11, 1, ['1'])],
-        1: [(0, 1, 2, ['x2', 'x1']), (2, 11, 1, ['x1'])],
+        0: [(0, 3, 1, ['1'])],
+        1: [(0, 1, 2, ['x2', 'x1']), (2, 3, 1, ['x1'])],
         2: [(0, 0, 1, ['x1·x2'])],
-        3: [(0, 1, 2, ['x2·y', 'x1·y']), (2, 11, 1, ['x1·y'])],
-        4: [(0, 0, 3, ['x2·x3', 'x1·x3', 'x1·x2·y']), (1, 11, 2, ['x2·x3', 'x1·x3'])],
+        3: [(0, 1, 2, ['x2·y', 'x1·y']), (2, 3, 1, ['x1·y'])],
+        4: [(0, 0, 3, ['x2·x3', 'x1·x3', 'x1·x2·y']), (1, 3, 2, ['x2·x3', 'x1·x3'])],
         5: [(0, 1, 3, ['x2·y^2', 'x1·y^2', 'x1·x2·x3']), (2, 2, 2, ['x2·y^2', 'x1·y^2']),
-            (3, 11, 1, ['x2·y^2'])],
-        6: [(0, 0, 2, ['x2·x3·y', 'x1·x2·y^2']), (1, 11, 1, ['x2·x3·y'])],
+            (3, 3, 1, ['x2·y^2'])],
+        6: [(0, 0, 2, ['x2·x3·y', 'x1·x2·y^2']), (1, 3, 1, ['x2·x3·y'])],
     },
 }
 
 # and d_r out of each source A-degree, as its schema-2 `runs`:
-# A-degree -> [(s_from, s_to, rank, matrix)], recorded with them
+# A-degree -> [(s_from, s_to, rank, matrix)], recorded with them, each cut
+# at the sources whose target lies in the view (s + r <= 3)
 MULTI_MAPS = {
     1: {
-        3: [(0, 10, 1, [[0, 1], [0, 0], [0, 0]])],
-        5: [(0, 10, 1, [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])],
-        7: [(0, 10, 1, [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])],
+        3: [(0, 2, 1, [[0, 1], [0, 0], [0, 0]])],
+        5: [(0, 2, 1, [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])],
+        7: [(0, 2, 1, [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])],
     },
     2: {
-        2: [(0, 0, 1, [[2, 1], [0, 0]]), (1, 9, 1, [[2, 1]])],
-        4: [(0, 0, 1, [[1, 2], [0, 0], [0, 0], [0, 0]]), (1, 9, 1, [[1, 2], [0, 0], [0, 0]])],
+        2: [(0, 0, 1, [[2, 1], [0, 0]]), (1, 1, 1, [[2, 1]])],
+        4: [(0, 0, 1, [[1, 2], [0, 0], [0, 0], [0, 0]]), (1, 1, 1, [[1, 2], [0, 0], [0, 0]])],
         6: [(0, 0, 1, [[0, 0, 0], [0, 0, 1], [0, 0, 1], [0, 0, 0]]),
-            (1, 9, 1, [[0, 0, 0], [0, 0, 1], [0, 0, 1]])],
+            (1, 1, 1, [[0, 0, 0], [0, 0, 1], [0, 0, 1]])],
     },
     3: {
-        6: [(0, 0, 1, [[0, 1], [0, 0], [0, 0]]), (1, 8, 1, [[0, 1], [0, 0]])],
+        6: [(0, 0, 1, [[0, 1], [0, 0], [0, 0]])],
     },
     4: {},
 }
@@ -411,6 +414,10 @@ def test_cells_of_several_monomials_over_three_pages():
     pages, _ = run(A, DifferentialSchedule(v, {page.r: page for page in rules}), Window(6))
     assert [pd.r for pd in pages] == [1, 2, 3, 4]
     assert pages[2].degrees[1][0][1] is pages[1].degrees[1][0][1]  # d_2 keeps its bar at 0
+    # d_3 out of A-degree 6 has a record on each of its two bars; the view
+    # shows only the one at 0, whose target is at the top filtration 3
+    assert [(s, rec.rank, rec.matrix) for s, rec in pages[2].maps[6]] == [
+        (0, 1, [[0, 1], [0, 0], [0, 0]]), (1, 1, [[0, 1], [0, 0]])]
     doc = json.loads(emit_json(pages, TowerProfile(6), {}))
     for pd, record in zip(pages, doc["pages"]):
         bars = {rec["a"]: [tuple(run) for run in rec["levels"]] for rec in record["degrees"]}
@@ -450,7 +457,7 @@ def test_apply_page_beyond_the_given_pages_errors():
     v = v_gen("v2", 6)
     Av = A.adjoin(v)
     w = Window(40)
-    e1 = build_e1(A, v, w, False, (1,), 0, (1 << reach(v.degree, 40, (1,), False) + 1) - 1)
+    e1 = build_e1(A, v, w, False, 1, 0, (1 << reach(v.degree, 40, 1, False) + 1) - 1)
     mu = A.monomial(**{"μ3": 1})
     target = element(Av, (1, Av.monomial(**{"λ1": 1, "v2": 2})))
     gens = _page_generators(A, v.degree, RulePage(2, [Rule(mu, target)]))
@@ -540,7 +547,7 @@ def test_a_page_under_another_key_is_refused_before_any_page_fires(monkeypatch):
 
 def page_derivations(A, sched, D):
     """d_r of a monomial on each page of the schedule, as the engine runs it."""
-    ctx = EngineContext(A, sched.v, False, D, sorted(sched.pages))
+    ctx = EngineContext(A, sched.v, False, D, max(sched.pages))
     gens = {r: _page_generators(A, ctx.deg_v, pg) for r, pg in sched.pages.items()}
     return lambda r, m: _d_of_monomial(ctx, gens[r], m)
 
@@ -970,7 +977,7 @@ def test_page_derivation_signs_rules_past_odd_factors():
                    (1, Av.monomial(z=2, v0=1)))
     d_y = element(Av, (1, Av.monomial(x2=1, v0=1)), (1, Av.monomial(x1=1, z=1, v0=1)))
     page = RulePage(1, [Rule(A.monomial(x3=1), d_x3), Rule(A.monomial(y=1), d_y)])
-    ctx = EngineContext(A, v, False, 24, (1,))
+    ctx = EngineContext(A, v, False, 24, 1)
     gens = _page_generators(A, ctx.deg_v, page)
     for mons in basis_up_to(A, 24).values():
         for m in mons:
@@ -1261,7 +1268,7 @@ def test_each_cone_holds_every_record_a_later_read_depends_on(case):
         A, sched, w = case.build()
         localized = case.localized
     max_source = max(A.degree(rule.source) for pg in sched.pages.values() for rule in pg.rules)
-    ctx = EngineContext(A, sched.v, localized, w.max_degree, sorted(sched.pages), max_source)
+    ctx = EngineContext(A, sched.v, localized, w.max_degree, max(sched.pages), max_source)
     cones = engine._cones(ctx, [(r, _page_generators(A, ctx.deg_v, pg))
                                 for r, pg in sorted(sched.pages.items())])
     read = set(range(ctx.max_degree - ctx.s_lo * ctx.deg_v + 2))
@@ -1312,7 +1319,7 @@ def test_clearing_index_of_rules_on_several_generators():
     d_x3 = element(Av, (1, Av.monomial(y=1, v0=1)), (1, Av.monomial(x1=1, x2=1, v0=1)))
     d_y = element(Av, (1, Av.monomial(x2=1, v0=1)), (1, Av.monomial(x1=1, z=1, v0=1)))
     d_y3 = element(Av, (1, Av.monomial(x2=1, y=1, z=2, v0=1)))
-    ctx = EngineContext(A, v, False, 40, (1,))
+    ctx = EngineContext(A, v, False, 40, 1)
     basis = basis_up_to(A, 40)
     for page in (RulePage(1, [Rule(A.monomial(x3=1), d_x3), Rule(A.monomial(y=1), d_y)]),
                  RulePage(1, [Rule(A.monomial(x3=1), d_x3)]),
@@ -1669,7 +1676,9 @@ def test_kernel_and_echelon_equals_the_reference(p):
         matrices.append((rows, ncols))
     for rows, ncols in matrices:
         kernel, echelon = linalg.kernel_and_echelon(rows, ncols, p)
-        assert linalg._forward(rows, ncols, p) == _reference_forward(rows, ncols, p)
+        fwd, cols, forward_kernel = linalg._forward(rows, ncols, p)
+        assert (fwd, forward_kernel) == _reference_forward(rows, ncols, p)
+        assert cols == sorted(fwd)  # the pivot columns, increasing
         assert (kernel, echelon) == _reference_kernel_and_echelon(rows, ncols, p)
         seen[min(len(kernel), 2)] += 1
     assert min(seen[k] for k in (0, 1, 2)) >= 30, dict(seen)

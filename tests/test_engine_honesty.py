@@ -3,6 +3,8 @@ edge, unknown reporting, and the structural facts the tower reading relies
 on (dimensions non-increasing and v-multiplication surjective along slants).
 """
 
+import warnings
+
 import pytest
 
 from bockstein import linalg
@@ -14,21 +16,24 @@ from bockstein.engine import (
     schedule_v0,
     schedule_v2,
 )
+from bockstein.formulas import deg_mu
 from bockstein.towers import Unknown, compare
+import golden
 
 
 def test_top_filtrations_are_exact():
-    # the v0 view ends at s = 7; classes there whose differential lands
-    # above it are decided all the same
+    # the v0 view ends at the last page, s = 2; classes there whose
+    # differential lands above it are decided all the same
     A = thh_mod_p_algebra(2, 2)
     w = Window(58)
-    pages, _ = run(A, schedule_v0(2, 2, w), w)
+    sched = schedule_v0(2, 2, w)
+    pages, _ = run(A, sched, w)
     e2, final = pages[1], pages[-1]
     assert e2.r == 2 and final.r == 3
-    assert max(s for (_t, s) in final.cells) == 7
-    assert e2.dim(16, 7) == 0      # mu_3 v0^7 supports d_1 into (15, 8)
-    assert e2.dim(15, 7) == 0      # lambda_3 v0^7 is its boundary
-    for s in range(8):
+    assert max(s for (_t, s) in final.cells) == max(sched.pages) == 2
+    assert e2.dim(16, 2) == 0      # mu_3 v0^2 supports d_1 into (15, 3)
+    assert e2.dim(15, 2) == 0      # lambda_3 v0^2 is the boundary of mu_3 v0
+    for s in range(3):
         assert final.dim(32, s) == 0   # mu_3^2 v0^s supports d_2
         assert final.dim(0, s) == 1    # the unit's free tower
 
@@ -160,13 +165,91 @@ def test_dims_nonincreasing_and_v_surjective_along_slants():
 
 
 def test_v0_stabilization_horizon():
-    # beyond the sum of the fired pages, v0-columns are stable; the engine
-    # asserts this internally, here we confirm the dims explicitly
+    # the view ends at the last page R, past which the v0 columns are
+    # stable: the pages read through a view up to R + 4 show at every
+    # filtration above R what the view shows at R
     A = thh_mod_p_algebra(2, 3)
     w = Window(200)
-    pages, prof = run(A, schedule_v0(2, 3, w), w)
+    sched = schedule_v0(2, 3, w)
+    pages, _ = run(A, sched, w)
     final = pages[-1]
-    horizon = sum(r for r in (1, 2, 3))
+    R = max(sched.pages)
+    assert final.ctx.s_hi == R == 3
+    wide = golden.reread(pages, R + 4)[-1]
     for t in range(0, 201):
-        a, b = final.dim(t, horizon), final.dim(t, horizon + 1)
-        assert a == b, (t, a, b)
+        assert {wide.dim(t, s) for s in range(R, R + 5)} == {final.dim(t, R)}, t
+
+
+# every v0 height the sweeps below run, each at p = 2, 3 and 5
+V0_HEIGHTS = [(p, n) for p in (2, 3, 5) for n in range(5)]
+
+
+def _v0_edges(p, n, top=300):
+    """The windows D <= top at which a v0 schedule gains a page, and the
+    window just below each, and top itself: the windows where a page's
+    lowest end, p^j |mu| - 1, is D or D + 1."""
+    dm = deg_mu(p, n)
+    edges = {top}
+    q = 1
+    while q * dm - 2 <= top:
+        edges |= {D for D in (q * dm - 2, q * dm - 1) if 0 <= D <= top}
+        q *= p
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("p, n", V0_HEIGHTS, ids=str)
+def test_v0_schedules_emit_exactly_the_pages_with_an_end_in_the_window(p, n):
+    # every emitted page's d has an end in 0..D, and the first page not
+    # emitted, which the schedule names as its future page, has none: its
+    # lowest end is the future floor, past D
+    A = thh_mod_p_algebra(p, n)
+
+    def ends(page):
+        (rule,) = page.rules
+        return [A.degree(rule.source)] + [A.degree(m[:-1]) for m in rule.target]
+
+    for D in range(301):
+        sched = schedule_v0(p, n, Window(D))
+        J = len(sched.pages)
+        assert sorted(sched.pages) == list(range(1, J + 1))
+        for page in sched.pages.values():
+            assert any(0 <= e <= D for e in ends(page)), (D, page.r)
+        # the first page not emitted, from a window that holds it
+        nxt = schedule_v0(p, n, Window(p ** J * deg_mu(p, n))).pages[J + 1]
+        assert min(ends(nxt)) == sched.future_target_floor > D
+        assert sched.future_min_page == J + 1
+
+
+@pytest.mark.parametrize("p, n", V0_HEIGHTS, ids=str)
+def test_the_top_filtration_of_a_v0_view_is_the_last_page(p, n):
+    # the view ends at the schedule's last page R: every bar starts at or
+    # below R, and the last page's target starts a bar at R, so no lower
+    # bound holds every bar
+    for D in _v0_edges(p, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # windows below the first page warn
+            sched, pages, _ = Case("v0", p, D, n=n).run()
+        R = max(sched.pages, default=0)
+        for pd in pages:
+            assert (pd.ctx.s_lo, pd.ctx.s_hi) == (0, R)
+            assert max(s for _, s in pd.cells) == R
+        starts = [s for bars in pages[-1].degrees.values() for s, _ in bars]
+        assert max(starts) == R, D
+
+
+@pytest.mark.parametrize("p, n", V0_HEIGHTS, ids=str)
+def test_a_capped_v0_run_reads_its_towers_up_to_the_cap(p, n):
+    # every unknown of a capped v0 run may hold no tower or is at least
+    # cap + 1 long: the fired pages decide every tower they kill
+    saw = False
+    for D in _v0_edges(p, n):
+        for cap in range(1, len(schedule_v0(p, n, Window(D)).pages)):
+            case = Case("v0", p, D, n=n, page_cap=cap)
+            _, _, prof = case.run()
+            assert compare(prof, case.oracle(), D).ok
+            for t in prof.degrees():
+                for x in prof.lengths(t):
+                    if isinstance(x, Unknown):
+                        saw = True
+                        assert x.possibly_absent or x.lower >= cap + 1, (D, cap, t, x)
+    assert saw or len(schedule_v0(p, n, Window(300)).pages) < 2

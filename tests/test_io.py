@@ -11,8 +11,8 @@ import pytest
 from bockstein.algebra import EXTERIOR, POLYNOMIAL, Algebra, GeneratorSpec
 from bockstein.cases import Case
 from bockstein.closedform import thh_mod_p_algebra
-from bockstein.engine import (Cell, DiffRecord, PageData, Window, run, schedule_v0,
-                              schedule_v2)
+from bockstein.engine import (Cell, DiffRecord, EngineContext, PageData, Window, run,
+                              schedule_v0, schedule_v2)
 from bockstein.jsonio import (_json_list, _lead_renderer, _with_v, emit_json, expand,
                              json_fragments, monomial_str, parse_json)
 from bockstein import jsonio, svg
@@ -149,9 +149,14 @@ def test_json_layout_is_a_fixed_point_of_json_dumps(ascii_):
 def test_json_made_up_pages_expand_to_their_classes():
     with pytest.warns(UserWarning):  # the empty window
         (e1,), _ = Case("v0", 2, 2, n=2).run()[1:]
+    # a run with no page has a view of filtration 0 alone, where the class
+    # of page 2 does not show
     doc = json.loads(expand(emit_json(_made_up_pages(e1.ctx), TowerProfile(2), {})))
-    # the class of page 2 shows at filtration 1 (the fired page 1) through
-    # the top filtration 2 of the view
+    assert [page["classes"] for page in doc["pages"]] == [[], []]
+    # in the context of a schedule whose last page is 2, the class shows at
+    # filtration 1 (the fired page 1) through the top filtration 2 of the view
+    ctx = EngineContext(e1.ctx.A, e1.ctx.v, False, 2, 2)
+    doc = json.loads(expand(emit_json(_made_up_pages(ctx), TowerProfile(2), {})))
     assert [page["classes"] for page in doc["pages"]] == [[], [
         {"t": 2, "s": s, "dim": 2, "reps": [f"λ1·v0{x}", f"λ2·v0{x}"]}
         for s, x in ((1, ""), (2, "^2"))]]

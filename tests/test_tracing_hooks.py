@@ -64,8 +64,9 @@ def test_the_tracer_observers_count_the_page_views():
     w = Window(60)
     sched = schedule_v2(2, w)
     counts = defaultdict(int)
-    every = (1 << reach(sched.v.degree, w.max_degree, sorted(sched.pages), False) + 1) - 1
-    pd = build_e1(A, sched.v, w, False, sorted(sched.pages), 0, every)
+    top_page = max(sched.pages)
+    every = (1 << reach(sched.v.degree, w.max_degree, top_page, False) + 1) - 1
+    pd = build_e1(A, sched.v, w, False, top_page, 0, every)
     TRACING._cells(counts, (A, sched.v, w), {}, pd)
     ctx = pd.ctx
     keys = [(t, s) for t in range(ctx.max_degree + 1) for s in range(ctx.s_lo, ctx.s_hi + 1)
