@@ -15,7 +15,6 @@ from .algebra import (
     GeneratorSpec,
     Monomial,
     basis_in_degree,
-    derivation_extend,
     graded_dims,
     multiply,
 )
@@ -52,7 +51,6 @@ from .formulas import (
     d_deg,
     deg_lambda,
     deg_mu,
-    lambda_expand,
     nu_p,
     r_conj,
     r_len,

@@ -214,28 +214,6 @@ def mul_monomials(A: Algebra, m1: Monomial, m2: Monomial) -> Tuple[int, Monomial
     return koszul_sign(A, m1, m2), out
 
 
-def element(A: Algebra, *terms: Tuple[int, Monomial]) -> Element:
-    """Assemble an element from (coefficient, monomial) pairs, reducing mod p."""
-    out: Element = {}
-    for c, m in terms:
-        A.validate_monomial(m)
-        c = (out.get(m, 0) + c) % A.p
-        if c:
-            out[m] = c
-        else:
-            out.pop(m, None)
-    return out
-
-
-def add_into(acc: Element, other: Element, p: int, scale: int = 1) -> None:
-    for m, c in other.items():
-        v = (acc.get(m, 0) + scale * c) % p
-        if v:
-            acc[m] = v
-        else:
-            acc.pop(m, None)
-
-
 def multiply(a: Element, b: Element, A: Algebra) -> Element:
     """Bilinear graded-commutative product with Koszul signs."""
     out: Element = {}
@@ -360,35 +338,3 @@ def graded_dims(A: Algebra, max_degree: int) -> List[int]:
                 new[d] += dims[d - shift]
         dims = new
     return dims
-
-
-def derivation_extend(rules: Mapping[str, Element], x: Element, A: Algebra) -> Element:
-    """Extend generator rules to the unique signed derivation.
-
-    `rules` maps generator names to target elements; generators without a
-    rule map to zero.  Satisfies d(xy) = d(x) y + (-1)^{|x|} x d(y).
-    """
-    for name in rules:
-        A.index(name)  # raises ForeignGeneratorError on non-generators
-    p = A.p
-    degs = A._degrees  # type: ignore[attr-defined]
-    out: Element = {}
-    for m, c in x.items():
-        A.validate_monomial(m)
-        prefix_parity = 0
-        for i, e in enumerate(m):
-            if e:
-                g = A.generators[i]
-                target = rules.get(g.name)
-                if target:
-                    reduced = list(m)
-                    reduced[i] = e - 1
-                    sign = -1 if prefix_parity else 1
-                    coeff = (c * e * sign) % p
-                    if coeff:
-                        # contribution: coeff * (m with one g removed) * d(g),
-                        # multiply() supplies the remaining Koszul signs
-                        part = multiply({tuple(reduced): coeff}, target, A)
-                        add_into(out, part, p)
-                prefix_parity = (prefix_parity + e * degs[i]) % 2
-    return out

@@ -239,15 +239,6 @@ class Cell:
         self.dim = len(monomials if reps is None else reps)
         self._solver = None
 
-    def reps_rows(self) -> List[List[int]]:
-        """The classes as rows over the monomials, identity rows for an
-        untouched cell.  A run never asks for them: it takes a class's
-        value as its rep's combination of its monomials' (_combination)."""
-        if self.reps is None:
-            n = len(self.monomials)
-            return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-        return [list(r) for r in self.reps]
-
     def express(self, vec: Sequence[int], p: int) -> Optional[List[int]]:
         """vec over the monomials in the coordinates of the cell's classes,
         or None when it is not a class; all-zero coordinates mean vec is a

@@ -47,22 +47,6 @@ def d_deg(p: int, n: int, m: int) -> int:
     return LambdaFamily(p, 2, m).degree(n)
 
 
-def d_deg_explicit(p: int, n: int, m: int) -> int:
-    """d(n, m) as the displayed alternating sum, for cross-checking."""
-    if m not in (1, 2):
-        raise FormulaError("m must be 1 or 2")
-    if n < 1:
-        raise FormulaError("n must be >= 1")
-    if n <= 3:
-        return 2 * p**n - 1
-    total = 0
-    j = n
-    while j > 3:
-        total += 2 * p**j - 2 * p ** (j - 1)
-        j -= m + 1
-    return total + 2 * p**j - 1
-
-
 def r_len(p: int, n: int, m: int) -> int:
     """Differential length r(n, m) for the v_1 (m=1) and v_2 (m=2) ladders.
 
@@ -145,14 +129,3 @@ class LambdaFamily:
     def degree(self, s: int) -> int:
         base, e = self.entry(s)
         return deg_lambda(self.p, base) + e * deg_mu(self.p, self.n)
-
-
-def lambda_expand(family: LambdaFamily, s: int):
-    """Expansion of lambda_s as a monomial over the mod-p THH algebra
-    E(lambda_1..lambda_{n+1}) (x) P(mu_{n+1}), whose n + 2 generators come
-    in that order."""
-    base, e = family.entry(s)
-    m = [0] * (family.n + 2)
-    m[base - 1] = 1
-    m[-1] += e
-    return tuple(m)

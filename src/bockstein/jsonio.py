@@ -25,11 +25,9 @@ and from strings made once per document (escaped generator names, each
 cell's level text); a d_r matrix, a list of lists of ints, is its own
 JSON text as str writes it, so the encoder writes only meta and names.
 
-Schema 1 is the (t, s) reading, in the layout of json.dumps(doc,
-indent=1, ensure_ascii=False): per page `classes` {t, s, dim, reps with
-the v-power} and `differentials` {from, to, rank}, in (t, s) order.
-expand gives it from a schema-2 document alone, parse_json reads both,
-and the golden digests (tests/golden.py) pin its bytes.
+Schema 1, the (t, s) reading that the golden digests pin, is test
+tooling: tests/golden.py expands a schema-2 document into it and reads
+both.  The CLI neither writes nor reads it.
 """
 
 from __future__ import annotations
@@ -114,15 +112,8 @@ def laurent_span(page: PageData, ascii_: bool = False) -> List[str]:
             for lead in leads(cell)]
 
 
-def length_from_json(x) -> object:
-    if x == "unknown":
-        return Unknown()
-    if x == "inf":
-        return INF
-    return int(x)
-
-
-# the keys schema 2 adds to the caller's meta, which expand drops again
+# the keys schema 2 adds to the caller's meta, which schema 1 (tests/golden.py)
+# drops again
 _READING = ("schema", "v", "v_degree", "filtrations", "ascii")
 
 
@@ -219,56 +210,3 @@ def emit_json(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[str, 
     """The schema-2 document of a run: one join of json_fragments, which
     holds no other copy of its text."""
     return "".join(json_fragments(pages, profile, meta, ascii_))
-
-
-def _schema1(doc: dict) -> dict:
-    """The schema-1 reading of a parsed schema-2 document: every class and
-    differential at its (t, s), in (t, s) order."""
-    head = doc["meta"]
-    v_name, dv, ascii_ = head["v"], head["v_degree"], head["ascii"]
-    pages = []
-    for page in doc["pages"]:
-        r = page["r"]
-        classes = []
-        for rec in page["degrees"]:
-            a = rec["a"]
-            for s0, s1, dim, leads in rec["levels"]:
-                classes += [{"t": a + s * dv, "s": s, "dim": dim,
-                             "reps": [_with_v(x, v_name, s, ascii_) for x in leads]}
-                            for s in range(s0, s1 + 1)]
-        diffs = []
-        for rec in page["differentials"]:
-            a, ta = rec["a"], rec["to"]
-            for s0, s1, rank, _matrix in rec["runs"]:
-                diffs += [{"from": {"t": a + s * dv, "s": s},
-                           "to": {"t": ta + (s + r) * dv, "s": s + r}, "rank": rank}
-                          for s in range(s0, s1 + 1)]
-        classes.sort(key=lambda c: (c["t"], c["s"]))
-        diffs.sort(key=lambda d: (d["from"]["t"], d["from"]["s"]))
-        pages.append({"r": r, "classes": classes, "differentials": diffs})
-    meta = {key: value for key, value in head.items() if key not in _READING}
-    return {"meta": meta, "pages": pages, "towers": doc["towers"]}
-
-
-def expand(text: str) -> str:
-    """The schema-1 text of a schema-2 document: the layout of
-    json.dumps(doc, indent=1, ensure_ascii=False), which the golden
-    digests pin."""
-    return json.dumps(_schema1(json.loads(text)), indent=1, ensure_ascii=False)
-
-
-def parse_json(text: str) -> Tuple[dict, List[dict], TowerProfile]:
-    """The meta, schema-1 pages and tower profile of a document of either
-    schema; a schema-2 document reads as its expand.  Inverse of emit_json
-    up to the advisory marks of unknowns: a lower bound and the
-    possibly-absent mark are both written as "unknown", so neither
-    survives a round trip and every unknown comes back plain."""
-    doc = json.loads(text)
-    if doc["meta"].get("schema") == 2:
-        doc = _schema1(doc)
-    meta = doc["meta"]
-    profile = TowerProfile(int(meta["D"]))
-    for entry in doc["towers"]:
-        for x in entry["lengths"]:
-            profile.add(int(entry["t"]), length_from_json(x))
-    return meta, doc["pages"], profile

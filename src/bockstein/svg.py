@@ -14,7 +14,7 @@ its own x with no call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .engine import PageData
 
@@ -31,7 +31,9 @@ MARGIN = 28.0
 
 @dataclass
 class ChartStyle:
-    max_filtration: Optional[int] = None
+    """A chart's style, which has no setting: draw_chart reads none.  It
+    stays a parameter of emit_svg and draw_chart while the benchmark's
+    cases pass one (ROADMAP B1)."""
 
 
 def chart_marks(page: PageData) -> Tuple[Dict[Point, int], List[Tuple[Point, Point]]]:
@@ -59,8 +61,6 @@ def draw_chart(page: PageData, dots: Dict[Point, int], arrows: List[Tuple[Point,
     dims = {key: dim for key, dim in dots.items() if key[0] <= max_degree}
     s_values = [s for (_t, s) in dims]
     s_top = max(s_values, default=0)
-    if style.max_filtration is not None:
-        s_top = min(s_top, style.max_filtration)
     s_bottom = min(s_values, default=0) if page.ctx.localized else 0
 
     def X(t: float) -> float:

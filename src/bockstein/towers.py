@@ -83,13 +83,6 @@ class TowerProfile:
     def degrees(self) -> List[int]:
         return sorted(d for d, v in self.towers.items() if v)
 
-    def restrict(self, max_degree: int) -> "TowerProfile":
-        out = TowerProfile(max_degree)
-        for d, v in self.towers.items():
-            if 0 <= d <= max_degree and v:
-                out.towers[d] = sorted(v, key=_length_key)
-        return out
-
     def has_unknown(self) -> bool:
         return any(isinstance(x, Unknown) for v in self.towers.values() for x in v)
 
@@ -156,11 +149,11 @@ def compare(engine: TowerProfile, oracle: TowerProfile, max_degree: Optional[int
     D = max_degree if max_degree is not None else min(engine.max_degree, oracle.max_degree)
     report = DiffReport()
     # asked once, so that a profile with no unknown is not asked per degree
-    unknowns = engine.has_unknown()
+    any_unknown = engine.has_unknown()
     for d in sorted(d for d in engine.towers.keys() | oracle.towers.keys() if 0 <= d <= D):
         eng = engine.towers.get(d, [])
         if eng == oracle.towers.get(d, []) and not (
-                unknowns and any(isinstance(x, Unknown) for x in eng)):
+                any_unknown and any(isinstance(x, Unknown) for x in eng)):
             continue
         eng = engine.lengths(d)
         orc = oracle.lengths(d)

@@ -1,4 +1,5 @@
-"""Golden results: tower profiles and document digests of fixed runs.
+"""Golden results: tower profiles and document digests of fixed runs, and
+schema 1, the (t, s) reading of a document that the digests pin.
 
 `tests/data/golden.json` holds, for every acceptance case, every CLI case
 and a page-cap sweep, the tower profile (advisory fields written through
@@ -6,9 +7,14 @@ and a page-cap sweep, the tower profile (advisory fields written through
 writes for it.  `tests/test_golden.py` recomputes them and requires equality.
 The records were made by the (t, s)-grid engine that the per-A-degree
 engine replaced, so they check the replacement against it.  The JSON
-digests are of schema-1 text (`jsonio`): they were recorded when the CLI
-wrote it, and are now checked on `jsonio.expand` of the schema-2 document
-the CLI writes.
+digests are of schema-1 text: they were recorded when the CLI wrote it,
+and are now checked on `expand` of the schema-2 document the CLI writes.
+
+Schema 1 is the (t, s) reading, in the layout of json.dumps(doc,
+indent=1, ensure_ascii=False): per page `classes` {t, s, dim, reps with
+the v-power} and `differentials` {from, to, rank}, in (t, s) order.
+`expand` gives it from a schema-2 document alone, and `parse_json` reads
+both.  The CLI neither writes nor reads it.
 
 Two kinds of documents are compared on a restricted view instead of whole:
 
@@ -41,28 +47,18 @@ own path through the writer.  They were recorded by the writer that
 encoded a dict tree with `json.dumps(indent=1)`, so they check the
 writers that replaced it.
 
-The v0 records (|v| = 0) hold two generations of digests.  The first
-(the keys above) was recorded when a |v| = 0 view listed the filtrations
-s <= sum(pages) + 2 + max(pages), a bound the (t, s) grid left behind.  A
-view now ends at the schedule's last page R (`engine.view_filtrations`),
-so the v0 documents list fewer filtrations.  Their first generation is
-checked on a re-read: the pages of the same run, read through a copy of
-their context whose view ends at the old bound (`gen1_pages`), which gives
-back the documents the old view wrote.  The second generation, under the
-key "gen2", holds the same digests of the documents as the run writes
-them now, whole: the classes the old grid left undecided (`dropped`) all
-lie above R.  The ASCII record of a v0 case holds both generations too.
-
-A capped v0 run also reads its towers further than the recorded one.  The
-recorded schedule named a future page that could be page 1, which every
-v0 schedule fires, so a capped run read only the first bar of a tower at
-or above the schedule's future floor, and recorded `unknown(>= 1)` for
-towers its fired pages decided.  The future page is now the first page
-the schedule did not emit.  So on a capped v0 case, at cap c, a recorded
-`unknown(>= 1)` may now read `unknown(>= c+1)` or a length in 1..c, and
-every other entry stays as recorded (`test_golden.py`).  The first
-generation's JSON digest holds the recorded towers, so the re-read is
-written with a profile rebuilt from them (`recorded_profile`).
+The digests of the v0 records (|v| = 0), and of the ASCII record of a v0
+case, are of a later engine than the rest.  The grid engine listed the
+filtrations s <= sum(pages) + 2 + max(pages) on a |v| = 0 view; a view
+now ends at the schedule's last page R (`engine.view_filtrations`), so
+these documents list fewer filtrations.  Their classes the grid left
+undecided (`dropped`) all lie above R.  The towers of the five capped v0
+records are of that engine too: a capped v0 run reads a tower up to the
+first page the schedule did not emit, where the grid engine stopped at a
+page that could be page 1 and recorded `unknown(>= 1)` for towers its
+fired pages decided.  Each of those towers now reads a length up to the
+cap or `unknown(>= cap+1)`; every other entry is as the grid engine
+recorded it.
 
 `PYTHONPATH=src python tests/golden.py` fills in what the file lacks: a
 record for each case that has none and each key a record lacks, taken from
@@ -78,10 +74,11 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import List, Tuple
 
 from bockstein.cases import Case
 from bockstein.engine import PageData
-from bockstein.jsonio import emit_json, expand, parse_json
+from bockstein.jsonio import _READING, _with_v, emit_json
 from bockstein.svg import ChartStyle, chart_marks, draw_chart
 from bockstein.towers import INF, TowerProfile, Unknown, length_str
 
@@ -162,6 +159,67 @@ def all_cases():
     return out
 
 
+def length_from_json(x) -> object:
+    if x == "unknown":
+        return Unknown()
+    if x == "inf":
+        return INF
+    return int(x)
+
+
+def _schema1(doc: dict) -> dict:
+    """The schema-1 reading of a parsed schema-2 document: every class and
+    differential at its (t, s), in (t, s) order."""
+    head = doc["meta"]
+    v_name, dv, ascii_ = head["v"], head["v_degree"], head["ascii"]
+    pages = []
+    for page in doc["pages"]:
+        r = page["r"]
+        classes = []
+        for rec in page["degrees"]:
+            a = rec["a"]
+            for s0, s1, dim, leads in rec["levels"]:
+                classes += [{"t": a + s * dv, "s": s, "dim": dim,
+                             "reps": [_with_v(x, v_name, s, ascii_) for x in leads]}
+                            for s in range(s0, s1 + 1)]
+        diffs = []
+        for rec in page["differentials"]:
+            a, ta = rec["a"], rec["to"]
+            for s0, s1, rank, _matrix in rec["runs"]:
+                diffs += [{"from": {"t": a + s * dv, "s": s},
+                           "to": {"t": ta + (s + r) * dv, "s": s + r}, "rank": rank}
+                          for s in range(s0, s1 + 1)]
+        classes.sort(key=lambda c: (c["t"], c["s"]))
+        diffs.sort(key=lambda d: (d["from"]["t"], d["from"]["s"]))
+        pages.append({"r": r, "classes": classes, "differentials": diffs})
+    meta = {key: value for key, value in head.items() if key not in _READING}
+    return {"meta": meta, "pages": pages, "towers": doc["towers"]}
+
+
+def expand(text: str) -> str:
+    """The schema-1 text of a schema-2 document: the layout of
+    json.dumps(doc, indent=1, ensure_ascii=False), which the golden
+    digests pin."""
+    return json.dumps(_schema1(json.loads(text)), indent=1, ensure_ascii=False)
+
+
+def parse_json(text: str) -> Tuple[dict, List[dict], TowerProfile]:
+    """The meta, schema-1 pages and tower profile of a document of either
+    schema; a schema-2 document reads as its expand.  Inverse of emit_json
+    up to the advisory marks of unknowns: a lower bound and the
+    possibly-absent mark are both written as "unknown", so neither
+    survives a round trip and every unknown comes back plain."""
+    doc = json.loads(text)
+    if doc["meta"].get("schema") == 2:
+        doc = _schema1(doc)
+    meta = doc["meta"]
+    profile = TowerProfile(int(meta["D"]))
+    for entry in doc["towers"]:
+        for x in entry["lengths"]:
+            profile.add(int(entry["t"]), length_from_json(x))
+    return meta, doc["pages"], profile
+
+
 def _keeper(drop, s_range):
     """Whether a (t, s) is kept: not dropped, its filtration in s_range."""
     return lambda key: key not in drop and (s_range is None or s_range[0] <= key[1] <= s_range[1])
@@ -215,58 +273,11 @@ def reread(pages, s_hi):
     return out
 
 
-def gen1_pages(sched, pages):
-    """The pages of a v0 run read through the view the first generation was
-    recorded with: s <= sum(pages) + 2 + max(pages) over the schedule's."""
-    return reread(pages, sum(sched.pages) + 2 + max(sched.pages, default=0))
-
-
-def _length(text: str):
-    """The tower length length_str wrote as text."""
-    if text == "inf":
-        return INF
-    if text == "unknown(possibly absent)":
-        return Unknown(possibly_absent=True)
-    if text == "unknown":
-        return Unknown()
-    if text.startswith("unknown(>= "):
-        return Unknown(int(text[len("unknown(>= "):-1]))
-    return int(text)
-
-
-def recorded_profile(D: int, towers) -> TowerProfile:
-    """The profile of a record's towers."""
-    prof = TowerProfile(D)
-    for t, lengths in towers.items():
-        for text in lengths:
-            prof.add(int(t), _length(text))
-    return prof
-
-
-def _digests(c, sched, pages, profile, drop, s_range, whole) -> dict:
-    """The digests of the documents of one reading of a run: the schema-1
-    JSON and the chart, restricted as the module docstring says, and with
-    whole the schema-2 document itself, UTF-8 and --ascii."""
-    filtered = bool(drop) or s_range is not None
-    doc = emit_json(pages, profile, c.meta(sched))
-    schema1 = _restricted(doc, drop, s_range) if filtered else expand(doc)
-    chart_page = c.chart_page(pages)
-    i = next(i for i, pd in enumerate(pages) if pd is chart_page)
-    chart = draw_chart(chart_page, *_marks(chart_page, drop.get(i, set()), s_range), ChartStyle(),
-                       c.D, title=sched.label)
-    out = {"json_sha256": _sha(schema1), "svg_sha256": _sha(chart)}
-    if whole:
-        out["json2_sha256"] = _sha(doc)
-        out["json2_ascii_sha256"] = _sha(emit_json(pages, profile, c.meta(sched), ascii_=True))
-    return out
-
-
-def snapshot(c, dropped=(), towers=None):
+def snapshot(c, dropped=()):
     """The golden record of one case, and its pages.  dropped lists
-    [page index, t, s, ...] of classes to leave out of the documents.  A
-    v0 record's first generation is read off the same run's pages
-    (gen1_pages), its JSON written with the profile of towers, the
-    recorded towers, when they are given."""
+    [page index, t, s, ...] of classes to leave out of the documents: the
+    schema-1 JSON and the chart, restricted as the module docstring says,
+    and for a FIXED case the schema-2 document itself, UTF-8 and --ascii."""
     sched, pages, profile = c.run()
     drop = {}
     for i, t, s, *_ in dropped:
@@ -275,37 +286,33 @@ def snapshot(c, dropped=(), towers=None):
     if c.localized:
         bound = c.D // sched.v.degree
         s_range = (-bound, bound)
+    filtered = bool(drop) or s_range is not None
+    doc = emit_json(pages, profile, c.meta(sched))
+    chart_page = c.chart_page(pages)
+    i = next(i for i, pd in enumerate(pages) if pd is chart_page)
+    chart = draw_chart(chart_page, *_marks(chart_page, drop.get(i, set()), s_range), ChartStyle(),
+                       c.D, title=sched.label)
     rec = {
         "case": _stored(c),
         "towers": {str(t): [length_str(x) for x in profile.lengths(t)]
                    for t in profile.degrees()},
         "pages": [pd.r for pd in pages],
-        "filtered": bool(drop) or s_range is not None,
+        "filtered": filtered,
         "dropped": [list(d) for d in dropped],
+        "json_sha256": _sha(_restricted(doc, drop, s_range) if filtered else expand(doc)),
+        "svg_sha256": _sha(chart),
     }
-    if sched.v.degree:
-        rec.update(_digests(c, sched, pages, profile, drop, s_range, c in FIXED))
-        return rec, pages
-    gen1_profile = profile if towers is None else recorded_profile(c.D, towers)
-    rec.update(_digests(c, sched, gen1_pages(sched, pages), gen1_profile, drop, s_range,
-                        c in FIXED))
-    rec["gen2"] = _digests(c, sched, pages, profile, {}, None, c in FIXED)
+    if c in FIXED:
+        rec["json2_sha256"] = _sha(doc)
+        rec["json2_ascii_sha256"] = _sha(emit_json(pages, profile, c.meta(sched), ascii_=True))
     return rec, pages
 
 
 def ascii_snapshot(c) -> dict:
-    """The golden record of the whole --ascii JSON document of one case,
-    with a second generation for a v0 case (snapshot)."""
+    """The golden record of the whole --ascii JSON document of one case."""
     sched, pages, profile = c.run()
-
-    def digest(pages):
-        return _sha(expand(emit_json(pages, profile, c.meta(sched), ascii_=True)))
-
-    if sched.v.degree:
-        return {"case": _stored(c), "ascii": True, "json_sha256": digest(pages)}
-    return {"case": _stored(c), "ascii": True,
-            "json_sha256": digest(gen1_pages(sched, pages)),
-            "gen2": {"json_sha256": digest(pages)}}
+    doc = emit_json(pages, profile, c.meta(sched), ascii_=True)
+    return {"case": _stored(c), "ascii": True, "json_sha256": _sha(expand(doc))}
 
 
 def load(ascii_=False):
@@ -315,12 +322,11 @@ def load(ascii_=False):
 
 
 def same_documents(c) -> bool:
-    """Whether a recorded case's JSON and SVG documents come out the same,
-    in both generations of a v0 case."""
+    """Whether a recorded case's JSON and SVG documents come out the same."""
     want = next(rec for rec in load() if case_of(rec) == c)
-    got, _ = snapshot(c, dropped=want["dropped"], towers=want["towers"])
-    keys = ("json_sha256", "svg_sha256", "gen2")
-    return [got.get(key) for key in keys] == [want.get(key) for key in keys]
+    got, _ = snapshot(c, dropped=want["dropped"])
+    keys = ("json_sha256", "svg_sha256")
+    return [got[key] for key in keys] == [want[key] for key in keys]
 
 
 def main() -> int:
@@ -329,8 +335,7 @@ def main() -> int:
     records = []
     for c, ascii_ in [(c, False) for c in all_cases()] + [(c, True) for c in ASCII]:
         rec = kept.pop((case_id(c), ascii_), {})
-        fresh = (ascii_snapshot(c) if ascii_
-                 else snapshot(c, rec.get("dropped", ()), rec.get("towers"))[0])
+        fresh = ascii_snapshot(c) if ascii_ else snapshot(c, rec.get("dropped", ()))[0]
         added = [key for key in fresh if key not in rec]
         for key in added:
             rec[key] = fresh[key]

@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 
-from bockstein.algebra import Algebra, derivation_extend, multiply
+from bockstein.algebra import Algebra, multiply
 from bockstein.cases import Case
 from bockstein.closedform import (
     localized_expected,
@@ -25,13 +25,13 @@ from bockstein.closedform import (
 from bockstein.engine import DifferentialSchedule, Rule, RulePage, Window, run, schedule_v0
 from bockstein.formulas import (
     d_deg,
-    d_deg_explicit,
     deg_mu,
     r_len,
 )
 from bockstein.towers import INF, TowerProfile, compare
 from conftest import random_homogeneous
 import golden
+from reference import d_deg_explicit, derivation_extend
 
 
 def report(num: int, desc: str):

@@ -14,8 +14,6 @@ from bockstein.algebra import (
     _free_walk,
     basis_in_degree,
     basis_up_to,
-    derivation_extend,
-    element,
     graded_dims,
     is_prime,
     koszul_sign,
@@ -24,6 +22,7 @@ from bockstein.algebra import (
 )
 from bockstein.closedform import thh_mod_p_algebra
 from conftest import brute_basis, random_homogeneous, series_dims
+from reference import derivation_extend, element
 
 
 def test_exterior_square_vanishes():

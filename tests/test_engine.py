@@ -18,8 +18,6 @@ from bockstein.algebra import (
     ForeignGeneratorError,
     GeneratorSpec,
     basis_up_to,
-    derivation_extend,
-    element,
     mul_monomials,
     multiply,
 )
@@ -65,6 +63,7 @@ from bockstein.jsonio import emit_json, laurent_span
 from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import INF, TowerProfile, Unknown, compare, length_str
 import golden
+from reference import derivation_extend, element, reps_rows
 
 
 def v_gen(name, deg):
@@ -1374,14 +1373,14 @@ def test_each_record_is_eliminated_once_as_linalg_would(p):
         rows = []
         for _ in range(sn):
             vec = [0] * tn
-            for row in tcell.reps_rows() + tcell.boundaries:
+            for row in reps_rows(tcell) + tcell.boundaries:
                 c = rng.randrange(p) if rng.random() < 0.6 else 0
                 vec = [(x + c * y) % p for x, y in zip(vec, row)]
             rows.append(vec)
         e = _record(cell, rows, tcell, p, 1, 0)
-        solver = linalg.CosetSolver(tcell.reps_rows(), tcell.boundaries, tn, p)
+        solver = linalg.CosetSolver(reps_rows(tcell), tcell.boundaries, tn, p)
         want = []
-        for rep in cell.reps_rows():
+        for rep in reps_rows(cell):
             vec = [0] * tn
             for c, row in zip(rep, rows):
                 vec = [(x + c * y) % p for x, y in zip(vec, row)]
@@ -1408,7 +1407,7 @@ def test_untouched_cells_express_a_vector_as_itself(p):
     rng = random.Random(p)
     for n in range(1, 5):
         cell = Cell(tuple((i,) for i in range(n)))
-        solver = linalg.CosetSolver(cell.reps_rows(), [], n, p)
+        solver = linalg.CosetSolver(reps_rows(cell), [], n, p)
         for _ in range(50):
             vec = [rng.randrange(-p, 2 * p) for _ in range(n)]
             got = cell.express(vec, p)
@@ -1525,7 +1524,7 @@ def _reference_homology(cell, out_mat, tdim, image_mat, p):
     and echelon_from_rows of the incoming one."""
     if out_mat is None and image_mat is None:
         return cell
-    reps = cell.reps_rows()
+    reps = reps_rows(cell)
     n = len(reps)
     if out_mat is not None:
         ker = linalg.left_kernel(out_mat, tdim, p)
@@ -1696,19 +1695,13 @@ def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypa
     # costs one forward elimination, echelon_from_rows runs only inside the
     # solvers of touched cells, and no untouched cell (all of E_1's) is
     # asked for identity rows, by the run or by the writers, which read its
-    # classes off its monomials
+    # classes off its monomials: a Cell has no method that builds them
+    # (reference.reps_rows is test tooling), so a run that asked would fail
     calls = defaultdict(int)
     for name in ("kernel_and_echelon", "left_kernel", "echelon_from_rows"):
         monkeypatch.setattr(linalg, name, _counted(calls, name, getattr(linalg, name)))
     monkeypatch.setattr(linalg.CosetSolver, "__init__", _counted(
         calls, "solvers", linalg.CosetSolver.__init__))
-    reps_rows = Cell.reps_rows
-
-    def guarded(cell):
-        calls["untouched reps_rows"] += cell.reps is None
-        return reps_rows(cell)
-
-    monkeypatch.setattr(Cell, "reps_rows", guarded)
     homology = engine._homology
 
     def counted_homology(cell, kernel, image, echelon, p, r, a):
@@ -1745,19 +1738,19 @@ def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypa
                for _, rec in bars) == 244
     assert calls["reduce_row"] == 0
     monkeypatch.undo()
-    assert calls["untouched reps_rows"] == 0
+    assert not hasattr(Cell, "reps_rows")
 
 
-def test_a_capped_run_builds_no_identity_rows(monkeypatch):
+def test_a_capped_run_builds_no_identity_rows():
     # v2 p=2 D=120 cap 4: the classes at 64, 83 and 103 support the unfired
     # d_8; _unfired_sources forms their images off the monomials' images
-    # (_combination), so no cell is asked for rows
-    calls = defaultdict(int)
-    monkeypatch.setattr(Cell, "reps_rows", _counted(calls, "reps_rows", Cell.reps_rows))
+    # (_combination), so no cell is asked for rows: a Cell has no method
+    # that builds them (reference.reps_rows is test tooling), so a run that
+    # asked would fail
     _, _, profile = Case("v2", 2, 120, page_cap=4).run()
     for t in (64, 83, 103):
         assert any(x.possibly_absent for x in profile.lengths(t) if isinstance(x, Unknown))
-    assert calls["reps_rows"] == 0
+    assert not hasattr(Cell, "reps_rows")
 
 
 def _reference_read_column(prof, b, bars, future_min_page, leaving):

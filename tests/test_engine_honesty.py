@@ -19,6 +19,7 @@ from bockstein.engine import (
 from bockstein.formulas import deg_mu
 from bockstein.towers import Unknown, compare
 import golden
+from reference import reps_rows
 
 
 def test_top_filtrations_are_exact():
@@ -151,7 +152,7 @@ def test_dims_nonincreasing_and_v_surjective_along_slants():
                 continue
             # v * reps of this cell span the next cell modulo its boundaries
             rows = []
-            for rep in cell.reps_rows():
+            for rep in reps_rows(cell):
                 vec = [0] * len(nxt.monomials)
                 for mon, c in zip(cell.monomials, rep):
                     if c:

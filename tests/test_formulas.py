@@ -8,14 +8,13 @@ from bockstein.formulas import (
     FormulaError,
     LambdaFamily,
     d_deg,
-    d_deg_explicit,
     deg_lambda,
     deg_mu,
-    lambda_expand,
     nu_p,
     r_conj,
     r_len,
 )
+from reference import d_deg_explicit, lambda_expand
 
 PRIMES = (2, 3, 5, 7)
 

@@ -13,12 +13,14 @@ from bockstein.cases import Case
 from bockstein.closedform import thh_mod_p_algebra
 from bockstein.engine import (Cell, DiffRecord, EngineContext, PageData, Window, run,
                               schedule_v0, schedule_v2)
-from bockstein.jsonio import (_json_list, _lead_renderer, _with_v, emit_json, expand,
-                             json_fragments, monomial_str, parse_json)
+from bockstein.jsonio import (_json_list, _lead_renderer, _with_v, emit_json, json_fragments,
+                              monomial_str)
 from bockstein import jsonio, svg
 from bockstein.svg import ChartStyle, chart_marks, draw_chart, emit_svg
 from bockstein.towers import INF, TowerProfile, Unknown
 import golden
+from golden import expand, parse_json
+from reference import reps_rows
 
 
 def _lead(A, monomials, row, ascii_):
@@ -94,7 +96,7 @@ def test_json_roundtrip_and_determinism():
     for pd, pg in zip(pages, pages2):
         A, v_name = pd.ctx.A, pd.ctx.v.name
         classes = [(t, s, cell.dim, [rep_str(A, cell.monomials, row, v_name, s)
-                                     for row in cell.reps_rows()])
+                                     for row in reps_rows(cell)])
                    for (t, s), cell in sorted(pd.cells.items()) if cell.dim and 0 <= t <= 40]
         assert [(c["t"], c["s"], c["dim"], c["reps"]) for c in pg["classes"]] == classes
         diffs = [((t, s), rec.target, rec.rank) for (t, s), rec in sorted(pd.diffs.items())
@@ -222,7 +224,7 @@ def test_json_writer_holds_one_copy_of_the_document(case):
 def test_svg_dot_counts_match_dims():
     pages, prof, meta = _v0_run(40)
     final = pages[-1]
-    svg = emit_svg(final, ChartStyle(max_filtration=4), 40)
+    svg = emit_svg(final, ChartStyle(), 40)
     per_col = {}
     for m in re.finditer(r'data-t="(\d+)" data-s="(\d+)"', svg):
         t, s = int(m.group(1)), int(m.group(2))
@@ -233,7 +235,7 @@ def test_svg_dot_counts_match_dims():
     for a, _ in final.shown():
         for s0, s1, cell in final.window(a):
             for s in range(s0, s1 + 1):
-                if 0 <= a + s * dv <= 40 and 0 <= s <= 4 and cell.dim:
+                if 0 <= a + s * dv <= 40 and cell.dim:
                     assert per_col.get((a + s * dv, s)) == cell.dim
 
 
@@ -256,8 +258,6 @@ def _draw_chart_reference(page, dots, arrows, style, max_degree, title=""):
     dims = {key: dim for key, dim in dots.items() if key[0] <= max_degree}
     s_values = [s for (_t, s) in dims]
     s_top = max(s_values, default=0)
-    if style.max_filtration is not None:
-        s_top = min(s_top, style.max_filtration)
     s_bottom = min(s_values, default=0) if page.ctx.localized else 0
 
     def X(t):
@@ -330,25 +330,22 @@ CHART_ARROWS = {Case("v2", 2, 120, page_cap=8): 20, Case("v1", 3, 400, page_cap=
 @pytest.mark.parametrize("case", CHART_CASES, ids=golden.case_id)
 def test_chart_equals_the_reference_drawer(case):
     # the chart of a real page: arrows (under caps 8 and 27), filtrations
-    # below 0 (localized) and |v| = 0 (v0), whole and cut at max_filtration=2
+    # below 0 (localized) and |v| = 0 (v0)
     sched, pages, _ = case.run()
     page = case.chart_page(pages)
     marks = chart_marks(page)
     assert marks[0]
-    charts = []
-    for style in (ChartStyle(), ChartStyle(max_filtration=2)):
-        want = _draw_chart_reference(page, *marks, style, case.D, sched.label)
-        assert draw_chart(page, *marks, style, case.D, sched.label) == want
-        charts.append(want)
-    assert charts[0].count('stroke="#c00"') == CHART_ARROWS.get(case, 0)
+    want = _draw_chart_reference(page, *marks, ChartStyle(), case.D, sched.label)
+    assert draw_chart(page, *marks, ChartStyle(), case.D, sched.label) == want
+    assert want.count('stroke="#c00"') == CHART_ARROWS.get(case, 0)
 
 
 @pytest.mark.parametrize("case", CHART_CASES[:2], ids=golden.case_id)
 def test_chart_fans_out_as_the_reference_drawer(case):
     # no certified page holds a class of dimension > 1, so the fan-out is
     # drawn from made-up marks: dimensions 1 to 4 in every pairing along
-    # v-lines, marks left of t = 0, past max_degree, below filtration 0 and
-    # above max_filtration, arrows in and out of the chart, and every dimension
+    # v-lines, marks left of t = 0, past max_degree and below filtration 0,
+    # arrows in and out of the chart, and every dimension
     # in the columns t = 0 and t = max_degree, whose v-line partners lie
     # past max_degree
     _, pages, _ = case.run()
@@ -365,10 +362,9 @@ def test_chart_fans_out_as_the_reference_drawer(case):
     for t in (0, D):
         assert {dim for (t2, _), dim in dots.items() if t2 == t} == {1, 2, 3, 4}
     assert all((D + dv, s + 1) in dots for s in range(-4, 6))
-    for style in (ChartStyle(), ChartStyle(max_filtration=2)):
-        want = _draw_chart_reference(page, dots, arrows, style, D, "fan")
-        assert draw_chart(page, dots, arrows, style, D, "fan") == want
-        assert all(mark in want for mark in ("<circle", 'stroke="#888"', 'stroke="#c00"'))
+    want = _draw_chart_reference(page, dots, arrows, ChartStyle(), D, "fan")
+    assert draw_chart(page, dots, arrows, ChartStyle(), D, "fan") == want
+    assert all(mark in want for mark in ("<circle", 'stroke="#888"', 'stroke="#c00"'))
 
 
 def test_svg_title_is_escaped():
@@ -473,7 +469,7 @@ def test_the_lead_renderer_writes_what_json_writes(ascii_):
     escaped = _lead_renderer(A, ascii_, escape=True)
     plain = _lead_renderer(A, ascii_, escape=False)
     for cell in cells:
-        rows = cell.reps_rows()
+        rows = reps_rows(cell)
         want = [next((monomial_str(A, m, ascii_) for m, c in zip(cell.monomials, row) if c), None)
                 for row in rows]
         assert plain(cell) == want

@@ -72,6 +72,14 @@ def lazy():
                                "closedform"}
 
 
+def test_the_references_share_only_monomial_arithmetic_with_the_library():
+    # tests/reference.py holds the Leibniz reference the engine is checked
+    # against and the cross-check formulas; it reads no package module but
+    # algebra, so a check against it never checks the engine against itself
+    source = (Path(__file__).resolve().parent / "reference.py").read_text(encoding="utf-8")
+    assert imports(source) == {"algebra"}
+
+
 def test_the_cli_starts_on_the_standard_library_alone():
     # every `bockstein` command imports the CLI first, so a module it pulls
     # in that is neither the package's nor the standard library's would
@@ -102,8 +110,7 @@ def test_only_the_page_compile_reads_a_rule():
 
 
 # Library names that only the tests, the benchmark or the demos read, each
-# with the reason it stays; ROADMAP D16 moves the last group into test
-# tooling.
+# with the reason it stays; ROADMAP B1 frees the tracer hooks.
 READ_ONLY_OUTSIDE = {
     "jsonio.emit_json": "public API: the benchmark and the demos write documents with it",
     "jsonio.monomial_str": "public API: the demos print monomials with it",
@@ -114,14 +121,7 @@ READ_ONLY_OUTSIDE = {
     "linalg.left_kernel": "benchmark tracer hook",
     "engine.PageData.cells": "benchmark tracer hook (ROADMAP B1, D9)",
     "engine.PageData.diffs": "benchmark tracer hook (ROADMAP B1, D9)",
-    "algebra.element": "waits on D16: test-side Leibniz reference",
-    "algebra.derivation_extend": "waits on D16: test-side Leibniz reference",
-    "formulas.d_deg_explicit": "waits on D16: cross-check formula",
-    "formulas.lambda_expand": "waits on D16: cross-check formula",
-    "jsonio.expand": "waits on D16: schema 1 is test tooling",
-    "jsonio.parse_json": "waits on D16: schema 1 is test tooling",
-    "engine.Cell.reps_rows": "waits on D16: read only by tests",
-    "towers.TowerProfile.restrict": "waits on D16: read only by tests",
+    "algebra.multiply": "benchmark tracer hook (ROADMAP B1)",
 }
 
 

@@ -49,11 +49,6 @@ def test_compare_unknown_lower_bound_blocks():
     assert not rep.ok  # oracle length 4 is inconsistent with "alive through 9"
 
 
-def test_restrict():
-    a = make({3: [2], 40: [1]})
-    assert a.restrict(10).degrees() == [3]
-
-
 def test_length_str():
     assert length_str(INF) == "inf"
     assert length_str(4) == "4"
@@ -104,6 +99,16 @@ def test_compare_reads_equal_lists_that_hold_unknowns():
         (3, "engine unknown(possibly absent) matched to oracle unknown(possibly absent)"
             " unverified"),
     ]
+
+
+def test_compare_reads_equal_lists_that_hold_unknowns_after_a_reported_degree():
+    # a reported degree with no Unknown before them does not let equal
+    # lists that hold one pass unread
+    lens = [Unknown(3)]
+    rep = compare(make({1: [1], 2: lens}), make({1: [2], 2: lens}), 50)
+    assert rep.lines() == ["MISMATCH t=1: engine ['1'] vs oracle ['2']",
+                           "unverified t=2: engine unknown(>= 3) matched to oracle"
+                           " unknown(>= 3) unverified"]
 
 
 def test_compare_an_empty_list_is_no_towers():
