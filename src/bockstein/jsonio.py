@@ -22,8 +22,9 @@ fragments, each A-degree's record one string shared by the pages that
 show it, and each page's list laid out by slice assignment; emit_json
 joins it and `run --json` streams it.  Records are formatted from ints
 and from strings made once per document (escaped generator names, each
-cell's level text); a d_r matrix, a list of lists of ints, is its own
-JSON text as str writes it, so the encoder writes only meta and names.
+generator's factor text per exponent, each cell's level text); a d_r
+matrix, a list of lists of ints, is its own JSON text as str writes it,
+so the encoder writes only meta and names.
 
 Schema 1, the (t, s) reading that the golden digests pin, is test
 tooling: tests/golden.py expands a schema-2 document into it and reads
@@ -52,14 +53,36 @@ def _name(name: str, ascii_: bool) -> str:
     return name
 
 
-def _spell(names: Sequence[str], sep: str, m: Monomial) -> str:
-    """m written with one name per generator: its factors' names, each with
-    its exponent when above 1, joined by sep, or "1"."""
-    return sep.join([nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, m) if e]) or "1"
+class _Factors(dict):
+    """One generator's factor text by exponent: "" at 0, its name at 1 and
+    name^e above, each made the first time it is read, so a table holds
+    the exponents a document meets and needs no largest one."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        super().__init__(((0, ""), (1, name)))
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self.name}^{e}"
+        return text
+
+
+def _speller(names: Sequence[str], sep: str) -> Callable[[Monomial], str]:
+    """Spells a monomial with one name per generator: its factors' texts
+    (_Factors) joined by sep, or "1"."""
+    tables = [_Factors(nm) for nm in names]
+    factor = dict.__getitem__
+
+    def spell(m: Monomial) -> str:
+        return sep.join(filter(None, map(factor, tables, m))) or "1"
+
+    return spell
 
 
 def monomial_str(A: Algebra, m: Monomial, ascii_: bool = False) -> str:
-    return _spell([_name(g.name, ascii_) for g in A.generators], "*" if ascii_ else "·", m)
+    return _speller([_name(g.name, ascii_) for g in A.generators], "*" if ascii_ else "·")(m)
 
 
 def _with_v(lead: Optional[str], v_name: str, s: int, ascii_: bool) -> str:
@@ -78,18 +101,18 @@ def _lead_renderer(A: Algebra, ascii_: bool,
     written as monomial_str writes it; an untouched cell's classes are its
     monomials.  The generators' names are taken once, JSON-escaped with
     escape: the separator, the carets and the digits need no escape, so a
-    lead is then its own JSON string body."""
+    lead is then its own JSON string body.  Each factor text is made once
+    per renderer (_speller)."""
     names = [_name(g.name, ascii_) for g in A.generators]
     if escape:
         names = [_dumps(nm)[1:-1] for nm in names]
-    sep = "*" if ascii_ else "·"
+    spell = _speller(names, "*" if ascii_ else "·")
 
     def leads(cell: Cell) -> List[Optional[str]]:
         mons = cell.monomials
         if cell.reps is None:
-            return [_spell(names, sep, m) for m in mons]
-        return [next((_spell(names, sep, m) for m, c in zip(mons, row) if c), None)
-                for row in cell.reps]
+            return list(map(spell, mons))
+        return [next((spell(m) for m, c in zip(mons, row) if c), None) for row in cell.reps]
 
     return leads
 

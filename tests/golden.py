@@ -227,10 +227,13 @@ def _keeper(drop, s_range):
 
 def _marks(pd, drop, s_range):
     """The chart marks of a page with the dropped classes, the filtrations
-    outside s_range and the differentials touching either left out."""
+    outside s_range and the differentials touching either left out, and
+    each mark's up 0 where its v-line partner is left out."""
     keep = _keeper(drop, s_range)
-    dots, arrows = chart_marks(pd)
-    return ({k: dim for k, dim in dots.items() if keep(k)},
+    dv = pd.ctx.deg_v
+    marks, arrows = chart_marks(pd)
+    return ([(t, s, dim, up if keep((t + dv, s + 1)) else 0) for t, s, dim, up in marks
+             if keep((t, s))],
             [(k, to) for k, to in arrows if keep(k) and keep(to)])
 
 

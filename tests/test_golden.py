@@ -11,12 +11,6 @@ from golden import ASCII, all_cases, ascii_snapshot, case_id, case_of, load, sna
 RECORDS = load()
 ASCII_RECORDS = load(ascii_=True)
 
-# Differences from the recorded run, each an advisory bound the recorded run
-# cut at the edge of its bounded (t, s) grid: the tower at 57 of v1 p=2
-# variant B survives every fired page at every filtration, and the first
-# page the schedule did not emit is 8, so its length is >= 8 if finite.
-RAISED_BOUNDS = {("v1-p2-D60-varB", "57"): (["unknown(>= 7)"], ["unknown(>= 8)"])}
-
 
 def test_golden_file_covers_every_case():
     assert [case_of(rec) for rec in RECORDS] == all_cases()
@@ -29,12 +23,7 @@ def test_golden(want):
     got, pages = snapshot(c, dropped=want["dropped"])
     # every key recorded and no other: the schema-2 digests on the FIXED cases
     assert sorted(got) == sorted(want)
-    towers = dict(want["towers"])
-    for (cid, t), (before, after) in RAISED_BOUNDS.items():
-        if cid == case_id(c):
-            assert towers[t] == before
-            towers[t] = after
-    assert got["towers"] == towers
+    assert got["towers"] == want["towers"]
     assert got["pages"] == want["pages"]
     for key in ("json_sha256", "svg_sha256", "json2_sha256", "json2_ascii_sha256"):
         assert got.get(key) == want.get(key), key

@@ -327,17 +327,63 @@ CHART_CASES = ([Case("v2", 2, 120, page_cap=8), Case("v1", 3, 120, localized=Tru
 CHART_ARROWS = {Case("v2", 2, 120, page_cap=8): 20, Case("v1", 3, 400, page_cap=27): 214}
 
 
+def _reference_dots(marks):
+    """The {(t, s): dim} the reference drawer reads, off a chart's marks."""
+    return {(t, s): dim for t, s, dim, _ in marks}
+
+
 @pytest.mark.parametrize("case", CHART_CASES, ids=golden.case_id)
 def test_chart_equals_the_reference_drawer(case):
-    # the chart of a real page: arrows (under caps 8 and 27), filtrations
-    # below 0 (localized) and |v| = 0 (v0)
+    # the chart of every page of a real run: arrows (under caps 8 and 27),
+    # filtrations below 0 (localized) and |v| = 0 (v0)
     sched, pages, _ = case.run()
-    page = case.chart_page(pages)
-    marks = chart_marks(page)
-    assert marks[0]
-    want = _draw_chart_reference(page, *marks, ChartStyle(), case.D, sched.label)
-    assert draw_chart(page, *marks, ChartStyle(), case.D, sched.label) == want
-    assert want.count('stroke="#c00"') == CHART_ARROWS.get(case, 0)
+    chart_page = case.chart_page(pages)
+    for page in pages:
+        marks, arrows = chart_marks(page)
+        want = _draw_chart_reference(page, _reference_dots(marks), arrows, ChartStyle(), case.D,
+                                     sched.label)
+        assert draw_chart(page, marks, arrows, ChartStyle(), case.D, sched.label) == want, page.r
+        if page is chart_page:
+            assert marks
+            assert want.count('stroke="#c00"') == CHART_ARROWS.get(case, 0)
+
+
+@pytest.mark.parametrize("case", CHART_CASES, ids=golden.case_id)
+def test_chart_marks_carry_their_partners_dimension(case):
+    # each mark is the dimension window gives at (t, s) and, as up, at its
+    # v-line partner (t + |v|, s + 1); the marks hold every (t, s) with
+    # classes once, in (t, s) order
+    _, pages, _ = case.run()
+    for page in pages:
+        dv = page.ctx.deg_v
+        marks, _ = chart_marks(page)
+        assert marks == sorted(marks)
+        assert len({(t, s) for t, s, _, _ in marks}) == len(marks)
+        for t, s, dim, up in marks:
+            assert (dim, up) == (page.dim(t, s), page.dim(t + dv, s + 1)), (page.r, t, s)
+        shown = sum(s1 - s0 + 1 for a, _ in page.shown() for s0, s1, cell in page.window(a)
+                    if cell.dim)
+        assert len(marks) == shown
+
+
+def test_chart_marks_read_each_run_top_off_the_next_bar():
+    # no certified page holds two runs with classes in one A-degree, so the
+    # tops are read off made-up bars: A-degree 4 changes at filtrations 2,
+    # 3, 4 and 6, and the window ends at 6; a run's top takes the next bar's
+    # dim as up (0 for the bar with no class and at the window's end)
+    _, pages, _ = Case("v2", 2, 40).run()
+    ctx = pages[-1].ctx
+    assert (ctx.deg_v, ctx.s_hi) == (6, 6)
+    bars = tuple((s0, Cell((ctx.A.unit,) * dim)) for s0, dim in ((0, 3), (2, 1), (3, 0), (4, 2),
+                                                                   (6, 4)))
+    page = PageData(ctx.top_page, ctx, {4: bars})
+    marks, arrows = chart_marks(page)
+    assert marks == [(4 + 6 * s, s, dim, up) for s, dim, up in
+                     ((0, 3, 3), (1, 3, 1), (2, 1, 0), (4, 2, 2), (5, 2, 4), (6, 4, 0))]
+    assert all(up == page.dim(t + 6, s + 1) for t, s, _, up in marks) and arrows == []
+    want = _draw_chart_reference(page, _reference_dots(marks), arrows, ChartStyle(), 40, "tops")
+    assert draw_chart(page, marks, arrows, ChartStyle(), 40, "tops") == want
+    assert want.count('stroke="#888"') == 3 + 1 + 2 + 2
 
 
 @pytest.mark.parametrize("case", CHART_CASES[:2], ids=golden.case_id)
@@ -362,8 +408,9 @@ def test_chart_fans_out_as_the_reference_drawer(case):
     for t in (0, D):
         assert {dim for (t2, _), dim in dots.items() if t2 == t} == {1, 2, 3, 4}
     assert all((D + dv, s + 1) in dots for s in range(-4, 6))
+    marks = [(t, s, dim, dots.get((t + dv, s + 1), 0)) for (t, s), dim in dots.items()]
     want = _draw_chart_reference(page, dots, arrows, ChartStyle(), D, "fan")
-    assert draw_chart(page, dots, arrows, ChartStyle(), D, "fan") == want
+    assert draw_chart(page, marks, arrows, ChartStyle(), D, "fan") == want
     assert all(mark in want for mark in ("<circle", 'stroke="#888"', 'stroke="#c00"'))
 
 
