@@ -345,12 +345,11 @@ def _bar_at(bars: Bars, s: int):
 
 
 def _clip_bars(bars: Bars, lo: int, hi: int) -> Iterator[Tuple[int, int, object]]:
-    """(s_from, s_to, item) of each bar whose item is not None, cut to the
-    filtrations lo..hi."""
+    """(s_from, s_to, item) of each bar, cut to the filtrations lo..hi."""
     for k, (s0, item) in enumerate(bars):
         s0 = lo if s0 < lo else s0
         s1 = hi if k == len(bars) - 1 else min(hi, bars[k + 1][0] - 1)
-        if s0 <= s1 and item is not None:
+        if s0 <= s1:
             yield s0, s1, item
 
 
@@ -365,8 +364,8 @@ class PageData:
     consecutive bars hold different Cells, and localized runs keep one bar.
     A page that does not touch an A-degree passes the same bars object on
     to the next.  When the page is applied, maps gives d_r out of each
-    A-degree it does not vanish on, as bars ((s_from, DiffRecord or None),
-    ...) over the A-degree's bars, each record's target the A-degree
+    A-degree it does not vanish on, as bars ((s_from, DiffRecord), ...),
+    one over each of the A-degree's bars, each record's target the A-degree
     a - 1 - r|v|.
 
     What a reader shows of them is cut to the window 0..D by shown(),
@@ -596,27 +595,20 @@ def _page_generators(A: Algebra, deg_v: int, page: RulePage) -> PageGenerators:
 def _validate_rules(pd: PageData, gens: PageGenerators) -> None:
     """Refuse a rule whose source is not a live class at filtration 0 or
     whose target is not a nonzero class at filtration r on this page.
-    _page_generators has checked the rules' form and found their ends; a
-    hand-built page may still lack the target's A-degree or monomials."""
+    _page_generators has checked the rules' form and made each end a
+    monomial of A in its A-degree, and E_1 keeps each end's A-degree with
+    its whole basis (_cones, build_e1), so both ends index their cells."""
     p = pd.ctx.A.p
     for (_, source, terms), (sa, ta) in zip(gens.rules, gens.ends):
-        src_bars = pd.degrees.get(sa)
-        if src_bars is None or source not in src_bars[0][1].monomials:
-            raise DeadSourceError("dead source")
-        src_cell = _bar_at(src_bars, 0)
+        src_cell = _bar_at(pd.degrees[sa], 0)
         vec = [0] * len(src_cell.monomials)
         vec[src_cell.monomials.index(source)] = 1
         coeffs = src_cell.express(vec, p)
         if coeffs is None or not any(coeffs):
             raise DeadSourceError("dead source")
-        tbars = pd.degrees.get(ta)
-        if tbars is None:
-            raise MalformedRuleError("malformed rule (target bidegree empty)")
-        tcell = _bar_at(tbars, pd.r)
+        tcell = _bar_at(pd.degrees[ta], pd.r)
         tvec = [0] * len(tcell.monomials)
         for c, amon, _, _ in terms:
-            if amon not in tcell.monomials:
-                raise MalformedRuleError("malformed rule (target outside bidegree)")
             tvec[tcell.monomials.index(amon)] = c
         coeffs = tcell.express(tvec, p)
         if coeffs is None or not any(coeffs):

@@ -16,18 +16,8 @@ the v-power} and `differentials` {from, to, rank}, in (t, s) order.
 `expand` gives it from a schema-2 document alone, and `parse_json` reads
 both.  The CLI neither writes nor reads it.
 
-Two kinds of documents are compared on a restricted view instead of whole:
-
-* Localized documents are restricted to the filtrations
-  -floor(D/|v|) <= s <= floor(D/|v|), the range they list.
-* Where the recorded run marked classes "indeterminate" (the edge of its
-  bounded grid, listed in `dropped` with their dimensions), those classes
-  and the differentials touching them are left out on both sides, and the
-  test only requires that the run under test shows no more classes there.
-
-The JSON document is restricted on its schema-1 dict, dumped again with
-`json.dumps(indent=1, ensure_ascii=False)`; the SVG chart is drawn from the
-chart page's marks (`svg.chart_marks`) restricted the same way.
+Every digest is of a whole document, nothing left out: the chart
+`run --svg` writes, and `expand` of the document `run --json` writes.
 
 Each record's `case` is a `bockstein.cases.Case` stored as a dict (its
 `kind` under the key "case"); the runs, their `meta` and the page each
@@ -51,8 +41,7 @@ The digests of the v0 records (|v| = 0), and of the ASCII record of a v0
 case, are of a later engine than the rest.  The grid engine listed the
 filtrations s <= sum(pages) + 2 + max(pages) on a |v| = 0 view; a view
 now ends at the schedule's last page R (`engine.view_filtrations`), so
-these documents list fewer filtrations.  Their classes the grid left
-undecided (`dropped`) all lie above R.  The towers of the five capped v0
+these documents list fewer filtrations.  The towers of the five capped v0
 records are of that engine too: a capped v0 run reads a tower up to the
 first page the schedule did not emit, where the grid engine stopped at a
 page that could be page 1 and recorded `unknown(>= 1)` for towers its
@@ -79,7 +68,7 @@ from typing import List, Tuple
 from bockstein.cases import Case
 from bockstein.engine import PageData
 from bockstein.jsonio import _READING, _with_v, emit_json
-from bockstein.svg import ChartStyle, chart_marks, draw_chart
+from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import INF, TowerProfile, Unknown, length_str
 
 DATA = Path(__file__).resolve().parent / "data" / "golden.json"
@@ -220,39 +209,6 @@ def parse_json(text: str) -> Tuple[dict, List[dict], TowerProfile]:
     return meta, doc["pages"], profile
 
 
-def _keeper(drop, s_range):
-    """Whether a (t, s) is kept: not dropped, its filtration in s_range."""
-    return lambda key: key not in drop and (s_range is None or s_range[0] <= key[1] <= s_range[1])
-
-
-def _marks(pd, drop, s_range):
-    """The chart marks of a page with the dropped classes, the filtrations
-    outside s_range and the differentials touching either left out, and
-    each mark's up 0 where its v-line partner is left out."""
-    keep = _keeper(drop, s_range)
-    dv = pd.ctx.deg_v
-    marks, arrows = chart_marks(pd)
-    return ([(t, s, dim, up if keep((t + dv, s + 1)) else 0) for t, s, dim, up in marks
-             if keep((t, s))],
-            [(k, to) for k, to in arrows if keep(k) and keep(to)])
-
-
-def _restricted(text, drop, s_range):
-    """The schema-1 text of a schema-2 document restricted as _marks restricts
-    a chart: the pages of its expansion (as parse_json reads them) filtered,
-    dumped again with its meta and towers."""
-    meta, pages, _ = parse_json(text)
-    for i, page in enumerate(pages):
-        keep = _keeper(drop.get(i, set()), s_range)
-        page["classes"] = [c for c in page["classes"] if keep((c["t"], c["s"]))]
-        page["differentials"] = [d for d in page["differentials"]
-                                 if keep((d["from"]["t"], d["from"]["s"]))
-                                 and keep((d["to"]["t"], d["to"]["s"]))]
-    towers = json.loads(text)["towers"]
-    return json.dumps({"meta": meta, "pages": pages, "towers": towers}, indent=1,
-                      ensure_ascii=False)
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -276,39 +232,24 @@ def reread(pages, s_hi):
     return out
 
 
-def snapshot(c, dropped=()):
-    """The golden record of one case, and its pages.  dropped lists
-    [page index, t, s, ...] of classes to leave out of the documents: the
-    schema-1 JSON and the chart, restricted as the module docstring says,
-    and for a FIXED case the schema-2 document itself, UTF-8 and --ascii."""
+def snapshot(c):
+    """The golden record of one case: the digests of the documents the CLI
+    writes for it, whole (the JSON read through expand), and for a FIXED
+    case of the schema-2 document itself, UTF-8 and --ascii."""
     sched, pages, profile = c.run()
-    drop = {}
-    for i, t, s, *_ in dropped:
-        drop.setdefault(i, set()).add((t, s))
-    s_range = None
-    if c.localized:
-        bound = c.D // sched.v.degree
-        s_range = (-bound, bound)
-    filtered = bool(drop) or s_range is not None
     doc = emit_json(pages, profile, c.meta(sched))
-    chart_page = c.chart_page(pages)
-    i = next(i for i, pd in enumerate(pages) if pd is chart_page)
-    chart = draw_chart(chart_page, *_marks(chart_page, drop.get(i, set()), s_range), ChartStyle(),
-                       c.D, title=sched.label)
     rec = {
         "case": _stored(c),
         "towers": {str(t): [length_str(x) for x in profile.lengths(t)]
                    for t in profile.degrees()},
         "pages": [pd.r for pd in pages],
-        "filtered": filtered,
-        "dropped": [list(d) for d in dropped],
-        "json_sha256": _sha(_restricted(doc, drop, s_range) if filtered else expand(doc)),
-        "svg_sha256": _sha(chart),
+        "json_sha256": _sha(expand(doc)),
+        "svg_sha256": _sha(emit_svg(c.chart_page(pages), ChartStyle(), c.D, title=sched.label)),
     }
     if c in FIXED:
         rec["json2_sha256"] = _sha(doc)
         rec["json2_ascii_sha256"] = _sha(emit_json(pages, profile, c.meta(sched), ascii_=True))
-    return rec, pages
+    return rec
 
 
 def ascii_snapshot(c) -> dict:
@@ -327,7 +268,7 @@ def load(ascii_=False):
 def same_documents(c) -> bool:
     """Whether a recorded case's JSON and SVG documents come out the same."""
     want = next(rec for rec in load() if case_of(rec) == c)
-    got, _ = snapshot(c, dropped=want["dropped"])
+    got = snapshot(c)
     keys = ("json_sha256", "svg_sha256")
     return [got[key] for key in keys] == [want[key] for key in keys]
 
@@ -338,7 +279,7 @@ def main() -> int:
     records = []
     for c, ascii_ in [(c, False) for c in all_cases()] + [(c, True) for c in ASCII]:
         rec = kept.pop((case_id(c), ascii_), {})
-        fresh = ascii_snapshot(c) if ascii_ else snapshot(c, rec.get("dropped", ()))[0]
+        fresh = ascii_snapshot(c) if ascii_ else snapshot(c)
         added = [key for key in fresh if key not in rec]
         for key in added:
             rec[key] = fresh[key]

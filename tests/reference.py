@@ -7,7 +7,8 @@ two share only monomial arithmetic.  `d_deg_explicit` is the displayed
 alternating sum that `formulas.d_deg`'s recursion is checked against, and
 `lambda_expand` unrolls a `formulas.LambdaFamily` entry to a monomial.
 `reps_rows` gives an engine cell's classes as rows over its monomials,
-which a run never builds.
+which a run never builds, and `rank_mod_p` is the rank of such rows by
+plain row reduction.
 
 This module imports no `bockstein` module but `algebra`
 (`tests/test_layering.py`): `LambdaFamily` is named in an annotation only,
@@ -112,3 +113,21 @@ def reps_rows(cell) -> List[List[int]]:
         n = len(cell.monomials)
         return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     return [list(r) for r in cell.reps]
+
+
+def rank_mod_p(rows: List[List[int]], p: int) -> int:
+    """The rank over F_p of the rows, by row reduction on a copy."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

@@ -123,6 +123,35 @@ def test_verify_conj_tagged(capsys):
     assert "conjectural" in out
 
 
+def test_run_conj_prints_the_conjectural_note(capsys):
+    code, out, _ = run_cli(capsys, "run", "--case", "conj", "--p", "3", "--n", "3",
+                           "--m", "1", "--max-degree", "80")
+    assert code == 0
+    assert "note: conjectural schedule; towers certify internal consistency only" in out
+    code, out, _ = run_cli(capsys, "run", "--case", "v2", "--p", "3", "--max-degree", "80")
+    assert code == 0 and "conjectural" not in out
+
+
+def test_verify_an_internal_assertion_exit_three(monkeypatch, capsys):
+    # d_1(μ3^2) = v2 λ1λ2λ3 and d_1(λ2) = v2 give d_1 d_1(μ3^2) = v2^2 λ1λ3:
+    # the run stops on d_1 o d_1 != 0 and verify exits 3, naming it
+    from bockstein import engine
+    from bockstein.algebra import POLYNOMIAL, GeneratorSpec
+    from bockstein.closedform import thh_mod_p_algebra
+
+    A = thh_mod_p_algebra(2, 2)
+    v = GeneratorSpec("v2", 6, POLYNOMIAL)
+    Av = A.adjoin(v)
+    rules = [engine.Rule(A.monomial(μ3=2), {Av.monomial(λ1=1, λ2=1, λ3=1, v2=1): 1}),
+             engine.Rule(A.monomial(λ2=1), {Av.monomial(v2=1): 1})]
+    monkeypatch.setattr(engine, "schedule_v2", lambda p, w: engine.DifferentialSchedule(
+        v, {1: engine.RulePage(1, rules)}))
+    code, out, err = run_cli(capsys, "verify", "--case", "v2", "--p", "2", "--max-degree", "40")
+    assert code == 3
+    assert err == "internal assertion failed: d_1 o d_1 != 0 out of A-degree 32\n"
+    assert "VERIFIED" not in out and "MISMATCH" not in out
+
+
 @pytest.mark.parametrize("args", [("--case", "v0", "--p", "2", "--n", "3000"),
                                   ("--case", "conj", "--p", "3", "--n", "3000", "--m", "2")],
                          ids=["v0", "conj"])
@@ -284,6 +313,11 @@ def test_usage_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "run", "--case", "v0", "--p", "2", "--n", "2",
                            "--max-degree", "20", "--localized")
     assert code == 2  # |v0| = 0 cannot be localized
+
+
+def test_a_negative_max_degree_exit_two(capsys):
+    code, out, err = run_cli(capsys, "verify", "--case", "v2", "--p", "2", "--max-degree", "-1")
+    assert (code, out, err) == (2, "", "error: max_degree must be >= 0\n")
 
 
 @pytest.mark.parametrize("args", [

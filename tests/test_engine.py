@@ -63,7 +63,7 @@ from bockstein.jsonio import emit_json, laurent_span
 from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import INF, TowerProfile, Unknown, compare, length_str
 import golden
-from reference import derivation_extend, element, reps_rows
+from reference import derivation_extend, element, rank_mod_p, reps_rows
 
 
 def v_gen(name, deg):
@@ -490,6 +490,44 @@ def test_apply_page_malformed_rule_errors():
         target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 1})),
                          (1, Av.monomial(**{"λ2": 1, "v0": 1})))
         run(A, _one_page(v, Rule(mu, target)), w)
+
+
+def test_a_page_with_two_rules_on_one_source_or_a_zero_target_is_refused():
+    A = thh_mod_p_algebra(2, 2)
+    v = v_gen("v0", 0)
+    Av = A.adjoin(v)
+    mu = A.monomial(**{"μ3": 1})
+    target = element(Av, (1, Av.monomial(**{"λ3": 1, "v0": 1})))
+    with pytest.raises(MalformedRuleError, match=r"^malformed rule \(duplicate source\)$"):
+        run(A, _one_page(v, Rule(mu, target), Rule(mu, target)), Window(40))
+    with pytest.raises(MalformedRuleError, match=r"^malformed rule \(zero target\)$"):
+        run(A, _one_page(v, Rule(mu, {})), Window(40))
+
+
+def test_a_rule_whose_target_an_earlier_page_killed_is_refused():
+    # d_1(x) = v0 w makes w a boundary from filtration 1 on, so d_2(z) =
+    # v0^2 w, well formed and with a live source, hits no class of E_2;
+    # without page 1's rule the same page 2 fires
+    A = Algebra(3, (GeneratorSpec("x", 3, EXTERIOR), GeneratorSpec("z", 3, EXTERIOR),
+                    GeneratorSpec("w", 2, POLYNOMIAL)))
+    v = v_gen("v0", 0)
+    Av = A.adjoin(v)
+    page2 = RulePage(2, [Rule(A.monomial(z=1), element(Av, (1, Av.monomial(w=1, v0=2))))])
+    page1 = RulePage(1, [Rule(A.monomial(x=1), element(Av, (1, Av.monomial(w=1, v0=1))))])
+    with pytest.raises(MalformedRuleError,
+                       match=r"^malformed rule \(target does not survive to this page\)$"):
+        run(A, DifferentialSchedule(v, {1: page1, 2: page2}), Window(6))
+    pages, _ = run(A, DifferentialSchedule(v, {1: RulePage(1, []), 2: page2}), Window(6))
+    assert [pd.r for pd in pages] == [1, 2, 3]
+
+
+def test_run_refuses_a_v_named_as_a_generator_and_a_localized_v_of_degree_zero():
+    A = thh_mod_p_algebra(2, 2)
+    with pytest.raises(ScheduleError, match="^v generator 'μ3' already present in the algebra$"):
+        run(A, DifferentialSchedule(v_gen("μ3", 6), {1: RulePage(1, [])}), Window(40))
+    sched = schedule_v0(2, 2, Window(40))
+    with pytest.raises(ScheduleError, match=r"^localized mode requires \|v\| > 0$"):
+        run(A, sched, Window(40), localized=True)
 
 
 def _record_fired(monkeypatch):
@@ -987,6 +1025,27 @@ def test_page_derivation_signs_rules_past_odd_factors():
     # d(x1 x3) = -x1 d(x3) = -x1 y - x1 z^2, the x1 x1 x2 term dying
     assert _d_of_monomial(ctx, gens, A.monomial(x1=1, x3=1)) == {
         A.monomial(x1=1, y=1): 2, A.monomial(x1=1, z=2): 2}
+
+
+def test_page_derivation_drops_the_leibniz_terms_that_cancel():
+    # over E(a, b) (x) P(mu) at p = 3 with a's page generator a mu, d(mu) =
+    # v b and d(a mu) = c v ab give d(a mu^2) = d(a mu) mu - a mu d(mu) =
+    # (c - 1) ab mu: both terms land on one monomial, which c = 1 cancels
+    A = Algebra(3, (GeneratorSpec("a", 1, EXTERIOR), GeneratorSpec("b", 3, EXTERIOR),
+                    GeneratorSpec("μ", 4, POLYNOMIAL)))
+    v = v_gen("v", 0)
+    Av = A.adjoin(v)
+    ctx = EngineContext(A, v, False, 20, 1)
+    for c, want in ((1, {}), (2, {A.monomial(a=1, b=1, μ=1): 1})):
+        rules = [Rule(A.monomial(μ=1), element(Av, (1, Av.monomial(b=1, v=1)))),
+                 Rule(A.monomial(a=1, μ=1), element(Av, (c, Av.monomial(a=1, b=1, v=1))))]
+        page = RulePage(1, rules, attach={0: 1, 1: 0})
+        gens = _page_generators(A, ctx.deg_v, page)
+        m = A.monomial(a=1, μ=2)
+        assert _d_of_monomial(ctx, gens, m) == reference_d_of_monomial(ctx, page, m) == want, c
+        for mons in basis_up_to(A, 20).values():
+            for m in mons:
+                assert _d_of_monomial(ctx, gens, m) == reference_d_of_monomial(ctx, page, m), m
 
 
 def _visits(monkeypatch, case):
@@ -1903,19 +1962,24 @@ MULTI_ROW_JSON_SHA256 = "ceab174f24c502ae6e5f373d11050cbab7bf3f405a56964ea7efb71
 MULTI_ROW_PROFILE_SHA256 = "04a308b1b5a7e363b7dc721842f8ea78ac11543954d27bf8af99c4d6d813e7bb"
 
 
-def test_a_run_on_cells_of_up_to_eight_classes_keeps_its_document(monkeypatch):
-    # E(λ0..λ5: 3, 5, 7, 9, 11, 13) ⊗ P(μ: 16) at p = 3 and |v| = 3, D = 300,
-    # with d_1(μ) = v·λ0λ3 and d_2(μ^3) = v^2·μ^2λ3: no certified case has a
-    # cell of dimension > 1, and this run reaches the multi-row paths of the
-    # record step, the homology and CosetSolver end to end
+def _eight_class_schedule():
+    """E(λ0..λ5: 3, 5, 7, 9, 11, 13) ⊗ P(μ: 16) at p = 3 and |v| = 3, with
+    d_1(μ) = v·λ0λ3 and d_2(μ^3) = v^2·μ^2λ3: its cells hold up to eight
+    classes, where no certified case has a cell of dimension > 1."""
     gens = tuple(GeneratorSpec(f"λ{i}", d, EXTERIOR) for i, d in enumerate((3, 5, 7, 9, 11, 13)))
     A = Algebra(3, gens + (GeneratorSpec("μ", 16, POLYNOMIAL),))
     v = v_gen("v", 3)
     Av = A.adjoin(v)
-    sched = DifferentialSchedule(v, {
+    return A, DifferentialSchedule(v, {
         1: RulePage(1, [Rule(A.monomial(μ=1), element(Av, (1, Av.monomial(λ0=1, λ3=1, v=1))))]),
         2: RulePage(2, [Rule(A.monomial(μ=3), element(Av, (1, Av.monomial(μ=2, λ3=1, v=2))))]),
     })
+
+
+def test_a_run_on_cells_of_up_to_eight_classes_keeps_its_document(monkeypatch):
+    # _eight_class_schedule at D = 300 reaches the multi-row paths of the
+    # record step, the homology and CosetSolver end to end
+    A, sched = _eight_class_schedule()
     solvers = []
     init = linalg.CosetSolver.__init__
 
@@ -1936,6 +2000,63 @@ def test_a_run_on_cells_of_up_to_eight_classes_keeps_its_document(monkeypatch):
     assert max(cell.dim for pd in pages for bars in pd.degrees.values() for _, cell in bars) == 8
     assert (len(solvers), sum(n > 1 for n in solvers)) == (93, 85)
     assert sum(map(len, profile.towers.values())) == 821
+
+
+def _leaving_counts(monkeypatch, A, sched, D):
+    """Run the schedule capped at page 1, and check the count of classes
+    that may leave of each top cell page 1 touched against the rank of
+    their images under page 2 by the Leibniz reference, a class being its
+    representative's combination of monomials.  Returns (cell, count) of
+    those cells, and the profile."""
+    counted = []
+    leaving = engine._unfired_sources
+
+    def record(ctx, unfired, cell):
+        n = leaving(ctx, unfired, cell)
+        counted.append((ctx, cell, n))
+        return n
+
+    monkeypatch.setattr(engine, "_unfired_sources", record)
+    _, profile = run(A, sched, Window(D), page_cap=1)
+    monkeypatch.undo()
+    touched = [(ctx, cell, n) for ctx, cell, n in counted if cell.reps is not None]
+    page = sched.pages[2]
+    for ctx, cell, n in touched:
+        images = [reference_d_of_monomial(ctx, page, m) for m in cell.monomials]
+        index = {mon: k for k, mon in enumerate({mon for img in images for mon in img})}
+        rows = []
+        for rep in reps_rows(cell):
+            row = [0] * len(index)
+            for c, img in zip(rep, images):
+                for mon, x in img.items():
+                    row[index[mon]] += c * x
+            rows.append(row)
+        assert n == rank_mod_p(rows, A.p), cell.monomials
+    return [(cell, n) for _, cell, n in touched], profile
+
+
+def test_classes_that_may_leave_are_counted_on_their_representatives(monkeypatch):
+    # capped at page 1, a run leaves page 2 unfired, and each top cell of a
+    # tower counts the classes page 2's derivation does not vanish on
+    A, sched = _eight_class_schedule()
+    touched, _ = _leaving_counts(monkeypatch, A, sched, 300)
+    assert (len(touched), sum(n > 0 for _, n in touched)) == (206, 92)
+    assert max(cell.dim for cell, _ in touched) == 6
+    # there the monomials' images have the classes' rank; here d_1(μ) = v b
+    # leaves the class e of {e, aμ}, and d_2(a) = v^2 is nonzero on aμ alone,
+    # so no class of that cell may leave
+    A = Algebra(3, (GeneratorSpec("a", 1, EXTERIOR), GeneratorSpec("b", 3, EXTERIOR),
+                    GeneratorSpec("e", 5, EXTERIOR), GeneratorSpec("μ", 4, POLYNOMIAL)))
+    v = v_gen("v", 0)
+    Av = A.adjoin(v)
+    sched = DifferentialSchedule(v, {
+        1: RulePage(1, [Rule(A.monomial(μ=1), element(Av, (1, Av.monomial(b=1, v=1))))]),
+        2: RulePage(2, [Rule(A.monomial(a=1), element(Av, (1, Av.monomial(v=2))))]),
+    })
+    touched, profile = _leaving_counts(monkeypatch, A, sched, 5)
+    assert [(cell.monomials, n) for cell, n in touched] == [
+        ((A.monomial(e=1), A.monomial(a=1, μ=1)), 0)]
+    assert profile.lengths(5) == [Unknown(2)]
 
 
 def test_a_run_makes_about_twenty_python_calls_per_record():

@@ -55,6 +55,14 @@ def test_length_str():
     assert length_str(Unknown(7)) == "unknown(>= 7)"
 
 
+@pytest.mark.parametrize("length", [0, -3])
+def test_a_tower_length_below_one_is_refused(length):
+    prof = TowerProfile(50)
+    with pytest.raises(ValueError, match="^tower length must be >= 1$"):
+        prof.add(3, length)
+    assert prof.towers == {}
+
+
 def test_possibly_absent_unknown_may_stay_unmatched():
     eng = make({3: [Unknown(possibly_absent=True)]})
     rep = compare(eng, make({}), 50)
