@@ -33,8 +33,11 @@ from a fired page whose boundaries changed its cell.  A page that does not
 touch an A-degree passes its bars on unchanged.  With v inverted every
 page's boundaries reach every filtration, and each A-degree has one bar.
 PageData owns the window 0..D: its readers shown, window and window_maps
-cut the bars to it, and dim, the documents and the chart read only them;
-window is the one place that cuts an A-degree's bars.
+cut the bars to it, and the documents and the chart read only them;
+window is the one place that cuts an A-degree's bars.  A d_r record
+(DiffRecord) holds only its matrix and rank: its source A-degree is its
+key in PageData.maps, and its target is the A-degree a - 1 - r|v| the page
+implies.
 
 Every page asserts, on the records it fires, d_r o d_r = 0, that d_r
 takes the same values from every bar (so it is defined on E_r), and the
@@ -330,7 +333,6 @@ class EngineContext:
 
 @dataclass(slots=True)
 class DiffRecord:
-    target: object  # (t, s) in a page view; the target A-degree in PageData.maps
     matrix: List[List[int]]  # rows: source reps, cols: target reps
     rank: int
 
@@ -364,15 +366,17 @@ class PageData:
     consecutive bars hold different Cells, and localized runs keep one bar.
     A page that does not touch an A-degree passes the same bars object on
     to the next.  When the page is applied, maps gives d_r out of each
-    A-degree it does not vanish on, as bars ((s_from, DiffRecord), ...),
-    one over each of the A-degree's bars, each record's target the A-degree
-    a - 1 - r|v|.
+    A-degree a it does not vanish on, as bars ((s_from, DiffRecord), ...),
+    one over each of the A-degree's bars; every record of a hits A-degree
+    a - 1 - r|v|, so a record stores only its matrix and rank.
 
     What a reader shows of them is cut to the window 0..D by shown(),
-    window(a) and window_maps(a); dim, the documents and the chart read
-    only those.  cells and diffs are their (t, s) views,
-    read-only mappings computed from the bars when they are read, so a run
-    builds neither; only the benchmark's tracer reads them (ROADMAP B1).
+    window(a) and window_maps(a); the documents and the chart read only
+    those.  cells and diffs are their (t, s) views, read-only mappings
+    that read the bars on every access and give the very Cells and
+    DiffRecords the bars hold, so a run builds neither; no library code
+    reads them, and the benchmark's tracer counts through them (ROADMAP
+    B1, D9).
     """
 
     def __init__(self, r: int, ctx: EngineContext, degrees: Dict[int, Bars]) -> None:
@@ -384,13 +388,13 @@ class PageData:
     @property
     def cells(self) -> Mapping[Tuple[int, int], Cell]:
         """The classes at every (t, s) of the window: the bar's own Cell."""
-        return _CellView(self)
+        return _PageView(self, lambda: map(itemgetter(0), self.shown()), self.window)
 
     @property
     def diffs(self) -> Mapping[Tuple[int, int], DiffRecord]:
-        """d_r at every (t, s) source window_maps shows, each record's
-        target the (t - 1, s + r) it hits."""
-        return _DiffView(self)
+        """d_r at every (t, s) source window_maps shows: the record maps
+        holds, whose target is (t - 1, s + r)."""
+        return _PageView(self, lambda: iter(self.maps), self.window_maps)
 
     def shown(self) -> Iterator[Tuple[int, Bars]]:
         """(a, bars) of each A-degree whose tower meets degrees 0..D, in
@@ -411,30 +415,29 @@ class PageData:
         lo, hi = ctx._filtrations(a, ctx.max_degree + 1)
         return _clip_bars(self.maps.get(a, ()), lo, min(hi, ctx.s_hi - self.r))
 
-    def dim(self, t: int, s: int) -> int:
-        """The dimension at (t, s); 0 outside the window and the view."""
-        return next((cell.dim for s0, s1, cell in self.window(t - s * self.ctx.deg_v)
-                     if s0 <= s <= s1), 0)
-
 
 class _PageView(Mapping):
     """A (t, s) view of a page, read off its bars on every access.
 
-    The keys run over the A-degrees of _sources, in order, and over each
-    one's bars as _clipped cuts them; a lookup reads the one bar of its
-    A-degree that holds it, and items and values walk the bars as the keys
-    do.  The view keeps nothing, so a read allocates only what it returns."""
+    The keys run over the A-degrees that sources() gives, in order, and
+    over each one's bars as runs(a) cuts them; a lookup reads the one bar
+    of its A-degree that holds it, and items and values walk the bars as
+    the keys do.  A value is the bar's own item.  The view keeps nothing,
+    so a read allocates only what it returns."""
 
-    __slots__ = ("_pd",)
+    __slots__ = ("_pd", "_sources", "_runs")
 
-    def __init__(self, pd: PageData) -> None:
+    def __init__(self, pd: PageData, sources: Callable[[], Iterator[int]],
+                 runs: Callable[[int], Iterator[Tuple[int, int, object]]]) -> None:
         self._pd = pd
+        self._sources = sources
+        self._runs = runs
 
     def _entries(self) -> Iterator[Tuple[int, int, object]]:
         """(t, s, item) of every key (t, s), in order."""
         dv = self._pd.ctx.deg_v
         for a in self._sources():
-            for s0, s1, item in self._clipped(a):
+            for s0, s1, item in self._runs(a):
                 for s in range(s0, s1 + 1):
                     yield a + s * dv, s, item
 
@@ -444,9 +447,9 @@ class _PageView(Mapping):
         t, s = key
         if type(t) is not int or type(s) is not int:
             raise KeyError(key)
-        for s0, s1, item in self._clipped(t - s * self._pd.ctx.deg_v):
+        for s0, s1, item in self._runs(t - s * self._pd.ctx.deg_v):
             if s0 <= s <= s1:
-                return self._value(t, s, item)
+                return item
         raise KeyError(key)
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
@@ -454,7 +457,7 @@ class _PageView(Mapping):
             yield t, s
 
     def __len__(self) -> int:
-        return sum(s1 - s0 + 1 for a in self._sources() for s0, s1, _ in self._clipped(a))
+        return sum(s1 - s0 + 1 for a in self._sources() for s0, s1, _ in self._runs(a))
 
     def items(self) -> ItemsView:
         return _Items(self)
@@ -465,42 +468,13 @@ class _PageView(Mapping):
 
 class _Items(ItemsView):
     def __iter__(self):
-        view = self._mapping
-        for t, s, item in view._entries():
-            yield (t, s), view._value(t, s, item)
+        for t, s, item in self._mapping._entries():
+            yield (t, s), item
 
 
 class _Values(ValuesView):
     def __iter__(self):
-        view = self._mapping
-        for t, s, item in view._entries():
-            yield view._value(t, s, item)
-
-
-class _CellView(_PageView):
-    __slots__ = ()
-
-    def _sources(self) -> Iterator[int]:
-        return map(itemgetter(0), self._pd.shown())
-
-    def _clipped(self, a: int) -> Iterator[Tuple[int, int, Cell]]:
-        return self._pd.window(a)
-
-    def _value(self, t: int, s: int, cell: Cell) -> Cell:
-        return cell
-
-
-class _DiffView(_PageView):
-    __slots__ = ()
-
-    def _sources(self) -> Iterator[int]:
-        return iter(self._pd.maps)
-
-    def _clipped(self, a: int) -> Iterator[Tuple[int, int, DiffRecord]]:
-        return self._pd.window_maps(a)
-
-    def _value(self, t: int, s: int, rec: DiffRecord) -> DiffRecord:
-        return DiffRecord((t - 1, s + self._pd.r), rec.matrix, rec.rank)
+        return map(itemgetter(2), self._mapping._entries())
 
 
 def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool, top_page: int,
@@ -565,10 +539,14 @@ def _page_generators(A: Algebra, deg_v: int, page: RulePage) -> PageGenerators:
             raise MalformedRuleError("malformed rule (source is not a page generator)")
         if gi in rules:
             raise MalformedRuleError("malformed rule (duplicate source)")
-        if not rule.target:
-            raise MalformedRuleError("malformed rule (zero target)")
         for mon in rule.target:
             A.validate_monomial(mon[:-1])
+        flips = set(koszul_flips(A, rule.source))
+        terms = tuple((c % A.p, mon[:-1], tuple(j for j in exterior if mon[j]),
+                       tuple(sorted(flips.symmetric_difference(koszul_flips(A, mon[:-1])))))
+                      for mon, c in rule.target.items() if c % A.p)
+        if not terms:
+            raise MalformedRuleError("malformed rule (zero target)")
         vexps = {m[-1] for m in rule.target}
         if vexps != {r}:
             raise MalformedRuleError(
@@ -581,10 +559,6 @@ def _page_generators(A: Algebra, deg_v: int, page: RulePage) -> PageGenerators:
         if tdeg != sdeg - 1:
             raise MalformedRuleError(
                 f"malformed rule (target degree {tdeg} != source degree {sdeg} - 1)")
-        flips = set(koszul_flips(A, rule.source))
-        terms = tuple((c % A.p, mon[:-1], tuple(j for j in exterior if mon[j]),
-                       tuple(sorted(flips.symmetric_difference(koszul_flips(A, mon[:-1])))))
-                      for mon, c in rule.target.items() if c % A.p)
         rules[gi] = (gi, rule.source, terms)
         ends.append((sdeg, ta))
     dead = tuple(i for i in exterior if i not in attach)
@@ -987,7 +961,7 @@ def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
                 f"d_{r} out of A-degree {a} depends on the representatives")
         recs, kept = [], []
         for (s, cell), (mat, kernel, _) in zip(bars, elim):
-            recs.append((s, DiffRecord(ta, mat, len(mat) - len(kernel))))
+            recs.append((s, DiffRecord(mat, len(mat) - len(kernel))))
             kept.append((s, _homology(cell, kernel, None, {}, p, r, a)))
         maps[a] = tuple(recs)
         degrees[a] = tuple(kept)

@@ -85,16 +85,6 @@ def monomial_str(A: Algebra, m: Monomial, ascii_: bool = False) -> str:
     return _speller([_name(g.name, ascii_) for g in A.generators], "*" if ascii_ else "·")(m)
 
 
-def _with_v(lead: Optional[str], v_name: str, s: int, ascii_: bool) -> str:
-    if lead is None:
-        return "0"
-    if s == 0:
-        return lead
-    vpart = _name(v_name, ascii_) + (f"^{s}" if s != 1 else "")
-    sep = "*" if ascii_ else "·"
-    return vpart if lead == "1" else f"{lead}{sep}{vpart}"
-
-
 def _lead_renderer(A: Algebra, ascii_: bool,
                    escape: bool) -> Callable[[Cell], List[Optional[str]]]:
     """The lead monomial of each class of a cell (None for a zero row),
@@ -127,11 +117,11 @@ def _json_list(leads: Sequence[Optional[str]]) -> str:
 
 def laurent_span(page: PageData, ascii_: bool = False) -> List[str]:
     """Representatives of the Laurent lines a localized page keeps: its
-    classes at filtration 0 in the run's degrees 0..D."""
+    classes at filtration 0 in the run's degrees 0..D, "0" for a zero row."""
     leads = _lead_renderer(page.ctx.A, ascii_, escape=False)
-    return [_with_v(lead, page.ctx.v.name, 0, ascii_)
-            for t in range(page.ctx.max_degree + 1)
-            for s0, s1, cell in page.window(t) if s0 <= 0 <= s1
+    return ["0" if lead is None else lead
+            for a, _ in page.shown()
+            for s0, s1, cell in page.window(a) if s0 <= 0 <= s1
             for lead in leads(cell)]
 
 

@@ -37,9 +37,9 @@ MARGIN = 28.0
 
 
 class ChartStyle:
-    """A chart's style, which has no setting: draw_chart reads none.  It
-    stays a parameter of emit_svg and draw_chart while the benchmark's
-    cases pass one (ROADMAP B1)."""
+    """A chart's style, which has no setting: the chart reads none.  It
+    stays a parameter of emit_svg while the benchmark's cases pass one
+    (ROADMAP B1)."""
 
 
 def chart_marks(page: PageData) -> Tuple[List[Mark], List[Tuple[Point, Point]]]:
@@ -71,11 +71,11 @@ def chart_marks(page: PageData) -> Tuple[List[Mark], List[Tuple[Point, Point]]]:
 
 def emit_svg(page: PageData, style: ChartStyle, max_degree: int,
              title: str = "") -> str:
-    return draw_chart(page, *chart_marks(page), style, max_degree, title)
+    return draw_chart(page, *chart_marks(page), max_degree, title)
 
 
 def draw_chart(page: PageData, marks: List[Mark], arrows: List[Tuple[Point, Point]],
-               style: ChartStyle, max_degree: int, title: str = "") -> str:
+               max_degree: int, title: str = "") -> str:
     """The chart of a page's marks (chart_marks) in degrees 0..max_degree."""
     dv = page.ctx.deg_v
     marks = marks[:bisect_left(marks, max_degree + 1, key=itemgetter(0))]

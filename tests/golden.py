@@ -63,11 +63,11 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from bockstein.cases import Case
 from bockstein.engine import PageData
-from bockstein.jsonio import _READING, _with_v, emit_json
+from bockstein.jsonio import _READING, _name, emit_json
 from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import INF, TowerProfile, Unknown, length_str
 
@@ -154,6 +154,16 @@ def length_from_json(x) -> object:
     if x == "inf":
         return INF
     return int(x)
+
+
+def _with_v(lead: Optional[str], v_name: str, s: int, ascii_: bool) -> str:
+    if lead is None:
+        return "0"
+    if s == 0:
+        return lead
+    vpart = _name(v_name, ascii_) + (f"^{s}" if s != 1 else "")
+    sep = "*" if ascii_ else "·"
+    return vpart if lead == "1" else f"{lead}{sep}{vpart}"
 
 
 def _schema1(doc: dict) -> dict:

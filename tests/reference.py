@@ -8,7 +8,8 @@ alternating sum that `formulas.d_deg`'s recursion is checked against, and
 `lambda_expand` unrolls a `formulas.LambdaFamily` entry to a monomial.
 `reps_rows` gives an engine cell's classes as rows over its monomials,
 which a run never builds, and `rank_mod_p` is the rank of such rows by
-plain row reduction.
+plain row reduction.  `dim_at` reads a page's dimension at one (t, s)
+through `PageData.window` alone.
 
 This module imports no `bockstein` module but `algebra`
 (`tests/test_layering.py`): `LambdaFamily` is named in an annotation only,
@@ -113,6 +114,12 @@ def reps_rows(cell) -> List[List[int]]:
         n = len(cell.monomials)
         return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     return [list(r) for r in cell.reps]
+
+
+def dim_at(pd, t: int, s: int) -> int:
+    """The dimension of page pd at (t, s); 0 outside the window and the view."""
+    return next((cell.dim for s0, s1, cell in pd.window(t - s * pd.ctx.deg_v)
+                 if s0 <= s <= s1), 0)
 
 
 def rank_mod_p(rows: List[List[int]], p: int) -> int:

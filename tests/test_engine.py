@@ -34,7 +34,6 @@ from bockstein.engine import (
     Cell,
     DeadSourceError,
     DifferentialSchedule,
-    DiffRecord,
     EngineContext,
     MalformedRuleError,
     PageData,
@@ -63,7 +62,7 @@ from bockstein.jsonio import emit_json, laurent_span
 from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import INF, TowerProfile, Unknown, compare, length_str
 import golden
-from reference import derivation_extend, element, rank_mod_p, reps_rows
+from reference import derivation_extend, dim_at, element, rank_mod_p, reps_rows
 
 
 def v_gen(name, deg):
@@ -77,9 +76,9 @@ def test_build_e1_dims():
     pd = run(A, sched, Window(16))[0][0]
     assert max(s for (_t, s) in pd.cells) == 2  # the last page
     for s in range(0, 3):
-        assert pd.dim(15, s) == 1  # lambda_3 v0^s
-        assert pd.dim(1, s) == 0
-    assert pd.dim(15, 3) == 0  # above the view
+        assert dim_at(pd, 15, s) == 1  # lambda_3 v0^s
+        assert dim_at(pd, 1, s) == 0
+    assert dim_at(pd, 15, 3) == 0  # above the view
     assert pd.r == 1 and not pd.diffs
 
 
@@ -115,15 +114,11 @@ def _cell_view(pd):
 
 def _diff_view(pd):
     """The differentials of a page at every (t, s) source window_maps shows,
-    built eagerly as engine._diff_view built them (the reference)."""
-    dv, r = pd.ctx.deg_v, pd.r
-    diffs = {}
-    for a in pd.maps:
-        for s0, s1, rec in pd.window_maps(a):
-            for s in range(s0, s1 + 1):
-                t = a + s * dv
-                diffs[(t, s)] = DiffRecord((t - 1, s + r), rec.matrix, rec.rank)
-    return diffs
+    built eagerly as engine._diff_view built them (the reference), each
+    the record maps holds; the one at (t, s) hits (t - 1, s + r)."""
+    dv = pd.ctx.deg_v
+    return {(a + s * dv, s): rec for a in pd.maps
+            for s0, s1, rec in pd.window_maps(a) for s in range(s0, s1 + 1)}
 
 
 # |v| = 0, v1, v2 capped early and late, localized, and the p = 2 variant B
@@ -150,9 +145,10 @@ def _outside(pd, shown):
 @pytest.mark.parametrize("case", VIEW_CASES, ids=golden.case_id)
 def test_lazy_views_equal_the_eager_ones(case):
     # each page's cells and diffs, computed from the bars when read, list
-    # the keys of the eager views in the same order, with the same length;
-    # cells gives the very Cell objects and diffs records of equal target,
-    # matrix and rank; a key outside the window is neither in nor got
+    # the keys of the eager views in the same order, with the same length,
+    # and give the very Cell and DiffRecord objects the bars hold, by
+    # lookup, items() and values(); a key outside the window is neither in
+    # nor got
     _, pages, _ = case.run()
     assert any(pd.maps for pd in pages)
     for pd in pages:
@@ -161,16 +157,10 @@ def test_lazy_views_equal_the_eager_ones(case):
         for view, ref in ((cells, eager), (diffs, eager_diffs)):
             assert list(view) == list(ref) and len(view) == len(ref)
             assert list(view.keys()) == list(ref.keys())
-        assert all(cells[key] is cell for key, cell in eager.items())
-        assert [(key, id(cell)) for key, cell in cells.items()] == [
-            (key, id(cell)) for key, cell in eager.items()]
-        assert list(map(id, cells.values())) == list(map(id, eager.values()))
-        want = [(key, rec.target, rec.matrix, rec.rank) for key, rec in eager_diffs.items()]
-        assert [(key, rec.target, rec.matrix, rec.rank) for key, rec in diffs.items()] == want
-        assert [(key, rec.target, rec.matrix, rec.rank)
-                for key, rec in zip(diffs, diffs.values())] == want
-        assert [(key, diffs[key].target, diffs[key].matrix, diffs[key].rank)
-                for key in diffs] == want
+            assert all(view[key] is item for key, item in ref.items())
+            want = [(key, id(item)) for key, item in ref.items()]
+            assert [(key, id(item)) for key, item in view.items()] == want
+            assert [(key, id(item)) for key, item in zip(view, view.values())] == want
         for view, shown in ((cells, True), (diffs, False)):
             for key in _outside(pd, shown) + [(0.5, 0), "t", (1, 2, 3)]:
                 assert key not in view and view.get(key) is None
@@ -178,6 +168,27 @@ def test_lazy_views_equal_the_eager_ones(case):
         quiet = [a for a in pd.degrees if a not in pd.maps and a <= pd.ctx.max_degree]
         assert all(diffs.get((a + s * pd.ctx.deg_v, s)) is None for a in quiet[:20]
                    for s in range(pd.ctx.s_lo, pd.ctx.s_hi + 1))
+
+
+@pytest.mark.parametrize("case", golden.FIXED, ids=golden.case_id)
+def test_a_record_is_the_one_maps_holds_and_fits_its_page(case):
+    # a d_r record stores only its matrix and rank: diffs gives the very
+    # record maps holds, and its matrix has a row per class of the source
+    # (t, s) and a column per class of the target (t - 1, s + r) the page
+    # implies; a localized source at t = 0 has its target at t = -1, where
+    # the view shows no cell
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, pages, _ = case.run()
+    for pd in pages:
+        dv, r, cells = pd.ctx.deg_v, pd.r, pd.cells
+        for (t, s), rec in pd.diffs.items():
+            assert rec is _bar_at(pd.maps[t - s * dv], s)
+            if t >= 1:
+                width = cells[(t - 1, s + r)].dim
+                assert all(len(row) == width for row in rec.matrix), (r, t, s)
+                if t <= case.D:
+                    assert len(rec.matrix) == cells[(t, s)].dim, (r, t, s)
 
 
 def _refuse(self, *args):
@@ -235,7 +246,7 @@ def test_untouched_a_degrees_share_their_bars(case):
     # a page passes the very bars object of every A-degree its differentials
     # neither leave nor enter on to the next page; bars start at the lowest
     # filtration and then at increasing fired pages, no two consecutive ones
-    # hold the same Cell, and dim(t, s) reads them as the whole view does
+    # hold the same Cell, and dim_at(t, s) reads them as the whole view does
     _, pages, _ = case.run()
     for pd, nxt in zip(pages, pages[1:]):
         shift = 1 + pd.r * pd.ctx.deg_v
@@ -248,7 +259,7 @@ def test_untouched_a_degrees_share_their_bars(case):
             assert starts[0] == pd.ctx.s_lo and starts == sorted(set(starts))
             assert all(c0 is not c1 for (_, c0), (_, c1) in zip(bars, bars[1:]))
         whole = _cell_view(pd)
-        assert all(pd.dim(t, s) == cell.dim for (t, s), cell in whole.items())
+        assert all(dim_at(pd, t, s) == cell.dim for (t, s), cell in whole.items())
 
 
 def _expand(runs):
@@ -294,7 +305,7 @@ def test_apply_page_v2_tower_length_two():
     pages, _ = run(A, DifferentialSchedule(v, {2: RulePage(2, [Rule(mu, target)])}), Window(40))
     nxt = pages[-1]
     assert [pd.r for pd in pages] == [1, 2, 3]
-    dims = [nxt.dim(3 + 6 * j, j) for j in range(5)]
+    dims = [dim_at(nxt, 3 + 6 * j, j) for j in range(5)]
     assert dims == [1, 1, 0, 0, 0]
 
 
@@ -313,13 +324,13 @@ def test_apply_page_leibniz_matches_derivation_extend():
     assert rec is not None and rec.rank == 1
     # cross-check the matrix against the signed derivation on the monomial
     hand = derivation_extend({"μ3": target}, {Av.monomial(**{"λ1": 1, "μ3": 1}): 1}, Av)
-    tcell = pd.cells[rec.target]
+    tcell = pd.cells[(key[0] - 1, key[1] + pd.r)]
     want = [0] * len(tcell.monomials)
     for m, c in hand.items():
         want[tcell.monomials.index(m[:-1])] = c
     assert rec.matrix == [want]
     # and the class is dead on the next page
-    assert nxt.dim(*key) == 0
+    assert dim_at(nxt, *key) == 0
 
 
 # the bars of each page of the run below, as its schema-2 `levels`:
@@ -425,8 +436,8 @@ def test_cells_of_several_monomials_over_three_pages():
         # the dimension at every (t, s) of the view
         want = {(a, s): dim for a, runs in bars.items() for s0, s1, dim, _ in runs
                 for s in range(s0, s1 + 1)}
-        assert {(t, s): pd.dim(t, s) for t in range(7) for s in range(12)
-                if pd.dim(t, s)} == want
+        assert {(t, s): dim_at(pd, t, s) for t in range(7) for s in range(12)
+                if dim_at(pd, t, s)} == want
 
 
 def test_apply_page_dead_source_error(monkeypatch):
@@ -563,6 +574,25 @@ def test_a_malformed_rule_is_refused_before_any_page_fires(monkeypatch):
     assert fired == []
 
 
+def test_a_target_zero_mod_p_is_refused_before_any_page_fires(monkeypatch):
+    # v0 p=2 n=2 D=40 with page 2's target v0^2 lambda_3 mu_3 given the
+    # coefficient 2 or 0: either is zero mod p, so the compile refuses it as
+    # a zero target, whether page 2 fires or a cap of 1 leaves it unfired
+    A = thh_mod_p_algebra(2, 2)
+    w = Window(40)
+    fired = _record_fired(monkeypatch)
+    for c in (2, 0):
+        sched = schedule_v0(2, 2, w)
+        (rule,) = sched.pages[2].rules
+        (mon,) = rule.target
+        assert mon == A.adjoin(v_gen("v0", 0)).monomial(**{"λ3": 1, "μ3": 1, "v0": 2})
+        sched.pages[2] = dataclasses.replace(sched.pages[2], rules=[Rule(rule.source, {mon: c})])
+        for cap in (1, None):
+            with pytest.raises(MalformedRuleError, match=r"^malformed rule \(zero target\)$"):
+                run(A, sched, w, page_cap=cap)
+    assert fired == []
+
+
 def test_a_page_under_another_key_is_refused_before_any_page_fires(monkeypatch):
     # v0 p=2 n=2 D=60 keys its page 2 as 2; stated as RulePage(3, ...) with
     # the target v0^3 lambda_3 mu_3 that page 3 would need, each rule is
@@ -632,9 +662,9 @@ def test_variant_b_exterior_rule_on_cycles():
     src = {(15 + 16 * k, 0) for k in range(D // 16 + 1) if 15 + 16 * k <= D + 1}
     assert {key for key, rec in e2.diffs.items() if key[1] == 0} >= src
     for key in src:
-        rec = e2.diffs[key]
-        assert rec.rank == 1 and rec.target == (key[0] - 1, 2)
-        assert e2.cells[rec.target].monomials == (A.monomial(λ1=1, λ2=1, μ3=(key[0] - 15) // 16),)
+        rec, target = e2.diffs[key], (key[0] - 1, key[1] + e2.r)
+        assert rec.rank == 1 and target == (key[0] - 1, 2)
+        assert e2.cells[target].monomials == (A.monomial(λ1=1, λ2=1, μ3=(key[0] - 15) // 16),)
 
 
 def test_monomials_that_do_not_factor_over_the_page_generators():

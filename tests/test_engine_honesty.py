@@ -19,7 +19,7 @@ from bockstein.engine import (
 from bockstein.formulas import deg_mu
 from bockstein.towers import Unknown, compare
 import golden
-from reference import reps_rows
+from reference import dim_at, reps_rows
 
 
 def test_top_filtrations_are_exact():
@@ -32,11 +32,11 @@ def test_top_filtrations_are_exact():
     e2, final = pages[1], pages[-1]
     assert e2.r == 2 and final.r == 3
     assert max(s for (_t, s) in final.cells) == max(sched.pages) == 2
-    assert e2.dim(16, 2) == 0      # mu_3 v0^2 supports d_1 into (15, 3)
-    assert e2.dim(15, 2) == 0      # lambda_3 v0^2 is the boundary of mu_3 v0
+    assert dim_at(e2, 16, 2) == 0      # mu_3 v0^2 supports d_1 into (15, 3)
+    assert dim_at(e2, 15, 2) == 0      # lambda_3 v0^2 is the boundary of mu_3 v0
     for s in range(3):
-        assert final.dim(32, s) == 0   # mu_3^2 v0^s supports d_2
-        assert final.dim(0, s) == 1    # the unit's free tower
+        assert dim_at(final, 32, s) == 0   # mu_3^2 v0^s supports d_2
+        assert dim_at(final, 0, s) == 1    # the unit's free tower
 
 
 def test_full_windows_are_decidable():
@@ -178,7 +178,7 @@ def test_v0_stabilization_horizon():
     assert final.ctx.s_hi == R == 3
     wide = golden.reread(pages, R + 4)[-1]
     for t in range(0, 201):
-        assert {wide.dim(t, s) for s in range(R, R + 5)} == {final.dim(t, R)}, t
+        assert {dim_at(wide, t, s) for s in range(R, R + 5)} == {dim_at(final, t, R)}, t
 
 
 # every v0 height the sweeps below run, each at p = 2, 3 and 5

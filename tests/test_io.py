@@ -13,14 +13,13 @@ from bockstein.cases import Case
 from bockstein.closedform import thh_mod_p_algebra
 from bockstein.engine import (Cell, DiffRecord, EngineContext, PageData, Window, run,
                               schedule_v0, schedule_v2)
-from bockstein.jsonio import (_json_list, _lead_renderer, _with_v, emit_json, json_fragments,
-                              monomial_str)
+from bockstein.jsonio import _json_list, _lead_renderer, emit_json, json_fragments, monomial_str
 from bockstein import jsonio, svg
 from bockstein.svg import ChartStyle, chart_marks, draw_chart, emit_svg
 from bockstein.towers import INF, TowerProfile, Unknown
 import golden
-from golden import expand, parse_json
-from reference import reps_rows
+from golden import _with_v, expand, parse_json
+from reference import dim_at, reps_rows
 
 
 def _lead(A, monomials, row, ascii_):
@@ -99,8 +98,8 @@ def test_json_roundtrip_and_determinism():
                                      for row in reps_rows(cell)])
                    for (t, s), cell in sorted(pd.cells.items()) if cell.dim and 0 <= t <= 40]
         assert [(c["t"], c["s"], c["dim"], c["reps"]) for c in pg["classes"]] == classes
-        diffs = [((t, s), rec.target, rec.rank) for (t, s), rec in sorted(pd.diffs.items())
-                 if rec.rank and (0 <= t <= 40 or 0 <= rec.target[0] <= 40)]
+        diffs = [((t, s), (t - 1, s + pd.r), rec.rank) for (t, s), rec in sorted(pd.diffs.items())
+                 if rec.rank and (0 <= t <= 40 or 0 <= t - 1 <= 40)]
         assert [((d["from"]["t"], d["from"]["s"]), (d["to"]["t"], d["to"]["s"]), d["rank"])
                 for d in pg["differentials"]] == diffs
     assert any(pg["differentials"] for pg in pages2)
@@ -230,7 +229,7 @@ def test_svg_dot_counts_match_dims():
         t, s = int(m.group(1)), int(m.group(2))
         per_col[(t, s)] = per_col.get((t, s), 0) + 1
     for (t, s), count in per_col.items():
-        assert final.dim(t, s) == count
+        assert dim_at(final, t, s) == count
     dv = final.ctx.deg_v
     for a, _ in final.shown():
         for s0, s1, cell in final.window(a):
@@ -342,7 +341,7 @@ def test_chart_equals_the_reference_drawer(case):
         marks, arrows = chart_marks(page)
         want = _draw_chart_reference(page, _reference_dots(marks), arrows, ChartStyle(), case.D,
                                      sched.label)
-        assert draw_chart(page, marks, arrows, ChartStyle(), case.D, sched.label) == want, page.r
+        assert draw_chart(page, marks, arrows, case.D, sched.label) == want, page.r
         if page is chart_page:
             assert marks
             assert want.count('stroke="#c00"') == CHART_ARROWS.get(case, 0)
@@ -360,7 +359,7 @@ def test_chart_marks_carry_their_partners_dimension(case):
         assert marks == sorted(marks)
         assert len({(t, s) for t, s, _, _ in marks}) == len(marks)
         for t, s, dim, up in marks:
-            assert (dim, up) == (page.dim(t, s), page.dim(t + dv, s + 1)), (page.r, t, s)
+            assert (dim, up) == (dim_at(page, t, s), dim_at(page, t + dv, s + 1)), (page.r, t, s)
         shown = sum(s1 - s0 + 1 for a, _ in page.shown() for s0, s1, cell in page.window(a)
                     if cell.dim)
         assert len(marks) == shown
@@ -380,9 +379,9 @@ def test_chart_marks_read_each_run_top_off_the_next_bar():
     marks, arrows = chart_marks(page)
     assert marks == [(4 + 6 * s, s, dim, up) for s, dim, up in
                      ((0, 3, 3), (1, 3, 1), (2, 1, 0), (4, 2, 2), (5, 2, 4), (6, 4, 0))]
-    assert all(up == page.dim(t + 6, s + 1) for t, s, _, up in marks) and arrows == []
+    assert all(up == dim_at(page, t + 6, s + 1) for t, s, _, up in marks) and arrows == []
     want = _draw_chart_reference(page, _reference_dots(marks), arrows, ChartStyle(), 40, "tops")
-    assert draw_chart(page, marks, arrows, ChartStyle(), 40, "tops") == want
+    assert draw_chart(page, marks, arrows, 40, "tops") == want
     assert want.count('stroke="#888"') == 3 + 1 + 2 + 2
 
 
@@ -410,7 +409,7 @@ def test_chart_fans_out_as_the_reference_drawer(case):
     assert all((D + dv, s + 1) in dots for s in range(-4, 6))
     marks = [(t, s, dim, dots.get((t + dv, s + 1), 0)) for (t, s), dim in dots.items()]
     want = _draw_chart_reference(page, dots, arrows, ChartStyle(), D, "fan")
-    assert draw_chart(page, marks, arrows, ChartStyle(), D, "fan") == want
+    assert draw_chart(page, marks, arrows, D, "fan") == want
     assert all(mark in want for mark in ("<circle", 'stroke="#888"', 'stroke="#c00"'))
 
 
@@ -470,7 +469,7 @@ def test_matrix_text_is_what_json_writes(seed):
         [[rng.randint(0, 10 ** rng.randint(0, 25)) for _ in range(w)] for _ in range(h)]
         for h, w in ((rng.randint(1, 6), rng.randint(0, 6)) for _ in range(40))]
     pd = PageData(1, ctx, {})
-    pd.maps = {a: ((ctx.s_lo, DiffRecord(a - 1 - ctx.deg_v, m, rng.randint(0, 6))),)
+    pd.maps = {a: ((ctx.s_lo, DiffRecord(m, rng.randint(0, 6))),)
                for a, m in enumerate(matrices)}
     want = [json.dumps({"a": a, "to": a - 1 - ctx.deg_v,
                         "runs": [[s0, s1, rec.rank, rec.matrix] for s0, s1, rec in pd.window_maps(a)]},
