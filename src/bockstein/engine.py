@@ -32,12 +32,15 @@ barcode (Zomorodian-Carlsson, Computing persistent homology, 2005): bars
 from a fired page whose boundaries changed its cell.  A page that does not
 touch an A-degree passes its bars on unchanged.  With v inverted every
 page's boundaries reach every filtration, and each A-degree has one bar.
-PageData owns the window 0..D: its readers shown, window and window_maps
-cut the bars to it, and the documents and the chart read only them;
-window is the one place that cuts an A-degree's bars.  A d_r record
-(DiffRecord) holds only its matrix and rank: its source A-degree is its
-key in PageData.maps, and its target is the A-degree a - 1 - r|v| the page
-implies.
+PageData owns the window 0..D: its readers cut the bars to it by one rule
+(EngineContext._cut), a whole page in one walk (windows, and windows_maps
+over its d_r records) or one A-degree at a time (window, window_maps), and
+the documents and the chart read only them.  A d_r record (DiffRecord)
+holds only its matrix and rank: its source A-degree is its key in
+PageData.maps, and its target is the A-degree a - 1 - r|v| the page
+implies.  A page knows the page it was fired from (PageData.fired_from),
+so a reader of consecutive pages can reread only the A-degrees that page
+changed.
 
 Every page asserts, on the records it fires, d_r o d_r = 0, that d_r
 takes the same values from every bar (so it is defined on E_r), and the
@@ -99,7 +102,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, replace
-from itertools import repeat, takewhile
+from itertools import repeat
 from operator import add, itemgetter, sub
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -322,13 +325,31 @@ class EngineContext:
         self.s_lo, self.s_hi = view_filtrations(v.degree, max_degree, top_page, localized)
         self.reach = reach(v.degree, max_degree, top_page, localized, max_source)
 
-    def _filtrations(self, a: int, top: int) -> Tuple[int, int]:
-        """The view's filtrations at which A-degree a lies in degrees 0..top
-        (empty when the first exceeds the second)."""
-        lo, hi, dv = self.s_lo, self.s_hi, self.deg_v
+    def _cut(self, a: int, bars: "Bars", top: int, hi: int) -> List[Tuple[int, int, object]]:
+        """(s_from, s_to, item) of each bar of A-degree a, cut to the view's
+        filtrations up to hi at which a lies in degrees 0..top: the window
+        rule, which every reader of a page cuts its bars by."""
+        lo, dv = self.s_lo, self.deg_v
         if dv == 0:
-            return (lo, hi) if 0 <= a <= top else (1, 0)
-        return max(lo, -(a // dv)), min(hi, (top - a) // dv)
+            if not 0 <= a <= top:
+                return []
+        else:
+            if lo < -(a // dv):
+                lo = -(a // dv)
+            if hi > (top - a) // dv:
+                hi = (top - a) // dv
+        if len(bars) == 1:  # most A-degrees hold one bar
+            s0, item = bars[0]
+            if s0 < lo:
+                s0 = lo
+            return [(s0, hi, item)] if s0 <= hi else []
+        runs = []
+        for k, (s0, item) in enumerate(bars):
+            s0 = lo if s0 < lo else s0
+            s1 = hi if k == len(bars) - 1 else min(hi, bars[k + 1][0] - 1)
+            if s0 <= s1:
+                runs.append((s0, s1, item))
+        return runs
 
 
 @dataclass(slots=True)
@@ -339,20 +360,13 @@ class DiffRecord:
 
 # bars ((s_from, item), ...) by increasing s_from; an item holds up to the next bar's start
 Bars = Tuple[Tuple[int, object], ...]
+# runs [(s_from, s_to, item), ...]: bars cut to a window (EngineContext._cut)
+Runs = List[Tuple[int, int, object]]
 
 
 def _bar_at(bars: Bars, s: int):
     """The item of the bar that holds filtration s (s >= the first s_from)."""
     return bars[bisect_right(bars, s, key=itemgetter(0)) - 1][1]
-
-
-def _clip_bars(bars: Bars, lo: int, hi: int) -> Iterator[Tuple[int, int, object]]:
-    """(s_from, s_to, item) of each bar, cut to the filtrations lo..hi."""
-    for k, (s0, item) in enumerate(bars):
-        s0 = lo if s0 < lo else s0
-        s1 = hi if k == len(bars) - 1 else min(hi, bars[k + 1][0] - 1)
-        if s0 <= s1:
-            yield s0, s1, item
 
 
 class PageData:
@@ -368,15 +382,19 @@ class PageData:
     to the next.  When the page is applied, maps gives d_r out of each
     A-degree a it does not vanish on, as bars ((s_from, DiffRecord), ...),
     one over each of the A-degree's bars; every record of a hits A-degree
-    a - 1 - r|v|, so a record stores only its matrix and rank.
+    a - 1 - r|v|, so a record stores only its matrix and rank.  fired_from
+    is the page whose firing left this page's degrees (apply_page, run),
+    None for E_1 and for a page made otherwise: its degrees are that
+    page's but at the sources of that page's maps and their targets.
 
-    What a reader shows of them is cut to the window 0..D by shown(),
-    window(a) and window_maps(a); the documents and the chart read only
-    those.  cells and diffs are their (t, s) views, read-only mappings
-    that read the bars on every access and give the very Cells and
-    DiffRecords the bars hold, so a run builds neither; no library code
-    reads them, and the benchmark's tracer counts through them (ROADMAP
-    B1, D9).
+    What a reader shows of them is cut to the window 0..D by one rule
+    (EngineContext._cut), read in one walk over a page (windows,
+    windows_maps) or one A-degree at a time (window(a), window_maps(a));
+    the documents and the chart read only those.  cells and diffs are
+    their (t, s) views, read-only mappings that read the bars on every
+    access and give the very Cells and DiffRecords the bars hold, so a
+    run builds neither; no library code reads them, and the benchmark's
+    tracer counts through them (ROADMAP B1, D9).
     """
 
     def __init__(self, r: int, ctx: EngineContext, degrees: Dict[int, Bars]) -> None:
@@ -384,60 +402,74 @@ class PageData:
         self.ctx = ctx
         self.degrees = degrees
         self.maps: Dict[int, Bars] = {}
+        self.fired_from: Optional[PageData] = None
 
     @property
     def cells(self) -> Mapping[Tuple[int, int], Cell]:
         """The classes at every (t, s) of the window: the bar's own Cell."""
-        return _PageView(self, lambda: map(itemgetter(0), self.shown()), self.window)
+        return _PageView(self, self.windows, self.window)
 
     @property
     def diffs(self) -> Mapping[Tuple[int, int], DiffRecord]:
         """d_r at every (t, s) source window_maps shows: the record maps
         holds, whose target is (t - 1, s + r)."""
-        return _PageView(self, lambda: iter(self.maps), self.window_maps)
+        return _PageView(self, self.windows_maps, self.window_maps)
 
-    def shown(self) -> Iterator[Tuple[int, Bars]]:
-        """(a, bars) of each A-degree whose tower meets degrees 0..D, in
-        increasing order: the kept A-degrees 0..D - s_lo|v|."""
-        top = self.ctx.max_degree - self.ctx.s_lo * self.ctx.deg_v
-        return takewhile(lambda item: item[0] <= top, self.degrees.items())
+    def windows(self) -> Iterator[Tuple[int, Runs]]:
+        """(a, window(a)) of each A-degree whose tower meets degrees 0..D,
+        in increasing order: the kept A-degrees 0..D - s_lo|v|."""
+        ctx = self.ctx
+        cut, D, hi = ctx._cut, ctx.max_degree, ctx.s_hi
+        top = D - ctx.s_lo * ctx.deg_v
+        for a, bars in self.degrees.items():
+            if a > top:
+                return
+            yield a, cut(a, bars, D, hi)
 
-    def window(self, a: int) -> Iterator[Tuple[int, int, Cell]]:
+    def windows_maps(self) -> Iterator[Tuple[int, Runs]]:
+        """(a, window_maps(a)) of each A-degree d_r does not vanish on, in
+        increasing order."""
+        ctx, maps = self.ctx, self.maps
+        cut, top, hi = ctx._cut, ctx.max_degree + 1, ctx.s_hi - self.r
+        for a in sorted(maps):
+            yield a, cut(a, maps[a], top, hi)
+
+    def window(self, a: int) -> Runs:
         """(s_from, s_to, Cell) of each bar of A-degree a, cut to the view's
         filtrations at which it lies in degrees 0..D."""
-        return _clip_bars(self.degrees.get(a, ()), *self.ctx._filtrations(a, self.ctx.max_degree))
+        ctx = self.ctx
+        return ctx._cut(a, self.degrees.get(a, ()), ctx.max_degree, ctx.s_hi)
 
-    def window_maps(self, a: int) -> Iterator[Tuple[int, int, DiffRecord]]:
+    def window_maps(self, a: int) -> Runs:
         """(s_from, s_to, DiffRecord) of each bar of d_r out of A-degree a
         that does not vanish, cut to the sources in degrees 0..D + 1 whose
         targets lie in the view's filtrations."""
         ctx = self.ctx
-        lo, hi = ctx._filtrations(a, ctx.max_degree + 1)
-        return _clip_bars(self.maps.get(a, ()), lo, min(hi, ctx.s_hi - self.r))
+        return ctx._cut(a, self.maps.get(a, ()), ctx.max_degree + 1, ctx.s_hi - self.r)
 
 
 class _PageView(Mapping):
     """A (t, s) view of a page, read off its bars on every access.
 
-    The keys run over the A-degrees that sources() gives, in order, and
-    over each one's bars as runs(a) cuts them; a lookup reads the one bar
-    of its A-degree that holds it, and items and values walk the bars as
-    the keys do.  A value is the bar's own item.  The view keeps nothing,
-    so a read allocates only what it returns."""
+    The keys run over the A-degrees and runs that walk() gives, in order;
+    a lookup reads the runs(a) of its A-degree and the one that holds it,
+    and items and values walk the bars as the keys do.  A value is the
+    bar's own item.  The view keeps nothing, so a read allocates only what
+    it returns."""
 
-    __slots__ = ("_pd", "_sources", "_runs")
+    __slots__ = ("_pd", "_walk", "_runs")
 
-    def __init__(self, pd: PageData, sources: Callable[[], Iterator[int]],
-                 runs: Callable[[int], Iterator[Tuple[int, int, object]]]) -> None:
+    def __init__(self, pd: PageData, walk: Callable[[], Iterator[Tuple[int, Runs]]],
+                 runs: Callable[[int], Runs]) -> None:
         self._pd = pd
-        self._sources = sources
+        self._walk = walk
         self._runs = runs
 
     def _entries(self) -> Iterator[Tuple[int, int, object]]:
         """(t, s, item) of every key (t, s), in order."""
         dv = self._pd.ctx.deg_v
-        for a in self._sources():
-            for s0, s1, item in self._runs(a):
+        for a, runs in self._walk():
+            for s0, s1, item in runs:
                 for s in range(s0, s1 + 1):
                     yield a + s * dv, s, item
 
@@ -457,7 +489,7 @@ class _PageView(Mapping):
             yield t, s
 
     def __len__(self) -> int:
-        return sum(s1 - s0 + 1 for a in self._sources() for s0, s1, _ in self._runs(a))
+        return sum(s1 - s0 + 1 for _, runs in self._walk() for s0, s1, _ in runs)
 
     def items(self) -> ItemsView:
         return _Items(self)
@@ -897,7 +929,9 @@ def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
     image at once.  Without an outgoing record the target's new reps are
     read off the image's reduced echelon form, and a pivot whose echelon
     row is its own unit vector adds no row.  A target's old bars pass on
-    as they are; with v inverted its one bar is replaced.
+    as they are; with v inverted its one bar is replaced.  The page
+    returned records pd as fired_from: it holds new bars exactly at the
+    sources of pd.maps and their targets, and pd's very bars elsewhere.
     """
     ctx = pd.ctx
     p = ctx.A.p
@@ -973,7 +1007,9 @@ def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
             degrees[ta] += ((r, new),)
 
     pd.maps = maps
-    return PageData(r + 1, ctx, degrees)
+    nxt = PageData(r + 1, ctx, degrees)
+    nxt.fired_from = pd
+    return nxt
 
 
 # ----------------------------------------------------------------------
@@ -1164,8 +1200,10 @@ def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
     pages_out: List[PageData] = [pd]
     for r in fired:
         if r > 1:  # E_r holds the state the fired pages below r left
-            pd = PageData(r, pd.ctx, pd.degrees)
-            pages_out.append(pd)
+            e_r = PageData(r, pd.ctx, pd.degrees)
+            e_r.fired_from = pd.fired_from
+            pages_out.append(e_r)
+            pd = e_r
         pd = apply_page(pd, gens[r], cones[r])
     if fired:
         pages_out.append(pd)

@@ -10,17 +10,17 @@ emit_json writes schema 2, which is the engine's state: a v-tower is one
 A-degree a, whose bars (PageData.degrees) hold its classes at
 (a + s|v|, s).  Its `meta` adds the schema, v's name and degree, the
 view's filtrations and whether names are ASCII.  A page holds `r`,
-`degrees`: per A-degree `a` that PageData.shown lists, `levels`
+`degrees`: per A-degree `a` that PageData.windows walks, `levels`
 [s_from, s_to, dim, reps], its bars as PageData.window cuts them, each
 rep a lead monomial without its v-power; and `differentials`: per source
 A-degree `a`, its target `to` and `runs` [s_from, s_to, rank, matrix], the
 bars of d_r as PageData.window_maps cuts them (sources in degrees
 0..D + 1 whose targets are in the view).  The writer reads a page only
-through PageData.shown, window (for the A-degrees whose bars changed)
-and window_maps.  json_fragments lays the text out as a flat list of
-fragments, each A-degree's record one string shared by the pages that
-show it, and each page's list laid out by slice assignment; emit_json
-joins it and `run --json` streams it.  Records are formatted from ints
+through the walks PageData.windows and windows_maps and, for the
+A-degrees a page changed, PageData.window.  json_fragments lays the text
+out as a flat list of fragments, each A-degree's record one string shared
+by the pages that show it, and each page's list laid out by slice
+assignment; emit_json joins it and `run --json` streams it.  Records are formatted from ints
 and from strings made once per document (escaped generator names, each
 generator's factor text per exponent, each cell's level text); a d_r
 matrix, a list of lists of ints, is its own JSON text as str writes it,
@@ -37,7 +37,7 @@ import json
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Monomial
-from .engine import Cell, PageData
+from .engine import Cell, PageData, Runs
 from .towers import INF, TowerProfile, Unknown
 
 TOOL_VERSION = "0.1.0"
@@ -120,8 +120,8 @@ def laurent_span(page: PageData, ascii_: bool = False) -> List[str]:
     classes at filtration 0 in the run's degrees 0..D, "0" for a zero row."""
     leads = _lead_renderer(page.ctx.A, ascii_, escape=False)
     return ["0" if lead is None else lead
-            for a, _ in page.shown()
-            for s0, s1, cell in page.window(a) if s0 <= 0 <= s1
+            for _, runs in page.windows()
+            for s0, s1, cell in runs if s0 <= 0 <= s1
             for lead in leads(cell)]
 
 
@@ -151,13 +151,14 @@ def _degree_record(a: int, window: Iterable[Tuple[int, int, Cell]], reps: Dict[i
     return f'{{"a": {a}, "levels": [{", ".join(runs)}]}}' if runs else None
 
 
-def _diff_record(pd: PageData, a: int) -> Optional[str]:
-    """The record of d_r out of A-degree a on page pd, None when
-    window_maps shows none of it.  A matrix is a list of lists of ints,
-    whose str is its JSON text."""
-    runs = [f"[{s0}, {s1}, {rec.rank}, {rec.matrix}]" for s0, s1, rec in pd.window_maps(a)]
-    target = a - 1 - pd.r * pd.ctx.deg_v
-    return f'{{"a": {a}, "to": {target}, "runs": [{", ".join(runs)}]}}' if runs else None
+def _diff_record(a: int, target: int, runs: Runs) -> Optional[str]:
+    """The record of d_r out of A-degree a into A-degree target from its
+    runs (PageData.window_maps), None when they are empty.  A matrix is a
+    list of lists of ints, whose str is its JSON text."""
+    if not runs:
+        return None
+    texts = ", ".join([f"[{s0}, {s1}, {rec.rank}, {rec.matrix}]" for s0, s1, rec in runs])
+    return f'{{"a": {a}, "to": {target}, "runs": [{texts}]}}'
 
 
 def _towers(profile: TowerProfile) -> List[str]:
@@ -189,10 +190,12 @@ def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[
     fragments whose concatenation is the document.
 
     Each A-degree's record is one string, listed once per page that shows
-    it.  A page reuses the record of an A-degree whose bars are the very
-    object the page listed before it holds in the same run: a page that
-    does not touch an A-degree passes its bars on, so a document costs the
-    first page plus each page's changes, in any order of pages."""
+    it.  A page is decided by the page listed before it: sharing its
+    degrees, it reuses every record; fired from it (PageData.fired_from),
+    it differs only at that page's d_r sources and their targets, and
+    re-renders the ones it shows; any other page is rendered whole, in
+    one walk.  So a document of a run's pages costs the first page plus
+    each page's changes, and pages in any order give the same records."""
     ctx = pages[0].ctx if pages else None
     reading = dict(zip(_READING, (2, ctx and ctx.v.name, ctx and ctx.deg_v,
                                   ctx and [ctx.s_lo, ctx.s_hi], ascii_)))
@@ -203,13 +206,21 @@ def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[
     records: Dict[int, Optional[str]] = {}
     before: Optional[PageData] = None
     for pd in pages:
-        held = before.degrees if before is not None and before.ctx is pd.ctx else {}
-        records = {a: records[a] if held.get(a) is bars
-                   else _degree_record(a, pd.window(a), reps, leads) for a, bars in pd.shown()}
+        if before is not None and pd.fired_from is before:
+            # the page differs from before only at before's maps sources
+            # and their targets
+            records = dict(records)
+            shift = 1 + before.r * pd.ctx.deg_v
+            for a in {*before.maps, *[a - shift for a in before.maps]}:
+                if a in records:
+                    records[a] = _degree_record(a, pd.window(a), reps, leads)
+        elif before is None or before.ctx is not pd.ctx or before.degrees is not pd.degrees:
+            records = {a: _degree_record(a, runs, reps, leads) for a, runs in pd.windows()}
         out += ("\n" if before is None else ",\n", f'{{"r": {pd.r}, "degrees": [')
         _items(out, records.values())
         out.append('],\n"differentials": [')
-        _items(out, [_diff_record(pd, a) for a in sorted(pd.maps)])
+        shift = 1 + pd.r * pd.ctx.deg_v
+        _items(out, [_diff_record(a, a - shift, runs) for a, runs in pd.windows_maps()])
         out.append("]}")
         before = pd
     out.append('],\n"towers": [')

@@ -1,12 +1,13 @@
 """SVG chart emission: one dot per class, lines along v-multiplication,
 labeled arrows for the page's differentials, x ticks every few columns.
 
-chart_marks reads a page only through its window readers (PageData.shown,
-window and window_maps), the ones the JSON writer reads, so the rendered
-class count per column always equals the page dimensions (each circle
-carries data-t/data-s attributes so that tests can verify this against
-the JSON document).  The marks are read tower by tower: each A-degree's
-window runs give its dots at (a + s|v|, s), and a dot's v-line partner
+chart_marks reads a page only through its window walks (PageData.windows
+and windows_maps), which cut the bars as the JSON writer's readers do, so
+the rendered class count per column always equals the page dimensions
+(each circle carries data-t/data-s attributes so that tests can verify
+this against the JSON document).  The marks are read tower by tower, in
+one walk of the page: each A-degree's window runs give its dots at
+(a + s|v|, s), and a dot's v-line partner
 (t + |v|, s + 1) is the same tower's next filtration, so each mark carries
 its partner's dimension and the chart looks none up.  draw_chart walks the
 marks once, formats the x of every column, the y of every row and each fan
@@ -43,18 +44,18 @@ class ChartStyle:
 
 
 def chart_marks(page: PageData) -> Tuple[List[Mark], List[Tuple[Point, Point]]]:
-    """What a chart can draw of a page, read through its window readers:
-    a mark (t, s, dim, up) at each (t, s) that window shows classes at, and
-    each d_r that window_maps shows as its source and target; both in
+    """What a chart can draw of a page, read through its window walks:
+    a mark (t, s, dim, up) at each (t, s) that windows shows classes at,
+    and each d_r that windows_maps shows as its source and target; both in
     (t, s) order.  Inside a window run, up is the run's own dim; at its
     top, the next run's dim, since an A-degree's runs follow each other
     with no gap (its bars are Cells, each holding up to the next one's
     start), and 0 at the last run's top, the window's end."""
     r, dv = page.r, page.ctx.deg_v
     marks: List[Mark] = []
-    for a, _ in page.shown():
+    for a, runs in page.windows():
         top = 0  # the dim of the run before, when it has classes
-        for s0, s1, cell in page.window(a):
+        for s0, s1, cell in runs:
             dim = cell.dim
             if top:
                 marks.append((a + s * dv, s, top, dim))
@@ -64,8 +65,8 @@ def chart_marks(page: PageData) -> Tuple[List[Mark], List[Tuple[Point, Point]]]:
         if top:
             marks.append((a + s * dv, s, top, 0))
     marks.sort()
-    arrows = [((a + s * dv, s), (a + s * dv - 1, s + r)) for a in page.maps
-              for s0, s1, _ in page.window_maps(a) for s in range(s0, s1 + 1)]
+    arrows = [((a + s * dv, s), (a + s * dv - 1, s + r)) for a, runs in page.windows_maps()
+              for s0, s1, _ in runs for s in range(s0, s1 + 1)]
     return marks, sorted(arrows)
 
 

@@ -108,7 +108,7 @@ def _cell_view(pd):
     the (t, s) view as engine._cell_view built it before the views became
     lazy, kept as the reference the lazy view is checked against."""
     dv = pd.ctx.deg_v
-    return {(a + s * dv, s): cell for a, _ in pd.shown()
+    return {(a + s * dv, s): cell for a in pd.degrees
             for s0, s1, cell in pd.window(a) for s in range(s0, s1 + 1)}
 
 
@@ -198,7 +198,7 @@ def _refuse(self, *args):
 @pytest.mark.parametrize("case", golden.FIXED, ids=golden.case_id)
 def test_no_library_reader_reads_a_page_view(case, monkeypatch):
     # run, compare, the JSON writer and the chart read the bars through
-    # shown, window and window_maps, never a (t, s) view (_entries is what
+    # the window walks and readers, never a (t, s) view (_entries is what
     # items() and values() walk)
     for name in ("__iter__", "__len__", "__getitem__", "_entries"):
         monkeypatch.setattr(engine._PageView, name, _refuse)
@@ -262,6 +262,26 @@ def test_untouched_a_degrees_share_their_bars(case):
         assert all(dim_at(pd, t, s) == cell.dim for (t, s), cell in whole.items())
 
 
+@pytest.mark.parametrize("case", golden.FIXED, ids=golden.case_id)
+def test_a_page_differs_from_the_one_before_where_that_one_fired(case):
+    # what the JSON writer reuses records by: each page run returns after
+    # E_1 either shares the degrees of the page before it (no page fired in
+    # between), or was fired from that page and holds another bars object
+    # exactly at its maps sources and their targets a - 1 - r|v|
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, pages, _ = case.run()
+    assert pages[0].fired_from is None
+    for before, pd in zip(pages, pages[1:]):
+        if pd.degrees is before.degrees:
+            continue
+        assert pd.fired_from is before and pd.ctx is before.ctx
+        assert list(pd.degrees) == list(before.degrees)
+        shift = 1 + before.r * pd.ctx.deg_v
+        changed = {a for a, bars in pd.degrees.items() if bars is not before.degrees[a]}
+        assert changed == set(before.maps) | {a - shift for a in before.maps}, pd.r
+
+
 def _expand(runs):
     """(s, id(item)) at each filtration of runs (s_from, s_to, item)."""
     return [(s, id(item)) for s0, s1, item in runs for s in range(s0, s1 + 1)]
@@ -273,8 +293,11 @@ def test_window_readers_follow_the_window_rule(case):
     # the readers against the rule written out, probed on every kept
     # A-degree a: a class at (a + s|v|, s) shows when 0 <= t <= D and
     # s_lo <= s <= s_hi, and a nonzero d_r out of it when 0 <= t <= D + 1
-    # and s_lo <= s <= s_hi - r.  The cases include s_hi = 0 (localized v2
-    # p=3 D=10), a window with no page (v1 p=3 D=0) and |v| = 0 (v0)
+    # and s_lo <= s <= s_hi - r.  The walks over a page give what the
+    # single readers give: windows each shown A-degree's window, in
+    # increasing order, and windows_maps each source's window_maps, in
+    # source order.  The cases include s_hi = 0 (localized v2 p=3 D=10), a
+    # window with no page (v1 p=3 D=0) and |v| = 0 (v0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, pages, _ = case.run()
@@ -291,7 +314,9 @@ def test_window_readers_follow_the_window_rule(case):
             want = [(s, id(_bar_at(row, s))) for s in range(ctx.s_lo, ctx.s_hi - pd.r + 1)
                     if 0 <= a + s * dv <= D + 1 and _bar_at(row, s) is not None]
             assert _expand(pd.window_maps(a)) == want, a
-        assert list(pd.shown()) == [(a, pd.degrees[a]) for a in shown]
+        assert [a for a, _ in pd.windows()] == shown
+        assert list(pd.windows()) == [(a, list(pd.window(a))) for a in shown]
+        assert list(pd.windows_maps()) == [(a, list(pd.window_maps(a))) for a in sorted(pd.maps)]
         assert not list(pd.window(-1)) and not list(pd.window_maps(-1))
 
 

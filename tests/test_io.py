@@ -165,12 +165,15 @@ def test_json_made_up_pages_expand_to_their_classes():
 
 @pytest.mark.parametrize("order", ["run", "skipping", "reversed"])
 def test_json_patched_pages_equal_whole_pages(order):
-    # a page renders only the A-degrees whose bars are not those of the page
-    # listed before it, whatever the order of the pages; each page record is
-    # the one the page gets in a document of its own, and an A-degree whose
-    # bars a page shares with the page before keeps its record
+    # a page fired from the page listed before it renders only that page's
+    # d_r sources and their targets, and one that shares its degrees
+    # renders nothing; any other page is rendered whole, whatever the order
+    # of the pages.  Each page record is the one the page gets in a document
+    # of its own, and an A-degree whose bars a page shares with the page
+    # before keeps its record
     for c in (Case("v0", 2, 58, n=2), Case("v2", 2, 120, page_cap=8),
-              Case("v2", 3, 60, localized=True)):
+              Case("v2", 3, 60, localized=True), Case("v0", 2, 1000, n=3),
+              Case("v2", 2, 120, localized=True, page_cap=4)):
         sched, pages, prof = c.run()
         pages = {"run": pages, "skipping": pages[::2], "reversed": pages[::-1]}[order]
         doc = json.loads(emit_json(pages, prof, c.meta(sched)))
@@ -231,7 +234,7 @@ def test_svg_dot_counts_match_dims():
     for (t, s), count in per_col.items():
         assert dim_at(final, t, s) == count
     dv = final.ctx.deg_v
-    for a, _ in final.shown():
+    for a in final.degrees:
         for s0, s1, cell in final.window(a):
             for s in range(s0, s1 + 1):
                 if 0 <= a + s * dv <= 40 and cell.dim:
@@ -360,7 +363,7 @@ def test_chart_marks_carry_their_partners_dimension(case):
         assert len({(t, s) for t, s, _, _ in marks}) == len(marks)
         for t, s, dim, up in marks:
             assert (dim, up) == (dim_at(page, t, s), dim_at(page, t + dv, s + 1)), (page.r, t, s)
-        shown = sum(s1 - s0 + 1 for a, _ in page.shown() for s0, s1, cell in page.window(a)
+        shown = sum(s1 - s0 + 1 for a in page.degrees for s0, s1, cell in page.window(a)
                     if cell.dim)
         assert len(marks) == shown
 
