@@ -325,7 +325,7 @@ class EngineContext:
         self.s_lo, self.s_hi = view_filtrations(v.degree, max_degree, top_page, localized)
         self.reach = reach(v.degree, max_degree, top_page, localized, max_source)
 
-    def _cut(self, a: int, bars: "Bars", top: int, hi: int) -> List[Tuple[int, int, object]]:
+    def _cut(self, a: int, bars: Bars, top: int, hi: int) -> Runs:
         """(s_from, s_to, item) of each bar of A-degree a, cut to the view's
         filtrations up to hi at which a lies in degrees 0..top: the window
         rule, which every reader of a page cuts its bars by."""
@@ -384,8 +384,9 @@ class PageData:
     one over each of the A-degree's bars; every record of a hits A-degree
     a - 1 - r|v|, so a record stores only its matrix and rank.  fired_from
     is the page whose firing left this page's degrees (apply_page, run),
-    None for E_1 and for a page made otherwise: its degrees are that
-    page's but at the sources of that page's maps and their targets.
+    None for E_1 and for a page made otherwise; this page holds that
+    page's very bars but at the sources of that page's maps and their
+    targets.
 
     What a reader shows of them is cut to the window 0..D by one rule
     (EngineContext._cut), read in one walk over a page (windows,
