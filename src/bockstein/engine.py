@@ -38,9 +38,10 @@ over its d_r records) or one A-degree at a time (window, window_maps), and
 the documents and the chart read only them.  A d_r record (DiffRecord)
 holds only its matrix and rank: its source A-degree is its key in
 PageData.maps, and its target is the A-degree a - 1 - r|v| the page
-implies.  A page knows the page it was fired from (PageData.fired_from),
-so a reader of consecutive pages can reread only the A-degrees that page
-changed.
+implies.  A page knows the page it was fired from (PageData.fired_from)
+and the d_r records that firing made (fired_maps), so a reader of
+consecutive pages can reread only the A-degrees the firing changed
+(PageData.changed).
 
 Every page asserts, on the records it fires, d_r o d_r = 0, that d_r
 takes the same values from every bar (so it is defined on E_r), and the
@@ -104,7 +105,7 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import add, itemgetter, sub
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import linalg
 from .algebra import (
@@ -338,11 +339,6 @@ class EngineContext:
                 lo = -(a // dv)
             if hi > (top - a) // dv:
                 hi = (top - a) // dv
-        if len(bars) == 1:  # most A-degrees hold one bar
-            s0, item = bars[0]
-            if s0 < lo:
-                s0 = lo
-            return [(s0, hi, item)] if s0 <= hi else []
         runs = []
         for k, (s0, item) in enumerate(bars):
             s0 = lo if s0 < lo else s0
@@ -384,9 +380,10 @@ class PageData:
     one over each of the A-degree's bars; every record of a hits A-degree
     a - 1 - r|v|, so a record stores only its matrix and rank.  fired_from
     is the page whose firing left this page's degrees (apply_page, run),
-    None for E_1 and for a page made otherwise; this page holds that
-    page's very bars but at the sources of that page's maps and their
-    targets.
+    and fired_maps the maps that firing recorded on it, kept here so that
+    firing fired_from again cannot change them; both are None for E_1 and
+    for a page made otherwise.  This page holds fired_from's very bars but
+    at the A-degrees changed() gives.
 
     What a reader shows of them is cut to the window 0..D by one rule
     (EngineContext._cut), read in one walk over a page (windows,
@@ -404,6 +401,7 @@ class PageData:
         self.degrees = degrees
         self.maps: Dict[int, Bars] = {}
         self.fired_from: Optional[PageData] = None
+        self.fired_maps: Optional[Dict[int, Bars]] = None
 
     @property
     def cells(self) -> Mapping[Tuple[int, int], Cell]:
@@ -415,6 +413,13 @@ class PageData:
         """d_r at every (t, s) source window_maps shows: the record maps
         holds, whose target is (t - 1, s + r)."""
         return _PageView(self, self.windows_maps, self.window_maps)
+
+    def changed(self) -> Set[int]:
+        """The A-degrees at which this page holds other bars than
+        fired_from: the sources of fired_maps and their targets
+        a - 1 - r|v|, which apply_page gives new bars and no other."""
+        shift = 1 + self.fired_from.r * self.ctx.deg_v
+        return {*self.fired_maps, *[a - shift for a in self.fired_maps]}
 
     def windows(self) -> Iterator[Tuple[int, Runs]]:
         """(a, window(a)) of each A-degree whose tower meets degrees 0..D,
@@ -931,8 +936,9 @@ def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
     read off the image's reduced echelon form, and a pivot whose echelon
     row is its own unit vector adds no row.  A target's old bars pass on
     as they are; with v inverted its one bar is replaced.  The page
-    returned records pd as fired_from: it holds new bars exactly at the
-    sources of pd.maps and their targets, and pd's very bars elsewhere.
+    returned records pd as fired_from and the maps as fired_maps: it holds
+    new bars exactly at the sources of those maps and their targets
+    (PageData.changed), and pd's very bars elsewhere.
     """
     ctx = pd.ctx
     p = ctx.A.p
@@ -1009,7 +1015,7 @@ def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
 
     pd.maps = maps
     nxt = PageData(r + 1, ctx, degrees)
-    nxt.fired_from = pd
+    nxt.fired_from, nxt.fired_maps = pd, maps
     return nxt
 
 
@@ -1202,7 +1208,7 @@ def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
     for r in fired:
         if r > 1:  # E_r holds the state the fired pages below r left
             e_r = PageData(r, pd.ctx, pd.degrees)
-            e_r.fired_from = pd.fired_from
+            e_r.fired_from, e_r.fired_maps = pd.fired_from, pd.fired_maps
             pages_out.append(e_r)
             pd = e_r
         pd = apply_page(pd, gens[r], cones[r])

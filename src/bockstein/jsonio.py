@@ -17,7 +17,7 @@ A-degree `a`, its target `to` and `runs` [s_from, s_to, rank, matrix], the
 bars of d_r as PageData.window_maps cuts them (sources in degrees
 0..D + 1 whose targets are in the view).  The writer reads a page only
 through the walks PageData.windows and windows_maps and, for the
-A-degrees a page changed, PageData.window.  json_fragments lays the text
+A-degrees a page changed (PageData.changed), PageData.window.  json_fragments lays the text
 out as a flat list of fragments, each A-degree's record one string shared
 by the pages that show it, and each page's list laid out by slice
 assignment; emit_json joins it and `run --json` streams it.  Records are formatted from ints
@@ -192,7 +192,7 @@ def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[
     Each A-degree's record is one string, listed once per page that shows
     it.  A page is decided by the page listed before it: sharing its
     degrees, it reuses every record; fired from it (PageData.fired_from),
-    it differs only at that page's d_r sources and their targets, and
+    it differs only at the A-degrees PageData.changed gives, and
     re-renders the ones it shows; any other page is rendered whole, in
     one walk.  So a document of a run's pages costs the first page plus
     each page's changes, and pages in any order give the same records."""
@@ -207,11 +207,8 @@ def json_fragments(pages: Sequence[PageData], profile: TowerProfile, meta: Dict[
     before: Optional[PageData] = None
     for pd in pages:
         if before is not None and pd.fired_from is before:
-            # the page differs from before only at before's maps sources
-            # and their targets
             records = dict(records)
-            shift = 1 + before.r * pd.ctx.deg_v
-            for a in {*before.maps, *[a - shift for a in before.maps]}:
+            for a in pd.changed():
                 if a in records:
                     records[a] = _degree_record(a, pd.window(a), reps, leads)
         elif before is None or before.ctx is not pd.ctx or before.degrees is not pd.degrees:

@@ -266,8 +266,9 @@ def test_untouched_a_degrees_share_their_bars(case):
 def test_a_page_differs_from_the_one_before_where_that_one_fired(case):
     # what the JSON writer reuses records by: each page run returns after
     # E_1 either shares the degrees of the page before it (no page fired in
-    # between), or was fired from that page and holds another bars object
-    # exactly at its maps sources and their targets a - 1 - r|v|
+    # between), or was fired from that page, with the maps it recorded
+    # there, and holds another bars object exactly at the A-degrees
+    # changed() gives
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, pages, _ = case.run()
@@ -276,10 +277,10 @@ def test_a_page_differs_from_the_one_before_where_that_one_fired(case):
         if pd.degrees is before.degrees:
             continue
         assert pd.fired_from is before and pd.ctx is before.ctx
+        assert pd.fired_maps is before.maps
         assert list(pd.degrees) == list(before.degrees)
-        shift = 1 + before.r * pd.ctx.deg_v
         changed = {a for a, bars in pd.degrees.items() if bars is not before.degrees[a]}
-        assert changed == set(before.maps) | {a - shift for a in before.maps}, pd.r
+        assert changed == pd.changed(), pd.r
 
 
 def _expand(runs):

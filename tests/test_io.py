@@ -11,8 +11,8 @@ import pytest
 from bockstein.algebra import EXTERIOR, POLYNOMIAL, Algebra, GeneratorSpec
 from bockstein.cases import Case
 from bockstein.closedform import thh_mod_p_algebra
-from bockstein.engine import (Cell, DiffRecord, EngineContext, PageData, Window, run,
-                              schedule_v0, schedule_v2)
+from bockstein.engine import (Cell, DiffRecord, EngineContext, PageData, Window,
+                              _page_generators, apply_page, run, schedule_v0, schedule_v2)
 from bockstein.jsonio import _json_list, _lead_renderer, emit_json, json_fragments, monomial_str
 from bockstein import jsonio, svg
 from bockstein.svg import ChartStyle, chart_marks, draw_chart, emit_svg
@@ -165,8 +165,8 @@ def test_json_made_up_pages_expand_to_their_classes():
 
 @pytest.mark.parametrize("order", ["run", "skipping", "reversed"])
 def test_json_patched_pages_equal_whole_pages(order):
-    # a page fired from the page listed before it renders only that page's
-    # d_r sources and their targets, and one that shares its degrees
+    # a page fired from the page listed before it renders only the
+    # A-degrees that firing changed, and one that shares its degrees
     # renders nothing; any other page is rendered whole, whatever the order
     # of the pages.  Each page record is the one the page gets in a document
     # of its own, and an A-degree whose bars a page shares with the page
@@ -188,6 +188,22 @@ def test_json_patched_pages_equal_whole_pages(order):
                         if pd[rec["a"]] is before[rec["a"]]}
                 assert kept and all(rec == kept[rec["a"]] for rec in doc["pages"][i]["degrees"]
                                     if rec["a"] in kept)
+
+
+def test_json_page_fired_from_a_page_fired_again_keeps_its_records():
+    # a page's changed A-degrees come from the maps its own firing made
+    # (fired_maps), not from the maps its parent holds now: firing the
+    # parent again, here on an empty cone, records other maps on it, and
+    # the first page it gave still gets the records it gets on its own
+    c = Case("v2", 2, 120, page_cap=8)
+    sched, pages, prof = c.run()
+    before, pd = next((b, p) for b, p in zip(pages, pages[1:]) if p.fired_from is b and b.maps)
+    ctx = before.ctx
+    again = apply_page(before, _page_generators(ctx.A, ctx.deg_v, sched.pages[before.r]), 0)
+    assert before.maps == {} and again.fired_from is before and pd.changed()
+    doc = json.loads(emit_json([before, pd], prof, c.meta(sched)))
+    (alone,) = json.loads(emit_json([pd], prof, c.meta(sched)))["pages"]
+    assert doc["pages"][1] == alone
 
 
 def test_json_records_are_shared_by_the_pages_that_show_them():
