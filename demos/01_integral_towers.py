@@ -1,7 +1,8 @@
 """The v0-Bockstein story: from the mod-p input algebra to integral torsion.
 
-E_1 is E(λ1..λ3) ⊗ P(μ3) ⊗ P(v0).  The schedule states one rule per page,
-on a page generator: d_{j+1}(μ3^{2^j}) = v0^{j+1} μ3^{2^j-1} λ3.  Leibniz
+E_1 is E(λ1..λ3) ⊗ P(μ3) ⊗ P(v0).  The schedule is the ladder (2, 0):
+step s states one rule on page s, on a page generator:
+d_s(μ3^{2^(s-1)}) = v0^s λ_{2+s}, where λ_{2+s} = λ3 μ3^{2^(s-1)-1}.  Leibniz
 extends it to d_{ν2(k)+1}(μ3^k) = v0^{ν2(k)+1} μ3^{k-1} λ3 and to every
 product, and the surviving towers encode Z-torsion: a length-k tower at
 degree t means a Z/2^k summand there.

@@ -1,14 +1,14 @@
 """The case registry: one table from a family of runs to its algebra,
 schedule, oracle and documents.
 
-The paper's results come as a few fixed families.  THH of taf^D and of
-tmf_1(3) with coefficients HZ_(p), k(1) and k(2) are the ladders v0, v1 and
-v2; the E_3 forms B<n> give the conjectural family conj.  A `Case` names
-one run of a family: the prime p, the window 0..D and the parameters the
-family takes.  It checks them, refuses a run too large to attempt, builds
-and runs it, names its oracle, and gives the `meta` of its JSON document
-and the page its chart draws.  The CLI, the tests and the demos all start
-from it.
+The paper's results come as four families of one ladder (n, m).  THH of
+taf^D and of tmf_1(3) with coefficients HZ_(p), k(1) and k(2) are v0 =
+(n, 0), v1 = (2, 1) and v2 = (2, 2); the E_3 forms B<n> give the
+conjectural family conj, (n, m) with 1 <= m <= n.  A `Case` names one run
+of a family: the prime p, the window 0..D and the parameters it takes.
+It checks them, refuses a run too large to attempt, builds and runs it,
+names its oracle, and gives the `meta` of its JSON document and the page
+its chart draws.  The CLI, the tests and the demos all start from it.
 
 Every refusal comes before the work it spares: `verify` calls build(),
 which refuses a bad p or an oversized run before it builds the algebra,
@@ -99,7 +99,7 @@ class Case:
 
     def build(self) -> Tuple[Algebra, DifferentialSchedule, Window]:
         """Algebra, schedule and window.  Every schedule has one rule per
-        page, and the pages grow with log D (v0) or with the ladder's steps;
+        page, and the pages grow with the ladder's steps (log D at v0);
         a schedule builds no algebra and refuses a p that is not prime, so
         it is made first, and the size of the run is checked on its pages
         before the one algebra is built."""

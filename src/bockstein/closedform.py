@@ -22,7 +22,7 @@ from .algebra import (
     graded_dims,
     sparse_monomial,
 )
-from .formulas import FormulaError, LambdaFamily, deg_lambda, deg_mu, nu_p, r_conj, r_len
+from .formulas import FormulaError, LambdaFamily, deg_lambda, deg_mu, r_conj, r_len
 from .towers import INF, TowerProfile
 
 
@@ -114,31 +114,17 @@ def _exterior_subsets(A: Algebra, indices: List[int], max_degree: int):
 
 
 def t0n_presentation(p: int, n: int, max_degree: int) -> TorsionPresentation:
-    """The integral answer: free part E(lambda_1..lambda_n), torsion towers
-    of length nu_p(i)+1 on lambda-products times lambda_{n+1} mu^{i-1}."""
-    A = thh_mod_p_algebra(p, n)
-    mu = A.ngens - 1
-    lam_top = n
-    D = max_degree
-    # the lambda-products up to D, enumerated once: those up to a smaller
-    # bound are the ones of degree <= it, in the same order
-    subsets = _exterior_subsets(A, list(range(n)), D)
-    free = [sparse_monomial(A.ngens, exps) for _, exps, _ in subsets]
-    # each product times lambda_{n+1}, without mu (the last generator), and
-    # the prefix of its generators' names
-    heads = [(deg, sparse_monomial(mu, {**exps, lam_top: 1}), label + "·" if label else "")
-             for deg, exps, label in subsets]
-    torsion: List[TorsionGenerator] = []
-    i = 1
-    while 2 * i * p ** (n + 1) - 1 <= D:
-        base_deg = 2 * i * p ** (n + 1) - 1
-        length = nu_p(p, i) + 1
-        for deg, head, prefix in heads:
-            if deg <= D - base_deg:
-                torsion.append(TorsionGenerator(f"{prefix}λ{n + 1}({i})", deg + base_deg,
-                                                length, head + (i - 1,)))
-        i += 1
-    return TorsionPresentation(A, free, torsion, [deg for deg, _, _ in subsets])
+    """The integral answer, the ladder (n, 0): free part E(lambda_1..lambda_n),
+    torsion towers of length nu_p(i)+1 = s on lambda-products times
+    lambda_{n+1} mu^{i-1}, i = p^{s-1}(m+1) with m != p-1 mod p."""
+    return _ladder_presentation(
+        p, max_degree, LambdaFamily(p, n, 0),
+        length_of=lambda s: s,
+        head_index_of=lambda s: n + s,
+        tails=lambda s: [()],
+        permanents=list(range(n)),
+        gen_name=lambda s, m, tail: f"λ{n + 1}({p ** (s - 1) * (m + 1)})",
+    )
 
 
 def t0n_profile(p: int, n: int, max_degree: int) -> TowerProfile:
@@ -148,7 +134,7 @@ def t0n_profile(p: int, n: int, max_degree: int) -> TowerProfile:
 def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
                          length_of, head_index_of, tails, permanents: List[int],
                          gen_name) -> TorsionPresentation:
-    """Common shape of T_1^2, T_2^2 and T_m^n.
+    """Common shape of T_0^n, T_1^2, T_2^2 and T_m^n.
 
     Towers are indexed by a step s >= 1, a mu-multiple m >= 0 with
     m != p-1 mod p, a choice of tail lambda-factors, and a product of
@@ -170,9 +156,9 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
         head_deg = family.degree(head_index_of(s))
         step_mu_deg = p ** (s - 1) * deg_mu(p, family.n)
         for tail in tails(s):
-            # the head and tails lie among m + 1 consecutive lambda-indices,
-            # whose entries keep their residues mod m + 1 in n-m+1..n+1: no
-            # two share a base, and none is a permanent (1..n-m)
+            # the head and tails lie among m + 1 consecutive lambda-indices (the
+            # head alone at m = 0), whose entries keep their residues mod m + 1
+            # in n-m+1..n+1: no two share a base, and none is a permanent (1..n-m)
             exps: Dict[int, int] = {head_base - 1: 1, mu: head_e}
             tail_deg = 0
             for idx in tail:
@@ -184,14 +170,10 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
                 continue
             # the head and tails without mu, the last generator
             head = sparse_monomial(A.ngens, exps)[:mu]
-            m = 0
-            while True:
+            for m in range((D - head_deg - tail_deg) // step_mu_deg + 1):
                 if m % p == p - 1:
-                    m += 1
                     continue
                 deg0 = head_deg + tail_deg + m * step_mu_deg
-                if deg0 > D:
-                    break
                 base_name = gen_name(s, m, tail)
                 # the permanents are no head or tail: a projection is a sum
                 base = head + (exps[mu] + m * p ** (s - 1),)
@@ -201,7 +183,6 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
                     name = (plabel + "·" if plabel else "") + base_name
                     torsion.append(TorsionGenerator(name, deg0 + pdeg, length,
                                                     tuple(map(add, base, product))))
-                m += 1
         s += 1
     return TorsionPresentation(A, free, torsion, [deg for deg, _, _ in products])
 

@@ -120,7 +120,7 @@ from .algebra import (
     require_prime,
     sparse_monomial,
 )
-from .formulas import LambdaFamily, deg_mu, r_conj, r_len
+from .formulas import LambdaFamily, r_conj, r_len
 from .towers import INF, TowerProfile, Unknown
 
 
@@ -1026,43 +1026,20 @@ def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
 
 
 def schedule_v0(p: int, n: int, w) -> DifferentialSchedule:
-    """d_{j+1}(mu^{p^j}) = v_0^{j+1} mu^{p^j-1} lambda_{n+1}: one power rule
-    per page, on the page generators lambda_1 .. lambda_n, lambda_{n+1}
-    mu^{p^j-1} and mu^{p^j}.  Its Leibniz extension is the paper's
-    d_{nu_p(k)+1}(mu^k) = v_0^{nu_p(k)+1} mu^{k-1} lambda_{n+1}, with the
-    unit k / p^{nu_p(k)} mod p.  A p that is not prime raises AlgebraError.
-
-    Page j + 1 is emitted exactly when p^j |mu| <= D + 1, when its d has an
-    end in 0..D (the lowest, its rule's target, is in degree p^j |mu| - 1).
-    So of J pages the first not emitted, J + 1, hits p^J |mu| - 1 > D up."""
-    w = as_window(w)
-    require_prime(p)
-    v = GeneratorSpec("v0", 0, POLYNOMIAL)
-    dm = deg_mu(p, n)
-    lam = n          # index of lambda_{n+1}
-    mu = n + 1       # index of mu_{n+1}
-    vi = n + 2
-    pages: Dict[int, RulePage] = {}
-    j, q = 0, 1
-    while q * dm <= w.max_degree + 1:
-        src = sparse_monomial(n + 2, {mu: q})
-        target = {sparse_monomial(n + 3, {vi: j + 1, mu: q - 1, lam: 1}): 1}
-        attach = {i: 0 for i in range(n)}
-        attach[lam] = q - 1
-        pages[j + 1] = RulePage(j + 1, [Rule(src, target)], attach)
-        j, q = j + 1, q * p
-    return DifferentialSchedule(
-        v, pages, label=f"v0 p={p} n={n}",
-        future_target_floor=q * dm - 1,
-        future_min_page=j + 1,
-    )
+    """d_s(mu^{p^{s-1}}) = v_0^s mu^{p^{s-1}-1} lambda_{n+1}, the ladder (n, 0).
+    Leibniz extends it to the paper's d_{nu_p(k)+1}(mu^k) =
+    v_0^{nu_p(k)+1} mu^{k-1} lambda_{n+1}, with the unit k / p^{nu_p(k)} mod p."""
+    return _ladder_schedule(p, n, 0, w, f"v0 p={p} n={n}")
 
 
 def _ladder_schedule(p: int, n: int, m: int, w, label: str) -> DifferentialSchedule:
     """The mu-power ladder (n, m): step s fires
-    d_{r_n(s,m)}(mu_{n+1}^{p^{s-1}}) = v_m^r lambda_{n-m+s}, with
+    d_r(mu_{n+1}^{p^{s-1}}) = v_m^r lambda_{n-m+s}, with
     lambda_1 .. lambda_{n-m} and lambda_{n-m+s} .. lambda_{n+s} attached.
-    The paper's v_1 and v_2 ladders are (2, 1) and (2, 2).
+    The paper's v_1 and v_2 ladders are (2, 1) and (2, 2), v_0 is (n, 0).
+    At m >= 1 the degrees fix step s's page r = r_n(s, m).  At m = 0,
+    |v_0| = 0 and they fix none; r_conj's sum is no page there, and v_0's
+    is the paper's nu_p(p^{s-1}) + 1 = s.
 
     Emits steps while the target tower base degree stays inside the
     reported window; every death of an in-window tower is then computable,
@@ -1074,12 +1051,16 @@ def _ladder_schedule(p: int, n: int, m: int, w, label: str) -> DifferentialSched
     require_prime(p)
     v = GeneratorSpec(f"v{m}", 2 * p**m - 2, POLYNOMIAL)
     family = LambdaFamily(p, n, m)
+
+    def page(s: int) -> int:
+        return r_conj(p, n, m, s) if m else s
+
     mu = n + 1       # index of mu_{n+1}
     vi = n + 2
     pages: Dict[int, RulePage] = {}
     s = 1
     while family.degree(n - m + s) <= w.max_degree:
-        r = r_conj(p, n, m, s)
+        r = page(s)
         base, e = family.entry(n - m + s)
         target = {sparse_monomial(n + 3, {vi: r, base - 1: 1, mu: e}): 1}
         source = sparse_monomial(n + 2, {mu: p ** (s - 1)})
@@ -1092,7 +1073,7 @@ def _ladder_schedule(p: int, n: int, m: int, w, label: str) -> DifferentialSched
     return DifferentialSchedule(
         v, pages, label=label,
         future_target_floor=family.degree(n - m + s),
-        future_min_page=r_conj(p, n, m, s),
+        future_min_page=page(s),
     )
 
 

@@ -76,7 +76,7 @@ def r_len(p: int, n: int, m: int) -> int:
 
 
 def r_conj(p: int, n: int, m: int, s: int) -> int:
-    """Conjectural differential length r_n(s, m), exponent step m+1.
+    """Conjectural differential length r_n(s, m), 1 <= m <= n, exponent step m+1.
 
     The sum runs from p^{n-m+s} down to p^{n+j-m}, where j is the unique
     element of {1, ..., m+1} with s = j mod m+1.
@@ -98,13 +98,14 @@ def r_conj(p: int, n: int, m: int, s: int) -> int:
 
 @dataclass(frozen=True)
 class LambdaFamily:
-    """The recursive lambda-family of the ladder (n, m), 1 <= m <= n:
+    """The recursive lambda-family of the ladder (n, m), 0 <= m <= n:
 
         lambda_s = lambda_{s-(m+1)} mu_{n+1}^{p^{s-(n+2)}(p-1)} for s > n + 1.
 
     At n = 2 this is the paper's v_1 (m = 1) and v_2 (m = 2) family, where
-    lambda_s = lambda_{s-m-1} mu_3^{p^{s-4}(p-1)} for s > 3.  Entries unroll
-    to (base lambda index, mu exponent).
+    lambda_s = lambda_{s-m-1} mu_3^{p^{s-4}(p-1)} for s > 3.  At m = 0 it is
+    v_0's lambda_{n+1+j} = lambda_{n+1} mu_{n+1}^{p^j-1}.  Entries unroll to
+    (base lambda index, mu exponent).
     """
 
     p: int
@@ -112,8 +113,10 @@ class LambdaFamily:
     m: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= self.n:
-            raise FormulaError("need 1 <= m <= n")
+        if self.n < 0:
+            raise FormulaError("n must be >= 0")
+        if not 0 <= self.m <= self.n:
+            raise FormulaError("need 0 <= m <= n")
 
     def entry(self, s: int) -> Tuple[int, int]:
         """(base lambda index, mu exponent) of the expansion of lambda_s."""

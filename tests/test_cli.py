@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -70,6 +71,37 @@ def test_formulas_at_a_large_prime(capsys):
     p = 10**18 + 3
     code, out, _ = run_cli(capsys, "formulas", "--p", str(p), "--series", "r1", "--n", "1")
     assert code == 0 and out == f"{p * p}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("verify", "--case", "v0", "--p", "2", "--n", "-1", "--max-degree", "40"),
+     "n must be >= 0"),
+    (("verify", "--case", "conj", "--p", "3", "--n", "2", "--m", "0", "--max-degree", "40"),
+     "need 1 <= m <= n"),
+    (("formulas", "--p", "3", "--series", "rconj", "--n", "1..3", "--m", "0"),
+     "need 1 <= m <= n"),
+])
+def test_v0_and_conj_refusals_of_n_and_m(capsys, args, message):
+    # v0 is the ladder (n, 0), but it takes no --m, so its refusal of n < 0
+    # names only n; conj and rconj, the conjectured family, still refuse m = 0
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
+def test_every_console_script_imports_and_is_callable():
+    # the suite runs from the source tree, not from an installed package, so
+    # nothing else reads the targets [project.scripts] names
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    scripts = meta["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name
 
 
 def test_python_dash_m_runs_the_cli():

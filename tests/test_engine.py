@@ -7,6 +7,7 @@ import warnings
 from bisect import bisect_left
 from collections import defaultdict
 from operator import itemgetter
+from typing import Dict
 
 import pytest
 
@@ -20,6 +21,8 @@ from bockstein.algebra import (
     basis_up_to,
     mul_monomials,
     multiply,
+    require_prime,
+    sparse_monomial,
 )
 from bockstein import engine, linalg
 from bockstein.cases import Case
@@ -49,6 +52,7 @@ from bockstein.engine import (
     _rule_degrees,
     _set_bits,
     apply_page,
+    as_window,
     build_e1,
     reach,
     run,
@@ -57,7 +61,7 @@ from bockstein.engine import (
     schedule_v1,
     schedule_v2,
 )
-from bockstein.formulas import nu_p
+from bockstein.formulas import deg_mu, nu_p
 from bockstein.jsonio import emit_json, laurent_span
 from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import INF, TowerProfile, Unknown, compare, length_str
@@ -670,6 +674,52 @@ def test_schedule_v0_page_assignment():
                         assert image == {}, (p, n, k, r)
                     assert d(r, A.monomial(**{mu: k, lam: 1})) == {}
                 k += 1
+
+
+def _schedule_v0_reference(p, n, w):
+    """schedule_v0 as it was before it became the ladder (n, 0), kept as its
+    reference: d_{j+1}(mu^{p^j}) = v_0^{j+1} mu^{p^j-1} lambda_{n+1}, page
+    j + 1 emitted exactly when p^j |mu| <= D + 1."""
+    w = as_window(w)
+    require_prime(p)
+    v = GeneratorSpec("v0", 0, POLYNOMIAL)
+    dm = deg_mu(p, n)
+    lam = n          # index of lambda_{n+1}
+    mu = n + 1       # index of mu_{n+1}
+    vi = n + 2
+    pages: Dict[int, RulePage] = {}
+    j, q = 0, 1
+    while q * dm <= w.max_degree + 1:
+        src = sparse_monomial(n + 2, {mu: q})
+        target = {sparse_monomial(n + 3, {vi: j + 1, mu: q - 1, lam: 1}): 1}
+        attach = {i: 0 for i in range(n)}
+        attach[lam] = q - 1
+        pages[j + 1] = RulePage(j + 1, [Rule(src, target)], attach)
+        j, q = j + 1, q * p
+    return DifferentialSchedule(
+        v, pages, label=f"v0 p={p} n={n}",
+        future_target_floor=q * dm - 1,
+        future_min_page=j + 1,
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_schedule_v0_is_the_ladder_at_m_zero(p):
+    # 30 cases a prime, 120 in all: the same v and label, the same page keys
+    # in order, and on each page the same rules and attached exponents, in
+    # insertion order, and the same future floor and page
+    for n in range(5):
+        for D in (0, 5, 40, 200, 1000, 5000):
+            got, want = schedule_v0(p, n, Window(D)), _schedule_v0_reference(p, n, Window(D))
+            assert (got.v, got.label, got.conjectural) == (want.v, want.label, want.conjectural)
+            assert list(got.pages) == list(want.pages), (n, D)
+            for g, e in zip(got.pages.values(), want.pages.values()):
+                assert g.r == e.r
+                assert [(r.source, r.target) for r in g.rules] == \
+                    [(r.source, r.target) for r in e.rules]
+                assert list(g.attach.items()) == list(e.attach.items())
+            assert (got.future_target_floor, got.future_min_page) == \
+                (want.future_target_floor, want.future_min_page), (n, D)
 
 
 def test_variant_b_exterior_rule_on_cycles():

@@ -105,10 +105,21 @@ def test_d_deg_refuses_an_index_or_case_off_the_ladder():
             d_deg(3, n, 3)
 
 
-def test_lambda_family_refuses_m_outside_one_to_n():
-    for n, m in ((2, 0), (2, 3), (0, 1)):
-        with pytest.raises(FormulaError):
+def test_lambda_family_refuses_m_outside_zero_to_n():
+    for n, m in ((2, -1), (2, 3), (0, 1)):
+        with pytest.raises(FormulaError, match="need 0 <= m <= n"):
             LambdaFamily(3, n, m)
+    # n is checked first: v0, which takes no m, refuses n < 0 by n alone
+    with pytest.raises(FormulaError, match="n must be >= 0"):
+        LambdaFamily(3, -1, 0)
+    # at m = 0 the family is v0's: lambda_{n+1+j} = lambda_{n+1} mu^{p^j - 1},
+    # in degree p^j |mu| - 1
+    for p in (2, 3, 5, 7):
+        for n in range(4):
+            family = LambdaFamily(p, n, 0)
+            for j in range(6):
+                assert family.entry(n + 1 + j) == (n + 1, p**j - 1)
+                assert family.degree(n + 1 + j) == p**j * deg_mu(p, n) - 1
 
 
 def test_degree_identities():
