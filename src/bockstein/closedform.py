@@ -154,7 +154,8 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
         length = length_of(s)
         head_base, head_e = family.entry(head_index_of(s))
         head_deg = family.degree(head_index_of(s))
-        step_mu_deg = p ** (s - 1) * deg_mu(p, family.n)
+        step = p ** (s - 1)  # mu-multiple m stands for mu^(step * m)
+        step_mu_deg = step * deg_mu(p, family.n)
         for tail in tails(s):
             # the head and tails lie among m + 1 consecutive lambda-indices (the
             # head alone at m = 0), whose entries keep their residues mod m + 1
@@ -166,23 +167,27 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
                 exps[b - 1] = 1
                 exps[mu] += e
                 tail_deg += family.degree(idx)
-            if head_deg + tail_deg > D:
+            deg_ht = head_deg + tail_deg
+            if deg_ht > D:
                 continue
-            # the head and tails without mu, the last generator
+            # the permanents are exterior, no head or tail and free of mu (the
+            # last generator): a projection is the head and tails times a
+            # permanent product, its mu-free prefix a sum made once per
+            # product, followed by the mu-exponent of m
             head = sparse_monomial(A.ngens, exps)[:mu]
-            for m in range((D - head_deg - tail_deg) // step_mu_deg + 1):
+            prefixes = [(pdeg, plabel, tuple(map(add, head, product[:mu])))
+                        for (pdeg, _, plabel), product in zip(products, free) if pdeg <= D - deg_ht]
+            for m in range((D - deg_ht) // step_mu_deg + 1):
                 if m % p == p - 1:
                     continue
-                deg0 = head_deg + tail_deg + m * step_mu_deg
+                deg0 = deg_ht + m * step_mu_deg
                 base_name = gen_name(s, m, tail)
-                # the permanents are no head or tail: a projection is a sum
-                base = head + (exps[mu] + m * p ** (s - 1),)
-                for (pdeg, _, plabel), product in zip(products, free):
+                mu_exp = (exps[mu] + m * step,)
+                for pdeg, plabel, prefix in prefixes:
                     if pdeg > D - deg0:
                         continue
                     name = (plabel + "·" if plabel else "") + base_name
-                    torsion.append(TorsionGenerator(name, deg0 + pdeg, length,
-                                                    tuple(map(add, base, product))))
+                    torsion.append(TorsionGenerator(name, deg0 + pdeg, length, prefix + mu_exp))
         s += 1
     return TorsionPresentation(A, free, torsion, [deg for deg, _, _ in products])
 

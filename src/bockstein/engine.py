@@ -28,10 +28,17 @@ boundaries of page r reach a tower only from filtration r on, since their
 sources sit r filtrations lower; so the classes at (t, s) are Z_r(a)
 modulo the boundaries of the fired pages <= s.  An A-degree is thus a
 barcode (Zomorodian-Carlsson, Computing persistent homology, 2005): bars
-(s_from, Cell), the first from the lowest filtration and each later one
+(s_from, cell), the first from the lowest filtration and each later one
 from a fired page whose boundaries changed its cell.  A page that does not
 touch an A-degree passes its bars on unchanged.  With v inverted every
 page's boundaries reach every filtration, and each A-degree has one bar.
+The state is plain data: bars, bar pairs and cells are exact tuples of
+tuples, ints and None (a cell is (monomials, reps, boundaries, dim), Cell),
+read through index constants, so the cyclic collector untracks them and
+stops walking them; a cell's CosetSolver (_express) lives outside it, for
+the one page's firing that asks for it.  The d_r records (DiffRecord,
+their matrices lists of lists) and the (t, s) views stay objects while the
+benchmark's tracer reads them (ROADMAP B1, D21).
 PageData owns the window 0..D: its readers cut the bars to it by one rule
 (EngineContext._cut), a whole page in one walk (windows, and windows_maps
 over its d_r records) or one A-degree at a time (window, window_maps), and
@@ -65,12 +72,13 @@ the target divides by).
 And a cell no page has touched is the identity on its monomials: its
 classes' values are their images, a combination of them is its own
 vector, and it expresses a vector as itself, so it builds no rows and
-only the cells the homology built keep a solver.  A record costs its
+only the cells the homology built need a solver.  A record costs its
 arithmetic, not its calls: a Leibniz term is an exponent sum and a
 parity (koszul_flips), the images are written once per A-degree as rows
 over the target's monomials, the elimination reduces each row in the one
 list it is built in, a record is plain tuples until its DiffRecord is
-made, a cell stores its dimension, and one upward walk fires the
+made, a cell is a tuple built with no call that stores its dimension, and
+one upward walk fires the
 records, checks them and forms the next state: the homology is taken on
 the bars of each source and, as soon as its record fires, on one new top
 bar per target, whose reps are read off the image's reduced echelon form
@@ -102,7 +110,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import add, itemgetter, sub
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -222,42 +230,39 @@ class DifferentialSchedule:
     future_min_page: Optional[int] = None
 
 
-@dataclass(slots=True, init=False)
-class Cell:
-    """The classes of one A-degree on one bar of one page.
+# A cell, the classes of one A-degree on one bar of one page, is the exact
+# tuple (monomials, reps, boundaries, dim), read through the index constants
+# below.  reps is None for an untouched state (all monomials alive, no
+# boundaries), otherwise the classes as tuples of coefficients over the
+# monomials; boundaries are such tuples too, () when there are none; dim is
+# the number of classes, stored when the cell is built.  A cell holds only
+# tuples, ints and None, so once a collection has untracked what it holds
+# (CPython untracks a tuple whose items are all untracked when a collection
+# sees it), the next one untracks the cell, and none walks it again.
+Cell = Tuple[Tuple[Monomial, ...], Optional[Tuple[Tuple[int, ...], ...]],
+             Tuple[Tuple[int, ...], ...], int]
+MONOMIALS, REPS, BOUNDARIES, DIM = range(4)
 
-    reps is None for an untouched state (all monomials alive, no
-    boundaries); otherwise rows of coefficients over the monomial list.
-    A cell is not changed once built, so its dimension is stored when it
-    is built, and the solver express builds is kept.
-    """
+# the CosetSolver of each cell asked to express a vector on one page's
+# firing, by id(cell) (apply_page keeps one for the page); an entry holds
+# its cell, so that no id is reused while the cache lives
+Solvers = Dict[int, Tuple[Cell, linalg.CosetSolver]]
 
-    monomials: Tuple[Monomial, ...]
-    reps: Optional[List[List[int]]]
-    boundaries: List[List[int]]
-    dim: int = field(compare=False)
-    _solver: Optional[linalg.CosetSolver] = field(repr=False, compare=False)
 
-    def __init__(self, monomials: Tuple[Monomial, ...], reps: Optional[List[List[int]]] = None,
-                 boundaries: Optional[List[List[int]]] = None) -> None:
-        self.monomials = monomials
-        self.reps = reps
-        self.boundaries = [] if boundaries is None else boundaries
-        self.dim = len(monomials if reps is None else reps)
-        self._solver = None
-
-    def express(self, vec: Sequence[int], p: int) -> Optional[List[int]]:
-        """vec over the monomials in the coordinates of the cell's classes,
-        or None when it is not a class; all-zero coordinates mean vec is a
-        boundary.  An untouched cell's classes are its monomials and it has
-        no boundaries, so there vec is its own coordinates and no solver is
-        built: only the cells _homology made need one."""
-        if self.reps is None:
-            return [c % p for c in vec]
-        if self._solver is None:
-            self._solver = linalg.CosetSolver(self.reps, self.boundaries,
-                                              len(self.monomials), p)
-        return self._solver.express(vec)
+def _express(cell: Cell, vec: Sequence[int], p: int, solvers: Solvers) -> Optional[List[int]]:
+    """vec over the cell's monomials in the coordinates of its classes, or
+    None when it is not a class; all-zero coordinates mean vec is a
+    boundary.  An untouched cell's classes are its monomials and it has no
+    boundaries, so there vec is its own coordinates and no solver is built:
+    only the cells _homology made need one, built when first asked and kept
+    in solvers, outside the state."""
+    mons, reps, boundaries, _ = cell
+    if reps is None:
+        return [c % p for c in vec]
+    entry = solvers.get(id(cell))
+    if entry is None:
+        entry = solvers[id(cell)] = (cell, linalg.CosetSolver(reps, boundaries, len(mons), p))
+    return entry[1].express(vec)
 
 
 def view_filtrations(deg_v: int, max_degree: int, top_page: int,
@@ -369,16 +374,19 @@ class PageData:
     """The page E_r of a run.
 
     degrees maps each A-degree a, in increasing order, to its bars
-    ((s_from, Cell), ...), the classes at (a + s|v|, s).  A run keeps the
-    nonempty A-degrees it reads (see run), every page the same ones.  The
-    first bar starts at the view's lowest filtration, each later one at a
-    fired page r whose boundaries (which reach filtration r on) changed the cell;
-    consecutive bars hold different Cells, and localized runs keep one bar.
+    ((s_from, cell), ...), the classes at (a + s|v|, s): plain data, exact
+    tuples down to the ints (Cell), which the collector stops walking.  A
+    run keeps the nonempty A-degrees it reads (see run), every page the
+    same ones.  The first bar starts at the view's lowest filtration, each
+    later one at a fired page r whose boundaries (which reach filtration r
+    on) changed the cell; consecutive bars hold different cells, and
+    localized runs keep one bar.
     A page that does not touch an A-degree passes the same bars object on
     to the next.  When the page is applied, maps gives d_r out of each
     A-degree a it does not vanish on, as bars ((s_from, DiffRecord), ...),
     one over each of the A-degree's bars; every record of a hits A-degree
-    a - 1 - r|v|, so a record stores only its matrix and rank.  fired_from
+    a - 1 - r|v|, so a record stores only its matrix and rank; records are
+    still objects, their matrices lists (ROADMAP D21).  fired_from
     is the page whose firing left this page's degrees (apply_page, run),
     and fired_maps the maps that firing recorded on it, kept here so that
     firing fired_from again cannot change them; both are None for E_1 and
@@ -390,7 +398,7 @@ class PageData:
     windows_maps) or one A-degree at a time (window(a), window_maps(a));
     the documents and the chart read only those.  cells and diffs are
     their (t, s) views, read-only mappings that read the bars on every
-    access and give the very Cells and DiffRecords the bars hold, so a
+    access and give the very cells and DiffRecords the bars hold, so a
     run builds neither; no library code reads them, and the benchmark's
     tracer counts through them (ROADMAP B1, D9).
     """
@@ -405,7 +413,7 @@ class PageData:
 
     @property
     def cells(self) -> Mapping[Tuple[int, int], Cell]:
-        """The classes at every (t, s) of the window: the bar's own Cell."""
+        """The classes at every (t, s) of the window: the bar's own cell."""
         return _PageView(self, self.windows, self.window)
 
     @property
@@ -441,7 +449,7 @@ class PageData:
             yield a, cut(a, maps[a], top, hi)
 
     def window(self, a: int) -> Runs:
-        """(s_from, s_to, Cell) of each bar of A-degree a, cut to the view's
+        """(s_from, s_to, cell) of each bar of A-degree a, cut to the view's
         filtrations at which it lies in degrees 0..D."""
         ctx = self.ctx
         return ctx._cut(a, self.degrees.get(a, ()), ctx.max_degree, ctx.s_hi)
@@ -532,8 +540,13 @@ def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool, top_page: int,
     ctx = EngineContext(A, v, localized, w.max_degree, top_page, max_source)
     only = None if needed == (1 << ctx.reach + 1) - 1 else _set_bits(needed)
     basis = basis_up_to(A, ctx.reach, only)
-    # sorted by the degrees alone, which are distinct ints
-    degrees = {a: ((ctx.s_lo, Cell(tuple(basis[a]))),) for a in sorted(basis)}
+    # sorted by the degrees alone, which are distinct ints; an untouched
+    # cell has no reps and no boundaries
+    s_lo = ctx.s_lo
+    degrees = {}
+    for a in sorted(basis):
+        mons = tuple(basis[a])
+        degrees[a] = ((s_lo, (mons, None, (), len(mons))),)
     return PageData(1, ctx, degrees)
 
 
@@ -604,7 +617,7 @@ def _page_generators(A: Algebra, deg_v: int, page: RulePage) -> PageGenerators:
     return PageGenerators(mu, q, dead, costs, tuple(rules.values()), tuple(ends))
 
 
-def _validate_rules(pd: PageData, gens: PageGenerators) -> None:
+def _validate_rules(pd: PageData, gens: PageGenerators, solvers: Solvers) -> None:
     """Refuse a rule whose source is not a live class at filtration 0 or
     whose target is not a nonzero class at filtration r on this page.
     _page_generators has checked the rules' form and made each end a
@@ -613,16 +626,18 @@ def _validate_rules(pd: PageData, gens: PageGenerators) -> None:
     p = pd.ctx.A.p
     for (_, source, terms), (sa, ta) in zip(gens.rules, gens.ends):
         src_cell = _bar_at(pd.degrees[sa], 0)
-        vec = [0] * len(src_cell.monomials)
-        vec[src_cell.monomials.index(source)] = 1
-        coeffs = src_cell.express(vec, p)
+        mons = src_cell[MONOMIALS]
+        vec = [0] * len(mons)
+        vec[mons.index(source)] = 1
+        coeffs = _express(src_cell, vec, p, solvers)
         if coeffs is None or not any(coeffs):
             raise DeadSourceError("dead source")
         tcell = _bar_at(pd.degrees[ta], pd.r)
-        tvec = [0] * len(tcell.monomials)
+        tmons = tcell[MONOMIALS]
+        tvec = [0] * len(tmons)
         for c, amon, _, _ in terms:
-            tvec[tcell.monomials.index(amon)] = c
-        coeffs = tcell.express(tvec, p)
+            tvec[tmons.index(amon)] = c
+        coeffs = _express(tcell, tvec, p, solvers)
         if coeffs is None or not any(coeffs):
             raise MalformedRuleError("malformed rule (target does not survive to this page)")
 
@@ -662,13 +677,16 @@ def _d_of_monomial(ctx: EngineContext, gens: PageGenerators, m: Monomial) -> Ele
         # term is a monomial of A (_page_generators) whose exterior
         # generators are held.  So the held test is the exterior-square
         # test, and mul_monomials' length, exterior and negative checks
-        # cannot fire here.
-        cof = tuple(map(sub, m, source))
+        # cannot fire here.  A monomial is built at its exact size,
+        # (*map(...),): tuple(map(...)) sizes a tuple by a guess of ten and
+        # shrinks it, so each call would take a fresh ten-slot tuple that no
+        # free list gives back, and count towards the next collection.
+        cof = (*map(sub, m, source),)
         exps = cof.__getitem__
         for c, t, held, flips in terms:
             if any(map(exps, held)):
                 continue
-            mon = tuple(map(add, t, cof))
+            mon = (*map(add, t, cof),)
             # c and mult are units mod p: a sum of 0 cancels a held term
             v = (out.get(mon, 0) + (-c if sum(map(exps, flips)) & 1 else c) * mult) % p
             if v:
@@ -766,32 +784,33 @@ _Eliminated = Tuple[List[List[int]], List[List[int]], Dict[int, List[int]]]
 
 
 def _record(cell: Cell, rows: List[List[int]], tcell: Cell, p: int, r: int,
-            a: int) -> Optional[_Eliminated]:
+            a: int, solvers: Solvers) -> Optional[_Eliminated]:
     """d_r on the classes of one bar of A-degree a in the coordinates of
     the target's classes, eliminated once (linalg.kernel_and_echelon):
     (matrix, left kernel, reduced echelon form), or None when it vanishes.
     rows are the bar's monomials' images over the target's monomials.  An
     untouched cell's classes are its monomials, so their values are the
     rows, and an untouched target's coordinates of a value, reduced mod p,
-    are the value itself (Cell.express)."""
-    if cell.reps is None:
+    are the value itself (_express)."""
+    reps = cell[REPS]
+    if reps is None:
         values = rows
     else:
-        width = len(tcell.monomials)
-        values = [_combination(rep, rows, width, p) for rep in cell.reps]
-    if tcell.reps is None:
+        width = len(tcell[MONOMIALS])
+        values = [_combination(rep, rows, width, p) for rep in reps]
+    if tcell[REPS] is None:
         mat = values
     else:
         mat = []
         for vec in values:
-            coeffs = tcell.express(vec, p) if any(vec) else [0] * tcell.dim
+            coeffs = _express(tcell, vec, p, solvers) if any(vec) else [0] * tcell[DIM]
             if coeffs is None:
                 raise EngineAssertionError(
                     f"d_{r} value in A-degree {a} is not a class of the current page")
             mat.append(coeffs)
     if not any(map(any, mat)):
         return None
-    kernel, echelon = linalg.kernel_and_echelon(mat, tcell.dim, p)
+    kernel, echelon = linalg.kernel_and_echelon(mat, tcell[DIM], p)
     return mat, kernel, echelon
 
 
@@ -812,7 +831,9 @@ def _homology(cell: Cell, kernel: Optional[List[List[int]]], image: Optional[Lis
     no pivot, so those rows are read off the echelon form and no identity
     row is built or reduced (nor the zero row of a pivot whose echelon row
     is its unit vector).  The rows that stay nonzero are the new reps, and
-    there must be as many as the kernel's rows less the image's rank."""
+    there must be as many as the kernel's rows less the image's rank.  The
+    new cell holds them, and its boundaries, as tuples."""
+    mons, reps, boundaries, dim = cell
     if image is None:
         if kernel is None:
             return cell
@@ -823,7 +844,7 @@ def _homology(cell: Cell, kernel: Optional[List[List[int]]], image: Optional[Lis
         if kernel is not None:
             ker = [linalg.reduce_row(kv, echelon, p) for kv in kernel]
         else:
-            n = cell.dim
+            n = dim
             ker = []
             for i in range(n):
                 row = echelon.get(i)
@@ -844,22 +865,19 @@ def _homology(cell: Cell, kernel: Optional[List[List[int]]], image: Optional[Lis
         if any(red):
             linalg.echelon_insert(combo_ech, red, p)
             combos.append(red)
-    if len(combos) != (cell.dim if kernel is None else len(kernel)) - im_rank:
+    if len(combos) != (dim if kernel is None else len(kernel)) - im_rank:
         raise EngineAssertionError(
             f"homology dimension bookkeeping failed at A-degree {a} on page {r}")
-    reps = cell.reps
     if reps is not None:
-        width = len(cell.monomials)
+        width = len(mons)
         if combos:
             combos = [_combination(combo, reps, width, p) for combo in combos]
         if image is not None:
             image = [_combination(row, reps, width, p) for row in image]
-    # cells are not changed once built, so one that gains no boundary
-    # shares its list with the cell before it
-    boundaries = cell.boundaries
+    # a cell that gains no boundary shares its tuple with the cell before it
     if image is not None and any(map(any, image)):
-        boundaries = boundaries + list(filter(any, image))
-    return Cell(cell.monomials, combos, boundaries)
+        boundaries += (*map(tuple, filter(any, image)),)
+    return mons, (*map(tuple, combos),), boundaries, len(combos)
 
 
 def _cones(ctx: EngineContext,
@@ -925,8 +943,9 @@ def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
     echelon) tuples until its DiffRecord is made.  A cell that no page has
     touched builds no identity rows: _record reads its classes' values off
     the rows, _homology takes a combination of its classes as its own
-    vector, and as a target it expresses a vector as itself
-    (Cell.express), so only the cells _homology made build a solver.
+    vector, and as a target it expresses a vector as itself (_express),
+    so only the cells _homology made build a solver, once a page: the
+    page's solvers live outside its state and go when it is fired.
 
     One upward walk fires the records and forms the next page's state.
     _homology runs on each bar of a source as its record fires, and then
@@ -946,14 +965,16 @@ def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
     if ctx.deg_v and r > ctx.top_page:
         raise EngineError(f"page {r} draws boundaries from above the A-degrees kept "
                           f"for pages up to {ctx.top_page}")
-    _validate_rules(pd, gens)
+    solvers: Solvers = {}
+    _validate_rules(pd, gens, solvers)
     shift = 1 + r * ctx.deg_v
 
     # d_r per A-degree and bar, into the target's top bar: a target sits at
     # filtration >= r, where every fired page's boundaries have arrived.
     # The walk goes up and a record's target lies below its source, so the
-    # target's own record, if any, has fired (tops holds each A-degree's
-    # top-bar record eliminated): the record is checked against it and
+    # target's own record, if any, has fired (tops holds the top-bar record,
+    # eliminated, of each A-degree a record yet to fire targets, until that
+    # record takes it): the record is checked against it and
     # forms the target's new state at once.  Every bar of a source loses
     # the cycles that support d_r; the boundaries of page r reach
     # filtration r on, where they start a new top bar over the target's
@@ -964,7 +985,7 @@ def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
     degrees = dict(pd.degrees)
     for a in _set_bits(cone):
         bars = pd.degrees[a]
-        images = [_d_of_monomial(ctx, gens, m) for m in bars[0][1].monomials]
+        images = [_d_of_monomial(ctx, gens, m) for m in bars[0][1][MONOMIALS]]
         if not any(images):
             continue
         ta = a - shift
@@ -974,7 +995,7 @@ def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
         tcell = tbars[-1][1]
         # the images as rows over the target's monomials, once for all
         # bars; a nonzero coefficient outside the target is one a row misses
-        tmons = tcell.monomials
+        tmons = tcell[MONOMIALS]
         rows = []
         for image in images:
             row = list(map(image.get, tmons, repeat(0)))
@@ -983,12 +1004,12 @@ def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
             rows.append(row)
         elim = []
         for _, cell in bars:
-            elim.append(_record(cell, rows, tcell, p, r, a))
+            elim.append(_record(cell, rows, tcell, p, r, a, solvers))
         top = elim[-1]
         if top is None and not any(elim):
             continue
         # d_r o d_r must vanish; the target's d_r is read at its top bar
-        second = tops.get(ta)
+        second = tops.pop(ta, None)
         if second is not None:
             for e in elim:
                 if e is not None and any(map(any, linalg.mat_mul(e[0], second[0], p))):
@@ -1006,7 +1027,8 @@ def apply_page(pd: PageData, gens: PageGenerators, cone: int) -> PageData:
             kept.append((s, _homology(cell, kernel, None, {}, p, r, a)))
         maps[a] = tuple(recs)
         degrees[a] = tuple(kept)
-        tops[a] = top
+        if cone >> (a + shift) & 1:  # a is the target of a record yet to fire
+            tops[a] = top
         new = _homology(tcell, None if second is None else second[1], top[0], top[2], p, r, ta)
         if ctx.localized:
             degrees[ta] = ((tbars[0][0], new),)
@@ -1229,7 +1251,7 @@ def extract_towers(final: PageData, sched: DifferentialSchedule,
             # Laurent tower as well as its source's, so a future hit may
             # leave nothing
             length = Unknown(possibly_absent=True) if hit else INF
-            for _ in range(bars[0][1].dim):
+            for _ in range(bars[0][1][DIM]):
                 prof.add(b, length)
             continue
         _read_column(prof, b, bars, future_min_page if hit else None, leaving)
@@ -1242,10 +1264,11 @@ def _unfired_sources(ctx: EngineContext, unfired: Sequence[PageGenerators], cell
     stacked images, each monomial's keyed by (unfired page, monomial).
     Such a class may support a differential the run did not fire, and then
     its whole v-tower leaves."""
-    if not unfired or cell.dim == 0:
+    mons, reps, _, dim = cell
+    if not unfired or dim == 0:
         return 0
     images = [{(i, mon): c for i, gens in enumerate(unfired)
-               for mon, c in _d_of_monomial(ctx, gens, m).items()} for m in cell.monomials]
+               for mon, c in _d_of_monomial(ctx, gens, m).items()} for m in mons]
     index: Dict[Tuple[int, Monomial], int] = {}
     for img in images:
         for key in img:
@@ -1259,8 +1282,8 @@ def _unfired_sources(ctx: EngineContext, unfired: Sequence[PageGenerators], cell
             row[index[key]] = c
         rows.append(row)
     # a class's value is its rep's combination of its monomials' (_record)
-    if cell.reps is not None:
-        rows = [_combination(rep, rows, len(index), ctx.A.p) for rep in cell.reps]
+    if reps is not None:
+        rows = [_combination(rep, rows, len(index), ctx.A.p) for rep in reps]
     return linalg.rank(rows, ctx.A.p)
 
 
@@ -1277,10 +1300,10 @@ def _read_column(prof: TowerProfile, b: int, bars: Bars, future_min_page: Option
     # observations past the smallest unfired page are not trustworthy
     top = (len(bars) if future_min_page is None
            else bisect_left(bars, future_min_page, key=itemgetter(0))) - 1
-    below = bars[0][1].dim
+    below = bars[0][1][DIM]
     for k in range(1, len(bars)):
         s, cell = bars[k]
-        dim = cell.dim
+        dim = cell[DIM]
         if dim > below:
             raise EngineAssertionError(
                 f"dimensions increase along the v-tower at base degree {b}")
@@ -1295,7 +1318,7 @@ def _read_column(prof: TowerProfile, b: int, bars: Bars, future_min_page: Option
     # a class that may support an unfired differential may hold no tower at
     # all, so it gets no lower bound; the rest can only be hit later
     last = bars[top][1]
-    left = last.dim
+    left = last[DIM]
     absent = leaving(last) if left else 0
     for _ in range(absent):
         prof.add(b, Unknown(possibly_absent=True))

@@ -37,7 +37,7 @@ import json
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Monomial
-from .engine import Cell, PageData, Runs
+from .engine import DIM, MONOMIALS, REPS, Cell, PageData, Runs
 from .towers import INF, TowerProfile, Unknown
 
 TOOL_VERSION = "0.1.0"
@@ -99,10 +99,10 @@ def _lead_renderer(A: Algebra, ascii_: bool,
     spell = _speller(names, "*" if ascii_ else "·")
 
     def leads(cell: Cell) -> List[Optional[str]]:
-        mons = cell.monomials
-        if cell.reps is None:
+        mons, reps = cell[MONOMIALS], cell[REPS]
+        if reps is None:
             return list(map(spell, mons))
-        return [next((spell(m) for m, c in zip(mons, row) if c), None) for row in cell.reps]
+        return [next((spell(m) for m, c in zip(mons, row) if c), None) for row in reps]
 
     return leads
 
@@ -144,7 +144,7 @@ def _degree_record(a: int, window: Iterable[Tuple[int, int, Cell]], reps: Dict[i
     for s0, s1, cell in window:
         text = reps.get(id(cell))
         if text is None:
-            dim = cell.dim
+            dim = cell[DIM]
             text = reps[id(cell)] = f", {dim}, {_json_list(leads(cell))}]" if dim else ""
         if text:
             runs.append(f"[{s0}, {s1}{text}")

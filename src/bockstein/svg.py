@@ -21,7 +21,7 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
-from .engine import PageData
+from .engine import DIM, PageData
 
 Point = Tuple[int, int]
 # (t, s, dim, up): the classes at (t, s) and those at its v-line partner
@@ -49,14 +49,14 @@ def chart_marks(page: PageData) -> Tuple[List[Mark], List[Tuple[Point, Point]]]:
     and each d_r that windows_maps shows as its source and target; both in
     (t, s) order.  Inside a window run, up is the run's own dim; at its
     top, the next run's dim, since an A-degree's runs follow each other
-    with no gap (its bars are Cells, each holding up to the next one's
+    with no gap (its bars are cells, each holding up to the next one's
     start), and 0 at the last run's top, the window's end."""
     r, dv = page.r, page.ctx.deg_v
     marks: List[Mark] = []
     for a, runs in page.windows():
         top = 0  # the dim of the run before, when it has classes
         for s0, s1, cell in runs:
-            dim = cell.dim
+            dim = cell[DIM]
             if top:
                 marks.append((a + s * dv, s, top, dim))
             if dim:

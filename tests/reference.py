@@ -6,7 +6,8 @@ engine forms its Leibniz terms with `algebra.mul_monomials` instead, so the
 two share only monomial arithmetic.  `d_deg_explicit` is the displayed
 alternating sum that `formulas.d_deg`'s recursion is checked against, and
 `lambda_expand` unrolls a `formulas.LambdaFamily` entry to a monomial.
-`reps_rows` gives an engine cell's classes as rows over its monomials,
+`make_cell` builds an engine cell, the exact tuple a run's state holds,
+and `reps_rows` gives its classes as rows over its monomials,
 which a run never builds, and `rank_mod_p` is the rank of such rows by
 plain row reduction.  `dim_at` reads a page's dimension at one (t, s)
 through `PageData.window` alone.
@@ -106,19 +107,31 @@ def lambda_expand(family: LambdaFamily, s: int):
     return tuple(m)
 
 
+def make_cell(monomials, reps=None, boundaries=()) -> tuple:
+    """A cell as a run's state holds it (engine.Cell): the exact tuple
+    (monomials, reps, boundaries, dim), reps None for an untouched cell and
+    otherwise tuples of coefficients over the monomials, as are the
+    boundaries, and dim the number of classes."""
+    if reps is not None:
+        reps = tuple(map(tuple, reps))
+    return (tuple(monomials), reps, tuple(map(tuple, boundaries)),
+            len(monomials if reps is None else reps))
+
+
 def reps_rows(cell) -> List[List[int]]:
     """The classes as rows over the monomials, identity rows for an
     untouched cell.  A run never asks for them: it takes a class's
     value as its rep's combination of its monomials' (_combination)."""
-    if cell.reps is None:
-        n = len(cell.monomials)
+    mons, reps, _, _ = cell
+    if reps is None:
+        n = len(mons)
         return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    return [list(r) for r in cell.reps]
+    return [list(r) for r in reps]
 
 
 def dim_at(pd, t: int, s: int) -> int:
     """The dimension of page pd at (t, s); 0 outside the window and the view."""
-    return next((cell.dim for s0, s1, cell in pd.window(t - s * pd.ctx.deg_v)
+    return next((cell[-1] for s0, s1, cell in pd.window(t - s * pd.ctx.deg_v)
                  if s0 <= s <= s1), 0)
 
 

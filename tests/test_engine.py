@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import random
 import sys
@@ -34,7 +35,10 @@ from bockstein.closedform import (
 )
 from bockstein.engine import (
     AmbiguousPatternError,
-    Cell,
+    BOUNDARIES,
+    DIM,
+    MONOMIALS,
+    REPS,
     DeadSourceError,
     DifferentialSchedule,
     EngineContext,
@@ -66,7 +70,7 @@ from bockstein.jsonio import emit_json, laurent_span
 from bockstein.svg import ChartStyle, emit_svg
 from bockstein.towers import INF, TowerProfile, Unknown, compare, length_str
 import golden
-from reference import derivation_extend, dim_at, element, rank_mod_p, reps_rows
+from reference import derivation_extend, dim_at, element, make_cell, rank_mod_p, reps_rows
 
 
 def v_gen(name, deg):
@@ -91,8 +95,8 @@ def test_build_e1_localized_laurent_class():
     with pytest.warns(UserWarning, match="window too small"):
         (pd,), _ = run(A, DifferentialSchedule(v_gen("v2", 6), {}), Window(12), localized=True)
     cell = pd.cells.get((3, -2))  # lambda_3 v2^{-2}
-    assert cell is not None and cell.dim == 1
-    assert cell.monomials == (A.monomial(**{"λ3": 1}),)
+    assert cell is not None and cell[DIM] == 1
+    assert cell[MONOMIALS] == (A.monomial(**{"λ3": 1}),)
     # the view lists -floor(D/|v|) <= s <= floor(D/|v|)
     assert {s for (_t, s) in pd.cells} == set(range(-2, 3))
 
@@ -150,7 +154,7 @@ def _outside(pd, shown):
 def test_lazy_views_equal_the_eager_ones(case):
     # each page's cells and diffs, computed from the bars when read, list
     # the keys of the eager views in the same order, with the same length,
-    # and give the very Cell and DiffRecord objects the bars hold, by
+    # and give the very cell tuples and DiffRecords the bars hold, by
     # lookup, items() and values(); a key outside the window is neither in
     # nor got
     _, pages, _ = case.run()
@@ -189,10 +193,10 @@ def test_a_record_is_the_one_maps_holds_and_fits_its_page(case):
         for (t, s), rec in pd.diffs.items():
             assert rec is _bar_at(pd.maps[t - s * dv], s)
             if t >= 1:
-                width = cells[(t - 1, s + r)].dim
+                width = cells[(t - 1, s + r)][DIM]
                 assert all(len(row) == width for row in rec.matrix), (r, t, s)
                 if t <= case.D:
-                    assert len(rec.matrix) == cells[(t, s)].dim, (r, t, s)
+                    assert len(rec.matrix) == cells[(t, s)][DIM], (r, t, s)
 
 
 def _refuse(self, *args):
@@ -222,9 +226,9 @@ def test_no_library_reader_reads_a_page_view(case, monkeypatch):
 @pytest.mark.parametrize("case", VIEW_CASES, ids=golden.case_id)
 def test_derived_views_equal_whole_views(case, order):
     # read in either order, each page's (t, s) view has the keys, in the same
-    # order, and the very Cell objects of its bars looked up filtration by
+    # order, and the very cell tuples of its bars looked up filtration by
     # filtration over the whole window; an A-degree the page before left
-    # untouched shows each (t, s) the same Cell on both pages
+    # untouched shows each (t, s) the same cell on both pages
     _, pages, _ = case.run()
     for pd in (pages if order == "forward" else pages[::-1]):
         ctx = pd.ctx
@@ -250,7 +254,9 @@ def test_untouched_a_degrees_share_their_bars(case):
     # a page passes the very bars object of every A-degree its differentials
     # neither leave nor enter on to the next page; bars start at the lowest
     # filtration and then at increasing fired pages, no two consecutive ones
-    # hold the same Cell, and dim_at(t, s) reads them as the whole view does
+    # hold equal cells (a cell is a tuple, so equal is the same classes and
+    # boundaries over the same monomials), and dim_at(t, s) reads them as
+    # the whole view does
     _, pages, _ = case.run()
     for pd, nxt in zip(pages, pages[1:]):
         shift = 1 + pd.r * pd.ctx.deg_v
@@ -261,9 +267,43 @@ def test_untouched_a_degrees_share_their_bars(case):
         for bars in pd.degrees.values():
             starts = [s for s, _ in bars]
             assert starts[0] == pd.ctx.s_lo and starts == sorted(set(starts))
-            assert all(c0 is not c1 for (_, c0), (_, c1) in zip(bars, bars[1:]))
+            assert all(c0 != c1 for (_, c0), (_, c1) in zip(bars, bars[1:]))
         whole = _cell_view(pd)
-        assert all(dim_at(pd, t, s) == cell.dim for (t, s), cell in whole.items())
+        assert all(dim_at(pd, t, s) == cell[DIM] for (t, s), cell in whole.items())
+
+
+# the levels of tuples a page's degrees hold: bars, bar pairs, cells, and
+# the cells' reps and boundaries with their rows
+STATE_DEPTH = 5
+
+
+@pytest.mark.parametrize("case", golden.FIXED, ids=golden.case_id)
+def test_the_run_state_is_plain_data(case):
+    # every bar, bar pair, cell, reps and boundaries of every page is an
+    # exact tuple of ints, tuples and None, so the collector stops walking
+    # it.  CPython untracks a tuple only in a collection that sees its items
+    # untracked, and a collection sees a container before what it holds, so
+    # each full collection untracks one more level: after as many as the
+    # state is deep, nothing reachable from a page's degrees is tracked.  A
+    # list, or any other container that stays tracked, in a cell keeps the
+    # cell and its bars tracked too
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, pages, _ = case.run()
+    for _ in range(STATE_DEPTH):
+        gc.collect()
+    seen, tracked = set(), []
+    todo = [bars for pd in pages for bars in pd.degrees.values()]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if gc.is_tracked(obj):
+            tracked.append(obj)
+        todo += gc.get_referents(obj)
+    assert not tracked, tracked[:3]
+    assert all(not gc.is_tracked(pd.degrees) for pd in pages)
 
 
 @pytest.mark.parametrize("case", golden.FIXED, ids=golden.case_id)
@@ -355,9 +395,9 @@ def test_apply_page_leibniz_matches_derivation_extend():
     # cross-check the matrix against the signed derivation on the monomial
     hand = derivation_extend({"μ3": target}, {Av.monomial(**{"λ1": 1, "μ3": 1}): 1}, Av)
     tcell = pd.cells[(key[0] - 1, key[1] + pd.r)]
-    want = [0] * len(tcell.monomials)
+    want = [0] * len(tcell[MONOMIALS])
     for m, c in hand.items():
-        want[tcell.monomials.index(m[:-1])] = c
+        want[tcell[MONOMIALS].index(m[:-1])] = c
     assert rec.matrix == [want]
     # and the class is dead on the next page
     assert dim_at(nxt, *key) == 0
@@ -740,7 +780,7 @@ def test_variant_b_exterior_rule_on_cycles():
     for key in src:
         rec, target = e2.diffs[key], (key[0] - 1, key[1] + e2.r)
         assert rec.rank == 1 and target == (key[0] - 1, 2)
-        assert e2.cells[target].monomials == (A.monomial(λ1=1, λ2=1, μ3=(key[0] - 15) // 16),)
+        assert e2.cells[target][MONOMIALS] == (A.monomial(λ1=1, λ2=1, μ3=(key[0] - 15) // 16),)
 
 
 def test_monomials_that_do_not_factor_over_the_page_generators():
@@ -1098,7 +1138,7 @@ def test_page_derivation_matches_the_leibniz_reference(case):
     for r, page in sched.pages.items():
         gens = _page_generators(ctx.A, ctx.deg_v, page)
         for bars in pages[0].degrees.values():
-            for m in bars[0][1].monomials:
+            for m in bars[0][1][MONOMIALS]:
                 assert _d_of_monomial(ctx, gens, m) == reference_d_of_monomial(ctx, page, m), \
                     (r, m)
 
@@ -1184,7 +1224,7 @@ def test_pages_visit_every_a_degree_d_r_does_not_vanish_on(monkeypatch, case):
     shown = ctx.max_degree + 1 - ctx.s_lo * ctx.deg_v
     for r, gens in compiled.items():
         hit = {a for a, bars in pages[0].degrees.items()
-               if any(_d_of_monomial(ctx, gens, m) for m in bars[0][1].monomials)}
+               if any(_d_of_monomial(ctx, gens, m) for m in bars[0][1][MONOMIALS])}
         cone = {a for a in hit if cones[r] >> a & 1}
         assert {a for a in hit if a <= shown} <= cone, r
         assert cone <= visits[gens], (r, sorted(cone - visits[gens])[:5])
@@ -1508,7 +1548,7 @@ def _random_cell(rng, p, n, dim):
     the coin says so, otherwise reps independent modulo random boundaries."""
     mons = tuple((i,) for i in range(n))
     if dim == n and rng.random() < 0.5:
-        return Cell(mons)
+        return make_cell(mons)
     while True:
         bnd = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(n - dim + 1))]
         ech = linalg.echelon_from_rows(bnd, p)
@@ -1518,7 +1558,7 @@ def _random_cell(rng, p, n, dim):
             if len(reps) < dim and linalg.echelon_insert(ech, row, p) is not None:
                 reps.append(row)
         if len(reps) == dim:
-            return Cell(mons, reps, bnd)
+            return make_cell(mons, reps, bnd)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1538,12 +1578,12 @@ def test_each_record_is_eliminated_once_as_linalg_would(p):
         rows = []
         for _ in range(sn):
             vec = [0] * tn
-            for row in reps_rows(tcell) + tcell.boundaries:
+            for row in reps_rows(tcell) + list(tcell[BOUNDARIES]):
                 c = rng.randrange(p) if rng.random() < 0.6 else 0
                 vec = [(x + c * y) % p for x, y in zip(vec, row)]
             rows.append(vec)
-        e = _record(cell, rows, tcell, p, 1, 0)
-        solver = linalg.CosetSolver(reps_rows(tcell), tcell.boundaries, tn, p)
+        e = _record(cell, rows, tcell, p, 1, 0, {})
+        solver = linalg.CosetSolver(reps_rows(tcell), tcell[BOUNDARIES], tn, p)
         want = []
         for rep in reps_rows(cell):
             vec = [0] * tn
@@ -1555,7 +1595,7 @@ def test_each_record_is_eliminated_once_as_linalg_would(p):
             continue
         mat, kernel, echelon = e
         assert mat == want
-        assert kernel == linalg.left_kernel(mat, tcell.dim, p)
+        assert kernel == linalg.left_kernel(mat, tcell[DIM], p)
         assert linalg.rank(mat, p) == len(mat) - len(kernel)
         assert echelon == linalg.echelon_from_rows(mat, p)
         # and the kernel on its own terms: it annihilates the matrix, its
@@ -1567,17 +1607,18 @@ def test_each_record_is_eliminated_once_as_linalg_would(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_untouched_cells_express_a_vector_as_itself(p):
     # an untouched cell has every monomial alive and no boundaries, so
-    # Cell.express needs no solver; it must agree with one on vectors not
+    # engine._express needs no solver; it must agree with one on vectors not
     # yet reduced mod p
     rng = random.Random(p)
     for n in range(1, 5):
-        cell = Cell(tuple((i,) for i in range(n)))
+        cell = make_cell(tuple((i,) for i in range(n)))
         solver = linalg.CosetSolver(reps_rows(cell), [], n, p)
+        solvers = {}
         for _ in range(50):
             vec = [rng.randrange(-p, 2 * p) for _ in range(n)]
-            got = cell.express(vec, p)
+            got = engine._express(cell, vec, p, solvers)
             assert got == solver.express(vec)
-        assert cell._solver is None
+        assert not solvers
 
 
 class _ReferenceCosetSolver:
@@ -1703,7 +1744,7 @@ def _reference_homology(cell, out_mat, tdim, image_mat, p):
             linalg.echelon_insert(combo_ech, red, p)
             combos.append(red)
     assert len(combos) == len(ker) - len(im_ech)
-    width = len(cell.monomials)
+    width = len(cell[MONOMIALS])
 
     def combine(combo):
         vec = [0] * width
@@ -1711,9 +1752,9 @@ def _reference_homology(cell, out_mat, tdim, image_mat, p):
             vec = [(x + c * y) % p for x, y in zip(vec, rep)]
         return vec
 
-    bnd = [list(b) for b in cell.boundaries]
+    bnd = [list(b) for b in cell[BOUNDARIES]]
     bnd += [vec for vec in map(combine, image_mat or ()) if any(vec)]
-    return Cell(cell.monomials, [combine(c) for c in combos], bnd)
+    return make_cell(cell[MONOMIALS], [combine(c) for c in combos], bnd)
 
 
 def _combinations(rng, p, basis, count):
@@ -1743,8 +1784,8 @@ def test_homology_builds_what_identity_rows_and_two_eliminations_build(p):
     for _ in range(300):
         n = rng.randint(1, 4)
         cell = _random_cell(rng, p, n, rng.randint(1, n))
-        untouched += cell.reps is None
-        dim = cell.dim
+        untouched += cell[REPS] is None
+        dim = cell[DIM]
         out_mat = tdim = None
         if rng.random() < 0.6:
             tdim = rng.randint(1, 4)
@@ -1860,8 +1901,9 @@ def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypa
     # costs one forward elimination, echelon_from_rows runs only inside the
     # solvers of touched cells, and no untouched cell (all of E_1's) is
     # asked for identity rows, by the run or by the writers, which read its
-    # classes off its monomials: a Cell has no method that builds them
-    # (reference.reps_rows is test tooling), so a run that asked would fail
+    # classes off its monomials: a cell is an exact tuple, with no method
+    # that builds them (reference.reps_rows is test tooling), so a run that
+    # asked would fail
     calls = defaultdict(int)
     for name in ("kernel_and_echelon", "left_kernel", "echelon_from_rows"):
         monkeypatch.setattr(linalg, name, _counted(calls, name, getattr(linalg, name)))
@@ -1903,26 +1945,28 @@ def test_a_page_eliminates_each_record_once_and_builds_no_identity_rows(monkeypa
                for _, rec in bars) == 244
     assert calls["reduce_row"] == 0
     monkeypatch.undo()
-    assert not hasattr(Cell, "reps_rows")
+    assert all(type(cell) is tuple for pd in pages + v0_pages
+               for bars in pd.degrees.values() for _, cell in bars)
 
 
 def test_a_capped_run_builds_no_identity_rows():
     # v2 p=2 D=120 cap 4: the classes at 64, 83 and 103 support the unfired
     # d_8; _unfired_sources forms their images off the monomials' images
-    # (_combination), so no cell is asked for rows: a Cell has no method
-    # that builds them (reference.reps_rows is test tooling), so a run that
-    # asked would fail
-    _, _, profile = Case("v2", 2, 120, page_cap=4).run()
+    # (_combination), so no cell is asked for rows: a cell is an exact
+    # tuple, with no method that builds them (reference.reps_rows is test
+    # tooling), so a run that asked would fail
+    _, pages, profile = Case("v2", 2, 120, page_cap=4).run()
     for t in (64, 83, 103):
         assert any(x.possibly_absent for x in profile.lengths(t) if isinstance(x, Unknown))
-    assert not hasattr(Cell, "reps_rows")
+    assert all(type(cell) is tuple for pd in pages
+               for bars in pd.degrees.values() for _, cell in bars)
 
 
 def _reference_read_column(prof, b, bars, future_min_page, leaving):
     """engine._read_column as it was before it read the bars in one pass,
     kept as its reference: a list of every bar's dimension, the check that
     they never increase, then the towers."""
-    dims = [cell.dim for _, cell in bars]
+    dims = [cell[DIM] for _, cell in bars]
     for k in range(1, len(dims)):
         if dims[k] > dims[k - 1]:
             raise engine.EngineAssertionError(
@@ -1976,14 +2020,14 @@ def test_read_column_equals_the_reference_on_random_bars(seed):
     seen = defaultdict(int)
 
     def leaving(cell):
-        return len(cell.monomials) % (cell.dim + 1)
+        return len(cell[MONOMIALS]) % (cell[DIM] + 1)
 
     for _ in range(400):
         starts = [0] + sorted(rng.sample(range(1, 30), rng.randint(0, 4)))
         dims = [rng.randint(0, 4)]
         for _ in starts[1:]:
             dims.append(rng.randint(0, dims[-1]) if rng.random() < 0.9 else rng.randint(0, 5))
-        bars = tuple((s, Cell(tuple((i,) for i in range(rng.randint(d, 5))), [[1]] * d))
+        bars = tuple((s, make_cell(tuple((i,) for i in range(rng.randint(d, 5))), [[1]] * d))
                      for s, d in zip(starts, dims))
         future = None if rng.random() < 0.4 else rng.randint(1, 32)
         got, want = TowerProfile(10), TowerProfile(10)
@@ -2017,7 +2061,7 @@ def _reference_next_state(pd):
     state = dict(pd.degrees)
     for a in sorted(pd.maps.keys() | incoming.keys()):
         bars, out, image = pd.degrees[a], pd.maps.get(a), incoming.get(a)
-        tdim = None if out is None else pd.degrees[a - shift][-1][1].dim
+        tdim = None if out is None else pd.degrees[a - shift][-1][1][DIM]
         top = None if out is None else out[-1][1].matrix
         if ctx.localized:
             ((s, cell),) = bars
@@ -2103,7 +2147,7 @@ def test_a_run_on_cells_of_up_to_eight_classes_keeps_its_document(monkeypatch):
     records = [rec for pd in pages for bars in pd.maps.values() for _, rec in bars if rec]
     assert [pd.r for pd in pages] == [1, 2, 3]
     assert (len(records), sum(len(rec.matrix) > 1 for rec in records)) == (324, 316)
-    assert max(cell.dim for pd in pages for bars in pd.degrees.values() for _, cell in bars) == 8
+    assert max(cell[DIM] for pd in pages for bars in pd.degrees.values() for _, cell in bars) == 8
     assert (len(solvers), sum(n > 1 for n in solvers)) == (93, 85)
     assert sum(map(len, profile.towers.values())) == 821
 
@@ -2125,10 +2169,10 @@ def _leaving_counts(monkeypatch, A, sched, D):
     monkeypatch.setattr(engine, "_unfired_sources", record)
     _, profile = run(A, sched, Window(D), page_cap=1)
     monkeypatch.undo()
-    touched = [(ctx, cell, n) for ctx, cell, n in counted if cell.reps is not None]
+    touched = [(ctx, cell, n) for ctx, cell, n in counted if cell[REPS] is not None]
     page = sched.pages[2]
     for ctx, cell, n in touched:
-        images = [reference_d_of_monomial(ctx, page, m) for m in cell.monomials]
+        images = [reference_d_of_monomial(ctx, page, m) for m in cell[MONOMIALS]]
         index = {mon: k for k, mon in enumerate({mon for img in images for mon in img})}
         rows = []
         for rep in reps_rows(cell):
@@ -2137,7 +2181,7 @@ def _leaving_counts(monkeypatch, A, sched, D):
                 for mon, x in img.items():
                     row[index[mon]] += c * x
             rows.append(row)
-        assert n == rank_mod_p(rows, A.p), cell.monomials
+        assert n == rank_mod_p(rows, A.p), cell[MONOMIALS]
     return [(cell, n) for _, cell, n in touched], profile
 
 
@@ -2147,7 +2191,7 @@ def test_classes_that_may_leave_are_counted_on_their_representatives(monkeypatch
     A, sched = _eight_class_schedule()
     touched, _ = _leaving_counts(monkeypatch, A, sched, 300)
     assert (len(touched), sum(n > 0 for _, n in touched)) == (206, 92)
-    assert max(cell.dim for cell, _ in touched) == 6
+    assert max(cell[DIM] for cell, _ in touched) == 6
     # there the monomials' images have the classes' rank; here d_1(μ) = v b
     # leaves the class e of {e, aμ}, and d_2(a) = v^2 is nonzero on aμ alone,
     # so no class of that cell may leave
@@ -2160,7 +2204,7 @@ def test_classes_that_may_leave_are_counted_on_their_representatives(monkeypatch
         2: RulePage(2, [Rule(A.monomial(a=1), element(Av, (1, Av.monomial(v=2))))]),
     })
     touched, profile = _leaving_counts(monkeypatch, A, sched, 5)
-    assert [(cell.monomials, n) for cell, n in touched] == [
+    assert [(cell[MONOMIALS], n) for cell, n in touched] == [
         ((A.monomial(e=1), A.monomial(a=1, μ=1)), 0)]
     assert profile.lengths(5) == [Unknown(2)]
 
@@ -2170,8 +2214,9 @@ def test_a_run_makes_about_twenty_python_calls_per_record():
     # (generator resumes included), on v0 p=2 n=3 D=1000, whose 244 records
     # are 1 x 1: 7,795 when each record made about ten calls and a cell
     # computed its dimension on each read, 4,702 (19.3 a record, E_1 and
-    # the tower reading included) since, in a fresh interpreter; the test
-    # runner may add a call or two of its own
+    # the tower reading included) when a cell was a class instance, and
+    # 3,720 (15.2) since a cell is a tuple built with no call, in a fresh
+    # interpreter; the test runner may add a call or two of its own
     A, sched, w = Case("v0", 2, 1000, n=3).build()
     calls = 0
 
@@ -2186,4 +2231,4 @@ def test_a_run_makes_about_twenty_python_calls_per_record():
         sys.setprofile(None)
     assert sum(rec is not None for pd in pages for bars in pd.maps.values()
                for _, rec in bars) == 244
-    assert calls <= 4710, calls
+    assert calls <= 3728, calls

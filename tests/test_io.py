@@ -11,7 +11,7 @@ import pytest
 from bockstein.algebra import EXTERIOR, POLYNOMIAL, Algebra, GeneratorSpec
 from bockstein.cases import Case
 from bockstein.closedform import thh_mod_p_algebra
-from bockstein.engine import (Cell, DiffRecord, EngineContext, PageData, Window,
+from bockstein.engine import (DIM, MONOMIALS, DiffRecord, EngineContext, PageData, Window,
                               _page_generators, apply_page, run, schedule_v0, schedule_v2)
 from bockstein.jsonio import _json_list, _lead_renderer, emit_json, json_fragments, monomial_str
 from bockstein import jsonio, svg
@@ -19,7 +19,7 @@ from bockstein.svg import ChartStyle, chart_marks, draw_chart, emit_svg
 from bockstein.towers import INF, TowerProfile, Unknown
 import golden
 from golden import _with_v, expand, parse_json
-from reference import dim_at, reps_rows
+from reference import dim_at, make_cell, reps_rows
 
 
 def _lead(A, monomials, row, ascii_):
@@ -94,9 +94,9 @@ def test_json_roundtrip_and_determinism():
     assert [pg["r"] for pg in pages2] == [pd.r for pd in pages]
     for pd, pg in zip(pages, pages2):
         A, v_name = pd.ctx.A, pd.ctx.v.name
-        classes = [(t, s, cell.dim, [rep_str(A, cell.monomials, row, v_name, s)
+        classes = [(t, s, cell[DIM], [rep_str(A, cell[MONOMIALS], row, v_name, s)
                                      for row in reps_rows(cell)])
-                   for (t, s), cell in sorted(pd.cells.items()) if cell.dim and 0 <= t <= 40]
+                   for (t, s), cell in sorted(pd.cells.items()) if cell[DIM] and 0 <= t <= 40]
         assert [(c["t"], c["s"], c["dim"], c["reps"]) for c in pg["classes"]] == classes
         diffs = [((t, s), (t - 1, s + pd.r), rec.rank) for (t, s), rec in sorted(pd.diffs.items())
                  if rec.rank and (0 <= t <= 40 or 0 <= t - 1 <= 40)]
@@ -121,7 +121,7 @@ def _made_up_pages(ctx):
     """A page with no A-degrees, and one with a class of dimension 2 in
     A-degree 2 from the fired page 1 on."""
     mons = (ctx.A.monomial(**{"λ1": 1}), ctx.A.monomial(**{"λ2": 1}))
-    return [PageData(1, ctx, {}), PageData(2, ctx, {2: ((0, Cell(())), (1, Cell(mons)))})]
+    return [PageData(1, ctx, {}), PageData(2, ctx, {2: ((0, make_cell(())), (1, make_cell(mons)))})]
 
 
 def _fixed_point_documents():
@@ -253,8 +253,8 @@ def test_svg_dot_counts_match_dims():
     for a in final.degrees:
         for s0, s1, cell in final.window(a):
             for s in range(s0, s1 + 1):
-                if 0 <= a + s * dv <= 40 and cell.dim:
-                    assert per_col.get((a + s * dv, s)) == cell.dim
+                if 0 <= a + s * dv <= 40 and cell[DIM]:
+                    assert per_col.get((a + s * dv, s)) == cell[DIM]
 
 
 def test_svg_shows_differential_arrows():
@@ -380,7 +380,7 @@ def test_chart_marks_carry_their_partners_dimension(case):
         for t, s, dim, up in marks:
             assert (dim, up) == (dim_at(page, t, s), dim_at(page, t + dv, s + 1)), (page.r, t, s)
         shown = sum(s1 - s0 + 1 for a in page.degrees for s0, s1, cell in page.window(a)
-                    if cell.dim)
+                    if cell[DIM])
         assert len(marks) == shown
 
 
@@ -392,7 +392,7 @@ def test_chart_marks_read_each_run_top_off_the_next_bar():
     _, pages, _ = Case("v2", 2, 40).run()
     ctx = pages[-1].ctx
     assert (ctx.deg_v, ctx.s_hi) == (6, 6)
-    bars = tuple((s0, Cell((ctx.A.unit,) * dim)) for s0, dim in ((0, 3), (2, 1), (3, 0), (4, 2),
+    bars = tuple((s0, make_cell((ctx.A.unit,) * dim)) for s0, dim in ((0, 3), (2, 1), (3, 0), (4, 2),
                                                                    (6, 4)))
     page = PageData(ctx.top_page, ctx, {4: bars})
     marks, arrows = chart_marks(page)
@@ -529,13 +529,13 @@ def test_the_lead_renderer_writes_what_json_writes(ascii_):
     A = Algebra(3, (GeneratorSpec('a"1', 1, EXTERIOR), GeneratorSpec("b\\2", 3, EXTERIOR),
                     GeneratorSpec("λ\t", 2, POLYNOMIAL), GeneratorSpec("μ3", 4, POLYNOMIAL)))
     mons = ((0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 2, 0), (0, 1, 1, 3), (0, 0, 0, 1))
-    cells = [Cell(mons), Cell(mons[:1]), Cell(mons, [[0, 0, 1, 2, 0], [0, 0, 0, 0, 0],
+    cells = [make_cell(mons), make_cell(mons[:1]), make_cell(mons, [[0, 0, 1, 2, 0], [0, 0, 0, 0, 0],
                                                       [2, 1, 0, 0, 1], [0, 0, 0, 0, 1]])]
     escaped = _lead_renderer(A, ascii_, escape=True)
     plain = _lead_renderer(A, ascii_, escape=False)
     for cell in cells:
         rows = reps_rows(cell)
-        want = [next((monomial_str(A, m, ascii_) for m, c in zip(cell.monomials, row) if c), None)
+        want = [next((monomial_str(A, m, ascii_) for m, c in zip(cell[MONOMIALS], row) if c), None)
                 for row in rows]
         assert plain(cell) == want
         assert _json_list(escaped(cell)) == json.dumps(want, ensure_ascii=False)

@@ -189,8 +189,9 @@ def test_the_library_reads_what_it_defines():
     # reason, and a name the library comes to read, or that goes, leaves
     # the list.  A name is matched, not resolved, so a method counts as
     # read wherever an attribute of that name is, but for a method named
-    # like a data attribute of a library class (Cell.dim beside a method
-    # dim): that one counts as read only where the library calls .name(...)
+    # like a data attribute of a library class (PageData.degrees beside the
+    # method TowerProfile.degrees): that one counts as read only where the
+    # library calls .name(...)
     root = Path(__file__).resolve().parents[1]
     defined, inside, fields, called = {}, set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
