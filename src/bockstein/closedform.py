@@ -1,6 +1,7 @@
 """Independent constructors for the closed-form answers: the mod-p algebra,
-rational dimensions, the three torsion-module presentations T_0^n, T_1^2,
-T_2^2, the conjectural T_m^n, and the localized answers.
+rational dimensions, the torsion-module presentation of the ladder (n, m) at
+its four parameter sets (T_0^n, T_1^2, T_2^2 and the conjectural T_m^n),
+and the localized answers.
 
 These never touch the engine; they are the certification oracles.  Torsion
 orders over v_0 are stored as tower lengths k (meaning Z/p^k); over v_1 and
@@ -22,7 +23,7 @@ from .algebra import (
     graded_dims,
     sparse_monomial,
 )
-from .formulas import FormulaError, LambdaFamily, deg_lambda, deg_mu, r_conj, r_len
+from .formulas import FormulaError, LambdaFamily, deg_lambda, deg_mu
 from .towers import INF, TowerProfile
 
 
@@ -116,47 +117,41 @@ def _exterior_subsets(A: Algebra, indices: List[int], max_degree: int):
 def t0n_presentation(p: int, n: int, max_degree: int) -> TorsionPresentation:
     """The integral answer, the ladder (n, 0): free part E(lambda_1..lambda_n),
     torsion towers of length nu_p(i)+1 = s on lambda-products times
-    lambda_{n+1} mu^{i-1}, i = p^{s-1}(m+1) with m != p-1 mod p."""
-    return _ladder_presentation(
-        p, max_degree, LambdaFamily(p, n, 0),
-        length_of=lambda s: s,
-        head_index_of=lambda s: n + s,
-        tails=lambda s: [()],
-        permanents=list(range(n)),
-        gen_name=lambda s, m, tail: f"λ{n + 1}({p ** (s - 1) * (m + 1)})",
-    )
+    lambda_{n+1} mu^{i-1}, i = p^{s-1}(k+1) with k != p-1 mod p."""
+    return _ladder_presentation(p, n, 0, max_degree,
+                                lambda s, k, tail: f"λ{n + 1}({p ** (s - 1) * (k + 1)})")
 
 
 def t0n_profile(p: int, n: int, max_degree: int) -> TowerProfile:
     return t0n_presentation(p, n, max_degree).profile(max_degree)
 
 
-def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
-                         length_of, head_index_of, tails, permanents: List[int],
+def _ladder_presentation(p: int, n: int, m: int, max_degree: int,
                          gen_name) -> TorsionPresentation:
-    """Common shape of T_0^n, T_1^2, T_2^2 and T_m^n.
-
-    Towers are indexed by a step s >= 1, a mu-multiple m >= 0 with
-    m != p-1 mod p, a choice of tail lambda-factors, and a product of
-    permanent exterior classes; the head factor is the lambda-family entry
-    of head_index_of(s) and the length is length_of(s).
-    """
-    A = thh_mod_p_algebra(p, family.n)
+    """The ladder (n, m)'s presentation: free part E(lambda_1..lambda_{n-m});
+    at each step s, towers of length family.page(s) on the head
+    lambda_{n-m+s} times a tail (a subset of lambda_{n-m+s+1}..lambda_{n+s})
+    times mu^(p^(s-1) k), k >= 0 and k != p-1 mod p, times a permanent
+    product; gen_name(s, k, tail) names each before its permanent product."""
+    family = LambdaFamily(p, n, m)
+    A = thh_mod_p_algebra(p, n)
     mu = A.ngens - 1
     D = max_degree
     # the permanent products up to D, enumerated once: those up to a
     # smaller bound are the ones of degree <= it, in the same order
-    products = _exterior_subsets(A, permanents, D)
+    products = _exterior_subsets(A, list(range(n - m)), D)
     free = [sparse_monomial(A.ngens, exps) for _, exps, _ in products]
     torsion: List[TorsionGenerator] = []
     s = 1
-    while family.degree(head_index_of(s)) <= D:
-        length = length_of(s)
-        head_base, head_e = family.entry(head_index_of(s))
-        head_deg = family.degree(head_index_of(s))
-        step = p ** (s - 1)  # mu-multiple m stands for mu^(step * m)
-        step_mu_deg = step * deg_mu(p, family.n)
-        for tail in tails(s):
+    while (head_deg := family.degree(n - m + s)) <= D:
+        length = family.page(s)
+        head_base, head_e = family.entry(n - m + s)
+        step = p ** (s - 1)  # mu-multiple k stands for mu^(step * k)
+        step_mu_deg = step * deg_mu(p, n)
+        tails: List[Tuple[int, ...]] = [()]
+        for idx in range(n - m + s + 1, n + s + 1):
+            tails += [t + (idx,) for t in tails]
+        for tail in tails:
             # the head and tails lie among m + 1 consecutive lambda-indices (the
             # head alone at m = 0), whose entries keep their residues mod m + 1
             # in n-m+1..n+1: no two share a base, and none is a permanent (1..n-m)
@@ -173,16 +168,16 @@ def _ladder_presentation(p: int, max_degree: int, family: LambdaFamily,
             # the permanents are exterior, no head or tail and free of mu (the
             # last generator): a projection is the head and tails times a
             # permanent product, its mu-free prefix a sum made once per
-            # product, followed by the mu-exponent of m
+            # product, followed by the mu-exponent of k
             head = sparse_monomial(A.ngens, exps)[:mu]
             prefixes = [(pdeg, plabel, tuple(map(add, head, product[:mu])))
                         for (pdeg, _, plabel), product in zip(products, free) if pdeg <= D - deg_ht]
-            for m in range((D - deg_ht) // step_mu_deg + 1):
-                if m % p == p - 1:
+            for k in range((D - deg_ht) // step_mu_deg + 1):
+                if k % p == p - 1:
                     continue
-                deg0 = deg_ht + m * step_mu_deg
-                base_name = gen_name(s, m, tail)
-                mu_exp = (exps[mu] + m * step,)
+                deg0 = deg_ht + k * step_mu_deg
+                base_name = gen_name(s, k, tail)
+                mu_exp = (exps[mu] + k * step,)
                 for pdeg, plabel, prefix in prefixes:
                     if pdeg > D - deg0:
                         continue
@@ -197,19 +192,8 @@ def t12_presentation(p: int, max_degree: int) -> TorsionPresentation:
     lambda_1^e z_{n,m} and lambda_1^e z'_{n,m}."""
     if p < 3:
         raise FormulaError("paper assumes p >= 3")
-    family = LambdaFamily(p, 2, 1)
-
-    def name(s: int, m: int, tail: Tuple[int, ...]) -> str:
-        return (f"z({s},{m})" if not tail else f"z'({s},{m})")
-
-    return _ladder_presentation(
-        p, max_degree, family,
-        length_of=lambda s: r_len(p, s, 1),
-        head_index_of=lambda s: s + 1,
-        tails=lambda s: [(), (s + 2,)],
-        permanents=[0],
-        gen_name=name,
-    )
+    return _ladder_presentation(p, 2, 1, max_degree,
+                                lambda s, k, tail: f"z'({s},{k})" if tail else f"z({s},{k})")
 
 
 def t12_profile(p: int, max_degree: int) -> TowerProfile:
@@ -219,20 +203,12 @@ def t12_profile(p: int, max_degree: int) -> TowerProfile:
 def t22_presentation(p: int, max_degree: int) -> TorsionPresentation:
     """P(v_2) + T_2^2: towers of length r(n,2) on the four families
     y, y', y'', y''' (head lambda_n with optional lambda_{n+1}, lambda_{n+2})."""
-    family = LambdaFamily(p, 2, 2)
 
-    def name(s: int, m: int, tail: Tuple[int, ...]) -> str:
+    def name(s: int, k: int, tail: Tuple[int, ...]) -> str:
         primes = "'" * ((1 if s + 1 in tail else 0) + (2 if s + 2 in tail else 0))
-        return f"y{primes}({s},{m})"
+        return f"y{primes}({s},{k})"
 
-    return _ladder_presentation(
-        p, max_degree, family,
-        length_of=lambda s: r_len(p, s, 2),
-        head_index_of=lambda s: s,
-        tails=lambda s: [(), (s + 1,), (s + 2,), (s + 1, s + 2)],
-        permanents=[],
-        gen_name=name,
-    )
+    return _ladder_presentation(p, 2, 2, max_degree, name)
 
 
 def t22_profile(p: int, max_degree: int) -> TowerProfile:
@@ -247,26 +223,12 @@ def tmn_presentation(p: int, n: int, m: int, max_degree: int) -> TorsionPresenta
         raise FormulaError("need 1 <= m <= n")
     if m == 1 and p == 2:
         raise FormulaError("paper assumes p >= 3 in the m = 1 case")
-    family = LambdaFamily(p, n, m)
-
-    def tails(s: int):
-        out: List[Tuple[int, ...]] = [()]
-        for i in range(1, m + 1):
-            out = out + [t + (n - m + s + i,) for t in out]
-        return out
 
     def name(s: int, ell: int, tail: Tuple[int, ...]) -> str:
         bits = "".join("1" if (n - m + s + i) in tail else "0" for i in range(1, m + 1))
         return f"a({s},{ell};{bits})"
 
-    return _ladder_presentation(
-        p, max_degree, family,
-        length_of=lambda s: r_conj(p, n, m, s),
-        head_index_of=lambda s: n - m + s,
-        tails=tails,
-        permanents=list(range(n - m)),
-        gen_name=name,
-    )
+    return _ladder_presentation(p, n, m, max_degree, name)
 
 
 def tmn_profile(p: int, n: int, m: int, max_degree: int) -> TowerProfile:

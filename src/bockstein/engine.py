@@ -128,7 +128,7 @@ from .algebra import (
     require_prime,
     sparse_monomial,
 )
-from .formulas import LambdaFamily, r_conj, r_len
+from .formulas import LambdaFamily, r_len
 from .towers import INF, TowerProfile, Unknown
 
 
@@ -1059,9 +1059,7 @@ def _ladder_schedule(p: int, n: int, m: int, w, label: str) -> DifferentialSched
     d_r(mu_{n+1}^{p^{s-1}}) = v_m^r lambda_{n-m+s}, with
     lambda_1 .. lambda_{n-m} and lambda_{n-m+s} .. lambda_{n+s} attached.
     The paper's v_1 and v_2 ladders are (2, 1) and (2, 2), v_0 is (n, 0).
-    At m >= 1 the degrees fix step s's page r = r_n(s, m).  At m = 0,
-    |v_0| = 0 and they fix none; r_conj's sum is no page there, and v_0's
-    is the paper's nu_p(p^{s-1}) + 1 = s.
+    Step s's page r is the family's page(s).
 
     Emits steps while the target tower base degree stays inside the
     reported window; every death of an in-window tower is then computable,
@@ -1073,16 +1071,12 @@ def _ladder_schedule(p: int, n: int, m: int, w, label: str) -> DifferentialSched
     require_prime(p)
     v = GeneratorSpec(f"v{m}", 2 * p**m - 2, POLYNOMIAL)
     family = LambdaFamily(p, n, m)
-
-    def page(s: int) -> int:
-        return r_conj(p, n, m, s) if m else s
-
     mu = n + 1       # index of mu_{n+1}
     vi = n + 2
     pages: Dict[int, RulePage] = {}
     s = 1
     while family.degree(n - m + s) <= w.max_degree:
-        r = page(s)
+        r = family.page(s)
         base, e = family.entry(n - m + s)
         target = {sparse_monomial(n + 3, {vi: r, base - 1: 1, mu: e}): 1}
         source = sparse_monomial(n + 2, {mu: p ** (s - 1)})
@@ -1095,7 +1089,7 @@ def _ladder_schedule(p: int, n: int, m: int, w, label: str) -> DifferentialSched
     return DifferentialSchedule(
         v, pages, label=label,
         future_target_floor=family.degree(n - m + s),
-        future_min_page=page(s),
+        future_min_page=family.page(s),
     )
 
 

@@ -132,3 +132,11 @@ class LambdaFamily:
     def degree(self, s: int) -> int:
         base, e = self.entry(s)
         return deg_lambda(self.p, base) + e * deg_mu(self.p, self.n)
+
+    def page(self, s: int) -> int:
+        """Step s's page, the length of the towers it leaves: r_n(s, m) at
+        m >= 1.  At m = 0, |v_0| = 0 and the degrees fix no page; r_conj's
+        sum is none there, and v_0's is the paper's nu_p(p^{s-1}) + 1 = s."""
+        if s < 1:
+            raise FormulaError("s must be >= 1")
+        return r_conj(self.p, self.n, self.m, s) if self.m else s

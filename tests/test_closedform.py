@@ -2,7 +2,6 @@ from collections import Counter
 
 import pytest
 
-from bockstein import closedform
 from bockstein.closedform import (
     TorsionGenerator,
     TorsionPresentation,
@@ -20,7 +19,7 @@ from bockstein.closedform import (
     tmn_profile,
 )
 from bockstein.algebra import EXTERIOR, POLYNOMIAL, GeneratorSpec, graded_dims, sparse_monomial
-from bockstein.formulas import FormulaError, deg_lambda, deg_mu, nu_p, r_conj
+from bockstein.formulas import FormulaError, LambdaFamily, deg_lambda, deg_mu, nu_p, r_conj, r_len
 from bockstein.towers import INF, TowerProfile
 
 
@@ -206,6 +205,13 @@ BALANCE_CASES = [
     ("tmn p=3 n=3 m=1", lambda D: tmn_presentation(3, 3, 1, D), 4, 600),
     ("tmn p=3 n=3 m=2", lambda D: tmn_presentation(3, 3, 2, D), 16, 600),
     ("tmn p=5 n=4 m=3", lambda D: tmn_presentation(5, 4, 3, D), 248, 10000),
+    ("t0n p=7 n=1", lambda D: t0n_presentation(7, 1, D), 0, 2000),
+    ("t12 p=7", lambda D: t12_presentation(7, D), 12, 3000),
+    ("t22 p=7", lambda D: t22_presentation(7, D), 96, 3000),
+    ("t0n p=2 n=0", lambda D: t0n_presentation(2, 0, D), 0, 600),
+    ("t0n p=3 n=0", lambda D: t0n_presentation(3, 0, D), 0, 600),
+    ("tmn p=3 n=3 m=3", lambda D: tmn_presentation(3, 3, 3, D), 52, 600),
+    ("tmn p=2 n=4 m=4", lambda D: tmn_presentation(2, 4, 4, D), 30, 600),
 ]
 
 
@@ -271,23 +277,62 @@ def _ladder_presentation_reference(p, max_degree, family, length_of, head_index_
     return TorsionPresentation(A, free, torsion)
 
 
-@pytest.mark.parametrize("presentation", [
-    lambda D: t12_presentation(3, D), lambda D: t12_presentation(5, D),
-    lambda D: t22_presentation(2, D), lambda D: t22_presentation(3, D),
-    lambda D: tmn_presentation(3, 3, 1, D), lambda D: tmn_presentation(3, 3, 2, D),
-    lambda D: tmn_presentation(3, 4, 2, D), lambda D: tmn_presentation(5, 4, 3, D),
-    lambda D: tmn_presentation(2, 5, 2, D)],
+def _t12_shape(p):
+    """t12_presentation's family, tower lengths, heads, tails, permanents
+    and names, as it passed them to _ladder_presentation one by one."""
+    return dict(family=LambdaFamily(p, 2, 1), length_of=lambda s: r_len(p, s, 1),
+                head_index_of=lambda s: s + 1, tails=lambda s: [(), (s + 2,)], permanents=[0],
+                gen_name=lambda s, m, tail: f"z'({s},{m})" if tail else f"z({s},{m})")
+
+
+def _t22_shape(p):
+    """t22_presentation's shape, as _t12_shape gives t12's."""
+    def name(s, m, tail):
+        primes = "'" * ((1 if s + 1 in tail else 0) + (2 if s + 2 in tail else 0))
+        return f"y{primes}({s},{m})"
+
+    return dict(family=LambdaFamily(p, 2, 2), length_of=lambda s: r_len(p, s, 2),
+                head_index_of=lambda s: s, tails=lambda s: [(), (s + 1,), (s + 2,), (s + 1, s + 2)],
+                permanents=[], gen_name=name)
+
+
+def _tmn_shape(p, n, m):
+    """tmn_presentation's shape, as _t12_shape gives t12's."""
+    def tails(s):
+        out = [()]
+        for i in range(1, m + 1):
+            out = out + [t + (n - m + s + i,) for t in out]
+        return out
+
+    def name(s, ell, tail):
+        bits = "".join("1" if (n - m + s + i) in tail else "0" for i in range(1, m + 1))
+        return f"a({s},{ell};{bits})"
+
+    return dict(family=LambdaFamily(p, n, m), length_of=lambda s: r_conj(p, n, m, s),
+                head_index_of=lambda s: n - m + s, tails=tails, permanents=list(range(n - m)),
+                gen_name=name)
+
+
+@pytest.mark.parametrize("presentation, p, shape", [
+    (lambda D: t12_presentation(3, D), 3, _t12_shape(3)),
+    (lambda D: t12_presentation(5, D), 5, _t12_shape(5)),
+    (lambda D: t22_presentation(2, D), 2, _t22_shape(2)),
+    (lambda D: t22_presentation(3, D), 3, _t22_shape(3)),
+    (lambda D: tmn_presentation(3, 3, 1, D), 3, _tmn_shape(3, 3, 1)),
+    (lambda D: tmn_presentation(3, 3, 2, D), 3, _tmn_shape(3, 3, 2)),
+    (lambda D: tmn_presentation(3, 4, 2, D), 3, _tmn_shape(3, 4, 2)),
+    (lambda D: tmn_presentation(5, 4, 3, D), 5, _tmn_shape(5, 4, 3)),
+    (lambda D: tmn_presentation(2, 5, 2, D), 2, _tmn_shape(2, 5, 2))],
     ids=["t12-p3", "t12-p5", "t22-p2", "t22-p3", "tmn-p3-n3-m1", "tmn-p3-n3-m2",
          "tmn-p3-n4-m2", "tmn-p5-n4-m3", "tmn-p2-n5-m2"])
-def test_ladder_presentations_equal_the_reference(presentation, monkeypatch):
+def test_ladder_presentations_equal_the_reference(presentation, p, shape):
     # the same free part and the same generators (names, degrees, lengths,
     # projections) in the same order, at windows below, at and above the
-    # permanents' degrees
+    # permanents' degrees; the presentation works out from (n, m) the shape
+    # each family once spelled out for the reference
     for D in (0, 5, 17, 60, 200, 600, 2000):
         got = presentation(D)
-        with monkeypatch.context() as patch:
-            patch.setattr(closedform, "_ladder_presentation", _ladder_presentation_reference)
-            want = presentation(D)
+        want = _ladder_presentation_reference(p, D, **shape)
         assert got.free_part == want.free_part
         assert got.torsion_generators == want.torsion_generators, D
     assert len({g.name for g in got.torsion_generators}) > 10

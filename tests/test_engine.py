@@ -28,10 +28,14 @@ from bockstein.algebra import (
 from bockstein import engine, linalg
 from bockstein.cases import Case
 from bockstein.closedform import (
+    t0n_presentation,
     t0n_profile,
+    t12_presentation,
     t12_profile,
+    t22_presentation,
     t22_profile,
     thh_mod_p_algebra,
+    tmn_presentation,
 )
 from bockstein.engine import (
     AmbiguousPatternError,
@@ -760,6 +764,40 @@ def test_schedule_v0_is_the_ladder_at_m_zero(p):
                 assert list(g.attach.items()) == list(e.attach.items())
             assert (got.future_target_floor, got.future_min_page) == \
                 (want.future_target_floor, want.future_min_page), (n, D)
+
+
+# (label, schedule at D, its oracle's presentation at D): every certified
+# ladder and the conjectural ones, p <= 7, n <= 3 at m = 0 and n <= 4 above
+LADDERS = (
+    [(f"v0 p={p} n={n}", lambda D, p=p, n=n: schedule_v0(p, n, D),
+      lambda D, p=p, n=n: t0n_presentation(p, n, D)) for p in (2, 3, 5, 7) for n in range(4)]
+    + [(f"v1 p={p}", lambda D, p=p: schedule_v1(p, D),
+        lambda D, p=p: t12_presentation(p, D)) for p in (3, 5, 7)]
+    + [(f"v2 p={p}", lambda D, p=p: schedule_v2(p, D),
+        lambda D, p=p: t22_presentation(p, D)) for p in (2, 3, 5, 7)]
+    + [(f"conj p={p} n={n} m={m}", lambda D, p=p, n=n, m=m: schedule_conj(p, n, m, D),
+        lambda D, p=p, n=n, m=m: tmn_presentation(p, n, m, D))
+       for p in (2, 3, 5, 7) for n in range(1, 5) for m in range(1, n + 1)
+       if not (m == 1 and p == 2)])
+
+
+@pytest.mark.parametrize("schedule, presentation", [c[1:] for c in LADDERS],
+                         ids=[c[0] for c in LADDERS])
+def test_each_ladder_schedule_fires_its_presentations_towers(schedule, presentation):
+    # step s fires on page page(s) and leaves towers of that length based
+    # on its head: the schedule's pages are the presentation's tower
+    # lengths, and each page's rule hits the least degree of a tower of
+    # its length, the head's (no tail, mu-multiple or permanent product)
+    D = 3000
+    sched, pres = schedule(D), presentation(D)
+    least: Dict[int, int] = {}
+    for g in pres.torsion_generators:
+        least[g.length] = min(least.get(g.length, g.degree), g.degree)
+    assert sorted(sched.pages) == sorted(least)
+    for r, page in sched.pages.items():
+        (rule,) = page.rules
+        (target,) = rule.target
+        assert pres.algebra.degree(target[:-1]) == least[r], r
 
 
 def test_variant_b_exterior_rule_on_cycles():

@@ -78,6 +78,21 @@ def test_r_conj_specializes_to_r_len():
         r_conj(3, 2, 3, 1)
 
 
+def test_lambda_family_page_is_the_ladder_step_page():
+    # s at m = 0 and r(s, m) on the paper's ladders (2, 1) and (2, 2); no
+    # page below step 1, where a bare s would be 0 or negative
+    for p in PRIMES:
+        for s in range(1, 9):
+            assert LambdaFamily(p, 3, 0).page(s) == s
+            assert LambdaFamily(p, 0, 0).page(s) == s
+            for m in (1, 2):
+                assert LambdaFamily(p, 2, m).page(s) == r_len(p, s, m)
+    for n, m in ((0, 0), (3, 0), (2, 1), (2, 2), (4, 3)):
+        for s in (0, -1):
+            with pytest.raises(FormulaError, match="s must be >= 1"):
+                LambdaFamily(3, n, m).page(s)
+
+
 def test_lambda_expand_examples():
     for p in (3, 5):
         A = thh_mod_p_algebra(p, 2)

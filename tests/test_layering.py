@@ -56,6 +56,23 @@ def test_the_layers_below_the_oracles_import_no_closedform(module):
     assert "closedform" not in module_imports(module)
 
 
+def names_taken(module: str):
+    """Every name a module imports from another, loads or reads as an
+    attribute (names_read, below, without the imports)."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return names_read(tree, strings=False) | {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names}
+
+
+def test_a_ladder_steps_page_is_stated_once():
+    # formulas.LambdaFamily.page is the one place a step's page is worked
+    # out; the presentation and the schedule both read it there, so neither
+    # may name a page formula of its own
+    assert not names_taken("closedform") & {"r_conj", "r_len"}
+    assert "r_conj" not in names_taken("engine")
+
+
 def test_imports_are_read_in_every_form_and_place():
     source = """
 import json
