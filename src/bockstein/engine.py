@@ -37,12 +37,12 @@ tuples, ints and None (a cell is (monomials, reps, boundaries, dim), Cell),
 read through index constants, so the cyclic collector untracks them and
 stops walking them; a cell's CosetSolver (_express) lives outside it, for
 the one page's firing that asks for it.  The d_r records (DiffRecord,
-their matrices lists of lists) and the (t, s) views stay objects while the
-benchmark's tracer reads them (ROADMAP B1, D21).
+their matrices lists of lists) stay objects while the benchmark's tracer
+reads them (ROADMAP B1, D21).
 PageData owns the window 0..D: its readers cut the bars to it by one rule
 (EngineContext._cut), a whole page in one walk (windows, and windows_maps
-over its d_r records) or one A-degree at a time (window, window_maps), and
-the documents and the chart read only them.  A d_r record (DiffRecord)
+over its d_r records) or one A-degree at a time (window), and the
+documents and the chart read only them.  A d_r record (DiffRecord)
 holds only its matrix and rank: its source A-degree is its key in
 PageData.maps, and its target is the A-degree a - 1 - r|v| the page
 implies.  A page knows the page it was fired from (PageData.fired_from)
@@ -109,7 +109,6 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left, bisect_right
-from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import add, itemgetter, sub
@@ -395,11 +394,11 @@ class PageData:
 
     What a reader shows of them is cut to the window 0..D by one rule
     (EngineContext._cut), read in one walk over a page (windows,
-    windows_maps) or one A-degree at a time (window(a), window_maps(a));
-    the documents and the chart read only those.  cells and diffs are
-    their (t, s) views, read-only mappings that read the bars on every
-    access and give the very cells and DiffRecords the bars hold, so a
-    run builds neither; no library code reads them, and the benchmark's
+    windows_maps) or one A-degree at a time (window(a)); the documents and
+    the chart read only those.  cells and diffs are the two walks seen at
+    (t, s) (_PageView): their keys in order, their number and the very
+    cells and DiffRecords the bars hold, read off the bars on every read,
+    so a run builds neither.  No library code reads them; the benchmark's
     tracer counts through them (ROADMAP B1, D9).
     """
 
@@ -412,15 +411,15 @@ class PageData:
         self.fired_maps: Optional[Dict[int, Bars]] = None
 
     @property
-    def cells(self) -> Mapping[Tuple[int, int], Cell]:
+    def cells(self) -> _PageView:
         """The classes at every (t, s) of the window: the bar's own cell."""
-        return _PageView(self, self.windows, self.window)
+        return _PageView(self, self.windows)
 
     @property
-    def diffs(self) -> Mapping[Tuple[int, int], DiffRecord]:
-        """d_r at every (t, s) source window_maps shows: the record maps
+    def diffs(self) -> _PageView:
+        """d_r at every (t, s) source windows_maps shows: the record maps
         holds, whose target is (t - 1, s + r)."""
-        return _PageView(self, self.windows_maps, self.window_maps)
+        return _PageView(self, self.windows_maps)
 
     def changed(self) -> Set[int]:
         """The A-degrees at which this page holds other bars than
@@ -441,8 +440,9 @@ class PageData:
             yield a, cut(a, bars, D, hi)
 
     def windows_maps(self) -> Iterator[Tuple[int, Runs]]:
-        """(a, window_maps(a)) of each A-degree d_r does not vanish on, in
-        increasing order."""
+        """(a, runs) of each A-degree a d_r does not vanish on, in increasing
+        order: (s_from, s_to, DiffRecord) of each bar of d_r out of a, cut to
+        the sources in degrees 0..D + 1 whose targets lie in the view."""
         ctx, maps = self.ctx, self.maps
         cut, top, hi = ctx._cut, ctx.max_degree + 1, ctx.s_hi - self.r
         for a in sorted(maps):
@@ -454,30 +454,20 @@ class PageData:
         ctx = self.ctx
         return ctx._cut(a, self.degrees.get(a, ()), ctx.max_degree, ctx.s_hi)
 
-    def window_maps(self, a: int) -> Runs:
-        """(s_from, s_to, DiffRecord) of each bar of d_r out of A-degree a
-        that does not vanish, cut to the sources in degrees 0..D + 1 whose
-        targets lie in the view's filtrations."""
-        ctx = self.ctx
-        return ctx._cut(a, self.maps.get(a, ()), ctx.max_degree + 1, ctx.s_hi - self.r)
 
+class _PageView:
+    """A (t, s) view of a page, read off its bars on every read.
 
-class _PageView(Mapping):
-    """A (t, s) view of a page, read off its bars on every access.
+    Iterating it gives the keys (t, s) of the A-degrees and runs that
+    walk() gives, in order; values() walks the bars as the keys do and
+    gives each bar's own item.  The view keeps nothing, so a read
+    allocates only what it returns."""
 
-    The keys run over the A-degrees and runs that walk() gives, in order;
-    a lookup reads the runs(a) of its A-degree and the one that holds it,
-    and items and values walk the bars as the keys do.  A value is the
-    bar's own item.  The view keeps nothing, so a read allocates only what
-    it returns."""
+    __slots__ = ("_pd", "_walk")
 
-    __slots__ = ("_pd", "_walk", "_runs")
-
-    def __init__(self, pd: PageData, walk: Callable[[], Iterator[Tuple[int, Runs]]],
-                 runs: Callable[[int], Runs]) -> None:
+    def __init__(self, pd: PageData, walk: Callable[[], Iterator[Tuple[int, Runs]]]) -> None:
         self._pd = pd
         self._walk = walk
-        self._runs = runs
 
     def _entries(self) -> Iterator[Tuple[int, int, object]]:
         """(t, s, item) of every key (t, s), in order."""
@@ -487,17 +477,6 @@ class _PageView(Mapping):
                 for s in range(s0, s1 + 1):
                     yield a + s * dv, s, item
 
-    def __getitem__(self, key: Tuple[int, int]):
-        if type(key) is not tuple or len(key) != 2:
-            raise KeyError(key)
-        t, s = key
-        if type(t) is not int or type(s) is not int:
-            raise KeyError(key)
-        for s0, s1, item in self._runs(t - s * self._pd.ctx.deg_v):
-            if s0 <= s <= s1:
-                return item
-        raise KeyError(key)
-
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         for t, s, _ in self._entries():
             yield t, s
@@ -505,22 +484,8 @@ class _PageView(Mapping):
     def __len__(self) -> int:
         return sum(s1 - s0 + 1 for _, runs in self._walk() for s0, s1, _ in runs)
 
-    def items(self) -> ItemsView:
-        return _Items(self)
-
-    def values(self) -> ValuesView:
-        return _Values(self)
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        for t, s, item in self._mapping._entries():
-            yield (t, s), item
-
-
-class _Values(ValuesView):
-    def __iter__(self):
-        return map(itemgetter(2), self._mapping._entries())
+    def values(self) -> Iterator[object]:
+        return map(itemgetter(2), self._entries())
 
 
 def build_e1(A: Algebra, v: GeneratorSpec, w, localized: bool, top_page: int,
@@ -892,7 +857,7 @@ def _cones(ctx: EngineContext,
     and changes only those two A-degrees.  So the pages are walked from the
     last to the first, keeping a bitset of the A-degrees whose state after
     the page is read.  It starts as the kept A-degrees of the window, the
-    sources at D + 1 that window_maps shows included (what extract_towers,
+    sources at D + 1 that windows_maps shows included (what extract_towers,
     the documents and the chart read).  Each page adds the ends of its
     rules, their source and target A-degrees (what _validate_rules reads),
     and its cone is the A-degrees of its clearing index whose record leaves
@@ -1216,7 +1181,7 @@ def run(A: Algebra, sched: DifferentialSchedule, w, localized: bool = False,
 
 
 def extract_towers(final: PageData, sched: DifferentialSchedule,
-                   unfired: Mapping[int, PageGenerators]) -> TowerProfile:
+                   unfired: Dict[int, PageGenerators]) -> TowerProfile:
     """The towers over the run's window, read from the final page's
     per-degree state; unfired maps each of the schedule's pages the run did
     not fire to its compiled generators."""

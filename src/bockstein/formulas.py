@@ -16,9 +16,9 @@ class FormulaError(ValueError):
 
 
 def nu_p(p: int, k: int) -> int:
-    """p-adic valuation of k, for k >= 1."""
-    if k <= 0:
-        raise FormulaError(f"nu_p needs k >= 1, got {k}")
+    """p-adic valuation of k, for p >= 2 and k >= 1."""
+    if p < 2 or k <= 0:
+        raise FormulaError(f"nu_p needs p >= 2 and k >= 1, got p = {p}, k = {k}")
     e = 0
     while k % p == 0:
         k //= p

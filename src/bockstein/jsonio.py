@@ -14,7 +14,7 @@ view's filtrations and whether names are ASCII.  A page holds `r`,
 [s_from, s_to, dim, reps], its bars as PageData.window cuts them, each
 rep a lead monomial without its v-power; and `differentials`: per source
 A-degree `a`, its target `to` and `runs` [s_from, s_to, rank, matrix], the
-bars of d_r as PageData.window_maps cuts them (sources in degrees
+bars of d_r as PageData.windows_maps cuts them (sources in degrees
 0..D + 1 whose targets are in the view).  The writer reads a page only
 through the walks PageData.windows and windows_maps and, for the
 A-degrees a page changed (PageData.changed), PageData.window.  json_fragments lays the text
@@ -153,7 +153,7 @@ def _degree_record(a: int, window: Iterable[Tuple[int, int, Cell]], reps: Dict[i
 
 def _diff_record(a: int, target: int, runs: Runs) -> Optional[str]:
     """The record of d_r out of A-degree a into A-degree target from its
-    runs (PageData.window_maps), None when they are empty.  A matrix is a
+    runs (PageData.windows_maps), None when they are empty.  A matrix is a
     list of lists of ints, whose str is its JSON text."""
     if not runs:
         return None

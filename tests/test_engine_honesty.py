@@ -24,6 +24,11 @@ import golden
 from reference import dim_at, reps_rows
 
 
+def _top_filtration(pd):
+    """The highest filtration at which page pd shows a class."""
+    return max(s1 for _a, runs in pd.windows() for _s0, s1, _cell in runs)
+
+
 def test_top_filtrations_are_exact():
     # the v0 view ends at the last page, s = 2; classes there whose
     # differential lands above it are decided all the same
@@ -33,7 +38,7 @@ def test_top_filtrations_are_exact():
     pages, _ = run(A, sched, w)
     e2, final = pages[1], pages[-1]
     assert e2.r == 2 and final.r == 3
-    assert max(s for (_t, s) in final.cells) == max(sched.pages) == 2
+    assert _top_filtration(final) == max(sched.pages) == 2
     assert dim_at(e2, 16, 2) == 0      # mu_3 v0^2 supports d_1 into (15, 3)
     assert dim_at(e2, 15, 2) == 0      # lambda_3 v0^2 is the boundary of mu_3 v0
     for s in range(3):
@@ -145,25 +150,26 @@ def test_dims_nonincreasing_and_v_surjective_along_slants():
     p = A.p
     checked = 0
     for pd in pages:
-        for (t, s), cell in pd.cells.items():
-            nxt = pd.cells.get((t + dv, s + 1))
-            if nxt is None:
-                continue
-            assert nxt[DIM] <= cell[DIM]
-            if nxt[DIM] == 0:
-                continue
-            # v * reps of this cell span the next cell modulo its boundaries
-            rows = []
-            for rep in reps_rows(cell):
-                vec = [0] * len(nxt[MONOMIALS])
-                for mon, c in zip(cell[MONOMIALS], rep):
-                    if c:
-                        vec[nxt[MONOMIALS].index(mon)] = c
-                coeffs = engine._express(nxt, vec, p, {})
-                assert coeffs is not None
-                rows.append(coeffs)
-            assert linalg.rank(rows, p) == nxt[DIM]
-            checked += 1
+        # the cell at (t + |v|, s + 1) is the next one up the A-degree's
+        # window, whose filtrations are consecutive
+        for _a, runs in pd.windows():
+            column = [cell for s0, s1, cell in runs for _ in range(s0, s1 + 1)]
+            for cell, nxt in zip(column, column[1:]):
+                assert nxt[DIM] <= cell[DIM]
+                if nxt[DIM] == 0:
+                    continue
+                # v * reps of this cell span the next cell modulo its boundaries
+                rows = []
+                for rep in reps_rows(cell):
+                    vec = [0] * len(nxt[MONOMIALS])
+                    for mon, c in zip(cell[MONOMIALS], rep):
+                        if c:
+                            vec[nxt[MONOMIALS].index(mon)] = c
+                    coeffs = engine._express(nxt, vec, p, {})
+                    assert coeffs is not None
+                    rows.append(coeffs)
+                assert linalg.rank(rows, p) == nxt[DIM]
+                checked += 1
     assert checked > 50
 
 
@@ -235,7 +241,7 @@ def test_the_top_filtration_of_a_v0_view_is_the_last_page(p, n):
         R = max(sched.pages, default=0)
         for pd in pages:
             assert (pd.ctx.s_lo, pd.ctx.s_hi) == (0, R)
-            assert max(s for _, s in pd.cells) == R
+            assert _top_filtration(pd) == R
         starts = [s for bars in pages[-1].degrees.values() for s, _ in bars]
         assert max(starts) == R, D
 

@@ -29,6 +29,14 @@ def test_nu_p():
         nu_p(3, -3)
 
 
+@pytest.mark.parametrize("p", [1, 0, -1, -3])
+def test_nu_p_refuses_a_base_below_two(p):
+    # 1 and -1 divide every k, so the division loop would never end, k % 0
+    # raises ZeroDivisionError, and a negative base gives no p-adic valuation
+    with pytest.raises(FormulaError, match="p >= 2"):
+        nu_p(p, 9)
+
+
 def test_generator_degrees():
     assert deg_lambda(2, 3) == 15
     assert deg_mu(2, 2) == 16

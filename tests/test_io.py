@@ -81,6 +81,13 @@ def test_json_schema_and_fixtures():
     assert all(d["rank"] >= 1 for pg in doc["pages"] for d in pg["differentials"])
 
 
+def _by_ts(dv, walk):
+    """(t, s, item) at each filtration of the runs a page's walk gives,
+    sorted by (t, s)."""
+    return sorted((a + s * dv, s, item) for a, runs in walk for s0, s1, item in runs
+                  for s in range(s0, s1 + 1))
+
+
 def test_json_roundtrip_and_determinism():
     pages, prof, meta = _v0_run(40)
     text1 = emit_json(pages, prof, meta)
@@ -94,11 +101,12 @@ def test_json_roundtrip_and_determinism():
     assert [pg["r"] for pg in pages2] == [pd.r for pd in pages]
     for pd, pg in zip(pages, pages2):
         A, v_name = pd.ctx.A, pd.ctx.v.name
+        dv = pd.ctx.deg_v
         classes = [(t, s, cell[DIM], [rep_str(A, cell[MONOMIALS], row, v_name, s)
                                      for row in reps_rows(cell)])
-                   for (t, s), cell in sorted(pd.cells.items()) if cell[DIM] and 0 <= t <= 40]
+                   for t, s, cell in _by_ts(dv, pd.windows()) if cell[DIM] and 0 <= t <= 40]
         assert [(c["t"], c["s"], c["dim"], c["reps"]) for c in pg["classes"]] == classes
-        diffs = [((t, s), (t - 1, s + pd.r), rec.rank) for (t, s), rec in sorted(pd.diffs.items())
+        diffs = [((t, s), (t - 1, s + pd.r), rec.rank) for t, s, rec in _by_ts(dv, pd.windows_maps())
                  if rec.rank and (0 <= t <= 40 or 0 <= t - 1 <= 40)]
         assert [((d["from"]["t"], d["from"]["s"]), (d["to"]["t"], d["to"]["s"]), d["rank"])
                 for d in pg["differentials"]] == diffs
@@ -262,7 +270,7 @@ def test_svg_shows_differential_arrows():
     w = Window(40)
     sched = schedule_v2(2, w)
     pages, prof = run(A, sched, w)
-    fired = next(pg for pg in pages if any(True for a in pg.maps for _ in pg.window_maps(a)))
+    fired = next(pg for pg in pages if any(runs for _a, runs in pg.windows_maps()))
     svg = emit_svg(fired, ChartStyle(), 40)
     assert f">d{fired.r}</text>" in svg
 
@@ -481,7 +489,7 @@ def test_tower_text_is_what_json_writes_of_the_records(seed):
 def test_matrix_text_is_what_json_writes(seed):
     # made-up d_r bars on a page whose matrices are random ints, [], [[]]
     # and [[0, 0]] among them: each differential record is json.dumps of
-    # its runs as window_maps cuts them
+    # its runs as windows_maps cuts them
     ctx = Case("v2", 2, 50).run()[1][0].ctx
     rng = random.Random(seed)
     matrices = [[], [[]], [[0, 0]]] + [
@@ -491,8 +499,8 @@ def test_matrix_text_is_what_json_writes(seed):
     pd.maps = {a: ((ctx.s_lo, DiffRecord(m, rng.randint(0, 6))),)
                for a, m in enumerate(matrices)}
     want = [json.dumps({"a": a, "to": a - 1 - ctx.deg_v,
-                        "runs": [[s0, s1, rec.rank, rec.matrix] for s0, s1, rec in pd.window_maps(a)]},
-                       ensure_ascii=False) for a in sorted(pd.maps)]
+                        "runs": [[s0, s1, rec.rank, rec.matrix] for s0, s1, rec in runs]},
+                       ensure_ascii=False) for a, runs in pd.windows_maps()]
     records = [text for text in json_fragments([pd], TowerProfile(50), {})
                if text.startswith('{"a": ')]
     assert records == want and '"runs": []' not in "".join(want)

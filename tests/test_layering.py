@@ -228,3 +228,28 @@ def test_the_library_reads_what_it_defines():
               if name not in (called if name in colliding else inside)}
     assert {qual for qual in unread if defined[qual] not in outside} == set()
     assert unread == set(READ_ONLY_OUTSIDE)
+
+
+# The tests that may read a (t, s) page view, PageData.cells or .diffs: the
+# views' own tests and the tracer observers' test, which ROADMAP D9 deletes
+# with the views; every other test reads a page through the window walks
+# and readers (windows, windows_maps, window(a)).
+VIEW_READERS = {
+    "test_engine.py::test_lazy_views_equal_the_eager_ones",
+    "test_engine.py::test_derived_views_equal_whole_views",
+    "test_engine.py::test_no_library_reader_reads_a_page_view",
+    "test_tracing_hooks.py::test_the_tracer_observers_count_the_page_views",
+}
+
+
+def test_only_the_view_tests_read_a_page_view():
+    # each attribute .cells or .diffs in tests/, named by the module-level
+    # function or class it is read in, or by <module> outside one
+    readers = set()
+    for path in sorted(Path(__file__).resolve().parent.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            named = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            readers.update(f"{path.name}::{top.name if named else '<module>'}"
+                           for node in ast.walk(top)
+                           if isinstance(node, ast.Attribute) and node.attr in ("cells", "diffs"))
+    assert readers and readers <= VIEW_READERS, sorted(readers - VIEW_READERS)

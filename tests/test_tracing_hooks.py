@@ -15,18 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from bockstein.closedform import thh_mod_p_algebra
+from bockstein.cases import Case
 from bockstein.engine import (
     PageData,
-    Window,
     _bar_at,
     _page_generators,
     _rule_degrees,
     apply_page,
     build_e1,
     reach,
-    schedule_v2,
 )
+import golden
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -55,18 +54,22 @@ def test_every_tracer_hook_resolves(module_name, attr):
     assert callable(owner)
 
 
-def test_the_tracer_observers_count_the_page_views():
+# |v| > 0, |v| = 0 at two primes, and localized, where s runs below 0
+OBSERVED_CASES = [Case("v2", 2, 60), Case("v0", 2, 200, n=2), Case("v0", 3, 300, n=1),
+                  Case("v2", 3, 120, localized=True), Case("v2", 2, 120, localized=True)]
+
+
+@pytest.mark.parametrize("case", OBSERVED_CASES, ids=golden.case_id)
+def test_the_tracer_observers_count_the_page_views(case):
     # the observers of build_e1 and apply_page count E_1's (t, s) classes
     # and each fired page's (t, s) differentials through the engine's
     # views, which compute them from the bars when read; here those counts
     # must equal the views' sizes, counted over the window from the bars
-    A = thh_mod_p_algebra(2, 2)
-    w = Window(60)
-    sched = schedule_v2(2, w)
+    A, sched, w = case.build()
     counts = defaultdict(int)
     top_page = max(sched.pages)
-    every = (1 << reach(sched.v.degree, w.max_degree, top_page, False) + 1) - 1
-    pd = build_e1(A, sched.v, w, False, top_page, 0, every)
+    every = (1 << reach(sched.v.degree, w.max_degree, top_page, case.localized) + 1) - 1
+    pd = build_e1(A, sched.v, w, case.localized, top_page, 0, every)
     TRACING._cells(counts, (A, sched.v, w), {}, pd)
     ctx = pd.ctx
     keys = [(t, s) for t in range(ctx.max_degree + 1) for s in range(ctx.s_lo, ctx.s_hi + 1)
